@@ -9,10 +9,11 @@ Usage::
     python -m repro check examples/ --check-ir=each-phase --fuzz 20
     python -m repro profile program.mini --top 5 --collapsed out.folded
 
-``run`` JIT-compiles (profile run + optimization) and executes, printing
-the result and the simulated cycle count.  ``compile`` prints per-unit
-metrics and optionally the optimized IR.  ``trace`` compiles under a
-recording tracer and prints the aggregated compile profile.  ``bench``
+``run`` JIT-compiles (a profiling run on the bytecode VM, then
+optimization) and executes, printing the result and the simulated cycle
+count.  ``compile`` prints per-unit metrics and optionally the
+optimized IR.  ``trace`` compiles under a recording tracer and prints
+the aggregated compile profile.  ``bench``
 regenerates one of the paper's evaluation figures.  ``check`` runs the
 IR sanitizers (docs/ANALYSIS.md) over source files: checked compiles
 with phase-blame diagnostics, optional LIR checks, dynamic stamp
@@ -23,7 +24,8 @@ profile); see docs/OBSERVABILITY.md.  ``run`` and ``compile`` accept
 ``--check-ir={off,boundaries,each-phase}`` plus
 ``--fail-fast``/``--keep-going``.  ``run``, ``bench`` and ``check``
 accept ``--engine={reference,vm,closure,megaunit,tiered}`` to pick the
-executor (``megaunit`` compiles the whole program into one exec unit
+executor; ``run`` defaults to ``megaunit``, ``bench`` and ``check`` to
+``reference`` (``megaunit`` compiles the whole program into one exec unit
 with direct calls, docs/VM.md; ``tiered`` starts cold and promotes hot
 functions at the ``--tier-threshold`` hotness, and with
 ``--tier2-engine=megaunit`` re-promotes the hottest into the
@@ -102,12 +104,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
+def _add_engine_flag(
+    parser: argparse.ArgumentParser, default: str = "reference"
+) -> None:
     parser.add_argument(
         "--engine",
-        default="reference",
+        default=default,
         choices=ENGINES,
-        help="execution engine for program runs (see docs/VM.md)",
+        help="execution engine for program runs (default: %(default)s; "
+        "see docs/VM.md)",
     )
     parser.add_argument(
         "--tier-threshold",
@@ -997,7 +1002,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="JIT-compile and execute")
     _add_common(run_parser)
-    _add_engine_flag(run_parser)
+    _add_engine_flag(run_parser, default="megaunit")
     _add_observability(run_parser)
     _add_metrics_flags(run_parser)
     _add_check_flags(run_parser)

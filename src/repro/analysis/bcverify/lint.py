@@ -29,7 +29,12 @@ sum to the bytecode function's instruction count and total baked
 cost, and every *direct call* is audited against the program's
 function table (the ``_mu<N>`` index must exist and the argument
 count must match the callee's arity plus the ``vm``/``m``/``d``
-protocol slots).
+protocol slots).  Every budget exit must have the sparse form
+``_finish(vm, _fn<N>, s, c, pc, r<a>, r<b>, ...)``: its own function
+cell, the meter locals, a literal pc inside the function, and exactly
+the registers :func:`~repro.vm.megaunit.finish_live_ins` names for
+that pc, in that order — a missing register would make the replay
+read a template slot instead of the live value.
 
 :func:`lint_closure_source` and :func:`lint_megaunit_source` return
 plain message strings; the ``bc-codegen-lint`` checker turns them into
@@ -47,6 +52,7 @@ from ...vm.megaunit import (
     MEGAUNIT_BUILTINS,
     MEGAUNIT_NAMESPACE,
     MegaunitUnsupported,
+    finish_live_ins,
     generate_module_source,
 )
 
@@ -325,6 +331,49 @@ def _lint_mega_calls(
             )
 
 
+def _is_name(node, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _lint_mega_finishes(
+    func: ast.FunctionDef, index: int, fn, messages: list
+) -> None:
+    """Every ``_finish`` budget exit passes its own function cell, the
+    meter locals, a literal in-range pc and exactly the live-in
+    registers of that pc, in :func:`finish_live_ins` order."""
+    for node in ast.walk(func):
+        if not (isinstance(node, ast.Call) and _is_name(node.func, "_finish")):
+            continue
+        args = node.args
+        if node.keywords or len(args) < 5 or not all(
+            _is_name(arg, name)
+            for arg, name in zip(args, ("vm", f"_fn{index}", "s", "c"))
+        ):
+            messages.append(
+                f"{func.name}: _finish call (line {node.lineno}) does not "
+                f"pass (vm, _fn{index}, s, c, pc, ...)"
+            )
+            continue
+        pc = _literal(args[4])
+        if not isinstance(pc, int) or not 0 <= pc < len(fn.code):
+            messages.append(
+                f"{func.name}: _finish call (line {node.lineno}) has no "
+                f"literal pc inside {fn.name!r}"
+            )
+            continue
+        expected = [f"r{reg}" for reg in finish_live_ins(fn, pc)]
+        passed = [
+            arg.id if isinstance(arg, ast.Name) else ast.dump(arg)
+            for arg in args[5:]
+        ]
+        if passed != expected:
+            messages.append(
+                f"{func.name}: _finish at pc {pc} passes "
+                f"[{', '.join(passed)}] but its replay reads "
+                f"[{', '.join(expected)}]"
+            )
+
+
 def _mega_meter_totals(func: ast.FunctionDef) -> tuple:
     """Step and cycle charges of one generated megaunit function.
 
@@ -448,6 +497,7 @@ def lint_megaunit_source(bytecode, metered: bool = True) -> list[str]:
         seen.add(index)
         _lint_mega_names(node, messages)
         _lint_mega_calls(node, order, messages)
+        _lint_mega_finishes(node, index, order[index], messages)
         _lint_mega_accounting(node, order[index], metered, messages)
         _lint_trap_flushes(node, messages)
     missing = sorted(set(range(len(order))) - seen)

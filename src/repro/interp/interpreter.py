@@ -5,9 +5,11 @@ Three roles:
 * **Semantics oracle** — optimized and unoptimized programs must produce
   identical observable results (return value, reachable heap, globals,
   traps); the test suite runs both and compares.
-* **Profiler** — a profiling run records branch-taken counts and loop
-  trip counts, which the compiler consumes exactly like Graal consumes
-  HotSpot profiles (Section 5.3).
+* **Profile oracle** — the ``profile=`` hook records branch-taken
+  counts and block entries.  The compiler's profile (consumed exactly
+  like Graal consumes HotSpot profiles, Section 5.3) is collected on
+  the bytecode VM by :func:`repro.interp.profile.profile_program`; the
+  parity tests demand it equal this hook's counts.
 * **Performance simulator** — executions can be charged node-cost-model
   cycles per executed instruction, giving the "peak performance" metric
   of the evaluation (see DESIGN.md for why this substitution is sound).

@@ -2,19 +2,27 @@
 
 Mirrors the paper's setup: HotSpot's interpreter profiles branches, the
 compiler reads those profiles as edge probabilities and loop
-frequencies.  Here a profiling interpretation run fills
-``If.true_probability`` and ``Block.profile_trip_count`` on the very
-graphs the compiler will transform; clones carry the data along.
+frequencies.  Here a profiling run fills ``If.true_probability`` and
+``Block.profile_trip_count`` on the very graphs the compiler will
+transform; clones carry the data along.
+
+The profiling run executes on the bytecode VM's flat-tuple loop, whose
+``record_block``/``record_branch`` hooks fire at exactly the points the
+reference interpreter's do, so the collected counters are dict-equal to
+an ``Interpreter(profile=...)`` run — including the partial counts of a
+run that traps or exhausts its step budget.  The reference interpreter
+keeps its ``profile=`` hook as the oracle the parity tests compare
+against.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Optional
 
 from ..ir.graph import Program
 from ..ir.loops import DEFAULT_TRIP_COUNT
 from ..ir.nodes import If
-from .interpreter import Interpreter, ProfileCollector
+from .interpreter import ProfileCollector
 
 
 def profile_program(
@@ -22,13 +30,28 @@ def profile_program(
     entry: str,
     arg_sets: Iterable[list[Any]],
     max_steps: int = 50_000_000,
+    collector: Optional[ProfileCollector] = None,
 ) -> ProfileCollector:
-    """Run ``entry`` over every argument set, collecting counters."""
-    collector = ProfileCollector()
-    interpreter = Interpreter(program, max_steps=max_steps, profile=collector)
+    """Run ``entry`` over every argument set, collecting counters.
+
+    A trap ends its run with the counts gathered so far; an exhausted
+    step budget raises :class:`~repro.interp.interpreter.BudgetExceeded`,
+    exactly as on the reference interpreter.  Pass ``collector`` to
+    keep the partial counts of a run that raises."""
+    # Deferred: repro.vm builds on this package's interpreter types.
+    from ..vm.machine import VirtualMachine
+    from ..vm.translate import translate_program
+
+    if collector is None:
+        collector = ProfileCollector()
+    machine = VirtualMachine(
+        translate_program(program, fuse=False),
+        max_steps=max_steps,
+        profile=collector,
+    )
     for args in arg_sets:
-        interpreter.reset()
-        interpreter.run(entry, list(args))
+        machine.reset()
+        machine.run(entry, list(args))
     return collector
 
 

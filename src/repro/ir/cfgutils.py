@@ -162,15 +162,19 @@ def merge_straightline_blocks(graph: Graph) -> int:
     return count
 
 
-def canonical_cfg_cleanup(graph: Graph) -> None:
+def canonical_cfg_cleanup(graph: Graph) -> int:
     """Run the structural cleanups in a safe order, restoring all
     invariants: distinct If targets, no unreachable code, no degenerate
-    phis, split critical edges."""
-    fold_redundant_ifs(graph)
-    remove_unreachable_blocks(graph)
-    simplify_degenerate_phis(graph)
-    merge_straightline_blocks(graph)
-    split_critical_edges(graph)
+    phis, split critical edges.  Returns the number of changes made
+    (the sum of the helpers' counts; 0 means the CFG was already
+    clean)."""
+    return (
+        fold_redundant_ifs(graph)
+        + remove_unreachable_blocks(graph)
+        + simplify_degenerate_phis(graph)
+        + merge_straightline_blocks(graph)
+        + split_critical_edges(graph)
+    )
 
 
 def predecessor_pairs(graph: Graph) -> list[tuple[Block, Block]]:

@@ -345,5 +345,7 @@ class CanonicalizerPhase(Phase):
                 changed = True
             if remove_dead_instructions(graph):
                 changed = True
-            canonical_cfg_cleanup(graph)
+            # A merged block or a folded phi can expose new rewrites.
+            if canonical_cfg_cleanup(graph):
+                changed = True
         return total

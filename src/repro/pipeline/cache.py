@@ -31,7 +31,9 @@ docs/PIPELINE.md for the key diagram.
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -57,7 +59,10 @@ from .config import CompilerConfig
 #: (closure drivers and whole-program megaunit modules, keyed per
 #: repro.vm.codegen_cache) — old dirs are invalidated wholesale so a
 #: v3 tree can never serve generated text to the new engines.
-CACHE_SCHEMA_VERSION = 4
+#: v5: program blobs are shell-first pickle streams (see
+#: :func:`pack_artifact`), which a v4 reader would rehydrate as empty
+#: shells.
+CACHE_SCHEMA_VERSION = 5
 
 #: pickle protocol pinned so parent and pool workers agree
 PICKLE_PROTOCOL = 4
@@ -252,21 +257,85 @@ class CacheEntry:
         )
 
 
-def pack_artifact(program: Program, bytecode: Any = None) -> bytes:
-    """Pickle ``(program, bytecode)`` as ONE blob.
+class _ShellPickler(pickle.Pickler):
+    """Writes ``repro`` objects as empty shells and defers their state.
 
-    A single pickle keeps the node identity shared between the graphs
-    and the bytecode (instruction tuples reference IR nodes for
+    A plain pickle recurses once per not-yet-written object along a
+    reference chain, so deep IR (long block, instruction and use
+    chains) overflows the recursion limit.  Here every identity-hashed
+    ``repro`` object is written as a bare ``cls.__new__`` shell and its
+    attribute state is queued in :attr:`pending`; :func:`pack_artifact`
+    writes the queue as further pickles on the same stream (the memo
+    carries across ``dump`` calls).  Recursion depth is then bounded by
+    the container nesting inside one object's state, not by the graph.
+    Value-hashed objects (frozen dataclasses, enums) are pickled as
+    usual: a shell of one could not be hashed as a dict key."""
+
+    def __init__(self, file) -> None:
+        super().__init__(file, protocol=PICKLE_PROTOCOL)
+        self.pending: list[tuple[Any, Any]] = []
+
+    def reducer_override(self, obj):
+        cls = type(obj)
+        if cls.__hash__ is not object.__hash__ or not cls.__module__.startswith(
+            "repro."
+        ):
+            return NotImplemented
+        reduced = obj.__reduce_ex__(PICKLE_PROTOCOL)
+        if reduced[0] is not copyreg.__newobj__ or any(
+            part is not None for part in reduced[3:]
+        ):
+            return NotImplemented
+        if reduced[2] is not None:
+            self.pending.append((obj, reduced[2]))
+        return reduced[:2]
+
+
+def _set_state(obj: Any, state: Any) -> None:
+    """Apply deferred pickle state exactly as the BUILD opcode does."""
+    setstate = getattr(obj, "__setstate__", None)
+    if setstate is not None:
+        setstate(state)
+        return
+    slots = None
+    if isinstance(state, tuple):
+        state, slots = state
+    if state:
+        obj.__dict__.update(state)
+    if slots:
+        for name, value in slots.items():
+            setattr(obj, name, value)
+
+
+def pack_artifact(program: Program, bytecode: Any = None) -> bytes:
+    """Pickle ``(program, bytecode)`` as ONE blob, of any depth.
+
+    A single pickle stream keeps the node identity shared between the
+    graphs and the bytecode (instruction tuples reference IR nodes for
     observers/profiles); two separate blobs would rehydrate two
-    disconnected copies.
+    disconnected copies.  The stream is the root pickle followed by
+    batches of deferred ``(shell, state)`` pairs (see
+    :class:`_ShellPickler`), so deep IR never hits the recursion limit.
     """
-    return pickle.dumps((program, bytecode), protocol=PICKLE_PROTOCOL)
+    buffer = io.BytesIO()
+    pickler = _ShellPickler(buffer)
+    pickler.dump((program, bytecode))
+    while pickler.pending:
+        batch, pickler.pending = pickler.pending, []
+        pickler.dump(batch)
+    return buffer.getvalue()
 
 
 def unpack_artifact(blob: bytes) -> tuple[Program, Any]:
-    """Inverse of :func:`pack_artifact`; tolerates pre-schema-2 blobs
-    that pickled a bare :class:`Program` (bytecode comes back None)."""
-    obj = pickle.loads(blob)
+    """Inverse of :func:`pack_artifact`; also reads single-pickle blobs,
+    including pre-schema-2 ones that pickled a bare :class:`Program`
+    (bytecode comes back None)."""
+    stream = io.BytesIO(blob)
+    unpickler = pickle.Unpickler(stream)
+    obj = unpickler.load()
+    while stream.tell() < len(blob):
+        for shell, state in unpickler.load():
+            _set_state(shell, state)
     if isinstance(obj, Program):
         return obj, None
     return obj

@@ -208,10 +208,6 @@ class _FunctionCompiler:
         :class:`BytecodeFunction` (the ``_finish`` cold path needs it)."""
         return "_fn"
 
-    def finish_regs(self) -> str:
-        """The register-file expression handed to ``_finish``."""
-        return "r"
-
     def operand(self, reg: int) -> str:
         """A register read — interned constants inline as literals."""
         if self.lo <= reg < self.hi:
@@ -450,10 +446,7 @@ class _FunctionCompiler:
         to keep the meters in Python locals.
         """
         self.emit(indent, f"if m[0] + {w} > {self.max_steps}:")
-        self.emit(
-            indent + 1,
-            f"_finish(vm, {self.fn_ref()}, {self.finish_regs()}, m, {pc})",
-        )
+        self.emit(indent + 1, f"_finish(vm, {self.fn_ref()}, r, m, {pc})")
 
     def meter_charge(self, indent: int, w: int, acc) -> None:
         """Segment-exit meter charge: ``w`` steps, ``acc`` cycles."""
@@ -483,10 +476,7 @@ class _FunctionCompiler:
     def gen_call(self, indent: int, ins: tuple, pc: int) -> None:
         """One call site: flush, dispatch, reload, charge the cost."""
         self.emit(indent, f"if m[0] + 1 > {self.max_steps}:")
-        self.emit(
-            indent + 1,
-            f"_finish(vm, {self.fn_ref()}, {self.finish_regs()}, m, {pc})",
-        )
+        self.emit(indent + 1, f"_finish(vm, {self.fn_ref()}, r, m, {pc})")
         self.emit(indent, "m[0] += 1")
         self.emit(indent, "state.steps = m[0]")
         self.emit(indent, "state.cycles = m[1]")

@@ -27,8 +27,11 @@ from typing import Any, Optional, Sequence
 from ..obs.metrics import current_registry
 from .bytecode import BytecodeFunction, disassemble
 
-#: codegen-cache payload layout version (part of every aux key)
-CODEGEN_SCHEMA = 1
+#: codegen-cache payload layout version (part of every aux key).
+#: 2: megaunit budget exits pass ``s``/``c`` and only the live-in
+#: registers to ``_finish`` — schema-1 text calls it with the whole
+#: register file and must never be exec'd against the new replay.
+CODEGEN_SCHEMA = 2
 
 #: default reprs embed ``id()`` addresses; scrub them so digests are
 #: pure functions of structure and compare equal across processes

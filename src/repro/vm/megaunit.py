@@ -35,9 +35,13 @@ where another frame or the machine observes them:
 * a call site writes ``m[0] = s + 1`` / ``m[1] = c`` (the step
   charged, the machine's ordering), dispatches, then reloads
   ``s = m[0]`` / ``c = m[1] + cost``;
-* ``_finish`` dispatches and returns write both slots back; trap
-  sites flush ``state.steps = s + k`` / ``state.cycles = c + ck``
-  directly;
+* returns write both slots back; trap sites flush
+  ``state.steps = s + k`` / ``state.cycles = c + ck`` directly;
+* a budget guard exits through ``_finish(vm, _fn<N>, s, c, pc,
+  *live)``, passing the meters and only the registers its segment
+  replay reads (:func:`finish_live_ins` — none at a call site); the
+  replay starts from a copy of ``fn.template``, so the generated
+  source never spells out the whole register file;
 * the callee prologue's stack-overflow guard flushes ``state`` from
   ``m`` before trapping — bit-identical to the machine, where the
   caller flushed before ``vm._call`` and the callee traps untouched;
@@ -91,6 +95,7 @@ from .closure import (
     _FunctionCompiler,
 )
 from .machine import HeapArray, HeapObject, VirtualMachine, _is_ref
+from .opspec import OPCODE_SPECS
 from ..ir.ops import EvaluationTrap
 
 #: Python stack frames kept in reserve when deciding whether a run can
@@ -108,6 +113,57 @@ MEGAUNIT_NAMESPACE = frozenset(
 #: the only builtins generated code is allowed to reach (same set as
 #: the closure engine — the instruction bodies are shared)
 MEGAUNIT_BUILTINS = frozenset(("abs", "len", "dict"))
+
+
+#: opcodes that end a budget-guarded segment: a call starts its own
+#: guard, a terminator is the segment's last instruction
+_SEGMENT_ENDS = frozenset((OP_CALL, OP_GOTO, OP_IF, OP_RETURN))
+
+
+def finish_live_ins(fn: BytecodeFunction, pc: int) -> tuple[int, ...]:
+    """The registers a budget guard at ``pc`` hands to ``_finish``.
+
+    The guard fires only when the segment starting at ``pc`` cannot
+    complete, so the replay executes at most every instruction of the
+    segment but its last: the terminator never runs, and a call-site
+    guard replays nothing.  Those instructions read these registers
+    before writing them (first-read order).  Constants are left out:
+    the replay starts from a copy of ``fn.template``, which holds them.
+    Codegen, the replay and the codegen lint all call this one helper.
+    """
+    code = fn.code
+    end = pc
+    while code[end][0] not in _SEGMENT_ENDS:
+        end += 1
+    if code[end][0] == OP_CALL:
+        # The segment stops short of the call: its last instruction is
+        # the one before (nothing at all for the call's own guard).
+        end = max(pc, end - 1)
+    lo, hi = fn.const_base, fn.const_base + fn.const_count
+    live: list[int] = []
+    written: set[int] = set()
+    for ins in code[pc:end]:
+        for slot, kind in enumerate(OPCODE_SPECS[ins[0]].sig, 4):
+            reg = ins[slot]
+            if (
+                kind == "r"
+                and reg not in written
+                and not lo <= reg < hi
+                and reg not in live
+            ):
+                live.append(reg)
+        written.add(ins[3])
+    return tuple(live)
+
+
+def _finish_live(vm, fn, steps, cycles, pc, *live) -> None:
+    """Cold path of a megaunit budget guard: rebuild the register file
+    the segment replay reads (the template plus ``live``, in
+    :func:`finish_live_ins` order) and replay; always raises."""
+    regs = fn.template[:]
+    for reg, value in zip(finish_live_ins(fn, pc), live):
+        regs[reg] = value
+    _finish_budget(vm, fn, regs, (steps, cycles), pc)
 
 
 class MegaunitUnsupported(Exception):
@@ -167,25 +223,23 @@ class _MegaFunctionCompiler(_FunctionCompiler):
     def fn_ref(self) -> str:
         return f"_fn{self.index}"
 
-    def finish_regs(self) -> str:
-        # _finish replays through the base handler table, which needs a
-        # mutable register file; it always raises, so the temporary
-        # list's mutations are never observed.
-        return "[" + ", ".join(self.reg(k) for k in range(self.fn.nregs)) + "]"
-
     # -- meter locals -----------------------------------------------------
     # Steps and cycles live in the locals ``s``/``c`` (no ``m[0]`` /
     # ``m[1]`` subscripts on the hot path) and are written back to the
     # shared list exactly where another frame or the machine observes
-    # them: call sites, returns, ``_finish`` dispatches and trap raises.
+    # them: call sites, returns and trap raises.  ``_finish`` takes
+    # them as arguments.
     def meter_guard(self, indent: int, w: int, pc: int) -> None:
         self.emit(indent, f"if s + {w} > {self.max_steps}:")
-        self.emit(indent + 1, "m[0] = s")
-        self.emit(indent + 1, "m[1] = c")
-        self.emit(
-            indent + 1,
-            f"_finish(vm, {self.fn_ref()}, {self.finish_regs()}, m, {pc})",
+        self.gen_finish(indent + 1, pc)
+
+    def gen_finish(self, indent: int, pc: int) -> None:
+        """The budget exit of the guard at ``pc``: the meters plus the
+        registers :func:`finish_live_ins` names."""
+        live = "".join(
+            f", {self.reg(k)}" for k in finish_live_ins(self.fn, pc)
         )
+        self.emit(indent, f"_finish(vm, {self.fn_ref()}, s, c, {pc}{live})")
 
     def meter_charge(self, indent: int, w: int, acc) -> None:
         self.emit(indent, f"s += {w}")
@@ -276,12 +330,7 @@ class _MegaFunctionCompiler(_FunctionCompiler):
             )
         emit = self.emit
         emit(indent, f"if s + 1 > {self.max_steps}:")
-        emit(indent + 1, "m[0] = s")
-        emit(indent + 1, "m[1] = c")
-        emit(
-            indent + 1,
-            f"_finish(vm, {self.fn_ref()}, {self.finish_regs()}, m, {pc})",
-        )
+        self.gen_finish(indent + 1, pc)
         emit(indent, "m[0] = s + 1")
         emit(indent, "m[1] = c")
         args = "".join(f", {self.reg(a)}" for a in ins[5])
@@ -296,9 +345,9 @@ class _MegaFunctionCompiler(_FunctionCompiler):
     def gen_seed(self) -> None:
         """Seed every non-parameter register from the constant template.
 
-        All registers must exist as locals before the first budget
-        guard (``_finish`` materializes the full register file), so
-        every slot is seeded eagerly.  Literal-representable values
+        Every slot is bound eagerly, so a register read before any
+        write sees its template value, as in the machine's
+        template-copied register file.  Literal-representable values
         (the ``operand`` rule: ``None``/``int``/``bool``) are grouped
         by repr into chained assignments; anything else loads from the
         function's template cell."""
@@ -429,7 +478,7 @@ def _exec_module(
         "HeapObject": HeapObject,
         "HeapArray": HeapArray,
         "_is_ref": _is_ref,
-        "_finish": _finish_budget,
+        "_finish": _finish_live,
     }
     for i, fn in enumerate(order):
         namespace[f"_fn{i}"] = fn
@@ -571,6 +620,7 @@ __all__ = [
     "MegaunitUnsupported",
     "MegaunitVirtualMachine",
     "compile_module",
+    "finish_live_ins",
     "generate_module_source",
     "stack_headroom_ok",
 ]

@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.bcverify import (
     BytecodeVerificationError,
     lint_closure_source,
+    lint_megaunit_source,
     run_bc_checkers,
     verify_artifact,
     verify_bytecode,
@@ -17,6 +18,7 @@ from repro.analysis.bcverify.lint import BANNED_NAMES, _lint_names
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import CONFIGURATIONS
 from repro.vm.bytecode import OP_ADD, OP_CALL, OP_RETURN
+from repro.vm.megaunit import finish_live_ins, generate_module_source
 from repro.vm.translate import translate_program
 
 LOOP_SOURCE = """
@@ -309,6 +311,95 @@ def test_lint_catches_missing_trap_flush():
     messages = []
     _lint_trap_flushes(flushed, messages)
     assert messages == []
+
+
+def _finish_calls(source: str) -> list:
+    """Every ``_finish(...)`` call in a megaunit module, with its
+    enclosing function's index."""
+    calls = []
+    for func in ast.parse(source).body:
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_finish"
+            ):
+                calls.append((int(func.name[3:]), node))
+    return calls
+
+
+def test_megaunit_finish_passes_exactly_the_replay_live_ins(bytecode):
+    source = generate_module_source(bytecode)
+    order = list(bytecode.functions.values())
+    calls = _finish_calls(source)
+    assert calls
+    for index, node in calls:
+        fn = order[index]
+        pc = node.args[4].value
+        passed = [arg.id for arg in node.args[5:]]
+        assert passed == [f"r{k}" for k in finish_live_ins(fn, pc)]
+        if fn.code[pc][0] == OP_CALL:
+            assert passed == []  # a call-site guard replays nothing
+    assert lint_megaunit_source(bytecode) == []
+
+
+def _lint_tampered(monkeypatch, bytecode, source: str) -> list[str]:
+    """Lint ``source`` as if the megaunit compiler had generated it."""
+    from repro.analysis.bcverify import lint
+
+    monkeypatch.setattr(
+        lint, "generate_module_source", lambda _bytecode, metered: source
+    )
+    return lint_megaunit_source(bytecode)
+
+
+def test_megaunit_finish_live_ins_of_a_call_site_guard_are_empty():
+    from repro.frontend.irbuilder import compile_source
+
+    program = compile_source(
+        "fn f(x: int) -> int { return x + 1; }\n"
+        "fn main(n: int) -> int { return f(n) + f(n * 3); }"
+    )
+    fn = translate_program(program).function("main")
+    calls = [pc for pc, ins in enumerate(fn.code) if ins[0] == OP_CALL]
+    assert calls[0] == 0  # the entry block opens with a call
+    assert all(finish_live_ins(fn, pc) == () for pc in calls)
+    # A one-instruction segment (the multiply) replays nothing; the add
+    # after the second call reads both call results before the return.
+    assert finish_live_ins(fn, 1) == ()
+    assert finish_live_ins(fn, 3) == (fn.code[0][3], fn.code[2][3])
+
+
+def test_megaunit_lint_rejects_a_missing_live_in(bytecode, monkeypatch):
+    source = generate_module_source(bytecode)
+    lines = source.splitlines()
+    # drop the last register of the first budget exit that passes any
+    node = next(
+        node for _index, node in _finish_calls(source) if len(node.args) > 5
+    )
+    line = lines[node.lineno - 1]
+    dropped = node.args[-1].id
+    lines[node.lineno - 1] = line.replace(f", {dropped})", ")")
+    tampered = "\n".join(lines) + "\n"
+    messages = _lint_tampered(monkeypatch, bytecode, tampered)
+    assert any(
+        f"_finish at pc {node.args[4].value} passes" in m and dropped in m
+        for m in messages
+    ), messages
+
+
+def test_megaunit_lint_rejects_a_full_register_file_exit(
+    bytecode, monkeypatch
+):
+    # The schema-1 form handed the whole register file as a list.
+    source = generate_module_source(bytecode)
+    _index, node = _finish_calls(source)[0]
+    lines = source.splitlines()
+    line = lines[node.lineno - 1]
+    head = line[: line.index("_finish(")]
+    lines[node.lineno - 1] = head + "_finish(vm, _fn0, [r0], m, 0)"
+    messages = _lint_tampered(monkeypatch, bytecode, "\n".join(lines) + "\n")
+    assert any("does not pass (vm, _fn" in m for m in messages), messages
 
 
 # ----------------------------------------------------------------------

@@ -81,6 +81,17 @@ class TestPhaseIdempotence:
             # A second run finds nothing left to do.
             assert CanonicalizerPhase().run(graph) == 0
 
+    #: seeds whose first run used to stop one round early: a CFG cleanup
+    #: (block merge, degenerate phi) exposed rewrites nobody revisited
+    @pytest.mark.parametrize("seed", [57, 551, 662, 1199, 1463])
+    def test_canonicalizer_fixpoint_pinned_seeds(self, seed):
+        from repro.opts.canonicalize import CanonicalizerPhase
+
+        program = compile_source(random_program(seed))
+        for graph in program.functions.values():
+            CanonicalizerPhase().run(graph)
+            assert CanonicalizerPhase().run(graph) == 0
+
     @settings(
         max_examples=10,
         deadline=None,

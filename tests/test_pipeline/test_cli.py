@@ -56,6 +56,18 @@ class TestRun:
         assert code == 0
         assert "7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, engine", [([], "megaunit"), (["--engine", "reference"], "reference")]
+    )
+    def test_run_engine_defaults_to_megaunit(self, source_file, tmp_path, flags, engine):
+        import json
+
+        out = tmp_path / "metrics.json"
+        argv = ["run", str(source_file), "--args", "20", "--metrics-out", str(out)]
+        assert main(argv + flags) == 0
+        runs = json.loads(out.read_text())["counters"]["repro_vm_runs_total"]
+        assert runs == {f"engine={engine}": 1}
+
 
 class TestCompile:
     def test_metrics_table(self, source_file, capsys):

@@ -204,6 +204,53 @@ def test_budget_stop_exact_at_every_cap(metered):
             assert reference.state.cycles == megaunit.state.cycles
 
 
+#: stores to arrays, fields and globals between the guards: a budget
+#: exit that handed its replay a wrong register would store a wrong
+#: value (or trap on a template ``None``) before the stop
+HEAP = """
+class P { x: int; y: int; }
+global total: int;
+global last: int;
+fn main(n: int) -> int {
+  var a: int[] = new int[8];
+  var p: P = new P { y = n };
+  var i: int = 0;
+  while (i < n) {
+    a[i % 8] = a[i % 8] + i * 3;
+    p.x = p.x + a[i % 8] / (p.y - i);
+    total = total + p.x - i;
+    last = a[(i + 1) % 8] + p.y;
+    i = i + 1;
+  }
+  return total + last;
+}
+"""
+
+
+def test_budget_stop_keeps_heap_and_globals_at_every_cap():
+    program = compile_source(HEAP)
+    bytecode = translate_program(program)
+    total = MegaunitVirtualMachine(bytecode).run("main", [6]).steps
+    for cap in range(1, total + 2):
+        reference = Interpreter(
+            program, max_steps=cap,
+            cycle_cost=cycles_of, terminator_cost=cycles_of,
+        )
+        megaunit = MegaunitVirtualMachine(bytecode, max_steps=cap, metered=True)
+        outcomes = []
+        for runner in (reference, megaunit):
+            try:
+                result = runner.run("main", [6])
+                outcomes.append((result.value, result.trap))
+            except BudgetExceeded as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], cap
+        assert (reference.state.steps, reference.state.cycles) == (
+            megaunit.state.steps, megaunit.state.cycles
+        )
+        assert reference.state.globals == megaunit.state.globals, cap
+
+
 def test_changing_max_steps_recompiles_module():
     program = compile_source(LOOP)
     megaunit = MegaunitVirtualMachine(translate_program(program), max_steps=50)
@@ -372,6 +419,53 @@ def test_codegen_cache_round_trip(tmp_path):
     )
     # The exec'd-from-cache module carries the same source text.
     assert warm._module().source == cold._module().source
+
+
+def test_codegen_schema_1_entry_is_ignored_and_regenerated(
+    tmp_path, monkeypatch
+):
+    # A schema-1 module calls _finish with the whole register file; it
+    # must never be exec'd against the sparse replay.  The poisoned text
+    # below would raise on exec, so any use of it fails the run.
+    from repro.vm import codegen_cache
+
+    assert codegen_cache.CODEGEN_SCHEMA == 2
+    program = compile_source(CALLS)
+    bytecode = translate_program(program)
+    order = list(bytecode.functions.values())
+    cache = ArtifactCache(tmp_path / "cache")
+    poisoned = {
+        "engine": "megaunit",
+        "functions": [fn.name for fn in order],
+        "source": "raise AssertionError('stale schema-1 module executed')\n",
+    }
+    key = codegen_cache.codegen_key("megaunit", order, True, 50_000_000, 200)
+    # Under its own (schema-1) key: never looked up by a schema-2 run.
+    with monkeypatch.context() as patch:
+        patch.setattr(codegen_cache, "CODEGEN_SCHEMA", 1)
+        old_key = codegen_cache.codegen_key(
+            "megaunit", order, True, 50_000_000, 200
+        )
+        codegen_cache.store_source(cache, old_key, poisoned)
+    assert old_key != key
+    # Under the current key (a stale or tampered entry): rejected on load.
+    cache.put_aux(key, dict(poisoned, schema=1))
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        megaunit = MegaunitVirtualMachine(
+            bytecode, metered=True, codegen_cache=cache
+        )
+        reference, _ = engines_for(CALLS)
+        assert_parity(reference, megaunit, [8])
+    snap = registry.snapshot()
+    assert snap.counter_value(
+        "repro_codegen_cache_total", result="miss", engine="megaunit"
+    ) == 1
+    # The miss regenerated the unit and overwrote the stale entry.
+    payload = cache.get_aux(key)
+    assert payload["schema"] == 2
+    assert payload["source"] == megaunit._module().source
+    assert cache.get_aux(old_key)["schema"] == 1  # left alone, never used
 
 
 def test_codegen_cache_key_tracks_baked_knobs(tmp_path):
