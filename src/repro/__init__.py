@@ -17,77 +17,79 @@ Quick start::
 See README.md for the language reference and architecture overview.
 """
 
-from .analysis import (
-    CheckReport,
-    PhaseBlameError,
-    PhaseGuard,
-    Severity,
-    SourceMutator,
-    Violation,
-    all_checkers,
-    checker,
-    fuzz_mutations,
-    fuzz_translation,
-    run_checkers,
-    run_lir_checkers,
-    run_program_checkers,
-    use_guard,
-    validate_translation,
-)
-from .dbds.duplicate import DuplicationError, can_duplicate, duplicate_into
-from .dbds.phase import DbdsConfig, DbdsPhase, DbdsStats
-from .dbds.simulation import SimulationResult, SimulationTier
-from .dbds.tradeoff import TradeOffConfig, should_duplicate, sort_candidates
-from .frontend.irbuilder import build_program, compile_source
-from .frontend.lexer import CompileError
-from .frontend.parser import parse_module
-from .interp.interpreter import (
-    ExecutionResult,
-    HeapArray,
-    HeapObject,
-    Interpreter,
-    observable_outcome,
-)
-from .interp.profile import apply_profile, profile_program
-from .ir import Graph, Program, verify_graph, verify_program
-from .obs import (
-    CompileProfile,
-    Tracer,
-    current_tracer,
-    read_jsonl,
-    use_tracer,
-    write_jsonl,
-)
-from .pipeline.batch import (
-    BatchOptions,
-    BatchReport,
-    FileResult,
-    compile_batch,
-)
-from .pipeline.cache import (
-    ArtifactCache,
-    CacheEntry,
-    CacheStats,
-    artifact_manifest,
-    cache_key,
-    config_fingerprint,
-    make_entry,
-)
-from .pipeline.compiler import (
-    CompilationReport,
-    Compiler,
-    UnitMetrics,
-    compile_and_profile,
-    measure_performance,
-)
-from .pipeline.config import (
-    BACKTRACKING,
-    BASELINE,
-    CONFIGURATIONS,
-    DBDS,
-    DUPALOT,
-    CompilerConfig,
-)
+from ._lazy import lazy_exports
+
+# Every name below resolves on first use, importing only the module that
+# defines it: ``import repro`` itself costs almost nothing, and a CLI
+# verb loads just the layers it runs.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis.core": (
+        "CheckReport",
+        "Severity",
+        "Violation",
+        "all_checkers",
+        "checker",
+        "run_checkers",
+        "run_program_checkers",
+    ),
+    ".analysis.blame": ("PhaseBlameError", "PhaseGuard", "use_guard"),
+    ".analysis.lir_checks": ("run_lir_checkers",),
+    ".analysis.progen": ("SourceMutator",),
+    ".analysis.validate": (
+        "fuzz_mutations", "fuzz_translation", "validate_translation",
+    ),
+    ".dbds.duplicate": ("DuplicationError", "can_duplicate", "duplicate_into"),
+    ".dbds.phase": ("DbdsConfig", "DbdsPhase", "DbdsStats"),
+    ".dbds.simulation": ("SimulationResult", "SimulationTier"),
+    ".dbds.tradeoff": ("TradeOffConfig", "should_duplicate", "sort_candidates"),
+    ".frontend.irbuilder": ("build_program", "compile_source"),
+    ".frontend.lexer": ("CompileError",),
+    ".frontend.parser": ("parse_module",),
+    ".interp.interpreter": (
+        "ExecutionResult",
+        "HeapArray",
+        "HeapObject",
+        "Interpreter",
+        "observable_outcome",
+    ),
+    ".interp.profile": ("apply_profile", "profile_program"),
+    ".ir": ("Graph", "Program", "verify_graph", "verify_program"),
+    ".obs": (
+        "CompileProfile",
+        "Tracer",
+        "current_tracer",
+        "read_jsonl",
+        "use_tracer",
+        "write_jsonl",
+    ),
+    ".pipeline.batch": (
+        "BatchOptions", "BatchReport", "FileResult", "compile_batch",
+    ),
+    ".pipeline.cache": (
+        "ArtifactCache",
+        "CacheEntry",
+        "CacheStats",
+        "artifact_manifest",
+        "cache_key",
+        "config_fingerprint",
+        "make_entry",
+    ),
+    ".pipeline.compiler": (
+        "CompilationReport",
+        "Compiler",
+        "UnitMetrics",
+        "compile_and_profile",
+        "measure_performance",
+    ),
+    ".pipeline.config": (
+        "BACKTRACKING",
+        "BASELINE",
+        "CONFIGURATIONS",
+        "DBDS",
+        "DUPALOT",
+        "CompilerConfig",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -39,6 +39,11 @@ hot-path tables; ``run``, ``batch``, ``bench`` and ``check`` accept
 ``--metrics-out FILE``/``--metrics-prom FILE`` to export the unified
 metrics snapshot; ``bench --append-trajectory``/``--check-regression``
 maintain the committed perf trajectory (docs/OBSERVABILITY.md).
+
+A user error — a source file that cannot be read or compiled, an
+unknown ``--entry``, a wrong ``--args`` count — prints one
+``repro: error: ...`` line (compile errors located as ``file:line:col``)
+and exits 2; a program that traps exits 1.
 """
 
 from __future__ import annotations
@@ -48,9 +53,13 @@ import functools
 import json
 import pathlib
 import sys
+from typing import TYPE_CHECKING
 
-from .analysis.bcverify import BytecodeVerificationError
+# Only what every verb needs loads here; modules that only some verbs or
+# flags use (the batch driver, tiering, the profiling VM, the bytecode
+# verifier, the fuzzers) are imported where they are used.
 from .analysis.blame import CHECK_EACH_PHASE, CHECK_MODES, CHECK_OFF, PhaseBlameError
+from .analysis.core import BytecodeVerificationError
 from .bench.harness import format_suite_report, run_suite, suite_report_json
 from .bench.trajectory import (
     DEFAULT_REGRESSION_THRESHOLD,
@@ -58,6 +67,7 @@ from .bench.trajectory import (
 )
 from .bench.workloads.suites import ALL_SUITES
 from .frontend.irbuilder import compile_source
+from .frontend.lexer import CompileError
 from .interp.interpreter import Interpreter
 from .interp.profile import apply_profile, profile_program
 from .obs import (
@@ -68,22 +78,72 @@ from .obs import (
     use_registry,
     write_jsonl,
 )
-from .pipeline.batch import BatchOptions, compile_batch
 from .pipeline.cache import ArtifactCache, cache_key, make_entry
 from .obs.tracer import use_tracer
 from .pipeline.compiler import Compiler, ENGINES, measure_performance
-from .pipeline.config import CONFIGURATIONS
-from .vm import (
+from .pipeline.config import (
+    CONFIGURATIONS,
     DEFAULT_TIER2_THRESHOLD,
     DEFAULT_TIER_THRESHOLD,
-    TieringPolicy,
-    VMProfile,
-    profile_run,
-    translate_program,
 )
+from .vm.translate import translate_program
+
+# ``run``'s default engine loads with the CLI, as does every layer that
+# perfbench/traced.py wraps right after importing this module.
+from .vm import megaunit  # noqa: F401
+
+if TYPE_CHECKING:
+    from .ir.graph import Program
+    from .vm.profiler import VMProfile
+    from .vm.tiering import TieringPolicy
 
 #: default on-disk cache location of the ``batch`` verb
 DEFAULT_CACHE_DIR = pathlib.Path(".repro-cache")
+
+#: exit status of a user error: a source file that cannot be read or
+#: compiled, an unknown entry, a wrong argument count (a trap exits 1)
+EXIT_USER_ERROR = 2
+
+
+class UserError(Exception):
+    """A mistake in the command line or in the program it names.
+
+    :func:`main` prints it as one ``repro: error: ...`` line and exits
+    with :data:`EXIT_USER_ERROR` instead of showing a traceback.
+    """
+
+
+def _read_source(path: pathlib.Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise UserError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _compile_entry(
+    path: pathlib.Path, source: str, entry: str, args: list[int]
+) -> "Program":
+    """The unoptimized program of ``source``, checked to define
+    ``entry`` taking ``len(args)`` arguments."""
+    try:
+        program = compile_source(source)
+    except CompileError as exc:
+        where = str(path)
+        if exc.line:
+            where += f":{exc.line}" + (f":{exc.column}" if exc.column else "")
+        raise UserError(f"{where}: {exc.message}") from None
+    graph = program.functions.get(entry)
+    if graph is None:
+        defined = ", ".join(program.functions) or "none"
+        raise UserError(
+            f"{path}: no function {entry!r} to run (defined: {defined})"
+        )
+    if len(graph.parameters) != len(args):
+        raise UserError(
+            f"{path}: {entry} takes {len(graph.parameters)} argument(s), "
+            f"--args gave {len(args)}"
+        )
+    return program
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -225,7 +285,7 @@ def _emit_cache_stats(args: argparse.Namespace, cache: ArtifactCache | None) -> 
 
 
 def _jit_compile(
-    source: str,
+    program: "Program",
     entry: str,
     profile_args: list[list[int]],
     config,
@@ -233,9 +293,9 @@ def _jit_compile(
     check_ir: str,
     fail_fast: bool,
 ):
-    """The ``compile_and_profile`` flow, keeping the compiler visible so
+    """The ``compile_and_profile`` flow on an unoptimized ``program``
+    (see :func:`_compile_entry`), keeping the compiler visible so
     keep-going guard failures can be reported after the fact."""
-    program = compile_source(source)
     collector = profile_program(program, entry, profile_args)
     apply_profile(program, collector)
     compiler = Compiler(config, tracer=tracer, check_ir=check_ir, fail_fast=fail_fast)
@@ -259,7 +319,7 @@ def _make_tracer(args: argparse.Namespace) -> Tracer | None:
     return None
 
 
-def _make_tiering(args: argparse.Namespace) -> TieringPolicy | None:
+def _make_tiering(args: argparse.Namespace) -> "TieringPolicy | None":
     """The :class:`TieringPolicy` encoded by the CLI flags, or None for
     defaults.  ``--check-bc=rewrite`` makes the tiering controller
     verify every promoted stream before it can reach dispatch."""
@@ -274,6 +334,8 @@ def _make_tiering(args: argparse.Namespace) -> TieringPolicy | None:
         and tier2_threshold is None
     ):
         return None
+    from .vm.tiering import TieringPolicy
+
     return TieringPolicy(
         threshold=threshold if threshold is not None else DEFAULT_TIER_THRESHOLD,
         check_bc="rewrite" if check_bc == "rewrite" else "off",
@@ -356,7 +418,7 @@ def _with_metrics(impl):
 
 
 def _emit_vm_profile(
-    vmprofile: VMProfile, cycles: float, top: int = 10
+    vmprofile: "VMProfile", cycles: float, top: int = 10
 ) -> bool:
     """Print the profile tables plus the cycle-reconciliation line;
     returns whether the per-opcode cycle sum matches the metered total."""
@@ -374,7 +436,7 @@ def _emit_vm_profile(
 
 @_with_metrics
 def cmd_run(args: argparse.Namespace) -> int:
-    source = args.source.read_text()
+    source = _read_source(args.source)
     config = CONFIGURATIONS[args.config]
     tracer = _make_tracer(args)
     cache = _make_cache(args)
@@ -396,9 +458,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         compile_tracer = tracer if tracer is not None else (
             Tracer() if cache is not None else None
         )
+        program = _compile_entry(args.source, source, args.entry, args.args)
         try:
             program, report, guard = _jit_compile(
-                source, args.entry, [args.args], config, compile_tracer,
+                program, args.entry, [args.args], config, compile_tracer,
                 args.check_ir, args.fail_fast,
             )
         except PhaseBlameError as exc:
@@ -426,6 +489,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     vmprofile = None
     try:
         if args.profile_run:
+            from .vm.profiler import profile_run
+
             # Profiling implies the VM: the profiler is a specialization
             # of its metered dispatch loop, so cycles match --engine=vm
             # runs.
@@ -566,7 +631,8 @@ def _check_one_file(
     )
     try:
         program, report, guard = _jit_compile(
-            source, args.entry, [args.args], config, compile_tracer,
+            _compile_entry(path, source, args.entry, args.args),
+            args.entry, [args.args], config, compile_tracer,
             args.check_ir, args.fail_fast,
         )
     except PhaseBlameError as exc:
@@ -759,6 +825,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if not files:
         print("batch: no .mini sources found", file=sys.stderr)
         return 1
+    from .pipeline.batch import BatchOptions, compile_batch
+
     options = BatchOptions(
         config=config,
         jobs=args.jobs,
@@ -840,6 +908,7 @@ def _bench_profile_run(args: argparse.Namespace, profile) -> int:
     (compiled fresh under the DBDS configuration)."""
     from .bench.workloads.suites import generate_suite
     from .pipeline.compiler import compile_and_profile
+    from .vm.profiler import VMProfile, profile_run
 
     vmprofile = VMProfile()
     total = 0.0
@@ -907,11 +976,14 @@ def _bench_trajectory(args: argparse.Namespace, report, comparison) -> int:
 @_with_metrics
 def cmd_profile(args: argparse.Namespace) -> int:
     """JIT-compile, execute under the profiling VM, print hot paths."""
-    source = args.source.read_text()
+    from .vm.profiler import profile_run
+
+    source = _read_source(args.source)
     config = CONFIGURATIONS[args.config]
     try:
         program, report, guard = _jit_compile(
-            source, args.entry, [args.args], config, None,
+            _compile_entry(args.source, source, args.entry, args.args),
+            args.entry, [args.args], config, None,
             args.check_ir, args.fail_fast,
         )
     except PhaseBlameError as exc:
@@ -1315,7 +1387,11 @@ def main(argv: list[str] | None = None) -> int:
     workload_parser.set_defaults(func=cmd_workload)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UserError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return EXIT_USER_ERROR
 
 
 if __name__ == "__main__":

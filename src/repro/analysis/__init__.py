@@ -25,62 +25,69 @@ Typical use::
         DbdsPhase(program, config).run(graph)   # raises PhaseBlameError
 """
 
-from .core import (
-    CheckReport,
-    Checker,
-    CheckerContext,
-    Severity,
-    Violation,
-    all_checkers,
-    checker,
-    get_checker,
-    run_checkers,
-    run_program_checkers,
-)
-from .checkers import (
-    CORE_CHECKERS,
-    STRUCTURAL_CHECKERS,
-    check_stamp_dynamic,
-    stamp_admits,
-)
-from .lir_checks import LirCheckerContext, run_lir_checkers
-from .blame import (
-    CHECK_BOUNDARIES,
-    CHECK_EACH_PHASE,
-    CHECK_MODES,
-    CHECK_OFF,
-    PhaseBlameError,
-    PhaseGuard,
-    current_guard,
-    use_guard,
-)
-from .validate import (
-    DivergenceRecord,
-    FuzzReport,
-    ValidationResult,
-    fuzz_engines,
-    fuzz_mutations,
-    fuzz_translation,
-    validate_engines,
-    validate_translation,
-)
-from .progen import (
-    MUTATION_KINDS,
-    MutatedProgram,
-    ProgramGenerator,
-    SourceMutator,
-    mutated_program,
-    random_program,
-)
-from .bcverify import (
-    BcVerifyReport,
-    BytecodeVerificationError,
-    CorruptionReport,
-    corruption_campaign,
-    run_bc_checkers,
-    verify_artifact,
-    verify_bytecode,
-)
+from .._lazy import lazy_exports
+
+# Names resolve on first use, so ``import repro.analysis`` (or any one
+# submodule) does not load the bytecode verifier, the fuzzers or the
+# LIR checkers.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": (
+        "BytecodeVerificationError",
+        "CheckReport",
+        "Checker",
+        "CheckerContext",
+        "Severity",
+        "Violation",
+        "all_checkers",
+        "checker",
+        "get_checker",
+        "run_checkers",
+        "run_program_checkers",
+    ),
+    ".checkers": (
+        "CORE_CHECKERS",
+        "STRUCTURAL_CHECKERS",
+        "check_stamp_dynamic",
+        "stamp_admits",
+    ),
+    ".lir_checks": ("LirCheckerContext", "run_lir_checkers"),
+    ".blame": (
+        "CHECK_BOUNDARIES",
+        "CHECK_EACH_PHASE",
+        "CHECK_MODES",
+        "CHECK_OFF",
+        "PhaseBlameError",
+        "PhaseGuard",
+        "current_guard",
+        "use_guard",
+    ),
+    ".validate": (
+        "DivergenceRecord",
+        "FuzzReport",
+        "ValidationResult",
+        "fuzz_engines",
+        "fuzz_mutations",
+        "fuzz_translation",
+        "validate_engines",
+        "validate_translation",
+    ),
+    ".progen": (
+        "MUTATION_KINDS",
+        "MutatedProgram",
+        "ProgramGenerator",
+        "SourceMutator",
+        "mutated_program",
+        "random_program",
+    ),
+    ".bcverify": (
+        "BcVerifyReport",
+        "CorruptionReport",
+        "corruption_campaign",
+        "run_bc_checkers",
+        "verify_artifact",
+        "verify_bytecode",
+    ),
+})
 
 __all__ = [
     "CHECK_BOUNDARIES",

@@ -40,7 +40,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from ...obs.metrics import current_registry
 from ...vm.quicken import quicken_function
-from ..core import CheckReport, Severity, Violation
+from ..core import BytecodeVerificationError, CheckReport, Severity, Violation
 from .cfg import (
     BCBlock,
     BytecodeCFG,
@@ -124,14 +124,6 @@ class BcVerifyReport:
             ],
             "functions": [r.graph for r in self.reports],
         }
-
-
-class BytecodeVerificationError(Exception):
-    """Raised by checked-mode pipelines when verification fails."""
-
-    def __init__(self, report: BcVerifyReport) -> None:
-        self.report = report
-        super().__init__(report.summary())
 
 
 def _quickened_clone(fn):

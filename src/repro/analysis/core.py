@@ -23,6 +23,7 @@ tracer (``analysis.checker.<name>.us`` / ``.violations``) so
 from __future__ import annotations
 
 import enum
+import importlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -38,6 +39,15 @@ from ..obs.tracer import current_tracer
 SCOPE_IR = "ir"
 SCOPE_LIR = "lir"
 SCOPE_BC = "bc"
+
+#: scope -> the module registering its built-in checkers, in run order
+#: (IR, LIR, bytecode)
+_BUILTIN_CHECKERS = {
+    SCOPE_IR: "repro.analysis.checkers",
+    SCOPE_LIR: "repro.analysis.lir_checks",
+    SCOPE_BC: "repro.analysis.bcverify.checks",
+}
+_SCOPE_RANK = {scope: rank for rank, scope in enumerate(_BUILTIN_CHECKERS)}
 
 
 class Severity(enum.Enum):
@@ -79,8 +89,9 @@ class Checker:
     description: str = ""
 
 
-#: registration-ordered checker table; order is the run order and the
-#: shim's fail-fast order, so structural checkers must register first.
+#: registration-ordered checker table; within a scope, order is the run
+#: order and the shim's fail-fast order, so structural checkers must
+#: register first.
 _REGISTRY: dict[str, Checker] = {}
 
 
@@ -113,19 +124,47 @@ def checker(
     return register
 
 
+def _load_builtin_checkers(scope: Optional[str] = None) -> None:
+    """Import the modules registering the built-in checkers of ``scope``
+    (``None`` = every scope)."""
+    for name, module in _BUILTIN_CHECKERS.items():
+        if scope is None or scope == name:
+            importlib.import_module(module)
+
+
 def all_checkers(scope: Optional[str] = None) -> list[Checker]:
-    """Registered checkers in run order, optionally filtered by scope."""
-    return [
-        c for c in _REGISTRY.values() if scope is None or c.scope == scope
-    ]
+    """Registered checkers in run order, optionally filtered by scope.
+
+    The built-in checkers of the scope are always included, and the
+    order is by scope (IR, LIR, bytecode), then by registration, so the
+    answer does not depend on which modules a process imported first.
+    """
+    _load_builtin_checkers(scope)
+    return sorted(
+        (c for c in _REGISTRY.values() if scope is None or c.scope == scope),
+        key=lambda c: _SCOPE_RANK.get(c.scope, len(_SCOPE_RANK)),
+    )
 
 
 def get_checker(name: str) -> Checker:
+    if name not in _REGISTRY:
+        _load_builtin_checkers()
     try:
         return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown checker {name!r} (known: {known})") from None
+
+
+class BytecodeVerificationError(Exception):
+    """Raised by checked-mode pipelines when bytecode verification fails;
+    ``report`` is the :class:`~repro.analysis.bcverify.BcVerifyReport`.
+    Defined here, apart from the verifier, so that callers can catch it
+    without loading the verifier."""
+
+    def __init__(self, report) -> None:
+        self.report = report
+        super().__init__(report.summary())
 
 
 class _StopCheck(Exception):

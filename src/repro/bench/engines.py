@@ -44,7 +44,7 @@ from ..obs.tracer import Tracer
 from ..pipeline.cache import ArtifactCache, cache_key, make_entry
 from ..pipeline.compiler import compile_and_profile, make_engine
 from ..pipeline.config import CompilerConfig, DBDS
-from ..vm import translate_program
+from ..vm.translate import translate_program
 from .workloads.suites import MICRO, SuiteProfile, Workload, generate_suite
 
 #: the VM engines measured against the reference interpreter

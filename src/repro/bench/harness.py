@@ -25,7 +25,7 @@ from ..obs.tracer import Tracer
 from ..pipeline.cache import ArtifactCache, cache_key, make_entry
 from ..pipeline.compiler import compile_and_profile, measure_performance
 from ..pipeline.config import BASELINE, CompilerConfig, DBDS, DUPALOT
-from ..vm import translate_program
+from ..vm.translate import translate_program
 from .stats import format_percent, geometric_mean, speedup_percent
 from .workloads.suites import SuiteProfile, Workload, generate_suite
 

@@ -12,6 +12,8 @@ class CompileError(Exception):
     def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
         location = f" at {line}:{column}" if line else ""
         super().__init__(f"{message}{location}")
+        #: the message without its location
+        self.message = message
         self.line = line
         self.column = column
 

@@ -7,9 +7,11 @@ Message texts are unchanged: :func:`verify_graph` raises
 :class:`VerificationError` describing the first violated property, and
 :func:`verify_program` names the failing function.
 
-The analysis package import is deferred into the functions because
+The analysis imports are deferred into the functions because
 ``repro.ir.__init__`` re-exports this module while the analysis
-package itself is built on ``repro.ir``.
+package itself is built on ``repro.ir``.  They name the checker
+framework and the IR checkers directly, so verifying a graph loads
+neither the LIR nor the bytecode checkers.
 """
 
 from __future__ import annotations
@@ -33,11 +35,8 @@ class VerificationError(Exception):
 
 def verify_graph(graph: Graph, check_dominance: bool = True) -> None:
     """Verify all structural invariants of one function graph."""
-    from ..analysis import (
-        CORE_CHECKERS,
-        STRUCTURAL_CHECKERS,
-        run_checkers,
-    )
+    from ..analysis.checkers import CORE_CHECKERS, STRUCTURAL_CHECKERS
+    from ..analysis.core import run_checkers
 
     names = CORE_CHECKERS if check_dominance else STRUCTURAL_CHECKERS
     report = run_checkers(graph, checkers=names, fail_fast=True)

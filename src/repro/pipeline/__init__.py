@@ -10,33 +10,39 @@ and the persistent artifact cache.
 See docs/PIPELINE.md for the batching/caching architecture.
 """
 
-from .batch import BatchOptions, BatchReport, FileResult, compile_batch
-from .cache import (
-    ArtifactCache,
-    CacheEntry,
-    CacheStats,
-    artifact_manifest,
-    cache_key,
-    config_fingerprint,
-    make_entry,
-    normalize_ir,
-)
-from .compiler import (
-    CompilationReport,
-    Compiler,
-    ENGINES,
-    UnitMetrics,
-    compile_and_profile,
-    measure_performance,
-)
-from .config import (
-    BACKTRACKING,
-    BASELINE,
-    CONFIGURATIONS,
-    DBDS,
-    DUPALOT,
-    CompilerConfig,
-)
+from .._lazy import lazy_exports
+
+# Names resolve on first use: a ``run`` never loads the batch driver
+# and its process pool.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".batch": ("BatchOptions", "BatchReport", "FileResult", "compile_batch"),
+    ".cache": (
+        "ArtifactCache",
+        "CacheEntry",
+        "CacheStats",
+        "artifact_manifest",
+        "cache_key",
+        "config_fingerprint",
+        "make_entry",
+        "normalize_ir",
+    ),
+    ".compiler": (
+        "CompilationReport",
+        "Compiler",
+        "ENGINES",
+        "UnitMetrics",
+        "compile_and_profile",
+        "measure_performance",
+    ),
+    ".config": (
+        "BACKTRACKING",
+        "BASELINE",
+        "CONFIGURATIONS",
+        "DBDS",
+        "DUPALOT",
+        "CompilerConfig",
+    ),
+})
 
 __all__ = [
     "ArtifactCache",

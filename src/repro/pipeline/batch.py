@@ -249,7 +249,7 @@ def _compile_worker(task: dict[str, Any]) -> dict[str, Any]:
         result["error"] = f"{type(exc).__name__}: {exc}"
         result["metrics"] = registry.snapshot().to_json()
         return result
-    from ..analysis.bcverify import BytecodeVerificationError
+    from ..analysis.core import BytecodeVerificationError
     from ..vm import translate_program
     from .cache import artifact_manifest, pack_artifact
 

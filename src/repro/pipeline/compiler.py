@@ -314,8 +314,9 @@ def make_engine(
     ``reference`` is the tree-walking interpreter; ``vm`` the bytecode
     machine with superinstruction fusion and quickening; ``vm-nofuse``
     the same machine pinned to its flat-tuple loops; ``closure`` the
-    closure-compiling engine; ``megaunit`` the whole-program compiler
-    (one exec unit, direct calls — see docs/VM.md); ``tiered`` the
+    closure-compiling engine; ``megaunit`` the call-graph compiler
+    (the entry and all it calls in one exec unit, direct calls — see
+    docs/VM.md); ``tiered`` the
     adaptive machine that
     starts every function in the unfused baseline and promotes hot
     ones at run time (see docs/TIERING.md — ``tiering`` passes a
@@ -338,7 +339,8 @@ def make_engine(
             terminator_cost=cycles_of if metered else None,
         )
     if engine == "tiered":
-        from ..vm import TieredVirtualMachine, translate_program
+        from ..vm.tiering import TieredVirtualMachine
+        from ..vm.translate import translate_program
 
         # A fused cache artifact would start every function already
         # promoted; the tiered engine instead translates its own
@@ -365,15 +367,17 @@ def make_engine(
         raise ValueError(
             f"unknown engine {engine!r} (expected one of {ALL_ENGINES})"
         )
-    from ..vm import (
-        ClosureVirtualMachine,
-        MegaunitVirtualMachine,
-        VirtualMachine,
-        translate_program,
-    )
+    from ..vm.closure import ClosureVirtualMachine
+    from ..vm.machine import VirtualMachine
+    from ..vm.megaunit import MegaunitVirtualMachine
+    from ..vm.translate import translate_program
 
     if bytecode is None:
-        bytecode = translate_program(program, check_bc=check_bc)
+        # Only ``vm`` executes the fused stream: closure and megaunit
+        # compile from the base ``fn.code``, and ``vm-nofuse`` pins it off.
+        bytecode = translate_program(
+            program, fuse=engine == "vm", check_bc=check_bc
+        )
     if engine == "closure":
         return ClosureVirtualMachine(
             bytecode, max_steps=max_steps, metered=metered,

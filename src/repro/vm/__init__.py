@@ -36,34 +36,42 @@ accounting and budget behaviour, identical :class:`ProfileCollector`
 and observer hooks.  ``repro check --diff-engines`` and the
 ``tests/test_vm`` differential suite enforce this; see docs/VM.md.
 
-Import order below is load-bearing: :mod:`repro.vm.fusion` and
-:mod:`repro.vm.quicken` register their extended opcodes into
-``machine.XHANDLERS`` at import time, so importing them in a fixed
-order right after :mod:`repro.vm.machine` pins the extended opcode
-numbers — cached artifacts that pickle fused/quickened streams decode
-identically in every process.
+Every name below resolves on first use, importing only the submodule
+that defines it (:mod:`repro._lazy`): a process running megaunit never
+loads fusion, quickening, tiering or the profiler.  Extended opcode
+numbers stay pickle-stable regardless: :mod:`repro.vm.fusion`
+registers its superinstructions (the 729 triples as nine compile
+units of 81, in sorted order) into ``machine.XHANDLERS`` right after
+the base table, and :mod:`repro.vm.quicken` imports fusion before it
+registers its own forms — so cached artifacts that pickle fused or
+quickened streams decode identically in every process, whichever
+module it imported first.
 """
 
-from .bytecode import BytecodeFunction, BytecodeProgram, disassemble
-from .machine import VirtualMachine, fast_op_bindings, register_xop
-from .opspec import OPCODE_SPECS, OpSpec, register_opspec
-from .fusion import fuse_function, fuse_program, mine_hot_pairs
-from .quicken import quicken_function
-from .closure import ClosureVirtualMachine, compile_function, function_source
-from .megaunit import (
-    MegaunitModule,
-    MegaunitVirtualMachine,
-    generate_module_source,
-)
-from .profiler import ProfilingVirtualMachine, VMProfile, profile_run
-from .translate import translate_graph, translate_program
-from .tiering import (
-    DEFAULT_TIER2_THRESHOLD,
-    DEFAULT_TIER_THRESHOLD,
-    TieredVirtualMachine,
-    TieringController,
-    TieringPolicy,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bytecode": ("BytecodeFunction", "BytecodeProgram", "disassemble"),
+    ".machine": ("VirtualMachine", "fast_op_bindings", "register_xop"),
+    ".opspec": ("OPCODE_SPECS", "OpSpec", "register_opspec"),
+    ".fusion": ("fuse_function", "fuse_program", "mine_hot_pairs"),
+    ".quicken": ("quicken_function",),
+    ".closure": (
+        "ClosureVirtualMachine", "compile_function", "function_source",
+    ),
+    ".megaunit": (
+        "MegaunitModule", "MegaunitVirtualMachine", "generate_module_source",
+    ),
+    ".profiler": ("ProfilingVirtualMachine", "VMProfile", "profile_run"),
+    ".translate": ("translate_graph", "translate_program"),
+    ".tiering": (
+        "DEFAULT_TIER2_THRESHOLD",
+        "DEFAULT_TIER_THRESHOLD",
+        "TieredVirtualMachine",
+        "TieringController",
+        "TieringPolicy",
+    ),
+})
 
 __all__ = [
     "DEFAULT_TIER2_THRESHOLD",

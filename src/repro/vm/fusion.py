@@ -91,9 +91,11 @@ _CMP_OPS = (OP_EQ, OP_NE, OP_LT, OP_LE, OP_GT, OP_GE)
 
 # ----------------------------------------------------------------------
 # Fused handlers.  Same (vm, ins, regs, pc) -> next pc contract as the
-# base table; registered into machine.XHANDLERS at import time (the
-# package __init__ fixes the import order, so opcode numbers are
-# deterministic and pickle-stable).
+# base table; registered into machine.XHANDLERS at import time.  This
+# module registers right after the base table, before quickening
+# (repro.vm.quicken imports it first), so opcode numbers are
+# deterministic and pickle-stable whichever module a process imports
+# first.
 #
 # Compare+If layout:
 #   (op, costA+costB, node_if, cmp_dest, rx, ry, true_edge, false_edge,
@@ -268,38 +270,41 @@ del _op_a, _op_b, _ea, _eb
 #: (op_a, op_b, op_c) -> fully inlined triple superinstruction opcode.
 #: Triples layout: (xop, costA+costB+costC, nodeA, destA, xA, yA,
 #: destB, xB, yB, destC, xC, yC, (first_half, second_half), 3).
-#: All 729 combinations are generated in one exec unit (one compile is
-#: far cheaper at import time than 729) in sorted order, so opcode
-#: numbers stay deterministic.
+#: All 729 combinations are generated in sorted order, so opcode
+#: numbers stay deterministic, as nine exec units of 81 (one per first
+#: half): far cheaper at import time than 729 compiles, and a unit of
+#: 81 peaks at about an eighth of the memory one of 729 takes to compile.
 _TRIPLE_XOPS: dict[tuple[int, int, int], int] = {}
 
 
-def _gen_triples() -> None:
+def _gen_triples(op_a: int) -> None:
+    """Generate and register the 81 triples whose first half is ``op_a``."""
     chunks = []
     names = []
-    for op_a in sorted(_WRAP_EXPR):
-        ea = _WRAP_EXPR[op_a].format(x=4, y=5)
-        for op_b in sorted(_WRAP_EXPR):
-            eb = _WRAP_EXPR[op_b].format(x=7, y=8)
-            for op_c in sorted(_WRAP_EXPR):
-                ec = _WRAP_EXPR[op_c].format(x=10, y=11)
-                name = (
-                    f"_op_{OPCODE_NAMES[op_a]}_{OPCODE_NAMES[op_b]}"
-                    f"_{OPCODE_NAMES[op_c]}"
-                )
-                chunks.append(
-                    f"def {name}(vm, ins, regs, pc):\n"
-                    f"    v = ({ea}) & _MASK\n"
-                    f"    regs[ins[3]] = v - _TWO64 if v & _SIGN else v\n"
-                    f"    v = ({eb}) & _MASK\n"
-                    f"    regs[ins[6]] = v - _TWO64 if v & _SIGN else v\n"
-                    f"    v = ({ec}) & _MASK\n"
-                    f"    regs[ins[9]] = v - _TWO64 if v & _SIGN else v\n"
-                    f"    return pc + 3\n"
-                )
-                names.append(((op_a, op_b, op_c), name))
+    ea = _WRAP_EXPR[op_a].format(x=4, y=5)
+    for op_b in sorted(_WRAP_EXPR):
+        eb = _WRAP_EXPR[op_b].format(x=7, y=8)
+        for op_c in sorted(_WRAP_EXPR):
+            ec = _WRAP_EXPR[op_c].format(x=10, y=11)
+            name = (
+                f"_op_{OPCODE_NAMES[op_a]}_{OPCODE_NAMES[op_b]}"
+                f"_{OPCODE_NAMES[op_c]}"
+            )
+            chunks.append(
+                f"def {name}(vm, ins, regs, pc):\n"
+                f"    v = ({ea}) & _MASK\n"
+                f"    regs[ins[3]] = v - _TWO64 if v & _SIGN else v\n"
+                f"    v = ({eb}) & _MASK\n"
+                f"    regs[ins[6]] = v - _TWO64 if v & _SIGN else v\n"
+                f"    v = ({ec}) & _MASK\n"
+                f"    regs[ins[9]] = v - _TWO64 if v & _SIGN else v\n"
+                f"    return pc + 3\n"
+            )
+            names.append(((op_a, op_b, op_c), name))
     ns = {"_MASK": _MASK, "_SIGN": _SIGN, "_TWO64": _TWO64}
-    exec(compile("\n".join(chunks), "<fusion:triples>", "exec"), ns)
+    exec(compile(
+        "\n".join(chunks), f"<fusion:triples:{OPCODE_NAMES[op_a]}>", "exec"
+    ), ns)
     for key, name in names:
         _TRIPLE_XOPS[key] = register_opspec(
             register_xop(ns[name]),
@@ -307,7 +312,9 @@ def _gen_triples() -> None:
         )
 
 
-_gen_triples()
+for _op_a in sorted(_WRAP_EXPR):
+    _gen_triples(_op_a)
+del _op_a
 
 # Everything from the first specialized pair onward — the pair, goto
 # and triple xops above plus quickening's forms, registered later —

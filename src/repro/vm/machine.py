@@ -300,10 +300,11 @@ _HANDLERS: tuple[Callable, ...] = (
 )
 
 #: extended handler table for the fused/quickened fast stream — base
-#: opcodes first, then every opcode registered by repro.vm.fusion and
-#: repro.vm.quicken (in that import order, which repro.vm.__init__
-#: fixes, so extended opcode numbers are stable across processes and
-#: safe to pickle into cached artifacts).
+#: opcodes first, then every opcode registered by repro.vm.fusion, then
+#: every one registered by repro.vm.quicken.  Both load on demand, and
+#: quicken imports fusion before it registers, so the order — and with
+#: it every extended opcode number — is the same in every process and
+#: safe to pickle into cached artifacts.
 XHANDLERS: list = list(_HANDLERS)
 
 
@@ -320,7 +321,8 @@ def register_xop(handler: Callable) -> int:
 #: safely disables the inline arms.
 #: (spec_base, if_lt, if_gt, if_ge) — see bind_fast_ops.  The huge
 #: sentinel spec_base disables the range arm until fusion binds it.
-_X_OPS = (1 << 30, -1, -1, -1)
+_UNBOUND = (1 << 30, -1, -1, -1)
+_X_OPS = _UNBOUND
 
 
 def bind_fast_ops(spec_base: int, if_lt: int, if_gt: int, if_ge: int) -> None:
@@ -556,6 +558,10 @@ class VirtualMachine:
             from .quicken import quicken_function
 
             quicken_function(fn)
+        elif _X_OPS is _UNBOUND:
+            # An artifact quickened in another process: load the
+            # extended handlers its stream names before dispatching it.
+            from . import quicken  # noqa: F401
         code = fn.xcode
         regs = fn.template[:]
         if args:

@@ -5,8 +5,9 @@ engine compiles each function to per-block closures but still pays the
 machine's full call protocol at every ``OP_CALL``: exit the
 trampoline, re-enter ``vm._call`` / ``_run_frame``, allocate a
 register file, build a fresh trampoline.  This backend removes all of
-it by compiling the **entire program** into a single generated Python
-module:
+it by compiling the run's **entry and its whole call graph** (every
+function reachable through ``OP_CALL``, :func:`unit_functions`) into a
+single generated Python module:
 
 * every bytecode function becomes one Python function
   ``_mu<N>(vm, m, r0.., d)`` — its registers are **Python locals**
@@ -77,8 +78,9 @@ is statically verified by the extended ``bc-codegen-lint``
 from __future__ import annotations
 
 import sys
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
+from ..interp.interpreter import ExecutionResult
 from ..obs.metrics import current_registry
 from ..obs.tracer import current_tracer
 from .bytecode import (
@@ -434,26 +436,55 @@ class _MegaFunctionCompiler(_FunctionCompiler):
         return "\n".join(self.lines) + "\n"
 
 
+def unit_functions(
+    bytecode: BytecodeProgram, roots: Optional[Sequence[str]] = None
+) -> list[BytecodeFunction]:
+    """The functions of the unit compiled for ``roots`` (function names),
+    in program order: every function reachable from them through
+    ``OP_CALL``.  ``None`` means the whole program."""
+    functions = list(bytecode.functions.values())
+    if roots is None:
+        return functions
+    reached: set[int] = set()
+    pending = [bytecode.functions[name] for name in roots]
+    while pending:
+        fn = pending.pop()
+        if id(fn) not in reached:
+            reached.add(id(fn))
+            pending.extend(ins[4] for ins in fn.code if ins[0] == OP_CALL)
+    return [fn for fn in functions if id(fn) in reached]
+
+
+def _unit_source(
+    order: list[BytecodeFunction],
+    metered: bool,
+    max_steps: int,
+    max_call_depth: int,
+) -> str:
+    entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
+    return "\n".join(
+        _MegaFunctionCompiler(
+            fn, metered, max_steps, max_call_depth, i, entries
+        ).source()
+        for i, fn in enumerate(order)
+    )
+
+
 def generate_module_source(
     bytecode: BytecodeProgram,
     metered: bool = True,
     max_steps: int = 50_000_000,
     max_call_depth: int = 200,
+    roots: Optional[Sequence[str]] = None,
 ) -> str:
-    """The whole-program Python source ``compile_module`` would exec,
-    without executing it — the static codegen lint works on this text.
-    Raises :class:`MegaunitUnsupported` when the program cannot be
+    """The Python source ``compile_module`` would exec for ``roots``
+    (see :func:`unit_functions`; ``None`` = the whole program), without
+    executing it — the static codegen lint works on this text.  Raises
+    :class:`MegaunitUnsupported` when the unit cannot be
     megaunit-compiled."""
-    order = list(bytecode.functions.values())
-    entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
-    parts = []
-    for i, fn in enumerate(order):
-        parts.append(
-            _MegaFunctionCompiler(
-                fn, metered, max_steps, max_call_depth, i, entries
-            ).source()
-        )
-    return "\n".join(parts)
+    return _unit_source(
+        unit_functions(bytecode, roots), metered, max_steps, max_call_depth
+    )
 
 
 class MegaunitModule:
@@ -497,10 +528,13 @@ def compile_module(
     max_steps: int,
     max_call_depth: int,
     codegen_cache: Optional[Any] = None,
+    roots: Optional[Sequence[str]] = None,
 ) -> Optional[MegaunitModule]:
-    """Compile (or exec from cache) the whole-program unit, or ``None``
-    when the program cannot be megaunit-compiled."""
-    order = list(bytecode.functions.values())
+    """Compile (or exec from cache) the unit of every function reachable
+    from ``roots`` (``None`` = the whole program), or ``None`` when it
+    cannot be megaunit-compiled.  The codegen cache key hashes the
+    unit's functions, so each set of roots has its own entry."""
+    order = unit_functions(bytecode, roots)
     if codegen_cache is not None:
         from .codegen_cache import codegen_key, load_source, store_source
 
@@ -514,9 +548,7 @@ def compile_module(
         ):
             return _exec_module(bytecode, order, payload["source"])
     try:
-        source = generate_module_source(
-            bytecode, metered, max_steps, max_call_depth
-        )
+        source = _unit_source(order, metered, max_steps, max_call_depth)
     except MegaunitUnsupported:
         return None
     module = _exec_module(bytecode, order, source)
@@ -536,13 +568,15 @@ def compile_module(
 # The engine
 # ----------------------------------------------------------------------
 class MegaunitVirtualMachine(ClosureVirtualMachine):
-    """A :class:`VirtualMachine` whose runs execute one whole-program
-    exec unit.  Drop-in: same constructor, ``run``/``reset``/``state``
-    API and observable semantics as every other engine.  The module
-    compiles lazily on the first frame and is cached per
-    ``(max_steps, metered)``; insufficient recursion headroom or
-    missing block spans fall back to the inherited closure engine (a
-    ``vm.fallback`` event records why)."""
+    """A :class:`VirtualMachine` whose runs execute one exec unit: the
+    run's entry function and everything it can call.  Drop-in: same
+    constructor, ``run``/``reset``/``state`` API and observable
+    semantics as every other engine.  The unit compiles lazily on the
+    first frame; the machine keeps one, keyed by
+    ``(max_steps, metered, entry)``, and recompiles when the key
+    changes.  Insufficient recursion headroom or missing block spans
+    fall back to the inherited closure engine (a ``vm.fallback`` event
+    records why)."""
 
     def __init__(
         self,
@@ -552,21 +586,24 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
     ) -> None:
         super().__init__(bytecode, codegen_cache=codegen_cache, **kwargs)
         self._mu_module: Optional[MegaunitModule] = None
-        self._mu_ready = False
-        self._mu_compiled_for = (self.max_steps, self.metered)
+        self._mu_key: Optional[tuple] = None
+        #: the entry of the current run (``None`` outside ``run``: the
+        #: whole program is the unit)
+        self._mu_entry: Optional[str] = None
         self._mu_fallbacks_noted: set = set()
 
+    def run(self, function: str, args: list[Any]) -> ExecutionResult:
+        self._mu_entry = function
+        return super().run(function, args)
+
     def _module(self) -> Optional[MegaunitModule]:
-        key = (self.max_steps, self.metered)
-        if key != self._mu_compiled_for:
-            self._mu_module = None
-            self._mu_ready = False
-            self._mu_compiled_for = key
-        if not self._mu_ready:
-            self._mu_ready = True
+        key = (self.max_steps, self.metered, self._mu_entry)
+        if key != self._mu_key:
+            self._mu_key = key
             self._mu_module = compile_module(
                 self.bytecode, self.metered, self.max_steps,
                 self.max_call_depth, codegen_cache=self.codegen_cache,
+                roots=None if self._mu_entry is None else (self._mu_entry,),
             )
         return self._mu_module
 
@@ -623,4 +660,5 @@ __all__ = [
     "finish_live_ins",
     "generate_module_source",
     "stack_headroom_ok",
+    "unit_functions",
 ]

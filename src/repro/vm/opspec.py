@@ -12,9 +12,11 @@ whether it terminates a basic block, and (for fused/quickened forms)
 the base opcodes it was derived from.
 
 Registration happens next to handler registration, in the same
-pickle-stable import order the package ``__init__`` pins, so
-``OPCODE_SPECS`` always covers exactly ``range(len(XHANDLERS))`` — the
-opcode-space exhaustiveness test asserts this.
+pickle-stable order — fusion's opcodes first, then quickening's, since
+:mod:`repro.vm.quicken` imports :mod:`repro.vm.fusion` before it
+registers — so ``OPCODE_SPECS`` always covers exactly
+``range(len(XHANDLERS))``, whichever module a process imported first;
+the opcode-space exhaustiveness test asserts this.
 
 Families and their fast-stream tuple layouts (``h`` = the tuple of
 unfused prefix halves at slot ``-2``, ``w`` = step weight at ``-1``):
@@ -119,9 +121,9 @@ class OpSpec:
         }[self.family]
 
 
-#: opcode -> spec; covers every entry of ``machine.XHANDLERS`` once
-#: :mod:`repro.vm` finished importing (the exhaustiveness test asserts
-#: the two tables never drift apart)
+#: opcode -> spec; covers every entry of ``machine.XHANDLERS``, since
+#: each extended handler registers its spec right after it (the
+#: exhaustiveness test asserts the two tables never drift apart)
 OPCODE_SPECS: dict[int, OpSpec] = {}
 
 

@@ -53,6 +53,11 @@ from .bytecode import (
 from .machine import _HANDLERS, _MASK, _SIGN, _TWO64, _is_ref, register_xop
 from .opspec import OpSpec, register_opspec
 
+# Fusion registers its extended opcodes first, quickening after it:
+# importing it here, before any registration below, pins the numbering
+# whichever of the two modules a process imports first.
+from . import fusion  # noqa: F401
+
 
 # ----------------------------------------------------------------------
 # Deopt escape shared by every guarded handler.  Layout of a guarded

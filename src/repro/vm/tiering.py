@@ -60,6 +60,7 @@ from ..interp.interpreter import BudgetExceeded
 from ..ir.ops import EvaluationTrap
 from ..obs.metrics import current_registry
 from ..obs.tracer import current_tracer
+from ..pipeline.config import DEFAULT_TIER2_THRESHOLD, DEFAULT_TIER_THRESHOLD
 from .bytecode import (
     OP_CALL,
     OP_GOTO,
@@ -73,13 +74,6 @@ from .machine import _HANDLERS, VirtualMachine
 
 #: plan-cache payload layout version (part of every aux key)
 TIER_PLAN_SCHEMA = 1
-
-#: default hotness threshold (``calls + backedges``) for promotion
-DEFAULT_TIER_THRESHOLD = 64
-
-#: default tier-1 invocation count before the optional tier-2
-#: whole-program promotion (``--tier2-engine=megaunit``)
-DEFAULT_TIER2_THRESHOLD = 4 * DEFAULT_TIER_THRESHOLD
 
 #: sentinel for functions whose tier-2 promotion was declined (no
 #: megaunit entry, or insufficient recursion headroom) — they stay in

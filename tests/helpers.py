@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter, observable_outcome
@@ -22,6 +26,9 @@ from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import BACKTRACKING, BASELINE, DBDS, DUPALOT
 
 ALL_CONFIGS = [BASELINE, DBDS, DUPALOT, BACKTRACKING]
+
+#: the repository root (fresh processes run from here)
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def build_diamond(true_prob: float = 0.5) -> dict:
@@ -90,3 +97,14 @@ def assert_configs_equivalent(source: str, entry: str, arg_sets: list[list]) -> 
 def compile_one(source: str):
     """Parse MiniLang to an IR program (no optimization)."""
     return compile_source(source)
+
+
+def fresh_python(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run ``python ARGV...`` in a new interpreter from the repository
+    root, with only ``src`` on the path; text output is captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    return subprocess.run(
+        [sys.executable, *argv], cwd=REPO, env=env, capture_output=True,
+        text=True, check=check,
+    )

@@ -1,15 +1,16 @@
 """The megaunit engine: whole-program exec-unit exactness.
 
-``MegaunitVirtualMachine`` compiles the entire call graph into one
-generated Python module — registers as locals, threaded intra-function
-dispatch, ``OP_CALL`` as a direct Python call — so every observable
-(values, traps, step/cycle accounting, budget stops mid-call and
-mid-segment, globals, reset) must match the reference interpreter
+``MegaunitVirtualMachine`` compiles the run's entry and its whole call
+graph into one generated Python module — registers as locals, threaded
+intra-function dispatch, ``OP_CALL`` as a direct Python call — so every
+observable (values, traps, step/cycle accounting, budget stops mid-call
+and mid-segment, globals, reset) must match the reference interpreter
 bit-for-bit, and every degradation path (hooks, missing block spans,
 insufficient recursion headroom) must fall back transparently with a
 ``vm.fallback`` event.
 """
 
+import re
 import sys
 
 import pytest
@@ -29,11 +30,13 @@ from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.compiler import compile_and_profile, make_engine
 from repro.pipeline.config import DBDS
 from repro.vm import MegaunitVirtualMachine, translate_program
+from repro.vm.bytecode import BytecodeProgram
 from repro.vm.megaunit import (
     MegaunitUnsupported,
     compile_module,
     generate_module_source,
     stack_headroom_ok,
+    unit_functions,
 )
 
 APPS = {
@@ -514,6 +517,86 @@ def test_closure_engine_also_caches_codegen(tmp_path):
     assert (cold_result.value, cold_result.steps, cold_result.cycles) == (
         warm_result.value, warm_result.steps, warm_result.cycles
     )
+
+
+# ----------------------------------------------------------------------
+# Units built from the entry's call graph
+# ----------------------------------------------------------------------
+#: two entries sharing a callee, and a function neither of them calls
+TWO_ENTRIES = """
+fn leaf(x: int) -> int { return x * 3 + 1; }
+fn unused(x: int) -> int { return x - 7; }
+fn first(n: int) -> int { return leaf(n) + 1; }
+fn second(n: int) -> int {
+  var acc: int = 0;
+  var i: int = 0;
+  while (i < n) { acc = acc + leaf(i); i = i + 1; }
+  return acc;
+}
+"""
+
+
+def test_a_function_never_called_is_absent_from_the_unit():
+    bytecode = translate_program(compile_source(TWO_ENTRIES))
+    assert [fn.name for fn in unit_functions(bytecode, ["first"])] == [
+        "leaf", "first",
+    ]
+    assert [fn.name for fn in unit_functions(bytecode, None)] == [
+        "leaf", "unused", "first", "second",
+    ]
+    source = generate_module_source(bytecode, roots=["second"])
+    assert len(re.findall(r"^def _mu", source, re.M)) == 2
+    megaunit = MegaunitVirtualMachine(bytecode)
+    megaunit.run("second", [4])
+    assert megaunit._module().order == ["leaf", "second"]
+
+
+def test_two_entries_on_one_machine_match_the_reference():
+    reference, megaunit = engines_for(TWO_ENTRIES)
+    for entry, args in (("first", [5]), ("second", [9]), ("first", [-3])):
+        reference.reset()
+        megaunit.reset()
+        assert_parity(reference, megaunit, args, entry=entry)
+        assert megaunit._module().order[-1] == entry
+
+
+def test_codegen_cache_round_trip_per_entry(tmp_path):
+    bytecode = translate_program(compile_source(TWO_ENTRIES))
+    cache = ArtifactCache(tmp_path / "cache")
+    registry = MetricsRegistry()
+    results = []
+    for _ in range(2):
+        machine = MegaunitVirtualMachine(bytecode, codegen_cache=cache)
+        with use_registry(registry):
+            results.append([
+                machine.run(entry, [6])
+                for entry in ("first", "second")
+            ])
+    snap = registry.snapshot()
+    for result in ("miss", "hit"):
+        assert snap.counter_value(
+            "repro_codegen_cache_total", result=result, engine="megaunit"
+        ) == 2
+    cold, warm = results
+    assert [(r.value, r.steps, r.cycles) for r in cold] == [
+        (r.value, r.steps, r.cycles) for r in warm
+    ]
+
+
+@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
+def test_each_entrys_unit_lints_clean(metered):
+    bytecode = translate_program(compile_source(TWO_ENTRIES))
+    for entry in ("first", "second"):
+        # An entry's unit is the whole-program module of the functions
+        # it holds, so the whole-program lint checks it as written.
+        unit = BytecodeProgram(
+            {fn.name: fn for fn in unit_functions(bytecode, [entry])},
+            bytecode.globals_init,
+        )
+        assert generate_module_source(
+            bytecode, metered=metered, roots=[entry]
+        ) == generate_module_source(unit, metered=metered)
+        assert lint_megaunit_source(unit, metered=metered) == []
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ and the fast loops' inline-dispatch bindings stay sound.
 
 from __future__ import annotations
 
-import repro.vm  # noqa: F401  (pins the handler/spec import order)
+import repro.vm.quicken  # noqa: F401  (registers fusion's opcodes, then its own)
 from repro.pipeline.compiler import ALL_ENGINES, ENGINES
 from repro.vm.bytecode import OPCODE_NAMES
 from repro.vm.closure import CLOSURE_COVERED
