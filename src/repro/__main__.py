@@ -79,7 +79,7 @@ from .obs import (
     write_jsonl,
 )
 from .pipeline.cache import ArtifactCache, cache_key, make_entry
-from .obs.tracer import use_tracer
+from .obs.tracer import current_tracer, use_tracer
 from .pipeline.compiler import Compiler, ENGINES, measure_performance
 from .pipeline.config import (
     CONFIGURATIONS,
@@ -93,7 +93,7 @@ from .vm.translate import translate_program
 from .vm import megaunit  # noqa: F401
 
 if TYPE_CHECKING:
-    from .ir.graph import Program
+    from .ir.graph import Graph, Program
     from .vm.profiler import VMProfile
     from .vm.tiering import TieringPolicy
 
@@ -120,28 +120,45 @@ def _read_source(path: pathlib.Path) -> str:
         raise UserError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _compile_entry(
-    path: pathlib.Path, source: str, entry: str, args: list[int]
-) -> "Program":
-    """The unoptimized program of ``source``, checked to define
-    ``entry`` taking ``len(args)`` arguments."""
+def _compile_located(path: pathlib.Path, source: str) -> "Program":
+    """The unoptimized program of ``source``; a compile error is a
+    :class:`UserError` located as ``file:line:col``."""
     try:
-        program = compile_source(source)
+        return compile_source(source)
     except CompileError as exc:
         where = str(path)
         if exc.line:
             where += f":{exc.line}" + (f":{exc.column}" if exc.column else "")
         raise UserError(f"{where}: {exc.message}") from None
-    graph = program.functions.get(entry)
+
+
+def _require_function(
+    path: pathlib.Path, program: "Program", name: str, purpose: str
+) -> "Graph":
+    graph = program.functions.get(name)
     if graph is None:
         defined = ", ".join(program.functions) or "none"
         raise UserError(
-            f"{path}: no function {entry!r} to run (defined: {defined})"
+            f"{path}: no function {name!r} {purpose} (defined: {defined})"
         )
+    return graph
+
+
+def _compile_entry(
+    path: pathlib.Path,
+    source: str,
+    entry: str,
+    args: list[int],
+    flag: str = "--args",
+) -> "Program":
+    """The unoptimized program of ``source``, checked to define
+    ``entry`` taking ``len(args)`` arguments (given by ``flag``)."""
+    program = _compile_located(path, source)
+    graph = _require_function(path, program, entry, "to run")
     if len(graph.parameters) != len(args):
         raise UserError(
             f"{path}: {entry} takes {len(graph.parameters)} argument(s), "
-            f"--args gave {len(args)}"
+            f"{flag} gave {len(args)}"
         )
     return program
 
@@ -295,8 +312,10 @@ def _jit_compile(
 ):
     """The ``compile_and_profile`` flow on an unoptimized ``program``
     (see :func:`_compile_entry`), keeping the compiler visible so
-    keep-going guard failures can be reported after the fact."""
-    collector = profile_program(program, entry, profile_args)
+    keep-going guard failures can be reported after the fact.  The
+    profiling run's ``interp.profile`` event goes to ``tracer``."""
+    with use_tracer(tracer if tracer is not None else current_tracer()):
+        collector = profile_program(program, entry, profile_args)
     apply_profile(program, collector)
     compiler = Compiler(config, tracer=tracer, check_ir=check_ir, fail_fast=fail_fast)
     report = compiler.compile_program(program)
@@ -538,9 +557,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    source = args.source.read_text()
+    source = _read_source(args.source)
     config = CONFIGURATIONS[args.config]
-    program = compile_source(source)
+    program = _compile_located(args.source, source)
     tracer = _make_tracer(args)
     compiler = Compiler(
         config, tracer=tracer, check_ir=args.check_ir, fail_fast=args.fail_fast
@@ -570,9 +589,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Compile under a recording tracer; print the profile report."""
-    source = args.source.read_text()
+    source = _read_source(args.source)
     config = CONFIGURATIONS[args.config]
-    program = compile_source(source)
+    program = _compile_located(args.source, source)
     tracer = Tracer()
     Compiler(config, tracer=tracer).compile_program(program)
     print(CompileProfile.from_tracer(tracer).format(top=args.top))
@@ -609,7 +628,7 @@ def _check_one_file(
     """Run every requested sanitizer over one source file; returns the
     number of failures found (0 = clean)."""
     failures = 0
-    source = path.read_text()
+    source = _read_source(path)
     key = None
     if cache is not None:
         key = cache_key(
@@ -719,7 +738,7 @@ def _check_program_sweeps(
         from .analysis import validate_engines
 
         result = validate_engines(
-            path.read_text(), args.entry, [args.args],
+            _read_source(path), args.entry, [args.args],
             config=CONFIGURATIONS[args.config],
         )
         for record in result.divergences:
@@ -766,7 +785,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.fuzz_mutations:
         from .analysis import fuzz_mutations
 
-        corpus = [path.read_text() for path in files]
+        corpus = [_read_source(path) for path in files]
         report = fuzz_mutations(
             seed=args.seed,
             programs=args.fuzz_mutations,
@@ -779,7 +798,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.fuzz_engines:
         from .analysis import fuzz_engines
 
-        corpus = [path.read_text() for path in files]
+        corpus = [_read_source(path) for path in files]
         report = fuzz_engines(
             seed=args.seed,
             programs=args.fuzz_engines,
@@ -1035,13 +1054,19 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from .opts.canonicalize import CanonicalizerPhase
     from .opts.inline import InliningPhase
 
-    program = compile_source(args.source.read_text())
+    source = _read_source(args.source)
     if args.profile_args is not None:
+        program = _compile_entry(
+            args.source, source, args.entry, args.profile_args,
+            "--profile-args",
+        )
         collector = profile_program(program, args.entry, [args.profile_args])
         apply_profile(program, collector)
+    else:
+        program = _compile_located(args.source, source)
     names = [args.function] if args.function else list(program.functions)
     for name in names:
-        graph = program.function(name)
+        graph = _require_function(args.source, program, name, "to explain")
         InliningPhase(program).run(graph)
         CanonicalizerPhase().run(graph)
         print(explain_graph(graph, program))

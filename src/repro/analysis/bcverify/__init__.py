@@ -18,10 +18,10 @@ with purely static means.  Four layers:
   field-by-field to the plain code stream; optionally the whole
   function matches a deterministic fresh translation of the program.
 * **Codegen lint** (:mod:`.lint`) — the closure engine's exec-generated
-  source and the megaunit engine's whole-program module are checked
-  for banned names, leaked globals, balanced accounting and (for the
-  megaunit module) direct-call targets against the program's function
-  table, without being executed.
+  source and the megaunit engine's whole-program module (plain and
+  counted) are checked for banned names, leaked globals, balanced
+  accounting and (for the megaunit module) direct-call targets against
+  the program's function table, without being executed.
 
 Entry points: :func:`verify_bytecode` (full verification of a
 :class:`~repro.vm.bytecode.BytecodeProgram`, optionally also of a
@@ -222,24 +222,27 @@ def verify_bytecode(
             if fail_fast and not qreport.ok:
                 break
 
-    # Whole-program codegen lint: the megaunit module is one exec unit
-    # over the entire function table, so its lint is program-level
-    # (skipped when per-function verification already failed — linting
-    # source generated from a known-bad table proves nothing).
+    # Whole-program codegen lint: the megaunit module and its counted
+    # (profiling) variant are each one exec unit over the entire
+    # function table, so their lint is program-level (skipped when
+    # per-function verification already failed — linting source
+    # generated from a known-bad table proves nothing).
     if (
         "bc-codegen-lint" not in disable
         and (checkers is None or "bc-codegen-lint" in checkers)
         and result.ok
     ):
-        for message in lint_megaunit_source(bytecode):
-            result.violations.append(
-                Violation(
-                    checker="bc-codegen-lint",
-                    severity=Severity.ERROR,
-                    graph="<megaunit>",
-                    message=message,
+        for counted in (False, True):
+            graph = "<megaunit counted>" if counted else "<megaunit>"
+            for message in lint_megaunit_source(bytecode, counted=counted):
+                result.violations.append(
+                    Violation(
+                        checker="bc-codegen-lint",
+                        severity=Severity.ERROR,
+                        graph=graph,
+                        message=message,
+                    )
                 )
-            )
 
     registry = current_registry()
     if registry.enabled:

@@ -34,7 +34,10 @@ protocol slots).  Every budget exit must have the sparse form
 cell, the meter locals, a literal pc inside the function, and exactly
 the registers :func:`~repro.vm.megaunit.finish_live_ins` names for
 that pc, in that order — a missing register would make the replay
-read a template slot instead of the live value.
+read a template slot instead of the live value.  A counted module (the
+profiling variant) may also read its counter list ``_counts``, and
+only as ``_counts[<k>] += 1``: one literal slot per frame entry and
+CFG edge of the unit, each bumped at exactly one site.
 
 :func:`lint_closure_source` and :func:`lint_megaunit_source` return
 plain message strings; the ``bc-codegen-lint`` checker turns them into
@@ -48,7 +51,9 @@ import math
 import re
 
 from ...vm.closure import CLOSURE_BUILTINS, CLOSURE_NAMESPACE, generate_source
+from ...vm.bytecode import OP_GOTO, OP_IF
 from ...vm.megaunit import (
+    COUNTS_NAME,
     MEGAUNIT_BUILTINS,
     MEGAUNIT_NAMESPACE,
     MegaunitUnsupported,
@@ -261,7 +266,9 @@ def lint_closure_source(fn, metered: bool = True) -> list[str]:
 # ----------------------------------------------------------------------
 # Whole-program (megaunit) lint
 # ----------------------------------------------------------------------
-def _lint_mega_names(func: ast.FunctionDef, messages: list) -> None:
+def _lint_mega_names(
+    func: ast.FunctionDef, messages: list, counted: bool = False
+) -> None:
     params = {arg.arg for arg in func.args.args}
     assigned = {
         node.id
@@ -283,6 +290,7 @@ def _lint_mega_names(func: ast.FunctionDef, messages: list) -> None:
             or name in MEGAUNIT_NAMESPACE
             or name in MEGAUNIT_BUILTINS
             or _MEGA_NAME.match(name)
+            or (counted and name == COUNTS_NAME)
         ):
             messages.append(
                 f"{func.name}: generated source reads unexpected "
@@ -374,6 +382,50 @@ def _lint_mega_finishes(
             )
 
 
+def _lint_mega_counters(
+    func: ast.FunctionDef, slots: list, messages: list
+) -> None:
+    """Every use of the counter list is a ``+= 1`` on a literal slot;
+    appends the slots to ``slots`` (the module-wide check follows)."""
+    bumps = set()
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Subscript)
+            and _is_name(node.target.value, COUNTS_NAME)
+        ):
+            bumps.add(id(node.target.value))
+            slot = _literal(node.target.slice)
+            if (
+                not isinstance(node.op, ast.Add)
+                or _literal(node.value) != 1
+                or not isinstance(slot, int)
+            ):
+                messages.append(
+                    f"{func.name}: counter update (line {node.lineno}) is "
+                    f"not {COUNTS_NAME}[<slot>] += 1"
+                )
+            else:
+                slots.append(slot)
+    for node in ast.walk(func):
+        if _is_name(node, COUNTS_NAME) and id(node) not in bumps:
+            messages.append(
+                f"{func.name}: {COUNTS_NAME} used outside a counter "
+                f"update (line {node.lineno})"
+            )
+
+
+def _counter_sites(order: list) -> int:
+    """Counter slots of a counted unit: one per function entry plus one
+    per CFG edge (a goto has one, an ``If`` two)."""
+    edges = sum(
+        {OP_GOTO: 1, OP_IF: 2}.get(ins[0], 0)
+        for fn in order
+        for ins in fn.code
+    )
+    return len(order) + edges
+
+
 def _mega_meter_totals(func: ast.FunctionDef) -> tuple:
     """Step and cycle charges of one generated megaunit function.
 
@@ -455,15 +507,20 @@ def _lint_mega_accounting(
             )
 
 
-def lint_megaunit_source(bytecode, metered: bool = True) -> list[str]:
-    """Lint the whole-program megaunit module; returns message strings.
+def lint_megaunit_source(
+    bytecode, metered: bool = True, counted: bool = False
+) -> list[str]:
+    """Lint the whole-program megaunit module (``counted``: its
+    profiling variant); returns message strings.
 
     Programs the megaunit compiler does not support (no block spans)
     lint clean by definition — the engine falls back to the closure
     engine for them and never execs megaunit text."""
     messages: list[str] = []
     try:
-        source = generate_module_source(bytecode, metered=metered)
+        source = generate_module_source(
+            bytecode, metered=metered, counted=counted
+        )
     except MegaunitUnsupported:
         return []
     except Exception as exc:
@@ -475,6 +532,7 @@ def lint_megaunit_source(bytecode, metered: bool = True) -> list[str]:
 
     order = list(bytecode.functions.values())
     seen = set()
+    slots: list[int] = []
     for node in tree.body:
         if not isinstance(node, ast.FunctionDef):
             messages.append(
@@ -495,7 +553,8 @@ def lint_megaunit_source(bytecode, metered: bool = True) -> list[str]:
             )
             continue
         seen.add(index)
-        _lint_mega_names(node, messages)
+        _lint_mega_names(node, messages, counted)
+        _lint_mega_counters(node, slots, messages)
         _lint_mega_calls(node, order, messages)
         _lint_mega_finishes(node, index, order[index], messages)
         _lint_mega_accounting(node, order[index], metered, messages)
@@ -504,6 +563,11 @@ def lint_megaunit_source(bytecode, metered: bool = True) -> list[str]:
     if missing:
         messages.append(
             f"no megaunit function generated for index(es) {missing}"
+        )
+    if counted and sorted(slots) != list(range(_counter_sites(order))):
+        messages.append(
+            f"counter slots {sorted(slots)} are not one per function "
+            f"entry and CFG edge (0..{_counter_sites(order) - 1})"
         )
     return messages
 

@@ -368,6 +368,16 @@ class ProfileCollector:
     def record_block(self, block: Block) -> None:
         self.block_counts[block] = self.block_counts.get(block, 0) + 1
 
+    def merge(self, other: "ProfileCollector") -> None:
+        """Add ``other``'s counts to this collector's."""
+        blocks = self.block_counts
+        for block, n in other.block_counts.items():
+            blocks[block] = blocks.get(block, 0) + n
+        for branch, (taken, not_taken) in other.branch_counts.items():
+            counts = self.branch_counts.setdefault(branch, [0, 0])
+            counts[0] += taken
+            counts[1] += not_taken
+
     def true_probability(self, branch: If) -> Optional[float]:
         counts = self.branch_counts.get(branch)
         if not counts or (counts[0] + counts[1]) == 0:

@@ -88,6 +88,7 @@ METRIC_HELP: dict[str, str] = {
     "repro_dbds_backtrack_total": "Backtracking-baseline attempts by outcome.",
     "repro_analysis_violations_total": "IR sanitizer findings by severity.",
     "repro_vm_runs_total": "Measured program executions by engine.",
+    "repro_profile_runs_total": "Profiling runs by the engine that profiled.",
     "repro_bcverify_runs_total": "Bytecode verifier runs by result (ok/fail).",
     "repro_bcverify_seconds": "Wall time per bytecode verifier run.",
     "repro_bcverify_rejected_artifacts_total":

@@ -67,6 +67,10 @@ TIER_COMPILE_REQUIRED_ATTRS = ("function", "seconds", "fused_sites", "cached")
 #: frame and degrading to a slower engine, e.g. megaunit -> closure)
 VM_FALLBACK_REQUIRED_ATTRS = ("engine", "fallback", "reason")
 
+#: attrs every ``interp.profile`` event must carry (the engine that
+#: gathered the profile, its steps, and the step it switched at or null)
+INTERP_PROFILE_REQUIRED_ATTRS = ("engine", "steps", "switch_step")
+
 #: the counter-table trailer record's name
 COUNTERS_RECORD = "counters"
 
@@ -217,6 +221,10 @@ def validate_record(record: dict[str, Any]) -> list[str]:
         for key in VM_FALLBACK_REQUIRED_ATTRS:
             if key not in attrs:
                 problems.append(f"vm.fallback missing attr {key!r}")
+    elif name == "interp.profile":
+        for key in INTERP_PROFILE_REQUIRED_ATTRS:
+            if key not in attrs:
+                problems.append(f"interp.profile missing attr {key!r}")
     elif name == "phase" and kind == KIND_SPAN and "phase" not in attrs:
         problems.append("phase span missing attr 'phase'")
     return problems

@@ -278,9 +278,12 @@ def compile_and_profile(
     """Front-end + profiling run + optimizing compilation.
 
     This is the full JIT story in one call: parse, collect a profile by
-    interpreting the unoptimized program, feed the profile to the
-    compiler, optimize.  Pass a ``tracer`` to record the compilation,
-    a ``check_ir`` mode to run the IR sanitizers while compiling.
+    running the unoptimized program on the bytecode VM (the ``vm``
+    loop, moving to the counted megaunit module for long profiles; see
+    :func:`~repro.interp.profile.profile_program`), feed the profile to
+    the compiler, optimize.  Pass a ``tracer`` to record the
+    compilation, a ``check_ir`` mode to run the IR sanitizers while
+    compiling.
     """
     program = compile_source(source)
     collector = profile_program(program, entry, profile_args)
@@ -411,7 +414,8 @@ def measure_performance(
 
     ``engine`` selects the executor (see :func:`make_engine`): the
     ``reference`` tree-walking interpreter, the ``vm`` bytecode engine,
-    the ``closure`` compiling engine or the adaptive ``tiered`` machine
+    the ``closure`` compiling engine, the whole-program ``megaunit``
+    compiler or the adaptive ``tiered`` machine
     — pass a pre-translated ``bytecode`` program to skip
     re-translation, e.g. from a cache hit (``tiered`` ignores it and
     starts from its own cold baseline; ``tiering``/``plan_cache``

@@ -66,12 +66,26 @@ otherwise falls back to the inherited closure engine for the whole
 activation, emitting a ``vm.fallback`` tracer event (once per machine
 and reason) and counting ``repro_vm_fallback_total``.  Programs whose
 functions lack block spans (legacy cache artifacts) fall back the
-same way.  Hooked runs (profile collector or observer) delegate to
-the base machine loops exactly as the closure engine does.
+same way.  Observed runs delegate to the base machine loops exactly as
+the closure engine does.
 
-The generated module source is persisted in the artifact cache's aux
-store (:mod:`repro.vm.codegen_cache`) so warm runs skip codegen, and
-is statically verified by the extended ``bc-codegen-lint``
+Profiled runs (a ``profile=`` collector) execute the **counted**
+variant of the module instead of the hooked machine loop: the same
+text plus one ``_counts[k] += 1`` per frame entry (after the depth
+guard) and per CFG edge site (before its phi moves) — exactly where
+the machine loop calls ``record_block`` and, on an ``If``'s edges,
+``record_branch``.  :meth:`MegaunitModule.fold_counts` turns the
+counts into collector entries whenever a run leaves the module
+(return, trap or budget stop); a budget guard's replay never reaches
+its segment's terminator, so no edge past a stop is counted.  This is
+what lets :func:`repro.interp.profile.profile_program` profile at
+near-megaunit speed.  A profiled frame that cannot run natively falls
+back to the hooked machine loop.
+
+The plain module's source is persisted in the artifact cache's aux
+store (:mod:`repro.vm.codegen_cache`) so warm runs skip codegen; the
+counted one never is (its counter sites name IR blocks).  Both are
+statically verified by the extended ``bc-codegen-lint``
 (:func:`repro.analysis.bcverify.lint_megaunit_source`).
 """
 
@@ -80,7 +94,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Optional, Sequence
 
-from ..interp.interpreter import ExecutionResult
+from ..interp.interpreter import ExecutionResult, ProfileCollector
 from ..obs.metrics import current_registry
 from ..obs.tracer import current_tracer
 from .bytecode import (
@@ -111,6 +125,10 @@ _STACK_HEADROOM = 64
 MEGAUNIT_NAMESPACE = frozenset(
     ("EvaluationTrap", "HeapObject", "HeapArray", "_is_ref", "_finish")
 )
+
+#: the counter list of a counted module (see :class:`MegaunitModule`);
+#: only a counted module may reference it
+COUNTS_NAME = "_counts"
 
 #: the only builtins generated code is allowed to reach (same set as
 #: the closure engine — the instruction bodies are shared)
@@ -211,10 +229,14 @@ class _MegaFunctionCompiler(_FunctionCompiler):
         max_call_depth: int,
         index: int,
         entries: dict[int, str],
+        sites: Optional[list] = None,
     ) -> None:
         super().__init__(fn, metered, max_steps, max_call_depth)
         self.index = index
         self.entries = entries
+        #: the counted module's counter sites, shared by every function
+        #: of the unit (``None``: an uncounted module)
+        self.sites = sites
         self._inline: set[int] = set()
         self._spans: dict[int, int] = {}
 
@@ -255,6 +277,18 @@ class _MegaFunctionCompiler(_FunctionCompiler):
                 self.emit(indent, f"state.cycles = c + {ck!r}")
             else:
                 self.emit(indent, "state.cycles = c")
+
+    # -- profile counters -------------------------------------------------
+    # A counted module bumps one counter per frame entry and per CFG
+    # edge taken — exactly where the machine loop calls ``record_block``
+    # (and, on an ``If``'s edges, ``record_branch``).  Each counter site
+    # remembers the block it enters and the branch direction it stands
+    # for; :meth:`MegaunitModule.fold_counts` turns the counts back into
+    # collector entries.
+    def count(self, indent: int, block, branch=None, slot: int = 0) -> None:
+        if self.sites is not None:
+            self.emit(indent, f"{COUNTS_NAME}[{len(self.sites)}] += 1")
+            self.sites.append((block, branch, slot))
 
     # -- control transfer -----------------------------------------------
     def block_edges(self, start: int, count: int) -> tuple:
@@ -299,7 +333,10 @@ class _MegaFunctionCompiler(_FunctionCompiler):
                 chain[start] = 0
         return inline, preds.get(0, [])
 
-    def gen_edge(self, indent: int, edge: tuple) -> None:
+    def gen_edge(
+        self, indent: int, edge: tuple, branch=None, slot: int = 0
+    ) -> None:
+        self.count(indent, edge[3], branch, slot)
         for d, src in edge[1]:
             self.emit(indent, f"{self.reg(d)} = {self.reg(src)}")
         target = edge[0]
@@ -315,6 +352,12 @@ class _MegaFunctionCompiler(_FunctionCompiler):
             self.emit(indent, "m[0] = s")
             self.emit(indent, "m[1] = c")
             self.emit(indent, f"return {value}")
+        elif ins[0] == OP_IF:
+            # The closure compiler's lowering, plus the branch each
+            # edge's counter stands for (slot 0 taken, 1 not taken).
+            self.emit(indent, f"if {self.operand(ins[4])}:")
+            self.gen_edge(indent + 1, ins[5], ins[2], 0)
+            self.gen_edge(indent, ins[6], ins[2], 1)
         else:
             super().gen_terminator(indent, ins)
 
@@ -405,6 +448,7 @@ class _MegaFunctionCompiler(_FunctionCompiler):
         emit(2, "state.steps = m[0]")
         emit(2, "state.cycles = m[1]")
         emit(2, "raise EvaluationTrap('stack overflow')")
+        self.count(1, fn.entry_block)
         emit(1, "s = m[0]")
         emit(1, "c = m[1]")
         self.gen_seed()
@@ -460,11 +504,14 @@ def _unit_source(
     metered: bool,
     max_steps: int,
     max_call_depth: int,
+    sites: Optional[list] = None,
 ) -> str:
+    """The unit's module source; a ``sites`` list makes it a counted
+    module and receives one ``(block, branch, slot)`` per counter."""
     entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
     return "\n".join(
         _MegaFunctionCompiler(
-            fn, metered, max_steps, max_call_depth, i, entries
+            fn, metered, max_steps, max_call_depth, i, entries, sites
         ).source()
         for i, fn in enumerate(order)
     )
@@ -476,6 +523,7 @@ def generate_module_source(
     max_steps: int = 50_000_000,
     max_call_depth: int = 200,
     roots: Optional[Sequence[str]] = None,
+    counted: bool = False,
 ) -> str:
     """The Python source ``compile_module`` would exec for ``roots``
     (see :func:`unit_functions`; ``None`` = the whole program), without
@@ -483,26 +531,58 @@ def generate_module_source(
     :class:`MegaunitUnsupported` when the unit cannot be
     megaunit-compiled."""
     return _unit_source(
-        unit_functions(bytecode, roots), metered, max_steps, max_call_depth
+        unit_functions(bytecode, roots), metered, max_steps, max_call_depth,
+        [] if counted else None,
     )
 
 
 class MegaunitModule:
     """One compiled whole-program unit: the source, the per-function
-    entry points, and the function-name order the indices follow."""
+    entry points, and the function-name order the indices follow.
 
-    __slots__ = ("source", "entries", "order")
+    A counted module also carries ``counts``, the list its generated
+    code increments (one slot per frame entry or CFG edge site), and
+    ``sites``, what each slot stands for: ``(block, branch, slot)``
+    with ``branch`` the ``If`` node of an edge out of a branch (and
+    ``slot`` 0 taken, 1 not taken) or ``None``."""
+
+    __slots__ = ("source", "entries", "order", "counts", "sites")
 
     def __init__(
-        self, source: str, entries: dict[str, Any], order: list[str]
+        self,
+        source: str,
+        entries: dict[str, Any],
+        order: list[str],
+        counts: Optional[list] = None,
+        sites: tuple = (),
     ) -> None:
         self.source = source
         self.entries = entries
         self.order = order
+        self.counts = counts
+        self.sites = sites
+
+    def fold_counts(self, collector: ProfileCollector) -> None:
+        """Add the counts gathered since the last fold to
+        ``collector`` — the entries the machine loop's ``record_block``
+        / ``record_branch`` calls would have made — and zero them."""
+        counts = self.counts
+        blocks = collector.block_counts
+        branches = collector.branch_counts
+        for i, (block, branch, slot) in enumerate(self.sites):
+            n = counts[i]
+            if n:
+                counts[i] = 0
+                blocks[block] = blocks.get(block, 0) + n
+                if branch is not None:
+                    branches.setdefault(branch, [0, 0])[slot] += n
 
 
 def _exec_module(
-    bytecode: BytecodeProgram, order: list[BytecodeFunction], source: str
+    bytecode: BytecodeProgram,
+    order: list[BytecodeFunction],
+    source: str,
+    sites: Optional[list] = None,
 ) -> MegaunitModule:
     namespace: dict[str, Any] = {
         "EvaluationTrap": EvaluationTrap,
@@ -511,6 +591,9 @@ def _exec_module(
         "_is_ref": _is_ref,
         "_finish": _finish_live,
     }
+    counts = None
+    if sites is not None:
+        counts = namespace[COUNTS_NAME] = [0] * len(sites)
     for i, fn in enumerate(order):
         namespace[f"_fn{i}"] = fn
         namespace[f"_tmpl{i}"] = fn.template
@@ -519,7 +602,10 @@ def _exec_module(
         namespace,
     )
     entries = {fn.name: namespace[f"_mu{i}"] for i, fn in enumerate(order)}
-    return MegaunitModule(source, entries, [fn.name for fn in order])
+    return MegaunitModule(
+        source, entries, [fn.name for fn in order], counts,
+        tuple(sites or ()),
+    )
 
 
 def compile_module(
@@ -529,12 +615,22 @@ def compile_module(
     max_call_depth: int,
     codegen_cache: Optional[Any] = None,
     roots: Optional[Sequence[str]] = None,
+    counted: bool = False,
 ) -> Optional[MegaunitModule]:
     """Compile (or exec from cache) the unit of every function reachable
     from ``roots`` (``None`` = the whole program), or ``None`` when it
     cannot be megaunit-compiled.  The codegen cache key hashes the
-    unit's functions, so each set of roots has its own entry."""
+    unit's functions, so each set of roots has its own entry.
+
+    ``counted`` compiles the profiling variant (see
+    :class:`MegaunitModule`).  It is built once per profiling run and
+    never enters the codegen cache: its counter sites hold the IR's
+    blocks and branches, which a cached text could not name."""
     order = unit_functions(bytecode, roots)
+    sites = None
+    if counted:
+        sites = []
+        codegen_cache = None
     if codegen_cache is not None:
         from .codegen_cache import codegen_key, load_source, store_source
 
@@ -548,10 +644,12 @@ def compile_module(
         ):
             return _exec_module(bytecode, order, payload["source"])
     try:
-        source = _unit_source(order, metered, max_steps, max_call_depth)
+        source = _unit_source(
+            order, metered, max_steps, max_call_depth, sites
+        )
     except MegaunitUnsupported:
         return None
-    module = _exec_module(bytecode, order, source)
+    module = _exec_module(bytecode, order, source, sites)
     if codegen_cache is not None:
         store_source(
             codegen_cache, key,
@@ -573,10 +671,13 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
     constructor, ``run``/``reset``/``state`` API and observable
     semantics as every other engine.  The unit compiles lazily on the
     first frame; the machine keeps one, keyed by
-    ``(max_steps, metered, entry)``, and recompiles when the key
-    changes.  Insufficient recursion headroom or missing block spans
-    fall back to the inherited closure engine (a ``vm.fallback`` event
-    records why)."""
+    ``(max_steps, metered, entry, counted)``, and recompiles when the
+    key changes.  A machine with a ``profile=`` collector runs the
+    counted module and folds its counts into the collector whenever a
+    run leaves it (return, trap or budget stop).  Insufficient
+    recursion headroom or missing block spans fall back to the
+    inherited closure engine — the hooked machine loop when profiling
+    (a ``vm.fallback`` event records why)."""
 
     def __init__(
         self,
@@ -590,20 +691,24 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
         #: the entry of the current run (``None`` outside ``run``: the
         #: whole program is the unit)
         self._mu_entry: Optional[str] = None
-        self._mu_fallbacks_noted: set = set()
+        #: the fallback reasons noted on this machine (a run's first
+        #: frame declined the unit; see :meth:`_note_fallback`)
+        self.fallbacks: set = set()
 
     def run(self, function: str, args: list[Any]) -> ExecutionResult:
         self._mu_entry = function
         return super().run(function, args)
 
     def _module(self) -> Optional[MegaunitModule]:
-        key = (self.max_steps, self.metered, self._mu_entry)
+        counted = self.profile is not None
+        key = (self.max_steps, self.metered, self._mu_entry, counted)
         if key != self._mu_key:
             self._mu_key = key
             self._mu_module = compile_module(
                 self.bytecode, self.metered, self.max_steps,
                 self.max_call_depth, codegen_cache=self.codegen_cache,
                 roots=None if self._mu_entry is None else (self._mu_entry,),
+                counted=counted,
             )
         return self._mu_module
 
@@ -611,11 +716,14 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
         return stack_headroom_ok(self._call_depth, self.max_call_depth)
 
     def _note_fallback(self, reason: str) -> None:
-        if self._call_depth > 1 or reason in self._mu_fallbacks_noted:
+        if self._call_depth > 1 or reason in self.fallbacks:
             return
-        self._mu_fallbacks_noted.add(reason)
+        self.fallbacks.add(reason)
+        # A profiled frame the closure engine declines runs on the
+        # hooked machine loop.
         current_tracer().event(
-            "vm.fallback", engine="megaunit", fallback="closure",
+            "vm.fallback", engine="megaunit",
+            fallback="closure" if self.profile is None else "vm",
             reason=reason,
         )
         registry = current_registry()
@@ -625,8 +733,8 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
             )
 
     def _run_frame(self, fn: BytecodeFunction, args: list) -> Any:
-        if self.profile is not None or self.observer is not None:
-            # Hooked runs: identical hook semantics to the base machine.
+        if self.observer is not None:
+            # Observed runs: identical hook semantics to the base machine.
             return VirtualMachine._run_frame(self, fn, args)
         module = self._module()
         if module is None:
@@ -643,14 +751,20 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
         m = [state.steps, state.cycles]
         # Raising paths (traps, budget stops, the callee depth guard)
         # flush state at their raise site; only the normal return path
-        # flushes here.
-        value = entry(self, m, *args, self._call_depth)
+        # flushes here.  A counted module folds its counts however the
+        # run leaves it.
+        try:
+            value = entry(self, m, *args, self._call_depth)
+        finally:
+            if module.counts is not None:
+                module.fold_counts(self.profile)
         state.steps = m[0]
         state.cycles = m[1]
         return value
 
 
 __all__ = [
+    "COUNTS_NAME",
     "MEGAUNIT_BUILTINS",
     "MEGAUNIT_NAMESPACE",
     "MegaunitModule",

@@ -343,14 +343,16 @@ def test_megaunit_finish_passes_exactly_the_replay_live_ins(bytecode):
     assert lint_megaunit_source(bytecode) == []
 
 
-def _lint_tampered(monkeypatch, bytecode, source: str) -> list[str]:
+def _lint_tampered(
+    monkeypatch, bytecode, source: str, counted: bool = False
+) -> list[str]:
     """Lint ``source`` as if the megaunit compiler had generated it."""
     from repro.analysis.bcverify import lint
 
     monkeypatch.setattr(
-        lint, "generate_module_source", lambda _bytecode, metered: source
+        lint, "generate_module_source", lambda _bytecode, **_kw: source
     )
-    return lint_megaunit_source(bytecode)
+    return lint_megaunit_source(bytecode, counted=counted)
 
 
 def test_megaunit_finish_live_ins_of_a_call_site_guard_are_empty():
@@ -400,6 +402,33 @@ def test_megaunit_lint_rejects_a_full_register_file_exit(
     lines[node.lineno - 1] = head + "_finish(vm, _fn0, [r0], m, 0)"
     messages = _lint_tampered(monkeypatch, bytecode, "\n".join(lines) + "\n")
     assert any("does not pass (vm, _fn" in m for m in messages), messages
+
+
+def test_counted_megaunit_module_lints_clean(compiled, bytecode):
+    for metered in (False, True):
+        assert lint_megaunit_source(
+            bytecode, metered=metered, counted=True
+        ) == []
+    report = verify_bytecode(bytecode, compiled, quicken=True)
+    assert report.ok, report.format()
+
+
+def test_counted_megaunit_lint_rejects_a_stray_global(bytecode, monkeypatch):
+    source = generate_module_source(bytecode, counted=True)
+    assert "_counts[0] += 1" in source
+    tampered = source.replace("_counts[0] += 1", "_counts[0] += stray", 1)
+    messages = _lint_tampered(monkeypatch, bytecode, tampered, counted=True)
+    assert any("unexpected global 'stray'" in m for m in messages), messages
+    # The plain module may not reach the counter list at all.
+    messages = _lint_tampered(monkeypatch, bytecode, source)
+    assert any("unexpected global '_counts'" in m for m in messages), messages
+
+
+def test_counted_megaunit_lint_rejects_a_lost_counter(bytecode, monkeypatch):
+    source = generate_module_source(bytecode, counted=True)
+    tampered = source.replace("_counts[1] += 1", "_counts[0] += 1", 1)
+    messages = _lint_tampered(monkeypatch, bytecode, tampered, counted=True)
+    assert any("not one per function entry" in m for m in messages), messages
 
 
 # ----------------------------------------------------------------------

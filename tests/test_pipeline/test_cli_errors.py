@@ -1,10 +1,11 @@
-"""User errors at ``repro run``'s front door: one located line, exit 2.
+"""User errors at the CLI's front door: one located line, exit 2.
 
 A source file that cannot be read or compiled, an unknown ``--entry``
-and a wrong ``--args`` count are the user's mistakes, not crashes: each
-prints exactly one ``repro: error: ...`` line on stderr (a compile error
-located as ``file:line:col``) and exits 2.  A program that traps still
-exits 1.
+or ``--function`` and a wrong ``--args`` count are the user's mistakes,
+not crashes: each prints exactly one ``repro: error: ...`` line on
+stderr (a compile error located as ``file:line:col``) and exits 2, on
+``run`` and on every other verb that reads a source.  A program that
+traps still exits 1.
 """
 
 from __future__ import annotations
@@ -68,6 +69,53 @@ def test_user_error_is_one_located_line(case, engine, tmp_path, capsys):
     code = main(["run", str(path), *extra, "--engine", engine])
     captured = capsys.readouterr()
     assert code == EXIT_USER_ERROR == 2
+    assert captured.out == ""
+    assert captured.err == f"repro: error: {expected.format(path=path)}\n"
+
+
+SYNTAX_ERROR = CASES["syntax error"]
+
+#: (verb, case) -> (source text or None for a missing file, argv after
+#: the path, expected stderr after "repro: error: ")
+VERB_CASES = {
+    **{
+        (verb, "missing file"): (
+            None, [], "cannot read {path}: No such file or directory",
+        )
+        for verb in ("compile", "trace", "explain", "check")
+    },
+    **{
+        (verb, "syntax error"): (SYNTAX_ERROR[0], [], SYNTAX_ERROR[2])
+        for verb in ("compile", "trace", "explain", "check")
+    },
+    ("explain", "unknown entry"): (
+        PROGRAM, ["--entry", "nosuch", "--profile-args", "4"],
+        "{path}: no function 'nosuch' to run (defined: twice, main)",
+    ),
+    ("explain", "profile arity"): (
+        PROGRAM, ["--profile-args", "4", "5"],
+        "{path}: main takes 1 argument(s), --profile-args gave 2",
+    ),
+    ("explain", "unknown function"): (
+        PROGRAM, ["--function", "nosuch"],
+        "{path}: no function 'nosuch' to explain (defined: twice, main)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, case",
+    sorted(VERB_CASES),
+    ids=[f"{verb}-{case}" for verb, case in sorted(VERB_CASES)],
+)
+def test_other_verbs_report_one_located_line(verb, case, tmp_path, capsys):
+    text, extra, expected = VERB_CASES[verb, case]
+    path = tmp_path / "prog.mini"
+    if text is not None:
+        path.write_text(text)
+    code = main([verb, str(path), *extra])
+    captured = capsys.readouterr()
+    assert code == EXIT_USER_ERROR
     assert captured.out == ""
     assert captured.err == f"repro: error: {expected.format(path=path)}\n"
 

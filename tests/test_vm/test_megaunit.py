@@ -341,14 +341,57 @@ def test_missing_block_spans_fall_back():
 
 
 def test_profile_hook_falls_back_to_machine_loops():
+    # A profiled run no longer falls back: it executes the counted
+    # module, whose folded counts are the machine loop's hook calls.
     program = compile_source(CALLS)
     ref_profile, mu_profile = ProfileCollector(), ProfileCollector()
     Interpreter(program, profile=ref_profile).run("main", [6])
-    MegaunitVirtualMachine(
+    megaunit = MegaunitVirtualMachine(
         translate_program(program), profile=mu_profile
-    ).run("main", [6])
+    )
+    megaunit.run("main", [6])
     assert ref_profile.block_counts == mu_profile.block_counts
     assert ref_profile.branch_counts == mu_profile.branch_counts
+    module = megaunit._module()
+    assert module.counts is not None and not megaunit.fallbacks
+    assert not any(module.counts), "every count was folded"
+
+
+@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
+def test_counted_run_keeps_value_step_cycle_parity(metered):
+    reference, megaunit = engines_for(
+        CALLS, metered=metered, profile=ProfileCollector()
+    )
+    for args in ([5], [9]):
+        reference.reset()
+        megaunit.reset()
+        assert_parity(reference, megaunit, args)
+    assert reference.profile.block_counts == megaunit.profile.block_counts
+    assert reference.profile.branch_counts == megaunit.profile.branch_counts
+
+
+def test_counted_module_only_differs_by_its_counters():
+    bytecode = translate_program(compile_source(CALLS))
+    plain = generate_module_source(bytecode)
+    counted = generate_module_source(bytecode, counted=True)
+    assert "_counts" not in plain
+    bumps = [line for line in counted.splitlines() if "_counts[" in line]
+    assert all(line.strip().endswith("] += 1") for line in bumps)
+    stripped = [
+        line for line in counted.splitlines() if "_counts[" not in line
+    ]
+    assert stripped == plain.splitlines()
+
+
+def test_counted_module_never_enters_the_codegen_cache(tmp_path):
+    program = compile_source(CALLS)
+    cache = ArtifactCache(tmp_path / "cache")
+    collector = ProfileCollector()
+    MegaunitVirtualMachine(
+        translate_program(program), profile=collector, codegen_cache=cache
+    ).run("main", [6])
+    assert collector.block_counts
+    assert (cache.stats.lookups, cache.stats.stores) == (0, 0)
 
 
 def test_observer_hook_falls_back_to_machine_loops():
