@@ -23,13 +23,10 @@ JSONL event trace) and ``--profile-compile`` (print the per-phase
 profile); see docs/OBSERVABILITY.md.  ``run`` and ``compile`` accept
 ``--check-ir={off,boundaries,each-phase}`` plus
 ``--fail-fast``/``--keep-going``.  ``run``, ``bench`` and ``check``
-accept ``--engine={reference,vm,closure,megaunit,tiered}`` to pick the
-executor; ``run`` defaults to ``megaunit``, ``bench`` and ``check`` to
-``reference`` (``megaunit`` compiles the whole program into one exec unit
-with direct calls, docs/VM.md; ``tiered`` starts cold and promotes hot
-functions at the ``--tier-threshold`` hotness, and with
-``--tier2-engine=megaunit`` re-promotes the hottest into the
-whole-program unit at ``--tier2-threshold``; docs/TIERING.md);
+accept ``--engine={reference,vm,megaunit}`` to pick the executor;
+``run`` defaults to ``megaunit``, ``bench`` and ``check`` to
+``reference`` (``vm`` is the plain bytecode loop, ``megaunit`` compiles
+the whole program into one exec unit with direct calls, docs/VM.md);
 ``bench --engine-report FILE`` writes the engine comparison matrix and
 ``check --diff-engines``/``--fuzz-engines N`` differentially validate
 every engine against the reference
@@ -41,9 +38,10 @@ metrics snapshot; ``bench --append-trajectory``/``--check-regression``
 maintain the committed perf trajectory (docs/OBSERVABILITY.md).
 
 A user error — a source file that cannot be read or compiled, an
-unknown ``--entry``, a wrong ``--args`` count — prints one
-``repro: error: ...`` line (compile errors located as ``file:line:col``)
-and exits 2; a program that traps exits 1.
+unknown ``--entry``, a wrong ``--args`` count, an output file
+(``--trace-out``, ``--metrics-out``, ...) that cannot be written —
+prints one ``repro: error: ...`` line (compile errors located as
+``file:line:col``) and exits 2; a program that traps exits 1.
 """
 
 from __future__ import annotations
@@ -53,11 +51,12 @@ import functools
 import json
 import pathlib
 import sys
+from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING
 
 # Only what every verb needs loads here; modules that only some verbs or
-# flags use (the batch driver, tiering, the profiling VM, the bytecode
-# verifier, the fuzzers) are imported where they are used.
+# flags use (the batch driver, the profiling VM, the bytecode verifier,
+# the fuzzers) are imported where they are used.
 from .analysis.blame import CHECK_EACH_PHASE, CHECK_MODES, CHECK_OFF, PhaseBlameError
 from .analysis.core import BytecodeVerificationError
 from .bench.harness import format_suite_report, run_suite, suite_report_json
@@ -81,11 +80,7 @@ from .obs import (
 from .pipeline.cache import ArtifactCache, cache_key, make_entry
 from .obs.tracer import current_tracer, use_tracer
 from .pipeline.compiler import Compiler, ENGINES, measure_performance
-from .pipeline.config import (
-    CONFIGURATIONS,
-    DEFAULT_TIER2_THRESHOLD,
-    DEFAULT_TIER_THRESHOLD,
-)
+from .pipeline.config import CONFIGURATIONS
 from .vm.translate import translate_program
 
 # ``run``'s default engine loads with the CLI, as does every layer that
@@ -95,13 +90,13 @@ from .vm import megaunit  # noqa: F401
 if TYPE_CHECKING:
     from .ir.graph import Graph, Program
     from .vm.profiler import VMProfile
-    from .vm.tiering import TieringPolicy
 
 #: default on-disk cache location of the ``batch`` verb
 DEFAULT_CACHE_DIR = pathlib.Path(".repro-cache")
 
 #: exit status of a user error: a source file that cannot be read or
-#: compiled, an unknown entry, a wrong argument count (a trap exits 1)
+#: compiled, an unknown entry, a wrong argument count, an unwritable
+#: output file (a trap exits 1)
 EXIT_USER_ERROR = 2
 
 
@@ -111,6 +106,16 @@ class UserError(Exception):
     :func:`main` prints it as one ``repro: error: ...`` line and exits
     with :data:`EXIT_USER_ERROR` instead of showing a traceback.
     """
+
+
+@contextmanager
+def _writing(path: pathlib.Path):
+    """Report a failure to write the output file ``path`` (a missing
+    directory, no permission) as a :class:`UserError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise UserError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _read_source(path: pathlib.Path) -> str:
@@ -191,31 +196,6 @@ def _add_engine_flag(
         help="execution engine for program runs (default: %(default)s; "
         "see docs/VM.md)",
     )
-    parser.add_argument(
-        "--tier-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help="hotness (calls + back edges) at which --engine=tiered "
-        f"promotes a function (default: {DEFAULT_TIER_THRESHOLD}; "
-        "see docs/TIERING.md)",
-    )
-    parser.add_argument(
-        "--tier2-engine",
-        default=None,
-        choices=("off", "megaunit"),
-        help="tier-2 backend for --engine=tiered: 'megaunit' re-promotes "
-        "functions that stay hot in tier 1 into the whole-program exec "
-        "unit (default: off; see docs/TIERING.md)",
-    )
-    parser.add_argument(
-        "--tier2-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help="tier-1 calls at which a promoted function re-promotes to "
-        f"the tier-2 engine (default: {DEFAULT_TIER2_THRESHOLD})",
-    )
 
 
 def _add_observability(parser: argparse.ArgumentParser) -> None:
@@ -245,7 +225,7 @@ def _add_check_flags(parser: argparse.ArgumentParser, default: str = CHECK_OFF) 
         choices=("off", "load", "rewrite"),
         help="statically verify VM bytecode: 'load' checks every cache "
         "artifact before it runs (reject -> evict + recompile), "
-        "'rewrite' additionally checks freshly fused/quickened streams "
+        "'rewrite' additionally checks every freshly translated stream "
         "(see docs/ANALYSIS.md)",
     )
     group = parser.add_mutually_exclusive_group()
@@ -338,40 +318,12 @@ def _make_tracer(args: argparse.Namespace) -> Tracer | None:
     return None
 
 
-def _make_tiering(args: argparse.Namespace) -> "TieringPolicy | None":
-    """The :class:`TieringPolicy` encoded by the CLI flags, or None for
-    defaults.  ``--check-bc=rewrite`` makes the tiering controller
-    verify every promoted stream before it can reach dispatch."""
-    threshold = getattr(args, "tier_threshold", None)
-    check_bc = getattr(args, "check_bc", "off")
-    tier2_engine = getattr(args, "tier2_engine", None)
-    tier2_threshold = getattr(args, "tier2_threshold", None)
-    if (
-        threshold is None
-        and check_bc != "rewrite"
-        and tier2_engine is None
-        and tier2_threshold is None
-    ):
-        return None
-    from .vm.tiering import TieringPolicy
-
-    return TieringPolicy(
-        threshold=threshold if threshold is not None else DEFAULT_TIER_THRESHOLD,
-        check_bc="rewrite" if check_bc == "rewrite" else "off",
-        tier2_engine=tier2_engine if tier2_engine is not None else "off",
-        tier2_threshold=(
-            tier2_threshold
-            if tier2_threshold is not None
-            else DEFAULT_TIER2_THRESHOLD
-        ),
-    )
-
-
 def _emit_observability(args: argparse.Namespace, tracer: Tracer | None) -> None:
     if tracer is None:
         return
     if args.trace_out is not None:
-        records = write_jsonl(tracer, args.trace_out)
+        with _writing(args.trace_out):
+            records = write_jsonl(tracer, args.trace_out)
         print(f"trace: {records} records -> {args.trace_out}", file=sys.stderr)
     if args.profile_compile:
         print(CompileProfile.from_tracer(tracer).format())
@@ -407,12 +359,14 @@ def _emit_metrics(args: argparse.Namespace, registry: MetricsRegistry) -> None:
         return
     snapshot = registry.snapshot()
     if args.metrics_out is not None:
-        args.metrics_out.write_text(
-            json.dumps(snapshot.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        with _writing(args.metrics_out):
+            args.metrics_out.write_text(
+                json.dumps(snapshot.to_json(), indent=2, sort_keys=True) + "\n"
+            )
         print(f"metrics: -> {args.metrics_out}", file=sys.stderr)
     if args.metrics_prom is not None:
-        args.metrics_prom.write_text(snapshot.render_prometheus())
+        with _writing(args.metrics_prom):
+            args.metrics_prom.write_text(snapshot.render_prometheus())
         print(f"metrics: -> {args.metrics_prom}", file=sys.stderr)
 
 
@@ -517,24 +471,16 @@ def cmd_run(args: argparse.Namespace) -> int:
                 program, entry=args.entry, arg_sets=[tuple(args.args)],
                 bytecode=bytecode,
             )
-        elif tracer is not None:
-            # Run under the recording tracer so runtime events — the
-            # tiered engine's tier.promote/tier.compile, plan-cache
-            # hits — land in --trace-out next to the compile events.
-            with use_tracer(tracer):
+        else:
+            # Run under the recording tracer so runtime events —
+            # megaunit's vm.fallback, codegen-cache hits — land in
+            # --trace-out next to the compile events.
+            with use_tracer(tracer) if tracer is not None else nullcontext():
                 cycles, results = measure_performance(
                     program, args.entry, [args.args],
                     engine=args.engine, bytecode=bytecode,
-                    check_bc=args.check_bc, tiering=_make_tiering(args),
-                    plan_cache=cache,
+                    check_bc=args.check_bc, codegen_cache=cache,
                 )
-        else:
-            cycles, results = measure_performance(
-                program, args.entry, [args.args],
-                engine=args.engine, bytecode=bytecode,
-                check_bc=args.check_bc, tiering=_make_tiering(args),
-                plan_cache=cache,
-            )
     except BytecodeVerificationError as exc:
         print(exc.report.format(), file=sys.stderr)
         return 1
@@ -602,7 +548,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print("DBDS decisions:")
         print(format_decision_events(tracer.events))
     if args.out is not None:
-        records = write_jsonl(tracer, args.out)
+        with _writing(args.out):
+            records = write_jsonl(tracer, args.out)
         print(f"trace: {records} records -> {args.out}", file=sys.stderr)
     return 0
 
@@ -720,9 +667,9 @@ def _check_program_sweeps(
                 problems.append(message)
 
         # Every engine exposes the same observer hook, so dynamic stamp
-        # checking doubles as a VM spot-check under --engine=vm (the
-        # closure engine falls back to the machine loops when observed,
-        # so one VirtualMachine serves both bytecode engines here).
+        # checking doubles as a VM spot-check under --engine=vm (megaunit
+        # runs observed frames on the vm loop, so one VirtualMachine
+        # serves both bytecode engines here).
         if getattr(args, "engine", "reference") != "reference":
             from .vm.machine import VirtualMachine
 
@@ -750,9 +697,9 @@ def _check_program_sweeps(
 
         if bytecode is None:
             bytecode = translate_program(program)
-        # The full profile: every checker including the codegen lint
-        # and a quickened clone of each function, keep-going.
-        report = verify_bytecode(bytecode, program, quicken=True)
+        # The full profile: every checker including the codegen lint,
+        # keep-going.
+        report = verify_bytecode(bytecode, program)
         for violation in report.errors():
             print(f"{path}: {violation.format()}", file=sys.stderr)
             failures += 1
@@ -864,7 +811,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.profile_compile:
         print(report.profile().format())
     if tracer is not None and args.trace_out is not None:
-        records = write_jsonl(tracer.events + report.events(), args.trace_out)
+        with _writing(args.trace_out):
+            records = write_jsonl(
+                tracer.events + report.events(), args.trace_out
+            )
         print(f"trace: {records} records -> {args.trace_out}", file=sys.stderr)
     _emit_cache_stats(args, cache)
     return 0 if report.ok else 1
@@ -888,7 +838,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     print(format_suite_report(report))
     if args.trace_out is not None:
-        args.trace_out.write_text(json.dumps(suite_report_json(report), indent=2))
+        with _writing(args.trace_out):
+            args.trace_out.write_text(
+                json.dumps(suite_report_json(report), indent=2)
+            )
         print(f"suite report -> {args.trace_out}", file=sys.stderr)
     comparison = None
     if args.engine_report is not None or args.engine_report_txt is not None:
@@ -1287,8 +1240,8 @@ def main(argv: list[str] | None = None) -> int:
         "--verify-bytecode",
         action="store_true",
         help="run the static bytecode verifier over each file's VM "
-        "translation, including quickened streams and the closure "
-        "codegen lint (see docs/ANALYSIS.md)",
+        "translation, including the megaunit codegen lint (see "
+        "docs/ANALYSIS.md)",
     )
     check_parser.add_argument(
         "--fuzz-corruption",

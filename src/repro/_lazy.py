@@ -5,7 +5,7 @@ defines each name, and installs the returned module ``__getattr__``
 and ``__dir__`` (PEP 562)::
 
     __getattr__, __dir__ = lazy_exports(__name__, {
-        ".machine": ("VirtualMachine", "register_xop"),
+        ".machine": ("VirtualMachine",),
         ".translate": ("translate_program",),
     })
 

@@ -10,36 +10,29 @@ with purely static means.  Four layers:
   forward/backward worklist engine over a small lattice API, and
   must-defined / liveness / constant-propagation analyses.
 * **Structural checks** (:mod:`.checks`) — tuple layouts, operand
-  ranges, branch targets, handler coverage of the full specialized
-  opcode space, padding reachability.
-* **Conservation + equivalence** — fused superinstruction costs and
-  step weights equal their unfused constituents; quickened forms are
-  cost-identical to their generic origins; the fast stream decompiles
-  field-by-field to the plain code stream; optionally the whole
-  function matches a deterministic fresh translation of the program.
-* **Codegen lint** (:mod:`.lint`) — the closure engine's exec-generated
-  source and the megaunit engine's whole-program module (plain and
-  counted) are checked for banned names, leaked globals, balanced
-  accounting and (for the megaunit module) direct-call targets against
-  the program's function table, without being executed.
+  ranges, branch targets, register def-before-use.
+* **Retranslation equivalence** — optionally the whole function
+  matches a deterministic fresh translation of the program.
+* **Codegen lint** (:mod:`.lint`) — the megaunit engine's
+  exec-generated source (each function's body, and the whole counted
+  module) is checked for banned names, leaked globals, balanced
+  accounting and direct-call targets against the program's function
+  table, without being executed.
 
 Entry points: :func:`verify_bytecode` (full verification of a
-:class:`~repro.vm.bytecode.BytecodeProgram`, optionally also of a
-quickened clone of every function), :func:`verify_artifact` (the
-cache-load profile: retranslate + compare, no codegen lint), and
+:class:`~repro.vm.bytecode.BytecodeProgram`), :func:`verify_artifact`
+(the cache-load profile: retranslate + compare, no codegen lint), and
 :func:`run_bc_checkers` for one function.  CLI: ``--check-bc`` and
 ``repro check --verify-bytecode``; see docs/ANALYSIS.md.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 from ...obs.metrics import current_registry
-from ...vm.quicken import quicken_function
 from ..core import BytecodeVerificationError, CheckReport, Severity, Violation
 from .cfg import (
     BCBlock,
@@ -60,11 +53,10 @@ from .dataflow import (
     solve_backward,
     solve_forward,
 )
-from .lint import BANNED_NAMES, lint_closure_source, lint_megaunit_source
+from .lint import BANNED_NAMES, lint_megaunit_function, lint_megaunit_source
 
 #: ``--check-bc`` modes: "load" verifies cache-loaded artifacts only,
-#: "rewrite" additionally verifies freshly built fused streams (and a
-#: quickened clone) after every translation.
+#: "rewrite" additionally verifies every freshly translated stream.
 CHECK_BC_MODES = ("off", "load", "rewrite")
 
 
@@ -126,20 +118,12 @@ class BcVerifyReport:
         }
 
 
-def _quickened_clone(fn):
-    clone = copy.copy(fn)
-    clone.xcode = list(fn.xcode)
-    quicken_function(clone)
-    return clone
-
-
 def verify_bytecode(
     bytecode,
     program=None,
     *,
     retranslate: Optional[bool] = None,
     lint: bool = True,
-    quicken: bool = False,
     checkers: Optional[Iterable[str]] = None,
     disable: Sequence[str] = (),
     fail_fast: bool = False,
@@ -151,9 +135,6 @@ def verify_bytecode(
     deterministic — and every function is compared against the fresh
     result, including the flattened ``globals_init``; this assumes the
     default cost model, which is what every pipeline translation uses.
-    With ``quicken``, a quickened *clone* of each fused function is
-    additionally verified (the artifact itself is never mutated), so
-    in-place quickening rewrites get the same checks as fusion ones.
     """
     start = time.perf_counter()
     if retranslate is None:
@@ -167,7 +148,7 @@ def verify_bytecode(
     if retranslate and program is not None:
         from ...vm.translate import translate_program
 
-        fresh = translate_program(program, fuse=False)
+        fresh = translate_program(program)
         if tuple(bytecode.globals_init) != tuple(fresh.globals_init):
             result.violations.append(
                 Violation(
@@ -207,42 +188,26 @@ def verify_bytecode(
         result.reports.append(report)
         if fail_fast and not report.ok:
             break
-        if quicken and fn.xcode is not None and fn.blocks:
-            qreport = run_bc_checkers(
-                _quickened_clone(fn),
-                bytecode,
-                label=f"{name} [quickened]",
-                checkers=checkers,
-                disable=tuple(
-                    set(disable) | {"bc-codegen-lint", "bc-retranslate"}
-                ),
-                fail_fast=fail_fast,
-            )
-            result.reports.append(qreport)
-            if fail_fast and not qreport.ok:
-                break
 
-    # Whole-program codegen lint: the megaunit module and its counted
-    # (profiling) variant are each one exec unit over the entire
-    # function table, so their lint is program-level (skipped when
-    # per-function verification already failed — linting source
-    # generated from a known-bad table proves nothing).
+    # The per-function checker lints each function's body in the plain
+    # megaunit module; the counted (profiling) module's counter slots
+    # are numbered across the whole unit, so its lint is program-level
+    # (skipped when per-function verification already failed — linting
+    # source generated from a known-bad table proves nothing).
     if (
         "bc-codegen-lint" not in disable
         and (checkers is None or "bc-codegen-lint" in checkers)
         and result.ok
     ):
-        for counted in (False, True):
-            graph = "<megaunit counted>" if counted else "<megaunit>"
-            for message in lint_megaunit_source(bytecode, counted=counted):
-                result.violations.append(
-                    Violation(
-                        checker="bc-codegen-lint",
-                        severity=Severity.ERROR,
-                        graph=graph,
-                        message=message,
-                    )
+        for message in lint_megaunit_source(bytecode, counted=True):
+            result.violations.append(
+                Violation(
+                    checker="bc-codegen-lint",
+                    severity=Severity.ERROR,
+                    graph="<megaunit counted>",
+                    message=message,
                 )
+            )
 
     registry = current_registry()
     if registry.enabled:
@@ -257,17 +222,14 @@ def verify_bytecode(
 
 
 def verify_artifact(program, bytecode) -> BcVerifyReport:
-    """The cache-load profile: structural + dataflow + conservation +
+    """The cache-load profile: structural + dataflow +
     retranslation-equivalence checks over an untrusted artifact.
 
-    The codegen lint is skipped (closure source is generated fresh from
-    the — now verified — bytecode, not loaded from the artifact), and
-    quickening clones are not re-checked (cached streams are stored
-    unquickened; ``--check-bc=rewrite`` covers live rewrites).
+    The codegen lint is skipped: megaunit source is generated from the
+    — now verified — bytecode, or served from the codegen cache under a
+    key that digests that bytecode.
     """
-    return verify_bytecode(
-        bytecode, program, retranslate=True, lint=False, quicken=False
-    )
+    return verify_bytecode(bytecode, program, retranslate=True, lint=False)
 
 
 __all__ = [
@@ -288,7 +250,7 @@ __all__ = [
     "build_cfg",
     "corruption_campaign",
     "instruction_events",
-    "lint_closure_source",
+    "lint_megaunit_function",
     "lint_megaunit_source",
     "run_bc_checkers",
     "solve",

@@ -1,17 +1,12 @@
 """Bytecode CFG recovery: block structure over flat instruction streams.
 
 The verifier's first job is turning a translated function's flat
-instruction stream back into a control-flow graph it can reason about.
+``fn.code`` stream back into a control-flow graph it can reason about.
 :func:`build_cfg` walks the block spans recorded at translation time
 (``fn.blocks``), decodes each instruction through the
 :mod:`repro.vm.opspec` registry, and produces a :class:`BytecodeCFG`
-whose blocks know their executable sites, their terminator and their
-successor edges.  It works over either stream of a function:
-
-* the plain ``fn.code`` stream (``fused=False``) — every pc is a site;
-* the fast ``fn.xcode`` stream (``fused=True``) — sites advance by the
-  step weight baked into each tuple, and the slots a superinstruction
-  consumed are collected as *padding* (they must be unreachable).
+whose blocks know their instructions, their terminator and their
+successor edges.
 
 Anything that prevents sound CFG recovery — an unknown opcode, a span
 tiling mismatch, a terminator in the middle of a block, a block that
@@ -22,16 +17,14 @@ function.
 
 :func:`instruction_events` linearizes one instruction into its
 ``("use", reg)`` / ``("def", reg)`` / ``("edge", descriptor)`` events
-in execution order, recursing through the generic fused forms' embedded
-constituent tuples — the one decoder every dataflow analysis shares.
+in execution order — the one decoder every dataflow analysis shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from ...vm.opspec import BASE_FAMILIES, OPCODE_SPECS, OpSpec
+from ...vm.opspec import OPCODE_SPECS, OpSpec
 
 
 class DecodeError(Exception):
@@ -48,20 +41,15 @@ def spec_of(ins_or_op) -> OpSpec:
 
 
 def is_terminator(ins: tuple) -> bool:
-    """Does this (possibly fused) instruction end its basic block?
-
-    The generic pair form is dynamic: ``fused2`` terminates exactly
-    when its embedded second half does.
-    """
-    spec = spec_of(ins)
-    if spec.family == "fused2":
-        return spec_of(ins[5]).terminator
-    return spec.terminator
+    """Does this instruction end its basic block?"""
+    return spec_of(ins).terminator
 
 
-def _emit_events(ins: tuple, fused: bool, out: list) -> None:
+def instruction_events(ins: tuple) -> list:
+    """``("use", r)`` / ``("def", r)`` / ``("edge", e)`` in exec order."""
     spec = spec_of(ins)
     fam = spec.family
+    out: list = []
     if fam == "base":
         for i, kind in enumerate(spec.sig):
             if kind == "r":
@@ -81,36 +69,8 @@ def _emit_events(ins: tuple, fused: bool, out: list) -> None:
     elif fam == "return":
         if ins[4] >= 0:
             out.append(("use", ins[4]))
-    elif fam == "fused-if":
-        out += [("use", ins[4]), ("use", ins[5]), ("def", ins[3]),
-                ("edge", ins[6]), ("edge", ins[7])]
-    elif fam == "fused-pair":
-        out += [("use", ins[4]), ("use", ins[5]), ("def", ins[3]),
-                ("use", ins[7]), ("use", ins[8]), ("def", ins[6])]
-    elif fam == "fused-goto":
-        out += [("use", ins[4]), ("use", ins[5]), ("def", ins[3]),
-                ("edge", ins[6])]
-    elif fam == "fused-triple":
-        for d, x, y in ((3, 4, 5), (6, 7, 8), (9, 10, 11)):
-            out += [("use", ins[x]), ("use", ins[y]), ("def", ins[d])]
-    elif fam == "fused2":
-        _emit_events(ins[4], False, out)
-        _emit_events(ins[5], False, out)
-    elif fam == "fused2-goto":
-        _emit_events(ins[4], False, out)
-        out.append(("edge", ins[5]))
-    elif fam == "quick-const":
-        out += [("use", ins[4]), ("def", ins[3])]
-    elif fam == "quick-guard":
-        out += [("use", ins[4]), ("use", ins[5]), ("def", ins[3])]
     else:  # pragma: no cover - every registered family is handled
         raise DecodeError(f"unhandled instruction family {fam!r}")
-
-
-def instruction_events(ins: tuple, fused: bool = False) -> list:
-    """``("use", r)`` / ``("def", r)`` / ``("edge", e)`` in exec order."""
-    out: list = []
-    _emit_events(ins, fused, out)
     return out
 
 
@@ -122,8 +82,7 @@ class BCBlock:
     name: str
     start: int
     count: int
-    #: executable site pcs in order (for a fused stream, superinstruction
-    #: heads only — consumed slots are in the CFG's padding set)
+    #: instruction pcs in order
     pcs: tuple = ()
     terminator_pc: int = -1
     #: outgoing edge descriptors, parallel to ``succs``
@@ -134,34 +93,22 @@ class BCBlock:
 
 
 class BytecodeCFG:
-    """The recovered control-flow graph of one stream of a function."""
+    """The recovered control-flow graph of one function's stream."""
 
-    def __init__(
-        self,
-        fn,
-        fused: bool,
-        blocks: list[BCBlock],
-        padding: frozenset,
-    ) -> None:
+    def __init__(self, fn, blocks: list[BCBlock]) -> None:
         self.fn = fn
-        self.fused = fused
         self.blocks = blocks
         self.by_start = {block.start: block for block in blocks}
-        self.padding = padding
 
     @property
     def entry(self) -> BCBlock:
         return self.blocks[0]
 
-    def stream(self) -> list:
-        return self.fn.xcode if self.fused else self.fn.code
+    def stream(self) -> tuple:
+        return self.fn.code
 
     def __repr__(self) -> str:
-        kind = "xcode" if self.fused else "code"
-        return (
-            f"<BytecodeCFG {self.fn.name}/{kind}: {len(self.blocks)} "
-            f"block(s), {len(self.padding)} padding slot(s)>"
-        )
+        return f"<BytecodeCFG {self.fn.name}: {len(self.blocks)} block(s)>"
 
 
 def _edge_target(edge) -> int:
@@ -174,15 +121,13 @@ def _edge_target(edge) -> int:
     return edge[0]
 
 
-def build_cfg(fn, fused: bool = False) -> BytecodeCFG:
-    """Recover the CFG of one stream; raises :class:`DecodeError`.
+def build_cfg(fn) -> BytecodeCFG:
+    """Recover the CFG of ``fn.code``; raises :class:`DecodeError`.
 
     Requires span metadata (``fn.blocks``) — legacy artifacts without
     it cannot be verified structurally beyond per-tuple shape.
     """
-    stream = fn.xcode if fused else fn.code
-    if fused and stream is None:
-        raise DecodeError("function has no fast stream (fn.xcode is None)")
+    stream = fn.code
     if not fn.blocks:
         raise DecodeError("function has no block-span metadata")
     spans = sorted(fn.blocks, key=lambda span: span[0])
@@ -199,68 +144,37 @@ def build_cfg(fn, fused: bool = False) -> BytecodeCFG:
             f"block spans cover {expected_start} slots but the stream "
             f"has {len(stream)}"
         )
-    if fused and len(stream) != len(fn.code):
-        raise DecodeError(
-            f"fast stream length {len(stream)} != code length {len(fn.code)}"
-        )
 
     blocks: list[BCBlock] = []
-    padding: set[int] = set()
     for index, (start, count, name) in enumerate(spans):
         end = start + count
-        pcs: list[int] = []
         terminator_pc = -1
-        pc = start
-        while pc < end:
+        for pc in range(start, end):
             ins = stream[pc]
             if not isinstance(ins, tuple) or len(ins) < 4:
                 raise DecodeError(f"malformed instruction at pc {pc}: {ins!r}")
-            spec = spec_of(ins)
-            if fused:
-                weight = ins[-1]
-                if not isinstance(weight, int) or weight < 1:
-                    raise DecodeError(
-                        f"bad step weight {weight!r} at pc {pc}"
-                    )
-            else:
-                weight = 1
-                if spec.family not in BASE_FAMILIES:
-                    raise DecodeError(
-                        f"fused-only opcode {spec.name!r} in the plain "
-                        f"code stream at pc {pc}"
-                    )
-            pcs.append(pc)
-            padding.update(range(pc + 1, pc + weight))
             if is_terminator(ins):
-                if pc + weight != end:
+                if pc + 1 != end:
                     raise DecodeError(
-                        f"terminator {spec.name!r} in the middle of "
+                        f"terminator {spec_of(ins).name!r} in the middle of "
                         f"block {name!r} at pc {pc}"
                     )
                 terminator_pc = pc
-            pc += weight
-        if pc != end:
-            raise DecodeError(
-                f"superinstruction at pc {pcs[-1]} spans past the end "
-                f"of block {name!r}"
-            )
         if terminator_pc < 0:
             raise DecodeError(f"block {name!r} falls through (no terminator)")
         blocks.append(
             BCBlock(
                 index=index, name=name, start=start, count=count,
-                pcs=tuple(pcs), terminator_pc=terminator_pc,
+                pcs=tuple(range(start, end)), terminator_pc=terminator_pc,
             )
         )
 
-    cfg = BytecodeCFG(fn, fused, blocks, frozenset(padding))
+    cfg = BytecodeCFG(fn, blocks)
     preds: dict[int, list[int]] = {block.index: [] for block in blocks}
     for block in blocks:
         edges = [
             event[1]
-            for event in instruction_events(
-                stream[block.terminator_pc], fused
-            )
+            for event in instruction_events(stream[block.terminator_pc])
             if event[0] == "edge"
         ]
         succs = []

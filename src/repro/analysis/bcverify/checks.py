@@ -1,26 +1,19 @@
 """The registered bytecode checkers (scope ``"bc"``).
 
-Five checkers over one translated function, run through the same
+Three checkers over one translated function, run through the same
 registry/report machinery as the IR and LIR sanitizers:
 
 * ``bc-structure`` — frame shape, span tiling, per-tuple layout against
-  the :mod:`repro.vm.opspec` registry, handler coverage, operand
-  ranges, edge well-formedness.  Owns every :class:`DecodeError`; the
-  dataflow checkers skip a function whose structure is broken.
+  the :mod:`repro.vm.opspec` registry, operand ranges, edge
+  well-formedness.  Owns every :class:`DecodeError`; the dataflow
+  checkers skip a function whose structure is broken.
 * ``bc-defuse`` — register def-before-use via the forward
-  :class:`MustDefined` analysis, on both streams, including phi-move
-  sources on every edge.
-* ``bc-accounting`` — conservation: each superinstruction's cycle cost
-  is the exact ordered sum of its unfused constituents, its prefix
-  halves tuple is exactly ``code[pc:pc+w-1]``, and each quickened form
-  is cost-identical to its generic origin.
-* ``bc-xcode-equivalence`` — field-by-field decompilation of every
-  fast-stream site back to the plain code window it covers (and of
-  every padding slot to its original tuple), per instruction family.
-* ``bc-codegen-lint`` — the static lint over the closure engine's
-  generated source (:mod:`.lint`).
+  :class:`MustDefined` analysis, including phi-move sources on every
+  edge.
+* ``bc-codegen-lint`` — the static lint over the function's
+  megaunit-generated source (:mod:`.lint`).
 
-A sixth, ``bc-retranslate``, compares the function against a fresh
+A fourth, ``bc-retranslate``, compares the function against a fresh
 translation of the same program (the strongest artifact-tamper check —
 translation is deterministic, and both sides share IR node identity,
 so tuple equality is exact except for embedded callee functions, which
@@ -32,11 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from ...vm.bytecode import OP_DIV, OP_GOTO, OP_MOD, BytecodeFunction
-from ...vm.fusion import NONTRAP_OPS, _pair_eligible
-from ...vm.machine import XHANDLERS
-from ...vm.opspec import BASE_FAMILIES, OPCODE_SPECS
-from ...vm.quicken import _GUARD_OPS, _RC_OPS, _SWAP_RC
+from ...vm.bytecode import BytecodeFunction
 from ..core import (
     SCOPE_BC,
     CheckReport,
@@ -47,14 +36,14 @@ from ..core import (
 )
 from .cfg import DecodeError, build_cfg, instruction_events, spec_of
 from .dataflow import MustDefined, solve_forward
-from .lint import lint_closure_source
+from .lint import lint_megaunit_function
 
 #: cap per-checker violation spam for one badly corrupted function
 _MAX_REPORTS = 20
 
 
 class BcCheckerContext(_ContextBase):
-    """One bytecode check run: the function plus memoized CFGs."""
+    """One bytecode check run: the function plus its memoized CFG."""
 
     def __init__(
         self,
@@ -67,15 +56,13 @@ class BcCheckerContext(_ContextBase):
         self.fn = fn
         self.bytecode = bytecode
         self.fresh_fn = fresh_fn
-        self._cfgs: dict = {}
+        self._cfg = None
         self._structure: Optional[bool] = None
 
-    def cfg(self, fused: bool = False):
-        cached = self._cfgs.get(fused)
-        if cached is None:
-            cached = build_cfg(self.fn, fused=fused)
-            self._cfgs[fused] = cached
-        return cached
+    def cfg(self):
+        if self._cfg is None:
+            self._cfg = build_cfg(self.fn)
+        return self._cfg
 
     def structure_ok(self) -> bool:
         """Precondition probe for the dataflow checkers (same pattern
@@ -83,9 +70,7 @@ class BcCheckerContext(_ContextBase):
         bc-structure owns the failure."""
         if self._structure is None:
             try:
-                self.cfg(False)
-                if self.fn.xcode is not None:
-                    self.cfg(True)
+                self.cfg()
                 self._structure = bool(self.fn.blocks)
             except DecodeError:
                 self._structure = False
@@ -95,39 +80,26 @@ class BcCheckerContext(_ContextBase):
 # ----------------------------------------------------------------------
 # bc-structure
 # ----------------------------------------------------------------------
-def _check_site(ctx, stream, pc: int, fused: bool) -> None:
+def _check_site(ctx, pc: int) -> None:
     fn = ctx.fn
-    ins = stream[pc]
-    spec = spec_of(ins)
-    opcode = ins[0]
-    if opcode >= len(XHANDLERS) or not callable(XHANDLERS[opcode]):
-        ctx.report(f"pc {pc}: opcode {opcode} has no registered handler")
+    ins = fn.code[pc]
+    try:
+        spec = spec_of(ins)
+    except DecodeError as exc:
+        ctx.report(f"pc {pc}: {exc}")
         return
-    expected_len = spec.xcode_length() if fused else spec.code_length()
-    if len(ins) != expected_len:
+    if len(ins) != spec.code_length():
         ctx.report(
             f"pc {pc}: {spec.name} tuple has {len(ins)} slots, "
-            f"expected {expected_len}"
+            f"expected {spec.code_length()}"
         )
         return
-    if fused:
-        weight = spec.weight if spec.family not in BASE_FAMILIES else 1
-        if ins[-1] != weight:
-            ctx.report(
-                f"pc {pc}: {spec.name} carries step weight {ins[-1]!r}, "
-                f"expected {weight}"
-            )
     cost = ins[1]
     if isinstance(cost, bool) or not isinstance(cost, (int, float)):
         ctx.report(f"pc {pc}: non-numeric cycle cost {cost!r}")
     elif cost < 0:
         ctx.report(f"pc {pc}: negative cycle cost {cost!r}")
-    try:
-        events = instruction_events(ins, fused)
-    except DecodeError as exc:
-        ctx.report(f"pc {pc}: {exc}")
-        return
-    for kind, value in events:
+    for kind, value in instruction_events(ins):
         if kind in ("use", "def"):
             if not isinstance(value, int) or isinstance(value, bool) or not (
                 0 <= value < fn.nregs
@@ -173,7 +145,7 @@ def _check_site(ctx, stream, pc: int, fused: bool) -> None:
 @checker(
     "bc-structure",
     scope=SCOPE_BC,
-    description="stream shape: spans, opcodes, operands, handlers",
+    description="stream shape: spans, opcodes, operands",
 )
 def check_bc_structure(ctx: BcCheckerContext) -> None:
     fn = ctx.fn
@@ -204,36 +176,22 @@ def check_bc_structure(ctx: BcCheckerContext) -> None:
         return
     if not fn.blocks:
         # Legacy artifact (schema v2): no span metadata, so only the
-        # per-tuple shape of the plain stream is checkable.
+        # per-tuple shape of the stream is checkable.
         for pc in range(len(fn.code)):
-            try:
-                spec = spec_of(fn.code[pc])
-            except DecodeError as exc:
-                ctx.report(f"pc {pc}: {exc}")
-                continue
-            if spec.family not in BASE_FAMILIES:
-                ctx.report(
-                    f"pc {pc}: fused-only opcode {spec.name!r} in the "
-                    f"plain code stream"
-                )
-                continue
-            _check_site(ctx, fn.code, pc, fused=False)
+            _check_site(ctx, pc)
         return
-    for fused in (False, True) if fn.xcode is not None else (False,):
-        kind = "xcode" if fused else "code"
-        try:
-            cfg = ctx.cfg(fused)
-        except DecodeError as exc:
-            ctx.report(f"{kind} stream: {exc}")
-            continue
-        before = len(ctx.violations)
-        stream = cfg.stream()
-        for block in cfg.blocks:
-            for pc in block.pcs:
-                _check_site(ctx, stream, pc, fused)
-                if len(ctx.violations) - before > _MAX_REPORTS:
-                    ctx.report(f"{kind} stream: further violations elided")
-                    return
+    try:
+        cfg = ctx.cfg()
+    except DecodeError as exc:
+        ctx.report(f"code stream: {exc}")
+        return
+    before = len(ctx.violations)
+    for block in cfg.blocks:
+        for pc in block.pcs:
+            _check_site(ctx, pc)
+            if len(ctx.violations) - before > _MAX_REPORTS:
+                ctx.report("code stream: further violations elided")
+                return
 
 
 # ----------------------------------------------------------------------
@@ -247,210 +205,35 @@ def check_bc_structure(ctx: BcCheckerContext) -> None:
 def check_bc_defuse(ctx: BcCheckerContext) -> None:
     if not ctx.structure_ok():
         return
-    streams = (False, True) if ctx.fn.xcode is not None else (False,)
-    for fused in streams:
-        cfg = ctx.cfg(fused)
-        result = solve_forward(cfg, MustDefined())
-        stream = cfg.stream()
-        kind = "xcode" if fused else "code"
-        for block in cfg.blocks:
-            state = result.entry[block.index]
-            if state is None:
-                continue  # unreachable from the entry
-            defined = set(state)
-            for pc in block.pcs:
-                for event, value in instruction_events(stream[pc], fused):
-                    if event == "use":
-                        if value not in defined:
+    cfg = ctx.cfg()
+    result = solve_forward(cfg, MustDefined())
+    code = ctx.fn.code
+    for block in cfg.blocks:
+        state = result.entry[block.index]
+        if state is None:
+            continue  # unreachable from the entry
+        defined = set(state)
+        for pc in block.pcs:
+            for event, value in instruction_events(code[pc]):
+                if event == "use":
+                    if value not in defined:
+                        ctx.report(
+                            f"code pc {pc}: read of register r{value} "
+                            f"not defined on all paths",
+                            block=block.name,
+                        )
+                elif event == "def":
+                    defined.add(value)
+                else:  # edge: moves run in order, dests become defined
+                    local = set(defined)
+                    for dest, src in value[1]:
+                        if src not in local:
                             ctx.report(
-                                f"{kind} pc {pc}: read of register "
-                                f"r{value} not defined on all paths",
+                                f"code pc {pc}: edge move r{dest}<-r{src} "
+                                f"reads an undefined register",
                                 block=block.name,
                             )
-                    elif event == "def":
-                        defined.add(value)
-                    else:  # edge: moves run in order, dests become defined
-                        local = set(defined)
-                        for dest, src in value[1]:
-                            if src not in local:
-                                ctx.report(
-                                    f"{kind} pc {pc}: edge move "
-                                    f"r{dest}<-r{src} reads an undefined "
-                                    f"register",
-                                    block=block.name,
-                                )
-                            local.add(dest)
-
-
-# ----------------------------------------------------------------------
-# bc-accounting
-# ----------------------------------------------------------------------
-@checker(
-    "bc-accounting",
-    scope=SCOPE_BC,
-    description="superinstruction cost/weight conservation",
-)
-def check_bc_accounting(ctx: BcCheckerContext) -> None:
-    fn = ctx.fn
-    if fn.xcode is None or not ctx.structure_ok():
-        return
-    cfg = ctx.cfg(True)
-    code = fn.code
-    for block in cfg.blocks:
-        for pc in block.pcs:
-            xins = fn.xcode[pc]
-            weight = xins[-1]
-            expected = 0
-            for covered in range(pc, pc + weight):
-                expected = expected + code[covered][1]
-            if xins[1] != expected:
-                ctx.report(
-                    f"pc {pc}: fused cost {xins[1]!r} != sum of "
-                    f"constituent costs {expected!r}",
-                    block=block.name,
-                )
-            if weight > 1:
-                halves = xins[-2]
-                if halves != tuple(code[pc:pc + weight - 1]):
-                    ctx.report(
-                        f"pc {pc}: prefix-halves tuple does not match "
-                        f"code[{pc}:{pc + weight - 1}]",
-                        block=block.name,
-                    )
-
-
-# ----------------------------------------------------------------------
-# bc-xcode-equivalence
-# ----------------------------------------------------------------------
-def _equivalent_quick_const(fn, xins, generic) -> bool:
-    lo = fn.const_base
-    hi = lo + fn.const_count
-    gop, xop = generic[0], xins[0]
-    # right operand baked
-    if _RC_OPS.get(gop) == xop and lo <= generic[5] < hi:
-        value = fn.template[generic[5]]
-        if not (gop in (OP_DIV, OP_MOD) and value == 0):
-            expected = (
-                xop, generic[1], generic[2], generic[3], generic[4],
-                value, 1,
-            )
-            if xins == expected and type(xins[5]) is type(value):
-                return True
-    # left operand baked (commutative / mirrored compare)
-    if _SWAP_RC.get(gop) == xop and lo <= generic[4] < hi:
-        value = fn.template[generic[4]]
-        expected = (
-            xop, generic[1], generic[2], generic[3], generic[5], value, 1,
-        )
-        if xins == expected and type(xins[5]) is type(value):
-            return True
-    return False
-
-
-def _equivalent_site(ctx, pc: int) -> Optional[str]:
-    """None when the fast-stream site decompiles to its code window,
-    else a message describing the mismatch."""
-    fn = ctx.fn
-    xins = fn.xcode[pc]
-    spec = spec_of(xins)
-    family = spec.family
-    code = fn.code
-    if family in BASE_FAMILIES:
-        if xins != code[pc] + (1,):
-            return f"pc {pc}: plain site differs from code[{pc}]"
-        return None
-    if family == "quick-const":
-        if not _equivalent_quick_const(fn, xins, code[pc]):
-            return (
-                f"pc {pc}: {spec.name} does not decompile to "
-                f"code[{pc}] with a baked interned constant"
-            )
-        return None
-    if family == "quick-guard":
-        generic = code[pc]
-        if _GUARD_OPS.get(generic[0]) != xins[0]:
-            return f"pc {pc}: {spec.name} origin is not code[{pc}]"
-        if xins[1:6] != generic[1:6]:
-            return f"pc {pc}: {spec.name} operand fields differ from code[{pc}]"
-        if xins[6] is not fn.xcode:
-            return f"pc {pc}: {spec.name} deopt stream is not this function's"
-        if xins[7] != generic + (1,):
-            return f"pc {pc}: {spec.name} generic escape differs from code[{pc}]"
-        return None
-    a = code[pc]
-    b = code[pc + 1] if pc + 1 < len(code) else None
-    if family == "fused-if":
-        if b is None or (a[0], b[0]) != spec.origin or b[4] != a[3]:
-            return f"pc {pc}: {spec.name} constituents are not cmp+if on the compare result"
-        expected = (
-            xins[0], a[1] + b[1], b[2], a[3], a[4], a[5], b[5], b[6],
-            (a,), 2,
-        )
-    elif family == "fused-pair":
-        if b is None or (a[0], b[0]) != spec.origin:
-            return f"pc {pc}: {spec.name} origin != code opcodes at [{pc}, {pc + 1}]"
-        expected = (
-            xins[0], a[1] + b[1], a[2], a[3], a[4], a[5],
-            b[3], b[4], b[5], (a,), 2,
-        )
-    elif family == "fused-goto":
-        if b is None or (a[0], b[0]) != spec.origin:
-            return f"pc {pc}: {spec.name} origin != code opcodes at [{pc}, {pc + 1}]"
-        expected = (
-            xins[0], a[1] + b[1], a[2], a[3], a[4], a[5], b[4], (a,), 2,
-        )
-    elif family == "fused2":
-        if b is None or not _pair_eligible(a, b):
-            return f"pc {pc}: fused2 covers an ineligible pair"
-        expected = (xins[0], a[1] + b[1], a[2], -1, a, b, (a,), 2)
-    elif family == "fused2-goto":
-        if b is None or b[0] != OP_GOTO or a[0] not in NONTRAP_OPS:
-            return f"pc {pc}: fused_goto covers an ineligible pair"
-        expected = (xins[0], a[1] + b[1], a[2], -1, a, b[4], (a,), 2)
-    elif family == "fused-triple":
-        c = code[pc + 2] if pc + 2 < len(code) else None
-        if c is None or (a[0], b[0], c[0]) != spec.origin:
-            return f"pc {pc}: {spec.name} origin != code opcodes at [{pc}..{pc + 2}]"
-        expected = (
-            xins[0], a[1] + b[1] + c[1], a[2], a[3], a[4], a[5],
-            b[3], b[4], b[5], c[3], c[4], c[5], (a, b), 3,
-        )
-    else:  # pragma: no cover - every family is handled above
-        return f"pc {pc}: unhandled family {family!r}"
-    if xins != expected:
-        return f"pc {pc}: {spec.name} fields do not decompile to its code window"
-    return None
-
-
-@checker(
-    "bc-xcode-equivalence",
-    scope=SCOPE_BC,
-    description="fast stream decompiles to the plain code stream",
-)
-def check_bc_xcode_equivalence(ctx: BcCheckerContext) -> None:
-    fn = ctx.fn
-    if fn.xcode is None or not ctx.structure_ok():
-        return
-    cfg = ctx.cfg(True)
-    reported = 0
-    for block in cfg.blocks:
-        for pc in block.pcs:
-            message = _equivalent_site(ctx, pc)
-            if message is not None:
-                ctx.report(message, block=block.name)
-                reported += 1
-                if reported > _MAX_REPORTS:
-                    ctx.report("further equivalence violations elided")
-                    return
-    for pc in sorted(cfg.padding):
-        if fn.xcode[pc] != fn.code[pc] + (1,):
-            ctx.report(
-                f"pc {pc}: padding slot does not keep its original tuple"
-            )
-            reported += 1
-            if reported > _MAX_REPORTS:
-                ctx.report("further equivalence violations elided")
-                return
+                        local.add(dest)
 
 
 # ----------------------------------------------------------------------
@@ -459,13 +242,15 @@ def check_bc_xcode_equivalence(ctx: BcCheckerContext) -> None:
 @checker(
     "bc-codegen-lint",
     scope=SCOPE_BC,
-    description="closure codegen source lint",
+    description="megaunit codegen source lint",
 )
 def check_bc_codegen_lint(ctx: BcCheckerContext) -> None:
+    # Call sites resolve against the program's function table, so a
+    # function checked on its own (no ``bytecode``) is not linted.
     fn = ctx.fn
-    if not fn.blocks or not ctx.structure_ok():
+    if ctx.bytecode is None or not fn.blocks or not ctx.structure_ok():
         return
-    for message in lint_closure_source(fn):
+    for message in lint_megaunit_function(ctx.bytecode, fn.name):
         ctx.report(message)
 
 

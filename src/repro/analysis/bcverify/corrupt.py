@@ -6,7 +6,7 @@ repeatable experiment: compile a small corpus, persist the artifacts
 through :class:`~repro.pipeline.cache.ArtifactCache`, then — hundreds
 of times, driven by one seed — decode an entry, apply a single targeted
 mutation (bit flips, opcode swaps, register redirects, cost and weight
-perturbations, branch retargets, dropped fusion halves, template and
+perturbations, branch retargets, instruction swaps, template and
 block-table tampering), **re-sign the file with a valid digest**, and
 assert the verifying cache still rejects it at load.
 
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from ...vm.bytecode import OP_ADD, OP_GE
-from ...vm.machine import XHANDLERS
+from ...vm.bytecode import OP_ADD, OP_GE, OPCODE_NAMES
 from ...vm.translate import translate_program
 
 #: small but representative: arithmetic + loop, recursion + calls,
@@ -168,11 +167,9 @@ class CorruptionReport:
 # the pristine artifact, so at minimum the retranslation-equivalence
 # checker must fire.
 # ----------------------------------------------------------------------
-def _pick_fn(rng, bytecode, need_xcode=False):
+def _pick_fn(rng, bytecode):
     names = sorted(
-        name
-        for name, fn in bytecode.functions.items()
-        if len(fn.code) >= 2 and (not need_xcode or fn.xcode)
+        name for name, fn in bytecode.functions.items() if len(fn.code) >= 2
     )
     if not names:
         return None
@@ -191,9 +188,9 @@ def _mut_opcode(rng, bytecode):
         return None
     pc = rng.randrange(len(fn.code))
     ins = fn.code[pc]
-    new_op = rng.randrange(len(XHANDLERS))
+    new_op = rng.randrange(len(OPCODE_NAMES))
     while new_op == ins[0]:
-        new_op = rng.randrange(len(XHANDLERS))
+        new_op = rng.randrange(len(OPCODE_NAMES))
     _replace_code(fn, pc, (new_op,) + ins[1:])
     return f"{fn.name}: code[{pc}] opcode {ins[0]} -> {new_op}"
 
@@ -279,66 +276,6 @@ def _mut_swap(rng, bytecode):
     return f"{fn.name}: swapped code[{pc}] and code[{pc + 1}]"
 
 
-def _xcode_sites(fn, min_weight=1):
-    """(pc, ins) for every executable fast-stream site."""
-    sites = []
-    pc = 0
-    while pc < len(fn.xcode):
-        ins = fn.xcode[pc]
-        weight = ins[-1]
-        if weight >= min_weight:
-            sites.append((pc, ins))
-        pc += weight if isinstance(weight, int) and weight >= 1 else 1
-    return sites
-
-
-def _mut_xopcode(rng, bytecode):
-    fn = _pick_fn(rng, bytecode, need_xcode=True)
-    if fn is None:
-        return None
-    sites = _xcode_sites(fn)
-    pc, ins = rng.choice(sites)
-    new_op = rng.randrange(len(XHANDLERS))
-    while new_op == ins[0]:
-        new_op = rng.randrange(len(XHANDLERS))
-    fn.xcode[pc] = (new_op,) + ins[1:]
-    return f"{fn.name}: xcode[{pc}] opcode {ins[0]} -> {new_op}"
-
-
-def _mut_xcost(rng, bytecode):
-    fn = _pick_fn(rng, bytecode, need_xcode=True)
-    if fn is None:
-        return None
-    sites = _xcode_sites(fn)
-    pc, ins = rng.choice(sites)
-    fn.xcode[pc] = ins[:1] + (ins[1] + 1,) + ins[2:]
-    return f"{fn.name}: xcode[{pc}] cost {ins[1]} -> {ins[1] + 1}"
-
-
-def _mut_weight(rng, bytecode):
-    fn = _pick_fn(rng, bytecode, need_xcode=True)
-    if fn is None:
-        return None
-    sites = _xcode_sites(fn)
-    pc, ins = rng.choice(sites)
-    weight = ins[-1]
-    new_weight = weight + 1 if weight == 1 else weight - 1
-    fn.xcode[pc] = ins[:-1] + (new_weight,)
-    return f"{fn.name}: xcode[{pc}] weight {weight} -> {new_weight}"
-
-
-def _mut_halves(rng, bytecode):
-    fn = _pick_fn(rng, bytecode, need_xcode=True)
-    if fn is None:
-        return None
-    sites = _xcode_sites(fn, min_weight=2)
-    if not sites:
-        return None
-    pc, ins = rng.choice(sites)
-    fn.xcode[pc] = ins[:-2] + ((), ins[-1])
-    return f"{fn.name}: xcode[{pc}] fusion halves dropped"
-
-
 def _mut_template(rng, bytecode):
     candidates = []
     for name, fn in sorted(bytecode.functions.items()):
@@ -373,10 +310,6 @@ _MUTATORS = (
     ("cost", _mut_cost),
     ("branch", _mut_branch),
     ("swap", _mut_swap),
-    ("xopcode", _mut_xopcode),
-    ("xcost", _mut_xcost),
-    ("weight", _mut_weight),
-    ("halves", _mut_halves),
     ("template", _mut_template),
     ("blocks", _mut_blocks),
 )

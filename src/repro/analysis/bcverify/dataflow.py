@@ -172,7 +172,7 @@ class MustDefined:
         defined = set(state)
         stream = cfg.stream()
         for pc in block.pcs:
-            for kind, value in instruction_events(stream[pc], cfg.fused):
+            for kind, value in instruction_events(stream[pc]):
                 if kind == "def":
                     defined.add(value)
         return frozenset(defined)
@@ -209,7 +209,7 @@ class Liveness:
         live = set(state)
         stream = cfg.stream()
         for pc in reversed(block.pcs):
-            events = instruction_events(stream[pc], cfg.fused)
+            events = instruction_events(stream[pc])
             for kind, value in reversed(events):
                 if kind == "def":
                     live.discard(value)

@@ -1,47 +1,45 @@
-"""Static lint over the exec-generated engine source.
+"""Static lint over megaunit's exec-generated source.
 
-The closure engine (:mod:`repro.vm.closure`) compiles each function to
-Python source and ``exec``\\s it; the megaunit engine
-(:mod:`repro.vm.megaunit`) does the same for the whole program at
-once.  That source is generated from data that may have travelled
-through a cache file, so the verifier lints the *text* (without
-executing it) for the properties the codegen promises:
+The megaunit engine (:mod:`repro.vm.megaunit`) compiles the whole
+program to one Python module and runs it with ``exec``.  That source is
+generated from data that may have travelled through a cache file, so
+the verifier lints the *text* (without executing it) for the
+properties the codegen promises:
 
-* it parses, and consists only of module-level function definitions
-  (the ``_blk_<pc>`` block closures plus the ``_drive`` trampoline);
+* it parses, and consists only of module-level ``_mu<N>`` function
+  definitions, one per bytecode function;
 * no **banned names** anywhere (``eval``, ``exec``, ``open``, ... —
   generated code has no business reaching them) and no name reads
   outside the closed set the compiler seeds: the fixed support
-  namespace, the two whitelisted builtins, per-function ``_blk_*`` /
-  ``_f<N>`` cells, parameters, and locals assigned in the function;
-* **balanced accounting**: per block closure, the ``m[0] += K`` step
-  increments sum to exactly the block's instruction count, and the
-  ``m[1] += C`` cycle increments sum to the block's total baked cost;
-* every ``raise EvaluationTrap(...)`` inside a block closure is
-  preceded (in the same statement suite) by a ``state.steps = ...``
-  meter flush, so traps can never escape with stale accounting.
+  namespace, the whitelisted builtins, the per-function ``_mu<N>`` /
+  ``_fn<N>`` / ``_tmpl<N>`` cells, parameters, and locals assigned in
+  the function;
+* **balanced accounting**: per generated function, the step/cycle
+  charges — ``s += W`` / ``c += C`` per segment plus the ``m[0] = s +
+  1`` / ``c = m[1] + K`` call-site writebacks — sum to the bytecode
+  function's instruction count and total baked cost;
+* every ``raise EvaluationTrap(...)`` is preceded (in the same
+  statement suite) by a ``state.steps = ...`` meter flush, so traps
+  can never escape with stale accounting;
+* every *direct call* is audited against the program's function table
+  (the ``_mu<N>`` index must exist and the argument count must match
+  the callee's arity plus the ``vm``/``m``/``d`` protocol slots);
+* every budget exit has the sparse form ``_finish(vm, _fn<N>, s, c,
+  pc, r<a>, r<b>, ...)``: its own function cell, the meter locals, a
+  literal pc inside the function, and exactly the registers
+  :func:`~repro.vm.megaunit.finish_live_ins` names for that pc, in that
+  order — a missing register would make the replay read a template
+  slot instead of the live value.
 
-:func:`lint_megaunit_source` adds the whole-program variants: per
-generated function, the step/cycle charges — which live in the meter
-locals ``s``/``c`` there: ``s += W`` / ``c += C`` per segment plus
-the ``m[0] = s + 1`` / ``c = m[1] + K`` call-site writebacks — must
-sum to the bytecode function's instruction count and total baked
-cost, and every *direct call* is audited against the program's
-function table (the ``_mu<N>`` index must exist and the argument
-count must match the callee's arity plus the ``vm``/``m``/``d``
-protocol slots).  Every budget exit must have the sparse form
-``_finish(vm, _fn<N>, s, c, pc, r<a>, r<b>, ...)``: its own function
-cell, the meter locals, a literal pc inside the function, and exactly
-the registers :func:`~repro.vm.megaunit.finish_live_ins` names for
-that pc, in that order — a missing register would make the replay
-read a template slot instead of the live value.  A counted module (the
-profiling variant) may also read its counter list ``_counts``, and
-only as ``_counts[<k>] += 1``: one literal slot per frame entry and
-CFG edge of the unit, each bumped at exactly one site.
+A counted module (the profiling variant) may also read its counter
+list ``_counts``, and only as ``_counts[<k>] += 1``: one literal slot
+per frame entry and CFG edge of the unit, each bumped at exactly one
+site.
 
-:func:`lint_closure_source` and :func:`lint_megaunit_source` return
-plain message strings; the ``bc-codegen-lint`` checker turns them into
-report violations.
+:func:`lint_megaunit_function` lints one function's ``_mu<N>`` body
+(the per-function ``bc-codegen-lint`` checker);
+:func:`lint_megaunit_source` lints a whole module, plain or counted.
+Both return plain message strings.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ from __future__ import annotations
 import ast
 import math
 import re
+from typing import Optional
 
-from ...vm.closure import CLOSURE_BUILTINS, CLOSURE_NAMESPACE, generate_source
 from ...vm.bytecode import OP_GOTO, OP_IF
 from ...vm.megaunit import (
     COUNTS_NAME,
@@ -58,6 +56,7 @@ from ...vm.megaunit import (
     MEGAUNIT_NAMESPACE,
     MegaunitUnsupported,
     finish_live_ins,
+    function_source,
     generate_module_source,
 )
 
@@ -69,9 +68,6 @@ BANNED_NAMES = frozenset(
         "input", "breakpoint", "__builtins__",
     )
 )
-
-_GENERATED_NAME = re.compile(r"\A(_blk_\d+|_f\d+)\Z")
-_BLOCK_DEF = re.compile(r"\A_blk_(\d+)\Z")
 
 #: megaunit generated cells: entry functions, function refs, templates
 _MEGA_NAME = re.compile(r"\A(_mu\d+|_fn\d+|_tmpl\d+)\Z")
@@ -90,23 +86,6 @@ def _literal(node) -> object:
     ):
         return -node.operand.value
     return None
-
-
-def _meter_increments(func: ast.FunctionDef, slot: int) -> list:
-    """Values of every ``m[<slot>] += <literal>`` in the function."""
-    found = []
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.AugAssign)
-            and isinstance(node.op, ast.Add)
-            and isinstance(node.target, ast.Subscript)
-            and isinstance(node.target.value, ast.Name)
-            and node.target.value.id == "m"
-            and isinstance(node.target.slice, ast.Constant)
-            and node.target.slice.value == slot
-        ):
-            found.append(_literal(node.value))
-    return found
 
 
 def _is_trap_raise(stmt) -> bool:
@@ -139,76 +118,6 @@ def _statement_suites(func: ast.FunctionDef):
                 yield suite
 
 
-def _lint_names(func: ast.FunctionDef, messages: list) -> None:
-    params = {arg.arg for arg in func.args.args}
-    assigned = {
-        node.id
-        for node in ast.walk(func)
-        if isinstance(node, ast.Name)
-        and isinstance(node.ctx, (ast.Store, ast.Del))
-    }
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Name):
-            continue
-        name = node.id
-        if name in BANNED_NAMES:
-            messages.append(
-                f"{func.name}: banned name {name!r} in generated source"
-            )
-        elif isinstance(node.ctx, ast.Load) and not (
-            name in params
-            or name in assigned
-            or name in CLOSURE_NAMESPACE
-            or name in CLOSURE_BUILTINS
-            or _GENERATED_NAME.match(name)
-        ):
-            messages.append(
-                f"{func.name}: generated source reads unexpected "
-                f"global {name!r}"
-            )
-
-
-def _lint_accounting(
-    func: ast.FunctionDef,
-    start: int,
-    spans: dict,
-    code: tuple,
-    metered: bool,
-    messages: list,
-) -> None:
-    count = spans.get(start)
-    if count is None:
-        messages.append(
-            f"{func.name}: no block span starts at pc {start}"
-        )
-        return
-    steps = _meter_increments(func, 0)
-    if None in steps:
-        messages.append(f"{func.name}: non-literal step increment")
-        return
-    if sum(steps) != count:
-        messages.append(
-            f"{func.name}: step increments sum to {sum(steps)} but the "
-            f"block has {count} instruction(s)"
-        )
-    if metered:
-        cycles = _meter_increments(func, 1)
-        if None in cycles:
-            messages.append(f"{func.name}: non-literal cycle increment")
-            return
-        expected = 0
-        for pc in range(start, start + count):
-            expected = expected + code[pc][1]
-        total = sum(cycles)
-        if total != expected and not math.isclose(
-            total, expected, rel_tol=1e-12, abs_tol=1e-12
-        ):
-            messages.append(
-                f"{func.name}: cycle increments sum to {total!r} but the "
-                f"block's baked costs sum to {expected!r}"
-            )
-
-
 def _lint_trap_flushes(func: ast.FunctionDef, messages: list) -> None:
     for suite in _statement_suites(func):
         for position, stmt in enumerate(suite):
@@ -221,52 +130,7 @@ def _lint_trap_flushes(func: ast.FunctionDef, messages: list) -> None:
                 )
 
 
-def lint_closure_source(fn, metered: bool = True) -> list[str]:
-    """Lint the closure source for ``fn``; returns message strings."""
-    messages: list[str] = []
-    try:
-        source = generate_source(fn, metered=metered)
-    except Exception as exc:
-        return [f"closure codegen failed: {type(exc).__name__}: {exc}"]
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [f"generated source does not parse: {exc}"]
-
-    spans = {start: count for start, count, _name in fn.blocks}
-    seen_blocks = set()
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            messages.append(
-                f"unexpected module-level statement in generated source "
-                f"(line {node.lineno})"
-            )
-            continue
-        _lint_names(node, messages)
-        match = _BLOCK_DEF.match(node.name)
-        if match:
-            start = int(match.group(1))
-            seen_blocks.add(start)
-            _lint_accounting(
-                node, start, spans, fn.code, metered, messages
-            )
-            _lint_trap_flushes(node, messages)
-        elif node.name != "_drive":
-            messages.append(
-                f"unexpected generated function {node.name!r}"
-            )
-    missing = sorted(set(spans) - seen_blocks)
-    if missing:
-        messages.append(
-            f"no closure generated for block(s) at pc {missing}"
-        )
-    return messages
-
-
-# ----------------------------------------------------------------------
-# Whole-program (megaunit) lint
-# ----------------------------------------------------------------------
-def _lint_mega_names(
+def _lint_names(
     func: ast.FunctionDef, messages: list, counted: bool = False
 ) -> None:
     params = {arg.arg for arg in func.args.args}
@@ -298,7 +162,7 @@ def _lint_mega_names(
             )
 
 
-def _lint_mega_calls(
+def _lint_calls(
     func: ast.FunctionDef, order: list, messages: list
 ) -> None:
     """Audit every call in a generated function.
@@ -343,7 +207,7 @@ def _is_name(node, name: str) -> bool:
     return isinstance(node, ast.Name) and node.id == name
 
 
-def _lint_mega_finishes(
+def _lint_finishes(
     func: ast.FunctionDef, index: int, fn, messages: list
 ) -> None:
     """Every ``_finish`` budget exit passes its own function cell, the
@@ -382,7 +246,7 @@ def _lint_mega_finishes(
             )
 
 
-def _lint_mega_counters(
+def _lint_counters(
     func: ast.FunctionDef, slots: list, messages: list
 ) -> None:
     """Every use of the counter list is a ``+= 1`` on a literal slot;
@@ -426,7 +290,7 @@ def _counter_sites(order: list) -> int:
     return len(order) + edges
 
 
-def _mega_meter_totals(func: ast.FunctionDef) -> tuple:
+def _meter_totals(func: ast.FunctionDef) -> tuple:
     """Step and cycle charges of one generated megaunit function.
 
     The megaunit compiler keeps the meters in the locals ``s``/``c``:
@@ -474,14 +338,14 @@ def _mega_meter_totals(func: ast.FunctionDef) -> tuple:
     return steps, cycles
 
 
-def _lint_mega_accounting(
+def _lint_accounting(
     func: ast.FunctionDef, fn, metered: bool, messages: list
 ) -> None:
     """Whole-function meter balance: every instruction is stepped once
     (segment ``s += W`` sums plus one ``m[0] = s + 1`` per call site)
     and every baked cost is charged once (segment ``c += C`` sums plus
     the ``c = m[1] + K`` call-cost reloads)."""
-    steps, cycles = _mega_meter_totals(func)
+    steps, cycles = _meter_totals(func)
     if None in steps:
         messages.append(f"{func.name}: non-literal step increment")
         return
@@ -507,6 +371,68 @@ def _lint_mega_accounting(
             )
 
 
+def _lint_function(
+    node: ast.FunctionDef,
+    order: list,
+    metered: bool,
+    messages: list,
+    counted: bool = False,
+    slots: Optional[list] = None,
+) -> Optional[int]:
+    """Every per-function check on one generated ``_mu<N>``; returns
+    its index, or None when it names no bytecode function."""
+    match = _MEGA_DEF.match(node.name)
+    if not match:
+        messages.append(f"unexpected generated function {node.name!r}")
+        return None
+    index = int(match.group(1))
+    if index >= len(order):
+        messages.append(
+            f"generated function _mu{index} has no bytecode function"
+        )
+        return None
+    _lint_names(node, messages, counted)
+    _lint_counters(node, slots if slots is not None else [], messages)
+    _lint_calls(node, order, messages)
+    _lint_finishes(node, index, order[index], messages)
+    _lint_accounting(node, order[index], metered, messages)
+    _lint_trap_flushes(node, messages)
+    return index
+
+
+def _parse(source: str, messages: list) -> list:
+    """The module's function definitions; anything else is reported."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        messages.append(f"generated megaunit source does not parse: {exc}")
+        return []
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append(node)
+        else:
+            messages.append(
+                f"unexpected module-level statement in generated "
+                f"megaunit source (line {node.lineno})"
+            )
+    return functions
+
+
+def lint_megaunit_function(bytecode, name: str, metered: bool = True) -> list[str]:
+    """Lint the ``_mu<N>`` function the plain module generates for the
+    bytecode function ``name``; returns message strings."""
+    try:
+        source = function_source(bytecode, name, metered=metered)
+    except Exception as exc:
+        return [f"megaunit codegen failed: {type(exc).__name__}: {exc}"]
+    messages: list[str] = []
+    order = list(bytecode.functions.values())
+    for node in _parse(source, messages):
+        _lint_function(node, order, metered, messages)
+    return messages
+
+
 def lint_megaunit_source(
     bytecode, metered: bool = True, counted: bool = False
 ) -> list[str]:
@@ -514,9 +440,8 @@ def lint_megaunit_source(
     profiling variant); returns message strings.
 
     Programs the megaunit compiler does not support (no block spans)
-    lint clean by definition — the engine falls back to the closure
-    engine for them and never execs megaunit text."""
-    messages: list[str] = []
+    lint clean by definition — the engine falls back to the ``vm`` loop
+    for them and never execs megaunit text."""
     try:
         source = generate_module_source(
             bytecode, metered=metered, counted=counted
@@ -525,40 +450,12 @@ def lint_megaunit_source(
         return []
     except Exception as exc:
         return [f"megaunit codegen failed: {type(exc).__name__}: {exc}"]
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [f"generated megaunit module does not parse: {exc}"]
-
+    messages: list[str] = []
     order = list(bytecode.functions.values())
     seen = set()
     slots: list[int] = []
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            messages.append(
-                f"unexpected module-level statement in generated "
-                f"megaunit module (line {node.lineno})"
-            )
-            continue
-        match = _MEGA_DEF.match(node.name)
-        if not match:
-            messages.append(
-                f"unexpected generated function {node.name!r}"
-            )
-            continue
-        index = int(match.group(1))
-        if index >= len(order):
-            messages.append(
-                f"generated function _mu{index} has no bytecode function"
-            )
-            continue
-        seen.add(index)
-        _lint_mega_names(node, messages, counted)
-        _lint_mega_counters(node, slots, messages)
-        _lint_mega_calls(node, order, messages)
-        _lint_mega_finishes(node, index, order[index], messages)
-        _lint_mega_accounting(node, order[index], metered, messages)
-        _lint_trap_flushes(node, messages)
+    for node in _parse(source, messages):
+        seen.add(_lint_function(node, order, metered, messages, counted, slots))
     missing = sorted(set(range(len(order))) - seen)
     if missing:
         messages.append(
@@ -572,4 +469,4 @@ def lint_megaunit_source(
     return messages
 
 
-__all__ = ["BANNED_NAMES", "lint_closure_source", "lint_megaunit_source"]
+__all__ = ["BANNED_NAMES", "lint_megaunit_function", "lint_megaunit_source"]

@@ -206,26 +206,23 @@ def validate_engines(
 
     Where :func:`validate_translation` compares two *compilations* on
     one engine, this compares all *engines* on one compilation — the
-    check that the bytecode VM (fused/quickened and flat-tuple alike)
-    and the closure engine are faithful implementations of the
-    reference semantics.  Agreement is stricter than observable
+    check that the ``vm`` loop and the megaunit engine are faithful
+    implementations of the reference semantics.  Agreement is stricter than observable
     outcome: step counts and metered cycles must match too, since the
     VM engines advertise step/cycle parity.  Every engine is compared
     against the reference, which by transitivity covers every engine
-    pair.  ``engines`` defaults to the full matrix — ``reference``,
-    ``vm``, ``vm-nofuse``, ``closure``, the whole-program ``megaunit``
-    unit and the adaptive ``tiered`` machine (which must agree even as
-    it promotes mid-sweep).
+    pair.  ``engines`` defaults to the full matrix, ``reference``,
+    ``vm`` and ``megaunit``.
     """
     from ..interp.interpreter import observable_outcome
-    from ..pipeline.compiler import ALL_ENGINES, compile_and_profile, make_engine
+    from ..pipeline.compiler import ENGINES, compile_and_profile, make_engine
     from ..pipeline.config import DBDS
     from ..vm import translate_program
 
     if config is None:
         config = DBDS
     if engines is None:
-        engines = ALL_ENGINES
+        engines = ENGINES
     sets = [list(args) for args in (arg_sets or [[v] for v in DEFAULT_ARG_VALUES])]
     result = ValidationResult(entry=entry, configs=list(engines))
     program, _ = compile_and_profile(source, entry, sets, config)
@@ -276,7 +273,7 @@ def fuzz_engines(
     The mutation machinery of :func:`fuzz_mutations` pointed at the
     engine oracle: every surviving mutant is compiled once and must
     behave identically on the reference interpreter and every VM
-    engine (fused/quickened, flat-tuple and closure-compiled).
+    engine (the ``vm`` loop and megaunit).
     """
     report = FuzzReport()
     start = time.perf_counter()

@@ -7,17 +7,9 @@ headline (micro) suite, and *does it compute the same thing*.  Each
 workload is compiled once, then the measured argument sets run on the
 reference and on every VM engine under identical metering:
 
-* ``vm-nofuse`` — the flat-tuple machine loops (the PR-5 VM), the
-  ablation row that isolates what fusion+quickening buy;
-* ``vm`` — the fused/quickened fast stream (the default VM);
-* ``closure`` — the closure-compiling engine;
+* ``vm`` — the plain flat-tuple machine loop;
 * ``megaunit`` — the whole-program compiler: one exec unit, registers
-  in Python locals, direct calls (docs/VM.md);
-* ``tiered`` — the adaptive machine (docs/TIERING.md): starts every
-  function in the unfused baseline tier and promotes at the hotness
-  threshold.  Promotions persist across ``reset()``, so the warmup
-  pass tiers up the hot functions and the timed passes measure the
-  promoted steady state.
+  in Python locals, direct calls (docs/VM.md).
 
 The report carries per-workload wall times, per-engine speedup ratios,
 a per-engine median, and an outcome-equality bit (value, trap,
@@ -26,8 +18,8 @@ globals, steps and cycles all have to agree on every engine).
 ``python -m repro bench --engine-report FILE`` writes :func:`to_json`
 output — CI archives it as the ``BENCH_headline.json`` artifact and
 fails the build when the ``vm`` median speedup degrades below its
-floor, when fusion stops paying for itself against ``vm-nofuse``, or
-when any engine diverges.  ``--engine-report-txt FILE`` persists the
+floor, when megaunit stops paying for itself against ``vm``, or when
+any engine diverges.  ``--engine-report-txt FILE`` persists the
 human-readable table (``benchmarks/results/engine_report.txt`` in the
 repository).
 """
@@ -48,7 +40,7 @@ from ..vm.translate import translate_program
 from .workloads.suites import MICRO, SuiteProfile, Workload, generate_suite
 
 #: the VM engines measured against the reference interpreter
-MATRIX_ENGINES = ("vm-nofuse", "vm", "closure", "megaunit", "tiered")
+MATRIX_ENGINES = ("vm", "megaunit")
 
 #: timed passes over the measured argument sets per engine row
 _TIMED_PASSES = 3
@@ -161,10 +153,9 @@ class EngineComparisonReport:
 def _timed_runs(runner, entry: str, arg_sets) -> tuple[float, list, list]:
     """Wall-time the measured runs; returns (seconds, results, outcomes).
 
-    One untimed warmup run precedes the clock: the engines are JITs in
-    miniature (quickening rewrites sites on first execution, the
-    closure engine compiles drivers on first frame entry), and the
-    matrix measures steady-state execution, not warmup.  The warmup
+    One untimed warmup run precedes the clock: megaunit is a JIT in
+    miniature (it compiles its module on the first frame entry), and
+    the matrix measures steady-state execution, not warmup.  The warmup
     uses the first argument set and is discarded after a reset.  The
     clock then covers ``_TIMED_PASSES`` passes over the argument sets
     — single-pass times are a few milliseconds, small enough that

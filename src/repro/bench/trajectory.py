@@ -29,14 +29,15 @@ Entry layout (``schema`` 1)::
         ...
       },
       "vm_median_speedup": 37.2 | null,
-      "engine_medians": {"vm-nofuse": ..., "vm": ..., "closure": ...} | null,
+      "engine_medians": {"vm": ..., "megaunit": ...} | null,
       "phase_times": {"dbds": {...}, ...}
     }
 
 ``engine_medians`` (added alongside the engine matrix; still schema 1
 — readers treat a missing key as null) records every engine's median
 wall-clock speedup over the reference interpreter, so the trajectory
-shows what fusion/quickening and the closure engine buy over time.
+shows what each engine buys over time (older entries also carry the
+since-removed ``vm-nofuse``, ``closure`` and ``tiered`` rows).
 """
 
 from __future__ import annotations

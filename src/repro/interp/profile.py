@@ -66,8 +66,7 @@ def profile_program(
     if collector is None:
         collector = ProfileCollector()
     _profile_runs(
-        translate_program(program, fuse=False), entry, arg_sets, max_steps,
-        collector,
+        translate_program(program), entry, arg_sets, max_steps, collector
     )
     return collector
 

@@ -67,7 +67,6 @@ HISTOGRAM_BUCKETS: dict[str, tuple[float, ...]] = {
     "repro_batch_job_seconds": SECONDS_BUCKETS,
     "repro_cache_entry_bytes": BYTES_BUCKETS,
     "repro_bcverify_seconds": SECONDS_BUCKETS,
-    "repro_tier_compile_seconds": SECONDS_BUCKETS,
 }
 
 #: HELP strings for the Prometheus exposition
@@ -93,11 +92,6 @@ METRIC_HELP: dict[str, str] = {
     "repro_bcverify_seconds": "Wall time per bytecode verifier run.",
     "repro_bcverify_rejected_artifacts_total":
         "Cache artifacts rejected by the bytecode verifier at load.",
-    "repro_tier_promotions_total":
-        "Functions promoted to the optimized tier, by function/trigger.",
-    "repro_tier_compile_seconds": "Wall time per tier-up recompilation.",
-    "repro_tier_plan_cache_total":
-        "Tier-up plan cache lookups by result (hit/miss).",
 }
 
 #: label-set key used inside snapshots: "" or "k=v,k2=v2" (sorted)

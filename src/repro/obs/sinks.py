@@ -50,21 +50,8 @@ CACHE_EVICT_REQUIRED_ATTRS = ("key", "reason")
 #: attrs every ``batch.worker`` event must carry
 BATCH_WORKER_REQUIRED_ATTRS = ("path", "key", "ok")
 
-#: attrs every ``tier.promote`` event must carry
-TIER_PROMOTE_REQUIRED_ATTRS = (
-    "function",
-    "trigger",
-    "calls",
-    "backedges",
-    "hotness",
-    "threshold",
-)
-
-#: attrs every ``tier.compile`` event must carry
-TIER_COMPILE_REQUIRED_ATTRS = ("function", "seconds", "fused_sites", "cached")
-
-#: attrs every ``vm.fallback`` event must carry (an engine declining a
-#: frame and degrading to a slower engine, e.g. megaunit -> closure)
+#: attrs every ``vm.fallback`` event must carry (megaunit declining a
+#: frame and running it on the ``vm`` loop instead)
 VM_FALLBACK_REQUIRED_ATTRS = ("engine", "fallback", "reason")
 
 #: attrs every ``interp.profile`` event must carry (the engine that
@@ -209,14 +196,6 @@ def validate_record(record: dict[str, Any]) -> list[str]:
         for key in BATCH_WORKER_REQUIRED_ATTRS:
             if key not in attrs:
                 problems.append(f"batch.worker missing attr {key!r}")
-    elif name == "tier.promote":
-        for key in TIER_PROMOTE_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"tier.promote missing attr {key!r}")
-    elif name == "tier.compile":
-        for key in TIER_COMPILE_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"tier.compile missing attr {key!r}")
     elif name == "vm.fallback":
         for key in VM_FALLBACK_REQUIRED_ATTRS:
             if key not in attrs:

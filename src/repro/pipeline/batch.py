@@ -255,7 +255,7 @@ def _compile_worker(task: dict[str, Any]) -> dict[str, Any]:
 
     try:
         with use_registry(registry):
-            # Translation (superinstruction fusion counts fused sites on
+            # Translation (its --check-bc=rewrite verification counts on
             # the ambient registry) must run under the worker registry
             # too, or serial and parallel batches would merge different
             # totals.

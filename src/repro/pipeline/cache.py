@@ -51,18 +51,17 @@ from .compiler import CompilationReport
 from .config import CompilerConfig
 
 #: bump when the on-disk payload layout changes (invalidates old dirs).
-#: v3: bytecode artifacts carry the fused/quickened fast stream
-#: (extended opcodes, block spans, const ranges) — legacy v2 blobs
-#: unpickle fine (class-level field defaults) but keyed entries are
-#: invalidated so fused streams are rebuilt with stable opcode numbers.
-#: v4: the aux store additionally carries exec-generated engine source
-#: (closure drivers and whole-program megaunit modules, keyed per
-#: repro.vm.codegen_cache) — old dirs are invalidated wholesale so a
-#: v3 tree can never serve generated text to the new engines.
+#: v3: bytecode artifacts carry block spans and const ranges.
+#: v4: the aux store additionally carries exec-generated megaunit
+#: source (keyed per repro.vm.codegen_cache) — old dirs are
+#: invalidated wholesale so a v3 tree can never serve generated text.
 #: v5: program blobs are shell-first pickle streams (see
 #: :func:`pack_artifact`), which a v4 reader would rehydrate as empty
 #: shells.
-CACHE_SCHEMA_VERSION = 5
+#: v6: bytecode artifacts carry only the plain ``fn.code`` stream (no
+#: fused/quickened fast stream); a v5 blob would rehydrate functions
+#: with a stale ``xcode`` attribute.
+CACHE_SCHEMA_VERSION = 6
 
 #: pickle protocol pinned so parent and pool workers agree
 PICKLE_PROTOCOL = 4
@@ -524,8 +523,8 @@ class ArtifactCache:
 
     # ------------------------------------------------------------------
     # Aux blobs: small digest-verified side artifacts keyed separately
-    # from compilation entries — the tiered engine stores its
-    # profile-fingerprint-keyed tier-up plans here (docs/TIERING.md).
+    # from compilation entries — megaunit stores its generated source
+    # here (repro.vm.codegen_cache).
     # Same durability story as entries: atomic replace on write, a
     # whole-payload digest on read, corrupted files evicted.
     # ------------------------------------------------------------------

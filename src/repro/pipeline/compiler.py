@@ -294,12 +294,7 @@ def compile_and_profile(
 
 
 #: Execution engines usable for measurement runs.
-ENGINES = ("reference", "vm", "closure", "megaunit", "tiered")
-
-#: engines accepted by :func:`make_engine` — the public five plus
-#: ``vm-nofuse``, the flat-tuple machine loops with the fused/quickened
-#: fast stream pinned off (the bench engine matrix's ablation row)
-ALL_ENGINES = ENGINES + ("vm-nofuse",)
+ENGINES = ("reference", "vm", "megaunit")
 
 
 def make_engine(
@@ -309,30 +304,22 @@ def make_engine(
     max_steps: int = 50_000_000,
     metered: bool = True,
     check_bc: str = "off",
-    tiering: Any = None,
-    plan_cache: Any = None,
+    codegen_cache: Any = None,
 ) -> Any:
     """Construct a runner for ``engine`` (uniform run/reset/state API).
 
-    ``reference`` is the tree-walking interpreter; ``vm`` the bytecode
-    machine with superinstruction fusion and quickening; ``vm-nofuse``
-    the same machine pinned to its flat-tuple loops; ``closure`` the
-    closure-compiling engine; ``megaunit`` the call-graph compiler
-    (the entry and all it calls in one exec unit, direct calls — see
-    docs/VM.md); ``tiered`` the
-    adaptive machine that
-    starts every function in the unfused baseline and promotes hot
-    ones at run time (see docs/TIERING.md — ``tiering`` passes a
-    :class:`~repro.vm.tiering.TieringPolicy`, ``plan_cache`` an
-    :class:`~repro.pipeline.cache.ArtifactCache` whose aux store keeps
-    profile-fingerprint-keyed tier-up plans).  VM engines accept a
-    pre-translated ``bytecode`` program to skip re-translation (e.g. a
-    cache hit) — except ``tiered``, which always translates its own
-    unfused baseline so every function starts cold.  All engines
-    report identical cycles/steps/outcomes by construction.
-    ``check_bc="rewrite"`` verifies any bytecode translated here (see
-    :func:`repro.vm.translate.translate_program`); pre-translated
-    bytecode is the cache's responsibility (``--check-bc=load``).
+    ``reference`` is the tree-walking interpreter (the oracle); ``vm``
+    the bytecode machine's plain flat-tuple loop; ``megaunit`` the
+    call-graph compiler (the entry and all it calls in one exec unit,
+    direct calls — see docs/VM.md), whose generated source
+    ``codegen_cache`` (an :class:`~repro.pipeline.cache.ArtifactCache`)
+    persists across processes.  VM engines accept a pre-translated
+    ``bytecode`` program to skip re-translation (e.g. a cache hit).
+    All engines report identical cycles/steps/outcomes by
+    construction.  ``check_bc="rewrite"`` verifies any bytecode
+    translated here (see :func:`repro.vm.translate.translate_program`);
+    pre-translated bytecode is the cache's responsibility
+    (``--check-bc=load``).
     """
     if engine == "reference":
         return Interpreter(
@@ -341,62 +328,22 @@ def make_engine(
             cycle_cost=cycles_of if metered else None,
             terminator_cost=cycles_of if metered else None,
         )
-    if engine == "tiered":
-        from ..vm.tiering import TieredVirtualMachine
-        from ..vm.translate import translate_program
-
-        # A fused cache artifact would start every function already
-        # promoted; the tiered engine instead translates its own
-        # baseline stream (cheap next to the compile it follows) and
-        # verifies it under the same --check-bc contract.
-        baseline = translate_program(program, fuse=False, check_bc=check_bc)
-        if tiering is not None and tiering.check_bc == "off" and check_bc == "rewrite":
-            from dataclasses import replace
-
-            tiering = replace(tiering, check_bc="rewrite")
-        elif tiering is None and check_bc == "rewrite":
-            from ..vm.tiering import TieringPolicy
-
-            tiering = TieringPolicy(check_bc="rewrite")
-        return TieredVirtualMachine(
-            program,
-            baseline,
-            max_steps=max_steps,
-            metered=metered,
-            policy=tiering,
-            plan_cache=plan_cache,
-        )
-    if engine not in ("vm", "vm-nofuse", "closure", "megaunit"):
+    if engine not in ENGINES:
         raise ValueError(
-            f"unknown engine {engine!r} (expected one of {ALL_ENGINES})"
+            f"unknown engine {engine!r} (expected one of {ENGINES})"
         )
-    from ..vm.closure import ClosureVirtualMachine
     from ..vm.machine import VirtualMachine
     from ..vm.megaunit import MegaunitVirtualMachine
     from ..vm.translate import translate_program
 
     if bytecode is None:
-        # Only ``vm`` executes the fused stream: closure and megaunit
-        # compile from the base ``fn.code``, and ``vm-nofuse`` pins it off.
-        bytecode = translate_program(
-            program, fuse=engine == "vm", check_bc=check_bc
-        )
-    if engine == "closure":
-        return ClosureVirtualMachine(
-            bytecode, max_steps=max_steps, metered=metered,
-            codegen_cache=plan_cache,
-        )
+        bytecode = translate_program(program, check_bc=check_bc)
     if engine == "megaunit":
         return MegaunitVirtualMachine(
             bytecode, max_steps=max_steps, metered=metered,
-            codegen_cache=plan_cache,
+            codegen_cache=codegen_cache,
         )
-    return VirtualMachine(
-        bytecode,
-        max_steps=max_steps,
-        metered=metered,
-        fused=engine == "vm",
-    )
+    return VirtualMachine(bytecode, max_steps=max_steps, metered=metered)
 
 
 def measure_performance(
@@ -407,24 +354,20 @@ def measure_performance(
     engine: str = "reference",
     bytecode: Any = None,
     check_bc: str = "off",
-    tiering: Any = None,
-    plan_cache: Any = None,
+    codegen_cache: Any = None,
 ) -> tuple[float, list[ExecutionResult]]:
     """Simulated peak performance: total cost-model cycles over runs.
 
     ``engine`` selects the executor (see :func:`make_engine`): the
-    ``reference`` tree-walking interpreter, the ``vm`` bytecode engine,
-    the ``closure`` compiling engine, the whole-program ``megaunit``
-    compiler or the adaptive ``tiered`` machine
-    — pass a pre-translated ``bytecode`` program to skip
-    re-translation, e.g. from a cache hit (``tiered`` ignores it and
-    starts from its own cold baseline; ``tiering``/``plan_cache``
-    configure it).  All engines report identical cycles/steps/outcomes
-    by construction.
+    ``reference`` tree-walking interpreter, the ``vm`` bytecode loop or
+    the whole-program ``megaunit`` compiler — pass a pre-translated
+    ``bytecode`` program to skip re-translation, e.g. from a cache hit,
+    and a ``codegen_cache`` to reuse megaunit's generated source.  All
+    engines report identical cycles/steps/outcomes by construction.
     """
     runner = make_engine(
         engine, program, bytecode=bytecode, max_steps=max_steps,
-        check_bc=check_bc, tiering=tiering, plan_cache=plan_cache,
+        check_bc=check_bc, codegen_cache=codegen_cache,
     )
     results = []
     total = 0.0

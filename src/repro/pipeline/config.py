@@ -85,12 +85,3 @@ CONFIGURATIONS = {
     c.name: c
     for c in (BASELINE, DBDS, DUPALOT, BACKTRACKING, PATH_DBDS, PEEL_DBDS)
 }
-
-#: default hotness (``calls + backedges``) at which ``--engine=tiered``
-#: promotes a function (:class:`repro.vm.tiering.TieringPolicy`; kept
-#: here so the CLI can show it without loading the tiering engine)
-DEFAULT_TIER_THRESHOLD = 64
-
-#: default tier-1 invocation count before the optional tier-2
-#: whole-program promotion (``--tier2-engine=megaunit``)
-DEFAULT_TIER2_THRESHOLD = 4 * DEFAULT_TIER_THRESHOLD

@@ -114,21 +114,14 @@ class BytecodeFunction:
     at frame entry by profiling runs exactly like the reference
     interpreter's block-entry hook.
 
-    ``xcode`` is the fused fast stream built by :mod:`repro.vm.fusion`:
-    a mutable *list* parallel to ``code`` where every tuple carries a
-    trailing step weight (1 for plain ops, 2 for superinstructions) and
-    quickening (:mod:`repro.vm.quicken`) rewrites sites in place on a
-    function's first execution.  ``blocks`` records the basic-block
-    layout as ``(start_pc, instruction_count, block_name)`` spans, and
-    ``const_base``/``const_count`` delimit the interned-constant
-    register range — both feed fusion mining, constant baking and the
-    closure engine's block-at-a-time lowering.  The extended fields are
-    **class-level defaults** so schema-v2 pickles (plain flat-tuple
-    bytecode) rehydrate cleanly and simply skip the fast paths.
+    ``blocks`` records the basic-block layout as ``(start_pc,
+    instruction_count, block_name)`` spans, and ``const_base``/
+    ``const_count`` delimit the interned-constant register range — both
+    feed megaunit's block-at-a-time lowering and constant inlining.
+    They are **class-level defaults** so legacy pickles without them
+    rehydrate cleanly (megaunit then falls back to the ``vm`` loop).
     """
 
-    xcode: Optional[list] = None
-    quickened: bool = True
     blocks: tuple = ()
     const_base: int = 0
     const_count: int = 0
@@ -200,35 +193,9 @@ def _format_ins(pc: int, ins: tuple) -> str:
     return f"  {pc:4d}: {dest}{name} {body}".rstrip()
 
 
-def _format_xins(pc: int, ins: tuple) -> str:
-    # Lazy import: opspec depends on this module.
-    from .opspec import BASE_FAMILIES, OPCODE_SPECS
-
-    spec = OPCODE_SPECS.get(ins[0])
-    if spec is None:
-        return f"  {pc:4d}: ?op{ins[0]} {ins[1:]!r}"
-    if spec.family in BASE_FAMILIES:
-        return _format_ins(pc, ins[:-1])
-    operands = " ".join(
-        f"r{o}" if isinstance(o, int) else "<edge>" if isinstance(o, tuple)
-        and o and isinstance(o[0], int) and len(o) == 4 else repr(o)
-        for o in ins[3:-2]
-    )
-    return f"  {pc:4d}: {spec.name} [{spec.family} w={ins[-1]}] {operands}"
-
-
-def disassemble(fn: BytecodeFunction, stream: str = "code") -> str:
-    """Human-readable listing of one translated function.
-
-    ``stream="xcode"`` lists the fused/quickened fast stream instead
-    (falling back to ``fn.code`` when no fast stream exists), tagging
-    superinstructions with their family and step weight.
-    """
+def disassemble(fn: BytecodeFunction) -> str:
+    """Human-readable listing of one translated function."""
     lines = [f"fn {fn.name}: {fn.nparams} param(s), {fn.nregs} reg(s)"]
-    if stream == "xcode" and fn.xcode is not None:
-        for pc, ins in enumerate(fn.xcode):
-            lines.append(_format_xins(pc, ins))
-    else:
-        for pc, ins in enumerate(fn.code):
-            lines.append(_format_ins(pc, ins))
+    for pc, ins in enumerate(fn.code):
+        lines.append(_format_ins(pc, ins))
     return "\n".join(lines)

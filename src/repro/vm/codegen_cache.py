@@ -1,20 +1,19 @@
-"""Persistent cache for exec-generated engine source.
+"""Persistent cache for megaunit's exec-generated source.
 
-The closure and megaunit engines *generate Python source* from
-bytecode streams and ``exec`` it.  Codegen is pure — a deterministic
+The megaunit engine *generates Python source* from bytecode streams
+and runs it with ``exec``.  Codegen is pure — a deterministic
 function of the instruction stream, the metering mode and the baked-in
 limits — so the generated text can be persisted in the artifact
 cache's aux store (:meth:`~repro.pipeline.cache.ArtifactCache.put_aux`)
 and reused by warm runs, skipping source generation and the per-line
 f-string work entirely.
 
-Keys are content digests over schema + engine + per-function stream
-digests + every baked knob (``metered``, ``max_steps``,
-``max_call_depth``), so a stale artifact can never be executed against
-a stream it was not generated from.  Payloads carry the source plus
-the callee-name order needed to rebuild the exec namespace without
-regenerating.  Hits and misses are counted by the
-``repro_codegen_cache_total`` metric, labelled by engine.
+Keys are content digests over schema + per-function stream digests +
+every baked knob (``metered``, ``max_steps``, ``max_call_depth``), so a
+stale artifact can never be executed against a stream it was not
+generated from.  Payloads carry the source plus the function-name order
+needed to rebuild the exec namespace without regenerating.  Hits and misses are counted by the
+``repro_codegen_cache_total`` metric (labelled ``engine="megaunit"``).
 """
 
 from __future__ import annotations
@@ -38,9 +37,13 @@ CODEGEN_SCHEMA = 2
 _ADDR = re.compile(r" object at 0x[0-9a-f]+")
 
 
-def stream_digest(fn: BytecodeFunction, stream: str = "code") -> str:
+#: the engine label of every key, payload and metric sample
+ENGINE = "megaunit"
+
+
+def stream_digest(fn: BytecodeFunction) -> str:
     """Scrubbed digest of one function's instruction stream."""
-    text = _ADDR.sub("", disassemble(fn, stream=stream))
+    text = _ADDR.sub("", disassemble(fn))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -67,7 +70,6 @@ def function_digest(fn: BytecodeFunction) -> str:
 
 
 def codegen_key(
-    engine: str,
     fns: Sequence[BytecodeFunction],
     metered: bool,
     max_steps: int,
@@ -77,7 +79,7 @@ def codegen_key(
     payload = json.dumps(
         {
             "schema": CODEGEN_SCHEMA,
-            "engine": engine,
+            "engine": ENGINE,
             "functions": [function_digest(fn) for fn in fns],
             "metered": bool(metered),
             "max_steps": max_steps,
@@ -88,9 +90,7 @@ def codegen_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def load_source(
-    cache: Optional[Any], key: str, engine: str
-) -> Optional[dict]:
+def load_source(cache: Optional[Any], key: str) -> Optional[dict]:
     """Aux-store lookup; counts ``repro_codegen_cache_total``.
 
     Returns the payload dict on a schema- and engine-matching hit,
@@ -101,7 +101,7 @@ def load_source(
     hit = (
         isinstance(payload, dict)
         and payload.get("schema") == CODEGEN_SCHEMA
-        and payload.get("engine") == engine
+        and payload.get("engine") == ENGINE
         and isinstance(payload.get("source"), str)
     )
     registry = current_registry()
@@ -109,7 +109,7 @@ def load_source(
         registry.inc(
             "repro_codegen_cache_total",
             result="hit" if hit else "miss",
-            engine=engine,
+            engine=ENGINE,
         )
     return payload if hit else None
 
@@ -118,7 +118,7 @@ def store_source(cache: Optional[Any], key: str, payload: dict) -> None:
     """Persist one generated source unit (no-op without a cache)."""
     if cache is None:
         return
-    cache.put_aux(key, dict(payload, schema=CODEGEN_SCHEMA))
+    cache.put_aux(key, dict(payload, schema=CODEGEN_SCHEMA, engine=ENGINE))
 
 
 __all__ = [

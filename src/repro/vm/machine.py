@@ -35,14 +35,7 @@ from ..interp.interpreter import (
     ProfileCollector,
 )
 from ..ir.ops import EvaluationTrap, _is_ref
-from .bytecode import (
-    OP_CALL,
-    OP_GOTO,
-    OP_IF,
-    OP_RETURN,
-    BytecodeFunction,
-    BytecodeProgram,
-)
+from .bytecode import OP_CALL, BytecodeFunction, BytecodeProgram
 
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -299,55 +292,6 @@ _HANDLERS: tuple[Callable, ...] = (
     _op_call, _op_goto, _op_if, _op_return,
 )
 
-#: extended handler table for the fused/quickened fast stream — base
-#: opcodes first, then every opcode registered by repro.vm.fusion, then
-#: every one registered by repro.vm.quicken.  Both load on demand, and
-#: quicken imports fusion before it registers, so the order — and with
-#: it every extended opcode number — is the same in every process and
-#: safe to pickle into cached artifacts.
-XHANDLERS: list = list(_HANDLERS)
-
-
-def register_xop(handler: Callable) -> int:
-    """Append ``handler`` to the extended table; returns its opcode."""
-    XHANDLERS.append(handler)
-    return len(XHANDLERS) - 1
-
-
-#: extended opcodes the fast loops dispatch *inline* (if/elif on the
-#: opcode instead of a handler call — in CPython the call is the
-#: expensive part).  Bound by repro.vm.fusion once it has registered
-#: its superinstructions; -1 (never a valid opcode) until then, which
-#: safely disables the inline arms.
-#: (spec_base, if_lt, if_gt, if_ge) — see bind_fast_ops.  The huge
-#: sentinel spec_base disables the range arm until fusion binds it.
-_UNBOUND = (1 << 30, -1, -1, -1)
-_X_OPS = _UNBOUND
-
-
-def bind_fast_ops(spec_base: int, if_lt: int, if_gt: int, if_ge: int) -> None:
-    """Tell the fast loops how to dispatch extended opcodes inline.
-
-    ``spec_base`` routes by *range*: every opcode >= ``spec_base`` must
-    be a plain compute handler — it returns a non-negative next pc and
-    is never a call, return or CFG terminator — so the fast loops
-    dispatch it with a single compare and skip the return-pc check.
-    Fusion's specialized pair/triple superinstructions and all of
-    quickening's forms satisfy this by construction; anything
-    registered through :func:`register_xop` after fusion's import must
-    too.  The fused compare+branch opcodes sit below ``spec_base`` and
-    the hottest three get dedicated inline arms.
-    """
-    global _X_OPS
-    _X_OPS = (spec_base, if_lt, if_gt, if_ge)
-
-
-def fast_op_bindings() -> tuple:
-    """The current ``(spec_base, if_lt, if_gt, if_ge)`` inline-dispatch
-    bindings — read-only view for the verifier and tests."""
-    return _X_OPS
-
-
 class VirtualMachine:
     """Drop-in execution engine with the reference interpreter's API.
 
@@ -365,7 +309,6 @@ class VirtualMachine:
         profile: Optional[ProfileCollector] = None,
         max_call_depth: int = 200,
         observer: Optional[Callable[[Any, Any], None]] = None,
-        fused: bool = True,
     ) -> None:
         self.bytecode = bytecode
         self.max_steps = max_steps
@@ -373,9 +316,6 @@ class VirtualMachine:
         self.profile = profile
         self.max_call_depth = max_call_depth
         self.observer = observer
-        #: ``fused=False`` pins the flat-tuple loops even when a fused
-        #: stream exists (the bench engine matrix's "vm-nofuse" row).
-        self.fused = fused
         self._call_depth = 0
         self._retval: Any = None
         self.state = InterpreterState()
@@ -422,13 +362,6 @@ class VirtualMachine:
             self._call_depth -= 1
 
     def _run_frame(self, fn: BytecodeFunction, args: list[Any]) -> Any:
-        if (
-            self.fused
-            and fn.xcode is not None
-            and self.profile is None
-            and self.observer is None
-        ):
-            return self._run_frame_fast(fn, args)
         if self._call_depth > self.max_call_depth:
             raise EvaluationTrap("stack overflow")
         regs = fn.template[:]
@@ -540,234 +473,3 @@ class VirtualMachine:
                 state.steps = steps
                 state.cycles = cycles
             raise
-
-    # ------------------------------------------------------------------
-    # Fused/quickened fast stream.  Only taken when neither a profile
-    # collector nor an observer is attached: hooked runs fall back to
-    # the flat-tuple loops above, which keeps hook semantics untouched
-    # by construction.  Every ``xcode`` tuple carries a trailing step
-    # weight (``ins[-1]``); superinstructions (weight 2 or 3)
-    # additionally carry the tuple of their unfused prefix halves at
-    # ``ins[-2]`` so the budget slow path can stop mid-run with exact
-    # reference timing.
-    # ------------------------------------------------------------------
-    def _run_frame_fast(self, fn: BytecodeFunction, args: list[Any]) -> Any:
-        if self._call_depth > self.max_call_depth:
-            raise EvaluationTrap("stack overflow")
-        if not fn.quickened:
-            from .quicken import quicken_function
-
-            quicken_function(fn)
-        elif _X_OPS is _UNBOUND:
-            # An artifact quickened in another process: load the
-            # extended handlers its stream names before dispatching it.
-            from . import quicken  # noqa: F401
-        code = fn.xcode
-        regs = fn.template[:]
-        if args:
-            regs[: len(args)] = args
-        state = self.state
-        max_steps = self.max_steps
-        handlers = XHANDLERS
-        # Every opcode >= x_spec is a plain compute handler (specialized
-        # pair/triple superinstructions, quickened forms): one range
-        # compare dispatches it and the return-pc check is skipped.
-        # The hottest fused branches below x_spec get inline arms — an
-        # int compare beats a handler call by a wide margin in CPython;
-        # their bodies are line-identical to the registered handlers.
-        x_spec, x_if_lt, x_if_gt, x_if_ge = _X_OPS
-        steps = state.steps
-        cycles = state.cycles
-        pc = 0
-        try:
-            if self.metered:
-                while True:
-                    ins = code[pc]
-                    steps += ins[-1]
-                    if steps > max_steps:
-                        self._budget_stop(ins, regs, pc, steps, cycles)
-                    op = ins[0]
-                    if op >= x_spec:
-                        pc = handlers[op](self, ins, regs, pc)
-                    elif op == x_if_lt:
-                        c = regs[ins[4]] < regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_GOTO:
-                        edge = ins[4]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == x_if_gt:
-                        c = regs[ins[4]] > regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == x_if_ge:
-                        c = regs[ins[4]] >= regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_IF:
-                        edge = ins[5] if regs[ins[4]] else ins[6]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_RETURN:
-                        state.steps = steps
-                        state.cycles = cycles + ins[1]
-                        return regs[ins[4]] if ins[4] >= 0 else None
-                    elif op != OP_CALL:
-                        pc = handlers[op](self, ins, regs, pc)
-                        if pc < 0:
-                            state.steps = steps
-                            state.cycles = cycles + ins[1]
-                            return self._retval
-                    else:
-                        # Direct frame dispatch: skips the _call and
-                        # _run_frame layers.  Arity is correct by
-                        # construction in translated bytecode, and the
-                        # fast-frame preconditions (fused, no hooks)
-                        # are invariant across frames of one run.
-                        state.steps = steps
-                        state.cycles = cycles
-                        callee = ins[4]
-                        self._call_depth += 1
-                        try:
-                            if callee.xcode is not None:
-                                regs[ins[3]] = self._run_frame_fast(
-                                    callee, [regs[r] for r in ins[5]]
-                                )
-                            else:
-                                regs[ins[3]] = self._run_frame(
-                                    callee, [regs[r] for r in ins[5]]
-                                )
-                        finally:
-                            self._call_depth -= 1
-                        steps = state.steps
-                        cycles = state.cycles
-                        pc += 1
-                    cycles += ins[1]
-            else:
-                while True:
-                    ins = code[pc]
-                    steps += ins[-1]
-                    if steps > max_steps:
-                        self._budget_stop(ins, regs, pc, steps, cycles)
-                    op = ins[0]
-                    if op >= x_spec:
-                        pc = handlers[op](self, ins, regs, pc)
-                    elif op == x_if_lt:
-                        c = regs[ins[4]] < regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_GOTO:
-                        edge = ins[4]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == x_if_gt:
-                        c = regs[ins[4]] > regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == x_if_ge:
-                        c = regs[ins[4]] >= regs[ins[5]]
-                        regs[ins[3]] = c
-                        edge = ins[6] if c else ins[7]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_IF:
-                        edge = ins[5] if regs[ins[4]] else ins[6]
-                        if edge[1]:
-                            for d, s in edge[1]:
-                                regs[d] = regs[s]
-                        pc = edge[0]
-                    elif op == OP_RETURN:
-                        state.steps = steps
-                        state.cycles = cycles
-                        return regs[ins[4]] if ins[4] >= 0 else None
-                    elif op != OP_CALL:
-                        pc = handlers[op](self, ins, regs, pc)
-                        if pc < 0:
-                            state.steps = steps
-                            state.cycles = cycles
-                            return self._retval
-                    else:
-                        # Same direct frame dispatch as the metered loop.
-                        state.steps = steps
-                        state.cycles = cycles
-                        callee = ins[4]
-                        self._call_depth += 1
-                        try:
-                            if callee.xcode is not None:
-                                regs[ins[3]] = self._run_frame_fast(
-                                    callee, [regs[r] for r in ins[5]]
-                                )
-                            else:
-                                regs[ins[3]] = self._run_frame(
-                                    callee, [regs[r] for r in ins[5]]
-                                )
-                        finally:
-                            self._call_depth -= 1
-                        steps = state.steps
-                        cycles = state.cycles
-                        pc += 1
-        except EvaluationTrap:
-            # Fused handlers never trap (fusion only combines
-            # non-trapping ops), so a trapping instruction here always
-            # has weight 1 — identical accounting to the base loops.
-            if steps > state.steps:
-                state.steps = steps
-                state.cycles = cycles
-            raise
-
-    def _budget_stop(self, ins, regs, pc, steps, cycles) -> None:
-        """Stop a fast-stream run with exact unfused budget timing.
-
-        ``steps`` already includes the current tuple's full weight
-        ``w``.  A weight-``w`` superinstruction carries its ``w - 1``
-        unfused prefix halves at ``ins[-2]``; however many of them
-        still fit the budget execute here through the base table
-        (fusion guarantees they cannot trap), charging their steps and
-        cycles, and only then the budget trips — bit-identical to the
-        flat-tuple loop stopping inside the run.
-        """
-        state = self.state
-        w = ins[-1]
-        allowed = self.max_steps - (steps - w)
-        if w == 1 or allowed <= 0:
-            # The very first op of the tuple already lapses the budget:
-            # nothing executes, exactly one step past the limit counts.
-            state.steps = steps - w + 1
-            state.cycles = cycles
-        else:
-            extra = 0
-            for half in ins[-2][:allowed]:
-                _HANDLERS[half[0]](self, half, regs, pc)
-                extra += half[1]
-            state.steps = steps - w + allowed + 1
-            state.cycles = cycles + extra if self.metered else cycles
-        raise BudgetExceeded(f"exceeded {self.max_steps} interpreter steps")

@@ -1,48 +1,55 @@
 """The megaunit engine: the whole call graph in one exec unit.
 
-The fourth execution engine (``--engine=megaunit``).  The closure
-engine compiles each function to per-block closures but still pays the
-machine's full call protocol at every ``OP_CALL``: exit the
-trampoline, re-enter ``vm._call`` / ``_run_frame``, allocate a
-register file, build a fresh trampoline.  This backend removes all of
-it by compiling the run's **entry and its whole call graph** (every
-function reachable through ``OP_CALL``, :func:`unit_functions`) into a
-single generated Python module:
+The fast execution engine (``--engine=megaunit``).  Where the ``vm``
+loop pays one handler round-trip per instruction and the full call
+protocol at every ``OP_CALL`` (re-enter ``vm._call`` / ``_run_frame``,
+allocate a register file), this backend **compiles the run's entry and
+its whole call graph** (every function reachable through ``OP_CALL``,
+:func:`unit_functions`) into a single generated Python module and lets
+CPython's own bytecode do the dispatch:
 
 * every bytecode function becomes one Python function
   ``_mu<N>(vm, m, r0.., d)`` — its registers are **Python locals**
   seeded from the constant template, not a list;
+* instructions are inlined as straight-line statements — arithmetic
+  with the wrap64 literals baked in, interned constants inlined as
+  Python literals, field/array/global traffic as plain subscripts;
 * intra-function control flow is a threaded dispatch loop
   (``_L = <pc>`` + ``while True`` + an ``if/elif/else`` ladder over
-  block-start labels, computed-goto style) — no per-block closure
-  trampoline; a block with exactly one predecessor, reached only by a
-  forward jump, is **inlined at that edge** instead of paying a
-  dispatch round trip, and functions whose dispatch can never recur
-  compile to straight-line code with no loop at all;
+  block-start labels, computed-goto style); a block with exactly one
+  predecessor, reached only by a forward jump, is **inlined at that
+  edge** instead of paying a dispatch round trip, and functions whose
+  dispatch can never recur compile to straight-line code with no loop
+  at all;
 * ``OP_CALL`` lowers to a **direct Python call** of the callee's
   generated function — no ``_run_frame``, no register-file
-  allocation through the machine, no trampoline re-entry.
+  allocation through the machine.
 
-Exactness mirrors :mod:`repro.vm.closure` (same segment accounting,
-same trap flushes, same :func:`~repro.vm.closure._finish_budget`
-prefix-replay for budget stops) with one twist: the step/cycle meter
-``m`` is a single shared two-slot list threaded through every frame
-of a run, so call sites do not flush ``vm.state`` at all — only trap
-sites, budget stops and the run's entry/exit touch it.  Inside a
-frame the meters live in the **locals** ``s``/``c`` (no list
-subscripts on the hot path) and are written back to ``m`` exactly
-where another frame or the machine observes them:
+Steps and metered cycles are accounted **per segment** (a maximal
+call-free instruction run): one ``s += W`` / ``c += C`` pair per
+segment instead of per instruction, with ``W``/``C`` baked at compile
+time.  Exactness is preserved at every observable point:
 
-* a call site writes ``m[0] = s + 1`` / ``m[1] = c`` (the step
-  charged, the machine's ordering), dispatches, then reloads
-  ``s = m[0]`` / ``c = m[1] + cost``;
-* returns write both slots back; trap sites flush
-  ``state.steps = s + k`` / ``state.cycles = c + ck`` directly;
-* a budget guard exits through ``_finish(vm, _fn<N>, s, c, pc,
-  *live)``, passing the meters and only the registers its segment
-  replay reads (:func:`finish_live_ins` — none at a call site); the
-  replay starts from a copy of ``fn.template``, so the generated
-  source never spells out the whole register file;
+* a segment-entry budget guard ``s + W > max_steps`` exits through
+  ``_finish(vm, _fn<N>, s, c, pc, *live)``, a cold path that rebuilds
+  the register file from ``fn.template`` plus only the registers its
+  segment replay reads (:func:`finish_live_ins` — none at a call
+  site) and replays the segment per instruction through the ``vm``
+  loop's handler table (:func:`_finish_budget`), so it stops with
+  bit-identical :class:`BudgetExceeded` timing;
+* trap sites flush ``state.steps = s + k`` / ``state.cycles = c + ck``
+  with the partial step count and the left-to-right partial cycle sum
+  baked in, so values, steps, cycles and trap messages match the
+  reference exactly (partial sums are exact for integer-valued cost
+  models — the default — since float addition is only associative on
+  integers);
+* the step/cycle meter ``m`` is a single shared two-slot list threaded
+  through every frame of a run; inside a frame the meters live in the
+  **locals** ``s``/``c`` and are written back exactly where another
+  frame or the machine observes them: a call site writes ``m[0] = s +
+  1`` / ``m[1] = c`` (the step charged, the machine's ordering),
+  dispatches, then reloads ``s = m[0]`` / ``c = m[1] + cost``; returns
+  write both slots back;
 * the callee prologue's stack-overflow guard flushes ``state`` from
   ``m`` before trapping — bit-identical to the machine, where the
   caller flushed before ``vm._call`` and the callee traps untouched;
@@ -50,24 +57,21 @@ where another frame or the machine observes them:
   state.cycles]`` once per machine entry and flushes back on normal
   return; every raising path flushed exactly at its raise site.
 
-Compilation reads ``fn.code`` / ``fn.blocks`` / ``fn.template`` — the
-base stream, which fusion and quickening never mutate — so fused
-artifacts (``fn.xcode`` present) are consumable as compilation source
-unchanged, and step/cycle totals agree with fused execution because
-fusion preserves summed costs and step weights by construction.
+``max_steps`` and ``metered`` are baked into the generated source, so
+the module is recompiled if either changes between runs on the same
+machine instance.
 
-Graceful degradation: nested MiniLang calls are now native Python
-calls, so a worst-case-deep run could hit CPython's recursion limit
+Graceful degradation: nested MiniLang calls are native Python calls,
+so a worst-case-deep run could hit CPython's recursion limit
 mid-frame — unrecoverable, since globals and heap effects are already
 applied.  ``_run_frame`` therefore checks *up front* that the worst
 case (``max_call_depth`` minus the current depth, plus
 ``_STACK_HEADROOM`` slack) fits under ``sys.getrecursionlimit()`` and
-otherwise falls back to the inherited closure engine for the whole
-activation, emitting a ``vm.fallback`` tracer event (once per machine
-and reason) and counting ``repro_vm_fallback_total``.  Programs whose
-functions lack block spans (legacy cache artifacts) fall back the
-same way.  Observed runs delegate to the base machine loops exactly as
-the closure engine does.
+otherwise runs the activation on the inherited ``vm`` loop, emitting a
+``vm.fallback`` tracer event (once per machine and reason) and
+counting ``repro_vm_fallback_total``.  Programs whose functions lack
+block spans (legacy cache artifacts) fall back the same way, and
+observed runs always run on the ``vm`` loop.
 
 Profiled runs (a ``profile=`` collector) execute the **counted**
 variant of the module instead of the hooked machine loop: the same
@@ -79,13 +83,12 @@ counts into collector entries whenever a run leaves the module
 (return, trap or budget stop); a budget guard's replay never reaches
 its segment's terminator, so no edge past a stop is counted.  This is
 what lets :func:`repro.interp.profile.profile_program` profile at
-near-megaunit speed.  A profiled frame that cannot run natively falls
-back to the hooked machine loop.
+near-megaunit speed.
 
 The plain module's source is persisted in the artifact cache's aux
 store (:mod:`repro.vm.codegen_cache`) so warm runs skip codegen; the
 counted one never is (its counter sites name IR blocks).  Both are
-statically verified by the extended ``bc-codegen-lint``
+statically verified by ``bc-codegen-lint``
 (:func:`repro.analysis.bcverify.lint_megaunit_source`).
 """
 
@@ -94,25 +97,58 @@ from __future__ import annotations
 import sys
 from typing import Any, Optional, Sequence
 
-from ..interp.interpreter import ExecutionResult, ProfileCollector
+from ..interp.interpreter import (
+    BudgetExceeded,
+    ExecutionResult,
+    ProfileCollector,
+)
+from ..ir.ops import EvaluationTrap
 from ..obs.metrics import current_registry
 from ..obs.tracer import current_tracer
 from .bytecode import (
+    OP_ADD,
+    OP_AND,
+    OP_ARRAY_LENGTH,
+    OP_ARRAY_LOAD,
+    OP_ARRAY_STORE,
     OP_CALL,
+    OP_DIV,
+    OP_EQ,
+    OP_GE,
     OP_GOTO,
+    OP_GT,
     OP_IF,
+    OP_LE,
+    OP_LOAD_FIELD,
+    OP_LOAD_GLOBAL,
+    OP_LT,
+    OP_MOD,
+    OP_MUL,
+    OP_NE,
+    OP_NEG,
+    OP_NEW,
+    OP_NEW_ARRAY,
+    OP_NOT,
+    OP_OR,
     OP_RETURN,
+    OP_SHL,
+    OP_SHR,
+    OP_STORE_FIELD,
+    OP_STORE_GLOBAL,
+    OP_SUB,
+    OP_USHR,
+    OP_XOR,
     BytecodeFunction,
     BytecodeProgram,
 )
-from .closure import (
-    ClosureVirtualMachine,
-    _finish_budget,
-    _FunctionCompiler,
-)
-from .machine import HeapArray, HeapObject, VirtualMachine, _is_ref
+from .machine import _HANDLERS, HeapArray, HeapObject, VirtualMachine, _is_ref
 from .opspec import OPCODE_SPECS
-from ..ir.ops import EvaluationTrap
+
+_MASK = "18446744073709551615"
+_SIGN = "9223372036854775808"
+_TWO64 = "18446744073709551616"
+_INT_MIN = "-9223372036854775808"
+_INT_MAX = "9223372036854775807"
 
 #: Python stack frames kept in reserve when deciding whether a run can
 #: execute natively: interpreter entry frames, the trap/return path,
@@ -130,8 +166,7 @@ MEGAUNIT_NAMESPACE = frozenset(
 #: only a counted module may reference it
 COUNTS_NAME = "_counts"
 
-#: the only builtins generated code is allowed to reach (same set as
-#: the closure engine — the instruction bodies are shared)
+#: the only builtins generated code is allowed to reach
 MEGAUNIT_BUILTINS = frozenset(("abs", "len", "dict"))
 
 
@@ -176,19 +211,45 @@ def finish_live_ins(fn: BytecodeFunction, pc: int) -> tuple[int, ...]:
     return tuple(live)
 
 
-def _finish_live(vm, fn, steps, cycles, pc, *live) -> None:
-    """Cold path of a megaunit budget guard: rebuild the register file
-    the segment replay reads (the template plus ``live``, in
-    :func:`finish_live_ins` order) and replay; always raises."""
+def _finish_budget(vm, fn, steps, cycles, pc, *live) -> None:
+    """Cold path of a budget guard: this segment's steps cannot all fit.
+
+    Rebuilds the register file the segment replay reads (the template
+    plus ``live``, in :func:`finish_live_ins` order) and replays from
+    the segment's first pc through the ``vm`` loop's handler table with
+    its exact accounting.  The guard only fires when exhaustion is
+    guaranteed within the segment, so this always raises —
+    :class:`BudgetExceeded` at the precise instruction the ``vm`` loop
+    would stop at, or an :class:`EvaluationTrap` if an earlier
+    instruction traps first, flushed identically.
+    """
     regs = fn.template[:]
     for reg, value in zip(finish_live_ins(fn, pc), live):
         regs[reg] = value
-    _finish_budget(vm, fn, regs, (steps, cycles), pc)
+    state = vm.state
+    code = fn.code
+    max_steps = vm.max_steps
+    metered = vm.metered
+    while True:
+        ins = code[pc]
+        steps += 1
+        if steps > max_steps:
+            state.steps = steps
+            state.cycles = cycles
+            raise BudgetExceeded(f"exceeded {max_steps} interpreter steps")
+        try:
+            pc = _HANDLERS[ins[0]](vm, ins, regs, pc)
+        except EvaluationTrap:
+            state.steps = steps
+            state.cycles = cycles
+            raise
+        if metered:
+            cycles += ins[1]
 
 
 class MegaunitUnsupported(Exception):
     """This program cannot be megaunit-compiled (e.g. a function with
-    no block spans); the engine falls back to the closure engine."""
+    no block spans); the engine falls back to the ``vm`` loop."""
 
 
 def stack_headroom_ok(call_depth: int, max_call_depth: int) -> bool:
@@ -209,13 +270,8 @@ def stack_headroom_ok(call_depth: int, max_call_depth: int) -> bool:
 # ----------------------------------------------------------------------
 # Source generation
 # ----------------------------------------------------------------------
-class _MegaFunctionCompiler(_FunctionCompiler):
-    """Generates one ``_mu<N>`` function of the whole-program module.
-
-    Inherits every instruction body, the segment accounting and the
-    trap-flush discipline from the closure compiler; overrides how
-    registers are named (locals), how edges transfer control (label
-    assignment + ``continue``) and how calls dispatch (direct)."""
+class _FunctionCompiler:
+    """Generates one ``_mu<N>`` function of the whole-program module."""
 
     #: inline chains longer than this fall back to label dispatch so
     #: generated nesting stays far from CPython's indentation limit
@@ -231,21 +287,213 @@ class _MegaFunctionCompiler(_FunctionCompiler):
         entries: dict[int, str],
         sites: Optional[list] = None,
     ) -> None:
-        super().__init__(fn, metered, max_steps, max_call_depth)
+        self.fn = fn
+        self.metered = metered
+        self.max_steps = max_steps
+        self.max_call_depth = max_call_depth
         self.index = index
         self.entries = entries
         #: the counted module's counter sites, shared by every function
         #: of the unit (``None``: an uncounted module)
         self.sites = sites
+        self.lines: list[str] = []
+        self.lo = fn.const_base
+        self.hi = fn.const_base + fn.const_count
         self._inline: set[int] = set()
         self._spans: dict[int, int] = {}
 
-    # -- the overridden naming hooks ------------------------------------
+    # -- helpers ---------------------------------------------------------
+    def emit(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
     def reg(self, reg: int) -> str:
+        """How generated code names register ``reg``: a Python local."""
         return f"r{reg}"
 
-    def fn_ref(self) -> str:
-        return f"_fn{self.index}"
+    def operand(self, reg: int) -> str:
+        """A register read — interned constants inline as literals."""
+        if self.lo <= reg < self.hi:
+            value = self.fn.template[reg]
+            if value is None or type(value) in (int, bool):
+                return repr(value)
+        return self.reg(reg)
+
+    def flush(self, indent: int, k: int, ck) -> None:
+        """Partial meter flush preceding a trap raise.
+
+        ``k`` instructions of the current segment (including the
+        trapping one) count as steps; ``ck`` is the left-to-right
+        partial cycle sum of the instructions *before* it.
+        """
+        self.emit(indent, f"state.steps = s + {k}")
+        if self.metered:
+            if ck:
+                self.emit(indent, f"state.cycles = c + {ck!r}")
+            else:
+                self.emit(indent, "state.cycles = c")
+
+    def wrap64(self, indent: int, dest: int, expr: str) -> None:
+        self.emit(indent, f"v = ({expr}) & {_MASK}")
+        self.emit(
+            indent, f"{self.reg(dest)} = v - {_TWO64} if v & {_SIGN} else v"
+        )
+
+    def guarded64(self, indent: int, dest: int, expr: str) -> None:
+        # add/sub/mul: skip the mask while the result is in range
+        # (identical values — masking an in-range int is the identity).
+        self.emit(indent, f"v = {expr}")
+        self.emit(indent, f"if {_INT_MIN} <= v <= {_INT_MAX}:")
+        self.emit(indent + 1, f"{self.reg(dest)} = v")
+        self.emit(indent, "else:")
+        self.emit(indent + 1, f"v &= {_MASK}")
+        self.emit(
+            indent + 1,
+            f"{self.reg(dest)} = v - {_TWO64} if v & {_SIGN} else v",
+        )
+
+    # -- per-instruction codegen ----------------------------------------
+    def gen_ins(self, indent: int, ins: tuple, k: int, ck) -> None:
+        """One non-call, non-terminator instruction.
+
+        ``k``/``ck`` position it inside its segment for trap flushes.
+        """
+        op, dest = ins[0], ins[3]
+        emit, flush = self.emit, self.flush
+        if op in (OP_ADD, OP_SUB, OP_MUL):
+            sym = {OP_ADD: "+", OP_SUB: "-", OP_MUL: "*"}[op]
+            self.guarded64(
+                indent, dest,
+                f"{self.operand(ins[4])} {sym} {self.operand(ins[5])}",
+            )
+        elif op in (OP_AND, OP_OR, OP_XOR):
+            sym = {OP_AND: "&", OP_OR: "|", OP_XOR: "^"}[op]
+            self.wrap64(
+                indent, dest,
+                f"{self.operand(ins[4])} {sym} {self.operand(ins[5])}",
+            )
+        elif op == OP_SHL:
+            self.wrap64(
+                indent, dest,
+                f"{self.operand(ins[4])} << ({self.operand(ins[5])} & 63)",
+            )
+        elif op == OP_SHR:
+            self.wrap64(
+                indent, dest,
+                f"{self.operand(ins[4])} >> ({self.operand(ins[5])} & 63)",
+            )
+        elif op == OP_USHR:
+            self.wrap64(
+                indent, dest,
+                f"({self.operand(ins[4])} & {_MASK})"
+                f" >> ({self.operand(ins[5])} & 63)",
+            )
+        elif op in (OP_DIV, OP_MOD):
+            emit(indent, f"b = {self.operand(ins[5])}")
+            emit(indent, "if b == 0:")
+            flush(indent + 1, k, ck)
+            word = "division" if op == OP_DIV else "modulo"
+            emit(indent + 1, f"raise EvaluationTrap('{word} by zero')")
+            emit(indent, f"a = {self.operand(ins[4])}")
+            if op == OP_DIV:
+                emit(indent, "v = abs(a) // abs(b)")
+                emit(indent, "if (a >= 0) != (b >= 0):")
+                emit(indent + 1, "v = -v")
+            else:
+                emit(indent, "v = abs(a) % abs(b)")
+                emit(indent, "if a < 0:")
+                emit(indent + 1, "v = -v")
+            emit(indent, f"v &= {_MASK}")
+            emit(indent, f"{self.reg(dest)} = v - {_TWO64} if v & {_SIGN} else v")
+        elif op in (OP_EQ, OP_NE):
+            emit(indent, f"a = {self.operand(ins[4])}")
+            emit(indent, f"b = {self.operand(ins[5])}")
+            test = "a is b if _is_ref(a) or _is_ref(b) else a == b"
+            if op == OP_NE:
+                test = f"not ({test})"
+            emit(indent, f"{self.reg(dest)} = {test}")
+        elif op in (OP_LT, OP_LE, OP_GT, OP_GE):
+            sym = {OP_LT: "<", OP_LE: "<=", OP_GT: ">", OP_GE: ">="}[op]
+            emit(
+                indent,
+                f"{self.reg(dest)} = {self.operand(ins[4])} {sym}"
+                f" {self.operand(ins[5])}",
+            )
+        elif op == OP_NOT:
+            emit(indent, f"{self.reg(dest)} = not {self.operand(ins[4])}")
+        elif op == OP_NEG:
+            self.guarded64(indent, dest, f"-{self.operand(ins[4])}")
+        elif op == OP_NEW:
+            emit(
+                indent,
+                f"{self.reg(dest)} = HeapObject({ins[4]!r}, dict({ins[5]!r}))",
+            )
+        elif op == OP_LOAD_FIELD:
+            emit(indent, f"o = {self.operand(ins[4])}")
+            emit(indent, "if o is None:")
+            flush(indent + 1, k, ck)
+            emit(
+                indent + 1,
+                f"raise EvaluationTrap('null dereference reading"
+                f" .{ins[5]}')",
+            )
+            emit(indent, f"{self.reg(dest)} = o.fields[{ins[5]!r}]")
+        elif op == OP_STORE_FIELD:
+            emit(indent, f"o = {self.operand(ins[4])}")
+            emit(indent, "if o is None:")
+            flush(indent + 1, k, ck)
+            emit(
+                indent + 1,
+                f"raise EvaluationTrap('null dereference writing"
+                f" .{ins[5]}')",
+            )
+            emit(indent, f"o.fields[{ins[5]!r}] = {self.operand(ins[6])}")
+            emit(indent, f"{self.reg(dest)} = None")
+        elif op == OP_LOAD_GLOBAL:
+            emit(indent, f"{self.reg(dest)} = state.globals[{ins[4]!r}]")
+        elif op == OP_STORE_GLOBAL:
+            emit(
+                indent,
+                f"state.globals[{ins[4]!r}] = {self.operand(ins[5])}",
+            )
+            emit(indent, f"{self.reg(dest)} = None")
+        elif op == OP_NEW_ARRAY:
+            emit(indent, f"n = {self.operand(ins[4])}")
+            emit(indent, "if n < 0:")
+            flush(indent + 1, k, ck)
+            emit(
+                indent + 1,
+                'raise EvaluationTrap(f"negative array length {n}")',
+            )
+            emit(indent, f"{self.reg(dest)} = HeapArray([{ins[5]!r}] * n)")
+        elif op in (OP_ARRAY_LOAD, OP_ARRAY_STORE):
+            emit(indent, f"a = {self.operand(ins[4])}")
+            emit(indent, "if a is None:")
+            flush(indent + 1, k, ck)
+            emit(indent + 1, "raise EvaluationTrap('null array access')")
+            emit(indent, f"i = {self.operand(ins[5])}")
+            emit(indent, "vs = a.values")
+            emit(indent, "if not 0 <= i < len(vs):")
+            flush(indent + 1, k, ck)
+            emit(
+                indent + 1,
+                'raise EvaluationTrap(f"array index {i} out of bounds")',
+            )
+            if op == OP_ARRAY_LOAD:
+                emit(indent, f"{self.reg(dest)} = vs[i]")
+            else:
+                emit(indent, f"vs[i] = {self.operand(ins[6])}")
+                emit(indent, f"{self.reg(dest)} = None")
+        elif op == OP_ARRAY_LENGTH:
+            emit(indent, f"a = {self.operand(ins[4])}")
+            emit(indent, "if a is None:")
+            flush(indent + 1, k, ck)
+            emit(
+                indent + 1,
+                "raise EvaluationTrap('null dereference in len()')",
+            )
+            emit(indent, f"{self.reg(dest)} = len(a.values)")
+        else:  # pragma: no cover - translate emits no other opcodes
+            raise AssertionError(f"cannot compile opcode {op}")
 
     # -- meter locals -----------------------------------------------------
     # Steps and cycles live in the locals ``s``/``c`` (no ``m[0]`` /
@@ -254,6 +502,7 @@ class _MegaFunctionCompiler(_FunctionCompiler):
     # them: call sites, returns and trap raises.  ``_finish`` takes
     # them as arguments.
     def meter_guard(self, indent: int, w: int, pc: int) -> None:
+        """Segment-entry budget guard routing to the ``_finish`` replay."""
         self.emit(indent, f"if s + {w} > {self.max_steps}:")
         self.gen_finish(indent + 1, pc)
 
@@ -263,20 +512,13 @@ class _MegaFunctionCompiler(_FunctionCompiler):
         live = "".join(
             f", {self.reg(k)}" for k in finish_live_ins(self.fn, pc)
         )
-        self.emit(indent, f"_finish(vm, {self.fn_ref()}, s, c, {pc}{live})")
+        self.emit(indent, f"_finish(vm, _fn{self.index}, s, c, {pc}{live})")
 
     def meter_charge(self, indent: int, w: int, acc) -> None:
+        """Segment-exit meter charge: ``w`` steps, ``acc`` cycles."""
         self.emit(indent, f"s += {w}")
         if self.metered and acc:
             self.emit(indent, f"c += {acc!r}")
-
-    def flush(self, indent: int, k: int, ck) -> None:
-        self.emit(indent, f"state.steps = s + {k}")
-        if self.metered:
-            if ck:
-                self.emit(indent, f"state.cycles = c + {ck!r}")
-            else:
-                self.emit(indent, "state.cycles = c")
 
     # -- profile counters -------------------------------------------------
     # A counted module bumps one counter per frame entry and per CFG
@@ -347,19 +589,41 @@ class _MegaFunctionCompiler(_FunctionCompiler):
             self.emit(indent, "continue")
 
     def gen_terminator(self, indent: int, ins: tuple) -> None:
-        if ins[0] == OP_RETURN:
+        op = ins[0]
+        if op == OP_RETURN:
             value = self.operand(ins[4]) if ins[4] >= 0 else "None"
             self.emit(indent, "m[0] = s")
             self.emit(indent, "m[1] = c")
             self.emit(indent, f"return {value}")
-        elif ins[0] == OP_IF:
-            # The closure compiler's lowering, plus the branch each
-            # edge's counter stands for (slot 0 taken, 1 not taken).
+        elif op == OP_GOTO:
+            self.gen_edge(indent, ins[4])
+        elif op == OP_IF:
+            # Each edge's counter stands for one branch direction
+            # (slot 0 taken, 1 not taken).
             self.emit(indent, f"if {self.operand(ins[4])}:")
             self.gen_edge(indent + 1, ins[5], ins[2], 0)
             self.gen_edge(indent, ins[6], ins[2], 1)
-        else:
-            super().gen_terminator(indent, ins)
+        else:  # pragma: no cover
+            raise AssertionError(f"unknown terminator opcode {op}")
+
+    def gen_segment(self, indent: int, start: int, end: int) -> None:
+        """A maximal call-free run; the last pc may be the terminator."""
+        code = self.fn.code
+        w = end - start
+        self.meter_guard(indent, w, start)
+        has_term = code[end - 1][0] in (OP_GOTO, OP_IF, OP_RETURN)
+        body_end = end - 1 if has_term else end
+        acc = 0  # left-to-right partial cycle sum, exact for int costs
+        k = 0
+        for pc in range(start, body_end):
+            self.gen_ins(indent, code[pc], k + 1, acc)
+            acc = acc + code[pc][1]
+            k += 1
+        if has_term:
+            acc = acc + code[end - 1][1]
+        self.meter_charge(indent, w, acc)
+        if has_term:
+            self.gen_terminator(indent, code[end - 1])
 
     # -- direct call lowering -------------------------------------------
     def gen_call(self, indent: int, ins: tuple, pc: int) -> None:
@@ -412,8 +676,7 @@ class _MegaFunctionCompiler(_FunctionCompiler):
                 self.emit(1, f"{targets} = {literal}")
 
     def gen_body(self, indent: int, start: int, count: int) -> None:
-        """One block's body: maximal call-free segments + call sites
-        (the closure compiler's ``gen_block`` without the ``def``)."""
+        """One block's body: maximal call-free segments + call sites."""
         code = self.fn.code
         pc = start
         end = start + count
@@ -510,7 +773,7 @@ def _unit_source(
     module and receives one ``(block, branch, slot)`` per counter."""
     entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
     return "\n".join(
-        _MegaFunctionCompiler(
+        _FunctionCompiler(
             fn, metered, max_steps, max_call_depth, i, entries, sites
         ).source()
         for i, fn in enumerate(order)
@@ -534,6 +797,20 @@ def generate_module_source(
         unit_functions(bytecode, roots), metered, max_steps, max_call_depth,
         [] if counted else None,
     )
+
+
+def function_source(
+    bytecode: BytecodeProgram, name: str, metered: bool = True
+) -> str:
+    """The ``_mu<N>`` function :func:`generate_module_source` emits for
+    ``name`` (whole program, default limits), alone — the per-function
+    codegen lint works on this."""
+    order = list(bytecode.functions.values())
+    entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
+    fn = bytecode.functions[name]
+    return _FunctionCompiler(
+        fn, metered, 50_000_000, 200, order.index(fn), entries
+    ).source()
 
 
 class MegaunitModule:
@@ -589,7 +866,7 @@ def _exec_module(
         "HeapObject": HeapObject,
         "HeapArray": HeapArray,
         "_is_ref": _is_ref,
-        "_finish": _finish_live,
+        "_finish": _finish_budget,
     }
     counts = None
     if sites is not None:
@@ -634,10 +911,8 @@ def compile_module(
     if codegen_cache is not None:
         from .codegen_cache import codegen_key, load_source, store_source
 
-        key = codegen_key(
-            "megaunit", order, metered, max_steps, max_call_depth
-        )
-        payload = load_source(codegen_cache, key, "megaunit")
+        key = codegen_key(order, metered, max_steps, max_call_depth)
+        payload = load_source(codegen_cache, key)
         if (
             payload is not None
             and payload.get("functions") == [fn.name for fn in order]
@@ -653,11 +928,7 @@ def compile_module(
     if codegen_cache is not None:
         store_source(
             codegen_cache, key,
-            {
-                "engine": "megaunit",
-                "functions": module.order,
-                "source": source,
-            },
+            {"functions": module.order, "source": source},
         )
     return module
 
@@ -665,7 +936,7 @@ def compile_module(
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-class MegaunitVirtualMachine(ClosureVirtualMachine):
+class MegaunitVirtualMachine(VirtualMachine):
     """A :class:`VirtualMachine` whose runs execute one exec unit: the
     run's entry function and everything it can call.  Drop-in: same
     constructor, ``run``/``reset``/``state`` API and observable
@@ -676,8 +947,13 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
     counted module and folds its counts into the collector whenever a
     run leaves it (return, trap or budget stop).  Insufficient
     recursion headroom or missing block spans fall back to the
-    inherited closure engine — the hooked machine loop when profiling
-    (a ``vm.fallback`` event records why)."""
+    inherited ``vm`` loop (a ``vm.fallback`` event records why), and
+    so do observed runs.
+
+    ``codegen_cache`` (an :class:`~repro.pipeline.cache.ArtifactCache`
+    or anything with its aux-store API) persists the generated text:
+    warm runs re-``exec`` the cached source instead of regenerating it
+    (see :mod:`repro.vm.codegen_cache` for the key discipline)."""
 
     def __init__(
         self,
@@ -685,7 +961,8 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
         codegen_cache: Optional[Any] = None,
         **kwargs: Any,
     ) -> None:
-        super().__init__(bytecode, codegen_cache=codegen_cache, **kwargs)
+        super().__init__(bytecode, **kwargs)
+        self.codegen_cache = codegen_cache
         self._mu_module: Optional[MegaunitModule] = None
         self._mu_key: Optional[tuple] = None
         #: the entry of the current run (``None`` outside ``run``: the
@@ -719,12 +996,8 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
         if self._call_depth > 1 or reason in self.fallbacks:
             return
         self.fallbacks.add(reason)
-        # A profiled frame the closure engine declines runs on the
-        # hooked machine loop.
         current_tracer().event(
-            "vm.fallback", engine="megaunit",
-            fallback="closure" if self.profile is None else "vm",
-            reason=reason,
+            "vm.fallback", engine="megaunit", fallback="vm", reason=reason
         )
         registry = current_registry()
         if registry.enabled:
@@ -735,18 +1008,18 @@ class MegaunitVirtualMachine(ClosureVirtualMachine):
     def _run_frame(self, fn: BytecodeFunction, args: list) -> Any:
         if self.observer is not None:
             # Observed runs: identical hook semantics to the base machine.
-            return VirtualMachine._run_frame(self, fn, args)
+            return super()._run_frame(fn, args)
         module = self._module()
         if module is None:
             self._note_fallback("no-block-spans")
-            return ClosureVirtualMachine._run_frame(self, fn, args)
+            return super()._run_frame(fn, args)
         entry = module.entries.get(fn.name)
         if entry is None:  # pragma: no cover - run() resolves names first
             self._note_fallback("unknown-function")
-            return ClosureVirtualMachine._run_frame(self, fn, args)
+            return super()._run_frame(fn, args)
         if not self._stack_headroom_ok():
             self._note_fallback("recursion-headroom")
-            return ClosureVirtualMachine._run_frame(self, fn, args)
+            return super()._run_frame(fn, args)
         state = self.state
         m = [state.steps, state.cycles]
         # Raising paths (traps, budget stops, the callee depth guard)
@@ -772,6 +1045,7 @@ __all__ = [
     "MegaunitVirtualMachine",
     "compile_module",
     "finish_live_ins",
+    "function_source",
     "generate_module_source",
     "stack_headroom_ok",
     "unit_functions",

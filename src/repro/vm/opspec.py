@@ -1,46 +1,21 @@
-"""Machine-readable instruction specifications for the full opcode space.
+"""Machine-readable instruction specifications for the 32 base opcodes.
 
-The flat-tuple encoding (:mod:`repro.vm.bytecode`) and the extended
-fused/quickened opcode space (:mod:`repro.vm.fusion`,
-:mod:`repro.vm.quicken`) document their tuple layouts in prose; the
-static bytecode verifier (:mod:`repro.analysis.bcverify`) needs them as
-data.  Every opcode — the 32 base opcodes plus every extended opcode
-appended through :func:`~repro.vm.machine.register_xop` — registers an
-:class:`OpSpec` here describing its tuple *shape*: the operand
-signature or family, the step weight its fast-stream tuple must carry,
-whether it terminates a basic block, and (for fused/quickened forms)
-the base opcodes it was derived from.
-
-Registration happens next to handler registration, in the same
-pickle-stable order — fusion's opcodes first, then quickening's, since
-:mod:`repro.vm.quicken` imports :mod:`repro.vm.fusion` before it
-registers — so ``OPCODE_SPECS`` always covers exactly
-``range(len(XHANDLERS))``, whichever module a process imported first;
-the opcode-space exhaustiveness test asserts this.
-
-Families and their fast-stream tuple layouts (``h`` = the tuple of
-unfused prefix halves at slot ``-2``, ``w`` = step weight at ``-1``):
+The flat-tuple encoding (:mod:`repro.vm.bytecode`) documents its tuple
+layouts in prose; the static bytecode verifier
+(:mod:`repro.analysis.bcverify`) and megaunit's budget-exit live-in
+analysis need them as data.  Every opcode has an :class:`OpSpec`
+describing its tuple *shape*: the family, the operand signature and
+whether it terminates a basic block.
 
 ======================  ====================================================
 family                  layout
 ======================  ====================================================
-``base``                ``(op, cost, node, dest, *operands[, w])`` — the
+``base``                ``(op, cost, node, dest, *operands)`` — the
                         operand kinds are in :attr:`OpSpec.sig`
-``call``                ``(op, cost, node, dest, callee, argregs[, w])``
-``goto``                ``(op, cost, node, -1, edge[, w])``
-``if``                  ``(op, cost, node, -1, rcond, tedge, fedge[, w])``
-``return``              ``(op, cost, node, -1, rval_or_-1[, w])``
-``fused-if``            ``(op, cost, node, dest, rx, ry, tedge, fedge, h, 2)``
-``fused-pair``          ``(op, cost, node, dA, xA, yA, dB, xB, yB, h, 2)``
-``fused-goto``          ``(op, cost, node, dA, xA, yA, edge, h, 2)``
-``fused-triple``        ``(op, cost, node, dA, xA, yA, dB, xB, yB,
-                        dC, xC, yC, h, 3)``
-``fused2``              ``(op, cost, node, -1, tupleA, tupleB, h, 2)``
-                        (the embedded second half may itself be a
-                        terminator — decoding recurses)
-``fused2-goto``         ``(op, cost, node, -1, tupleA, edge, h, 2)``
-``quick-const``         ``(op, cost, node, dest, rx, const_value, 1)``
-``quick-guard``         ``(op, cost, node, dest, rx, ry, xcode, generic, 1)``
+``call``                ``(op, cost, node, dest, callee, argregs)``
+``goto``                ``(op, cost, node, -1, edge)``
+``if``                  ``(op, cost, node, -1, rcond, tedge, fedge)``
+``return``              ``(op, cost, node, -1, rval_or_-1)``
 ======================  ====================================================
 
 ``sig`` characters (``base`` family, operands from slot 4): ``r`` a
@@ -49,7 +24,7 @@ register read, ``k`` a non-register literal operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bytecode import (
     OP_ADD,
@@ -72,13 +47,8 @@ from .bytecode import (
     OPCODE_NAMES,
 )
 
-#: families whose opcodes may appear in the plain ``fn.code`` stream
-BASE_FAMILIES = frozenset(("base", "call", "goto", "if", "return"))
-
-#: families that end a basic block unconditionally ("fused2" is
-#: *dynamic*: it terminates iff its embedded second half does)
-TERMINATOR_FAMILIES = frozenset(("goto", "if", "return", "fused-if",
-                                 "fused-goto", "fused2-goto"))
+#: families that end a basic block
+TERMINATOR_FAMILIES = frozenset(("goto", "if", "return"))
 
 
 @dataclass(frozen=True)
@@ -89,61 +59,28 @@ class OpSpec:
     family: str
     #: operand signature after the dest slot (``base`` family only)
     sig: str = ""
-    #: required trailing step weight in the fast stream
-    weight: int = 1
-    #: constituent base opcodes: the exact unfused sequence for fused
-    #: forms, the generic origin opcode(s) for quickened forms
-    origin: tuple = ()
 
     @property
     def terminator(self) -> bool:
         return self.family in TERMINATOR_FAMILIES
 
     def code_length(self) -> int:
-        """Expected tuple length in the plain ``fn.code`` stream."""
+        """Expected tuple length in the ``fn.code`` stream."""
         if self.family == "base":
             return 4 + len(self.sig)
         return {"call": 6, "goto": 5, "if": 7, "return": 5}[self.family]
 
-    def xcode_length(self) -> int:
-        """Expected tuple length in the fused ``fn.xcode`` stream."""
-        if self.family in BASE_FAMILIES:
-            return self.code_length() + 1  # plain tuple + step weight
-        return {
-            "fused-if": 10,
-            "fused-pair": 11,
-            "fused-goto": 9,
-            "fused-triple": 14,
-            "fused2": 8,
-            "fused2-goto": 8,
-            "quick-const": 7,
-            "quick-guard": 9,
-        }[self.family]
 
-
-#: opcode -> spec; covers every entry of ``machine.XHANDLERS``, since
-#: each extended handler registers its spec right after it (the
-#: exhaustiveness test asserts the two tables never drift apart)
+#: opcode -> spec for every opcode of the handler table
 OPCODE_SPECS: dict[int, OpSpec] = {}
 
 
-def register_opspec(opcode: int, spec: OpSpec) -> int:
-    """Record ``spec`` for ``opcode``; rejects double registration."""
-    if opcode in OPCODE_SPECS:
-        raise ValueError(
-            f"opcode {opcode} already registered as "
-            f"{OPCODE_SPECS[opcode].name!r}"
-        )
-    OPCODE_SPECS[opcode] = spec
-    return opcode
-
-
 def _base(opcode: int, family: str = "base", sig: str = "rr") -> None:
-    register_opspec(opcode, OpSpec(OPCODE_NAMES[opcode], family, sig=sig))
+    OPCODE_SPECS[opcode] = OpSpec(OPCODE_NAMES[opcode], family, sig=sig)
 
 
-# The 32 base opcodes.  Binary arithmetic and compares all read two
-# registers; the rest are spelled out per layout in bytecode.py.
+# Binary arithmetic and compares all read two registers; the rest are
+# spelled out per layout in bytecode.py.
 for _op in range(OP_ADD, OP_GE + 1):
     _base(_op)
 _base(OP_NOT, sig="r")
@@ -164,10 +101,4 @@ _base(OP_RETURN, family="return", sig="")
 del _op
 
 
-__all__ = [
-    "BASE_FAMILIES",
-    "OPCODE_SPECS",
-    "OpSpec",
-    "TERMINATOR_FAMILIES",
-    "register_opspec",
-]
+__all__ = ["OPCODE_SPECS", "OpSpec", "TERMINATOR_FAMILIES"]

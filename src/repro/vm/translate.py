@@ -310,8 +310,6 @@ def translate_program(
     program: Program,
     cycle_cost: Callable = cycles_of,
     terminator_cost: Callable = cycles_of,
-    fuse: bool = True,
-    vmprofile=None,
     check_bc: str = "off",
 ) -> BytecodeProgram:
     """Translate a whole program into executable bytecode.
@@ -320,18 +318,10 @@ def translate_program(
     report the same cycle totals as the metered reference interpreter;
     pass custom functions to bake a different model.
 
-    ``fuse=True`` (default) also builds each function's fused fast
-    stream (:mod:`repro.vm.fusion`), mining hot pairs from
-    ``vmprofile`` when given and from static block frequencies
-    otherwise — cached artifacts therefore carry superinstructions.
-    ``fuse=False`` yields the plain flat-tuple stream only.
-
     ``check_bc="rewrite"`` runs the static bytecode verifier
-    (:mod:`repro.analysis.bcverify`) on the freshly built streams —
-    including a quickened clone of every fused function, so both rewrite
-    passes are covered — and raises
-    :class:`~repro.analysis.bcverify.BytecodeVerificationError` on any
-    violation.  The retranslation-equivalence layer is skipped (it
+    (:mod:`repro.analysis.bcverify`) on the freshly built streams and
+    raises :class:`~repro.analysis.bcverify.BytecodeVerificationError`
+    on any violation.  The retranslation-equivalence layer is skipped (it
     would compare the result with itself); ``"load"`` and ``"off"``
     are no-ops here, load-time checking lives in the artifact cache.
     """
@@ -345,19 +335,13 @@ def translate_program(
         (name, ty.default_value()) for name, ty in program.globals.items()
     )
     bytecode = BytecodeProgram(functions, globals_init)
-    if fuse:
-        from .fusion import fuse_program
-
-        fuse_program(program, bytecode, vmprofile=vmprofile)
     if check_bc == "rewrite":
         from ..analysis.bcverify import (
             BytecodeVerificationError,
             verify_bytecode,
         )
 
-        report = verify_bytecode(
-            bytecode, retranslate=False, lint=True, quicken=fuse
-        )
+        report = verify_bytecode(bytecode, retranslate=False, lint=True)
         if not report.ok:
             raise BytecodeVerificationError(report)
     return bytecode

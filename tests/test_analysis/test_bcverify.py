@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.bcverify import (
     BytecodeVerificationError,
-    lint_closure_source,
+    lint_megaunit_function,
     lint_megaunit_source,
     run_bc_checkers,
     verify_artifact,
@@ -17,7 +17,7 @@ from repro.analysis.bcverify import (
 from repro.analysis.bcverify.lint import BANNED_NAMES, _lint_names
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import CONFIGURATIONS
-from repro.vm.bytecode import OP_ADD, OP_CALL, OP_RETURN
+from repro.vm.bytecode import OP_ADD, OP_CALL, OP_RETURN, BytecodeFunction
 from repro.vm.megaunit import finish_live_ins, generate_module_source
 from repro.vm.translate import translate_program
 
@@ -63,10 +63,10 @@ def _replace(fn, pc, ins):
 # Clean programs verify clean
 # ----------------------------------------------------------------------
 def test_clean_program_verifies(compiled, bytecode):
-    report = verify_bytecode(bytecode, compiled, quicken=True)
+    report = verify_bytecode(bytecode, compiled)
     assert report.ok, report.format()
-    # one plain report and one quickened-clone report per function
-    assert len(report.reports) == 2 * len(bytecode.functions)
+    # one report per function
+    assert len(report.reports) == len(bytecode.functions)
 
 
 def test_verify_artifact_profile(compiled, bytecode):
@@ -130,65 +130,6 @@ def test_structure_rejects_foreign_call_target(bytecode):
     )
 
 
-def test_structure_rejects_bad_weight(bytecode):
-    fn = bytecode.function("main")
-    ins = fn.xcode[0]
-    fn.xcode[0] = ins[:-1] + (ins[-1] + 1,)
-    report = run_bc_checkers(fn, bytecode)
-    assert any(v.checker == "bc-structure" for v in report.errors())
-
-
-# ----------------------------------------------------------------------
-# bc-accounting / bc-xcode-equivalence
-# ----------------------------------------------------------------------
-def _fused_site(fn):
-    pc = 0
-    while pc < len(fn.xcode):
-        ins = fn.xcode[pc]
-        if ins[-1] >= 2:
-            return pc, ins
-        pc += ins[-1]
-    pytest.skip("no fused site in this function")
-
-
-def test_accounting_rejects_cost_drift(bytecode):
-    fn = bytecode.function("main")
-    pc, ins = _fused_site(fn)
-    fn.xcode[pc] = ins[:1] + (ins[1] + 1,) + ins[2:]
-    report = run_bc_checkers(fn, bytecode)
-    assert any(v.checker == "bc-accounting" for v in report.errors())
-
-
-def test_accounting_rejects_dropped_halves(bytecode):
-    fn = bytecode.function("main")
-    pc, ins = _fused_site(fn)
-    fn.xcode[pc] = ins[:-2] + ((), ins[-1])
-    report = run_bc_checkers(fn, bytecode)
-    assert not report.ok
-
-
-def test_equivalence_rejects_padding_tamper(bytecode):
-    fn = bytecode.function("main")
-    pc, ins = _fused_site(fn)
-    # the slot after a weight-2 superinstruction is unreachable padding
-    pad = fn.xcode[pc + 1]
-    fn.xcode[pc + 1] = pad[:1] + (pad[1] + 5,) + pad[2:]
-    report = run_bc_checkers(fn, bytecode)
-    assert any(
-        v.checker == "bc-xcode-equivalence" for v in report.errors()
-    )
-
-
-def test_equivalence_rejects_code_xcode_divergence(bytecode):
-    fn = bytecode.function("main")
-    pc = next(i for i, ins in enumerate(fn.code) if ins[0] == OP_ADD)
-    ins = fn.code[pc]
-    # change the code stream only: the fast stream no longer decompiles
-    _replace(fn, pc, ins[:1] + (ins[1] + 2,) + ins[2:])
-    report = run_bc_checkers(fn, bytecode)
-    assert not report.ok
-
-
 # ----------------------------------------------------------------------
 # bc-retranslate (orchestrator-level)
 # ----------------------------------------------------------------------
@@ -237,20 +178,20 @@ def test_defuse_rejects_read_before_write(bytecode):
 # bc-codegen-lint
 # ----------------------------------------------------------------------
 def test_lint_accepts_generated_source(bytecode):
-    for fn in bytecode.functions.values():
-        assert lint_closure_source(fn) == []
+    for name in bytecode.functions:
+        assert lint_megaunit_function(bytecode, name) == []
 
 
 def test_lint_flags_banned_names():
     assert "eval" in BANNED_NAMES and "exec" in BANNED_NAMES
-    tree = ast.parse("def _blk_0(vm, r, m, state):\n    eval('1')\n")
+    tree = ast.parse("def _mu0(vm, m, r0, d):\n    eval('1')\n")
     messages: list[str] = []
     _lint_names(tree.body[0], messages)
     assert any("banned name 'eval'" in m for m in messages)
 
 
 def test_lint_flags_unknown_globals():
-    tree = ast.parse("def _blk_0(vm, r, m, state):\n    r[0] = os\n")
+    tree = ast.parse("def _mu0(vm, m, r0, d):\n    r0 = os\n")
     messages: list[str] = []
     _lint_names(tree.body[0], messages)
     assert any("unexpected global 'os'" in m for m in messages)
@@ -262,31 +203,32 @@ def test_lint_catches_block_table_tamper(bytecode):
     # accounting) no longer agrees with the block spans
     start, count, name = fn.blocks[0]
     fn.blocks = ((start, count + 1, name),) + tuple(fn.blocks[1:])
-    assert lint_closure_source(fn) != []
+    assert lint_megaunit_function(bytecode, "main") != []
 
 
 def test_lint_catches_unbalanced_accounting():
     from repro.analysis.bcverify.lint import _lint_accounting
 
     func = ast.parse(
-        "def _blk_0(vm, r, m, state):\n"
-        "    m[0] += 2\n"
-        "    m[1] += 5\n"
+        "def _mu0(vm, m, r0, d):\n"
+        "    s += 2\n"
+        "    c += 5\n"
     ).body[0]
-    code = ((0, 7, None, 0, 1, 2),) * 3
+    fn = BytecodeFunction("f", 1)
+    fn.code = ((0, 7, None, 0, 1, 2),) * 3
     messages: list[str] = []
-    # the block claims 3 instructions costing 21 cycles; the closure
-    # only accounts for 2 steps and 5 cycles
-    _lint_accounting(func, 0, {0: 3}, code, True, messages)
+    # the function has 3 instructions costing 21 cycles; the generated
+    # source only accounts for 2 steps and 5 cycles
+    _lint_accounting(func, fn, True, messages)
     assert any("step increments sum to 2" in m for m in messages)
 
     messages = []
     steps_ok = ast.parse(
-        "def _blk_0(vm, r, m, state):\n"
-        "    m[0] += 3\n"
-        "    m[1] += 5\n"
+        "def _mu0(vm, m, r0, d):\n"
+        "    s += 3\n"
+        "    c += 5\n"
     ).body[0]
-    _lint_accounting(steps_ok, 0, {0: 3}, code, True, messages)
+    _lint_accounting(steps_ok, fn, True, messages)
     assert any("cycle increments sum to 5" in m for m in messages)
 
 
@@ -294,8 +236,8 @@ def test_lint_catches_missing_trap_flush():
     from repro.analysis.bcverify.lint import _lint_trap_flushes
 
     func = ast.parse(
-        "def _blk_0(vm, r, m, state):\n"
-        "    if r[0] == 0:\n"
+        "def _mu0(vm, m, r0, d):\n"
+        "    if r0 == 0:\n"
         "        raise EvaluationTrap('division by zero')\n"
     ).body[0]
     messages: list[str] = []
@@ -303,8 +245,8 @@ def test_lint_catches_missing_trap_flush():
     assert any("state.steps flush" in m for m in messages)
 
     flushed = ast.parse(
-        "def _blk_0(vm, r, m, state):\n"
-        "    if r[0] == 0:\n"
+        "def _mu0(vm, m, r0, d):\n"
+        "    if r0 == 0:\n"
         "        state.steps = m[0] + 1\n"
         "        raise EvaluationTrap('division by zero')\n"
     ).body[0]
@@ -409,7 +351,7 @@ def test_counted_megaunit_module_lints_clean(compiled, bytecode):
         assert lint_megaunit_source(
             bytecode, metered=metered, counted=True
         ) == []
-    report = verify_bytecode(bytecode, compiled, quicken=True)
+    report = verify_bytecode(bytecode, compiled)
     assert report.ok, report.format()
 
 
@@ -440,18 +382,17 @@ def test_checked_translate_passes_clean(compiled):
 
 
 def test_checked_translate_raises_on_violation(compiled, monkeypatch):
-    import repro.vm.fusion as fusion
+    import repro.vm.translate as translate
 
-    real = fusion.fuse_function
+    real = translate.BytecodeProgram
 
-    def sabotage(fn, plan):
-        result = real(fn, plan)
-        if fn.xcode is not None and fn.name == "main":
-            ins = fn.xcode[0]
-            fn.xcode[0] = ins[:1] + (ins[1] + 1,) + ins[2:]
-        return result
+    def sabotage(functions, globals_init):
+        fn = functions["main"]
+        ins = fn.code[0]
+        fn.code = (ins[:1] + (-1,) + ins[2:],) + fn.code[1:]
+        return real(functions, globals_init)
 
-    monkeypatch.setattr(fusion, "fuse_function", sabotage)
+    monkeypatch.setattr(translate, "BytecodeProgram", sabotage)
     with pytest.raises(BytecodeVerificationError) as excinfo:
         translate_program(compiled, check_bc="rewrite")
     assert not excinfo.value.report.ok

@@ -8,8 +8,8 @@ from repro.analysis.bcverify.corrupt import DEFAULT_CORPUS, _MUTATORS
 
 def test_campaign_rejects_every_corruption():
     """The acceptance bar: >= 200 single-point corruptions of cached
-    bytecode — opcodes, registers, costs, weights, branch targets,
-    fusion halves, templates, block tables, raw bit flips — and every
+    bytecode — opcodes, registers, costs, branch targets, swapped
+    instructions, templates, block tables, raw bit flips — and every
     single one is rejected at load (0 reach a dispatch loop)."""
     report = corruption_campaign(seed=1234, corruptions=200)
     assert report.total >= 200

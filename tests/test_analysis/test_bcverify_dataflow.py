@@ -61,7 +61,6 @@ def make_loop_fn():
         (OP_RETURN, 1, None, -1, 1),
     )
     fn.blocks = ((0, 1, "b0"), (1, 2, "b1"), (3, 3, "b2"), (6, 1, "b3"))
-    fn.xcode = None
     return fn
 
 
@@ -154,7 +153,6 @@ def test_constprop_folds_straightline():
         (OP_RETURN, 1, None, -1, 1),
     )
     fn.blocks = ((0, 3, "b0"),)
-    fn.xcode = None
     cfg = build_cfg(fn)
     result = solve(cfg, ConstProp())
     env = result.exit[0]
@@ -181,7 +179,6 @@ def test_constprop_never_folds_division_by_zero():
         (OP_RETURN, 1, None, -1, 1),
     )
     fn.blocks = ((0, 2, "b0"),)
-    fn.xcode = None
     result = solve(build_cfg(fn), ConstProp())
     assert 1 not in result.exit[0]
 
@@ -197,7 +194,6 @@ def test_constprop_matches_machine_wraparound():
         (OP_RETURN, 1, None, -1, 0),
     )
     fn.blocks = ((0, 2, "b0"),)
-    fn.xcode = None
     result = solve(build_cfg(fn), ConstProp())
     assert result.exit[0][0] == 0
 
@@ -270,9 +266,9 @@ def test_accepted_mutants_run_clean(seed):
     except Exception:
         pytest.skip("mutant does not compile (mutator bug, not ours)")
     bytecode = translate_program(program)
-    verdict = verify_bytecode(bytecode, program, quicken=True)
+    verdict = verify_bytecode(bytecode, program)
     assert verdict.ok, verdict.format()
-    for engine in ("vm", "vm-nofuse", "closure"):
+    for engine in ("vm", "megaunit"):
         runner = make_engine(engine, program, bytecode=bytecode)
         result = runner.run("main", [7])
         assert result.trapped or result.value is not None

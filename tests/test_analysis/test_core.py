@@ -37,8 +37,6 @@ def test_registry_holds_all_expected_checkers():
         "lir-allocation",
         "bc-structure",
         "bc-defuse",
-        "bc-accounting",
-        "bc-xcode-equivalence",
         "bc-codegen-lint",
         "bc-retranslate",
     ]
@@ -54,8 +52,6 @@ def test_scope_filtering():
     assert [c.name for c in all_checkers("bc")] == [
         "bc-structure",
         "bc-defuse",
-        "bc-accounting",
-        "bc-xcode-equivalence",
         "bc-codegen-lint",
         "bc-retranslate",
     ]

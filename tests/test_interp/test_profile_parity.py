@@ -71,7 +71,7 @@ def forced_profile(
     if collector is None:
         collector = ProfileCollector()
     _profile_runs(
-        translate_program(program, fuse=False), entry, arg_sets, max_steps,
+        translate_program(program), entry, arg_sets, max_steps,
         collector, switch_at,
     )
     return collector
@@ -319,7 +319,7 @@ def test_real_max_steps_below_the_switch_point_stops_on_the_vm_loop():
         lambda c: reference_profile(program, "main", [[12]], c, cap)
     )
     assert ref_stop is not None
-    switch_at = switch_point(translate_program(program, fuse=False), "main")
+    switch_at = switch_point(translate_program(program), "main")
     assert cap < switch_at
     outcome = {}
     events = profile_events(

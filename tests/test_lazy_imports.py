@@ -3,8 +3,8 @@
 The package ``__init__``s resolve their re-exports on first use, and the
 CLI imports the modules that only some verbs or flags need where they
 are used, so a ``repro run`` on the default megaunit engine never pays
-for fusion, quickening, tiering, the profiling VM, the bytecode
-verifier, the fuzzers, the backend or the batch driver.  Every public
+for the profiling VM, the bytecode verifier, the fuzzers, the backend
+or the batch driver.  Every public
 name still resolves exactly as before.
 """
 
@@ -19,9 +19,6 @@ from tests.helpers import REPO, fresh_python
 
 #: modules a megaunit ``run`` must not load (with their submodules)
 OFF_BUDGET = (
-    "repro.vm.fusion",
-    "repro.vm.quicken",
-    "repro.vm.tiering",
     "repro.vm.profiler",
     "repro.analysis.bcverify",
     "repro.analysis.validate",
@@ -80,7 +77,7 @@ def test_warm_megaunit_run_stays_within_budget(tmp_path):
 
 
 def test_uncached_megaunit_run_never_fuses():
-    # Profiling translates unfused, and make_engine fuses only for vm.
+    # Profiling, compilation and megaunit codegen stay within budget too.
     modules, _ = _loaded(*RUN)
     assert _off_budget(modules) == []
 
@@ -98,8 +95,6 @@ DATA_HOMES = {
     "CHECK_OFF": "repro.analysis.blame",
     "CONFIGURATIONS": "repro.pipeline.config",
     "CORE_CHECKERS": "repro.analysis.checkers",
-    "DEFAULT_TIER2_THRESHOLD": "repro.pipeline.config",
-    "DEFAULT_TIER_THRESHOLD": "repro.pipeline.config",
     "ENGINES": "repro.pipeline.compiler",
     "MUTATION_KINDS": "repro.analysis.progen",
     "OPCODE_SPECS": "repro.vm.opspec",

@@ -72,6 +72,23 @@ def test_key_misses_on_version_bump():
     )
 
 
+def test_schema_5_directory_is_keyed_apart(tmp_path, monkeypatch):
+    # Schema-5 entries could carry a fused fast stream: a directory
+    # filled by a schema-5 build must never serve the current one.
+    from repro.pipeline import cache as cache_module
+
+    assert cache_module.CACHE_SCHEMA_VERSION == 6
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 5)
+        old_key = cache_key(SOURCE, DBDS)
+        ArtifactCache(tmp_path).put(compiled_entry(old_key))
+    key = cache_key(SOURCE, DBDS)
+    assert key != old_key
+    cache = ArtifactCache(tmp_path)
+    assert cache.get(key) is None
+    assert cache.get(old_key) is not None  # still on disk, never consulted
+
+
 def test_key_misses_on_profile_args_and_check_mode():
     assert cache_key(SOURCE, DBDS, profile_args=[[5]]) != cache_key(
         SOURCE, DBDS, profile_args=[[7]]

@@ -1,6 +1,6 @@
 """Load-time artifact verification in the cache (satellite regression).
 
-A v3 cache entry whose fused bytecode stream was tampered with — and
+A cache entry whose bytecode stream was tampered with — and
 re-signed with a *valid* whole-payload digest — must be caught by the
 verifying cache at load, evicted with a ``cache.evict`` event, counted
 in the metrics, and transparently replaced by a recompile.  A cache
@@ -55,23 +55,16 @@ def _store(cache, program, report):
     return key
 
 
-def _tamper_fused_stream(path):
-    """Corrupt one fused superinstruction's cost inside the stored
-    artifact, then re-sign the file with a correct digest."""
+def _tamper_stream(path):
+    """Corrupt one instruction's cost inside the stored artifact, then
+    re-sign the file with a correct digest."""
     raw = path.read_bytes()
     _digest, payload = raw.split(b"\n", 1)
     payload_dict = pickle.loads(payload)
     program, bytecode = unpack_artifact(payload_dict["program_blob"])
     fn = bytecode.function("main")
-    pc = 0
-    while pc < len(fn.xcode):
-        ins = fn.xcode[pc]
-        if ins[-1] >= 2:
-            fn.xcode[pc] = ins[:1] + (ins[1] + 3,) + ins[2:]
-            break
-        pc += ins[-1]
-    else:
-        pytest.skip("no fused site to corrupt")
+    ins = fn.code[0]
+    fn.code = (ins[:1] + (ins[1] + 3,) + ins[2:],) + fn.code[1:]
     payload_dict["program_blob"] = pack_artifact(program, bytecode)
     new_payload = pickle.dumps(payload_dict, protocol=PICKLE_PROTOCOL)
     digest = hashlib.sha256(new_payload).hexdigest().encode("ascii")
@@ -84,7 +77,7 @@ def test_tampered_artifact_rejected_and_recompiled(tmp_path, artifact):
     with use_registry(registry):
         cache = ArtifactCache(tmp_path, verify_bytecode="load")
         key = _store(cache, program, report)
-        _tamper_fused_stream(cache.path_for(key))
+        _tamper_stream(cache.path_for(key))
 
         tracer = Tracer()
         assert cache.get(key, tracer) is None
@@ -109,7 +102,7 @@ def test_unverified_cache_trusts_tampered_artifact(tmp_path, artifact):
     program, report = artifact
     cache = ArtifactCache(tmp_path)  # verify_bytecode defaults to off
     key = _store(cache, program, report)
-    _tamper_fused_stream(cache.path_for(key))
+    _tamper_stream(cache.path_for(key))
     # digest is valid, so the trusting cache happily returns the entry
     entry = cache.get(key)
     assert entry is not None

@@ -1,10 +1,11 @@
 """User errors at the CLI's front door: one located line, exit 2.
 
 A source file that cannot be read or compiled, an unknown ``--entry``
-or ``--function`` and a wrong ``--args`` count are the user's mistakes,
-not crashes: each prints exactly one ``repro: error: ...`` line on
-stderr (a compile error located as ``file:line:col``) and exits 2, on
-``run`` and on every other verb that reads a source.  A program that
+or ``--function``, a wrong ``--args`` count and an output file that
+cannot be written are the user's mistakes, not crashes: each prints
+exactly one ``repro: error: ...`` line on stderr (a compile error
+located as ``file:line:col``) and exits 2, on ``run`` and on every
+other verb that reads a source or writes an output.  A program that
 traps still exits 1.
 """
 
@@ -135,3 +136,42 @@ def test_a_trap_still_exits_1(tmp_path, capsys):
     code = main(["run", str(path), "--args", "0"])
     assert code == 1
     assert capsys.readouterr().err == "trap: division by zero\n"
+
+
+#: (verb, output flag) -> argv after the verb, with {path} for a valid
+#: source file and {out} for an output path in a missing directory;
+#: every verb runs to completion, then fails to write its output
+OUTPUT_CASES = {
+    ("run", "--trace-out"): ["{path}", "--args", "3", "--trace-out", "{out}"],
+    ("run", "--metrics-out"): ["{path}", "--args", "3", "--metrics-out", "{out}"],
+    ("run", "--metrics-prom"): ["{path}", "--args", "3", "--metrics-prom", "{out}"],
+    ("compile", "--trace-out"): ["{path}", "--trace-out", "{out}"],
+    ("trace", "--out"): ["{path}", "--out", "{out}"],
+    ("check", "--metrics-out"): ["{path}", "--args", "3", "--metrics-out", "{out}"],
+    ("batch", "--trace-out"): [
+        "{path}", "-j", "1", "--no-cache", "--args", "3", "--trace-out", "{out}",
+    ],
+    ("batch", "--metrics-out"): [
+        "{path}", "-j", "1", "--no-cache", "--args", "3", "--metrics-out", "{out}",
+    ],
+    ("bench", "--trace-out"): ["--suite", "recursion", "--trace-out", "{out}"],
+}
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    sorted(OUTPUT_CASES),
+    ids=[f"{verb}{flag}" for verb, flag in sorted(OUTPUT_CASES)],
+)
+def test_unwritable_output_is_a_user_error(verb, flag, tmp_path, capsys):
+    path = tmp_path / "prog.mini"
+    path.write_text(PROGRAM)
+    out = tmp_path / "missing" / "out.txt"
+    argv = [arg.format(path=path, out=out) for arg in OUTPUT_CASES[verb, flag]]
+    code = main([verb, *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USER_ERROR
+    assert captured.err.splitlines()[-1] == (
+        f"repro: error: cannot write {out}: No such file or directory"
+    )
+    assert "Traceback" not in captured.err

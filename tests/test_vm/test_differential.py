@@ -58,9 +58,7 @@ def test_cross_product_covers_every_engine():
     # interpreter plus every VM engine, every pair compared.
     result = validate_engines(EXAMPLES[0].read_text(), "main", [[2]])
     assert result.ok
-    assert set(result.configs) >= {
-        "reference", "vm", "vm-nofuse", "closure", "megaunit", "tiered",
-    }
+    assert result.configs == ["reference", "vm", "megaunit"]
 
 
 #: seeded generator programs for the full-matrix sweep — whole programs
@@ -99,7 +97,7 @@ def test_budget_stops_identical_at_every_cap_across_engines():
     # mid-call, at call boundaries and inside callees; every engine
     # must report the same BudgetExceeded message, steps and cycles.
     from repro.interp.interpreter import BudgetExceeded
-    from repro.pipeline.compiler import ALL_ENGINES, compile_and_profile, make_engine
+    from repro.pipeline.compiler import ENGINES, compile_and_profile, make_engine
     from repro.pipeline.config import DBDS
 
     program, _ = compile_and_profile(CALL_HEAVY, "main", [[4]], DBDS)
@@ -119,7 +117,7 @@ def test_budget_stops_identical_at_every_cap_across_engines():
 
     for cap in list(range(1, 40)) + list(range(40, total + 2, 7)):
         expected = stopped("reference", cap)
-        for engine in ALL_ENGINES:
+        for engine in ENGINES:
             if engine == "reference":
                 continue
             assert stopped(engine, cap) == expected, (engine, cap)

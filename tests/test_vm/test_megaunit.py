@@ -10,6 +10,7 @@ insufficient recursion headroom) must fall back transparently with a
 ``vm.fallback`` event.
 """
 
+import hashlib
 import re
 import sys
 
@@ -131,13 +132,11 @@ def test_call_heavy_parity_and_unmetered():
     assert out.cycles == 0.0
 
 
-def test_optimized_fused_stream_is_consumable():
-    # make_engine hands the megaunit engine a fused/quickened bytecode
-    # program (fn.xcode set); compilation reads the base stream and the
-    # totals still agree because fusion preserves summed costs.
+def test_optimized_program_runs_through_make_engine():
+    # The DBDS-optimized program, translated once and handed to
+    # make_engine as a cache hit would be, agrees with the reference.
     program, _ = compile_and_profile(CALLS, "main", [[6]], DBDS)
     bytecode = translate_program(program)
-    assert any(fn.xcode is not None for fn in bytecode.functions.values())
     reference = make_engine("reference", program)
     megaunit = make_engine("megaunit", program, bytecode=bytecode)
     assert_parity(reference, megaunit, [9])
@@ -162,6 +161,25 @@ def test_trap_messages_and_accounting(source, label):
     ref = reference.run("main", [0])
     out = megaunit.run("main", [0])
     assert ref.trap == out.trap and label in out.trap
+    assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
+
+
+def test_mid_block_trap_flushes_partial_segment():
+    # The trap site is preceded by several straight-line instructions
+    # in the same segment; the flushed steps/cycles must include the
+    # executed prefix only.
+    source = """
+    fn main(x: int) -> int {
+      var a: int = x + 1;
+      var b: int = a * 3;
+      var c: int = b - x;
+      return c / x;
+    }
+    """
+    reference, megaunit = engines_for(source)
+    ref = reference.run("main", [0])
+    out = megaunit.run("main", [0])
+    assert ref.trap == out.trap
     assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
 
 
@@ -283,11 +301,11 @@ def test_globals_and_reset():
 # ----------------------------------------------------------------------
 # Fallbacks
 # ----------------------------------------------------------------------
-def test_recursion_headroom_falls_back_to_closure():
+def test_recursion_headroom_falls_back_to_vm():
     # max_call_depth far above what CPython's recursion limit can host
     # natively: the conservative up-front guard must decline the native
-    # path, fall back to the closure engine for the whole activation,
-    # and still be bit-identical (the run's actual depth is modest).
+    # path, run the whole activation on the vm loop, and still be
+    # bit-identical (the run's actual depth is modest).
     program = compile_source(DEEP)
     bytecode = translate_program(program)
     assert not stack_headroom_ok(1, sys.getrecursionlimit() + 100)
@@ -309,7 +327,7 @@ def test_recursion_headroom_falls_back_to_closure():
     assert len(events) == 1
     assert events[0].attrs == {
         "engine": "megaunit",
-        "fallback": "closure",
+        "fallback": "vm",
         "reason": "recursion-headroom",
     }
     assert registry.snapshot().counter_value(
@@ -423,7 +441,7 @@ def test_module_source_is_real_python_and_lints_clean():
 def test_verify_bytecode_runs_the_megaunit_lint():
     program, _ = compile_and_profile(CALLS, "main", [[6]], DBDS)
     bytecode = translate_program(program)
-    report = verify_bytecode(bytecode, program, quicken=True)
+    report = verify_bytecode(bytecode, program)
     assert report.ok, report.format()
 
 
@@ -485,13 +503,11 @@ def test_codegen_schema_1_entry_is_ignored_and_regenerated(
         "functions": [fn.name for fn in order],
         "source": "raise AssertionError('stale schema-1 module executed')\n",
     }
-    key = codegen_cache.codegen_key("megaunit", order, True, 50_000_000, 200)
+    key = codegen_cache.codegen_key(order, True, 50_000_000, 200)
     # Under its own (schema-1) key: never looked up by a schema-2 run.
     with monkeypatch.context() as patch:
         patch.setattr(codegen_cache, "CODEGEN_SCHEMA", 1)
-        old_key = codegen_cache.codegen_key(
-            "megaunit", order, True, 50_000_000, 200
-        )
+        old_key = codegen_cache.codegen_key(order, True, 50_000_000, 200)
         codegen_cache.store_source(cache, old_key, poisoned)
     assert old_key != key
     # Under the current key (a stale or tampered entry): rejected on load.
@@ -535,31 +551,6 @@ def test_codegen_cache_key_tracks_baked_knobs(tmp_path):
     assert snap.counter_value(
         "repro_codegen_cache_total", result="hit", engine="megaunit"
     ) == 0
-
-
-def test_closure_engine_also_caches_codegen(tmp_path):
-    from repro.vm import ClosureVirtualMachine
-
-    program = compile_source(CALLS)
-    bytecode = translate_program(program)
-    cache = ArtifactCache(tmp_path / "cache")
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        cold = ClosureVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache
-        )
-        cold_result = cold.run("main", [8])
-        warm = ClosureVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache
-        )
-        warm_result = warm.run("main", [8])
-    snap = registry.snapshot()
-    assert snap.counter_value(
-        "repro_codegen_cache_total", result="hit", engine="closure"
-    ) > 0
-    assert (cold_result.value, cold_result.steps, cold_result.cycles) == (
-        warm_result.value, warm_result.steps, warm_result.cycles
-    )
 
 
 # ----------------------------------------------------------------------
@@ -643,32 +634,37 @@ def test_each_entrys_unit_lints_clean(metered):
 
 
 # ----------------------------------------------------------------------
-# Tier-2 integration
+# Generated source stability
 # ----------------------------------------------------------------------
-def test_tiered_tier2_promotion_pairs_events_and_agrees():
-    from repro.vm import TieredVirtualMachine, TieringPolicy
+#: sha256 of each app's whole-program module (plain, counted) under
+#: dbds, compiled with the APPS arguments as its profile.  Cached module
+#: text is keyed by the bytecode, not by the compiler, so a change here
+#: must come with a CODEGEN_SCHEMA bump.
+SOURCE_DIGESTS = {
+    "matrix": (
+        "01687f4e63226c45c177742cc67d2ef709efb4f35de7b60c62ad90f6614a2402",
+        "d73eb2602bf98b46905f8c14f99fa8a309137783e54dce07db427894509c3b29",
+    ),
+    "nqueens": (
+        "4a4445d5caa4d7513f56689e07ca88f137349cee535048ca1b561e603456a9de",
+        "87bf0423257da22700d27352d9b2b1454bd4ceb17bc72a995ed325ab773213b9",
+    ),
+    "wordfreq": (
+        "13287cdcf28682d2ac8112c7ca144ede95a3c7958f29aedc3e260047a5c25c4c",
+        "3289f46f321a02e19525afe27c8c1bebb5d2ac115824291efb0dbb866d6f0a1d",
+    ),
+}
 
-    program, _ = compile_and_profile(CALLS, "main", [[6]], DBDS)
-    reference = make_engine("reference", program)
-    expected = reference.run("main", [10])
-    tracer = Tracer()
-    tiered = TieredVirtualMachine(
-        program,
-        metered=True,
-        policy=TieringPolicy(
-            threshold=4, tier2_engine="megaunit", tier2_threshold=8
-        ),
+
+@pytest.mark.parametrize("name", sorted(APPS))
+def test_generated_source_is_byte_stable(name):
+    path, args = APPS[name]
+    program, _ = compile_and_profile(open(path).read(), "main", [args], DBDS)
+    bytecode = translate_program(program)
+    digests = tuple(
+        hashlib.sha256(
+            generate_module_source(bytecode, counted=counted).encode()
+        ).hexdigest()
+        for counted in (False, True)
     )
-    with use_tracer(tracer):
-        out = tiered.run("main", [10])
-    assert (out.value, out.steps, out.cycles) == (
-        expected.value, expected.steps, expected.cycles
-    )
-    promotes = [e for e in tracer.events if e.name == "tier.promote"]
-    compiles = [e for e in tracer.events if e.name == "tier.compile"]
-    tier2 = [e for e in promotes if e.attrs["trigger"] == "tier2"]
-    assert tier2, "expected at least one tier-2 promotion"
-    assert len(promotes) == len(compiles)
-    for event in tier2:
-        assert event.attrs["threshold"] == 8
-        assert event.attrs["hotness"] >= 8
+    assert digests == SOURCE_DIGESTS[name]
