@@ -11,9 +11,12 @@ Usage::
 
 ``run`` JIT-compiles (a profiling run on the bytecode VM, then
 optimization) and executes, printing the result and the simulated cycle
-count.  ``compile`` prints per-unit metrics and optionally the
-optimized IR.  ``trace`` compiles under a recording tracer and prints
-the aggregated compile profile.  ``bench``
+count; ``run``, ``check``, ``profile``, ``batch`` and ``bench`` all
+compile through the one cache-first :func:`repro.pipeline.compiler.jit`,
+so they share cache keys and entries and honour ``--check-bc`` alike.
+``compile`` optimizes without a profile and prints per-unit metrics
+and optionally the optimized IR.  ``trace`` compiles under a recording
+tracer and prints the aggregated compile profile.  ``bench``
 regenerates one of the paper's evaluation figures.  ``check`` runs the
 IR sanitizers (docs/ANALYSIS.md) over source files: checked compiles
 with phase-blame diagnostics, optional LIR checks, dynamic stamp
@@ -65,10 +68,7 @@ from .bench.trajectory import (
     DEFAULT_TRAJECTORY_PATH,
 )
 from .bench.workloads.suites import ALL_SUITES
-from .frontend.irbuilder import compile_source
-from .frontend.lexer import CompileError
 from .interp.interpreter import Interpreter
-from .interp.profile import apply_profile, profile_program
 from .obs import (
     NULL_REGISTRY,
     CompileProfile,
@@ -77,18 +77,26 @@ from .obs import (
     use_registry,
     write_jsonl,
 )
-from .pipeline.cache import ArtifactCache, cache_key, make_entry
-from .obs.tracer import current_tracer, use_tracer
-from .pipeline.compiler import Compiler, ENGINES, measure_performance
+from .pipeline.cache import ArtifactCache
+from .obs.tracer import use_tracer
+from .pipeline.compiler import (
+    ENGINES,
+    Artifact,
+    Compiler,
+    UserError,
+    jit,
+    measure_performance,
+    parse_entry,
+    parse_source,
+    require_function,
+)
 from .pipeline.config import CONFIGURATIONS
-from .vm.translate import translate_program
 
 # ``run``'s default engine loads with the CLI, as does every layer that
 # perfbench/traced.py wraps right after importing this module.
-from .vm import megaunit  # noqa: F401
+from .vm import megaunit, translate  # noqa: F401
 
 if TYPE_CHECKING:
-    from .ir.graph import Graph, Program
     from .vm.profiler import VMProfile
 
 #: default on-disk cache location of the ``batch`` verb
@@ -98,14 +106,6 @@ DEFAULT_CACHE_DIR = pathlib.Path(".repro-cache")
 #: compiled, an unknown entry, a wrong argument count, an unwritable
 #: output file (a trap exits 1)
 EXIT_USER_ERROR = 2
-
-
-class UserError(Exception):
-    """A mistake in the command line or in the program it names.
-
-    :func:`main` prints it as one ``repro: error: ...`` line and exits
-    with :data:`EXIT_USER_ERROR` instead of showing a traceback.
-    """
 
 
 @contextmanager
@@ -118,6 +118,13 @@ def _writing(path: pathlib.Path):
         raise UserError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _write_output(path: pathlib.Path, text: str, what: str) -> None:
+    """Write the output file ``path`` and name it on stderr."""
+    with _writing(path):
+        path.write_text(text)
+    print(f"{what} -> {path}", file=sys.stderr)
+
+
 def _read_source(path: pathlib.Path) -> str:
     try:
         return path.read_text()
@@ -125,64 +132,35 @@ def _read_source(path: pathlib.Path) -> str:
         raise UserError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _compile_located(path: pathlib.Path, source: str) -> "Program":
-    """The unoptimized program of ``source``; a compile error is a
-    :class:`UserError` located as ``file:line:col``."""
-    try:
-        return compile_source(source)
-    except CompileError as exc:
-        where = str(path)
-        if exc.line:
-            where += f":{exc.line}" + (f":{exc.column}" if exc.column else "")
-        raise UserError(f"{where}: {exc.message}") from None
-
-
-def _require_function(
-    path: pathlib.Path, program: "Program", name: str, purpose: str
-) -> "Graph":
-    graph = program.functions.get(name)
-    if graph is None:
-        defined = ", ".join(program.functions) or "none"
-        raise UserError(
-            f"{path}: no function {name!r} {purpose} (defined: {defined})"
-        )
-    return graph
-
-
-def _compile_entry(
-    path: pathlib.Path,
-    source: str,
-    entry: str,
-    args: list[int],
-    flag: str = "--args",
-) -> "Program":
-    """The unoptimized program of ``source``, checked to define
-    ``entry`` taking ``len(args)`` arguments (given by ``flag``)."""
-    program = _compile_located(path, source)
-    graph = _require_function(path, program, entry, "to run")
-    if len(graph.parameters) != len(args):
-        raise UserError(
-            f"{path}: {entry} takes {len(graph.parameters)} argument(s), "
-            f"{flag} gave {len(args)}"
-        )
-    return program
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("source", type=pathlib.Path, help="MiniLang source file")
-    parser.add_argument("--entry", default="main", help="entry function")
+def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config",
         default="dbds",
         choices=sorted(CONFIGURATIONS),
         help="compiler configuration",
     )
+
+
+def _add_jit_flags(parser: argparse.ArgumentParser, purpose: str) -> None:
+    """The inputs of :func:`~repro.pipeline.compiler.jit` other than the
+    IR checks: entry, arguments, configuration and ``--check-bc``."""
+    parser.add_argument("--entry", default="main", help="entry function")
     parser.add_argument(
         "--args",
         nargs="*",
         type=int,
         default=[10],
-        help="integer arguments for the entry function",
+        help=f"integer arguments for {purpose}",
+    )
+    _add_config_flag(parser)
+    parser.add_argument(
+        "--check-bc",
+        default="off",
+        choices=("off", "load", "rewrite"),
+        help="statically verify VM bytecode: 'load' checks every cache "
+        "artifact before it runs (reject -> evict + recompile), "
+        "'rewrite' additionally checks every freshly translated stream "
+        "(see docs/ANALYSIS.md)",
     )
 
 
@@ -219,15 +197,6 @@ def _add_check_flags(parser: argparse.ArgumentParser, default: str = CHECK_OFF) 
         choices=CHECK_MODES,
         help="run the IR sanitizers while compiling (see docs/ANALYSIS.md)",
     )
-    parser.add_argument(
-        "--check-bc",
-        default="off",
-        choices=("off", "load", "rewrite"),
-        help="statically verify VM bytecode: 'load' checks every cache "
-        "artifact before it runs (reject -> evict + recompile), "
-        "'rewrite' additionally checks every freshly translated stream "
-        "(see docs/ANALYSIS.md)",
-    )
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--fail-fast",
@@ -254,11 +223,12 @@ def _add_cache_flags(
         help="persistent artifact-cache directory"
         + (" (default: %(default)s)" if default_dir else " (default: no cache)"),
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="compile from scratch, ignore and do not write the cache",
-    )
+    if default_dir is not None:
+        parser.add_argument(
+            "--no-cache",
+            action="store_true",
+            help="compile from scratch, ignore and do not write the cache",
+        )
     parser.add_argument(
         "--cache-stats",
         action="store_true",
@@ -267,7 +237,7 @@ def _add_cache_flags(
 
 
 def _make_cache(args: argparse.Namespace) -> ArtifactCache | None:
-    if args.no_cache or args.cache_dir is None:
+    if args.cache_dir is None:
         return None
     check_bc = getattr(args, "check_bc", "off")
     return ArtifactCache(
@@ -281,34 +251,27 @@ def _emit_cache_stats(args: argparse.Namespace, cache: ArtifactCache | None) -> 
         print(cache.stats.format(), file=sys.stderr)
 
 
-def _jit_compile(
-    program: "Program",
-    entry: str,
-    profile_args: list[list[int]],
-    config,
-    tracer: Tracer | None,
-    check_ir: str,
-    fail_fast: bool,
-):
-    """The ``compile_and_profile`` flow on an unoptimized ``program``
-    (see :func:`_compile_entry`), keeping the compiler visible so
-    keep-going guard failures can be reported after the fact.  The
-    profiling run's ``interp.profile`` event goes to ``tracer``."""
-    with use_tracer(tracer if tracer is not None else current_tracer()):
-        collector = profile_program(program, entry, profile_args)
-    apply_profile(program, collector)
-    compiler = Compiler(config, tracer=tracer, check_ir=check_ir, fail_fast=fail_fast)
-    report = compiler.compile_program(program)
-    return program, report, compiler.guard
+def _jit(
+    args: argparse.Namespace,
+    path: pathlib.Path,
+    tracer: Tracer | None = None,
+    cache: ArtifactCache | None = None,
+) -> Artifact:
+    """:func:`~repro.pipeline.compiler.jit` on the source at ``path``
+    with the entry, arguments, configuration and checks of ``args``."""
+    return jit(
+        _read_source(path), args.entry, [args.args],
+        CONFIGURATIONS[args.config], cache=cache, tracer=tracer,
+        check_ir=args.check_ir, fail_fast=args.fail_fast,
+        check_bc=args.check_bc, name=str(path),
+    )
 
 
-def _report_guard_failures(guard) -> int:
+def _report_guard_failures(failures: list) -> int:
     """Print collected phase-blame diagnostics; returns how many."""
-    if guard is None:
-        return 0
-    for failure in guard.failures:
+    for failure in failures:
         print(failure.format_blame(), file=sys.stderr)
-    return len(guard.failures)
+    return len(failures)
 
 
 def _make_tracer(args: argparse.Namespace) -> Tracer | None:
@@ -359,15 +322,13 @@ def _emit_metrics(args: argparse.Namespace, registry: MetricsRegistry) -> None:
         return
     snapshot = registry.snapshot()
     if args.metrics_out is not None:
-        with _writing(args.metrics_out):
-            args.metrics_out.write_text(
-                json.dumps(snapshot.to_json(), indent=2, sort_keys=True) + "\n"
-            )
-        print(f"metrics: -> {args.metrics_out}", file=sys.stderr)
+        _write_output(
+            args.metrics_out,
+            json.dumps(snapshot.to_json(), indent=2, sort_keys=True) + "\n",
+            "metrics:",
+        )
     if args.metrics_prom is not None:
-        with _writing(args.metrics_prom):
-            args.metrics_prom.write_text(snapshot.render_prometheus())
-        print(f"metrics: -> {args.metrics_prom}", file=sys.stderr)
+        _write_output(args.metrics_prom, snapshot.render_prometheus(), "metrics:")
 
 
 def _with_metrics(impl):
@@ -409,58 +370,14 @@ def _emit_vm_profile(
 
 @_with_metrics
 def cmd_run(args: argparse.Namespace) -> int:
-    source = _read_source(args.source)
-    config = CONFIGURATIONS[args.config]
     tracer = _make_tracer(args)
     cache = _make_cache(args)
-    cached = None
-    key = None
-    if cache is not None:
-        key = cache_key(
-            source, config, entry=args.entry,
-            profile_args=[args.args], check_ir=args.check_ir,
-        )
-        cached = cache.get(key, tracer)
-    bytecode = None
-    if cached is not None:
-        program, report = cached.program(), cached.report
-        bytecode = cached.bytecode()
-    else:
-        # Compile under a recording tracer even without telemetry flags
-        # when caching: the stored artifact keeps its decision trace.
-        compile_tracer = tracer if tracer is not None else (
-            Tracer() if cache is not None else None
-        )
-        program = _compile_entry(args.source, source, args.entry, args.args)
-        try:
-            program, report, guard = _jit_compile(
-                program, args.entry, [args.args], config, compile_tracer,
-                args.check_ir, args.fail_fast,
-            )
-        except PhaseBlameError as exc:
-            print(exc.format_blame(), file=sys.stderr)
-            return 1
-        if _report_guard_failures(guard):
-            return 1
-        if cache is not None:
-            try:
-                bytecode = translate_program(
-                    program, check_bc=args.check_bc
-                )
-            except BytecodeVerificationError as exc:
-                print(exc.report.format(), file=sys.stderr)
-                return 1
-            cache.put(
-                make_entry(
-                    key, program, report,
-                    events=compile_tracer.events,
-                    counters=compile_tracer.counters,
-                    bytecode=bytecode,
-                ),
-                tracer,
-            )
     vmprofile = None
     try:
+        artifact = _jit(args, args.source, tracer, cache)
+        if _report_guard_failures(artifact.failures):
+            return 1
+        program = artifact.program
         if args.profile_run:
             from .vm.profiler import profile_run
 
@@ -469,7 +386,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             # runs.
             cycles, results, vmprofile = profile_run(
                 program, entry=args.entry, arg_sets=[tuple(args.args)],
-                bytecode=bytecode,
+                bytecode=artifact.bytecode(),
             )
         else:
             # Run under the recording tracer so runtime events —
@@ -477,10 +394,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             # --trace-out next to the compile events.
             with use_tracer(tracer) if tracer is not None else nullcontext():
                 cycles, results = measure_performance(
-                    program, args.entry, [args.args],
-                    engine=args.engine, bytecode=bytecode,
-                    check_bc=args.check_bc, codegen_cache=cache,
+                    program, args.entry, [args.args], engine=args.engine,
+                    bytecode=None if args.engine == "reference"
+                    else artifact.bytecode(),
+                    codegen_cache=cache,
                 )
+    except PhaseBlameError as exc:
+        print(exc.format_blame(), file=sys.stderr)
+        return 1
     except BytecodeVerificationError as exc:
         print(exc.report.format(), file=sys.stderr)
         return 1
@@ -488,12 +409,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     if result.trapped:
         print(f"trap: {result.trap}", file=sys.stderr)
         return 1
+    report = artifact.report
     print(f"result          : {result.value}")
     print(f"simulated cycles: {cycles:.0f}")
     print(f"compile time    : {report.total_compile_time * 1e3:.2f} ms")
     print(f"code size       : {report.total_code_size:.0f}")
     print(f"duplications    : {report.total_duplications}")
-    if cached is not None:
+    if artifact.cached:
         print("compiled from   : cache", file=sys.stderr)
     _emit_observability(args, tracer)
     _emit_cache_stats(args, cache)
@@ -503,9 +425,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    source = _read_source(args.source)
+    program = parse_source(_read_source(args.source), str(args.source))
     config = CONFIGURATIONS[args.config]
-    program = _compile_located(args.source, source)
     tracer = _make_tracer(args)
     compiler = Compiler(
         config, tracer=tracer, check_ir=args.check_ir, fail_fast=args.fail_fast
@@ -515,7 +436,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     except PhaseBlameError as exc:
         print(exc.format_blame(), file=sys.stderr)
         return 1
-    if _report_guard_failures(compiler.guard):
+    if compiler.guard is not None and _report_guard_failures(compiler.guard.failures):
         return 1
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
@@ -535,11 +456,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Compile under a recording tracer; print the profile report."""
-    source = _read_source(args.source)
-    config = CONFIGURATIONS[args.config]
-    program = _compile_located(args.source, source)
+    program = parse_source(_read_source(args.source), str(args.source))
     tracer = Tracer()
-    Compiler(config, tracer=tracer).compile_program(program)
+    Compiler(CONFIGURATIONS[args.config], tracer=tracer).compile_program(program)
     print(CompileProfile.from_tracer(tracer).format(top=args.top))
     if args.decisions:
         from .dbds.explain import format_decision_events
@@ -568,73 +487,37 @@ def _collect_sources(paths: list[pathlib.Path]) -> list[pathlib.Path]:
 def _check_one_file(
     path: pathlib.Path,
     args: argparse.Namespace,
-    config,
     tracer: Tracer | None,
     cache: ArtifactCache | None = None,
 ) -> int:
     """Run every requested sanitizer over one source file; returns the
-    number of failures found (0 = clean)."""
+    number of failures found (0 = clean).  A cache hit skips the
+    pipeline and its guards (entries are only written for clean checked
+    compiles); the whole-program sweeps still run on the rehydrated
+    artifact."""
     failures = 0
-    source = _read_source(path)
-    key = None
-    if cache is not None:
-        key = cache_key(
-            source, config, entry=args.entry,
-            profile_args=[args.args], check_ir=args.check_ir,
-        )
-        cached = cache.get(key, tracer)
-        if cached is not None:
-            # Entries are only written for clean checked compiles, so a
-            # hit skips the pipeline (and its guards) entirely; the
-            # whole-program sweeps below still run on the rehydrated IR
-            # (and, for --verify-bytecode, the rehydrated bytecode).
-            program = cached.program()
-            return _check_program_sweeps(
-                path, args, program, bytecode=cached.bytecode()
-            )
-    compile_tracer = tracer if tracer is not None else (
-        Tracer() if cache is not None else None
-    )
     try:
-        program, report, guard = _jit_compile(
-            _compile_entry(path, source, args.entry, args.args),
-            args.entry, [args.args], config, compile_tracer,
-            args.check_ir, args.fail_fast,
-        )
+        artifact = _jit(args, path, tracer, cache)
+        failures = _report_guard_failures(artifact.failures)
+        return failures + _check_program_sweeps(path, args, artifact)
     except PhaseBlameError as exc:
         print(f"{path}:", file=sys.stderr)
         print(exc.format_blame(), file=sys.stderr)
         return 1
-    failures += _report_guard_failures(guard)
-    bytecode = None
-    if cache is not None and failures == 0:
-        try:
-            bytecode = translate_program(program, check_bc=args.check_bc)
-        except BytecodeVerificationError as exc:
-            print(f"{path}:", file=sys.stderr)
-            print(exc.report.format(), file=sys.stderr)
-            return failures + len(exc.report.errors())
-        cache.put(
-            make_entry(
-                key, program, report,
-                events=compile_tracer.events,
-                counters=compile_tracer.counters,
-                bytecode=bytecode,
-            ),
-            tracer,
-        )
-    return failures + _check_program_sweeps(
-        path, args, program, bytecode=bytecode
-    )
+    except BytecodeVerificationError as exc:
+        print(f"{path}:", file=sys.stderr)
+        print(exc.report.format(), file=sys.stderr)
+        return failures + len(exc.report.errors())
 
 
 def _check_program_sweeps(
-    path: pathlib.Path, args: argparse.Namespace, program, bytecode=None
+    path: pathlib.Path, args: argparse.Namespace, artifact: Artifact
 ) -> int:
     """The post-compile sweeps: registered IR checkers plus optional
     LIR and dynamic-stamp validation; returns the failure count."""
     from .analysis import check_stamp_dynamic, run_lir_checkers, run_program_checkers
 
+    program = artifact.program
     failures = 0
     # Whole-program sweep with every registered IR checker, keep-going.
     for report in run_program_checkers(program, fail_fast=False):
@@ -670,10 +553,10 @@ def _check_program_sweeps(
         # checking doubles as a VM spot-check under --engine=vm (megaunit
         # runs observed frames on the vm loop, so one VirtualMachine
         # serves both bytecode engines here).
-        if getattr(args, "engine", "reference") != "reference":
+        if args.engine != "reference":
             from .vm.machine import VirtualMachine
 
-            runner = VirtualMachine(translate_program(program), observer=observe)
+            runner = VirtualMachine(artifact.bytecode(), observer=observe)
         else:
             runner = Interpreter(program, observer=observe)
         runner.run(args.entry, list(args.args))
@@ -681,7 +564,7 @@ def _check_program_sweeps(
             print(f"{path}: dynamic-stamp: {message}", file=sys.stderr)
             failures += 1
 
-    if getattr(args, "diff_engines", False):
+    if args.diff_engines:
         from .analysis import validate_engines
 
         result = validate_engines(
@@ -692,14 +575,12 @@ def _check_program_sweeps(
             print(f"{path}: engine-diff: {record.format()}", file=sys.stderr)
             failures += 1
 
-    if getattr(args, "verify_bytecode", False):
+    if args.verify_bytecode:
         from .analysis.bcverify import verify_bytecode
 
-        if bytecode is None:
-            bytecode = translate_program(program)
         # The full profile: every checker including the codegen lint,
         # keep-going.
-        report = verify_bytecode(bytecode, program)
+        report = verify_bytecode(artifact.bytecode(), program)
         for violation in report.errors():
             print(f"{path}: {violation.format()}", file=sys.stderr)
             failures += 1
@@ -718,7 +599,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     files = _collect_sources(args.paths or [pathlib.Path("examples")])
     failures = 0
     for path in files:
-        failures += _check_one_file(path, args, config, tracer, cache)
+        failures += _check_one_file(path, args, tracer, cache)
 
     if args.fuzz:
         from .analysis import fuzz_translation
@@ -772,7 +653,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             "files": getattr(args, "_bc_reports", []),
             "corruption": corruption_json,
         }
-        args.bc_report.write_text(json.dumps(payload, indent=2) + "\n")
+        _write_output(
+            args.bc_report, json.dumps(payload, indent=2) + "\n", "bytecode report"
+        )
 
     _emit_observability(args, tracer)
     _emit_cache_stats(args, cache)
@@ -784,17 +667,17 @@ def cmd_check(args: argparse.Namespace) -> int:
 @_with_metrics
 def cmd_batch(args: argparse.Namespace) -> int:
     """Parallel batch compilation with the persistent artifact cache."""
-    config = CONFIGURATIONS[args.config]
     tracer = _make_tracer(args)
-    cache = _make_cache(args)
+    cache = None if args.no_cache else _make_cache(args)
     files = _collect_sources(args.paths or [pathlib.Path("examples")])
     if not files:
         print("batch: no .mini sources found", file=sys.stderr)
         return 1
+    sources = [(str(path), _read_source(path)) for path in files]
     from .pipeline.batch import BatchOptions, compile_batch
 
     options = BatchOptions(
-        config=config,
+        config=CONFIGURATIONS[args.config],
         jobs=args.jobs,
         entry=args.entry,
         args=tuple(args.args),
@@ -803,7 +686,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         fail_fast=args.fail_fast,
         cache=cache,
     )
-    report = compile_batch(files, options, tracer=tracer)
+    report = compile_batch(sources, options, tracer=tracer)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -832,17 +715,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
         or args.check_regression is not None
     )
     cache = _make_cache(args)
+    trajectory = (
+        _load_trajectory(args.check_regression)
+        if args.check_regression is not None
+        else None
+    )
     report = run_suite(
         profile, seed=args.seed, profile_phases=profile_phases, cache=cache,
         engine=args.engine,
     )
     print(format_suite_report(report))
     if args.trace_out is not None:
-        with _writing(args.trace_out):
-            args.trace_out.write_text(
-                json.dumps(suite_report_json(report), indent=2)
-            )
-        print(f"suite report -> {args.trace_out}", file=sys.stderr)
+        _write_output(
+            args.trace_out, json.dumps(suite_report_json(report), indent=2),
+            "suite report",
+        )
     comparison = None
     if args.engine_report is not None or args.engine_report_txt is not None:
         from .bench.engines import compare_engines
@@ -850,16 +737,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         comparison = compare_engines(profile, seed=args.seed, cache=cache)
         print(comparison.format())
         if args.engine_report is not None:
-            args.engine_report.write_text(
-                json.dumps(comparison.to_json(), indent=2)
+            _write_output(
+                args.engine_report, json.dumps(comparison.to_json(), indent=2),
+                "engine report",
             )
-            print(f"engine report -> {args.engine_report}", file=sys.stderr)
         if args.engine_report_txt is not None:
-            args.engine_report_txt.parent.mkdir(parents=True, exist_ok=True)
-            args.engine_report_txt.write_text(comparison.format() + "\n")
-            print(
-                f"engine report (text) -> {args.engine_report_txt}",
-                file=sys.stderr,
+            with _writing(args.engine_report_txt):
+                args.engine_report_txt.parent.mkdir(parents=True, exist_ok=True)
+            _write_output(
+                args.engine_report_txt, comparison.format() + "\n",
+                "engine report (text)",
             )
         if not comparison.all_match:
             return 1
@@ -867,8 +754,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         code = _bench_profile_run(args, profile)
         if code:
             return code
-    if args.append_trajectory is not None or args.check_regression is not None:
-        code = _bench_trajectory(args, report, comparison)
+    if args.append_trajectory is not None or trajectory is not None:
+        code = _bench_trajectory(args, report, comparison, trajectory)
         if code:
             return code
     _emit_cache_stats(args, cache)
@@ -879,20 +766,19 @@ def _bench_profile_run(args: argparse.Namespace, profile) -> int:
     """Aggregate a VM execution profile across the suite's measured runs
     (compiled fresh under the DBDS configuration)."""
     from .bench.workloads.suites import generate_suite
-    from .pipeline.compiler import compile_and_profile
     from .vm.profiler import VMProfile, profile_run
 
     vmprofile = VMProfile()
     total = 0.0
     for workload in generate_suite(profile, args.seed):
-        program, _ = compile_and_profile(
+        artifact = jit(
             workload.source, workload.entry, workload.profile_args,
             CONFIGURATIONS["dbds"],
         )
         cycles, _, _ = profile_run(
-            program, entry=workload.entry,
+            artifact.program, entry=workload.entry,
             arg_sets=[tuple(a) for a in workload.measure_args],
-            vmprofile=vmprofile,
+            bytecode=artifact.bytecode(), vmprofile=vmprofile,
         )
         total += cycles
     print()
@@ -900,15 +786,32 @@ def _bench_profile_run(args: argparse.Namespace, profile) -> int:
     return 0 if _emit_vm_profile(vmprofile, total) else 1
 
 
-def _bench_trajectory(args: argparse.Namespace, report, comparison) -> int:
-    """Gate against, then append to, the committed perf trajectory.
+def _load_trajectory(path: pathlib.Path) -> dict:
+    """The trajectory at ``path``; one that cannot be read or parsed is
+    a :class:`UserError`."""
+    from .bench.trajectory import load_trajectory
+
+    try:
+        return load_trajectory(path)
+    except OSError as exc:
+        raise UserError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UserError(f"{path}: not JSON: {exc}") from None
+    except ValueError as exc:
+        raise UserError(str(exc)) from None
+
+
+def _bench_trajectory(
+    args: argparse.Namespace, report, comparison, trajectory: dict | None
+) -> int:
+    """Gate against ``trajectory`` (the ``--check-regression`` file,
+    loaded before the suite ran), then append to the perf trajectory.
 
     The regression check runs *before* the append so a failing run never
     pollutes the history it is being judged against."""
     from .bench.trajectory import (
         append_trajectory,
         check_regression,
-        load_trajectory,
         trajectory_entry,
     )
 
@@ -922,8 +825,7 @@ def _bench_trajectory(args: argparse.Namespace, report, comparison) -> int:
             comparison.engine_medians if comparison is not None else None
         ),
     )
-    if args.check_regression is not None:
-        trajectory = load_trajectory(args.check_regression)
+    if trajectory is not None:
         failures = check_regression(
             trajectory, entry, args.regression_threshold
         )
@@ -936,7 +838,9 @@ def _bench_trajectory(args: argparse.Namespace, report, comparison) -> int:
             file=sys.stderr,
         )
     if args.append_trajectory is not None:
-        trajectory = append_trajectory(args.append_trajectory, entry)
+        _load_trajectory(args.append_trajectory)
+        with _writing(args.append_trajectory):
+            trajectory = append_trajectory(args.append_trajectory, entry)
         print(
             f"trajectory: {len(trajectory['entries'])} entries "
             f"-> {args.append_trajectory}",
@@ -950,38 +854,36 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """JIT-compile, execute under the profiling VM, print hot paths."""
     from .vm.profiler import profile_run
 
-    source = _read_source(args.source)
-    config = CONFIGURATIONS[args.config]
     try:
-        program, report, guard = _jit_compile(
-            _compile_entry(args.source, source, args.entry, args.args),
-            args.entry, [args.args], config, None,
-            args.check_ir, args.fail_fast,
+        artifact = _jit(args, args.source)
+        if _report_guard_failures(artifact.failures):
+            return 1
+        cycles, results, vmprofile = profile_run(
+            artifact.program, entry=args.entry, arg_sets=[tuple(args.args)],
+            bytecode=artifact.bytecode(),
         )
     except PhaseBlameError as exc:
         print(exc.format_blame(), file=sys.stderr)
         return 1
-    if _report_guard_failures(guard):
+    except BytecodeVerificationError as exc:
+        print(exc.report.format(), file=sys.stderr)
         return 1
-    cycles, results, vmprofile = profile_run(
-        program, entry=args.entry, arg_sets=[tuple(args.args)]
-    )
     result = results[0]
     if result.trapped:
         print(f"trap: {result.trap}", file=sys.stderr)
         return 1
     print(f"result          : {result.value}")
     print(f"simulated cycles: {cycles:.0f}")
-    print(f"compile time    : {report.total_compile_time * 1e3:.2f} ms")
+    print(f"compile time    : {artifact.report.total_compile_time * 1e3:.2f} ms")
     ok = _emit_vm_profile(vmprofile, cycles, top=args.top)
     if args.collapsed is not None:
-        args.collapsed.write_text(vmprofile.collapsed())
-        print(f"collapsed stacks -> {args.collapsed}", file=sys.stderr)
+        _write_output(args.collapsed, vmprofile.collapsed(), "collapsed stacks")
     if args.json is not None:
-        args.json.write_text(
-            json.dumps(vmprofile.to_json(), indent=2, sort_keys=True) + "\n"
+        _write_output(
+            args.json,
+            json.dumps(vmprofile.to_json(), indent=2, sort_keys=True) + "\n",
+            "profile json",
         )
-        print(f"profile json -> {args.json}", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -990,7 +892,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     result = run_evaluation(suites=args.suites, seed=args.seed)
     markdown = render_markdown(result)
-    args.out.write_text(markdown)
+    with _writing(args.out):
+        args.out.write_text(markdown)
     headline = result.headline()
     print(f"report written to {args.out}")
     print(
@@ -1007,19 +910,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from .opts.canonicalize import CanonicalizerPhase
     from .opts.inline import InliningPhase
 
-    source = _read_source(args.source)
+    source, name = _read_source(args.source), str(args.source)
     if args.profile_args is not None:
-        program = _compile_entry(
-            args.source, source, args.entry, args.profile_args,
-            "--profile-args",
+        program = parse_entry(
+            source, args.entry, [args.profile_args], name, "--profile-args"
         )
         collector = profile_program(program, args.entry, [args.profile_args])
         apply_profile(program, collector)
     else:
-        program = _compile_located(args.source, source)
-    names = [args.function] if args.function else list(program.functions)
-    for name in names:
-        graph = _require_function(args.source, program, name, "to explain")
+        program = parse_source(source, name)
+    functions = [args.function] if args.function else list(program.functions)
+    for function in functions:
+        graph = require_function(program, function, "to explain", name)
         InliningPhase(program).run(graph)
         CanonicalizerPhase().run(graph)
         print(explain_graph(graph, program))
@@ -1051,7 +953,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="JIT-compile and execute")
-    _add_common(run_parser)
+    run_parser.add_argument("source", type=pathlib.Path, help="MiniLang source file")
+    _add_jit_flags(run_parser, "the entry function")
     _add_engine_flag(run_parser, default="megaunit")
     _add_observability(run_parser)
     _add_metrics_flags(run_parser)
@@ -1068,7 +971,10 @@ def main(argv: list[str] | None = None) -> int:
     profile_parser = sub.add_parser(
         "profile", help="execute under the profiling VM, print hot paths"
     )
-    _add_common(profile_parser)
+    profile_parser.add_argument(
+        "source", type=pathlib.Path, help="MiniLang source file"
+    )
+    _add_jit_flags(profile_parser, "the entry function")
     _add_check_flags(profile_parser)
     _add_metrics_flags(profile_parser)
     profile_parser.add_argument(
@@ -1106,20 +1012,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="worker processes (default: os.cpu_count(); 1 = no pool)",
     )
-    batch_parser.add_argument("--entry", default="main", help="entry function")
-    batch_parser.add_argument(
-        "--args",
-        nargs="*",
-        type=int,
-        default=[10],
-        help="integer arguments for the profiling run",
-    )
-    batch_parser.add_argument(
-        "--config",
-        default="dbds",
-        choices=sorted(CONFIGURATIONS),
-        help="compiler configuration",
-    )
+    _add_jit_flags(batch_parser, "the profiling run")
     batch_parser.add_argument(
         "--json", action="store_true", help="print the batch report as JSON"
     )
@@ -1130,7 +1023,10 @@ def main(argv: list[str] | None = None) -> int:
     batch_parser.set_defaults(func=cmd_batch)
 
     compile_parser = sub.add_parser("compile", help="compile and show metrics")
-    _add_common(compile_parser)
+    compile_parser.add_argument(
+        "source", type=pathlib.Path, help="MiniLang source file"
+    )
+    _add_config_flag(compile_parser)
     _add_observability(compile_parser)
     _add_check_flags(compile_parser)
     compile_parser.add_argument(
@@ -1145,12 +1041,7 @@ def main(argv: list[str] | None = None) -> int:
         "trace", help="compile under a recording tracer, print the profile"
     )
     trace_parser.add_argument("source", type=pathlib.Path)
-    trace_parser.add_argument(
-        "--config",
-        default="dbds",
-        choices=sorted(CONFIGURATIONS),
-        help="compiler configuration",
-    )
+    _add_config_flag(trace_parser)
     trace_parser.add_argument(
         "--out", type=pathlib.Path, default=None, help="write the JSONL trace here"
     )
@@ -1173,20 +1064,7 @@ def main(argv: list[str] | None = None) -> int:
         type=pathlib.Path,
         help="MiniLang files or directories (default: examples/)",
     )
-    check_parser.add_argument("--entry", default="main", help="entry function")
-    check_parser.add_argument(
-        "--args",
-        nargs="*",
-        type=int,
-        default=[10],
-        help="integer arguments for profiling and dynamic runs",
-    )
-    check_parser.add_argument(
-        "--config",
-        default="dbds",
-        choices=sorted(CONFIGURATIONS),
-        help="compiler configuration",
-    )
+    _add_jit_flags(check_parser, "profiling and dynamic runs")
     _add_check_flags(check_parser, default=CHECK_EACH_PHASE)
     check_parser.add_argument(
         "--lir",

@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from ...vm.bytecode import OP_ADD, OP_GE, OPCODE_NAMES
-from ...vm.translate import translate_program
 
 #: small but representative: arithmetic + loop, recursion + calls,
 #: arrays + globals — enough to populate every instruction family the
@@ -342,12 +341,10 @@ def corruption_campaign(
     from ...pipeline.cache import (
         PICKLE_PROTOCOL,
         ArtifactCache,
-        cache_key,
-        make_entry,
         pack_artifact,
         unpack_artifact,
     )
-    from ...pipeline.compiler import compile_and_profile
+    from ...pipeline.compiler import jit
     from ...pipeline.config import CONFIGURATIONS
 
     if config is None:
@@ -364,12 +361,7 @@ def corruption_campaign(
         )
         targets = []
         for name, source in corpus:
-            program, comp_report = compile_and_profile(
-                source, "main", [[10]], config
-            )
-            bytecode = translate_program(program)
-            key = cache_key(source, config)
-            cache.put(make_entry(key, program, comp_report, bytecode=bytecode))
+            key = jit(source, "main", [[10]], config, cache=cache).key
             path = cache.path_for(key)
             targets.append((name, key, path, path.read_bytes()))
 

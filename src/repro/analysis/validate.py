@@ -16,9 +16,10 @@ imports for phase guarding.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .progen import mutated_program, random_program
 
@@ -215,9 +216,8 @@ def validate_engines(
     ``vm`` and ``megaunit``.
     """
     from ..interp.interpreter import observable_outcome
-    from ..pipeline.compiler import ENGINES, compile_and_profile, make_engine
+    from ..pipeline.compiler import ENGINES, jit, make_engine
     from ..pipeline.config import DBDS
-    from ..vm import translate_program
 
     if config is None:
         config = DBDS
@@ -225,10 +225,9 @@ def validate_engines(
         engines = ENGINES
     sets = [list(args) for args in (arg_sets or [[v] for v in DEFAULT_ARG_VALUES])]
     result = ValidationResult(entry=entry, configs=list(engines))
-    program, _ = compile_and_profile(source, entry, sets, config)
-    bytecode = translate_program(program)
+    artifact = jit(source, entry, sets, config)
     runners = [
-        (name, make_engine(name, program, bytecode=bytecode))
+        (name, make_engine(name, artifact.program, bytecode=artifact.bytecode()))
         for name in engines
     ]
 
@@ -275,33 +274,10 @@ def fuzz_engines(
     behave identically on the reference interpreter and every VM
     engine (the ``vm`` loop and megaunit).
     """
-    report = FuzzReport()
-    start = time.perf_counter()
-    corpus = list(corpus) if corpus else None
-    arg_sets = [[value] for value in arg_values]
-    for index in range(programs):
-        if time_budget is not None and time.perf_counter() - start > time_budget:
-            break
-        mutant_seed = seed + index
-        mutant = mutated_program(mutant_seed, corpus, mutations=mutations)
-        label = f"{mutant.base}: {', '.join(mutant.applied) or 'unchanged'}"
-        report.programs += 1
-        try:
-            if not _screen_mutant(mutant.source, "main", arg_sets, screen_steps):
-                report.skipped += 1
-                continue
-            result = validate_engines(
-                mutant.source, "main", arg_sets, config, seed=mutant_seed
-            )
-        except Exception as exc:  # compile/translate crash: a finding
-            report.compile_failures.append(
-                (mutant_seed, f"[{label}] {type(exc).__name__}: {exc}")
-            )
-            continue
-        report.runs += result.runs
-        report.divergences.extend(result.divergences)
-    report.elapsed = time.perf_counter() - start
-    return report
+    return _fuzz_mutants(
+        functools.partial(validate_engines, config=config), seed, programs,
+        time_budget, corpus, arg_values, mutations, screen_steps,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +327,25 @@ def fuzz_mutations(
     differential comparison needs both sides to terminate.  A
     ``time_budget`` (seconds) bounds the session for CI.
     """
+    return _fuzz_mutants(
+        functools.partial(validate_translation, configs=configs), seed,
+        programs, time_budget, corpus, arg_values, mutations, screen_steps,
+    )
+
+
+def _fuzz_mutants(
+    oracle: Callable[..., ValidationResult],
+    seed: int,
+    programs: int,
+    time_budget: Optional[float],
+    corpus: Optional[Sequence[str]],
+    arg_values: Sequence[int],
+    mutations: int,
+    screen_steps: int,
+) -> FuzzReport:
+    """The loop :func:`fuzz_mutations` and :func:`fuzz_engines` share:
+    seed, mutate, screen, validate each survivor with ``oracle``,
+    tally."""
     report = FuzzReport()
     start = time.perf_counter()
     corpus = list(corpus) if corpus else None
@@ -366,10 +361,8 @@ def fuzz_mutations(
             if not _screen_mutant(mutant.source, "main", arg_sets, screen_steps):
                 report.skipped += 1
                 continue
-            result = validate_translation(
-                mutant.source, "main", arg_sets, configs, seed=mutant_seed
-            )
-        except Exception as exc:  # compile crash: also a fuzz finding
+            result = oracle(mutant.source, "main", arg_sets, seed=mutant_seed)
+        except Exception as exc:  # compile/translate crash: a finding
             report.compile_failures.append(
                 (mutant_seed, f"[{label}] {type(exc).__name__}: {exc}")
             )

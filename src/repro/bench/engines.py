@@ -32,11 +32,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ..interp.interpreter import observable_outcome
-from ..obs.tracer import Tracer
-from ..pipeline.cache import ArtifactCache, cache_key, make_entry
-from ..pipeline.compiler import compile_and_profile, make_engine
+from ..pipeline.cache import ArtifactCache
+from ..pipeline.compiler import jit, make_engine
 from ..pipeline.config import CompilerConfig, DBDS
-from ..vm.translate import translate_program
 from .workloads.suites import MICRO, SuiteProfile, Workload, generate_suite
 
 #: the VM engines measured against the reference interpreter
@@ -190,31 +188,11 @@ def compare_engines_on(
     engines: Sequence[str] = MATRIX_ENGINES,
 ) -> EngineRow:
     """Compile one workload, run its measured args on every engine."""
-    key = None
-    cached = cache.get(
-        key := cache_key(
-            workload.source, config,
-            entry=workload.entry, profile_args=workload.profile_args,
-        )
-    ) if cache is not None else None
-    if cached is not None:
-        program = cached.program()
-        bytecode = cached.bytecode() or translate_program(program)
-    else:
-        tracer = Tracer() if cache is not None else None
-        program, report = compile_and_profile(
-            workload.source, workload.entry, workload.profile_args, config,
-            tracer=tracer,
-        )
-        bytecode = translate_program(program)
-        if cache is not None:
-            cache.put(
-                make_entry(
-                    key, program, report,
-                    events=tracer.events, counters=tracer.counters,
-                    bytecode=bytecode,
-                )
-            )
+    artifact = jit(
+        workload.source, workload.entry, workload.profile_args, config,
+        cache=cache,
+    )
+    program, bytecode = artifact.program, artifact.bytecode()
     reference = make_engine("reference", program)
     ref_seconds, _ref_results, ref_outcomes = _timed_runs(
         reference, workload.entry, workload.measure_args

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from ..obs.tracer import Tracer
-from ..pipeline.cache import ArtifactCache, cache_key, make_entry
-from ..pipeline.compiler import compile_and_profile, measure_performance
+from ..pipeline.cache import ArtifactCache
+from ..pipeline.compiler import jit, measure_performance
 from ..pipeline.config import BASELINE, CompilerConfig, DBDS, DUPALOT
-from ..vm.translate import translate_program
 from .stats import format_percent, geometric_mean, speedup_percent
 from .workloads.suites import SuiteProfile, Workload, generate_suite
 
@@ -122,49 +121,25 @@ def measure_workload(
     compile-time numbers (equally for every configuration), so it is
     off by default.
 
-    With a ``cache``, compilation is served from the artifact cache
-    when warm (the stored report keeps the original cold-compile
-    timings, so normalized compile-time columns stay meaningful) and
-    stored into it when cold.  Cached compiles always record their
-    trace so the stored artifact carries its decision events, and the
-    stored blob carries the VM bytecode so warm ``engine="vm"`` runs
-    skip translation too.
+    With a ``cache``, compilation goes through :func:`jit` cache-first:
+    served from the artifact cache when warm (the stored report keeps
+    the original cold-compile timings, so normalized compile-time
+    columns stay meaningful, and the stored bytecode spares VM engines
+    the translation) and stored into it when cold.
 
-    ``engine`` picks the executor for the measured run; both report
+    ``engine`` picks the executor for the measured run; all report
     identical cycles, so the choice only changes harness wall time.
     """
     wall_start = time.perf_counter()
-    key = None
-    cached = None
-    bytecode = None
-    if cache is not None:
-        key = cache_key(
-            workload.source, config,
-            entry=workload.entry, profile_args=workload.profile_args,
-        )
-        cached = cache.get(key)
-    if cached is not None:
-        program, report = cached.program(), cached.report
-        bytecode = cached.bytecode()
-    else:
-        tracer = Tracer() if (profile_phases or cache is not None) else None
-        program, report = compile_and_profile(
-            workload.source, workload.entry, workload.profile_args, config,
-            tracer=tracer,
-        )
-        if engine == "vm":
-            bytecode = translate_program(program)
-        if cache is not None:
-            cache.put(
-                make_entry(
-                    key, program, report,
-                    events=tracer.events, counters=tracer.counters,
-                    bytecode=bytecode or translate_program(program),
-                )
-            )
+    artifact = jit(
+        workload.source, workload.entry, workload.profile_args, config,
+        cache=cache, tracer=Tracer() if profile_phases else None,
+    )
+    report = artifact.report
     cycles, results = measure_performance(
-        program, workload.entry, workload.measure_args,
-        engine=engine, bytecode=bytecode,
+        artifact.program, workload.entry, workload.measure_args,
+        engine=engine,
+        bytecode=None if engine == "reference" else artifact.bytecode(),
     )
     wall_time = time.perf_counter() - wall_start
     for result in results:

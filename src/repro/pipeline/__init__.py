@@ -1,7 +1,8 @@
 """``repro.pipeline`` — compilation driver, configurations, batching
 and the persistent artifact cache.
 
-* :mod:`repro.pipeline.compiler` — the phase pipeline for one unit;
+* :mod:`repro.pipeline.compiler` — the phase pipeline for one unit
+  and :func:`jit`, the cache-first compile every verb goes through;
 * :mod:`repro.pipeline.config` — the paper's named configurations;
 * :mod:`repro.pipeline.batch` — parallel many-file compilation;
 * :mod:`repro.pipeline.cache` — on-disk artifact cache keyed by
@@ -27,11 +28,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "normalize_ir",
     ),
     ".compiler": (
+        "Artifact",
         "CompilationReport",
         "Compiler",
         "ENGINES",
         "UnitMetrics",
         "compile_and_profile",
+        "jit",
         "measure_performance",
     ),
     ".config": (
@@ -45,6 +48,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
+    "Artifact",
     "ArtifactCache",
     "BACKTRACKING",
     "BASELINE",
@@ -66,6 +70,7 @@ __all__ = [
     "compile_and_profile",
     "compile_batch",
     "config_fingerprint",
+    "jit",
     "make_entry",
     "measure_performance",
     "normalize_ir",

@@ -28,13 +28,12 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..analysis.blame import CHECK_OFF, PhaseBlameError
-from ..frontend.irbuilder import compile_source
-from ..interp.profile import apply_profile, profile_program
+from ..analysis.core import BytecodeVerificationError
 from ..ir.graph import Program
 from ..obs.metrics import (
     MetricsRegistry,
@@ -43,10 +42,9 @@ from ..obs.metrics import (
     use_registry,
 )
 from ..obs.profile import CompileProfile
-from ..obs.sinks import event_from_dict, event_to_dict
 from ..obs.tracer import Event, Tracer, current_tracer
 from .cache import ArtifactCache, CacheEntry, cache_key
-from .compiler import CompilationReport, Compiler
+from .compiler import CompilationReport, UserError, jit
 from .config import CompilerConfig, DBDS
 
 #: one batch item: a filesystem path, or an explicit (name, source) pair
@@ -102,11 +100,6 @@ class FileResult:
         from .cache import unpack_artifact
 
         return unpack_artifact(self.program_blob)[0]
-
-    def bytecode(self):
-        from .cache import unpack_artifact
-
-        return unpack_artifact(self.program_blob)[1]
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -212,107 +205,63 @@ class BatchReport:
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
-def _compile_worker(task: dict[str, Any]) -> dict[str, Any]:
+def _compile_worker(
+    name: str, source: str, options: BatchOptions
+) -> dict[str, Any]:
     """Compile one source; runs in a pool worker (or inline for jobs=1).
 
     Takes and returns only picklable plain data so the same function is
-    pool- and spawn-safe.  The worker always compiles under a recording
-    tracer: the trace is what makes cached artifacts explainable and
-    the batch profile aggregatable.  It likewise always compiles under
-    its own :class:`MetricsRegistry`, whose snapshot rides back in the
-    payload so the parent can fold worker metrics into one view —
-    serial and parallel batches merge to identical totals.
+    pool- and spawn-safe: the artifact travels as a cache-entry payload.
+    The worker always compiles under a recording tracer: the trace is
+    what makes cached artifacts explainable and the batch profile
+    aggregatable.  It likewise always compiles (and translates, whose
+    ``--check-bc=rewrite`` verification counts on the ambient registry)
+    under its own :class:`MetricsRegistry`, whose snapshot rides back
+    in the payload so the parent can fold worker metrics into one view
+    — serial and parallel batches merge to identical totals.
     """
-    tracer = Tracer()
     registry = MetricsRegistry()
     started = time.perf_counter()
-    result: dict[str, Any] = {"name": task["name"], "pid": os.getpid()}
+    result: dict[str, Any] = {"name": name, "pid": os.getpid()}
     try:
         with use_registry(registry):
-            program = compile_source(task["source"])
-            collector = profile_program(
-                program, task["entry"], [list(task["args"])]
+            artifact = jit(
+                source, options.entry, [list(options.args)], options.config,
+                tracer=Tracer(), check_ir=options.check_ir,
+                fail_fast=options.fail_fast, check_bc=options.check_bc,
+                name=name,
             )
-            apply_profile(program, collector)
-            compiler = Compiler(
-                task["config"],
-                tracer=tracer,
-                check_ir=task["check_ir"],
-                fail_fast=task["fail_fast"],
-            )
-            report = compiler.compile_program(program)
+            entry = artifact.entry()
     except PhaseBlameError as exc:
         result["error"] = exc.format_blame()
-        result["metrics"] = registry.snapshot().to_json()
-        return result
-    except Exception as exc:
-        result["error"] = f"{type(exc).__name__}: {exc}"
-        result["metrics"] = registry.snapshot().to_json()
-        return result
-    from ..analysis.core import BytecodeVerificationError
-    from ..vm import translate_program
-    from .cache import artifact_manifest, pack_artifact
-
-    try:
-        with use_registry(registry):
-            # Translation (its --check-bc=rewrite verification counts on
-            # the ambient registry) must run under the worker registry
-            # too, or serial and parallel batches would merge different
-            # totals.
-            program_blob = pack_artifact(
-                program,
-                translate_program(
-                    program, check_bc=task.get("check_bc", "off")
-                ),
-            )
     except BytecodeVerificationError as exc:
         result["error"] = exc.report.summary()
-        result["metrics"] = registry.snapshot().to_json()
-        return result
-    result.update(
-        report=report.to_json(),
-        manifest=artifact_manifest(program, report, tracer.events),
-        events=[event_to_dict(e) for e in tracer.events],
-        counters=dict(tracer.counters),
-        program_blob=program_blob,
-        check_failures=[
-            failure.format_blame() for failure in compiler.guard.failures
-        ]
-        if compiler.guard is not None
-        else [],
-        elapsed=time.perf_counter() - started,
-        metrics=registry.snapshot().to_json(),
-    )
+    except UserError as exc:
+        result["error"] = str(exc)
+    except Exception as exc:
+        result["error"] = f"{type(exc).__name__}: {exc}"
+    else:
+        result.update(
+            entry=entry.to_payload(),
+            check_failures=[f.format_blame() for f in artifact.failures],
+            elapsed=time.perf_counter() - started,
+        )
+    result["metrics"] = registry.snapshot().to_json()
     return result
 
 
-def _result_from_worker(key: str, payload: dict[str, Any]) -> FileResult:
-    if "error" in payload:
-        return FileResult(name=payload["name"], key=key, error=payload["error"])
-    return FileResult(
-        name=payload["name"],
-        key=key,
-        cached=False,
-        manifest=payload["manifest"],
-        report=CompilationReport.from_json(payload["report"]),
-        events=[event_from_dict(d) for d in payload["events"]],
-        counters=payload["counters"],
-        program_blob=payload["program_blob"],
-        check_failures=payload["check_failures"],
-        elapsed=payload["elapsed"],
-    )
-
-
-def _result_from_cache(name: str, key: str, entry: CacheEntry) -> FileResult:
+def _result_from_entry(
+    name: str, key: str, entry: CacheEntry, **outcome: Any
+) -> FileResult:
     return FileResult(
         name=name,
         key=key,
-        cached=True,
         manifest=entry.manifest,
         report=entry.report,
         events=list(entry.events),
         counters=dict(entry.counters),
         program_blob=entry.program_blob,
+        **outcome,
     )
 
 
@@ -348,7 +297,9 @@ def compile_batch(
     cache = options.cache
 
     results: list[Optional[FileResult]] = [None] * len(sources)
-    pending: list[tuple[int, dict[str, Any], str]] = []
+    # Workers get the options without the cache: the parent owns it.
+    task_options = replace(options, cache=None)
+    pending: list[tuple[int, tuple, str]] = []
     for index, (name, source) in enumerate(sources):
         key = cache_key(
             source,
@@ -359,32 +310,22 @@ def compile_batch(
         )
         entry = cache.get(key, tracer) if cache is not None else None
         if entry is not None:
-            results[index] = _result_from_cache(name, key, entry)
+            results[index] = _result_from_entry(name, key, entry, cached=True)
             registry.inc("repro_batch_jobs_total", outcome="cached")
             continue
-        task = {
-            "name": name,
-            "source": source,
-            "config": options.config,
-            "entry": options.entry,
-            "args": tuple(options.args),
-            "check_ir": options.check_ir,
-            "check_bc": options.check_bc,
-            "fail_fast": options.fail_fast,
-        }
-        pending.append((index, task, key))
+        pending.append((index, (name, source, task_options), key))
 
     jobs = options.effective_jobs(len(pending)) if pending else 1
     # Peak queue depth for this batch (merged snapshots keep the max).
     registry.set_gauge("repro_batch_queue_depth", len(pending))
     if pending:
         if jobs == 1:
-            payloads = [(i, k, _compile_worker(t)) for i, t, k in pending]
+            payloads = [(i, k, _compile_worker(*t)) for i, t, k in pending]
         else:
             payloads = []
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = {
-                    pool.submit(_compile_worker, task): (index, key)
+                    pool.submit(_compile_worker, *task): (index, key)
                     for index, task, key in pending
                 }
                 remaining = set(futures)
@@ -394,11 +335,19 @@ def compile_batch(
                         index, key = futures[future]
                         payloads.append((index, key, future.result()))
         for index, key, payload in payloads:
-            result = _result_from_worker(key, payload)
-            if "metrics" in payload:
-                registry.merge_snapshot(
-                    MetricsSnapshot.from_json(payload["metrics"])
+            if "error" in payload:
+                entry = None
+                result = FileResult(
+                    name=payload["name"], key=key, error=payload["error"]
                 )
+            else:
+                entry = CacheEntry.from_payload(payload["entry"])
+                result = _result_from_entry(
+                    payload["name"], key, entry,
+                    check_failures=payload["check_failures"],
+                    elapsed=payload["elapsed"],
+                )
+            registry.merge_snapshot(MetricsSnapshot.from_json(payload["metrics"]))
             registry.inc(
                 "repro_batch_jobs_total",
                 outcome="error" if result.error is not None else "compiled",
@@ -413,18 +362,8 @@ def compile_batch(
                 elapsed=result.elapsed,
                 ok=result.error is None,
             )
-            if cache is not None and result.ok and result.report is not None:
-                cache.put(
-                    CacheEntry(
-                        key=key,
-                        manifest=result.manifest,
-                        report=result.report,
-                        program_blob=result.program_blob,
-                        events=result.events,
-                        counters=result.counters,
-                    ),
-                    tracer,
-                )
+            if cache is not None and result.ok:
+                cache.put(entry, tracer)
             results[index] = result
 
     report = BatchReport(

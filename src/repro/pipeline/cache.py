@@ -41,7 +41,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from ..ir.graph import Program
 from ..obs.metrics import current_registry
@@ -426,46 +426,28 @@ class ArtifactCache:
     def get(self, key: str, tracer: Optional[Tracer] = None) -> Optional[CacheEntry]:
         """The entry for ``key``, or None (miss or corrupted)."""
         tracer = tracer if tracer is not None else current_tracer()
-        registry = current_registry()
         path = self.path_for(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
-            tracer.count("cache.miss")
-            tracer.event("cache.miss", key=key)
-            registry.inc("repro_cache_lookups_total", result="miss")
-            return None
-        entry = self._decode(key, raw)
-        if entry is None:
+        raw, entry = self._read(path, CacheEntry.from_payload)
+        if raw is None:
+            return self._miss(key, tracer)
+        if entry is None or entry.key != key:
             self._evict(key, path, "corrupted entry", tracer)
-            self.stats.misses += 1
-            tracer.count("cache.miss")
-            tracer.event("cache.miss", key=key)
-            registry.inc("repro_cache_lookups_total", result="miss")
-            return None
+            return self._miss(key, tracer)
         if self.verify_bytecode != "off":
             reason = self._verify_entry(entry)
             if reason is not None:
                 self._evict(key, path, reason, tracer)
-                registry.inc("repro_bcverify_rejected_artifacts_total")
-                self.stats.misses += 1
-                tracer.count("cache.miss")
-                tracer.event("cache.miss", key=key)
-                registry.inc("repro_cache_lookups_total", result="miss")
-                return None
-        self.stats.hits += 1
-        tracer.count("cache.hit")
-        tracer.event("cache.hit", key=key, path=str(path))
-        registry.inc("repro_cache_lookups_total", result="hit")
-        registry.observe("repro_cache_entry_bytes", len(raw), op="get")
+                current_registry().inc("repro_bcverify_rejected_artifacts_total")
+                return self._miss(key, tracer)
+        self._hit(key, path, tracer)
+        current_registry().observe("repro_cache_entry_bytes", len(raw), op="get")
         return entry
 
     def _verify_entry(self, entry: CacheEntry) -> Optional[str]:
         """Statically verify a decoded artifact's bytecode.
 
         Returns an eviction reason, or None when the entry is sound.
-        The digest check in :meth:`_decode` only proves the *file* is
+        The digest check in :meth:`_read` only proves the *file* is
         the bytes someone wrote; this proves the decoded instruction
         streams are well-formed and equivalent to a fresh translation
         of the cached program, so a tampered-but-redigested artifact
@@ -497,28 +479,9 @@ class ArtifactCache:
         """Atomically persist ``entry``; returns its path."""
         tracer = tracer if tracer is not None else current_tracer()
         path = self.path_for(entry.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(entry.to_payload(), protocol=PICKLE_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest()
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{entry.key[:8]}.", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(digest.encode("ascii") + b"\n" + payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.stats.stores += 1
-        tracer.count("cache.store")
-        tracer.event("cache.store", key=entry.key, path=str(path))
-        registry = current_registry()
-        registry.inc("repro_cache_stores_total")
-        registry.observe("repro_cache_entry_bytes", len(payload), op="put")
+        size = self._write(path, entry.key, entry.to_payload())
+        self._stored(entry.key, path, tracer)
+        current_registry().observe("repro_cache_entry_bytes", size, op="put")
         return path
 
     # ------------------------------------------------------------------
@@ -534,34 +497,14 @@ class ArtifactCache:
     def get_aux(self, key: str, tracer: Optional[Tracer] = None) -> Optional[Any]:
         """The aux payload for ``key``, or None (miss or corrupted)."""
         tracer = tracer if tracer is not None else current_tracer()
-        registry = current_registry()
         path = self.aux_path_for(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
-            tracer.count("cache.miss")
-            tracer.event("cache.miss", key=key, kind="aux")
-            registry.inc("repro_cache_lookups_total", result="miss")
-            return None
-        payload: Optional[Any] = None
-        try:
-            digest, body = raw.split(b"\n", 1)
-            if hashlib.sha256(body).hexdigest().encode("ascii") == digest:
-                payload = pickle.loads(body)
-        except Exception:
-            payload = None
+        raw, payload = self._read(path)
+        if raw is None:
+            return self._miss(key, tracer, kind="aux")
         if payload is None:
             self._evict(key, path, "corrupted aux blob", tracer)
-            self.stats.misses += 1
-            tracer.count("cache.miss")
-            tracer.event("cache.miss", key=key, kind="aux")
-            registry.inc("repro_cache_lookups_total", result="miss")
-            return None
-        self.stats.hits += 1
-        tracer.count("cache.hit")
-        tracer.event("cache.hit", key=key, path=str(path), kind="aux")
-        registry.inc("repro_cache_lookups_total", result="hit")
+            return self._miss(key, tracer, kind="aux")
+        self._hit(key, path, tracer, kind="aux")
         return payload
 
     def put_aux(
@@ -570,6 +513,36 @@ class ArtifactCache:
         """Atomically persist an aux ``payload``; returns its path."""
         tracer = tracer if tracer is not None else current_tracer()
         path = self.aux_path_for(key)
+        self._write(path, key, payload)
+        self._stored(key, path, tracer, kind="aux")
+        return path
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _read(
+        path: Path, decode: Optional[Callable[[Any], Any]] = None
+    ) -> tuple[Optional[bytes], Any]:
+        """``(raw bytes, payload)`` of the file at ``path``: the payload
+        unpickled after its digest checks out (and passed through
+        ``decode``), None when the file is corrupted; ``(None, None)``
+        when there is no file."""
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return None, None
+        try:
+            digest, body = raw.split(b"\n", 1)
+            if hashlib.sha256(body).hexdigest().encode("ascii") == digest:
+                payload = pickle.loads(body)
+                return raw, decode(payload) if decode is not None else payload
+        except Exception:
+            pass
+        return raw, None
+
+    @staticmethod
+    def _write(path: Path, key: str, payload: Any) -> int:
+        """Atomically write ``payload`` digest-first (a temp file in the
+        same directory, then ``os.replace``); returns the pickle size."""
         path.parent.mkdir(parents=True, exist_ok=True)
         body = pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
         digest = hashlib.sha256(body).hexdigest()
@@ -586,25 +559,26 @@ class ArtifactCache:
             except OSError:
                 pass
             raise
+        return len(body)
+
+    def _miss(self, key: str, tracer: Tracer, **attrs: Any) -> None:
+        """Count a lookup that found nothing usable; returns None."""
+        self.stats.misses += 1
+        tracer.count("cache.miss")
+        tracer.event("cache.miss", key=key, **attrs)
+        current_registry().inc("repro_cache_lookups_total", result="miss")
+
+    def _hit(self, key: str, path: Path, tracer: Tracer, **attrs: Any) -> None:
+        self.stats.hits += 1
+        tracer.count("cache.hit")
+        tracer.event("cache.hit", key=key, path=str(path), **attrs)
+        current_registry().inc("repro_cache_lookups_total", result="hit")
+
+    def _stored(self, key: str, path: Path, tracer: Tracer, **attrs: Any) -> None:
         self.stats.stores += 1
         tracer.count("cache.store")
-        tracer.event("cache.store", key=key, path=str(path), kind="aux")
+        tracer.event("cache.store", key=key, path=str(path), **attrs)
         current_registry().inc("repro_cache_stores_total")
-        return path
-
-    # ------------------------------------------------------------------
-    def _decode(self, key: str, raw: bytes) -> Optional[CacheEntry]:
-        """Parse + verify one entry file; None means corrupted."""
-        try:
-            digest, payload = raw.split(b"\n", 1)
-            if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-                return None
-            entry = CacheEntry.from_payload(pickle.loads(payload))
-            if entry.key != key:
-                return None
-            return entry
-        except Exception:
-            return None
 
     def _evict(
         self, key: str, path: Path, reason: str, tracer: Tracer

@@ -12,21 +12,23 @@ generated code.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from ..analysis.blame import CHECK_OFF, PhaseGuard, use_guard
+from ..analysis.blame import CHECK_OFF, PhaseBlameError, PhaseGuard, use_guard
 from ..costmodel.estimator import graph_code_size
 from ..costmodel.model import cycles_of
 from ..dbds.backtracking import BacktrackingDuplication
 from ..dbds.phase import DbdsPhase
 from ..frontend.irbuilder import compile_source
+from ..frontend.lexer import CompileError
 from ..interp.interpreter import ExecutionResult, Interpreter
 from ..interp.profile import apply_profile, profile_program
 from ..ir.graph import Graph, Program
 from ..ir.verifier import verify_graph
 from ..obs.metrics import current_registry
-from ..obs.tracer import Tracer, use_tracer
+from ..obs.tracer import Event, Tracer, use_tracer
 from ..opts.canonicalize import CanonicalizerPhase
 from ..opts.condelim import ConditionalEliminationPhase
 from ..opts.gvn import GlobalValueNumberingPhase
@@ -35,6 +37,9 @@ from ..opts.licm import LoopInvariantCodeMotionPhase
 from ..opts.pea import PartialEscapeAnalysisPhase
 from ..opts.readelim import ReadEliminationPhase
 from .config import BASELINE, CompilerConfig
+
+if TYPE_CHECKING:
+    from .cache import ArtifactCache, CacheEntry
 
 
 @dataclass
@@ -264,8 +269,169 @@ class Compiler:
 
 
 # ----------------------------------------------------------------------
-# Convenience entry points used by examples, tests and the harness.
+# The JIT flow: parse, profile, optimize — cache-first.
 # ----------------------------------------------------------------------
+class UserError(Exception):
+    """A mistake in the input a caller named: a source that does not
+    compile, an unknown entry function, a wrong argument count (the CLI
+    adds a file it cannot read or write).
+
+    The message is one line, located as ``name:line:col`` where the
+    front end knows the position.  The CLI prints it as ``repro: error:
+    ...`` and exits 2 instead of showing a traceback.
+    """
+
+
+def parse_source(source: str, name: str = "<source>") -> Program:
+    """The unoptimized program of ``source``; a compile error is a
+    :class:`UserError` located as ``name:line:col``."""
+    try:
+        return compile_source(source)
+    except CompileError as exc:
+        where = name
+        if exc.line:
+            where += f":{exc.line}" + (f":{exc.column}" if exc.column else "")
+        raise UserError(f"{where}: {exc.message}") from None
+
+
+def require_function(
+    program: Program, function: str, purpose: str, name: str = "<source>"
+) -> Graph:
+    """``function``'s graph; a :class:`UserError` naming the defined
+    functions when ``program`` (read from ``name``) has none."""
+    graph = program.functions.get(function)
+    if graph is None:
+        defined = ", ".join(program.functions) or "none"
+        raise UserError(
+            f"{name}: no function {function!r} {purpose} (defined: {defined})"
+        )
+    return graph
+
+
+def parse_entry(
+    source: str,
+    entry: str,
+    arg_sets: Iterable[list[Any]],
+    name: str = "<source>",
+    flag: str = "--args",
+) -> Program:
+    """The unoptimized program of ``source``, checked to define
+    ``entry`` taking as many arguments as each of ``arg_sets`` (given
+    by ``flag``) holds."""
+    program = parse_source(source, name)
+    graph = require_function(program, entry, "to run", name)
+    for args in arg_sets:
+        if len(graph.parameters) != len(args):
+            raise UserError(
+                f"{name}: {entry} takes {len(graph.parameters)} argument(s), "
+                f"{flag} gave {len(args)}"
+            )
+    return program
+
+
+@dataclass
+class Artifact:
+    """One JIT compilation, as :func:`jit` returns it.
+
+    ``cached`` says the artifact cache served it; ``failures`` are the
+    IR violations a keep-going compile collected (such an artifact is
+    never stored); ``events``/``counters`` are the compile trace (no
+    events unless the compile was recorded or came from the cache).
+    """
+
+    program: Program
+    report: CompilationReport
+    key: str
+    cached: bool = False
+    failures: list[PhaseBlameError] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
+    counters: dict[str, int] = field(default_factory=dict)
+    #: ``--check-bc`` mode of a fresh translation (``"rewrite"`` verifies)
+    check_bc: str = "off"
+    _bytecode: Any = field(default=None, repr=False)
+
+    def bytecode(self) -> Any:
+        """The VM translation: the cached one, else translated once."""
+        if self._bytecode is None:
+            from ..vm.translate import translate_program
+
+            self._bytecode = translate_program(
+                self.program, check_bc=self.check_bc
+            )
+        return self._bytecode
+
+    def entry(self) -> "CacheEntry":
+        """This artifact as a cache entry, bytecode included."""
+        from .cache import make_entry
+
+        return make_entry(
+            self.key, self.program, self.report, self.events, self.counters,
+            bytecode=self.bytecode(),
+        )
+
+
+def jit(
+    source: str,
+    entry: str,
+    profile_args: Iterable[list[Any]],
+    config: CompilerConfig = BASELINE,
+    *,
+    cache: Optional["ArtifactCache"] = None,
+    tracer: Optional[Tracer] = None,
+    check_ir: str = CHECK_OFF,
+    fail_fast: bool = True,
+    check_bc: str = "off",
+    name: str = "<source>",
+) -> Artifact:
+    """The whole JIT flow, cache-first; every verb compiles through it.
+
+    On a ``cache`` miss: parse ``source`` (``name`` locates a
+    :class:`UserError` for a compile error, an unknown ``entry`` or a
+    wrong argument count), profile the unoptimized program over
+    ``profile_args`` on the bytecode VM (see
+    :func:`~repro.interp.profile.profile_program`), apply the profile,
+    optimize under ``config``, and store the artifact unless a
+    keep-going compile (``check_ir``, ``fail_fast``: see
+    :class:`Compiler`) collected IR violations.
+
+    ``tracer`` records the compile and the profiling run and receives
+    the cache events (default: the ambient tracer); a compile that is
+    stored is recorded anyway, so its entry keeps the decision trace.
+    ``check_bc`` applies to the translation :meth:`Artifact.bytecode`
+    makes.
+    """
+    from .cache import cache_key
+
+    profile_args = [list(args) for args in profile_args]
+    key = cache_key(
+        source, config, entry=entry, profile_args=profile_args,
+        check_ir=check_ir,
+    )
+    hit = cache.get(key, tracer) if cache is not None else None
+    if hit is not None:
+        return Artifact(
+            hit.program(), hit.report, key, cached=True, events=hit.events,
+            counters=hit.counters, check_bc=check_bc, _bytecode=hit.bytecode(),
+        )
+    program = parse_entry(source, entry, profile_args, name)
+    recorder = Tracer() if tracer is None and cache is not None else tracer
+    # A tracer shared across compiles keeps only this one's events here.
+    mark = len(recorder.events) if recorder is not None else 0
+    with use_tracer(recorder) if recorder is not None else nullcontext():
+        collector = profile_program(program, entry, profile_args)
+    apply_profile(program, collector)
+    compiler = Compiler(config, tracer=recorder, check_ir=check_ir, fail_fast=fail_fast)
+    artifact = Artifact(
+        program, compiler.compile_program(program), key,
+        failures=[] if compiler.guard is None else list(compiler.guard.failures),
+        events=compiler.tracer.events[mark:],
+        counters=dict(compiler.tracer.counters), check_bc=check_bc,
+    )
+    if cache is not None and not artifact.failures:
+        cache.put(artifact.entry(), tracer)
+    return artifact
+
+
 def compile_and_profile(
     source: str,
     entry: str,
@@ -275,22 +441,13 @@ def compile_and_profile(
     check_ir: str = CHECK_OFF,
     fail_fast: bool = True,
 ) -> tuple[Program, CompilationReport]:
-    """Front-end + profiling run + optimizing compilation.
-
-    This is the full JIT story in one call: parse, collect a profile by
-    running the unoptimized program on the bytecode VM (the ``vm``
-    loop, moving to the counted megaunit module for long profiles; see
-    :func:`~repro.interp.profile.profile_program`), feed the profile to
-    the compiler, optimize.  Pass a ``tracer`` to record the
-    compilation, a ``check_ir`` mode to run the IR sanitizers while
-    compiling.
-    """
-    program = compile_source(source)
-    collector = profile_program(program, entry, profile_args)
-    apply_profile(program, collector)
-    compiler = Compiler(config, tracer=tracer, check_ir=check_ir, fail_fast=fail_fast)
-    report = compiler.compile_program(program)
-    return program, report
+    """Front-end + profiling run + optimizing compilation, uncached: the
+    optimized program and its report from :func:`jit`."""
+    artifact = jit(
+        source, entry, profile_args, config, tracer=tracer,
+        check_ir=check_ir, fail_fast=fail_fast,
+    )
+    return artifact.program, artifact.report
 
 
 #: Execution engines usable for measurement runs.
@@ -303,7 +460,6 @@ def make_engine(
     bytecode: Any = None,
     max_steps: int = 50_000_000,
     metered: bool = True,
-    check_bc: str = "off",
     codegen_cache: Any = None,
 ) -> Any:
     """Construct a runner for ``engine`` (uniform run/reset/state API).
@@ -313,13 +469,10 @@ def make_engine(
     call-graph compiler (the entry and all it calls in one exec unit,
     direct calls — see docs/VM.md), whose generated source
     ``codegen_cache`` (an :class:`~repro.pipeline.cache.ArtifactCache`)
-    persists across processes.  VM engines accept a pre-translated
-    ``bytecode`` program to skip re-translation (e.g. a cache hit).
-    All engines report identical cycles/steps/outcomes by
-    construction.  ``check_bc="rewrite"`` verifies any bytecode
-    translated here (see :func:`repro.vm.translate.translate_program`);
-    pre-translated bytecode is the cache's responsibility
-    (``--check-bc=load``).
+    persists across processes.  VM engines run the given ``bytecode``
+    (an :meth:`Artifact.bytecode`, which owns ``--check-bc``) or an
+    unchecked translation of ``program``.  All engines report identical
+    cycles/steps/outcomes by construction.
     """
     if engine == "reference":
         return Interpreter(
@@ -337,7 +490,7 @@ def make_engine(
     from ..vm.translate import translate_program
 
     if bytecode is None:
-        bytecode = translate_program(program, check_bc=check_bc)
+        bytecode = translate_program(program)
     if engine == "megaunit":
         return MegaunitVirtualMachine(
             bytecode, max_steps=max_steps, metered=metered,
@@ -353,7 +506,6 @@ def measure_performance(
     max_steps: int = 50_000_000,
     engine: str = "reference",
     bytecode: Any = None,
-    check_bc: str = "off",
     codegen_cache: Any = None,
 ) -> tuple[float, list[ExecutionResult]]:
     """Simulated peak performance: total cost-model cycles over runs.
@@ -367,7 +519,7 @@ def measure_performance(
     """
     runner = make_engine(
         engine, program, bytecode=bytecode, max_steps=max_steps,
-        check_bc=check_bc, codegen_cache=codegen_cache,
+        codegen_cache=codegen_cache,
     )
     results = []
     total = 0.0

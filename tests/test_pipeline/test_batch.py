@@ -11,6 +11,8 @@ from repro.pipeline.batch import BatchOptions, compile_batch
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.config import DBDS
 
+from tests.helpers import REPO
+
 ADD = textwrap.dedent(
     """
     fn main(n: int) -> int {
@@ -198,3 +200,38 @@ def test_cli_batch_reports_bad_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "error" in out
     assert "1 compiled" in out
+
+
+def test_cli_batch_locates_a_syntax_error(tmp_path, capsys):
+    path = tmp_path / "bad.mini"
+    path.write_text("fn main(n: int) -> int {\n  return n +;\n}\n")
+    rc = main(["batch", str(path), "-j", "1", "--args", "5", "--no-cache", "--json"])
+    assert rc == 1
+    (result,) = json.loads(capsys.readouterr().out)["files"]
+    # The same located line every other verb prints.
+    assert result["error"] == f"{path}:2:13: expected expression, found ';'"
+
+
+# ----------------------------------------------------------------------
+# One cache key and entry format across verbs
+# ----------------------------------------------------------------------
+NQUEENS = str(REPO / "examples" / "apps" / "nqueens.mini")
+
+
+def test_run_and_check_hit_what_batch_stored(tmp_path, capsys):
+    common = ["--args", "4", "--cache-dir", str(tmp_path / "cache")]
+    assert main(["batch", NQUEENS, "-j", "1", *common]) == 0
+    capsys.readouterr()
+    assert main(["run", NQUEENS, *common]) == 0
+    assert "compiled from   : cache" in capsys.readouterr().err
+    check = ["check", NQUEENS, "--check-ir=off", "--cache-stats", *common]
+    assert main(check) == 0
+    assert "cache: 1 hit(s), 0 miss(es)" in capsys.readouterr().err
+
+
+def test_batch_serves_what_run_stored(tmp_path, capsys):
+    common = ["--args", "4", "--cache-dir", str(tmp_path / "cache")]
+    assert main(["run", NQUEENS, *common]) == 0
+    capsys.readouterr()
+    assert main(["batch", NQUEENS, "-j", "1", *common]) == 0
+    assert "1 from cache, 0 compiled" in capsys.readouterr().out

@@ -1,8 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import importlib
+import sys
+
 import pytest
 
 from repro.__main__ import main
+from repro.pipeline.compiler import Compiler
+
+from tests.helpers import REPO
 
 PROGRAM = """
 fn foo(x: int) -> int {
@@ -67,6 +73,63 @@ class TestRun:
         assert main(argv + flags) == 0
         runs = json.loads(out.read_text())["counters"]["repro_vm_runs_total"]
         assert runs == {f"engine={engine}": 1}
+
+    def test_warm_run_skips_parse_profile_compile_and_translate(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        argv = [
+            "run", str(REPO / "examples" / "apps" / "nqueens.mini"), "--args", "6",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        calls = count_calls(
+            monkeypatch,
+            functions=[
+                ("repro.frontend.irbuilder", "compile_source"),
+                ("repro.interp.profile", "profile_program"),
+                ("repro.vm.translate", "translate_program"),
+            ],
+            methods=[(Compiler, "compile_program")],
+        )
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert "compiled from   : cache" in warm.err
+        assert warm.out.splitlines()[:2] == cold.splitlines()[:2]
+        assert calls == {
+            "compile_source": 0, "profile_program": 0,
+            "translate_program": 0, "compile_program": 0,
+        }
+
+
+def count_calls(monkeypatch, functions=(), methods=()):
+    """Count calls of each ``(module, name)`` function, wrapped at every
+    binding across the loaded ``repro`` modules (callers import it by
+    name), and of each ``(class, name)`` method; returns the live
+    name -> count table."""
+    counts = {}
+
+    def counting(name, original):
+        counts[name] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, name in functions:
+        original = getattr(importlib.import_module(module_name), name)
+        wrapper = counting(name, original)
+        for loaded, module in list(sys.modules.items()):
+            if module is None or not loaded.startswith("repro"):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    for cls, name in methods:
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    return counts
 
 
 class TestCompile:
@@ -206,6 +269,18 @@ class TestProfileAndMetrics:
         out = capsys.readouterr().out
         assert "176" in out and "reconciliation" in out
 
+    def test_profile_honours_check_bc(self, source_file, tmp_path):
+        import json
+
+        out = tmp_path / "metrics.json"
+        argv = [
+            "profile", str(source_file), "--args", "20",
+            "--check-bc", "rewrite", "--metrics-out", str(out),
+        ]
+        assert main(argv) == 0
+        counters = json.loads(out.read_text())["counters"]
+        assert counters["repro_bcverify_runs_total"] == {"result=ok": 1}
+
     def test_metrics_out_json(self, source_file, tmp_path):
         import json
 
@@ -292,6 +367,29 @@ class TestArgparse:
     def test_unknown_config_rejected(self, source_file):
         with pytest.raises(SystemExit):
             main(["run", str(source_file), "--config", "nonsense"])
+
+    # ``compile`` never reads an entry, arguments or bytecode; the cache
+    # of ``run``, ``check`` and ``bench`` is off unless --cache-dir.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "{path}", "--entry", "nope"],
+            ["compile", "{path}", "--args", "1", "2", "3"],
+            ["compile", "{path}", "--check-bc", "rewrite"],
+            ["run", "{path}", "--no-cache"],
+            ["check", "{path}", "--no-cache"],
+            ["bench", "--no-cache"],
+        ],
+        ids=[
+            "compile --entry", "compile --args", "compile --check-bc",
+            "run --no-cache", "check --no-cache", "bench --no-cache",
+        ],
+    )
+    def test_removed_flags_rejected(self, source_file, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(path=source_file) for arg in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestWorkloadCommand:

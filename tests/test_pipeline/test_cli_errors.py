@@ -11,6 +11,8 @@ traps still exits 1.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.__main__ import EXIT_USER_ERROR, main
@@ -83,11 +85,11 @@ VERB_CASES = {
         (verb, "missing file"): (
             None, [], "cannot read {path}: No such file or directory",
         )
-        for verb in ("compile", "trace", "explain", "check")
+        for verb in ("compile", "trace", "explain", "check", "profile", "batch")
     },
     **{
         (verb, "syntax error"): (SYNTAX_ERROR[0], [], SYNTAX_ERROR[2])
-        for verb in ("compile", "trace", "explain", "check")
+        for verb in ("compile", "trace", "explain", "check", "profile")
     },
     ("explain", "unknown entry"): (
         PROGRAM, ["--entry", "nosuch", "--profile-args", "4"],
@@ -155,6 +157,12 @@ OUTPUT_CASES = {
         "{path}", "-j", "1", "--no-cache", "--args", "3", "--metrics-out", "{out}",
     ],
     ("bench", "--trace-out"): ["--suite", "recursion", "--trace-out", "{out}"],
+    ("bench", "--engine-report"): [
+        "--suite", "recursion", "--engine-report", "{out}",
+    ],
+    ("profile", "--collapsed"): ["{path}", "--args", "3", "--collapsed", "{out}"],
+    ("profile", "--json"): ["{path}", "--args", "3", "--json", "{out}"],
+    ("check", "--bc-report"): ["{path}", "--args", "3", "--bc-report", "{out}"],
 }
 
 
@@ -175,3 +183,18 @@ def test_unwritable_output_is_a_user_error(verb, flag, tmp_path, capsys):
         f"repro: error: cannot write {out}: No such file or directory"
     )
     assert "Traceback" not in captured.err
+
+
+def test_unsupported_trajectory_is_refused_before_the_suite_runs(
+    tmp_path, capsys
+):
+    path = tmp_path / "trajectory.json"
+    path.write_text(json.dumps({"schema": 99, "entries": []}))
+    code = main(["bench", "--suite", "recursion", "--check-regression", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USER_ERROR
+    # Nothing printed: the suite never ran.
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro: error: {path}: unsupported trajectory schema 99 (expected 1)\n"
+    )
