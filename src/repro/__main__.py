@@ -13,7 +13,10 @@ Usage::
 optimization) and executes, printing the result and the simulated cycle
 count; ``run``, ``check``, ``profile``, ``batch`` and ``bench`` all
 compile through the one cache-first :func:`repro.pipeline.compiler.jit`,
-so they share cache keys and entries and honour ``--check-bc`` alike.
+so they share cache keys and entries.  ``run``, ``check`` and
+``profile`` take ``--check-bc={off,rewrite}``, which verifies every VM
+translation they execute, warm cache hits included (the cache stores
+programs, not bytecode).
 ``compile`` optimizes without a profile and prints per-unit metrics
 and optionally the optimized IR.  ``trace`` compiles under a recording
 tracer and prints the aggregated compile profile.  ``bench``
@@ -44,7 +47,9 @@ A user error — a source file that cannot be read or compiled, an
 unknown ``--entry``, a wrong ``--args`` count, an output file
 (``--trace-out``, ``--metrics-out``, ...) that cannot be written —
 prints one ``repro: error: ...`` line (compile errors located as
-``file:line:col``) and exits 2; a program that traps exits 1.
+``file:line:col``) and exits 2; a program that traps exits 1, and one
+that exhausts its step limit (in the profiling run or the measured one)
+prints one ``repro: error: ...`` line naming the limit and exits 3.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from .bench.trajectory import (
     DEFAULT_TRAJECTORY_PATH,
 )
 from .bench.workloads.suites import ALL_SUITES
-from .interp.interpreter import Interpreter
+from .interp.interpreter import BudgetExceeded, Interpreter
 from .obs import (
     NULL_REGISTRY,
     CompileProfile,
@@ -107,6 +112,9 @@ DEFAULT_CACHE_DIR = pathlib.Path(".repro-cache")
 #: output file (a trap exits 1)
 EXIT_USER_ERROR = 2
 
+#: exit status of a run that exhausts its step limit
+EXIT_LIMIT = 3
+
 
 @contextmanager
 def _writing(path: pathlib.Path):
@@ -143,7 +151,7 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_jit_flags(parser: argparse.ArgumentParser, purpose: str) -> None:
     """The inputs of :func:`~repro.pipeline.compiler.jit` other than the
-    IR checks: entry, arguments, configuration and ``--check-bc``."""
+    checks: entry, arguments and configuration."""
     parser.add_argument("--entry", default="main", help="entry function")
     parser.add_argument(
         "--args",
@@ -153,13 +161,15 @@ def _add_jit_flags(parser: argparse.ArgumentParser, purpose: str) -> None:
         help=f"integer arguments for {purpose}",
     )
     _add_config_flag(parser)
+
+
+def _add_check_bc_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--check-bc",
         default="off",
-        choices=("off", "load", "rewrite"),
-        help="statically verify VM bytecode: 'load' checks every cache "
-        "artifact before it runs (reject -> evict + recompile), "
-        "'rewrite' additionally checks every freshly translated stream "
+        choices=("off", "rewrite"),
+        help="statically verify VM bytecode: 'rewrite' checks every "
+        "translated stream before it runs, warm cache hits included "
         "(see docs/ANALYSIS.md)",
     )
 
@@ -237,13 +247,7 @@ def _add_cache_flags(
 
 
 def _make_cache(args: argparse.Namespace) -> ArtifactCache | None:
-    if args.cache_dir is None:
-        return None
-    check_bc = getattr(args, "check_bc", "off")
-    return ArtifactCache(
-        args.cache_dir,
-        verify_bytecode="load" if check_bc != "off" else "off",
-    )
+    return None if args.cache_dir is None else ArtifactCache(args.cache_dir)
 
 
 def _emit_cache_stats(args: argparse.Namespace, cache: ArtifactCache | None) -> None:
@@ -578,9 +582,8 @@ def _check_program_sweeps(
     if args.verify_bytecode:
         from .analysis.bcverify import verify_bytecode
 
-        # The full profile: every checker including the codegen lint,
-        # keep-going.
-        report = verify_bytecode(artifact.bytecode(), program)
+        # Every checker including the codegen lint, keep-going.
+        report = verify_bytecode(artifact.bytecode())
         for violation in report.errors():
             print(f"{path}: {violation.format()}", file=sys.stderr)
             failures += 1
@@ -637,22 +640,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(report.format())
         failures += len(report.divergences) + len(report.compile_failures)
 
-    corruption_json = None
-    if args.fuzz_corruption:
-        from .analysis.bcverify import corruption_campaign
-
-        report = corruption_campaign(
-            seed=args.seed, corruptions=args.fuzz_corruption, config=config
-        )
-        print(report.format())
-        failures += report.total - report.rejected
-        corruption_json = report.to_json()
-
     if args.bc_report:
-        payload = {
-            "files": getattr(args, "_bc_reports", []),
-            "corruption": corruption_json,
-        }
+        payload = {"files": getattr(args, "_bc_reports", [])}
         _write_output(
             args.bc_report, json.dumps(payload, indent=2) + "\n", "bytecode report"
         )
@@ -682,7 +671,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         entry=args.entry,
         args=tuple(args.args),
         check_ir=args.check_ir,
-        check_bc=args.check_bc,
         fail_fast=args.fail_fast,
         cache=cache,
     )
@@ -955,6 +943,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser = sub.add_parser("run", help="JIT-compile and execute")
     run_parser.add_argument("source", type=pathlib.Path, help="MiniLang source file")
     _add_jit_flags(run_parser, "the entry function")
+    _add_check_bc_flag(run_parser)
     _add_engine_flag(run_parser, default="megaunit")
     _add_observability(run_parser)
     _add_metrics_flags(run_parser)
@@ -975,6 +964,7 @@ def main(argv: list[str] | None = None) -> int:
         "source", type=pathlib.Path, help="MiniLang source file"
     )
     _add_jit_flags(profile_parser, "the entry function")
+    _add_check_bc_flag(profile_parser)
     _add_check_flags(profile_parser)
     _add_metrics_flags(profile_parser)
     profile_parser.add_argument(
@@ -1065,6 +1055,7 @@ def main(argv: list[str] | None = None) -> int:
         help="MiniLang files or directories (default: examples/)",
     )
     _add_jit_flags(check_parser, "profiling and dynamic runs")
+    _add_check_bc_flag(check_parser)
     _add_check_flags(check_parser, default=CHECK_EACH_PHASE)
     check_parser.add_argument(
         "--lir",
@@ -1122,20 +1113,11 @@ def main(argv: list[str] | None = None) -> int:
         "docs/ANALYSIS.md)",
     )
     check_parser.add_argument(
-        "--fuzz-corruption",
-        type=int,
-        default=0,
-        metavar="N",
-        help="corrupt cached bytecode artifacts N times (seeded) and "
-        "demand every mutation is rejected at load",
-    )
-    check_parser.add_argument(
         "--bc-report",
         type=pathlib.Path,
         default=None,
         metavar="FILE",
-        help="write the bytecode-verifier + corruption-campaign report "
-        "as JSON",
+        help="write the bytecode-verifier report as JSON",
     )
     _add_observability(check_parser)
     _add_metrics_flags(check_parser)
@@ -1248,6 +1230,9 @@ def main(argv: list[str] | None = None) -> int:
     except UserError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
+    except BudgetExceeded as exc:
+        print(f"repro: error: step limit: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ per-phase invariant checking with phase-blame diagnostics
 (:mod:`~repro.analysis.blame`, wired into ``Phase.run`` and the
 ``--check-ir`` pipeline modes), a translation-validation harness
 (:mod:`~repro.analysis.validate`, behind ``repro check --fuzz``), and
-the static bytecode verifier with its dataflow framework and artifact
-corruption campaigns (``--check-bc``, ``repro check
---verify-bytecode``/``--fuzz-corruption``).  See ``docs/ANALYSIS.md``.
+the static bytecode verifier with its dataflow framework
+(``--check-bc``, ``repro check --verify-bytecode``).  See
+``docs/ANALYSIS.md``.
 
 Typical use::
 
@@ -81,10 +81,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".bcverify": (
         "BcVerifyReport",
-        "CorruptionReport",
-        "corruption_campaign",
         "run_bc_checkers",
-        "verify_artifact",
         "verify_bytecode",
     ),
 })
@@ -100,7 +97,6 @@ __all__ = [
     "CheckReport",
     "Checker",
     "CheckerContext",
-    "CorruptionReport",
     "DivergenceRecord",
     "FuzzReport",
     "LirCheckerContext",
@@ -117,7 +113,6 @@ __all__ = [
     "all_checkers",
     "check_stamp_dynamic",
     "checker",
-    "corruption_campaign",
     "current_guard",
     "fuzz_engines",
     "fuzz_mutations",
@@ -133,6 +128,5 @@ __all__ = [
     "use_guard",
     "validate_engines",
     "validate_translation",
-    "verify_artifact",
     "verify_bytecode",
 ]

@@ -1,18 +1,18 @@
 """Static bytecode verifier over VM instruction streams.
 
-JVM-style load-time verification for the register VM: before a
-translated program — especially one rehydrated from an untrusted cache
-artifact — reaches a dispatch loop, this package proves it well-formed
-with purely static means.  Four layers:
+JVM-style verification for the register VM: before a freshly
+translated program reaches a dispatch loop, this package proves it
+well-formed with purely static means.  The artifact cache stores no
+bytecode — every verb translates the cached program afresh — so streams
+are verified where they are made (``translate_program(...,
+check_bc="rewrite")``), never at load.  Three layers:
 
 * **CFG recovery + dataflow** (:mod:`.cfg`, :mod:`.dataflow`) — block
   structure decoded through the :mod:`repro.vm.opspec` registry, a
-  forward/backward worklist engine over a small lattice API, and
-  must-defined / liveness / constant-propagation analyses.
-* **Structural checks** (:mod:`.checks`) — tuple layouts, operand
-  ranges, branch targets, register def-before-use.
-* **Retranslation equivalence** — optionally the whole function
-  matches a deterministic fresh translation of the program.
+  forward worklist engine over a small lattice API, and the
+  must-defined analysis.
+* **Structural checks** (:mod:`.checks`) — block spans, tuple layouts,
+  operand ranges, branch targets, register def-before-use.
 * **Codegen lint** (:mod:`.lint`) — the megaunit engine's
   exec-generated source (each function's body, and the whole counted
   module) is checked for banned names, leaked globals, balanced
@@ -20,8 +20,7 @@ with purely static means.  Four layers:
   table, without being executed.
 
 Entry points: :func:`verify_bytecode` (full verification of a
-:class:`~repro.vm.bytecode.BytecodeProgram`), :func:`verify_artifact`
-(the cache-load profile: retranslate + compare, no codegen lint), and
+:class:`~repro.vm.bytecode.BytecodeProgram`) and
 :func:`run_bc_checkers` for one function.  CLI: ``--check-bc`` and
 ``repro check --verify-bytecode``; see docs/ANALYSIS.md.
 """
@@ -43,21 +42,11 @@ from .cfg import (
     spec_of,
 )
 from .checks import BcCheckerContext, run_bc_checkers
-from .corrupt import CorruptionRecord, CorruptionReport, corruption_campaign
-from .dataflow import (
-    ConstProp,
-    DataflowResult,
-    Liveness,
-    MustDefined,
-    solve,
-    solve_backward,
-    solve_forward,
-)
+from .dataflow import DataflowResult, MustDefined, solve_forward
 from .lint import BANNED_NAMES, lint_megaunit_function, lint_megaunit_source
 
-#: ``--check-bc`` modes: "load" verifies cache-loaded artifacts only,
-#: "rewrite" additionally verifies every freshly translated stream.
-CHECK_BC_MODES = ("off", "load", "rewrite")
+#: ``--check-bc`` modes: "rewrite" verifies every translated stream.
+CHECK_BC_MODES = ("off", "rewrite")
 
 
 @dataclass
@@ -65,7 +54,7 @@ class BcVerifyReport:
     """Outcome of one whole-program verification."""
 
     reports: list[CheckReport] = field(default_factory=list)
-    #: program-level violations (e.g. globals_init mismatch)
+    #: program-level violations (the counted megaunit module's lint)
     violations: list[Violation] = field(default_factory=list)
 
     @property
@@ -120,67 +109,19 @@ class BcVerifyReport:
 
 def verify_bytecode(
     bytecode,
-    program=None,
     *,
-    retranslate: Optional[bool] = None,
-    lint: bool = True,
     checkers: Optional[Iterable[str]] = None,
     disable: Sequence[str] = (),
     fail_fast: bool = False,
 ) -> BcVerifyReport:
-    """Statically verify every function of a translated program.
-
-    With ``program`` and ``retranslate`` (the default when a program is
-    supplied), the program is re-translated — translation is
-    deterministic — and every function is compared against the fresh
-    result, including the flattened ``globals_init``; this assumes the
-    default cost model, which is what every pipeline translation uses.
-    """
+    """Statically verify every function of a translated program."""
     start = time.perf_counter()
-    if retranslate is None:
-        retranslate = program is not None
     result = BcVerifyReport()
     disable = tuple(disable)
-    if not lint:
-        disable = disable + ("bc-codegen-lint",)
-
-    fresh = None
-    if retranslate and program is not None:
-        from ...vm.translate import translate_program
-
-        fresh = translate_program(program)
-        if tuple(bytecode.globals_init) != tuple(fresh.globals_init):
-            result.violations.append(
-                Violation(
-                    checker="bc-retranslate",
-                    severity=Severity.ERROR,
-                    graph="<program>",
-                    message=(
-                        "globals_init differs from a fresh translation"
-                    ),
-                )
-            )
-        fresh_names = set(fresh.functions)
-        mine_names = set(bytecode.functions)
-        if fresh_names != mine_names:
-            result.violations.append(
-                Violation(
-                    checker="bc-retranslate",
-                    severity=Severity.ERROR,
-                    graph="<program>",
-                    message=(
-                        f"function set {sorted(mine_names)} differs from "
-                        f"a fresh translation {sorted(fresh_names)}"
-                    ),
-                )
-            )
-
-    for name, fn in bytecode.functions.items():
-        fresh_fn = fresh.functions.get(name) if fresh is not None else None
+    for fn in bytecode.functions.values():
         report = run_bc_checkers(
             fn,
             bytecode,
-            fresh_fn=fresh_fn,
             checkers=checkers,
             disable=disable,
             fail_fast=fail_fast,
@@ -221,17 +162,6 @@ def verify_bytecode(
     return result
 
 
-def verify_artifact(program, bytecode) -> BcVerifyReport:
-    """The cache-load profile: structural + dataflow +
-    retranslation-equivalence checks over an untrusted artifact.
-
-    The codegen lint is skipped: megaunit source is generated from the
-    — now verified — bytecode, or served from the codegen cache under a
-    key that digests that bytecode.
-    """
-    return verify_bytecode(bytecode, program, retranslate=True, lint=False)
-
-
 __all__ = [
     "BANNED_NAMES",
     "BCBlock",
@@ -240,23 +170,15 @@ __all__ = [
     "BytecodeCFG",
     "BytecodeVerificationError",
     "CHECK_BC_MODES",
-    "ConstProp",
-    "CorruptionRecord",
-    "CorruptionReport",
     "DataflowResult",
     "DecodeError",
-    "Liveness",
     "MustDefined",
     "build_cfg",
-    "corruption_campaign",
     "instruction_events",
     "lint_megaunit_function",
     "lint_megaunit_source",
     "run_bc_checkers",
-    "solve",
-    "solve_backward",
     "solve_forward",
     "spec_of",
-    "verify_artifact",
     "verify_bytecode",
 ]

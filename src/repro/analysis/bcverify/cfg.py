@@ -122,11 +122,9 @@ def _edge_target(edge) -> int:
 
 
 def build_cfg(fn) -> BytecodeCFG:
-    """Recover the CFG of ``fn.code``; raises :class:`DecodeError`.
-
-    Requires span metadata (``fn.blocks``) — legacy artifacts without
-    it cannot be verified structurally beyond per-tuple shape.
-    """
+    """Recover the CFG of ``fn.code`` from its block spans
+    (``fn.blocks``, which every translation emits); raises
+    :class:`DecodeError`, also for a function without spans."""
     stream = fn.code
     if not fn.blocks:
         raise DecodeError("function has no block-span metadata")

@@ -3,7 +3,8 @@
 Three checkers over one translated function, run through the same
 registry/report machinery as the IR and LIR sanitizers:
 
-* ``bc-structure`` — frame shape, span tiling, per-tuple layout against
+* ``bc-structure`` — frame shape, block spans (every function has
+  them, tiling its stream), per-tuple layout against
   the :mod:`repro.vm.opspec` registry, operand ranges, edge
   well-formedness.  Owns every :class:`DecodeError`; the dataflow
   checkers skip a function whose structure is broken.
@@ -12,13 +13,6 @@ registry/report machinery as the IR and LIR sanitizers:
   edge.
 * ``bc-codegen-lint`` — the static lint over the function's
   megaunit-generated source (:mod:`.lint`).
-
-A fourth, ``bc-retranslate``, compares the function against a fresh
-translation of the same program (the strongest artifact-tamper check —
-translation is deterministic, and both sides share IR node identity,
-so tuple equality is exact except for embedded callee functions, which
-compare by name); it only runs when the orchestrator supplies
-``fresh_fn``.
 """
 
 from __future__ import annotations
@@ -49,13 +43,11 @@ class BcCheckerContext(_ContextBase):
         self,
         fn: BytecodeFunction,
         bytecode=None,
-        fresh_fn: Optional[BytecodeFunction] = None,
         label: Optional[str] = None,
     ) -> None:
         super().__init__(label or fn.name)
         self.fn = fn
         self.bytecode = bytecode
-        self.fresh_fn = fresh_fn
         self._cfg = None
         self._structure: Optional[bool] = None
 
@@ -71,7 +63,7 @@ class BcCheckerContext(_ContextBase):
         if self._structure is None:
             try:
                 self.cfg()
-                self._structure = bool(self.fn.blocks)
+                self._structure = True
             except DecodeError:
                 self._structure = False
         return self._structure
@@ -174,12 +166,6 @@ def check_bc_structure(ctx: BcCheckerContext) -> None:
             f"{fn.const_base + fn.const_count}) outside the register file"
         )
         return
-    if not fn.blocks:
-        # Legacy artifact (schema v2): no span metadata, so only the
-        # per-tuple shape of the stream is checkable.
-        for pc in range(len(fn.code)):
-            _check_site(ctx, pc)
-        return
     try:
         cfg = ctx.cfg()
     except DecodeError as exc:
@@ -247,89 +233,16 @@ def check_bc_defuse(ctx: BcCheckerContext) -> None:
 def check_bc_codegen_lint(ctx: BcCheckerContext) -> None:
     # Call sites resolve against the program's function table, so a
     # function checked on its own (no ``bytecode``) is not linted.
-    fn = ctx.fn
-    if ctx.bytecode is None or not fn.blocks or not ctx.structure_ok():
+    if ctx.bytecode is None or not ctx.structure_ok():
         return
-    for message in lint_megaunit_function(ctx.bytecode, fn.name):
+    for message in lint_megaunit_function(ctx.bytecode, ctx.fn.name):
         ctx.report(message)
-
-
-# ----------------------------------------------------------------------
-# bc-retranslate
-# ----------------------------------------------------------------------
-def _same_instruction(mine: tuple, theirs: tuple) -> bool:
-    """Tuple equality, except callee operands compare by *name*.
-
-    Call instructions embed the callee :class:`BytecodeFunction`
-    directly, and a fresh translation builds its own function objects —
-    identity can't match across the two programs.  ``bc-structure``
-    already pins the callee's identity *within* its own program, so a
-    by-name comparison here loses nothing.
-    """
-    if mine == theirs:
-        return True
-    if len(mine) != len(theirs):
-        return False
-    for a, b in zip(mine, theirs):
-        if isinstance(a, BytecodeFunction) and isinstance(b, BytecodeFunction):
-            if a.name != b.name:
-                return False
-        elif isinstance(a, tuple) and isinstance(b, tuple):
-            if not _same_instruction(a, b):
-                return False
-        elif a != b:
-            return False
-    return True
-
-
-@checker(
-    "bc-retranslate",
-    scope=SCOPE_BC,
-    description="matches a fresh translation of the program",
-)
-def check_bc_retranslate(ctx: BcCheckerContext) -> None:
-    fresh = ctx.fresh_fn
-    if fresh is None:
-        return
-    fn = ctx.fn
-    for attribute in (
-        "nparams", "nregs", "const_base", "const_count", "blocks",
-    ):
-        mine, theirs = getattr(fn, attribute), getattr(fresh, attribute)
-        if mine != theirs:
-            ctx.report(
-                f"{attribute} = {mine!r} but a fresh translation "
-                f"produces {theirs!r}"
-            )
-            return
-    if len(fn.template) != len(fresh.template) or any(
-        type(a) is not type(b) or a != b
-        for a, b in zip(fn.template, fresh.template)
-    ):
-        ctx.report("register template differs from a fresh translation")
-    if len(fn.code) != len(fresh.code):
-        ctx.report(
-            f"code length {len(fn.code)} != fresh translation "
-            f"{len(fresh.code)}"
-        )
-        return
-    reported = 0
-    for pc, (mine, theirs) in enumerate(zip(fn.code, fresh.code)):
-        if not _same_instruction(mine, theirs):
-            ctx.report(
-                f"pc {pc}: instruction differs from a fresh translation"
-            )
-            reported += 1
-            if reported > 5:
-                ctx.report("further retranslation mismatches elided")
-                return
 
 
 def run_bc_checkers(
     fn: BytecodeFunction,
     bytecode=None,
     *,
-    fresh_fn: Optional[BytecodeFunction] = None,
     label: Optional[str] = None,
     checkers: Optional[Iterable[str]] = None,
     disable: Sequence[str] = (),
@@ -337,7 +250,7 @@ def run_bc_checkers(
 ) -> CheckReport:
     """Run bytecode checkers over one translated function."""
     selected = _select(checkers, disable, SCOPE_BC)
-    ctx = BcCheckerContext(fn, bytecode, fresh_fn=fresh_fn, label=label)
+    ctx = BcCheckerContext(fn, bytecode, label=label)
     return _execute(ctx, selected, fail_fast, CheckReport(graph=ctx.graph_name))
 
 

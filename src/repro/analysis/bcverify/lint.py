@@ -1,10 +1,10 @@
 """Static lint over megaunit's exec-generated source.
 
 The megaunit engine (:mod:`repro.vm.megaunit`) compiles the whole
-program to one Python module and runs it with ``exec``.  That source is
-generated from data that may have travelled through a cache file, so
-the verifier lints the *text* (without executing it) for the
-properties the codegen promises:
+program to one Python module and runs it with ``exec`` (and persists
+the plain module's text in the codegen cache), so the verifier lints
+the *text* (without executing it) for the properties the codegen
+promises:
 
 * it parses, and consists only of module-level ``_mu<N>`` function
   definitions, one per bytecode function;
@@ -54,7 +54,6 @@ from ...vm.megaunit import (
     COUNTS_NAME,
     MEGAUNIT_BUILTINS,
     MEGAUNIT_NAMESPACE,
-    MegaunitUnsupported,
     finish_live_ins,
     function_source,
     generate_module_source,
@@ -437,17 +436,11 @@ def lint_megaunit_source(
     bytecode, metered: bool = True, counted: bool = False
 ) -> list[str]:
     """Lint the whole-program megaunit module (``counted``: its
-    profiling variant); returns message strings.
-
-    Programs the megaunit compiler does not support (no block spans)
-    lint clean by definition — the engine falls back to the ``vm`` loop
-    for them and never execs megaunit text."""
+    profiling variant); returns message strings."""
     try:
         source = generate_module_source(
             bytecode, metered=metered, counted=counted
         )
-    except MegaunitUnsupported:
-        return []
     except Exception as exc:
         return [f"megaunit codegen failed: {type(exc).__name__}: {exc}"]
     messages: list[str] = []

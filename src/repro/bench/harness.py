@@ -124,8 +124,8 @@ def measure_workload(
     With a ``cache``, compilation goes through :func:`jit` cache-first:
     served from the artifact cache when warm (the stored report keeps
     the original cold-compile timings, so normalized compile-time
-    columns stay meaningful, and the stored bytecode spares VM engines
-    the translation) and stored into it when cold.
+    columns stay meaningful; VM engines still translate the program
+    once) and stored into it when cold.
 
     ``engine`` picks the executor for the measured run; all report
     identical cycles, so the choice only changes harness wall time.

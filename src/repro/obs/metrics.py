@@ -90,8 +90,6 @@ METRIC_HELP: dict[str, str] = {
     "repro_profile_runs_total": "Profiling runs by the engine that profiled.",
     "repro_bcverify_runs_total": "Bytecode verifier runs by result (ok/fail).",
     "repro_bcverify_seconds": "Wall time per bytecode verifier run.",
-    "repro_bcverify_rejected_artifacts_total":
-        "Cache artifacts rejected by the bytecode verifier at load.",
 }
 
 #: label-set key used inside snapshots: "" or "k=v,k2=v2" (sorted)

@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..analysis.blame import CHECK_OFF, PhaseBlameError
-from ..analysis.core import BytecodeVerificationError
 from ..ir.graph import Program
 from ..obs.metrics import (
     MetricsRegistry,
@@ -62,12 +61,6 @@ class BatchOptions:
     #: one profiling argument set for the entry function
     args: tuple[int, ...] = (10,)
     check_ir: str = CHECK_OFF
-    #: ``--check-bc`` mode: "rewrite" verifies each worker's freshly
-    #: translated bytecode (a failure is that file's ``error``); cache
-    #: *loads* are verified by the cache itself when it was built with
-    #: ``verify_bytecode != "off"``.  Not part of the cache key — the
-    #: verifier only accepts/rejects, it never changes the artifact.
-    check_bc: str = "off"
     fail_fast: bool = True
     cache: Optional[ArtifactCache] = None
 
@@ -99,7 +92,7 @@ class FileResult:
     def program(self) -> Program:
         from .cache import unpack_artifact
 
-        return unpack_artifact(self.program_blob)[0]
+        return unpack_artifact(self.program_blob)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -214,11 +207,10 @@ def _compile_worker(
     pool- and spawn-safe: the artifact travels as a cache-entry payload.
     The worker always compiles under a recording tracer: the trace is
     what makes cached artifacts explainable and the batch profile
-    aggregatable.  It likewise always compiles (and translates, whose
-    ``--check-bc=rewrite`` verification counts on the ambient registry)
-    under its own :class:`MetricsRegistry`, whose snapshot rides back
-    in the payload so the parent can fold worker metrics into one view
-    — serial and parallel batches merge to identical totals.
+    aggregatable.  It likewise always compiles under its own
+    :class:`MetricsRegistry`, whose snapshot rides back in the payload
+    so the parent can fold worker metrics into one view — serial and
+    parallel batches merge to identical totals.
     """
     registry = MetricsRegistry()
     started = time.perf_counter()
@@ -228,14 +220,11 @@ def _compile_worker(
             artifact = jit(
                 source, options.entry, [list(options.args)], options.config,
                 tracer=Tracer(), check_ir=options.check_ir,
-                fail_fast=options.fail_fast, check_bc=options.check_bc,
-                name=name,
+                fail_fast=options.fail_fast, name=name,
             )
             entry = artifact.entry()
     except PhaseBlameError as exc:
         result["error"] = exc.format_blame()
-    except BytecodeVerificationError as exc:
-        result["error"] = exc.report.summary()
     except UserError as exc:
         result["error"] = str(exc)
     except Exception as exc:

@@ -1,9 +1,10 @@
 """Persistent compilation-artifact cache.
 
-A warm recompile of an unchanged source must skip the whole
-simulate → trade-off → optimize pipeline.  The cache stores one
-:class:`CacheEntry` per *(source, configuration, repro version,
-profiling inputs)* combination — the optimized program (pickled), the
+A warm recompile of an unchanged source must skip parsing, the
+profiling run and the whole simulate → trade-off → optimize pipeline.
+The cache stores one :class:`CacheEntry` per *(source, configuration,
+repro version, profiling inputs)* combination — the optimized program
+(pickled; never its VM translation, which every run makes afresh), the
 :class:`~repro.pipeline.compiler.CompilationReport`, the full event
 trace of the original compilation, and a deterministic **artifact
 manifest** (IR dump + DBDS decision list + size/duplication numbers,
@@ -19,7 +20,8 @@ Storage layout and durability::
 Writes go to a per-process temp file in the same directory followed by
 ``os.replace``, so concurrent writers of the same key can never
 produce a torn read — the last complete write wins.  Reads verify the
-leading digest; any mismatch or unpickling failure counts as a
+leading digest and the key embedded in the payload, and decode the
+program blob; any mismatch or unpickling failure counts as a
 corrupted entry: the file is deleted, a ``cache.evict`` event is
 emitted, and the caller falls back to a cold compile.
 
@@ -61,7 +63,9 @@ from .config import CompilerConfig
 #: v6: bytecode artifacts carry only the plain ``fn.code`` stream (no
 #: fused/quickened fast stream); a v5 blob would rehydrate functions
 #: with a stale ``xcode`` attribute.
-CACHE_SCHEMA_VERSION = 6
+#: v7: program blobs hold the optimized program alone, no bytecode
+#: translation.
+CACHE_SCHEMA_VERSION = 7
 
 #: pickle protocol pinned so parent and pool workers agree
 PICKLE_PROTOCOL = 4
@@ -199,8 +203,7 @@ def manifest_digest(manifest: dict[str, Any]) -> str:
 class CacheEntry:
     """Everything needed to skip a recompile.
 
-    ``program_blob`` is the packed artifact — the pickled optimized
-    :class:`Program` together with its VM bytecode translation (see
+    ``program_blob`` is the packed optimized :class:`Program` (see
     :func:`pack_artifact`); ``events`` is the original compilation's
     full trace (so ``repro explain``-style decision rendering works
     offline from cache); ``counters`` is the original tracer's counter
@@ -213,25 +216,17 @@ class CacheEntry:
     program_blob: bytes
     events: list[Event] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
-    #: memoized (program, bytecode) pair — unpickling is not free and
-    #: callers ask for both halves of the same blob
-    _artifact: Optional[tuple] = field(
+    #: memoized program — :meth:`ArtifactCache.get` decodes it to
+    #: validate the entry, and the caller then asks for it
+    _program: Optional[Program] = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def _unpack(self) -> tuple:
-        if self._artifact is None:
-            self._artifact = unpack_artifact(self.program_blob)
-        return self._artifact
-
     def program(self) -> Program:
         """Rehydrate the optimized program."""
-        return self._unpack()[0]
-
-    def bytecode(self):
-        """The VM translation of the program, or ``None`` for entries
-        written before bytecode was cached (schema < 2 blobs)."""
-        return self._unpack()[1]
+        if self._program is None:
+            self._program = unpack_artifact(self.program_blob)
+        return self._program
 
     # -- serialization --------------------------------------------------
     def to_payload(self) -> dict[str, Any]:
@@ -306,38 +301,31 @@ def _set_state(obj: Any, state: Any) -> None:
             setattr(obj, name, value)
 
 
-def pack_artifact(program: Program, bytecode: Any = None) -> bytes:
-    """Pickle ``(program, bytecode)`` as ONE blob, of any depth.
+def pack_artifact(program: Program) -> bytes:
+    """Pickle ``program`` as ONE blob, of any depth.
 
-    A single pickle stream keeps the node identity shared between the
-    graphs and the bytecode (instruction tuples reference IR nodes for
-    observers/profiles); two separate blobs would rehydrate two
-    disconnected copies.  The stream is the root pickle followed by
-    batches of deferred ``(shell, state)`` pairs (see
-    :class:`_ShellPickler`), so deep IR never hits the recursion limit.
+    The stream is the root pickle followed by batches of deferred
+    ``(shell, state)`` pairs (see :class:`_ShellPickler`), so deep IR
+    never hits the recursion limit.
     """
     buffer = io.BytesIO()
     pickler = _ShellPickler(buffer)
-    pickler.dump((program, bytecode))
+    pickler.dump(program)
     while pickler.pending:
         batch, pickler.pending = pickler.pending, []
         pickler.dump(batch)
     return buffer.getvalue()
 
 
-def unpack_artifact(blob: bytes) -> tuple[Program, Any]:
-    """Inverse of :func:`pack_artifact`; also reads single-pickle blobs,
-    including pre-schema-2 ones that pickled a bare :class:`Program`
-    (bytecode comes back None)."""
+def unpack_artifact(blob: bytes) -> Program:
+    """Inverse of :func:`pack_artifact`."""
     stream = io.BytesIO(blob)
     unpickler = pickle.Unpickler(stream)
-    obj = unpickler.load()
+    program = unpickler.load()
     while stream.tell() < len(blob):
         for shell, state in unpickler.load():
             _set_state(shell, state)
-    if isinstance(obj, Program):
-        return obj, None
-    return obj
+    return program
 
 
 def make_entry(
@@ -346,22 +334,25 @@ def make_entry(
     report: CompilationReport,
     events: Iterable[Event] = (),
     counters: Optional[dict[str, int]] = None,
-    bytecode: Any = None,
 ) -> CacheEntry:
-    """Build an entry from a just-finished compilation.
-
-    Pass the VM ``bytecode`` translation to persist it alongside the
-    program — cache hits then skip both the compile and the translate.
-    """
+    """Build an entry from a just-finished compilation."""
     events = list(events)
     return CacheEntry(
         key=key,
         manifest=artifact_manifest(program, report, events),
         report=report,
-        program_blob=pack_artifact(program, bytecode),
+        program_blob=pack_artifact(program),
         events=events,
         counters=dict(counters or {}),
     )
+
+
+def _decode_entry(payload: dict[str, Any]) -> CacheEntry:
+    """An entry from its payload, program blob decoded: a blob that does
+    not unpickle makes the whole entry corrupted."""
+    entry = CacheEntry.from_payload(payload)
+    entry.program()
+    return entry
 
 
 # ----------------------------------------------------------------------
@@ -409,15 +400,9 @@ class ArtifactCache:
     partially written entry — worst case it misses.
     """
 
-    def __init__(
-        self, root: Union[str, Path], verify_bytecode: str = "off"
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.stats = CacheStats()
-        #: ``--check-bc`` mode: anything but "off" runs the static
-        #: bytecode verifier on every loaded artifact before it can
-        #: reach a dispatch loop (failure → evict + miss → recompile)
-        self.verify_bytecode = verify_bytecode
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.entry"
@@ -427,51 +412,15 @@ class ArtifactCache:
         """The entry for ``key``, or None (miss or corrupted)."""
         tracer = tracer if tracer is not None else current_tracer()
         path = self.path_for(key)
-        raw, entry = self._read(path, CacheEntry.from_payload)
+        raw, entry = self._read(path, _decode_entry)
         if raw is None:
             return self._miss(key, tracer)
         if entry is None or entry.key != key:
             self._evict(key, path, "corrupted entry", tracer)
             return self._miss(key, tracer)
-        if self.verify_bytecode != "off":
-            reason = self._verify_entry(entry)
-            if reason is not None:
-                self._evict(key, path, reason, tracer)
-                current_registry().inc("repro_bcverify_rejected_artifacts_total")
-                return self._miss(key, tracer)
         self._hit(key, path, tracer)
         current_registry().observe("repro_cache_entry_bytes", len(raw), op="get")
         return entry
-
-    def _verify_entry(self, entry: CacheEntry) -> Optional[str]:
-        """Statically verify a decoded artifact's bytecode.
-
-        Returns an eviction reason, or None when the entry is sound.
-        The digest check in :meth:`_read` only proves the *file* is
-        the bytes someone wrote; this proves the decoded instruction
-        streams are well-formed and equivalent to a fresh translation
-        of the cached program, so a tampered-but-redigested artifact
-        still can't reach dispatch.
-        """
-        from ..analysis.bcverify import verify_artifact
-
-        try:
-            program = entry.program()
-            bytecode = entry.bytecode()
-        except Exception as exc:
-            return f"artifact unpickle failed: {type(exc).__name__}"
-        if bytecode is None:
-            # pre-schema-2 blob: nothing cached to verify; the caller
-            # translates fresh, which the rewrite mode covers.
-            return None
-        report = verify_artifact(program, bytecode)
-        if report.ok:
-            return None
-        errors = report.errors()
-        return (
-            f"bytecode verification failed ({len(errors)} error(s)): "
-            f"{errors[0].format()}"
-        )
 
     def put(
         self, entry: CacheEntry, tracer: Optional[Tracer] = None

@@ -346,12 +346,13 @@ class Artifact:
     failures: list[PhaseBlameError] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
-    #: ``--check-bc`` mode of a fresh translation (``"rewrite"`` verifies)
+    #: ``--check-bc`` mode of the translation (``"rewrite"`` verifies)
     check_bc: str = "off"
-    _bytecode: Any = field(default=None, repr=False)
+    _bytecode: Any = field(default=None, init=False, repr=False)
 
     def bytecode(self) -> Any:
-        """The VM translation: the cached one, else translated once."""
+        """The VM translation, made on first use — once per artifact,
+        cold or warm (the cache stores none)."""
         if self._bytecode is None:
             from ..vm.translate import translate_program
 
@@ -361,12 +362,11 @@ class Artifact:
         return self._bytecode
 
     def entry(self) -> "CacheEntry":
-        """This artifact as a cache entry, bytecode included."""
+        """This artifact as a cache entry."""
         from .cache import make_entry
 
         return make_entry(
-            self.key, self.program, self.report, self.events, self.counters,
-            bytecode=self.bytecode(),
+            self.key, self.program, self.report, self.events, self.counters
         )
 
 
@@ -398,7 +398,7 @@ def jit(
     the cache events (default: the ambient tracer); a compile that is
     stored is recorded anyway, so its entry keeps the decision trace.
     ``check_bc`` applies to the translation :meth:`Artifact.bytecode`
-    makes.
+    makes, on a cache hit as on a miss.
     """
     from .cache import cache_key
 
@@ -411,7 +411,7 @@ def jit(
     if hit is not None:
         return Artifact(
             hit.program(), hit.report, key, cached=True, events=hit.events,
-            counters=hit.counters, check_bc=check_bc, _bytecode=hit.bytecode(),
+            counters=hit.counters, check_bc=check_bc,
         )
     program = parse_entry(source, entry, profile_args, name)
     recorder = Tracer() if tracer is None and cache is not None else tracer
@@ -513,9 +513,10 @@ def measure_performance(
     ``engine`` selects the executor (see :func:`make_engine`): the
     ``reference`` tree-walking interpreter, the ``vm`` bytecode loop or
     the whole-program ``megaunit`` compiler — pass a pre-translated
-    ``bytecode`` program to skip re-translation, e.g. from a cache hit,
-    and a ``codegen_cache`` to reuse megaunit's generated source.  All
-    engines report identical cycles/steps/outcomes by construction.
+    ``bytecode`` program (e.g. an :meth:`Artifact.bytecode`) to skip
+    re-translation, and a ``codegen_cache`` to reuse megaunit's
+    generated source.  All engines report identical
+    cycles/steps/outcomes by construction.
     """
     runner = make_engine(
         engine, program, bytecode=bytecode, max_steps=max_steps,

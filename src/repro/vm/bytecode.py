@@ -117,14 +117,9 @@ class BytecodeFunction:
     ``blocks`` records the basic-block layout as ``(start_pc,
     instruction_count, block_name)`` spans, and ``const_base``/
     ``const_count`` delimit the interned-constant register range — both
-    feed megaunit's block-at-a-time lowering and constant inlining.
-    They are **class-level defaults** so legacy pickles without them
-    rehydrate cleanly (megaunit then falls back to the ``vm`` loop).
+    feed megaunit's block-at-a-time lowering and constant inlining, and
+    the translator always fills them.
     """
-
-    blocks: tuple = ()
-    const_base: int = 0
-    const_count: int = 0
 
     def __init__(self, name: str, nparams: int) -> None:
         self.name = name
@@ -133,6 +128,9 @@ class BytecodeFunction:
         self.code: tuple = ()
         self.template: list = []
         self.entry_block: Optional[Any] = None
+        self.blocks: tuple = ()
+        self.const_base = 0
+        self.const_count = 0
 
     def __repr__(self) -> str:
         return (

@@ -69,9 +69,8 @@ case (``max_call_depth`` minus the current depth, plus
 ``_STACK_HEADROOM`` slack) fits under ``sys.getrecursionlimit()`` and
 otherwise runs the activation on the inherited ``vm`` loop, emitting a
 ``vm.fallback`` tracer event (once per machine and reason) and
-counting ``repro_vm_fallback_total``.  Programs whose functions lack
-block spans (legacy cache artifacts) fall back the same way, and
-observed runs always run on the ``vm`` loop.
+counting ``repro_vm_fallback_total``.  Observed runs always run on the
+``vm`` loop.
 
 Profiled runs (a ``profile=`` collector) execute the **counted**
 variant of the module instead of the hooked machine loop: the same
@@ -245,11 +244,6 @@ def _finish_budget(vm, fn, steps, cycles, pc, *live) -> None:
             raise
         if metered:
             cycles += ins[1]
-
-
-class MegaunitUnsupported(Exception):
-    """This program cannot be megaunit-compiled (e.g. a function with
-    no block spans); the engine falls back to the ``vm`` loop."""
 
 
 def stack_headroom_ok(call_depth: int, max_call_depth: int) -> bool:
@@ -633,7 +627,7 @@ class _FunctionCompiler:
         charge the call cost."""
         target = self.entries.get(id(ins[4]))
         if target is None:  # pragma: no cover - translate interns callees
-            raise MegaunitUnsupported(
+            raise AssertionError(
                 f"{self.fn.name}: call target {ins[4]!r} is not part of "
                 "the compiled program"
             )
@@ -695,11 +689,13 @@ class _FunctionCompiler:
         fn = self.fn
         emit = self.emit
         blocks = fn.blocks
-        if not blocks or blocks[0][0] != 0:
-            raise MegaunitUnsupported(f"{fn.name}: no usable block spans")
+        # translate emits spans from pc 0, each ending in a terminator
+        if not blocks or blocks[0][0] != 0:  # pragma: no cover
+            raise AssertionError(f"{fn.name}: no usable block spans")
         for start, count, _name in blocks:
-            if fn.code[start + count - 1][0] not in (OP_GOTO, OP_IF, OP_RETURN):
-                raise MegaunitUnsupported(
+            last = fn.code[start + count - 1][0]
+            if last not in (OP_GOTO, OP_IF, OP_RETURN):  # pragma: no cover
+                raise AssertionError(
                     f"{fn.name}: block at pc {start} has no terminator"
                 )
         self._inline, entry_preds = self.plan_inlining()
@@ -790,9 +786,7 @@ def generate_module_source(
 ) -> str:
     """The Python source ``compile_module`` would exec for ``roots``
     (see :func:`unit_functions`; ``None`` = the whole program), without
-    executing it — the static codegen lint works on this text.  Raises
-    :class:`MegaunitUnsupported` when the unit cannot be
-    megaunit-compiled."""
+    executing it — the static codegen lint works on this text."""
     return _unit_source(
         unit_functions(bytecode, roots), metered, max_steps, max_call_depth,
         [] if counted else None,
@@ -893,11 +887,11 @@ def compile_module(
     codegen_cache: Optional[Any] = None,
     roots: Optional[Sequence[str]] = None,
     counted: bool = False,
-) -> Optional[MegaunitModule]:
+) -> MegaunitModule:
     """Compile (or exec from cache) the unit of every function reachable
-    from ``roots`` (``None`` = the whole program), or ``None`` when it
-    cannot be megaunit-compiled.  The codegen cache key hashes the
-    unit's functions, so each set of roots has its own entry.
+    from ``roots`` (``None`` = the whole program).  The codegen cache
+    key hashes the unit's functions, so each set of roots has its own
+    entry.
 
     ``counted`` compiles the profiling variant (see
     :class:`MegaunitModule`).  It is built once per profiling run and
@@ -918,12 +912,7 @@ def compile_module(
             and payload.get("functions") == [fn.name for fn in order]
         ):
             return _exec_module(bytecode, order, payload["source"])
-    try:
-        source = _unit_source(
-            order, metered, max_steps, max_call_depth, sites
-        )
-    except MegaunitUnsupported:
-        return None
+    source = _unit_source(order, metered, max_steps, max_call_depth, sites)
     module = _exec_module(bytecode, order, source, sites)
     if codegen_cache is not None:
         store_source(
@@ -946,9 +935,8 @@ class MegaunitVirtualMachine(VirtualMachine):
     key changes.  A machine with a ``profile=`` collector runs the
     counted module and folds its counts into the collector whenever a
     run leaves it (return, trap or budget stop).  Insufficient
-    recursion headroom or missing block spans fall back to the
-    inherited ``vm`` loop (a ``vm.fallback`` event records why), and
-    so do observed runs.
+    recursion headroom falls back to the inherited ``vm`` loop (a
+    ``vm.fallback`` event records why), and so do observed runs.
 
     ``codegen_cache`` (an :class:`~repro.pipeline.cache.ArtifactCache`
     or anything with its aux-store API) persists the generated text:
@@ -976,7 +964,7 @@ class MegaunitVirtualMachine(VirtualMachine):
         self._mu_entry = function
         return super().run(function, args)
 
-    def _module(self) -> Optional[MegaunitModule]:
+    def _module(self) -> MegaunitModule:
         counted = self.profile is not None
         key = (self.max_steps, self.metered, self._mu_entry, counted)
         if key != self._mu_key:
@@ -1010,9 +998,6 @@ class MegaunitVirtualMachine(VirtualMachine):
             # Observed runs: identical hook semantics to the base machine.
             return super()._run_frame(fn, args)
         module = self._module()
-        if module is None:
-            self._note_fallback("no-block-spans")
-            return super()._run_frame(fn, args)
         entry = module.entries.get(fn.name)
         if entry is None:  # pragma: no cover - run() resolves names first
             self._note_fallback("unknown-function")
@@ -1041,7 +1026,6 @@ __all__ = [
     "MEGAUNIT_BUILTINS",
     "MEGAUNIT_NAMESPACE",
     "MegaunitModule",
-    "MegaunitUnsupported",
     "MegaunitVirtualMachine",
     "compile_module",
     "finish_live_ins",

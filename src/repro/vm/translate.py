@@ -321,9 +321,8 @@ def translate_program(
     ``check_bc="rewrite"`` runs the static bytecode verifier
     (:mod:`repro.analysis.bcverify`) on the freshly built streams and
     raises :class:`~repro.analysis.bcverify.BytecodeVerificationError`
-    on any violation.  The retranslation-equivalence layer is skipped (it
-    would compare the result with itself); ``"load"`` and ``"off"``
-    are no-ops here, load-time checking lives in the artifact cache.
+    on any violation.  The artifact cache stores programs, not
+    bytecode, so a warm run's streams are built and checked here too.
     """
     functions = {
         name: BytecodeFunction(name, len(graph.parameters))
@@ -341,7 +340,7 @@ def translate_program(
             verify_bytecode,
         )
 
-        report = verify_bytecode(bytecode, retranslate=False, lint=True)
+        report = verify_bytecode(bytecode)
         if not report.ok:
             raise BytecodeVerificationError(report)
     return bytecode

@@ -11,7 +11,6 @@ from repro.analysis.bcverify import (
     lint_megaunit_function,
     lint_megaunit_source,
     run_bc_checkers,
-    verify_artifact,
     verify_bytecode,
 )
 from repro.analysis.bcverify.lint import BANNED_NAMES, _lint_names
@@ -62,23 +61,15 @@ def _replace(fn, pc, ins):
 # ----------------------------------------------------------------------
 # Clean programs verify clean
 # ----------------------------------------------------------------------
-def test_clean_program_verifies(compiled, bytecode):
-    report = verify_bytecode(bytecode, compiled)
+def test_clean_program_verifies(bytecode):
+    report = verify_bytecode(bytecode)
     assert report.ok, report.format()
     # one report per function
     assert len(report.reports) == len(bytecode.functions)
 
 
-def test_verify_artifact_profile(compiled, bytecode):
-    report = verify_artifact(compiled, bytecode)
-    assert report.ok, report.format()
-    # the artifact profile skips codegen lint but keeps retranslation
-    checkers = {v.checker for r in report.reports for v in r.violations}
-    assert "bc-codegen-lint" not in checkers
-
-
-def test_report_json_shape(compiled, bytecode):
-    payload = verify_bytecode(bytecode, compiled).to_json()
+def test_report_json_shape(bytecode):
+    payload = verify_bytecode(bytecode).to_json()
     assert payload["ok"] is True
     assert payload["errors"] == 0
     assert "main" in payload["functions"]
@@ -116,6 +107,19 @@ def test_structure_rejects_out_of_range_register(bytecode):
     )
 
 
+def test_structure_rejects_missing_block_spans(bytecode):
+    # Every translation emits block spans: a function without them is
+    # malformed, not a stream to check tuple by tuple.
+    fn = bytecode.function("main")
+    fn.blocks = ()
+    report = run_bc_checkers(fn, bytecode)
+    assert any(
+        v.checker == "bc-structure" and "no block-span metadata" in v.message
+        for v in report.errors()
+    ), report.errors()
+    assert not verify_bytecode(bytecode).ok
+
+
 def test_structure_rejects_foreign_call_target(bytecode):
     import copy
 
@@ -128,34 +132,6 @@ def test_structure_rejects_foreign_call_target(bytecode):
     assert any(
         "not the program's function" in v.message for v in report.errors()
     )
-
-
-# ----------------------------------------------------------------------
-# bc-retranslate (orchestrator-level)
-# ----------------------------------------------------------------------
-def test_retranslate_catches_template_tamper(compiled, bytecode):
-    fn = bytecode.function("main")
-    for reg in range(fn.const_base, fn.const_base + fn.const_count):
-        if type(fn.template[reg]) is int:
-            fn.template = list(fn.template)
-            fn.template[reg] += 3
-            break
-    else:
-        pytest.skip("no integer constant in template")
-    report = verify_bytecode(bytecode, compiled)
-    assert any(v.checker == "bc-retranslate" for v in report.errors())
-
-
-def test_retranslate_catches_dropped_blocks(compiled, bytecode):
-    bytecode.function("main").blocks = ()
-    report = verify_bytecode(bytecode, compiled)
-    assert not report.ok
-
-
-def test_retranslate_catches_missing_function(compiled, bytecode):
-    del bytecode.functions["helper"]
-    report = verify_bytecode(bytecode, compiled)
-    assert any("function set" in v.message for v in report.errors())
 
 
 # ----------------------------------------------------------------------
@@ -346,12 +322,12 @@ def test_megaunit_lint_rejects_a_full_register_file_exit(
     assert any("does not pass (vm, _fn" in m for m in messages), messages
 
 
-def test_counted_megaunit_module_lints_clean(compiled, bytecode):
+def test_counted_megaunit_module_lints_clean(bytecode):
     for metered in (False, True):
         assert lint_megaunit_source(
             bytecode, metered=metered, counted=True
         ) == []
-    report = verify_bytecode(bytecode, compiled)
+    report = verify_bytecode(bytecode)
     assert report.ok, report.format()
 
 

@@ -5,12 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.bcverify import (
-    ConstProp,
-    Liveness,
     MustDefined,
     build_cfg,
     run_bc_checkers,
-    solve,
+    solve_forward,
     verify_bytecode,
 )
 from repro.analysis.progen import mutated_program
@@ -18,11 +16,9 @@ from repro.pipeline.compiler import compile_and_profile, make_engine
 from repro.pipeline.config import CONFIGURATIONS
 from repro.vm.bytecode import (
     OP_ADD,
-    OP_DIV,
     OP_GOTO,
     OP_IF,
     OP_LT,
-    OP_MUL,
     OP_RETURN,
     BytecodeFunction,
 )
@@ -93,7 +89,7 @@ def test_cfg_shape(loop_cfg):
 # MustDefined (forward, intersection)
 # ----------------------------------------------------------------------
 def test_must_defined_fixpoint(loop_cfg):
-    result = solve(loop_cfg, MustDefined())
+    result = solve_forward(loop_cfg, MustDefined())
     header = _block(loop_cfg, 1)
     # params + constants + both phi moves reach the header on every path
     assert result.entry[header.index] == frozenset({0, 1, 2, 4, 5})
@@ -109,93 +105,8 @@ def test_must_defined_unreachable_is_none():
     fn.code = fn.code + ((OP_RETURN, 1, None, -1, 0),)
     fn.blocks = fn.blocks + ((7, 1, "dead"),)
     cfg = build_cfg(fn)
-    result = solve(cfg, MustDefined())
+    result = solve_forward(cfg, MustDefined())
     assert result.entry[cfg.by_start[7].index] is None
-
-
-# ----------------------------------------------------------------------
-# Liveness (backward, union)
-# ----------------------------------------------------------------------
-def test_liveness_fixpoint(loop_cfg):
-    result = solve(loop_cfg, Liveness())
-    header = _block(loop_cfg, 1)
-    # the loop keeps n, acc, i and the increment constant alive
-    assert result.entry[header.index] == frozenset({0, 1, 2, 5})
-    body = _block(loop_cfg, 3)
-    assert result.entry[body.index] == frozenset({0, 1, 2, 5})
-    exit_block = _block(loop_cfg, 6)
-    assert result.entry[exit_block.index] == frozenset({1})
-    # nothing is live after the return
-    assert result.exit[exit_block.index] == frozenset()
-
-
-def test_liveness_edge_moves_rename():
-    result = solve(build_cfg(make_loop_fn()), Liveness())
-    # before the entry goto's moves run, only n and the constants are
-    # needed: r1/r2 get their values from r4 through the moves
-    entry = result.entry[0]
-    assert 1 not in entry and 2 not in entry
-    assert {0, 4, 5} <= entry
-
-
-# ----------------------------------------------------------------------
-# ConstProp (forward over the code stream)
-# ----------------------------------------------------------------------
-def test_constprop_folds_straightline():
-    fn = BytecodeFunction("fold", 0)
-    fn.nregs = 5
-    fn.const_base = 3
-    fn.const_count = 2
-    fn.template = [None, None, None, 6, 7]
-    fn.code = (
-        (OP_ADD, 1, None, 0, 3, 4),   # r0 = 6 + 7 = 13
-        (OP_MUL, 1, None, 1, 0, 0),   # r1 = 169
-        (OP_RETURN, 1, None, -1, 1),
-    )
-    fn.blocks = ((0, 3, "b0"),)
-    cfg = build_cfg(fn)
-    result = solve(cfg, ConstProp())
-    env = result.exit[0]
-    assert env[0] == 13 and env[1] == 169
-
-
-def test_constprop_join_drops_disagreements(loop_cfg):
-    result = solve(loop_cfg, ConstProp())
-    header = _block(loop_cfg, 1)
-    env = result.entry[header.index]
-    # constants survive the loop join; the induction variable does not
-    assert env[4] == 0 and env[5] == 1
-    assert 2 not in env and 1 not in env
-
-
-def test_constprop_never_folds_division_by_zero():
-    fn = BytecodeFunction("divz", 1)
-    fn.nregs = 4
-    fn.const_base = 2
-    fn.const_count = 2
-    fn.template = [None, None, 5, 0]
-    fn.code = (
-        (OP_DIV, 1, None, 1, 2, 3),   # 5 / 0: traps at runtime
-        (OP_RETURN, 1, None, -1, 1),
-    )
-    fn.blocks = ((0, 2, "b0"),)
-    result = solve(build_cfg(fn), ConstProp())
-    assert 1 not in result.exit[0]
-
-
-def test_constprop_matches_machine_wraparound():
-    fn = BytecodeFunction("wrap", 0)
-    fn.nregs = 3
-    fn.const_base = 1
-    fn.const_count = 2
-    fn.template = [None, (1 << 62), 4]
-    fn.code = (
-        (OP_MUL, 1, None, 0, 1, 2),   # (1<<62) * 4 wraps to 0
-        (OP_RETURN, 1, None, -1, 0),
-    )
-    fn.blocks = ((0, 2, "b0"),)
-    result = solve(build_cfg(fn), ConstProp())
-    assert result.exit[0][0] == 0
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +177,7 @@ def test_accepted_mutants_run_clean(seed):
     except Exception:
         pytest.skip("mutant does not compile (mutator bug, not ours)")
     bytecode = translate_program(program)
-    verdict = verify_bytecode(bytecode, program)
+    verdict = verify_bytecode(bytecode)
     assert verdict.ok, verdict.format()
     for engine in ("vm", "megaunit"):
         runner = make_engine(engine, program, bytecode=bytecode)

@@ -38,7 +38,6 @@ def test_registry_holds_all_expected_checkers():
         "bc-structure",
         "bc-defuse",
         "bc-codegen-lint",
-        "bc-retranslate",
     ]
 
 
@@ -53,7 +52,6 @@ def test_scope_filtering():
         "bc-structure",
         "bc-defuse",
         "bc-codegen-lint",
-        "bc-retranslate",
     ]
 
 

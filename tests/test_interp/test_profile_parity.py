@@ -99,7 +99,7 @@ def manifests(blob: bytes) -> dict:
     """Byte-level manifest of the profiled program under every config."""
     out = {}
     for name in MANIFEST_CONFIGS:
-        program = unpack_artifact(blob)[0]
+        program = unpack_artifact(blob)
         tracer = Tracer()
         report = Compiler(CONFIGURATIONS[name], tracer=tracer).compile_program(
             program

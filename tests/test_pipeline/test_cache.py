@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -13,6 +15,7 @@ import pytest
 from repro.obs import Tracer, validate_record, event_to_dict
 from repro.pipeline.batch import BatchOptions, compile_batch
 from repro.pipeline.cache import (
+    PICKLE_PROTOCOL,
     ArtifactCache,
     CacheEntry,
     artifact_manifest,
@@ -73,20 +76,22 @@ def test_key_misses_on_version_bump():
 
 
 def test_schema_5_directory_is_keyed_apart(tmp_path, monkeypatch):
-    # Schema-5 entries could carry a fused fast stream: a directory
-    # filled by a schema-5 build must never serve the current one.
+    # Schema-5 entries could carry a fused fast stream and schema-6 ones
+    # a bytecode translation: a directory filled by an older build must
+    # never serve the current one.
     from repro.pipeline import cache as cache_module
 
-    assert cache_module.CACHE_SCHEMA_VERSION == 6
-    with monkeypatch.context() as patch:
-        patch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 5)
-        old_key = cache_key(SOURCE, DBDS)
-        ArtifactCache(tmp_path).put(compiled_entry(old_key))
+    assert cache_module.CACHE_SCHEMA_VERSION == 7
     key = cache_key(SOURCE, DBDS)
-    assert key != old_key
     cache = ArtifactCache(tmp_path)
+    for old_schema in (5, 6):
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_SCHEMA_VERSION", old_schema)
+            old_key = cache_key(SOURCE, DBDS)
+            ArtifactCache(tmp_path).put(compiled_entry(old_key))
+        assert key != old_key
+        assert cache.get(old_key) is not None  # still on disk, never consulted
     assert cache.get(key) is None
-    assert cache.get(old_key) is not None  # still on disk, never consulted
 
 
 def test_key_misses_on_profile_args_and_check_mode():
@@ -165,6 +170,15 @@ def test_cache_events_match_schema(tmp_path):
 # ----------------------------------------------------------------------
 # Corruption recovery
 # ----------------------------------------------------------------------
+def _garbage_program_blob(raw: bytes) -> bytes:
+    """The entry with a program blob that does not unpickle, re-signed
+    with a valid digest."""
+    payload = pickle.loads(raw.split(b"\n", 1)[1])
+    payload["program_blob"] = b"\x80\x04not a pickle"
+    body = pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
+    return hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
+
+
 @pytest.mark.parametrize(
     "corruptor",
     [
@@ -172,8 +186,12 @@ def test_cache_events_match_schema(tmp_path):
         lambda raw: b"garbage\n" + raw[8:],          # digest mismatch
         lambda raw: b"",                              # empty file
         lambda raw: raw.replace(b"\n", b"", 1),       # no digest header
+        _garbage_program_blob,                        # digest-valid, blob not
     ],
-    ids=["truncated", "digest-mismatch", "empty", "headerless"],
+    ids=[
+        "truncated", "digest-mismatch", "empty", "headerless",
+        "garbage-program-blob",
+    ],
 )
 def test_corrupted_entry_falls_back_to_recompile(tmp_path, corruptor):
     cache = ArtifactCache(tmp_path)

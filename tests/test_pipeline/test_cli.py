@@ -96,10 +96,42 @@ class TestRun:
         warm = capsys.readouterr()
         assert "compiled from   : cache" in warm.err
         assert warm.out.splitlines()[:2] == cold.splitlines()[:2]
+        # The cache stores the program, not its bytecode: the warm run
+        # translates once.
         assert calls == {
             "compile_source": 0, "profile_program": 0,
-            "translate_program": 0, "compile_program": 0,
+            "translate_program": 1, "compile_program": 0,
         }
+
+    def _warm_counters(self, tmp_path, source, *flags):
+        """The metric counters of a warm ``run`` with ``flags``, after a
+        cold run that filled the cache."""
+        import json
+
+        out = tmp_path / "metrics.json"
+        argv = [
+            "run", str(source), "--args", "6",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        assert main([*argv, *flags, "--metrics-out", str(out)]) == 0
+        return json.loads(out.read_text())["counters"]
+
+    def test_warm_megaunit_run_hits_the_codegen_cache(self, tmp_path, capsys):
+        # The warm run's fresh translation digests like the cold one's,
+        # so megaunit finds the source the cold run generated.
+        nqueens = REPO / "examples" / "apps" / "nqueens.mini"
+        counters = self._warm_counters(tmp_path, nqueens, "--engine", "megaunit")
+        assert counters["repro_codegen_cache_total"] == {
+            "engine=megaunit,result=hit": 1,
+        }
+
+    def test_warm_run_verifies_its_translation(self, source_file, tmp_path, capsys):
+        counters = self._warm_counters(
+            tmp_path, source_file, "--check-bc", "rewrite"
+        )
+        assert "compiled from   : cache" in capsys.readouterr().err
+        assert counters["repro_bcverify_runs_total"] == {"result=ok": 1}
 
 
 def count_calls(monkeypatch, functions=(), methods=()):

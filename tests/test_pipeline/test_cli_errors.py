@@ -6,16 +6,20 @@ cannot be written are the user's mistakes, not crashes: each prints
 exactly one ``repro: error: ...`` line on stderr (a compile error
 located as ``file:line:col``) and exits 2, on ``run`` and on every
 other verb that reads a source or writes an output.  A program that
-traps still exits 1.
+traps still exits 1; one that exhausts its step limit prints one line
+naming the limit and exits 3.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
-from repro.__main__ import EXIT_USER_ERROR, main
+from repro.__main__ import EXIT_LIMIT, EXIT_USER_ERROR, main
+from repro.interp.profile import profile_program
+from repro.pipeline import compiler
 
 from tests.helpers import fresh_python
 
@@ -138,6 +142,30 @@ def test_a_trap_still_exits_1(tmp_path, capsys):
     code = main(["run", str(path), "--args", "0"])
     assert code == 1
     assert capsys.readouterr().err == "trap: division by zero\n"
+
+
+@pytest.mark.parametrize("verb", ["run", "profile"])
+def test_exhausted_step_limit_exits_3(verb, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "forever.mini"
+    path.write_text(
+        "fn main(n: int) -> int {\n"
+        "  var i: int = n;\n"
+        "  while (i >= 0) { i = i + 1; }\n"
+        "  return i;\n"
+        "}\n"
+    )
+    # The profiling run hits the limit first; a lower one keeps it quick.
+    monkeypatch.setattr(
+        compiler, "profile_program",
+        functools.partial(profile_program, max_steps=20_000),
+    )
+    code = main([verb, str(path), "--args", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_LIMIT == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "repro: error: step limit: exceeded 20000 interpreter steps\n"
+    )
 
 
 #: (verb, output flag) -> argv after the verb, with {path} for a valid

@@ -50,20 +50,21 @@ def test_pack_artifact_needs_only_shallow_recursion():
     # 1000 and 2000 on CPython 3.11; the shell-first stream must fit in
     # a hundred frames above the caller and leave the limit alone.
     program, _ = compile_and_profile(deep_source("regexp"), "main", [[15]], DBDS)
-    bytecode = translate_program(program)
     limit = sys.getrecursionlimit()
     shallow = _stack_depth() + 100
     sys.setrecursionlimit(shallow)
     try:
-        blob = pack_artifact(program, bytecode)
-        restored, restored_bytecode = unpack_artifact(blob)
+        blob = pack_artifact(program)
+        restored = unpack_artifact(blob)
         assert sys.getrecursionlimit() == shallow
     finally:
         sys.setrecursionlimit(limit)
     assert restored.describe() == program.describe()
-    # One stream: the bytecode still references the restored IR.
+    # The restored program translates and runs like the original.
+    restored_bytecode = translate_program(restored)
     fn = restored_bytecode.function("main")
     assert fn.entry_block is restored.function("main").entry
+    bytecode = translate_program(program)
     expected = VirtualMachine(bytecode, metered=True).run("main", [15])
     actual = VirtualMachine(restored_bytecode, metered=True).run("main", [15])
     assert (actual.value, actual.steps, actual.cycles) == (

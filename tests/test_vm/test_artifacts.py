@@ -1,18 +1,15 @@
-"""Bytecode in cached artifacts: pack/unpack, shared identity, hits."""
+"""Cached artifacts run on the VM: pack/unpack, then a fresh translation."""
 
-import pathlib
+import pytest
 
 from repro.frontend.irbuilder import compile_source
-from repro.pipeline.cache import (
-    ArtifactCache,
-    cache_key,
-    make_entry,
-    pack_artifact,
-    unpack_artifact,
-)
+from repro.pipeline.cache import pack_artifact, unpack_artifact
 from repro.pipeline.compiler import compile_and_profile, measure_performance
 from repro.pipeline.config import DBDS
 from repro.vm import VirtualMachine, translate_program
+from repro.vm.codegen_cache import function_digest
+
+from tests.helpers import REPO
 
 SOURCE = """
 fn main(n: int) -> int {
@@ -30,50 +27,29 @@ def compiled():
 
 def test_pack_unpack_roundtrip_preserves_shared_identity():
     program, _ = compiled()
-    bytecode = translate_program(program)
-    restored_program, restored_bytecode = unpack_artifact(
-        pack_artifact(program, bytecode)
-    )
+    restored_program = unpack_artifact(pack_artifact(program))
+    restored_bytecode = translate_program(restored_program)
     fn = restored_bytecode.function("main")
-    # One pickle: the bytecode's entry block IS a block of the restored
-    # program, not a disconnected copy.
+    # The translation of the restored program references its own IR:
+    # the entry block IS a block of the restored program.
     assert fn.entry_block is restored_program.function("main").entry
     vm = VirtualMachine(restored_bytecode, metered=True)
     assert vm.run("main", [10]).value == 285
 
 
-def test_unpack_tolerates_legacy_program_only_blob():
-    import pickle
-
-    program, _ = compiled()
-    restored, bytecode = unpack_artifact(pickle.dumps(program))
-    assert bytecode is None
-    assert restored.function("main") is not None
-
-
-def test_cache_entry_carries_bytecode(tmp_path: pathlib.Path):
-    program, report = compiled()
-    cache = ArtifactCache(tmp_path)
-    key = cache_key(SOURCE, DBDS, entry="main")
-    cache.put(
-        make_entry(key, program, report, bytecode=translate_program(program))
-    )
-    entry = cache.get(key)
-    assert entry is not None
-    bytecode = entry.bytecode()
-    assert bytecode is not None
-    cycles, results = measure_performance(
-        entry.program(), "main", [[10]], engine="vm", bytecode=bytecode
-    )
-    assert results[0].value == 285
-
-
-def test_entry_without_bytecode_returns_none(tmp_path: pathlib.Path):
-    program, report = compiled()
-    cache = ArtifactCache(tmp_path)
-    key = cache_key(SOURCE, DBDS, entry="main")
-    cache.put(make_entry(key, program, report))
-    assert cache.get(key).bytecode() is None
+@pytest.mark.parametrize(
+    "app, args", [("nqueens", 6), ("wordfreq", 120), ("matrix", 8)]
+)
+def test_round_trip_translates_to_the_same_codegen_digests(app, args):
+    # Warm runs translate the unpickled program; megaunit's codegen
+    # cache only hits if that translation digests like the cold one.
+    source = (REPO / "examples" / "apps" / f"{app}.mini").read_text()
+    program, _ = compile_and_profile(source, "main", [[args]], DBDS)
+    cold = translate_program(program)
+    warm = translate_program(unpack_artifact(pack_artifact(program)))
+    assert list(warm.functions) == list(cold.functions)
+    for name, fn in cold.functions.items():
+        assert function_digest(warm.functions[name]) == function_digest(fn), name
 
 
 def test_measure_performance_engines_agree():
@@ -89,7 +65,5 @@ def test_measure_performance_engines_agree():
 
 def test_unoptimized_program_artifact_roundtrip():
     program = compile_source(SOURCE)
-    restored, bytecode = unpack_artifact(
-        pack_artifact(program, translate_program(program))
-    )
+    bytecode = translate_program(unpack_artifact(pack_artifact(program)))
     assert VirtualMachine(bytecode).run("main", [6]).value == 55

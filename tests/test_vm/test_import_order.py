@@ -4,8 +4,8 @@ imports first.
 No package ``__init__`` loads its submodules eagerly, so a process can
 reach the handler table, the opcode specs and the checker registry
 through any of several modules.  Whatever it imports first, they must
-equal the goldens below, and bytecode pickled by one process must run
-in another.
+equal the goldens below, and a program pickled by one process must
+translate and run in another.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ CHECKERS_GOLDEN = [
     "block-structure", "edge-consistency", "phi-inputs", "phi-ordering",
     "ssa-dominance", "use-lists", "stamp-soundness", "loop-structure",
     "block-frequency", "lir-structure", "lir-liveness", "lir-allocation",
-    "bc-structure", "bc-defuse", "bc-codegen-lint", "bc-retranslate",
+    "bc-structure", "bc-defuse", "bc-codegen-lint",
 ]
 
 #: the modules a process may import first; each one is then followed
@@ -84,8 +84,8 @@ def test_cached_translation_runs_on_vm_across_processes(tmp_path):
     reference = _fields(
         fresh_python("-m", "repro", *app, "--engine", "reference").stdout
     )
-    # The cold run executes on megaunit and stores the translation;
-    # the warm --engine vm run dispatches the unpickled stream.
+    # The cold run executes on megaunit and stores the program; the
+    # warm --engine vm run translates the unpickled program.
     fresh_python("-m", "repro", *app, *cache)
     warm = fresh_python("-m", "repro", *app, *cache, "--engine", "vm")
     assert "compiled from   : cache" in warm.stderr
@@ -98,8 +98,10 @@ PICKLED_RUN = """
 import json, sys
 from repro.pipeline.cache import unpack_artifact
 from repro.vm.machine import VirtualMachine
+from repro.vm.translate import translate_program
 with open(sys.argv[1], "rb") as fh:
-    program, bytecode = unpack_artifact(fh.read())
+    program = unpack_artifact(fh.read())
+bytecode = translate_program(program)
 result = VirtualMachine(bytecode, metered=True).run("main", [int(sys.argv[2])])
 print(json.dumps({"value": result.value, "steps": result.steps,
                   "cycles": result.cycles, "trap": result.trap}))
@@ -112,7 +114,7 @@ def test_pickled_artifact_runs_in_a_fresh_process(tmp_path):
     bytecode = translate_program(program)
     VirtualMachine(bytecode, metered=True).run("main", [6])
     path = tmp_path / "artifact.bin"
-    path.write_bytes(pack_artifact(program, bytecode))
+    path.write_bytes(pack_artifact(program))
     reference = Interpreter(
         program, cycle_cost=cycles_of, terminator_cost=cycles_of
     ).run("main", [7])

@@ -5,9 +5,8 @@ graph into one generated Python module — registers as locals, threaded
 intra-function dispatch, ``OP_CALL`` as a direct Python call — so every
 observable (values, traps, step/cycle accounting, budget stops mid-call
 and mid-segment, globals, reset) must match the reference interpreter
-bit-for-bit, and every degradation path (hooks, missing block spans,
-insufficient recursion headroom) must fall back transparently with a
-``vm.fallback`` event.
+bit-for-bit, and every degradation path (hooks, insufficient recursion
+headroom) must fall back transparently with a ``vm.fallback`` event.
 """
 
 import hashlib
@@ -33,7 +32,6 @@ from repro.pipeline.config import DBDS
 from repro.vm import MegaunitVirtualMachine, translate_program
 from repro.vm.bytecode import BytecodeProgram
 from repro.vm.megaunit import (
-    MegaunitUnsupported,
     compile_module,
     generate_module_source,
     stack_headroom_ok,
@@ -341,23 +339,6 @@ def test_recursion_headroom_falls_back_to_vm():
     assert len([e for e in tracer.events if e.name == "vm.fallback"]) == 1
 
 
-def test_missing_block_spans_fall_back():
-    program = compile_source(LOOP)
-    bytecode = translate_program(program)
-    bytecode.function("main").blocks = ()
-    with pytest.raises(MegaunitUnsupported):
-        generate_module_source(bytecode)
-    tracer = Tracer()
-    megaunit = MegaunitVirtualMachine(bytecode, metered=True)
-    reference = Interpreter(
-        program, cycle_cost=cycles_of, terminator_cost=cycles_of
-    )
-    with use_tracer(tracer):
-        assert_parity(reference, megaunit, [21])
-    events = [e for e in tracer.events if e.name == "vm.fallback"]
-    assert [e.attrs["reason"] for e in events] == ["no-block-spans"]
-
-
 def test_profile_hook_falls_back_to_machine_loops():
     # A profiled run no longer falls back: it executes the counted
     # module, whose folded counts are the machine loop's hook calls.
@@ -441,7 +422,7 @@ def test_module_source_is_real_python_and_lints_clean():
 def test_verify_bytecode_runs_the_megaunit_lint():
     program, _ = compile_and_profile(CALLS, "main", [[6]], DBDS)
     bytecode = translate_program(program)
-    report = verify_bytecode(bytecode, program)
+    report = verify_bytecode(bytecode)
     assert report.ok, report.format()
 
 
