@@ -49,7 +49,10 @@ unknown ``--entry``, a wrong ``--args`` count, an output file
 prints one ``repro: error: ...`` line (compile errors located as
 ``file:line:col``) and exits 2; a program that traps exits 1, and one
 that exhausts its step limit (in the profiling run or the measured one)
-prints one ``repro: error: ...`` line naming the limit and exits 3.
+prints one ``repro: error: ...`` line naming the limit and exits 3.  Any
+other exception is a bug in ``repro`` (a ``bench`` workload that traps
+is a miscompile): it prints ``repro: internal error: ...`` and the
+traceback, and exits 4.
 """
 
 from __future__ import annotations
@@ -114,6 +117,9 @@ EXIT_USER_ERROR = 2
 
 #: exit status of a run that exhausts its step limit
 EXIT_LIMIT = 3
+
+#: exit status of a bug in ``repro`` itself: any other exception
+EXIT_INTERNAL = 4
 
 
 @contextmanager
@@ -1233,6 +1239,15 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"repro: error: step limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except Exception as exc:
+        import traceback
+
+        print(
+            f"repro: internal error: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,8 +11,11 @@ paper metrics:
 * **code size** — node-cost-model size of all compiled units (lower is
   better; reported as increase over baseline).
 
-Each configuration recompiles from source so compilation is always from
-the same starting IR (run-to-run isolation).
+The profile depends on the workload's source and profiling inputs, not
+on the configuration, so each workload is parsed and profiled once: every
+configuration compiles its own copy of that one profiled program (a
+:class:`~repro.pipeline.compiler.ProfiledSource`), so every compile
+starts from the same IR.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Any, Iterable, Optional
 
 from ..obs.tracer import Tracer
 from ..pipeline.cache import ArtifactCache
-from ..pipeline.compiler import jit, measure_performance
+from ..pipeline.compiler import ProfiledSource, jit, measure_performance
 from ..pipeline.config import BASELINE, CompilerConfig, DBDS, DUPALOT
 from .stats import format_percent, geometric_mean, speedup_percent
 from .workloads.suites import SuiteProfile, Workload, generate_suite
@@ -35,9 +38,12 @@ class Measurement:
 
     All wall-clock numbers come from ``time.perf_counter`` — the
     compiler's per-phase spans and the harness's own ``wall_time``
-    alike — so they are directly comparable.  ``phase_times`` (phase
-    name → inclusive seconds, summed over compilation units) is only
-    populated when the suite ran with ``profile_phases=True``.
+    alike — so they are directly comparable.  In :func:`run_suite`
+    the configurations of a workload share one parse and profiling
+    run, which the ``wall_time`` of the first configuration to miss
+    the cache includes.  ``phase_times`` (phase name → inclusive
+    seconds, summed over compilation units) is only populated when the
+    suite ran with ``profile_phases=True``.
     """
 
     workload: str
@@ -113,8 +119,14 @@ def measure_workload(
     profile_phases: bool = False,
     cache: Optional[ArtifactCache] = None,
     engine: str = "reference",
+    profiled: Optional[ProfiledSource] = None,
 ) -> Measurement:
     """Compile under ``config`` and run the measured workload.
+
+    ``profiled`` is the workload's profiled program, shared with the
+    other configurations' compiles (default: parse and profile afresh);
+    :func:`~repro.pipeline.compiler.jit` rejects one built from another
+    workload with a :class:`ValueError`.
 
     ``profile_phases`` compiles under an event-recording tracer and
     fills ``Measurement.phase_times`` — it adds tracing overhead to the
@@ -134,6 +146,7 @@ def measure_workload(
     artifact = jit(
         workload.source, workload.entry, workload.profile_args, config,
         cache=cache, tracer=Tracer() if profile_phases else None,
+        profiled=profiled,
     )
     report = artifact.report
     cycles, results = measure_performance(
@@ -169,16 +182,23 @@ def run_suite(
     cache: Optional[ArtifactCache] = None,
     engine: str = "reference",
 ) -> SuiteReport:
-    """Measure a whole suite under baseline + the given configurations."""
+    """Measure a whole suite under baseline + the given configurations,
+    parsing and profiling each workload once for all of them."""
     configs = list(configs) if configs is not None else [DBDS, DUPALOT]
     workloads = workloads if workloads is not None else generate_suite(profile, seed)
     report = SuiteReport(suite=profile.suite, config_names=[c.name for c in configs])
     for workload in workloads:
-        baseline = measure_workload(workload, BASELINE, profile_phases, cache, engine)
+        profiled = ProfiledSource(
+            workload.source, workload.entry, workload.profile_args,
+            uses=1 + len(configs),
+        )
+        baseline = measure_workload(
+            workload, BASELINE, profile_phases, cache, engine, profiled
+        )
         row = BenchmarkRow(workload=workload.name, baseline=baseline)
         for config in configs:
             row.configs[config.name] = measure_workload(
-                workload, config, profile_phases, cache, engine
+                workload, config, profile_phases, cache, engine, profiled
             )
         report.rows.append(row)
     return report

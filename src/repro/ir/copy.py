@@ -1,7 +1,10 @@
 """Instruction and whole-graph cloning.
 
-Three consumers:
+Four consumers:
 
+* the **bench harness** profiles each workload once and compiles a
+  :func:`copy_program` clone of it under every configuration but the
+  last;
 * the **backtracking baseline** (Algorithm 1 of the paper) copies the
   entire CFG before every tentative duplication — the very cost the
   simulation tier exists to avoid;
@@ -15,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .block import Block
-from .graph import Graph
+from .graph import Graph, Program
 from .nodes import (
     ArithOp,
     ArrayLength,
@@ -202,3 +205,24 @@ def copy_graph(graph: Graph) -> tuple[Graph, dict[Value, Value]]:
             new_phi._append_input(mapped(value))
 
     return new_graph, value_map
+
+
+def copy_program(program: Program) -> Program:
+    """Deep-copy every function of ``program``, profile data included.
+
+    Each graph is a :func:`copy_graph` clone, which numbers its blocks
+    in ``graph.blocks`` order.  A freshly parsed graph's blocks are
+    numbered in that order already (the frontend only appends blocks,
+    and :func:`~repro.interp.profile.apply_profile` only annotates
+    them), so a clone of a parsed and profiled program keeps every
+    block id and the id counter: it prints the original's IR up to
+    value numbers, and compiling it gives the same output.  The globals
+    are copied; ``class_table`` is shared, since compile phases only
+    look classes up.
+    """
+    clone = Program()
+    clone.class_table = program.class_table
+    clone.globals = dict(program.globals)
+    for name, graph in program.functions.items():
+        clone.functions[name] = copy_graph(graph)[0]
+    return clone

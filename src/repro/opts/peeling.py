@@ -61,7 +61,11 @@ def peel_loop(graph: Graph, loop: Loop) -> dict[Value, Value]:
     entries = [
         p for p in header.predecessors if p not in loop.back_edge_predecessors
     ]
-    loop_blocks = set(loop.blocks)
+    # ``loop.blocks`` is a set, whose order follows object addresses:
+    # walk the body in graph order, so block ids and predecessor order
+    # of the peel do not depend on what the process allocated before.
+    ordered_blocks = [block for block in graph.blocks if block in loop.blocks]
+    loop_blocks = set(ordered_blocks)
 
     # ------------------------------------------------------------------
     # A. Capture positional information before any edges move.
@@ -77,7 +81,7 @@ def peel_loop(graph: Graph, loop: Loop) -> dict[Value, Value]:
     # B. Create peeled blocks; seed the value map.
     # ------------------------------------------------------------------
     block_map: dict[Block, Block] = {
-        block: graph.new_block(f"peel_{block.name}") for block in loop_blocks
+        block: graph.new_block(f"peel_{block.name}") for block in ordered_blocks
     }
     reverse_map = {copy: orig for orig, copy in block_map.items()}
     value_map: dict[Value, Value] = {}
@@ -100,7 +104,7 @@ def peel_loop(graph: Graph, loop: Loop) -> dict[Value, Value]:
             value_map[phi] = entry_inputs[phi][0]
 
     pending_inner_phis: list[tuple[Block, Phi, Phi]] = []
-    for block in loop_blocks:
+    for block in ordered_blocks:
         if block is header:
             continue
         for phi in block.phis:
@@ -129,13 +133,13 @@ def peel_loop(graph: Graph, loop: Loop) -> dict[Value, Value]:
         return block_map.get(block, block)
 
     external_gainers: list[Block] = []
-    for block in loop_blocks:
+    for block in ordered_blocks:
         for succ in block.successors:
             if succ not in loop_blocks or succ is header:
                 if succ not in external_targets_snapshot:
                     external_targets_snapshot[succ] = len(succ.predecessors)
                     external_gainers.append(succ)
-    for block in loop_blocks:
+    for block in ordered_blocks:
         copy = block_map[block]
         copy.set_terminator(
             clone_terminator(block.terminator, mapped, target_of)
@@ -180,7 +184,7 @@ def peel_loop(graph: Graph, loop: Loop) -> dict[Value, Value]:
     dom = graph.dominator_tree()
     peeled_blocks = set(block_map.values())
 
-    for block in list(loop_blocks):
+    for block in ordered_blocks:
         for value in list(block.phis) + list(block.instructions):
             uses = _uses_outside(value, loop_blocks | peeled_blocks)
             if not uses:

@@ -32,6 +32,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "CompilationReport",
         "Compiler",
         "ENGINES",
+        "ProfiledSource",
         "UnitMetrics",
         "compile_and_profile",
         "jit",
@@ -64,6 +65,7 @@ __all__ = [
     "DUPALOT",
     "ENGINES",
     "FileResult",
+    "ProfiledSource",
     "UnitMetrics",
     "artifact_manifest",
     "cache_key",

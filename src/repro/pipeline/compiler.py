@@ -25,6 +25,7 @@ from ..frontend.irbuilder import compile_source
 from ..frontend.lexer import CompileError
 from ..interp.interpreter import ExecutionResult, Interpreter
 from ..interp.profile import apply_profile, profile_program
+from ..ir.copy import copy_program
 from ..ir.graph import Graph, Program
 from ..ir.verifier import verify_graph
 from ..obs.metrics import current_registry
@@ -370,6 +371,58 @@ class Artifact:
         )
 
 
+class ProfiledSource:
+    """The configuration-independent half of :func:`jit`: ``source``
+    parsed, profiled over ``profile_args`` and annotated with the
+    profile once, on first demand, for ``uses`` compiles.
+
+    The profile depends on the source and its profiling inputs, not on
+    the configuration, so compiles under several configurations can
+    share one.  Each compile optimizes a program of its own in place: a
+    :func:`~repro.ir.copy.copy_program` clone of the profiled template
+    for every use but the last, the template itself for the last.  A
+    compile served from the cache takes none; a use past ``uses``
+    parses and profiles afresh.
+    """
+
+    def __init__(
+        self,
+        source: str,
+        entry: str,
+        profile_args: Iterable[list[Any]],
+        uses: int = 1,
+        name: str = "<source>",
+    ) -> None:
+        self.source = source
+        self.entry = entry
+        self.profile_args = [list(args) for args in profile_args]
+        self.uses = uses
+        self.name = name
+        self._template: Optional[Program] = None
+
+    def program(self, tracer: Optional[Tracer] = None) -> Program:
+        """A profiled program for one compile.  The parse (``name``
+        locates a :class:`UserError`) and the profiling run happen on
+        the first call; ``tracer`` records that run (default: the
+        ambient tracer)."""
+        template = self._template
+        if template is None:
+            template = parse_entry(
+                self.source, self.entry, self.profile_args, self.name
+            )
+            with use_tracer(tracer) if tracer is not None else nullcontext():
+                collector = profile_program(
+                    template, self.entry, self.profile_args
+                )
+            apply_profile(template, collector)
+        self.uses -= 1
+        if self.uses > 0:
+            self._template = template
+            return copy_program(template)
+        self._template = None
+        return template
+
+
 def jit(
     source: str,
     entry: str,
@@ -382,27 +435,42 @@ def jit(
     fail_fast: bool = True,
     check_bc: str = "off",
     name: str = "<source>",
+    profiled: Optional[ProfiledSource] = None,
 ) -> Artifact:
     """The whole JIT flow, cache-first; every verb compiles through it.
 
-    On a ``cache`` miss: parse ``source`` (``name`` locates a
-    :class:`UserError` for a compile error, an unknown ``entry`` or a
-    wrong argument count), profile the unoptimized program over
+    ``profiled`` is the :class:`ProfiledSource` of ``source``,
+    ``entry``, ``profile_args`` and ``name`` when several compiles
+    share one (a :class:`ValueError` if it was built from other ones;
+    default: a single-use one).  On a ``cache`` miss, take a profiled
+    program from it — its first use parses ``source`` (``name`` locates
+    a :class:`UserError` for a compile error, an unknown ``entry`` or a
+    wrong argument count), profiles the unoptimized program over
     ``profile_args`` on the bytecode VM (see
-    :func:`~repro.interp.profile.profile_program`), apply the profile,
-    optimize under ``config``, and store the artifact unless a
-    keep-going compile (``check_ir``, ``fail_fast``: see
-    :class:`Compiler`) collected IR violations.
+    :func:`~repro.interp.profile.profile_program`) and applies the
+    profile — then optimize under ``config``, and store the artifact
+    unless a keep-going compile (``check_ir``, ``fail_fast``: see
+    :class:`Compiler`) collected IR violations.  A cache hit never
+    parses.
 
-    ``tracer`` records the compile and the profiling run and receives
-    the cache events (default: the ambient tracer); a compile that is
-    stored is recorded anyway, so its entry keeps the decision trace.
-    ``check_bc`` applies to the translation :meth:`Artifact.bytecode`
-    makes, on a cache hit as on a miss.
+    ``tracer`` records the compile, the profiling run if this compile
+    makes it, and the cache events (default: the ambient tracer); a
+    compile that is stored is recorded anyway, so its entry keeps the
+    decision trace.  ``check_bc`` applies to the translation
+    :meth:`Artifact.bytecode` makes, on a cache hit as on a miss.
     """
     from .cache import cache_key
 
     profile_args = [list(args) for args in profile_args]
+    if profiled is None:
+        profiled = ProfiledSource(source, entry, profile_args, name=name)
+    elif (
+        profiled.source, profiled.entry, profiled.profile_args, profiled.name
+    ) != (source, entry, profile_args, name):
+        raise ValueError(
+            "profiled was built from another source, entry, profile_args "
+            "or name"
+        )
     key = cache_key(
         source, config, entry=entry, profile_args=profile_args,
         check_ir=check_ir,
@@ -413,13 +481,10 @@ def jit(
             hit.program(), hit.report, key, cached=True, events=hit.events,
             counters=hit.counters, check_bc=check_bc,
         )
-    program = parse_entry(source, entry, profile_args, name)
     recorder = Tracer() if tracer is None and cache is not None else tracer
     # A tracer shared across compiles keeps only this one's events here.
     mark = len(recorder.events) if recorder is not None else 0
-    with use_tracer(recorder) if recorder is not None else nullcontext():
-        collector = profile_program(program, entry, profile_args)
-    apply_profile(program, collector)
+    program = profiled.program(recorder)
     compiler = Compiler(config, tracer=recorder, check_ir=check_ir, fail_fast=fail_fast)
     artifact = Artifact(
         program, compiler.compile_program(program), key,

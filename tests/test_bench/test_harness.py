@@ -11,8 +11,12 @@ from repro.bench.harness import (
     measure_workload,
     run_suite,
 )
-from repro.bench.workloads.suites import MICRO, generate_workload
+from repro.bench.workloads.suites import MICRO, generate_suite, generate_workload
+from repro.pipeline.compiler import Compiler
 from repro.pipeline.config import BASELINE, DBDS, DUPALOT
+
+from tests.helpers import REPO
+from tests.test_pipeline.test_cli import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +80,55 @@ class TestSuiteReport:
             assert row.workload in text
         assert "Geometric mean" in text
         assert "dbds" in text and "dupalot" in text
+
+
+def deterministic(m: Measurement) -> tuple:
+    """A cell without its wall-clock fields."""
+    return (m.workload, m.config, m.cycles, m.code_size, m.duplications)
+
+
+def test_each_workload_is_parsed_and_profiled_once(monkeypatch):
+    profile = dataclasses.replace(
+        MICRO, benchmark_names=MICRO.benchmark_names[:2]
+    )
+    calls = count_calls(
+        monkeypatch,
+        functions=[
+            ("repro.frontend.irbuilder", "compile_source"),
+            ("repro.interp.profile", "profile_program"),
+        ],
+        methods=[(Compiler, "compile_program")],
+    )
+    report = run_suite(profile, engine="vm")
+    assert calls == {
+        "compile_source": 2, "profile_program": 2, "compile_program": 6,
+    }
+    # Every cell is what an unshared compile of its own gives.
+    for workload, row in zip(generate_suite(profile), report.rows):
+        for config, cell in zip(
+            (BASELINE, DBDS, DUPALOT), (row.baseline, *row.configs.values())
+        ):
+            alone = measure_workload(workload, config, engine="vm")
+            assert deterministic(cell) == deterministic(alone)
+
+
+def figure_columns(text: str) -> list[list[str]]:
+    """The deterministic columns of a Figure 5–8 table: per benchmark
+    and per geomean row, the name and every perf and size cell (the
+    ctime cells are wall clock)."""
+    rows = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if len(tokens) == 4 and tokens[1].endswith("%"):  # geomean row
+            rows.append([tokens[0], tokens[1], tokens[3]])
+        elif len(tokens) == 7 and tokens[1].endswith("%"):  # benchmark row
+            rows.append([tokens[0], *tokens[1::3], *tokens[3::3]])
+    return rows
+
+
+def test_figure_7_perf_and_size_columns_hold():
+    committed = (REPO / "benchmarks" / "results" / "fig7_micro.txt").read_text()
+    expected = figure_columns(committed)
+    assert len(expected) == len(MICRO.benchmark_names) + 2
+    report = run_suite(MICRO, engine="vm")
+    assert figure_columns(format_suite_report(report)) == expected

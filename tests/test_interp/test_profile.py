@@ -101,11 +101,16 @@ class TestApplication:
         assert forest.loops[0].trip_count == DEFAULT_TRIP_COUNT
 
     def test_profile_survives_copy(self):
-        from repro.ir.copy import copy_graph
+        from repro.ir.copy import copy_program
 
         program = compile_source(SRC)
         collector = profile_program(program, "main", [[20]])
         apply_profile(program, collector)
-        graph = program.function("branchy")
-        copied, _ = copy_graph(graph)
-        assert branch_of(copied).true_probability == pytest.approx(9 / 20)
+        copied = copy_program(program)
+        branchy = copied.function("branchy")
+        assert branchy is not program.function("branchy")
+        assert branch_of(branchy).true_probability == pytest.approx(9 / 20)
+        # loopy(7): the header runs 8 times per entry.
+        assert LoopForest(copied.function("loopy")).loops[0].trip_count == (
+            pytest.approx(8.0)
+        )

@@ -1,7 +1,8 @@
-"""Tests for instruction and graph cloning."""
+"""Tests for instruction, graph and program cloning."""
 
 import pytest
 
+from repro.bench.workloads.suites import MICRO, generate_suite
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import (
@@ -18,7 +19,14 @@ from repro.ir import (
     StoreField,
     verify_graph,
 )
-from repro.ir.copy import clone_instruction, copy_graph
+from repro.ir.copy import clone_instruction, copy_graph, copy_program
+from repro.ir.nodes import If
+from repro.obs import Tracer
+from repro.pipeline.cache import artifact_manifest, normalize_ir
+from repro.pipeline.compiler import Compiler, ProfiledSource, jit
+from repro.pipeline.config import CONFIGURATIONS
+
+from tests.helpers import REPO
 
 
 class TestCloneInstruction:
@@ -144,3 +152,53 @@ class TestCopyGraph:
                     mapped = value_map.get(old_in)
                     if mapped is not None:
                         assert new_in is mapped
+
+
+#: (row id, source, entry, profiling arguments): the example apps and
+#: the generated micro suite
+PROGRAMS = [
+    (f"examples/{path.stem}", path.read_text(), "main", [[4]])
+    for path in sorted((REPO / "examples" / "apps").glob("*.mini"))
+] + [
+    (f"micro/{w.name}", w.source, w.entry, w.profile_args)
+    for w in generate_suite(MICRO, 0)
+]
+
+
+def profile_data(program) -> list:
+    """Every branch probability and loop trip count, in block order."""
+    return [
+        (
+            block.id,
+            block.terminator.true_probability
+            if isinstance(block.terminator, If) else None,
+            getattr(block, "profile_trip_count", None),
+        )
+        for graph in program.functions.values()
+        for block in graph.blocks
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, entry, profile_args",
+    [row[1:] for row in PROGRAMS],
+    ids=[row[0] for row in PROGRAMS],
+)
+def test_copy_program_is_faithful_and_independent(source, entry, profile_args):
+    template = ProfiledSource(source, entry, profile_args).program()
+    before = normalize_ir(template.describe())
+    clone = copy_program(template)
+    assert normalize_ir(clone.describe()) == before
+    assert profile_data(clone) == profile_data(template)
+    assert clone.globals == template.globals
+    assert clone.class_table is template.class_table
+    for config in CONFIGURATIONS.values():
+        program = copy_program(template)
+        tracer = Tracer()
+        report = Compiler(config, tracer=tracer).compile_program(program)
+        assert normalize_ir(template.describe()) == before, config.name
+        fresh = jit(source, entry, profile_args, config, tracer=Tracer())
+        assert (
+            artifact_manifest(program, report, tracer.events)["digest"]
+            == artifact_manifest(fresh.program, fresh.report, fresh.events)["digest"]
+        ), config.name

@@ -15,8 +15,11 @@ from repro.opts.peeling import (
     can_peel,
     peel_loop,
 )
+from repro.pipeline.cache import normalize_ir
+from repro.pipeline.compiler import compile_and_profile
+from repro.pipeline.config import PEEL_DBDS
 from tests.generators import random_program
-from tests.helpers import outcomes
+from tests.helpers import REPO, outcomes
 
 SIMPLE = """
 fn f(n: int) -> int {
@@ -210,6 +213,19 @@ class TestPeelingPhase:
         LoopPeelingPhase().run(program.function("f"))
         actual = [Interpreter(program).run("f", [n]).value for n in range(8)]
         assert actual == expected
+
+    def test_peel_does_not_depend_on_object_addresses(self):
+        # A loop body is a set of blocks, which iterates in address
+        # order: peeling must not let that order pick block ids or
+        # predecessor order, or one source compiles to several programs
+        # depending on what the process allocated before.
+        source = (REPO / "examples" / "apps" / "matrix.mini").read_text()
+        dumps, padding = set(), []
+        for round in range(8):
+            padding.append([object() for _ in range(37 * round)])
+            program, _ = compile_and_profile(source, "main", [[4]], PEEL_DBDS)
+            dumps.add(normalize_ir(program.describe()))
+        assert len(dumps) == 1
 
 
 class TestPeelingFuzz:

@@ -7,7 +7,8 @@ exactly one ``repro: error: ...`` line on stderr (a compile error
 located as ``file:line:col``) and exits 2, on ``run`` and on every
 other verb that reads a source or writes an output.  A program that
 traps still exits 1; one that exhausts its step limit prints one line
-naming the limit and exits 3.
+naming the limit and exits 3.  Any other exception is a bug in
+``repro``: one ``repro: internal error: ...`` line, the traceback, exit 4.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import json
 
 import pytest
 
-from repro.__main__ import EXIT_LIMIT, EXIT_USER_ERROR, main
+from repro.__main__ import EXIT_INTERNAL, EXIT_LIMIT, EXIT_USER_ERROR, main
+from repro.bench import harness
+from repro.interp.interpreter import ExecutionResult
 from repro.interp.profile import profile_program
 from repro.pipeline import compiler
 
@@ -142,6 +145,63 @@ def test_a_trap_still_exits_1(tmp_path, capsys):
     code = main(["run", str(path), "--args", "0"])
     assert code == 1
     assert capsys.readouterr().err == "trap: division by zero\n"
+
+
+def test_an_out_of_bounds_trap_exits_1(tmp_path, capsys):
+    path = tmp_path / "trap.mini"
+    path.write_text(
+        "fn main(n: int) -> int {\n"
+        "  var a: int[] = new int[n];\n"
+        "  return a[n];\n"
+        "}\n"
+    )
+    code = main(["run", str(path), "--args", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("trap: ")
+    assert "Traceback" not in captured.err
+
+
+def _failing_compile(self, program):
+    raise RuntimeError("boom")
+
+
+def _trapping_run(program, entry, arg_sets, **options):
+    return 0.0, [ExecutionResult(trap="division by zero")]
+
+
+#: name -> (object, attribute, replacement, argv with {path} for a
+#: valid source, expected first stderr line after "repro: internal
+#: error: ")
+INTERNAL_CASES = {
+    "run, compile raises": (
+        compiler.Compiler, "compile_program", _failing_compile,
+        ["run", "{path}", "--args", "3"], "RuntimeError: boom",
+    ),
+    "bench, a workload traps": (
+        harness, "measure_performance", _trapping_run,
+        ["bench", "--suite", "recursion"],
+        "RuntimeError: recursion/ackers trapped under baseline: "
+        "division by zero",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERNAL_CASES))
+def test_internal_error_exits_4_with_a_traceback(
+    case, tmp_path, monkeypatch, capsys
+):
+    target, attr, replacement, argv, expected = INTERNAL_CASES[case]
+    monkeypatch.setattr(target, attr, replacement)
+    path = tmp_path / "ok.mini"
+    path.write_text(PROGRAM)
+    code = main([arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 4
+    lines = captured.err.splitlines()
+    assert lines[0] == f"repro: internal error: {expected}"
+    assert lines[1] == "Traceback (most recent call last):"
+    assert lines[-1] == expected
 
 
 @pytest.mark.parametrize("verb", ["run", "profile"])

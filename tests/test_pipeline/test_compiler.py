@@ -7,9 +7,12 @@ import pytest
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import verify_program
+from repro.pipeline.cache import normalize_ir
 from repro.pipeline.compiler import (
     Compiler,
+    ProfiledSource,
     compile_and_profile,
+    jit,
     measure_performance,
 )
 from repro.pipeline.config import (
@@ -20,6 +23,8 @@ from repro.pipeline.config import (
     DUPALOT,
     CompilerConfig,
 )
+
+from tests.test_pipeline.test_cli import count_calls
 
 SOURCE = """
 fn helper(x: int) -> int {
@@ -94,6 +99,37 @@ class TestCompiler:
             assert unit.code_size_increase == pytest.approx(
                 unit.code_size / unit.initial_code_size - 1.0
             )
+
+
+class TestProfiledSource:
+    def test_uses_share_one_parse_and_profiling_run(self, monkeypatch):
+        calls = count_calls(
+            monkeypatch,
+            functions=[
+                ("repro.frontend.irbuilder", "compile_source"),
+                ("repro.interp.profile", "profile_program"),
+            ],
+        )
+        shared = ProfiledSource(SOURCE, "main", [[10]], uses=3)
+        programs = [shared.program() for _ in range(3)]
+        assert calls == {"compile_source": 1, "profile_program": 1}
+        # Each use gets a program of its own, with the same profiled IR.
+        assert len({id(program) for program in programs}) == 3
+        assert len({normalize_ir(p.describe()) for p in programs}) == 1
+        # A use past the count parses and profiles afresh.
+        shared.program()
+        assert calls == {"compile_source": 2, "profile_program": 2}
+
+    def test_jit_rejects_another_programs_profiled_source(self):
+        shared = ProfiledSource(SOURCE, "main", [[10]], uses=2)
+        jit(SOURCE, "main", [[10]], DBDS, profiled=shared)
+        for source, entry, args in [
+            (SOURCE + "\n", "main", [[10]]),
+            (SOURCE, "helper", [[10]]),
+            (SOURCE, "main", [[11]]),
+        ]:
+            with pytest.raises(ValueError, match="another source"):
+                jit(source, entry, args, DBDS, profiled=shared)
 
 
 class TestMeasurePerformance:
