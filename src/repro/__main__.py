@@ -24,9 +24,10 @@ regenerates one of the paper's evaluation figures.  ``check`` runs the
 IR sanitizers (docs/ANALYSIS.md) over source files: checked compiles
 with phase-blame diagnostics, optional LIR checks, dynamic stamp
 checking, and translation-validation fuzzing.  ``run``,
-``compile`` and ``bench`` all accept ``--trace-out FILE`` (write the
-JSONL event trace) and ``--profile-compile`` (print the per-phase
-profile); see docs/OBSERVABILITY.md.  ``run`` and ``compile`` accept
+``compile``, ``check``, ``batch`` and ``bench`` all accept
+``--trace-out FILE`` (write the JSONL event trace; on ``bench``, the
+suite report) and ``--profile-compile`` (print the per-phase profile);
+see docs/OBSERVABILITY.md.  ``run`` and ``compile`` accept
 ``--check-ir={off,boundaries,each-phase}`` plus
 ``--fail-fast``/``--keep-going``.  ``run``, ``bench`` and ``check``
 accept ``--engine={reference,vm,megaunit}`` to pick the executor;
@@ -36,16 +37,18 @@ the whole program into one exec unit with direct calls, docs/VM.md);
 ``bench --engine-report FILE`` writes the engine comparison matrix and
 ``check --diff-engines``/``--fuzz-engines N`` differentially validate
 every engine against the reference
-(docs/VM.md).  ``profile`` (and ``run``/``bench --profile-run``)
-executes under the profiling VM and prints per-opcode/function/block
-hot-path tables; ``run``, ``batch``, ``bench`` and ``check`` accept
-``--metrics-out FILE``/``--metrics-prom FILE`` to export the unified
-metrics snapshot; ``bench --append-trajectory``/``--check-regression``
-maintain the committed perf trajectory (docs/OBSERVABILITY.md).
+(docs/VM.md).  ``profile`` (and ``bench --profile-run``, over a
+suite) executes under the profiling VM and prints per-opcode/function/
+block hot-path tables; ``run``, ``batch``, ``bench``, ``check`` and
+``profile`` accept ``--metrics-out FILE``/``--metrics-prom FILE`` to
+export the metrics snapshot, a view of the verb's one trace;
+``bench --append-trajectory``/``--check-regression`` maintain the
+committed perf trajectory (docs/OBSERVABILITY.md).
 
-A user error — a source file that cannot be read or compiled, an
-unknown ``--entry``, a wrong ``--args`` count, an output file
-(``--trace-out``, ``--metrics-out``, ...) that cannot be written —
+A user error — a source file that cannot be read or compiled, paths
+that hold no ``.mini`` source, an unknown ``--entry`` or ``workload
+--name``, a wrong ``--args`` count, an output file (``--trace-out``,
+``--metrics-out``, ...) that cannot be written —
 prints one ``repro: error: ...`` line (compile errors located as
 ``file:line:col``) and exits 2; a program that traps exits 1, and one
 that exhausts its step limit (in the profiling run or the measured one)
@@ -62,7 +65,7 @@ import functools
 import json
 import pathlib
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 # Only what every verb needs loads here; modules that only some verbs or
@@ -78,15 +81,15 @@ from .bench.trajectory import (
 from .bench.workloads.suites import ALL_SUITES
 from .interp.interpreter import BudgetExceeded, Interpreter
 from .obs import (
-    NULL_REGISTRY,
+    NULL_TRACER,
     CompileProfile,
-    MetricsRegistry,
+    MetricsSnapshot,
     Tracer,
-    use_registry,
+    current_tracer,
+    use_tracer,
     write_jsonl,
 )
 from .pipeline.cache import ArtifactCache
-from .obs.tracer import use_tracer
 from .pipeline.compiler import (
     ENGINES,
     Artifact,
@@ -264,14 +267,13 @@ def _emit_cache_stats(args: argparse.Namespace, cache: ArtifactCache | None) -> 
 def _jit(
     args: argparse.Namespace,
     path: pathlib.Path,
-    tracer: Tracer | None = None,
     cache: ArtifactCache | None = None,
 ) -> Artifact:
     """:func:`~repro.pipeline.compiler.jit` on the source at ``path``
     with the entry, arguments, configuration and checks of ``args``."""
     return jit(
         _read_source(path), args.entry, [args.args],
-        CONFIGURATIONS[args.config], cache=cache, tracer=tracer,
+        CONFIGURATIONS[args.config], cache=cache,
         check_ir=args.check_ir, fail_fast=args.fail_fast,
         check_bc=args.check_bc, name=str(path),
     )
@@ -284,16 +286,10 @@ def _report_guard_failures(failures: list) -> int:
     return len(failures)
 
 
-def _make_tracer(args: argparse.Namespace) -> Tracer | None:
-    """An event-recording tracer when any telemetry output was asked."""
-    if args.trace_out is not None or args.profile_compile:
-        return Tracer()
-    return None
-
-
-def _emit_observability(args: argparse.Namespace, tracer: Tracer | None) -> None:
-    if tracer is None:
-        return
+def _emit_observability(args: argparse.Namespace) -> None:
+    """Write ``--trace-out`` and print ``--profile-compile`` from the
+    verb's tracer (see :func:`_with_telemetry`)."""
+    tracer = current_tracer()
     if args.trace_out is not None:
         with _writing(args.trace_out):
             records = write_jsonl(tracer, args.trace_out)
@@ -319,46 +315,53 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_registry(args: argparse.Namespace) -> MetricsRegistry:
-    """A recording registry when any metrics output was asked, else the
-    ambient null registry (instrumentation stays free)."""
-    if args.metrics_out is not None or args.metrics_prom is not None:
-        return MetricsRegistry()
-    return NULL_REGISTRY
+#: the options (``dest`` names) whose output is read from the verb's
+#: trace: any of them makes the verb record one
+_TELEMETRY_OPTIONS = (
+    "trace_out", "profile_compile", "metrics_out", "metrics_prom",
+    "append_trajectory", "check_regression",
+)
 
 
-def _emit_metrics(args: argparse.Namespace, registry: MetricsRegistry) -> None:
-    if not registry.enabled:
-        return
-    snapshot = registry.snapshot()
-    if args.metrics_out is not None:
-        _write_output(
-            args.metrics_out,
-            json.dumps(snapshot.to_json(), indent=2, sort_keys=True) + "\n",
-            "metrics:",
-        )
-    if args.metrics_prom is not None:
-        _write_output(args.metrics_prom, snapshot.render_prometheus(), "metrics:")
+def _with_telemetry(impl):
+    """Run a verb under one ambient tracer, then export its metrics.
 
-
-def _with_metrics(impl):
-    """Run a command under its own metrics registry and export on exit.
-
-    Every verb decorated here gains ``--metrics-out``/``--metrics-prom``
-    (added by :func:`_add_metrics_flags`); instrumented layers find the
-    registry through the ambient ``current_registry()`` exactly like
-    they find the tracer.
+    The tracer records when any of :data:`_TELEMETRY_OPTIONS` was given
+    (else it is the no-op ``NULL_TRACER``, and compiles keep their
+    private counting tracers).  Every layer the verb drives records
+    into it, so ``--trace-out``, ``--profile-compile`` and the
+    ``--metrics-out``/``--metrics-prom`` snapshot
+    (:meth:`~repro.obs.metrics.MetricsSnapshot.from_tracer`) all read
+    the same one trace.
     """
 
     @functools.wraps(impl)
     def wrapper(args: argparse.Namespace) -> int:
-        registry = _make_registry(args)
-        with use_registry(registry):
+        recording = any(getattr(args, name, None) for name in _TELEMETRY_OPTIONS)
+        tracer = Tracer() if recording else NULL_TRACER
+        with use_tracer(tracer):
             code = impl(args)
-        _emit_metrics(args, registry)
+        _emit_metrics(args, tracer)
         return code
 
     return wrapper
+
+
+def _emit_metrics(args: argparse.Namespace, tracer: Tracer) -> None:
+    """Write ``--metrics-out``/``--metrics-prom`` (on the verbs that
+    take them) from the verb's trace."""
+    out = getattr(args, "metrics_out", None)
+    prom = getattr(args, "metrics_prom", None)
+    if out is None and prom is None:
+        return
+    snapshot = MetricsSnapshot.from_tracer(tracer)
+    if out is not None:
+        _write_output(
+            out, json.dumps(snapshot.to_json(), indent=2, sort_keys=True) + "\n",
+            "metrics:",
+        )
+    if prom is not None:
+        _write_output(prom, snapshot.render_prometheus(), "metrics:")
 
 
 def _emit_vm_profile(
@@ -378,37 +381,19 @@ def _emit_vm_profile(
     return ok
 
 
-@_with_metrics
+@_with_telemetry
 def cmd_run(args: argparse.Namespace) -> int:
-    tracer = _make_tracer(args)
     cache = _make_cache(args)
-    vmprofile = None
     try:
-        artifact = _jit(args, args.source, tracer, cache)
+        artifact = _jit(args, args.source, cache)
         if _report_guard_failures(artifact.failures):
             return 1
-        program = artifact.program
-        if args.profile_run:
-            from .vm.profiler import profile_run
-
-            # Profiling implies the VM: the profiler is a specialization
-            # of its metered dispatch loop, so cycles match --engine=vm
-            # runs.
-            cycles, results, vmprofile = profile_run(
-                program, entry=args.entry, arg_sets=[tuple(args.args)],
-                bytecode=artifact.bytecode(),
-            )
-        else:
-            # Run under the recording tracer so runtime events —
-            # megaunit's vm.fallback, codegen-cache hits — land in
-            # --trace-out next to the compile events.
-            with use_tracer(tracer) if tracer is not None else nullcontext():
-                cycles, results = measure_performance(
-                    program, args.entry, [args.args], engine=args.engine,
-                    bytecode=None if args.engine == "reference"
-                    else artifact.bytecode(),
-                    codegen_cache=cache,
-                )
+        cycles, results = measure_performance(
+            artifact.program, args.entry, [args.args], engine=args.engine,
+            bytecode=None if args.engine == "reference"
+            else artifact.bytecode(),
+            codegen_cache=cache,
+        )
     except PhaseBlameError as exc:
         print(exc.format_blame(), file=sys.stderr)
         return 1
@@ -427,19 +412,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"duplications    : {report.total_duplications}")
     if artifact.cached:
         print("compiled from   : cache", file=sys.stderr)
-    _emit_observability(args, tracer)
+    _emit_observability(args)
     _emit_cache_stats(args, cache)
-    if vmprofile is not None and not _emit_vm_profile(vmprofile, cycles):
-        return 1
     return 0
 
 
+@_with_telemetry
 def cmd_compile(args: argparse.Namespace) -> int:
     program = parse_source(_read_source(args.source), str(args.source))
-    config = CONFIGURATIONS[args.config]
-    tracer = _make_tracer(args)
     compiler = Compiler(
-        config, tracer=tracer, check_ir=args.check_ir, fail_fast=args.fail_fast
+        CONFIGURATIONS[args.config], check_ir=args.check_ir,
+        fail_fast=args.fail_fast,
     )
     try:
         report = compiler.compile_program(program)
@@ -460,7 +443,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.dump:
         print()
         print(program.describe())
-    _emit_observability(args, tracer)
+    _emit_observability(args)
     return 0
 
 
@@ -484,20 +467,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _collect_sources(paths: list[pathlib.Path]) -> list[pathlib.Path]:
-    """Expand files/directories into the list of .mini sources."""
+    """Expand files/directories into the list of .mini sources; none at
+    all is a :class:`UserError`."""
     files: list[pathlib.Path] = []
     for path in paths:
         if path.is_dir():
             files.extend(sorted(path.rglob("*.mini")))
         else:
             files.append(path)
+    if not files:
+        raise UserError(
+            f"no .mini sources found in {', '.join(map(str, paths))}"
+        )
     return files
 
 
 def _check_one_file(
     path: pathlib.Path,
     args: argparse.Namespace,
-    tracer: Tracer | None,
     cache: ArtifactCache | None = None,
 ) -> int:
     """Run every requested sanitizer over one source file; returns the
@@ -507,7 +494,7 @@ def _check_one_file(
     artifact."""
     failures = 0
     try:
-        artifact = _jit(args, path, tracer, cache)
+        artifact = _jit(args, path, cache)
         failures = _report_guard_failures(artifact.failures)
         return failures + _check_program_sweeps(path, args, artifact)
     except PhaseBlameError as exc:
@@ -599,16 +586,15 @@ def _check_program_sweeps(
     return failures
 
 
-@_with_metrics
+@_with_telemetry
 def cmd_check(args: argparse.Namespace) -> int:
     """Checked compiles plus optional LIR/dynamic/fuzz validation."""
     config = CONFIGURATIONS[args.config]
-    tracer = _make_tracer(args)
     cache = _make_cache(args)
     files = _collect_sources(args.paths or [pathlib.Path("examples")])
     failures = 0
     for path in files:
-        failures += _check_one_file(path, args, tracer, cache)
+        failures += _check_one_file(path, args, cache)
 
     if args.fuzz:
         from .analysis import fuzz_translation
@@ -652,22 +638,18 @@ def cmd_check(args: argparse.Namespace) -> int:
             args.bc_report, json.dumps(payload, indent=2) + "\n", "bytecode report"
         )
 
-    _emit_observability(args, tracer)
+    _emit_observability(args)
     _emit_cache_stats(args, cache)
     status = "ok" if failures == 0 else f"{failures} failure(s)"
     print(f"check: {len(files)} file(s), mode {args.check_ir}: {status}")
     return 1 if failures else 0
 
 
-@_with_metrics
+@_with_telemetry
 def cmd_batch(args: argparse.Namespace) -> int:
     """Parallel batch compilation with the persistent artifact cache."""
-    tracer = _make_tracer(args)
     cache = None if args.no_cache else _make_cache(args)
     files = _collect_sources(args.paths or [pathlib.Path("examples")])
-    if not files:
-        print("batch: no .mini sources found", file=sys.stderr)
-        return 1
     sources = [(str(path), _read_source(path)) for path in files]
     from .pipeline.batch import BatchOptions, compile_batch
 
@@ -680,44 +662,29 @@ def cmd_batch(args: argparse.Namespace) -> int:
         fail_fast=args.fail_fast,
         cache=cache,
     )
-    report = compile_batch(sources, options, tracer=tracer)
+    report = compile_batch(sources, options)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.format())
-    if args.profile_compile:
-        print(report.profile().format())
-    if tracer is not None and args.trace_out is not None:
-        with _writing(args.trace_out):
-            records = write_jsonl(
-                tracer.events + report.events(), args.trace_out
-            )
-        print(f"trace: {records} records -> {args.trace_out}", file=sys.stderr)
+    _emit_observability(args)
     _emit_cache_stats(args, cache)
     return 0 if report.ok else 1
 
 
-@_with_metrics
+@_with_telemetry
 def cmd_bench(args: argparse.Namespace) -> int:
+    # Any telemetry option makes the verb's tracer record, and a recorded
+    # compile is phase-profiled: the suite report then prints the phase
+    # breakdown, and trajectory entries need its per-phase seconds.
     profile = ALL_SUITES[args.suite]
-    # Trajectory entries record per-phase compile seconds, so trajectory
-    # runs need phase profiling on even without --profile-compile.
-    profile_phases = (
-        args.profile_compile
-        or args.trace_out is not None
-        or args.append_trajectory is not None
-        or args.check_regression is not None
-    )
     cache = _make_cache(args)
     trajectory = (
         _load_trajectory(args.check_regression)
         if args.check_regression is not None
         else None
     )
-    report = run_suite(
-        profile, seed=args.seed, profile_phases=profile_phases, cache=cache,
-        engine=args.engine,
-    )
+    report = run_suite(profile, seed=args.seed, cache=cache, engine=args.engine)
     print(format_suite_report(report))
     if args.trace_out is not None:
         _write_output(
@@ -843,7 +810,7 @@ def _bench_trajectory(
     return 0
 
 
-@_with_metrics
+@_with_telemetry
 def cmd_profile(args: argparse.Namespace) -> int:
     """JIT-compile, execute under the profiling VM, print hot paths."""
     from .vm.profiler import profile_run
@@ -929,12 +896,10 @@ def cmd_workload(args: argparse.Namespace) -> int:
     profile = ALL_SUITES[args.suite]
     name = args.name or profile.benchmark_names[0]
     if name not in profile.benchmark_names:
-        print(
-            f"unknown benchmark {name!r}; choose from "
-            f"{', '.join(profile.benchmark_names)}",
-            file=sys.stderr,
+        raise UserError(
+            f"unknown benchmark {name!r} in suite {args.suite}; choose from "
+            f"{', '.join(profile.benchmark_names)}"
         )
-        return 1
     workload = generate_workload(profile, name, args.seed)
     print(workload.source)
     return 0
@@ -955,12 +920,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_metrics_flags(run_parser)
     _add_check_flags(run_parser)
     _add_cache_flags(run_parser)
-    run_parser.add_argument(
-        "--profile-run",
-        action="store_true",
-        help="execute under the profiling VM and print hot-path tables "
-        "(implies the VM engine; see docs/OBSERVABILITY.md)",
-    )
     run_parser.set_defaults(func=cmd_run)
 
     profile_parser = sub.add_parser(

@@ -27,11 +27,10 @@ Entry points: :func:`verify_bytecode` (full verification of a
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
-from ...obs.metrics import current_registry
+from ...obs.tracer import current_tracer
 from ..core import BytecodeVerificationError, CheckReport, Severity, Violation
 from .cfg import (
     BCBlock,
@@ -114,51 +113,45 @@ def verify_bytecode(
     disable: Sequence[str] = (),
     fail_fast: bool = False,
 ) -> BcVerifyReport:
-    """Statically verify every function of a translated program."""
-    start = time.perf_counter()
-    result = BcVerifyReport()
-    disable = tuple(disable)
-    for fn in bytecode.functions.values():
-        report = run_bc_checkers(
-            fn,
-            bytecode,
-            checkers=checkers,
-            disable=disable,
-            fail_fast=fail_fast,
-        )
-        result.reports.append(report)
-        if fail_fast and not report.ok:
-            break
-
-    # The per-function checker lints each function's body in the plain
-    # megaunit module; the counted (profiling) module's counter slots
-    # are numbered across the whole unit, so its lint is program-level
-    # (skipped when per-function verification already failed — linting
-    # source generated from a known-bad table proves nothing).
-    if (
-        "bc-codegen-lint" not in disable
-        and (checkers is None or "bc-codegen-lint" in checkers)
-        and result.ok
-    ):
-        for message in lint_megaunit_source(bytecode, counted=True):
-            result.violations.append(
-                Violation(
-                    checker="bc-codegen-lint",
-                    severity=Severity.ERROR,
-                    graph="<megaunit counted>",
-                    message=message,
-                )
+    """Statically verify every function of a translated program; the
+    ambient tracer records the run as one ``bcverify`` span carrying
+    the verdict (``ok``)."""
+    with current_tracer().span("bcverify") as span:
+        result = BcVerifyReport()
+        disable = tuple(disable)
+        for fn in bytecode.functions.values():
+            report = run_bc_checkers(
+                fn,
+                bytecode,
+                checkers=checkers,
+                disable=disable,
+                fail_fast=fail_fast,
             )
+            result.reports.append(report)
+            if fail_fast and not report.ok:
+                break
 
-    registry = current_registry()
-    if registry.enabled:
-        registry.inc(
-            "repro_bcverify_runs_total",
-            result="ok" if result.ok else "fail",
-        )
-        registry.observe(
-            "repro_bcverify_seconds", time.perf_counter() - start
-        )
+        # The per-function checker lints each function's body in the
+        # plain megaunit module; the counted (profiling) module's counter
+        # slots are numbered across the whole unit, so its lint is
+        # program-level (skipped when per-function verification already
+        # failed — linting source generated from a known-bad table
+        # proves nothing).
+        if (
+            "bc-codegen-lint" not in disable
+            and (checkers is None or "bc-codegen-lint" in checkers)
+            and result.ok
+        ):
+            for message in lint_megaunit_source(bytecode, counted=True):
+                result.violations.append(
+                    Violation(
+                        checker="bc-codegen-lint",
+                        severity=Severity.ERROR,
+                        graph="<megaunit counted>",
+                        message=message,
+                    )
+                )
+        span.attrs["ok"] = result.ok
     return result
 
 

@@ -17,7 +17,8 @@ Two consumption styles:
 
 Per-checker wall time and violation counts are tallied on the ambient
 tracer (``analysis.checker.<name>.us`` / ``.violations``) so
-``--profile-compile`` shows what the checking itself costs.
+``--profile-compile`` shows what the checking itself costs, and every
+violation counts once per severity (``analysis.violations.<severity>``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from ..ir.dominators import DominatorTree
 from ..ir.frequency import BlockFrequencies
 from ..ir.graph import Graph
 from ..ir.loops import LoopForest
-from ..obs.metrics import current_registry
 from ..obs.tracer import current_tracer
 
 SCOPE_IR = "ir"
@@ -329,12 +329,8 @@ def _execute(
         if found:
             tracer.count(f"analysis.checker.{chk.name}.violations", found)
             tracer.count(f"analysis.checker.{chk.name}.fail")
-            registry = current_registry()
             for violation in ctx.violations[before:]:
-                registry.inc(
-                    "repro_analysis_violations_total",
-                    severity=violation.severity.value,
-                )
+                tracer.count(f"analysis.violations.{violation.severity.value}")
         else:
             tracer.count(f"analysis.checker.{chk.name}.pass")
         if stop:

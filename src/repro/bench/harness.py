@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from ..obs.tracer import Tracer
 from ..pipeline.cache import ArtifactCache
 from ..pipeline.compiler import ProfiledSource, jit, measure_performance
 from ..pipeline.config import BASELINE, CompilerConfig, DBDS, DUPALOT
@@ -43,7 +42,8 @@ class Measurement:
     run, which the ``wall_time`` of the first configuration to miss
     the cache includes.  ``phase_times`` (phase name → inclusive
     seconds, summed over compilation units) is only populated when the
-    suite ran with ``profile_phases=True``.
+    compile was recorded: under a recording ambient tracer, or when it
+    was stored into a cache.
     """
 
     workload: str
@@ -116,7 +116,6 @@ class SuiteReport:
 def measure_workload(
     workload: Workload,
     config: CompilerConfig,
-    profile_phases: bool = False,
     cache: Optional[ArtifactCache] = None,
     engine: str = "reference",
     profiled: Optional[ProfiledSource] = None,
@@ -128,10 +127,10 @@ def measure_workload(
     :func:`~repro.pipeline.compiler.jit` rejects one built from another
     workload with a :class:`ValueError`.
 
-    ``profile_phases`` compiles under an event-recording tracer and
-    fills ``Measurement.phase_times`` — it adds tracing overhead to the
-    compile-time numbers (equally for every configuration), so it is
-    off by default.
+    Under a recording ambient tracer (a CLI telemetry option) the
+    compile records into it and fills ``Measurement.phase_times`` —
+    tracing adds overhead to the compile-time numbers (equally for
+    every configuration), so the default ``NULL_TRACER`` keeps it off.
 
     With a ``cache``, compilation goes through :func:`jit` cache-first:
     served from the artifact cache when warm (the stored report keeps
@@ -145,8 +144,7 @@ def measure_workload(
     wall_start = time.perf_counter()
     artifact = jit(
         workload.source, workload.entry, workload.profile_args, config,
-        cache=cache, tracer=Tracer() if profile_phases else None,
-        profiled=profiled,
+        cache=cache, profiled=profiled,
     )
     report = artifact.report
     cycles, results = measure_performance(
@@ -178,7 +176,6 @@ def run_suite(
     configs: Optional[Iterable[CompilerConfig]] = None,
     seed: int = 0,
     workloads: Optional[list[Workload]] = None,
-    profile_phases: bool = False,
     cache: Optional[ArtifactCache] = None,
     engine: str = "reference",
 ) -> SuiteReport:
@@ -192,13 +189,11 @@ def run_suite(
             workload.source, workload.entry, workload.profile_args,
             uses=1 + len(configs),
         )
-        baseline = measure_workload(
-            workload, BASELINE, profile_phases, cache, engine, profiled
-        )
+        baseline = measure_workload(workload, BASELINE, cache, engine, profiled)
         row = BenchmarkRow(workload=workload.name, baseline=baseline)
         for config in configs:
             row.configs[config.name] = measure_workload(
-                workload, config, profile_phases, cache, engine, profiled
+                workload, config, cache, engine, profiled
             )
         report.rows.append(row)
     return report
@@ -254,7 +249,7 @@ def format_suite_report(report: SuiteReport) -> str:
 def suite_phase_times(report: SuiteReport) -> dict[str, dict[str, float]]:
     """Config name → (phase → seconds) summed over the suite's rows.
 
-    Empty inner dicts when the suite ran without ``profile_phases``.
+    Empty inner dicts when the suite's compiles were not recorded.
     """
     breakdown: dict[str, dict[str, float]] = {"baseline": {}}
     for row in report.rows:

@@ -18,7 +18,7 @@ from typing import Optional
 from ..costmodel.estimator import graph_code_size
 from ..ir.copy import copy_graph
 from ..ir.graph import Graph, Program
-from ..obs.metrics import current_registry
+from ..obs.tracer import current_tracer
 from ..opts.canonicalize import CanonicalizerPhase
 from ..opts.condelim import ConditionalEliminationPhase
 from ..opts.pea import PartialEscapeAnalysisPhase
@@ -56,17 +56,12 @@ class BacktrackingDuplication:
         try:
             return self._run(graph)
         finally:
-            registry = current_registry()
-            kept = self.stats.kept - kept_before
-            rolled = self.stats.rolled_back - rolled_before
-            if kept:
-                registry.inc(
-                    "repro_dbds_backtrack_total", kept, outcome="kept"
-                )
-            if rolled:
-                registry.inc(
-                    "repro_dbds_backtrack_total", rolled, outcome="rolled_back"
-                )
+            tracer = current_tracer()
+            tracer.count("dbds.backtrack.kept", self.stats.kept - kept_before)
+            tracer.count(
+                "dbds.backtrack.rolled_back",
+                self.stats.rolled_back - rolled_before,
+            )
 
     def _run(self, graph: Graph) -> Graph:
         initial_size = graph_code_size(graph)

@@ -20,7 +20,6 @@ from ..ir.graph import Graph, Program
 from ..ir.loops import LoopForest
 from ..ir.nodes import Goto
 from ..ir.verifier import verify_graph
-from ..obs.metrics import current_registry
 from ..obs.tracer import NULL_TRACER, Tracer, current_tracer
 from ..opts.base import Phase
 from ..opts.canonicalize import CanonicalizerPhase
@@ -107,10 +106,6 @@ class DbdsPhase(Phase):
             tier = SimulationTier(graph, self.program)
             candidates = tier.run()
             tracer.count("dbds.candidates", len(candidates))
-            if candidates:
-                current_registry().inc(
-                    "repro_dbds_candidates_total", len(candidates)
-                )
             # ---------------- Tier 2: trade-off -------------------------
             ranked = sort_candidates(candidates, config.trade_off)
             # ---------------- Tier 3: optimization ----------------------
@@ -154,7 +149,6 @@ class DbdsPhase(Phase):
     ) -> None:
         """Attribute the enabled optimizations to this duplication."""
         tracer.count("dbds.duplications")
-        current_registry().inc("repro_dbds_duplications_total")
         for reason in candidate.reasons:
             tracer.count(f"dbds.applied.{reason}")
 
@@ -178,9 +172,6 @@ class DbdsPhase(Phase):
                 structure_dirty = False
             if not self._still_valid(graph, candidate, loops):
                 tracer.count("dbds.decision.invalidated")
-                current_registry().inc(
-                    "repro_dbds_decisions_total", outcome="invalidated"
-                )
                 tracer.event(
                     "dbds.decision",
                     graph=graph.name,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs.metrics import current_registry
 from ..obs.tracer import Event, Tracer
 from .simulation import SimulationResult
 
@@ -126,10 +125,6 @@ def emit_decision(
     counters; returns the event (None when the tracer is disabled)."""
     accepted = decision.accepted
     tracer.count("dbds.decision.accepted" if accepted else "dbds.decision.rejected")
-    current_registry().inc(
-        "repro_dbds_decisions_total",
-        outcome="accepted" if accepted else "rejected",
-    )
     return tracer.event(
         "dbds.decision",
         graph=graph_name,

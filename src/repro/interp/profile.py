@@ -29,7 +29,6 @@ from typing import Any, Iterable, Optional
 from ..ir.graph import Program
 from ..ir.loops import DEFAULT_TRIP_COUNT
 from ..ir.nodes import If
-from ..obs.metrics import current_registry
 from ..obs.tracer import current_tracer
 from .interpreter import BudgetExceeded, ProfileCollector
 
@@ -141,9 +140,6 @@ def _profile_runs(
             "interp.profile", engine=engine, steps=steps,
             switch_step=None if counted is None else switch_at,
         )
-        registry = current_registry()
-        if registry.enabled:
-            registry.inc("repro_profile_runs_total", engine=engine)
 
 
 def apply_profile(program: Program, collector: ProfileCollector) -> None:

@@ -1,9 +1,9 @@
 """``repro.obs`` — the compiler telemetry subsystem.
 
-Phase tracing, DBDS decision events, compile profiles and trace
-sinks.  See ``docs/OBSERVABILITY.md`` for the event schema and the
-CLI surface (``python -m repro trace``, ``--trace-out``,
-``--profile-compile``).
+Phase tracing, DBDS decision events, trace sinks, and the two views of
+a trace: compile profiles and metrics.  See ``docs/OBSERVABILITY.md``
+for the event schema and the CLI surface (``python -m repro trace``,
+``--trace-out``, ``--profile-compile``, ``--metrics-out``).
 
 Typical use::
 
@@ -19,16 +19,10 @@ Typical use::
 from .metrics import (
     BYTES_BUCKETS,
     HISTOGRAM_BUCKETS,
-    NULL_REGISTRY,
     SECONDS_BUCKETS,
     HistogramData,
-    MetricsRegistry,
     MetricsSnapshot,
-    NullMetricsRegistry,
-    current_registry,
     exponential_buckets,
-    merge_snapshots,
-    use_registry,
 )
 from .profile import CompileProfile, PhaseStat
 from .sinks import (
@@ -57,18 +51,12 @@ __all__ = [
     "Event",
     "HISTOGRAM_BUCKETS",
     "HistogramData",
-    "MetricsRegistry",
     "MetricsSnapshot",
-    "NULL_REGISTRY",
     "NULL_TRACER",
-    "NullMetricsRegistry",
     "NullTracer",
     "PhaseStat",
     "SECONDS_BUCKETS",
-    "current_registry",
     "exponential_buckets",
-    "merge_snapshots",
-    "use_registry",
     "TraceSchemaError",
     "Tracer",
     "current_tracer",

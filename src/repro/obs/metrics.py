@@ -1,46 +1,40 @@
-"""Process-wide runtime metrics: counters, gauges and histograms.
+"""Metrics: counters, gauges and histograms, as a view of a trace.
 
-Where the :class:`~repro.obs.tracer.Tracer` answers "what happened
-during *this one compilation*" (spans, events), the
-:class:`MetricsRegistry` answers "what has this *process* been doing"
-— live, labeled, aggregatable state suitable for a scraping daemon or
-a post-run snapshot.  Three instrument kinds:
+The :class:`~repro.obs.tracer.Tracer` is the one telemetry channel:
+every layer records spans, events and counters into it, and
+:meth:`MetricsSnapshot.from_events` folds a finished trace (live, or
+read back with :func:`~repro.obs.sinks.read_jsonl`) into labeled
+series, as :meth:`~repro.obs.profile.CompileProfile.from_events` folds
+it into a compile profile.  Three instrument kinds:
 
-* **counters** — monotonically increasing totals
-  (``repro_cache_lookups_total{result="hit"}``);
-* **gauges** — last-set point-in-time values
-  (``repro_batch_queue_depth``); merges take the maximum, so a folded
-  batch snapshot reports the *peak* queue depth;
+* **counters** — totals (``repro_cache_lookups_total{result="hit"}``);
+* **gauges** — point-in-time values (``repro_batch_queue_depth``,
+  the peak over the trace's ``batch`` spans);
 * **histograms** — fixed-exponential-bucket distributions
   (``repro_compile_phase_seconds{phase="dbds"}``).  Bucket layouts are
-  declared once in :data:`HISTOGRAM_BUCKETS` keyed by metric name, so
-  every process observing a metric uses the same layout and snapshots
-  merge bucket-by-bucket.
+  declared once in :data:`HISTOGRAM_BUCKETS` keyed by metric name.
 
-Snapshot/merge semantics mirror how per-worker traces fold into one
-:class:`~repro.obs.profile.CompileProfile`: each ``repro batch -j N``
-worker runs under its own registry, snapshots it, and the parent folds
-the snapshots into its own registry — serial and parallel batches
-produce identical merged totals (``tests/test_pipeline/
-test_metrics_differential.py`` enforces this).
+Which trace record feeds which series is the table in
+docs/OBSERVABILITY.md ("Metrics: a view of the trace").  The view
+only sees what was recorded, so the CLI runs a verb under one
+recording ambient tracer whenever a metrics output is asked for; a
+batch's workers hand their traces to the parent's
+(:func:`~repro.pipeline.batch.compile_batch`), so serial and parallel
+batches fold to the same totals.
 
 Two exporters: :meth:`MetricsSnapshot.to_json` (the ``--metrics-out``
 payload) and :meth:`MetricsSnapshot.render_prometheus` (text
-exposition, ready for a future ``repro serve`` daemon to expose on
-``/metrics``).
-
-Overhead discipline matches the tracer: the ambient default is
-:data:`NULL_REGISTRY`, whose every operation is a no-op, and hot
-instrumentation sites check ``registry.enabled`` before taking
-timestamps.  Install a live registry with :func:`use_registry`.
+exposition).
 """
 
 from __future__ import annotations
 
 import bisect
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
+
+from .sinks import trace_counters
+from .tracer import KIND_SPAN, Event, Tracer
 
 #: bump when the snapshot JSON layout changes
 METRICS_SCHEMA_VERSION = 1
@@ -58,9 +52,7 @@ SECONDS_BUCKETS = exponential_buckets(1e-5, 2.0, 22)
 #: payload-size layout: 256 B .. ~1 GB in ×4 steps
 BYTES_BUCKETS = exponential_buckets(256.0, 4.0, 12)
 
-#: the declared bucket layout of every known histogram; undeclared
-#: names fall back to SECONDS_BUCKETS.  Central so that parent and
-#: worker processes can never disagree (merging asserts equal layouts).
+#: the bucket layout of every histogram
 HISTOGRAM_BUCKETS: dict[str, tuple[float, ...]] = {
     "repro_compile_phase_seconds": SECONDS_BUCKETS,
     "repro_compile_unit_seconds": SECONDS_BUCKETS,
@@ -75,7 +67,7 @@ METRIC_HELP: dict[str, str] = {
     "repro_cache_stores_total": "Artifact-cache entries written.",
     "repro_cache_evictions_total": "Corrupted artifact-cache entries evicted.",
     "repro_cache_entry_bytes": "Artifact-cache entry payload sizes.",
-    "repro_batch_queue_depth": "Batch jobs still queued (gauge; merge = peak).",
+    "repro_batch_queue_depth": "Batch jobs queued for workers (peak over batches).",
     "repro_batch_jobs_total": "Batch jobs by outcome (cached/compiled/error).",
     "repro_batch_job_seconds": "Per-job batch compile latency.",
     "repro_compile_units_total": "Compilation units optimized.",
@@ -132,17 +124,6 @@ class HistogramData:
         self.sum += value
         self.count += 1
 
-    def merge(self, other: "HistogramData") -> None:
-        if self.buckets != other.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different bucket layouts "
-                f"({len(self.buckets)} vs {len(other.buckets)} buckets)"
-            )
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.sum += other.sum
-        self.count += other.count
-
     def to_json(self) -> dict[str, Any]:
         return {
             "buckets": list(self.buckets),
@@ -151,26 +132,128 @@ class HistogramData:
             "count": self.count,
         }
 
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "HistogramData":
-        return cls(
-            buckets=tuple(data["buckets"]),
-            counts=list(data["counts"]),
-            sum=data["sum"],
-            count=data["count"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Snapshots
 # ----------------------------------------------------------------------
+#: trace-counter prefix -> (metric, label, fixed labels): the counter
+#: ``<prefix><value>`` adds to the series ``metric{label="<value>"}``
+LABELED_COUNTERS: dict[str, tuple[str, str, dict[str, str]]] = {
+    "dbds.decision.": ("repro_dbds_decisions_total", "outcome", {}),
+    "dbds.backtrack.": ("repro_dbds_backtrack_total", "outcome", {}),
+    "analysis.violations.": ("repro_analysis_violations_total", "severity", {}),
+    "vm.runs.": ("repro_vm_runs_total", "engine", {}),
+    "vm.codegen_cache.": (
+        "repro_codegen_cache_total", "result", {"engine": "megaunit"}
+    ),
+}
+
+
 @dataclass
 class MetricsSnapshot:
-    """A frozen, mergeable, serializable copy of one registry's state."""
+    """The metric series of one trace (see :meth:`from_events`)."""
 
     counters: dict[str, dict[LabelKey, float]] = field(default_factory=dict)
     gauges: dict[str, dict[LabelKey, float]] = field(default_factory=dict)
     histograms: dict[str, dict[LabelKey, HistogramData]] = field(default_factory=dict)
+
+    @classmethod
+    def from_events(
+        cls,
+        events: Iterable[Event],
+        counters: Optional[dict[str, int]] = None,
+    ) -> "MetricsSnapshot":
+        """Fold a trace into its metric series.
+
+        ``counters`` is the trace's counter table (default: the
+        ``counters`` record of ``events``).  Every ``phase`` span is a
+        ``repro_compile_phase_seconds`` observation, the guard's
+        ``ir-check`` spans and the back end's ``lowering``/``regalloc``
+        spans included.  A series appears only once something adds to
+        it.
+        """
+        events = list(events)
+        if counters is None:
+            counters = trace_counters(events)
+        snap = cls()
+        for event in events:
+            name, attrs = event.name, event.attrs
+            if event.kind == KIND_SPAN:
+                dur = event.dur or 0.0
+                if name == "phase":
+                    snap._observe(
+                        "repro_compile_phase_seconds", dur, phase=attrs["phase"]
+                    )
+                elif name == "compile":
+                    snap._inc("repro_compile_units_total")
+                    snap._observe("repro_compile_unit_seconds", dur)
+                elif name == "bcverify":
+                    snap._inc(
+                        "repro_bcverify_runs_total",
+                        result="ok" if attrs.get("ok") else "fail",
+                    )
+                    snap._observe("repro_bcverify_seconds", dur)
+                elif name == "batch":
+                    depth = snap.gauges.setdefault("repro_batch_queue_depth", {})
+                    depth[""] = max(depth.get("", 0), attrs.get("pending", 0))
+                    snap._inc(
+                        "repro_batch_jobs_total", attrs.get("cached", 0),
+                        outcome="cached",
+                    )
+            elif name in ("cache.hit", "cache.miss"):
+                snap._inc("repro_cache_lookups_total", result=name[len("cache."):])
+                if "bytes" in attrs:  # an entry, not an aux blob
+                    snap._observe("repro_cache_entry_bytes", attrs["bytes"], op="get")
+            elif name == "cache.store":
+                snap._inc("repro_cache_stores_total")
+                if "bytes" in attrs:
+                    snap._observe("repro_cache_entry_bytes", attrs["bytes"], op="put")
+            elif name == "cache.evict":
+                snap._inc("repro_cache_evictions_total")
+            elif name == "batch.worker":
+                snap._inc(
+                    "repro_batch_jobs_total",
+                    outcome="compiled" if attrs["ok"] else "error",
+                )
+                snap._observe("repro_batch_job_seconds", attrs.get("elapsed", 0.0))
+            elif name == "interp.profile":
+                snap._inc("repro_profile_runs_total", engine=attrs["engine"])
+            elif name == "vm.fallback":
+                snap._inc(
+                    "repro_vm_fallback_total",
+                    engine=attrs["engine"], reason=attrs["reason"],
+                )
+        snap._inc("repro_dbds_candidates_total", counters.get("dbds.candidates", 0))
+        # The pipeline also counts the backtracking baseline's kept
+        # duplications as dbds.duplications; the metric is the DBDS tier's.
+        snap._inc(
+            "repro_dbds_duplications_total",
+            counters.get("dbds.duplications", 0)
+            - counters.get("dbds.backtrack.kept", 0),
+        )
+        for counter, value in counters.items():
+            for prefix, (metric, label, fixed) in LABELED_COUNTERS.items():
+                if counter.startswith(prefix):
+                    labels = {**fixed, label: counter[len(prefix):]}
+                    snap._inc(metric, value, **labels)
+        return snap
+
+    @classmethod
+    def from_tracer(cls, tracer: Tracer) -> "MetricsSnapshot":
+        return cls.from_events(tracer.events, counters=tracer.counters)
+
+    def _inc(self, name: str, n: float = 1, **labels: Any) -> None:
+        if n:
+            series = self.counters.setdefault(name, {})
+            key = label_key(labels)
+            series[key] = series.get(key, 0) + n
+
+    def _observe(self, name: str, value: float, **labels: Any) -> None:
+        series = self.histograms.setdefault(name, {})
+        key = label_key(labels)
+        if key not in series:
+            series[key] = HistogramData(buckets=HISTOGRAM_BUCKETS[name])
+        series[key].observe(value)
 
     # -- reads ----------------------------------------------------------
     def counter_value(self, name: str, **labels: Any) -> float:
@@ -196,32 +279,6 @@ class MetricsSnapshot:
             for key, data in self.histograms.get(name, {}).items()
         }
 
-    # -- merge ----------------------------------------------------------
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Fold ``other`` into self (counters add, gauges take the max,
-        histogram buckets add elementwise); returns self."""
-        for name, series in other.counters.items():
-            mine = self.counters.setdefault(name, {})
-            for key, value in series.items():
-                mine[key] = mine.get(key, 0) + value
-        for name, series in other.gauges.items():
-            mine = self.gauges.setdefault(name, {})
-            for key, value in series.items():
-                mine[key] = max(mine[key], value) if key in mine else value
-        for name, series in other.histograms.items():
-            mine_h = self.histograms.setdefault(name, {})
-            for key, data in series.items():
-                if key in mine_h:
-                    mine_h[key].merge(data)
-                else:
-                    mine_h[key] = HistogramData(
-                        buckets=data.buckets,
-                        counts=list(data.counts),
-                        sum=data.sum,
-                        count=data.count,
-                    )
-        return self
-
     # -- serialization --------------------------------------------------
     def to_json(self) -> dict[str, Any]:
         return {
@@ -233,17 +290,6 @@ class MetricsSnapshot:
                 for n, s in sorted(self.histograms.items())
             },
         }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "MetricsSnapshot":
-        return cls(
-            counters={n: dict(s) for n, s in data.get("counters", {}).items()},
-            gauges={n: dict(s) for n, s in data.get("gauges", {}).items()},
-            histograms={
-                n: {k: HistogramData.from_json(d) for k, d in s.items()}
-                for n, s in data.get("histograms", {}).items()
-            },
-        )
 
     # -- Prometheus text exposition -------------------------------------
     def render_prometheus(self) -> str:
@@ -300,122 +346,3 @@ class MetricsSnapshot:
                 )
                 lines.append(f"{name}_count{fmt_labels(key)} {data.count}")
         return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# The registry
-# ----------------------------------------------------------------------
-class MetricsRegistry:
-    """Live metric state for one process (or one pool worker).
-
-    All mutation goes through three flat calls — :meth:`inc`,
-    :meth:`set_gauge`, :meth:`observe` — so the no-op
-    :class:`NullMetricsRegistry` can shadow the whole surface.  Label
-    values are stringified into the series key; keep cardinality low
-    (phase names, result kinds — never per-program identifiers).
-    """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self._counters: dict[str, dict[LabelKey, float]] = {}
-        self._gauges: dict[str, dict[LabelKey, float]] = {}
-        self._histograms: dict[str, dict[LabelKey, HistogramData]] = {}
-
-    # -- mutation -------------------------------------------------------
-    def inc(self, name: str, n: float = 1, **labels: Any) -> None:
-        series = self._counters.setdefault(name, {})
-        key = label_key(labels)
-        series[key] = series.get(key, 0) + n
-
-    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        self._gauges.setdefault(name, {})[label_key(labels)] = value
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        series = self._histograms.setdefault(name, {})
-        key = label_key(labels)
-        data = series.get(key)
-        if data is None:
-            data = series[key] = HistogramData(
-                buckets=HISTOGRAM_BUCKETS.get(name, SECONDS_BUCKETS)
-            )
-        data.observe(value)
-
-    # -- snapshot / merge -----------------------------------------------
-    def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot(
-            counters={n: dict(s) for n, s in self._counters.items()},
-            gauges={n: dict(s) for n, s in self._gauges.items()},
-            histograms={
-                n: {
-                    k: HistogramData(
-                        buckets=d.buckets,
-                        counts=list(d.counts),
-                        sum=d.sum,
-                        count=d.count,
-                    )
-                    for k, d in s.items()
-                }
-                for n, s in self._histograms.items()
-            },
-        )
-
-    def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a (worker) snapshot into this live registry."""
-        merged = self.snapshot().merge(snapshot)
-        self._counters = merged.counters
-        self._gauges = merged.gauges
-        self._histograms = merged.histograms
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """The ambient default: every operation is a no-op.
-
-    Like :class:`~repro.obs.tracer.NullTracer`, a process-wide
-    singleton must not accrue state across unrelated work.
-    """
-
-    enabled = False
-
-    def inc(self, name: str, n: float = 1, **labels: Any) -> None:
-        return None
-
-    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        return None
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        return None
-
-
-NULL_REGISTRY = NullMetricsRegistry()
-
-# ----------------------------------------------------------------------
-# Ambient registry, mirroring the ambient tracer: instrumentation sites
-# read it instead of threading a registry through every constructor.
-# ----------------------------------------------------------------------
-_current: MetricsRegistry = NULL_REGISTRY
-
-
-def current_registry() -> MetricsRegistry:
-    """The registry instrumentation sites should emit to."""
-    return _current
-
-
-@contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` as the ambient registry for the duration."""
-    global _current
-    previous = _current
-    _current = registry
-    try:
-        yield registry
-    finally:
-        _current = previous
-
-
-def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
-    """Fold many snapshots into one fresh snapshot."""
-    merged = MetricsSnapshot()
-    for snapshot in snapshots:
-        merged.merge(snapshot)
-    return merged

@@ -20,43 +20,31 @@ from typing import Any, Iterable, Union
 
 from .tracer import KIND_EVENT, KIND_SPAN, Event, Tracer
 
-#: attrs every ``dbds.decision`` event must carry
-DECISION_REQUIRED_ATTRS = (
-    "graph",
-    "merge",
-    "pred",
-    "benefit",
-    "cost",
-    "probability",
-    "accepted",
-    "reason",
-)
-
-#: attrs every ``dbds.candidate`` event must carry
-CANDIDATE_REQUIRED_ATTRS = ("graph", "merge", "pred", "benefit", "cost", "probability")
-
-#: attrs every ``analysis.violation`` event must carry
-VIOLATION_REQUIRED_ATTRS = ("phase", "graph", "checker", "severity", "message")
-
-#: attrs every ``analysis.blame`` event must carry
-BLAME_REQUIRED_ATTRS = ("phase", "graph", "violations")
-
-#: attrs every ``cache.hit``/``cache.miss``/``cache.store`` event must carry
-CACHE_REQUIRED_ATTRS = ("key",)
-
-#: attrs every ``cache.evict`` event must carry
-CACHE_EVICT_REQUIRED_ATTRS = ("key", "reason")
-
-#: attrs every ``batch.worker`` event must carry
-BATCH_WORKER_REQUIRED_ATTRS = ("path", "key", "ok")
-
-#: attrs every ``vm.fallback`` event must carry (megaunit declining a
-#: frame and running it on the ``vm`` loop instead)
-VM_FALLBACK_REQUIRED_ATTRS = ("engine", "fallback", "reason")
-
-#: attrs every ``interp.profile`` event must carry (the engine that
-#: gathered the profile, its steps, and the step it switched at or null)
-INTERP_PROFILE_REQUIRED_ATTRS = ("engine", "steps", "switch_step")
+#: record name -> the attrs every record of that name must carry
+REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
+    "dbds.decision": (
+        "graph", "merge", "pred", "benefit", "cost", "probability",
+        "accepted", "reason",
+    ),
+    "dbds.candidate": ("graph", "merge", "pred", "benefit", "cost", "probability"),
+    "analysis.violation": ("phase", "graph", "checker", "severity", "message"),
+    "analysis.blame": ("phase", "graph", "violations"),
+    "cache.hit": ("key",),
+    "cache.miss": ("key",),
+    "cache.store": ("key",),
+    "cache.evict": ("key", "reason"),
+    "batch.worker": ("path", "key", "ok"),
+    # megaunit declining a frame and running it on the vm loop instead
+    "vm.fallback": ("engine", "fallback", "reason"),
+    # the engine that gathered the profile, its steps, and the step it
+    # switched at or null
+    "interp.profile": ("engine", "steps", "switch_step"),
+    # spans: a phase run, a bytecode verification and its verdict, and a
+    # batch with the jobs it sent to workers and the jobs the cache served
+    "phase": ("phase",),
+    "bcverify": ("ok",),
+    "batch": ("pending", "cached"),
+}
 
 #: the counter-table trailer record's name
 COUNTERS_RECORD = "counters"
@@ -168,44 +156,9 @@ def validate_record(record: dict[str, Any]) -> list[str]:
         problems.append("missing 'attrs' object")
         return problems
     name = record.get("name")
-    if name == "dbds.decision":
-        for key in DECISION_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"dbds.decision missing attr {key!r}")
-    elif name == "dbds.candidate":
-        for key in CANDIDATE_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"dbds.candidate missing attr {key!r}")
-    elif name == "analysis.violation":
-        for key in VIOLATION_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"analysis.violation missing attr {key!r}")
-    elif name == "analysis.blame":
-        for key in BLAME_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"analysis.blame missing attr {key!r}")
-    elif name in ("cache.hit", "cache.miss", "cache.store"):
-        for key in CACHE_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"{name} missing attr {key!r}")
-    elif name == "cache.evict":
-        for key in CACHE_EVICT_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"cache.evict missing attr {key!r}")
-    elif name == "batch.worker":
-        for key in BATCH_WORKER_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"batch.worker missing attr {key!r}")
-    elif name == "vm.fallback":
-        for key in VM_FALLBACK_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"vm.fallback missing attr {key!r}")
-    elif name == "interp.profile":
-        for key in INTERP_PROFILE_REQUIRED_ATTRS:
-            if key not in attrs:
-                problems.append(f"interp.profile missing attr {key!r}")
-    elif name == "phase" and kind == KIND_SPAN and "phase" not in attrs:
-        problems.append("phase span missing attr 'phase'")
+    for key in REQUIRED_ATTRS.get(name, ()) if isinstance(name, str) else ():
+        if key not in attrs:
+            problems.append(f"{name} missing attr {key!r}")
     return problems
 
 

@@ -22,7 +22,6 @@ and refined stamps, the real phases resolve identically.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +31,6 @@ from ..costmodel.model import cycles_of, size_of
 from ..ir.graph import Graph
 from ..ir.nodes import Instruction, Value
 from ..ir.stamps import Stamp
-from ..obs.metrics import current_registry
 from ..obs.tracer import current_tracer
 
 
@@ -52,26 +50,13 @@ def _traced_run(run):
     @functools.wraps(run)
     def traced(self, graph, *args, **kwargs):
         tracer = current_tracer()
-        registry = current_registry()
         guard = current_guard()
         if guard is not None and guard.per_phase:
             snapshot = guard.before_phase(self.name, graph)
         else:
             guard = None
         if not tracer.enabled:
-            # Phase wall-time histogram without a trace: only take
-            # timestamps when a live registry asks for them, so the
-            # untraced + unmetered default stays free of clock calls.
-            if registry.enabled:
-                t0 = time.perf_counter()
-                result = run(self, graph, *args, **kwargs)
-                registry.observe(
-                    "repro_compile_phase_seconds",
-                    time.perf_counter() - t0,
-                    phase=self.name,
-                )
-            else:
-                result = run(self, graph, *args, **kwargs)
+            result = run(self, graph, *args, **kwargs)
             if guard is not None:
                 guard.after_phase(self.name, graph, snapshot)
             return result
@@ -81,13 +66,6 @@ def _traced_run(run):
             result = run(self, graph, *args, **kwargs)
             span.attrs["nodes_delta"] = graph.instruction_count() - nodes_before
             span.attrs["size_delta"] = graph_code_size(graph) - size_before
-        if registry.enabled:
-            # Reuse the span's own clocking rather than timing twice.
-            registry.observe(
-                "repro_compile_phase_seconds",
-                span.dur or 0.0,
-                phase=self.name,
-            )
         # Checked outside the span so phase times stay phase times; the
         # guard accounts its own cost as an ``ir-check`` span.
         if guard is not None:

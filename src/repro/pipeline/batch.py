@@ -15,12 +15,18 @@ pool only changes *when* a unit is compiled, never *what* comes out.
 ``tests/test_pipeline/test_batch_differential.py`` enforces this.
 
 Every worker compiles under its own event-recording
-:class:`~repro.obs.tracer.Tracer`; the per-file traces come back to
-the parent, where :meth:`BatchReport.profile` folds them into one
-:class:`~repro.obs.profile.CompileProfile` so ``repro batch
---profile-compile`` shows a whole-fleet phase breakdown.  The parent
-emits ``cache.hit``/``cache.miss``/``cache.store`` (via the cache) and
-one ``batch.worker`` event per compiled file.
+:class:`~repro.obs.tracer.Tracer`, and its trace comes back to the
+parent: :meth:`BatchReport.profile` folds the per-file traces into one
+:class:`~repro.obs.profile.CompileProfile`, and :func:`compile_batch`
+appends each to its own tracer, so a CLI verb's one trace holds the
+whole fleet's compile work (``--profile-compile``, ``--trace-out`` and
+``--metrics-out`` all read it; serial and parallel batches fold to the
+same totals).  In that trace the batch is one ``batch`` span (attrs
+``pending``: jobs sent to workers, ``cached``: jobs the cache served)
+holding the ``cache.hit``/``cache.miss``/``cache.store`` events (via
+the cache), each compiled file's appended trace, and one
+``batch.worker`` event per compiled file.  Appended events keep the
+timestamps of their worker's tracer.
 """
 
 from __future__ import annotations
@@ -34,13 +40,8 @@ from typing import Any, Optional, Sequence, Union
 
 from ..analysis.blame import CHECK_OFF, PhaseBlameError
 from ..ir.graph import Program
-from ..obs.metrics import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    current_registry,
-    use_registry,
-)
 from ..obs.profile import CompileProfile
+from ..obs.sinks import event_from_dict, event_to_dict
 from ..obs.tracer import Event, Tracer, current_tracer
 from .cache import ArtifactCache, CacheEntry, cache_key
 from .compiler import CompilationReport, UserError, jit
@@ -207,22 +208,20 @@ def _compile_worker(
     pool- and spawn-safe: the artifact travels as a cache-entry payload.
     The worker always compiles under a recording tracer: the trace is
     what makes cached artifacts explainable and the batch profile
-    aggregatable.  It likewise always compiles under its own
-    :class:`MetricsRegistry`, whose snapshot rides back in the payload
-    so the parent can fold worker metrics into one view — serial and
-    parallel batches merge to identical totals.
+    aggregatable.  It travels in the entry; a failed compile, which
+    makes none, returns the trace it recorded as ``events`` and
+    ``counters``.
     """
-    registry = MetricsRegistry()
+    tracer = Tracer()
     started = time.perf_counter()
     result: dict[str, Any] = {"name": name, "pid": os.getpid()}
     try:
-        with use_registry(registry):
-            artifact = jit(
-                source, options.entry, [list(options.args)], options.config,
-                tracer=Tracer(), check_ir=options.check_ir,
-                fail_fast=options.fail_fast, name=name,
-            )
-            entry = artifact.entry()
+        artifact = jit(
+            source, options.entry, [list(options.args)], options.config,
+            tracer=tracer, check_ir=options.check_ir,
+            fail_fast=options.fail_fast, name=name,
+        )
+        entry = artifact.entry()
     except PhaseBlameError as exc:
         result["error"] = exc.format_blame()
     except UserError as exc:
@@ -235,7 +234,11 @@ def _compile_worker(
             check_failures=[f.format_blame() for f in artifact.failures],
             elapsed=time.perf_counter() - started,
         )
-    result["metrics"] = registry.snapshot().to_json()
+    if "error" in result:
+        result.update(
+            events=[event_to_dict(event) for event in tracer.events],
+            counters=dict(tracer.counters),
+        )
     return result
 
 
@@ -268,6 +271,28 @@ def _load_sources(specs: Sequence[SourceSpec]) -> list[tuple[str, str]]:
     return loaded
 
 
+def _run_pending(
+    pending: list[tuple[int, tuple, str]], jobs: int
+) -> list[tuple[int, str, dict[str, Any]]]:
+    """``(index, key, payload)`` of every pending job, inline for one
+    job slot, else in a process pool (in completion order)."""
+    if jobs == 1:
+        return [(i, k, _compile_worker(*t)) for i, t, k in pending]
+    payloads = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = {
+            pool.submit(_compile_worker, *task): (index, key)
+            for index, task, key in pending
+        }
+        remaining = set(futures)
+        while remaining:
+            done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+            for future in done:
+                index, key = futures[future]
+                payloads.append((index, key, future.result()))
+    return payloads
+
+
 def compile_batch(
     specs: Sequence[SourceSpec],
     options: BatchOptions = BatchOptions(),
@@ -277,10 +302,11 @@ def compile_batch(
 
     Results come back in input order whatever order workers finish in.
     A file that fails to compile is reported in its :class:`FileResult`
-    (``error``) without aborting the rest of the batch.
+    (``error``) without aborting the rest of the batch.  ``tracer``
+    (default: the ambient tracer) records the batch as one ``batch``
+    span and receives each freshly compiled file's trace.
     """
     tracer = tracer if tracer is not None else current_tracer()
-    registry = current_registry()
     started = time.perf_counter()
     sources = _load_sources(specs)
     cache = options.cache
@@ -289,45 +315,30 @@ def compile_batch(
     # Workers get the options without the cache: the parent owns it.
     task_options = replace(options, cache=None)
     pending: list[tuple[int, tuple, str]] = []
-    for index, (name, source) in enumerate(sources):
-        key = cache_key(
-            source,
-            options.config,
-            entry=options.entry,
-            profile_args=[list(options.args)],
-            check_ir=options.check_ir,
-        )
-        entry = cache.get(key, tracer) if cache is not None else None
-        if entry is not None:
-            results[index] = _result_from_entry(name, key, entry, cached=True)
-            registry.inc("repro_batch_jobs_total", outcome="cached")
-            continue
-        pending.append((index, (name, source, task_options), key))
+    with tracer.span("batch") as span:
+        for index, (name, source) in enumerate(sources):
+            key = cache_key(
+                source,
+                options.config,
+                entry=options.entry,
+                profile_args=[list(options.args)],
+                check_ir=options.check_ir,
+            )
+            entry = cache.get(key, tracer) if cache is not None else None
+            if entry is not None:
+                results[index] = _result_from_entry(name, key, entry, cached=True)
+                continue
+            pending.append((index, (name, source, task_options), key))
+        span.attrs.update(pending=len(pending), cached=len(sources) - len(pending))
 
-    jobs = options.effective_jobs(len(pending)) if pending else 1
-    # Peak queue depth for this batch (merged snapshots keep the max).
-    registry.set_gauge("repro_batch_queue_depth", len(pending))
-    if pending:
-        if jobs == 1:
-            payloads = [(i, k, _compile_worker(*t)) for i, t, k in pending]
-        else:
-            payloads = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(_compile_worker, *task): (index, key)
-                    for index, task, key in pending
-                }
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index, key = futures[future]
-                        payloads.append((index, key, future.result()))
-        for index, key, payload in payloads:
+        jobs = options.effective_jobs(len(pending)) if pending else 1
+        for index, key, payload in _run_pending(pending, jobs):
             if "error" in payload:
                 entry = None
                 result = FileResult(
-                    name=payload["name"], key=key, error=payload["error"]
+                    name=payload["name"], key=key, error=payload["error"],
+                    events=[event_from_dict(d) for d in payload["events"]],
+                    counters=payload["counters"],
                 )
             else:
                 entry = CacheEntry.from_payload(payload["entry"])
@@ -336,12 +347,13 @@ def compile_batch(
                     check_failures=payload["check_failures"],
                     elapsed=payload["elapsed"],
                 )
-            registry.merge_snapshot(MetricsSnapshot.from_json(payload["metrics"]))
-            registry.inc(
-                "repro_batch_jobs_total",
-                outcome="error" if result.error is not None else "compiled",
-            )
-            registry.observe("repro_batch_job_seconds", result.elapsed)
+            if tracer.enabled:
+                tracer.events.extend(
+                    replace(event, depth=event.depth + span.depth + 1)
+                    for event in result.events
+                )
+            for counter, value in result.counters.items():
+                tracer.count(counter, value)
             tracer.count("batch.worker")
             tracer.event(
                 "batch.worker",
@@ -355,14 +367,13 @@ def compile_batch(
                 cache.put(entry, tracer)
             results[index] = result
 
-    report = BatchReport(
+    return BatchReport(
         config=options.config.name,
-        jobs=jobs if pending else 1,
+        jobs=jobs,
         results=[r for r in results if r is not None],
         elapsed=time.perf_counter() - started,
         cache_stats=cache.stats.to_json() if cache is not None else None,
     )
-    return report
 
 
 __all__ = [

@@ -27,7 +27,8 @@ emitted, and the caller falls back to a cold compile.
 
 Telemetry: ``cache.hit`` / ``cache.miss`` / ``cache.store`` /
 ``cache.evict`` events flow through :mod:`repro.obs` (the ambient
-tracer by default); see docs/OBSERVABILITY.md for the schema and
+tracer by default); an entry's ``cache.hit`` and ``cache.store`` carry
+its size in ``bytes``.  See docs/OBSERVABILITY.md for the schema and
 docs/PIPELINE.md for the key diagram.
 """
 
@@ -46,7 +47,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from ..ir.graph import Program
-from ..obs.metrics import current_registry
 from ..obs.sinks import event_from_dict, event_to_dict
 from ..obs.tracer import Event, Tracer, current_tracer
 from .compiler import CompilationReport
@@ -418,8 +418,7 @@ class ArtifactCache:
         if entry is None or entry.key != key:
             self._evict(key, path, "corrupted entry", tracer)
             return self._miss(key, tracer)
-        self._hit(key, path, tracer)
-        current_registry().observe("repro_cache_entry_bytes", len(raw), op="get")
+        self._hit(key, path, tracer, bytes=len(raw))
         return entry
 
     def put(
@@ -429,8 +428,7 @@ class ArtifactCache:
         tracer = tracer if tracer is not None else current_tracer()
         path = self.path_for(entry.key)
         size = self._write(path, entry.key, entry.to_payload())
-        self._stored(entry.key, path, tracer)
-        current_registry().observe("repro_cache_entry_bytes", size, op="put")
+        self._stored(entry.key, path, tracer, bytes=size)
         return path
 
     # ------------------------------------------------------------------
@@ -515,19 +513,16 @@ class ArtifactCache:
         self.stats.misses += 1
         tracer.count("cache.miss")
         tracer.event("cache.miss", key=key, **attrs)
-        current_registry().inc("repro_cache_lookups_total", result="miss")
 
     def _hit(self, key: str, path: Path, tracer: Tracer, **attrs: Any) -> None:
         self.stats.hits += 1
         tracer.count("cache.hit")
         tracer.event("cache.hit", key=key, path=str(path), **attrs)
-        current_registry().inc("repro_cache_lookups_total", result="hit")
 
     def _stored(self, key: str, path: Path, tracer: Tracer, **attrs: Any) -> None:
         self.stats.stores += 1
         tracer.count("cache.store")
         tracer.event("cache.store", key=key, path=str(path), **attrs)
-        current_registry().inc("repro_cache_stores_total")
 
     def _evict(
         self, key: str, path: Path, reason: str, tracer: Tracer
@@ -539,4 +534,3 @@ class ArtifactCache:
         self.stats.evictions += 1
         tracer.count("cache.evict")
         tracer.event("cache.evict", key=key, reason=reason)
-        current_registry().inc("repro_cache_evictions_total")

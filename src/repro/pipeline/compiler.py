@@ -28,8 +28,7 @@ from ..interp.profile import apply_profile, profile_program
 from ..ir.copy import copy_program
 from ..ir.graph import Graph, Program
 from ..ir.verifier import verify_graph
-from ..obs.metrics import current_registry
-from ..obs.tracer import Event, Tracer, use_tracer
+from ..obs.tracer import Event, Tracer, current_tracer, use_tracer
 from ..opts.canonicalize import CanonicalizerPhase
 from ..opts.condelim import ConditionalEliminationPhase
 from ..opts.gvn import GlobalValueNumberingPhase
@@ -143,9 +142,12 @@ class Compiler:
 
     Pass an event-recording :class:`~repro.obs.tracer.Tracer` to get a
     full trace — per-phase spans, DBDS candidate and decision events.
-    By default a counting-only tracer is used, which keeps overhead at
-    one flag check per phase while still feeding the ``dbds.*``
-    counters that :class:`UnitMetrics` is wired from.
+    Without one, the compiler records into the ambient tracer when that
+    one records (a CLI verb's ``--trace-out``/``--metrics-out``/...
+    tracer), so the verb's trace holds every compile; otherwise it uses
+    a private counting-only tracer, which keeps overhead at one flag
+    check per phase while still feeding the ``dbds.*`` counters that
+    :class:`UnitMetrics` is wired from.
 
     ``check_ir`` selects the IR sanitizer mode (``--check-ir``): ``off``
     (default), ``boundaries`` (pipeline entry/exit only), or
@@ -162,7 +164,10 @@ class Compiler:
         fail_fast: bool = True,
     ) -> None:
         self.config = config
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        if tracer is None:
+            ambient = current_tracer()
+            tracer = ambient if ambient.enabled else Tracer(enabled=False)
+        self.tracer = tracer
         self.guard: Optional[PhaseGuard] = (
             PhaseGuard(mode=check_ir, fail_fast=fail_fast)
             if check_ir != CHECK_OFF
@@ -186,7 +191,6 @@ class Compiler:
 
     def _compile_function(self, program: Program, name: str) -> UnitMetrics:
         tracer = self.tracer
-        registry = current_registry()
         graph = program.function(name)
         metrics = UnitMetrics(function=name)
         candidates_before = tracer.counter("dbds.candidates")
@@ -209,19 +213,12 @@ class Compiler:
 
             if self.config.backtracking:
                 backtracker = BacktrackingDuplication(program)
-                bt_start = time.perf_counter() if registry.enabled else 0.0
+                # Not a Phase subclass, so the phase-entry hook never
+                # sees it: span it here.
                 with tracer.span(
                     "phase", phase=BacktrackingDuplication.name, graph=name
                 ):
                     new_graph = backtracker.run(graph)
-                if registry.enabled:
-                    # Not a Phase subclass, so the phase-entry hook
-                    # never sees it — observe its wall time here.
-                    registry.observe(
-                        "repro_compile_phase_seconds",
-                        time.perf_counter() - bt_start,
-                        phase=BacktrackingDuplication.name,
-                    )
                 if new_graph is not graph:
                     program.functions[name] = new_graph
                     graph = new_graph
@@ -251,8 +248,6 @@ class Compiler:
                         metrics.phase_times.get(phase_name, 0.0)
                         + (event.dur or 0.0)
                     )
-        registry.inc("repro_compile_units_total")
-        registry.observe("repro_compile_unit_seconds", metrics.compile_time)
         if self.config.paranoid:
             verify_graph(graph)
         return metrics
@@ -454,13 +449,18 @@ def jit(
     parses.
 
     ``tracer`` records the compile, the profiling run if this compile
-    makes it, and the cache events (default: the ambient tracer); a
-    compile that is stored is recorded anyway, so its entry keeps the
-    decision trace.  ``check_bc`` applies to the translation
-    :meth:`Artifact.bytecode` makes, on a cache hit as on a miss.
+    makes it, and the cache events (default: the ambient tracer when it
+    records, else a private counting one for the compile); a compile
+    that is stored is recorded anyway, so its entry keeps the decision
+    trace.  The artifact's ``events`` and ``counters`` are this
+    compile's alone, on a tracer shared across compiles too.
+    ``check_bc`` applies to the translation :meth:`Artifact.bytecode`
+    makes, on a cache hit as on a miss.
     """
     from .cache import cache_key
 
+    if tracer is None and current_tracer().enabled:
+        tracer = current_tracer()
     profile_args = [list(args) for args in profile_args]
     if profiled is None:
         profiled = ProfiledSource(source, entry, profile_args, name=name)
@@ -482,15 +482,21 @@ def jit(
             counters=hit.counters, check_bc=check_bc,
         )
     recorder = Tracer() if tracer is None and cache is not None else tracer
-    # A tracer shared across compiles keeps only this one's events here.
+    # A tracer shared across compiles keeps only this one's records here.
     mark = len(recorder.events) if recorder is not None else 0
+    before = dict(recorder.counters) if recorder is not None else {}
     program = profiled.program(recorder)
     compiler = Compiler(config, tracer=recorder, check_ir=check_ir, fail_fast=fail_fast)
     artifact = Artifact(
         program, compiler.compile_program(program), key,
         failures=[] if compiler.guard is None else list(compiler.guard.failures),
         events=compiler.tracer.events[mark:],
-        counters=dict(compiler.tracer.counters), check_bc=check_bc,
+        counters={
+            name: value - before.get(name, 0)
+            for name, value in compiler.tracer.counters.items()
+            if value != before.get(name)
+        },
+        check_bc=check_bc,
     )
     if cache is not None and not artifact.failures:
         cache.put(artifact.entry(), tracer)
@@ -581,7 +587,8 @@ def measure_performance(
     ``bytecode`` program (e.g. an :meth:`Artifact.bytecode`) to skip
     re-translation, and a ``codegen_cache`` to reuse megaunit's
     generated source.  All engines report identical
-    cycles/steps/outcomes by construction.
+    cycles/steps/outcomes by construction.  The ambient tracer counts
+    the runs (``vm.runs.<engine>``).
     """
     runner = make_engine(
         engine, program, bytecode=bytecode, max_steps=max_steps,
@@ -595,7 +602,5 @@ def measure_performance(
         results.append(result)
         total += result.cycles
     if results:
-        current_registry().inc(
-            "repro_vm_runs_total", len(results), engine=engine
-        )
+        current_tracer().count(f"vm.runs.{engine}", len(results))
     return total, results

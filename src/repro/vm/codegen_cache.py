@@ -12,8 +12,9 @@ Keys are content digests over schema + per-function stream digests +
 every baked knob (``metered``, ``max_steps``, ``max_call_depth``), so a
 stale artifact can never be executed against a stream it was not
 generated from.  Payloads carry the source plus the function-name order
-needed to rebuild the exec namespace without regenerating.  Hits and misses are counted by the
-``repro_codegen_cache_total`` metric (labelled ``engine="megaunit"``).
+needed to rebuild the exec namespace without regenerating.  Hits and
+misses are counted on the ambient tracer (``vm.codegen_cache.hit`` /
+``.miss``), which the ``repro_codegen_cache_total`` metric reads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import re
 from typing import Any, Optional, Sequence
 
-from ..obs.metrics import current_registry
+from ..obs.tracer import current_tracer
 from .bytecode import BytecodeFunction, disassemble
 
 #: codegen-cache payload layout version (part of every aux key).
@@ -37,7 +38,7 @@ CODEGEN_SCHEMA = 2
 _ADDR = re.compile(r" object at 0x[0-9a-f]+")
 
 
-#: the engine label of every key, payload and metric sample
+#: the engine label of every key and payload
 ENGINE = "megaunit"
 
 
@@ -91,7 +92,7 @@ def codegen_key(
 
 
 def load_source(cache: Optional[Any], key: str) -> Optional[dict]:
-    """Aux-store lookup; counts ``repro_codegen_cache_total``.
+    """Aux-store lookup; counts ``vm.codegen_cache.hit``/``.miss``.
 
     Returns the payload dict on a schema- and engine-matching hit,
     ``None`` otherwise (including when ``cache`` is ``None``)."""
@@ -104,13 +105,7 @@ def load_source(cache: Optional[Any], key: str) -> Optional[dict]:
         and payload.get("engine") == ENGINE
         and isinstance(payload.get("source"), str)
     )
-    registry = current_registry()
-    if registry.enabled:
-        registry.inc(
-            "repro_codegen_cache_total",
-            result="hit" if hit else "miss",
-            engine=ENGINE,
-        )
+    current_tracer().count(f"vm.codegen_cache.{'hit' if hit else 'miss'}")
     return payload if hit else None
 
 

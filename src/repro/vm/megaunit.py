@@ -102,7 +102,6 @@ from ..interp.interpreter import (
     ProfileCollector,
 )
 from ..ir.ops import EvaluationTrap
-from ..obs.metrics import current_registry
 from ..obs.tracer import current_tracer
 from .bytecode import (
     OP_ADD,
@@ -987,11 +986,6 @@ class MegaunitVirtualMachine(VirtualMachine):
         current_tracer().event(
             "vm.fallback", engine="megaunit", fallback="vm", reason=reason
         )
-        registry = current_registry()
-        if registry.enabled:
-            registry.inc(
-                "repro_vm_fallback_total", engine="megaunit", reason=reason
-            )
 
     def _run_frame(self, fn: BytecodeFunction, args: list) -> Any:
         if self.observer is not None:

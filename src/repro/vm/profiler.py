@@ -4,7 +4,7 @@ Attributes metered cycles and instruction counts **per opcode**, **per
 basic block** and **per function**, plus collapsed call-stack weights
 consumable by standard flamegraph tooling (Brendan Gregg's
 ``flamegraph.pl``, speedscope, inferno).  Surfaced on the CLI as the
-``repro profile`` verb and as ``--profile-run`` on ``run``/``bench``.
+``repro profile`` verb and as ``bench --profile-run``.
 
 Zero-overhead contract
 ----------------------

@@ -12,6 +12,7 @@ from repro.bench.harness import (
     run_suite,
 )
 from repro.bench.workloads.suites import MICRO, generate_suite, generate_workload
+from repro.obs.tracer import Tracer, use_tracer
 from repro.pipeline.compiler import Compiler
 from repro.pipeline.config import BASELINE, DBDS, DUPALOT
 
@@ -38,14 +39,18 @@ class TestMeasureWorkload:
         assert m.config == "baseline"
         # perf_counter wall clock covers compile + measured run
         assert m.wall_time >= m.compile_time
-        # per-phase breakdown only on request
+        # per-phase breakdown only under a recording tracer
         assert m.phase_times == {}
 
     def test_phase_profiling_on_request(self):
         workload = generate_workload(MICRO, "charcount")
-        m = measure_workload(workload, DBDS, profile_phases=True)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            m = measure_workload(workload, DBDS)
         assert "dbds" in m.phase_times and "canonicalize" in m.phase_times
         assert all(seconds >= 0 for seconds in m.phase_times.values())
+        # The compile recorded into the ambient trace.
+        assert tracer.spans("compile")
 
     def test_dbds_measurement_duplicates(self):
         workload = generate_workload(MICRO, "charcount")

@@ -32,7 +32,7 @@ from repro.interp.profile import (
     profile_program,
     switch_point,
 )
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsSnapshot
 from repro.obs.tracer import Tracer, use_tracer
 from repro.pipeline.cache import artifact_manifest, pack_artifact, unpack_artifact
 from repro.pipeline.compiler import Compiler
@@ -376,14 +376,13 @@ def test_example_apps_profile_on_the_engine_the_switch_rule_picks(name, engine):
     program = compile_source(
         (ROOT / "examples" / "apps" / f"{name}.mini").read_text()
     )
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        (event,) = profile_events(
-            lambda: profile_program(program, "main", [[APPS[name]]])
-        )
+    tracer = Tracer()
+    with use_tracer(tracer):
+        profile_program(program, "main", [[APPS[name]]])
+    (event,) = [e.attrs for e in tracer.events if e.name == "interp.profile"]
     assert event["engine"] == engine
     assert (event["switch_step"] is not None) == (engine == "megaunit")
-    assert registry.snapshot().counter_value(
+    assert MetricsSnapshot.from_tracer(tracer).counter_value(
         "repro_profile_runs_total", engine=engine
     ) == 1
 

@@ -1,25 +1,27 @@
-"""Tests for the unified metrics registry (docs/OBSERVABILITY.md)."""
-
-import json
+"""Tests for the metrics view of a trace (docs/OBSERVABILITY.md)."""
 
 import pytest
 
+from repro.obs import Tracer, read_jsonl, use_tracer, write_jsonl
 from repro.obs.metrics import (
     BYTES_BUCKETS,
     HISTOGRAM_BUCKETS,
-    NULL_REGISTRY,
     SECONDS_BUCKETS,
     HistogramData,
-    MetricsRegistry,
     MetricsSnapshot,
-    NullMetricsRegistry,
-    current_registry,
     exponential_buckets,
     label_key,
-    merge_snapshots,
     parse_label_key,
-    use_registry,
 )
+from repro.obs.tracer import Event
+
+
+def span(name, dur=0.001, **attrs):
+    return Event(name=name, kind="span", dur=dur, attrs=attrs)
+
+
+def event(name, **attrs):
+    return Event(name=name, attrs=attrs)
 
 
 class TestBuckets:
@@ -63,118 +65,162 @@ class TestHistogramData:
         data.observe(1.0)
         assert data.counts == [1, 0, 0]
 
-    def test_merge_adds_elementwise(self):
-        a = HistogramData(buckets=(1.0, 10.0))
-        b = HistogramData(buckets=(1.0, 10.0))
-        a.observe(0.5)
-        b.observe(5.0)
-        b.observe(50.0)
-        a.merge(b)
-        assert a.counts == [1, 1, 1]
-        assert a.count == 3
 
-    def test_merge_rejects_layout_mismatch(self):
-        a = HistogramData(buckets=(1.0, 10.0))
-        b = HistogramData(buckets=(1.0,))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-
-class TestRegistry:
-    def test_counters_accumulate_per_label_set(self):
-        registry = MetricsRegistry()
-        registry.inc("repro_cache_lookups_total", result="hit")
-        registry.inc("repro_cache_lookups_total", 2, result="miss")
-        registry.inc("repro_cache_lookups_total", result="hit")
-        snap = registry.snapshot()
-        assert snap.counter_value("repro_cache_lookups_total", result="hit") == 2
-        assert snap.counter_value("repro_cache_lookups_total", result="miss") == 2
-        assert snap.counter_total("repro_cache_lookups_total") == 4
-
-    def test_gauges_keep_last_value(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("repro_batch_queue_depth", 7)
-        registry.set_gauge("repro_batch_queue_depth", 3)
-        assert registry.snapshot().gauge_value("repro_batch_queue_depth") == 3
-
-    def test_histograms_use_declared_layout(self):
-        registry = MetricsRegistry()
-        registry.observe("repro_cache_entry_bytes", 1024.0, op="put")
-        data = registry.snapshot().histogram("repro_cache_entry_bytes", op="put")
-        assert data.buckets == BYTES_BUCKETS
-        assert data.count == 1
-
-    def test_undeclared_histogram_falls_back_to_seconds(self):
-        registry = MetricsRegistry()
-        registry.observe("custom_seconds", 0.001)
-        assert registry.snapshot().histogram("custom_seconds").buckets == (
-            SECONDS_BUCKETS
+class TestFromEvents:
+    def test_spans_and_events_fold_into_their_series(self):
+        snap = MetricsSnapshot.from_events([
+            span("batch", pending=2, cached=1),
+            event("cache.hit", key="k", bytes=1024),
+            event("cache.miss", key="k"),
+            event("cache.miss", key="k", kind="aux"),
+            event("cache.store", key="k", bytes=4096),
+            event("cache.store", key="k", kind="aux"),
+            event("cache.evict", key="k", reason="corrupted entry"),
+            span("compile", 0.01, function="main"),
+            span("phase", phase="dbds"),
+            span("phase", phase="dbds"),
+            span("phase", phase="ir-check"),
+            event("interp.profile", engine="vm", steps=10, switch_step=None),
+            event("batch.worker", path="a", key="k", ok=True, elapsed=0.5),
+            event("batch.worker", path="b", key="k", ok=False, elapsed=0.0),
+            span("bcverify", ok=True),
+            span("bcverify", ok=False),
+            event("vm.fallback", engine="megaunit", fallback="vm",
+                  reason="recursion-headroom"),
+        ], counters={})
+        assert snap.counters == {
+            "repro_batch_jobs_total": {
+                "outcome=cached": 1, "outcome=compiled": 1, "outcome=error": 1,
+            },
+            "repro_cache_lookups_total": {"result=hit": 1, "result=miss": 2},
+            "repro_cache_stores_total": {"": 2},
+            "repro_cache_evictions_total": {"": 1},
+            "repro_compile_units_total": {"": 1},
+            "repro_profile_runs_total": {"engine=vm": 1},
+            "repro_bcverify_runs_total": {"result=ok": 1, "result=fail": 1},
+            "repro_vm_fallback_total": {
+                "engine=megaunit,reason=recursion-headroom": 1,
+            },
+        }
+        assert snap.gauges == {"repro_batch_queue_depth": {"": 2}}
+        assert {n: snap.histogram_counts(n) for n in snap.histograms} == {
+            # only entries (no ``kind``) carry their size
+            "repro_cache_entry_bytes": {"op=get": 1, "op=put": 1},
+            "repro_compile_unit_seconds": {"": 1},
+            "repro_compile_phase_seconds": {"phase=dbds": 2, "phase=ir-check": 1},
+            "repro_batch_job_seconds": {"": 2},
+            "repro_bcverify_seconds": {"": 2},
+        }
+        assert snap.histogram("repro_cache_entry_bytes", op="put").buckets == (
+            BYTES_BUCKETS
         )
+        assert snap.histogram("repro_compile_unit_seconds").sum == 0.01
 
-    def test_snapshot_is_a_deep_copy(self):
-        registry = MetricsRegistry()
-        registry.inc("c")
-        registry.observe("h", 1.0)
-        snap = registry.snapshot()
-        registry.inc("c")
-        registry.observe("h", 2.0)
-        assert snap.counter_value("c") == 1
-        assert snap.histogram_count("h") == 1
+    def test_counters_fold_into_labeled_series(self):
+        snap = MetricsSnapshot.from_events([], counters={
+            "dbds.candidates": 7,
+            "dbds.duplications": 5,
+            "dbds.decision.accepted": 3,
+            "dbds.decision.rejected": 4,
+            "dbds.backtrack.kept": 2,
+            "dbds.backtrack.rolled_back": 6,
+            "analysis.violations.error": 1,
+            "vm.runs.megaunit": 2,
+            "vm.codegen_cache.hit": 1,
+            "cache.hit": 9,  # the events, not the counter, feed lookups
+        })
+        assert snap.counters == {
+            "repro_dbds_candidates_total": {"": 7},
+            # backtracking's kept duplications are not the DBDS tier's
+            "repro_dbds_duplications_total": {"": 3},
+            "repro_dbds_decisions_total": {
+                "outcome=accepted": 3, "outcome=rejected": 4,
+            },
+            "repro_dbds_backtrack_total": {
+                "outcome=kept": 2, "outcome=rolled_back": 6,
+            },
+            "repro_analysis_violations_total": {"severity=error": 1},
+            "repro_vm_runs_total": {"engine=megaunit": 2},
+            "repro_codegen_cache_total": {"engine=megaunit,result=hit": 1},
+        }
+
+    def test_nothing_added_means_no_series(self):
+        snap = MetricsSnapshot.from_events(
+            [span("batch", pending=0, cached=0)],
+            counters={"dbds.candidates": 0, "dbds.backtrack.kept": 0},
+        )
+        assert snap.counters == {}
+        # a batch always reports its queue depth, zero included
+        assert snap.gauges == {"repro_batch_queue_depth": {"": 0}}
 
 
 class TestSnapshotMerge:
-    def make(self, hits: int, depth: float) -> MetricsSnapshot:
-        registry = MetricsRegistry()
-        registry.inc("repro_cache_lookups_total", hits, result="hit")
-        registry.set_gauge("repro_batch_queue_depth", depth)
-        registry.observe("repro_batch_job_seconds", 0.01)
-        return registry.snapshot()
+    """A batch appends each worker's trace to its own, so the view of
+    one trace folds many workers and batches."""
+
+    @staticmethod
+    def batch(pending: int, hits: int) -> list[Event]:
+        return [span("batch", pending=pending, cached=0)] + [
+            event("cache.hit", key="k", bytes=512) for _ in range(hits)
+        ] + [event("batch.worker", path="a", key="k", ok=True, elapsed=0.01)]
 
     def test_counters_add_gauges_take_max(self):
-        merged = self.make(2, 5.0).merge(self.make(3, 2.0))
-        assert merged.counter_value("repro_cache_lookups_total", result="hit") == 5
-        assert merged.gauge_value("repro_batch_queue_depth") == 5.0
-        assert merged.histogram_count("repro_batch_job_seconds") == 2
+        snap = MetricsSnapshot.from_events(
+            self.batch(5, 2) + self.batch(2, 3), counters={}
+        )
+        assert snap.counter_value("repro_cache_lookups_total", result="hit") == 5
+        assert snap.gauge_value("repro_batch_queue_depth") == 5
+        assert snap.histogram_count("repro_batch_job_seconds") == 2
 
     def test_merge_is_order_independent(self):
-        parts = [self.make(i, float(i)) for i in (1, 2, 3)]
-        forward = merge_snapshots(
-            MetricsSnapshot.from_json(p.to_json()) for p in parts
+        parts = [self.batch(i, i) for i in (1, 2, 3)]
+        forward = MetricsSnapshot.from_events(
+            [e for part in parts for e in part], counters={}
         )
-        backward = merge_snapshots(
-            MetricsSnapshot.from_json(p.to_json()) for p in reversed(parts)
+        backward = MetricsSnapshot.from_events(
+            [e for part in reversed(parts) for e in part], counters={}
         )
         assert forward.to_json() == backward.to_json()
 
-    def test_registry_merge_snapshot_folds_in(self):
-        registry = MetricsRegistry()
-        registry.inc("repro_cache_lookups_total", result="hit")
-        registry.merge_snapshot(self.make(4, 1.0))
-        assert (
-            registry.snapshot().counter_value(
-                "repro_cache_lookups_total", result="hit"
-            )
-            == 5
-        )
-
 
 class TestSerialization:
-    def test_json_roundtrip_is_lossless(self):
-        registry = MetricsRegistry()
-        registry.inc("repro_batch_jobs_total", 2, outcome="compiled")
-        registry.set_gauge("repro_batch_queue_depth", 9)
-        registry.observe("repro_batch_job_seconds", 0.25)
-        snap = registry.snapshot()
-        blob = json.dumps(snap.to_json(), sort_keys=True)
-        restored = MetricsSnapshot.from_json(json.loads(blob))
-        assert restored.to_json() == snap.to_json()
+    def test_json_roundtrip_is_lossless(self, tmp_path):
+        # The trace file is the metrics' serialized form.
+        from repro.pipeline.compiler import compile_and_profile
+        from repro.pipeline.config import DBDS
+
+        source = (
+            "fn main(n: int) -> int {\n"
+            "  var s: int = 0;\n"
+            "  var i: int = 0;\n"
+            "  while (i < n) {\n"
+            "    if (i < 3) { s = s + 1; } else { s = s + 2; }\n"
+            "    i = i + 1;\n"
+            "  }\n"
+            "  return s;\n"
+            "}\n"
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            compile_and_profile(source, "main", [[10]], DBDS)
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(tracer, path)
+        live = MetricsSnapshot.from_tracer(tracer).to_json()
+        read = MetricsSnapshot.from_events(read_jsonl(path)).to_json()
+        assert read == live
+        assert live["counters"]["repro_compile_units_total"] == {"": 1}
+        assert live["counters"]["repro_profile_runs_total"] == {"engine=vm": 1}
 
     def test_prometheus_exposition(self):
-        registry = MetricsRegistry()
-        registry.inc("repro_cache_lookups_total", 3, result="hit")
-        registry.set_gauge("repro_batch_queue_depth", 4)
-        registry.observe("repro_batch_job_seconds", 0.02)
-        text = registry.snapshot().render_prometheus()
+        snap = MetricsSnapshot.from_events(
+            [
+                span("batch", pending=4, cached=0),
+                event("batch.worker", path="a", key="k", ok=True, elapsed=0.02),
+            ]
+            + [event("cache.hit", key="k")] * 3,
+            counters={},
+        )
+        text = snap.render_prometheus()
         assert "# TYPE repro_cache_lookups_total counter" in text
         assert 'repro_cache_lookups_total{result="hit"} 3' in text
         assert "# TYPE repro_batch_queue_depth gauge" in text
@@ -184,10 +230,14 @@ class TestSerialization:
         assert text.endswith("\n")
 
     def test_prometheus_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        for value in (1e-5, 1e-3, 1e-1):
-            registry.observe("repro_batch_job_seconds", value)
-        text = registry.snapshot().render_prometheus()
+        snap = MetricsSnapshot.from_events(
+            [
+                event("batch.worker", path="a", key="k", ok=True, elapsed=value)
+                for value in (1e-5, 1e-3, 1e-1)
+            ],
+            counters={},
+        )
+        text = snap.render_prometheus()
         counts = [
             int(line.rsplit(" ", 1)[1])
             for line in text.splitlines()
@@ -195,35 +245,3 @@ class TestSerialization:
         ]
         assert counts == sorted(counts)
         assert counts[-1] == 3  # +Inf bucket holds every observation
-
-
-class TestAmbientRegistry:
-    def test_null_is_ambient_default(self):
-        assert current_registry() is NULL_REGISTRY
-        assert not NULL_REGISTRY.enabled
-
-    def test_null_registry_drops_everything(self):
-        registry = NullMetricsRegistry()
-        registry.inc("c")
-        registry.set_gauge("g", 1)
-        registry.observe("h", 1.0)
-        snap = registry.snapshot()
-        assert snap.counters == {} and snap.gauges == {} and snap.histograms == {}
-
-    def test_use_registry_installs_and_restores(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            assert current_registry() is registry
-            inner = MetricsRegistry()
-            with use_registry(inner):
-                assert current_registry() is inner
-            assert current_registry() is registry
-        assert current_registry() is NULL_REGISTRY
-
-    def test_restored_after_exception(self):
-        try:
-            with use_registry(MetricsRegistry()):
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert current_registry() is NULL_REGISTRY

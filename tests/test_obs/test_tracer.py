@@ -109,11 +109,11 @@ class TestNullTracer:
 
 
 class TestNullParityAudit:
-    """The null objects must shadow their live classes' whole surface.
+    """The null tracer must shadow the live class's whole surface.
 
-    If a new recording entry point lands on Tracer (or MetricsRegistry)
-    without a corresponding no-op guarantee, the process-wide singletons
-    would silently accrue state across unrelated work.  This audit
+    If a new recording entry point lands on Tracer without a
+    corresponding no-op guarantee, the process-wide singleton would
+    silently accrue state across unrelated work.  This audit
     fails the moment the surfaces drift.
     """
 
@@ -139,21 +139,6 @@ class TestNullParityAudit:
         assert tracer.spans() == []
         assert tracer.named("e") == []
         assert tracer.counter("c") == 0
-
-    def test_null_registry_mirrors_the_same_discipline(self):
-        from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
-
-        assert self.public_api(NullMetricsRegistry) == self.public_api(
-            MetricsRegistry
-        )
-        registry = NullMetricsRegistry()
-        registry.inc("c", 2, label="x")
-        registry.set_gauge("g", 1.0)
-        registry.observe("h", 0.5)
-        snap = registry.snapshot()
-        assert snap.counters == {}
-        assert snap.gauges == {}
-        assert snap.histograms == {}
 
 
 class TestAmbientTracer:

@@ -6,7 +6,7 @@ import json
 import textwrap
 
 from repro.__main__ import main
-from repro.obs import Tracer, event_to_dict, validate_record
+from repro.obs import MetricsSnapshot, Tracer, event_to_dict, validate_record
 from repro.pipeline.batch import BatchOptions, compile_batch
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.config import DBDS
@@ -58,6 +58,28 @@ def test_batch_error_file_does_not_abort_batch():
     assert bad.error is not None and not bad.ok
     assert good.ok and good.error is None
     assert report.compiled == 1
+
+
+def test_a_failed_compile_hands_over_its_trace(monkeypatch):
+    # The profiling run and the phases before the failure did happen:
+    # the batch's trace, profile and metrics show them.
+    class FailingDbds:
+        def __init__(self, *args):
+            pass
+
+        def run(self, graph):
+            raise RuntimeError("boom")
+
+    monkeypatch.setattr("repro.pipeline.compiler.DbdsPhase", FailingDbds)
+    tracer = Tracer()
+    report = compile_batch([("a.mini", ADD)], batch_options(), tracer=tracer)
+    (result,) = report.results
+    assert result.error == "RuntimeError: boom"
+    assert "inlining" in report.profile().phases
+    metrics = MetricsSnapshot.from_tracer(tracer)
+    assert metrics.counter_value("repro_batch_jobs_total", outcome="error") == 1
+    assert metrics.counter_total("repro_profile_runs_total") == 1
+    assert metrics.histogram_counts("repro_compile_phase_seconds")
 
 
 def test_batch_emits_worker_events():

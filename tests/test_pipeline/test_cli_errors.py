@@ -20,6 +20,7 @@ import pytest
 
 from repro.__main__ import EXIT_INTERNAL, EXIT_LIMIT, EXIT_USER_ERROR, main
 from repro.bench import harness
+from repro.bench.workloads.suites import MICRO
 from repro.interp.interpreter import ExecutionResult
 from repro.interp.profile import profile_program
 from repro.pipeline import compiler
@@ -128,6 +129,31 @@ def test_other_verbs_report_one_located_line(verb, case, tmp_path, capsys):
     assert code == EXIT_USER_ERROR
     assert captured.out == ""
     assert captured.err == f"repro: error: {expected.format(path=path)}\n"
+
+
+#: name -> (argv with {dir} for an empty directory, expected stderr
+#: after "repro: error: ")
+NOTHING_FOUND_CASES = {
+    "workload, unknown name": (
+        ["workload", "--suite", "micro", "--name", "nope"],
+        "unknown benchmark 'nope' in suite micro; choose from "
+        + ", ".join(MICRO.benchmark_names),
+    ),
+    "batch, no sources": (["batch", "{dir}"], "no .mini sources found in {dir}"),
+    "check, no sources": (["check", "{dir}"], "no .mini sources found in {dir}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOTHING_FOUND_CASES))
+def test_naming_nothing_is_a_user_error(case, tmp_path, capsys):
+    # A mistyped name or path must neither exit like a trap (1) nor
+    # pass silently (check: "0 file(s) ... ok", exit 0).
+    argv, expected = NOTHING_FOUND_CASES[case]
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USER_ERROR
+    assert captured.out == ""
+    assert captured.err == f"repro: error: {expected.format(dir=tmp_path)}\n"
 
 
 def test_user_error_exit_status_from_a_fresh_process(tmp_path):

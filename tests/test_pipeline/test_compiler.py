@@ -7,7 +7,8 @@ import pytest
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import verify_program
-from repro.pipeline.cache import normalize_ir
+from repro.obs.tracer import Tracer, use_tracer
+from repro.pipeline.cache import ArtifactCache, normalize_ir
 from repro.pipeline.compiler import (
     Compiler,
     ProfiledSource,
@@ -130,6 +131,43 @@ class TestProfiledSource:
         ]:
             with pytest.raises(ValueError, match="another source"):
                 jit(source, entry, args, DBDS, profiled=shared)
+
+
+class TestTracerChoice:
+    def test_compiler_counts_privately_unless_the_ambient_tracer_records(self):
+        assert not Compiler(DBDS).tracer.enabled
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert Compiler(DBDS).tracer is tracer
+
+    def test_jit_artifact_keeps_its_own_records_on_a_shared_tracer(
+        self, tmp_path
+    ):
+        def dbds_counters(artifact):
+            return {
+                name: value for name, value in artifact.counters.items()
+                if name.startswith("dbds.")
+            }
+
+        shared = Tracer()
+        with use_tracer(shared):
+            first, second = (
+                jit(SOURCE, "main", [[10]], DBDS, cache=ArtifactCache(tmp_path / d))
+                for d in "ab"
+            )
+        with use_tracer(Tracer()):
+            alone = jit(
+                SOURCE, "main", [[10]], DBDS, cache=ArtifactCache(tmp_path / "c")
+            )
+        # Both compiles recorded into the ambient tracer ...
+        assert len(shared.spans("compile")) == 2 * len(alone.report.units)
+        assert shared.counter("dbds.candidates") == 2 * sum(
+            unit.candidates for unit in alone.report.units
+        )
+        # ... and each artifact (so each cache entry) holds its compile's.
+        for artifact in (first, second):
+            assert [e.name for e in artifact.events] == [e.name for e in alone.events]
+            assert dbds_counters(artifact) == dbds_counters(alone)
 
 
 class TestMeasurePerformance:

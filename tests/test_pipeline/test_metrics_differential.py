@@ -1,14 +1,15 @@
 """Differential metrics test: serial vs parallel batches must fold to
 identical metric totals.
 
-Each ``compile_batch`` worker runs under its own registry and returns a
-snapshot; the parent merges them into the ambient registry.  Since
-merging is commutative and every job does the same work regardless of
-scheduling, a ``jobs=1`` batch and a ``jobs=4`` batch must agree on
-every **counter** value and every **histogram observation count**.
-Histogram bucket placements and sums are wall-clock (they differ
-run-to-run by construction) and gauges are point-in-time peaks, so
-neither is compared here beyond the peak-queue-depth invariant.
+Each ``compile_batch`` worker compiles under its own tracer and hands
+its trace back; the parent appends it to the batch's tracer, and the
+metrics are a view of that one trace.  Since every job does the same
+work regardless of scheduling, a ``jobs=1`` batch and a ``jobs=4``
+batch must agree on every **counter** value and every **histogram
+observation count**.  Histogram bucket placements and sums are
+wall-clock (they differ run-to-run by construction) and the queue-depth
+gauge is a per-batch peak, so neither is compared here beyond the
+peak-queue-depth invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import pathlib
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsSnapshot
+from repro.obs.tracer import Tracer
 from repro.pipeline.batch import BatchOptions, compile_batch
 
 EXAMPLES = sorted(pathlib.Path("examples").rglob("*.mini"))
@@ -28,12 +30,11 @@ PROFILE_ARGS = (4,)
 
 
 def batch_snapshot(jobs: int):
-    registry = MetricsRegistry()
+    tracer = Tracer()
     options = BatchOptions(jobs=jobs, args=PROFILE_ARGS)
-    with use_registry(registry):
-        report = compile_batch(EXAMPLES, options)
+    report = compile_batch(EXAMPLES, options, tracer=tracer)
     assert report.ok
-    return registry.snapshot()
+    return MetricsSnapshot.from_tracer(tracer)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,7 @@ def test_counter_totals_identical(serial_and_parallel):
     ) == len(EXAMPLES)
     assert parallel.counter_value("repro_compile_units_total") > 0
     assert parallel.counter_total("repro_dbds_decisions_total") > 0
+    assert parallel.counter_total("repro_profile_runs_total") == len(EXAMPLES)
 
 
 def test_histogram_observation_counts_identical(serial_and_parallel):

@@ -24,7 +24,7 @@ from repro.interp.interpreter import (
     ProfileCollector,
     observable_outcome,
 )
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsSnapshot
 from repro.obs.tracer import Tracer, use_tracer
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.compiler import compile_and_profile, make_engine
@@ -314,12 +314,11 @@ def test_recursion_headroom_falls_back_to_vm():
         max_call_depth=sys.getrecursionlimit() + 100,
     )
     tracer = Tracer()
-    registry = MetricsRegistry()
     megaunit = MegaunitVirtualMachine(
         bytecode, metered=True,
         max_call_depth=sys.getrecursionlimit() + 100,
     )
-    with use_tracer(tracer), use_registry(registry):
+    with use_tracer(tracer):
         assert_parity(reference, megaunit, [150])
     events = [e for e in tracer.events if e.name == "vm.fallback"]
     assert len(events) == 1
@@ -328,7 +327,7 @@ def test_recursion_headroom_falls_back_to_vm():
         "fallback": "vm",
         "reason": "recursion-headroom",
     }
-    assert registry.snapshot().counter_value(
+    assert MetricsSnapshot.from_tracer(tracer).counter_value(
         "repro_vm_fallback_total", engine="megaunit",
         reason="recursion-headroom",
     ) == 1
@@ -440,22 +439,22 @@ def test_codegen_cache_round_trip(tmp_path):
     program = compile_source(CALLS)
     bytecode = translate_program(program)
     cache = ArtifactCache(tmp_path / "cache")
-    registry = MetricsRegistry()
-    with use_registry(registry):
+    tracer = Tracer()
+    with use_tracer(tracer):
         cold = MegaunitVirtualMachine(
             bytecode, metered=True, codegen_cache=cache
         )
         cold_result = cold.run("main", [8])
-    snap = registry.snapshot()
+    snap = MetricsSnapshot.from_tracer(tracer)
     assert snap.counter_value(
         "repro_codegen_cache_total", result="miss", engine="megaunit"
     ) == 1
-    with use_registry(registry):
+    with use_tracer(tracer):
         warm = MegaunitVirtualMachine(
             bytecode, metered=True, codegen_cache=cache
         )
         warm_result = warm.run("main", [8])
-    snap = registry.snapshot()
+    snap = MetricsSnapshot.from_tracer(tracer)
     assert snap.counter_value(
         "repro_codegen_cache_total", result="hit", engine="megaunit"
     ) == 1
@@ -493,14 +492,14 @@ def test_codegen_schema_1_entry_is_ignored_and_regenerated(
     assert old_key != key
     # Under the current key (a stale or tampered entry): rejected on load.
     cache.put_aux(key, dict(poisoned, schema=1))
-    registry = MetricsRegistry()
-    with use_registry(registry):
+    tracer = Tracer()
+    with use_tracer(tracer):
         megaunit = MegaunitVirtualMachine(
             bytecode, metered=True, codegen_cache=cache
         )
         reference, _ = engines_for(CALLS)
         assert_parity(reference, megaunit, [8])
-    snap = registry.snapshot()
+    snap = MetricsSnapshot.from_tracer(tracer)
     assert snap.counter_value(
         "repro_codegen_cache_total", result="miss", engine="megaunit"
     ) == 1
@@ -517,15 +516,15 @@ def test_codegen_cache_key_tracks_baked_knobs(tmp_path):
     program = compile_source(LOOP)
     bytecode = translate_program(program)
     cache = ArtifactCache(tmp_path / "cache")
-    registry = MetricsRegistry()
-    with use_registry(registry):
+    tracer = Tracer()
+    with use_tracer(tracer):
         MegaunitVirtualMachine(
             bytecode, metered=True, codegen_cache=cache, max_steps=1000
         ).run("main", [5])
         MegaunitVirtualMachine(
             bytecode, metered=True, codegen_cache=cache, max_steps=2000
         ).run("main", [5])
-    snap = registry.snapshot()
+    snap = MetricsSnapshot.from_tracer(tracer)
     assert snap.counter_value(
         "repro_codegen_cache_total", result="miss", engine="megaunit"
     ) == 2
@@ -578,16 +577,16 @@ def test_two_entries_on_one_machine_match_the_reference():
 def test_codegen_cache_round_trip_per_entry(tmp_path):
     bytecode = translate_program(compile_source(TWO_ENTRIES))
     cache = ArtifactCache(tmp_path / "cache")
-    registry = MetricsRegistry()
+    tracer = Tracer()
     results = []
     for _ in range(2):
         machine = MegaunitVirtualMachine(bytecode, codegen_cache=cache)
-        with use_registry(registry):
+        with use_tracer(tracer):
             results.append([
                 machine.run(entry, [6])
                 for entry in ("first", "second")
             ])
-    snap = registry.snapshot()
+    snap = MetricsSnapshot.from_tracer(tracer)
     for result in ("miss", "hit"):
         assert snap.counter_value(
             "repro_codegen_cache_total", result=result, engine="megaunit"
