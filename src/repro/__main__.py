@@ -80,6 +80,7 @@ from .bench.trajectory import (
 )
 from .bench.workloads.suites import ALL_SUITES
 from .interp.interpreter import BudgetExceeded, Interpreter
+from .ir.stamps import INT_MAX, INT_MIN
 from .obs import (
     NULL_TRACER,
     CompileProfile,
@@ -158,6 +159,17 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def int64(text: str) -> int:
+    """The argparse type of a MiniLang ``int`` argument: a signed
+    64-bit integer; anything else is a usage error (exit 2)."""
+    value = int(text)
+    if not INT_MIN <= value <= INT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"{text} is out of the signed 64-bit range"
+        )
+    return value
+
+
 def _add_jit_flags(parser: argparse.ArgumentParser, purpose: str) -> None:
     """The inputs of :func:`~repro.pipeline.compiler.jit` other than the
     checks: entry, arguments and configuration."""
@@ -165,7 +177,7 @@ def _add_jit_flags(parser: argparse.ArgumentParser, purpose: str) -> None:
     parser.add_argument(
         "--args",
         nargs="*",
-        type=int,
+        type=int64,
         default=[10],
         help=f"integer arguments for {purpose}",
     )
@@ -1174,7 +1186,7 @@ def main(argv: list[str] | None = None) -> int:
     explain_parser.add_argument(
         "--profile-args",
         nargs="*",
-        type=int,
+        type=int64,
         default=None,
         help="profile with these entry args before explaining",
     )

@@ -131,11 +131,15 @@ def eval_binop(op: BinOp, a: int, b: int) -> int:
 
 
 def eval_cmp(op: CmpOp, a, b) -> bool:
-    """Evaluate a comparison (ints, bools, or references for EQ/NE)."""
+    """Evaluate a comparison (ints, bools, or references for EQ/NE).
+
+    EQ/NE on references is identity: the heap classes define no
+    ``__eq__``/``__ne__``, so Python's ``==``/``!=`` fall back to ``is``
+    whenever either operand is an object or an array."""
     if op is CmpOp.EQ:
-        return a is b if _is_ref(a) or _is_ref(b) else a == b
+        return a == b
     if op is CmpOp.NE:
-        return not eval_cmp(CmpOp.EQ, a, b)
+        return a != b
     if op is CmpOp.LT:
         return a < b
     if op is CmpOp.LE:
@@ -145,7 +149,3 @@ def eval_cmp(op: CmpOp, a, b) -> bool:
     if op is CmpOp.GE:
         return a >= b
     raise AssertionError(f"unknown op {op}")
-
-
-def _is_ref(v) -> bool:
-    return not isinstance(v, (int, bool)) and v is not None

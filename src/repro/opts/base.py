@@ -29,7 +29,7 @@ from ..analysis.blame import current_guard
 from ..costmodel.estimator import graph_code_size
 from ..costmodel.model import cycles_of, size_of
 from ..ir.graph import Graph
-from ..ir.nodes import Instruction, Value
+from ..ir.nodes import Constant, Instruction, Value
 from ..ir.stamps import Stamp
 from ..obs.tracer import current_tracer
 
@@ -166,8 +166,6 @@ class OptimizationContext:
     def constant_value(self, value: Value):
         """``(v,)`` when the resolved value is statically known, else None."""
         resolved = self.resolve(value)
-        from ..ir.nodes import Constant
-
         if isinstance(resolved, Constant):
             return (resolved.value,)
         return self.stamp(value).as_constant()

@@ -31,7 +31,9 @@ from .bytecode import BytecodeFunction, disassemble
 #: 2: megaunit budget exits pass ``s``/``c`` and only the live-in
 #: registers to ``_finish`` — schema-1 text calls it with the whole
 #: register file and must never be exec'd against the new replay.
-CODEGEN_SCHEMA = 2
+#: 3: ``==``/``!=`` compile to a bare Python ``==``/``!=`` — schema-2
+#: text calls a reference-test helper the exec namespace no longer holds.
+CODEGEN_SCHEMA = 3
 
 #: default reprs embed ``id()`` addresses; scrub them so digests are
 #: pure functions of structure and compare equal across processes

@@ -34,7 +34,7 @@ from ..interp.interpreter import (
     InterpreterState,
     ProfileCollector,
 )
-from ..ir.ops import EvaluationTrap, _is_ref
+from ..ir.ops import EvaluationTrap
 from .bytecode import OP_CALL, BytecodeFunction, BytecodeProgram
 
 _MASK = (1 << 64) - 1
@@ -128,14 +128,12 @@ def _op_ushr(vm, ins, regs, pc):
 
 
 def _op_eq(vm, ins, regs, pc):
-    a, b = regs[ins[4]], regs[ins[5]]
-    regs[ins[3]] = a is b if _is_ref(a) or _is_ref(b) else a == b
+    regs[ins[3]] = regs[ins[4]] == regs[ins[5]]
     return pc + 1
 
 
 def _op_ne(vm, ins, regs, pc):
-    a, b = regs[ins[4]], regs[ins[5]]
-    regs[ins[3]] = not (a is b if _is_ref(a) or _is_ref(b) else a == b)
+    regs[ins[3]] = regs[ins[4]] != regs[ins[5]]
     return pc + 1
 
 

@@ -14,13 +14,20 @@ CPython's own bytecode do the dispatch:
 * instructions are inlined as straight-line statements — arithmetic
   with the wrap64 literals baked in, interned constants inlined as
   Python literals, field/array/global traffic as plain subscripts;
+* ``==``/``!=`` compile to a bare Python ``==``/``!=``, references
+  included: runtime values are only ints, bools, ``None`` and the heap
+  classes, which define neither ``__eq__`` nor ``__ne__``, so Python
+  falls back to identity whenever an object or array is an operand;
 * intra-function control flow is a threaded dispatch loop
   (``_L = <pc>`` + ``while True`` + an ``if/elif/else`` ladder over
   block-start labels, computed-goto style); a block with exactly one
   predecessor, reached only by a forward jump, is **inlined at that
   edge** instead of paying a dispatch round trip, and functions whose
   dispatch can never recur compile to straight-line code with no loop
-  at all;
+  at all.  The ladder tests loop headers first, innermost first
+  (:meth:`_FunctionCompiler.loop_headers`), then the other labels in
+  pc order: a back edge dispatches once per iteration, a forward merge
+  once per pass;
 * ``OP_CALL`` lowers to a **direct Python call** of the callee's
   generated function — no ``_run_frame``, no register-file
   allocation through the machine.
@@ -139,7 +146,7 @@ from .bytecode import (
     BytecodeFunction,
     BytecodeProgram,
 )
-from .machine import _HANDLERS, HeapArray, HeapObject, VirtualMachine, _is_ref
+from .machine import _HANDLERS, HeapArray, HeapObject, VirtualMachine
 from .opspec import OPCODE_SPECS
 
 _MASK = "18446744073709551615"
@@ -157,7 +164,7 @@ _STACK_HEADROOM = 64
 #: (per-function cells ``_mu<N>`` / ``_fn<N>`` / ``_tmpl<N>`` are
 #: added per program and matched by pattern in the lint)
 MEGAUNIT_NAMESPACE = frozenset(
-    ("EvaluationTrap", "HeapObject", "HeapArray", "_is_ref", "_finish")
+    ("EvaluationTrap", "HeapObject", "HeapArray", "_finish")
 )
 
 #: the counter list of a counted module (see :class:`MegaunitModule`);
@@ -171,6 +178,11 @@ MEGAUNIT_BUILTINS = frozenset(("abs", "len", "dict"))
 #: opcodes that end a budget-guarded segment: a call starts its own
 #: guard, a terminator is the segment's last instruction
 _SEGMENT_ENDS = frozenset((OP_CALL, OP_GOTO, OP_IF, OP_RETURN))
+
+#: comparison opcodes and the Python operator each compiles to
+_COMPARISONS = {
+    OP_EQ: "==", OP_NE: "!=", OP_LT: "<", OP_LE: "<=", OP_GT: ">", OP_GE: ">=",
+}
 
 
 def finish_live_ins(fn: BytecodeFunction, pc: int) -> tuple[int, ...]:
@@ -397,15 +409,10 @@ class _FunctionCompiler:
                 emit(indent + 1, "v = -v")
             emit(indent, f"v &= {_MASK}")
             emit(indent, f"{self.reg(dest)} = v - {_TWO64} if v & {_SIGN} else v")
-        elif op in (OP_EQ, OP_NE):
-            emit(indent, f"a = {self.operand(ins[4])}")
-            emit(indent, f"b = {self.operand(ins[5])}")
-            test = "a is b if _is_ref(a) or _is_ref(b) else a == b"
-            if op == OP_NE:
-                test = f"not ({test})"
-            emit(indent, f"{self.reg(dest)} = {test}")
-        elif op in (OP_LT, OP_LE, OP_GT, OP_GE):
-            sym = {OP_LT: "<", OP_LE: "<=", OP_GT: ">", OP_GE: ">="}[op]
+        elif op in _COMPARISONS:
+            # A bare ==/!= is identity on references: the heap classes
+            # define no __eq__/__ne__ (see repro.ir.ops.eval_cmp).
+            sym = _COMPARISONS[op]
             emit(
                 indent,
                 f"{self.reg(dest)} = {self.operand(ins[4])} {sym}"
@@ -568,6 +575,28 @@ class _FunctionCompiler:
                 chain[start] = 0
         return inline, preds.get(0, [])
 
+    def loop_headers(self) -> list[int]:
+        """The targets of backward edges, innermost loop first.
+
+        A back edge dispatches once per iteration, a forward merge once
+        per pass, so the ladder tests these labels first.  A header's
+        loop spans the pcs from it to the end of the farthest block
+        that jumps back to it; its depth is the number of such spans
+        enclosing its own (ties in pc order)."""
+        ends: dict[int, int] = {}
+        for start, count, _name in self.fn.blocks:
+            for edge in self.block_edges(start, count):
+                if edge[0] <= start:
+                    ends[edge[0]] = max(ends.get(edge[0], 0), start + count)
+
+        def depth(header: int) -> int:
+            return sum(
+                1 for outer, end in ends.items()
+                if outer <= header and ends[header] <= end
+            )
+
+        return sorted(ends, key=lambda header: (-depth(header), header))
+
     def gen_edge(
         self, indent: int, edge: tuple, branch=None, slot: int = 0
     ) -> None:
@@ -710,28 +739,29 @@ class _FunctionCompiler:
         emit(1, "s = m[0]")
         emit(1, "c = m[1]")
         self.gen_seed()
-        ladder = [
-            (start, count)
-            for start, count, _name in blocks
-            if start not in self._inline
+        headers = self.loop_headers()
+        ladder = headers + [
+            start
+            for start, _count, _name in blocks
+            if start not in self._inline and start not in headers
         ]
         if len(ladder) == 1 and not entry_preds:
             # Control can never reach a label twice: every other block
             # is inlined at its unique predecessor edge and nothing
             # jumps back to the entry, so no `continue` is ever emitted
             # — skip the dispatch loop entirely.
-            self.gen_body(1, ladder[0][0], ladder[0][1])
+            self.gen_body(1, ladder[0], self._spans[ladder[0]])
             return
         emit(1, "_L = 0")
         emit(1, "while True:")
-        for idx, (start, count) in enumerate(ladder):
+        for idx, start in enumerate(ladder):
             if idx == 0:
                 emit(2, f"if _L == {start}:")
             elif idx == len(ladder) - 1:
                 emit(2, "else:")
             else:
                 emit(2, f"elif _L == {start}:")
-            self.gen_body(3, start, count)
+            self.gen_body(3, start, self._spans[start])
 
     def source(self) -> str:
         self.gen_function()
@@ -858,7 +888,6 @@ def _exec_module(
         "EvaluationTrap": EvaluationTrap,
         "HeapObject": HeapObject,
         "HeapArray": HeapArray,
-        "_is_ref": _is_ref,
         "_finish": _finish_budget,
     }
     counts = None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 
 import pytest
 
@@ -17,7 +18,11 @@ from repro.analysis.bcverify.lint import BANNED_NAMES, _lint_names
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import CONFIGURATIONS
 from repro.vm.bytecode import OP_ADD, OP_CALL, OP_RETURN, BytecodeFunction
-from repro.vm.megaunit import finish_live_ins, generate_module_source
+from repro.vm.megaunit import (
+    MEGAUNIT_NAMESPACE,
+    finish_live_ins,
+    generate_module_source,
+)
 from repro.vm.translate import translate_program
 
 LOOP_SOURCE = """
@@ -320,6 +325,22 @@ def test_megaunit_lint_rejects_a_full_register_file_exit(
     lines[node.lineno - 1] = head + "_finish(vm, _fn0, [r0], m, 0)"
     messages = _lint_tampered(monkeypatch, bytecode, "\n".join(lines) + "\n")
     assert any("does not pass (vm, _fn" in m for m in messages), messages
+
+
+def test_megaunit_lint_rejects_the_retired_is_ref(bytecode, monkeypatch):
+    # Codegen schema 2 spelled ==/!= through _is_ref; the exec namespace
+    # no longer holds it, so text that still calls it must be flagged.
+    assert "_is_ref" not in MEGAUNIT_NAMESPACE
+    source = generate_module_source(bytecode)
+    lines = source.splitlines()
+    pattern = re.compile(r"\A(\s*r\d+) = (\w+) == (\w+)\Z")
+    index = next(i for i, line in enumerate(lines) if pattern.match(line))
+    dest, a, b = pattern.match(lines[index]).groups()
+    lines[index] = (
+        f"{dest} = {a} is {b} if _is_ref({a}) or _is_ref({b}) else {a} == {b}"
+    )
+    messages = _lint_tampered(monkeypatch, bytecode, "\n".join(lines) + "\n")
+    assert any("unexpected global '_is_ref'" in m for m in messages), messages
 
 
 def test_counted_megaunit_module_lints_clean(bytecode):

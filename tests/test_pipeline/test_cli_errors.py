@@ -18,7 +18,13 @@ import json
 
 import pytest
 
-from repro.__main__ import EXIT_INTERNAL, EXIT_LIMIT, EXIT_USER_ERROR, main
+from repro.__main__ import (
+    EXIT_INTERNAL,
+    EXIT_LIMIT,
+    EXIT_USER_ERROR,
+    int64,
+    main,
+)
 from repro.bench import harness
 from repro.bench.workloads.suites import MICRO
 from repro.interp.interpreter import ExecutionResult
@@ -154,6 +160,35 @@ def test_naming_nothing_is_a_user_error(case, tmp_path, capsys):
     assert code == EXIT_USER_ERROR
     assert captured.out == ""
     assert captured.err == f"repro: error: {expected.format(dir=tmp_path)}\n"
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value",
+    [
+        ("run", "--args", "99999999999999999999999"),
+        ("explain", "--profile-args", str(-(2**63) - 1)),
+    ],
+)
+def test_an_out_of_range_program_argument_is_a_usage_error(
+    verb, flag, value, tmp_path, capsys
+):
+    # A MiniLang int is signed 64-bit: a wider argument must stop at the
+    # front door instead of reaching an engine (an OverflowError, exit 4).
+    path = tmp_path / "prog.mini"
+    path.write_text(PROGRAM)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, str(path), flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USER_ERROR
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"repro {verb}: error: argument {flag}: {value} is out of the "
+        "signed 64-bit range"
+    )
+    assert "Traceback" not in captured.err
+    # The range's own ends are accepted.
+    assert int64(str(2**63 - 1)) == 2**63 - 1
+    assert int64(str(-(2**63))) == -(2**63)
 
 
 def test_user_error_exit_status_from_a_fresh_process(tmp_path):

@@ -14,8 +14,14 @@ from repro.analysis.progen import mutated_program
 from repro.analysis.validate import SCREEN_STEP_BUDGET, _screen_mutant, validate_engines
 from repro.costmodel.model import cycles_of
 from repro.frontend.irbuilder import compile_source
-from repro.interp.interpreter import Interpreter, observable_outcome
-from repro.vm import VirtualMachine, translate_program
+from repro.interp.interpreter import (
+    HeapArray,
+    HeapObject,
+    Interpreter,
+    observable_outcome,
+)
+from repro.vm import MegaunitVirtualMachine, VirtualMachine, translate_program
+from repro.vm.bytecode import OP_EQ, OP_NE
 
 EXAMPLES = sorted(
     (pathlib.Path(__file__).parent.parent.parent / "examples").rglob("*.mini")
@@ -148,3 +154,82 @@ def test_unoptimized_programs_also_agree():
                 out, vm.state
             )
             assert (ref.steps, ref.cycles) == (out.steps, out.cycles)
+
+
+#: (left, right, whether ``left == right``): two distinct objects with
+#: equal fields (p, q), an object with itself, the same for two arrays
+#: of equal contents (a, b), each of them against null in both operand
+#: orders, and a null-valued reference against null
+IDENTITY_CASES = (
+    ("p", "q", False),
+    ("p", "p", True),
+    ("a", "b", False),
+    ("a", "a", True),
+    *(
+        case
+        for ref in ("p", "q", "a", "b")
+        for case in ((ref, "null", False), ("null", ref, False))
+    ),
+    ("none", "null", True),
+    ("null", "none", True),
+)
+
+
+def _identity_program() -> tuple[str, int]:
+    """Every case under ``==`` and ``!=``, one result bit each; returns
+    the source and the pinned result."""
+    lines, expected, bit = [], 0, 1
+    for left, right, equal in IDENTITY_CASES:
+        for op, truth in (("==", equal), ("!=", not equal)):
+            lines.append(f"  r = r + bit({left} {op} {right}, {bit});")
+            expected += bit if truth else 0
+            bit *= 2
+    source = (
+        "class P { x: int; y: int; }\n"
+        "fn bit(b: bool, k: int) -> int {\n"
+        "  if (b) { return k; }\n"
+        "  return 0;\n"
+        "}\n"
+        "fn main(n: int) -> int {\n"
+        "  var p: P = new P { x = n, y = 2 };\n"
+        "  var q: P = new P { x = n, y = 2 };\n"
+        "  var a: int[] = new int[n];\n"
+        "  var b: int[] = new int[n];\n"
+        "  var none: P = null;\n"
+        "  var r: int = 0;\n"
+        + "\n".join(lines)
+        + "\n  return r;\n}\n"
+    )
+    return source, expected
+
+
+def test_reference_equality_is_identity_on_every_engine():
+    # Every engine compiles ==/!= to Python's bare ==/!=, which is
+    # identity on the heap classes only while they define neither.
+    for cls in (HeapObject, HeapArray):
+        assert cls.__eq__ is object.__eq__, cls
+        assert cls.__ne__ is object.__ne__, cls
+    source, expected = _identity_program()
+    # Unoptimized, so no comparison is folded away before it runs.
+    program = compile_source(source)
+    bytecode = translate_program(program)
+    compares = [
+        ins for fn in bytecode.functions.values() for ins in fn.code
+        if ins[0] in (OP_EQ, OP_NE)
+    ]
+    assert len(compares) == 2 * len(IDENTITY_CASES)
+    engines = {
+        "reference": Interpreter(
+            program, cycle_cost=cycles_of, terminator_cost=cycles_of
+        ),
+        "vm": VirtualMachine(bytecode, metered=True),
+        "megaunit": MegaunitVirtualMachine(bytecode, metered=True),
+    }
+    outcomes = {}
+    for name, engine in engines.items():
+        out = engine.run("main", [3])
+        outcomes[name] = (out.value, out.trap, out.steps, out.cycles)
+    assert engines["megaunit"].fallbacks == set()
+    assert outcomes["reference"][:2] == (expected, None)
+    assert outcomes["vm"] == outcomes["reference"]
+    assert outcomes["megaunit"] == outcomes["reference"]

@@ -465,49 +465,57 @@ def test_codegen_cache_round_trip(tmp_path):
     assert warm._module().source == cold._module().source
 
 
-def test_codegen_schema_1_entry_is_ignored_and_regenerated(
+def test_older_codegen_schema_entries_are_ignored_and_regenerated(
     tmp_path, monkeypatch
 ):
-    # A schema-1 module calls _finish with the whole register file; it
-    # must never be exec'd against the sparse replay.  The poisoned text
-    # below would raise on exec, so any use of it fails the run.
+    # Cached text is keyed by the bytecode, not by the codegen, so text
+    # from an older codegen must never be exec'd: schema-1 text calls
+    # _finish with the whole register file, schema-2 text calls
+    # _is_ref, which the exec namespace no longer holds.  The stale
+    # text below is schema-2 shaped and raises NameError once it runs.
     from repro.vm import codegen_cache
 
-    assert codegen_cache.CODEGEN_SCHEMA == 2
+    current = codegen_cache.CODEGEN_SCHEMA
+    assert current >= 3
     program = compile_source(CALLS)
     bytecode = translate_program(program)
     order = list(bytecode.functions.values())
-    cache = ArtifactCache(tmp_path / "cache")
-    poisoned = {
+    stale = {
         "engine": "megaunit",
         "functions": [fn.name for fn in order],
-        "source": "raise AssertionError('stale schema-1 module executed')\n",
+        "source": "".join(
+            f"def _mu{i}(vm, m, *regs):\n    return _is_ref(regs[0])\n"
+            for i in range(len(order))
+        ),
     }
     key = codegen_cache.codegen_key(order, True, 50_000_000, 200)
-    # Under its own (schema-1) key: never looked up by a schema-2 run.
-    with monkeypatch.context() as patch:
-        patch.setattr(codegen_cache, "CODEGEN_SCHEMA", 1)
-        old_key = codegen_cache.codegen_key(order, True, 50_000_000, 200)
-        codegen_cache.store_source(cache, old_key, poisoned)
-    assert old_key != key
-    # Under the current key (a stale or tampered entry): rejected on load.
-    cache.put_aux(key, dict(poisoned, schema=1))
-    tracer = Tracer()
-    with use_tracer(tracer):
-        megaunit = MegaunitVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache
-        )
-        reference, _ = engines_for(CALLS)
-        assert_parity(reference, megaunit, [8])
-    snap = MetricsSnapshot.from_tracer(tracer)
-    assert snap.counter_value(
-        "repro_codegen_cache_total", result="miss", engine="megaunit"
-    ) == 1
-    # The miss regenerated the unit and overwrote the stale entry.
-    payload = cache.get_aux(key)
-    assert payload["schema"] == 2
-    assert payload["source"] == megaunit._module().source
-    assert cache.get_aux(old_key)["schema"] == 1  # left alone, never used
+    for old in range(1, current):
+        cache = ArtifactCache(tmp_path / f"cache-{old}")
+        # Under its own (older) key: never looked up by a current run.
+        with monkeypatch.context() as patch:
+            patch.setattr(codegen_cache, "CODEGEN_SCHEMA", old)
+            old_key = codegen_cache.codegen_key(order, True, 50_000_000, 200)
+            codegen_cache.store_source(cache, old_key, stale)
+        assert old_key != key
+        # Under the current key (a stale or tampered entry): rejected on
+        # load.
+        cache.put_aux(key, dict(stale, schema=old))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            megaunit = MegaunitVirtualMachine(
+                bytecode, metered=True, codegen_cache=cache
+            )
+            reference, _ = engines_for(CALLS)
+            assert_parity(reference, megaunit, [8])
+        snap = MetricsSnapshot.from_tracer(tracer)
+        assert snap.counter_value(
+            "repro_codegen_cache_total", result="miss", engine="megaunit"
+        ) == 1
+        # The miss regenerated the unit and overwrote the stale entry.
+        payload = cache.get_aux(key)
+        assert payload["schema"] == current
+        assert payload["source"] == megaunit._module().source
+        assert cache.get_aux(old_key)["schema"] == old  # never used
 
 
 def test_codegen_cache_key_tracks_baked_knobs(tmp_path):
@@ -622,16 +630,16 @@ def test_each_entrys_unit_lints_clean(metered):
 #: must come with a CODEGEN_SCHEMA bump.
 SOURCE_DIGESTS = {
     "matrix": (
-        "01687f4e63226c45c177742cc67d2ef709efb4f35de7b60c62ad90f6614a2402",
-        "d73eb2602bf98b46905f8c14f99fa8a309137783e54dce07db427894509c3b29",
+        "cafdc373f9563c7b50608d165a005bde7c088a247f55cdec7b869babfce9e0e1",
+        "aa601e2c3ce6db1aee74cda3d7206dd05d7c924d3b8ffaa20f08694524f6abec",
     ),
     "nqueens": (
-        "4a4445d5caa4d7513f56689e07ca88f137349cee535048ca1b561e603456a9de",
-        "87bf0423257da22700d27352d9b2b1454bd4ceb17bc72a995ed325ab773213b9",
+        "ccdf9b46aa09b2ed91fc5fedcb454ffb015d4c1ca07dca2a657de0d90dcd1f2b",
+        "1648211fba83dd35c33512bf31ea4bbea328ecf8c10d8449ea91709e12a3cfe1",
     ),
     "wordfreq": (
-        "13287cdcf28682d2ac8112c7ca144ede95a3c7958f29aedc3e260047a5c25c4c",
-        "3289f46f321a02e19525afe27c8c1bebb5d2ac115824291efb0dbb866d6f0a1d",
+        "0f2b623ccc1f25cec4de7bec53e9a097cf2b7c84d119ca92362876d1fbfb0a6d",
+        "79dd92fb5fbafbcba21ec8a08fce9bf8b33088fdd2265002d2e41ff93ef6fff2",
     ),
 }
 
