@@ -74,11 +74,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "config_fingerprint",
         "make_entry",
     ),
-    ".pipeline.compiler": (
+    ".pipeline.compiler": ("Compiler", "compile_and_profile"),
+    ".pipeline.front": (
         "CompilationReport",
-        "Compiler",
         "UnitMetrics",
-        "compile_and_profile",
         "measure_performance",
     ),
     ".pipeline.config": (

@@ -12,7 +12,7 @@ Usage::
 ``run`` JIT-compiles (a profiling run on the bytecode VM, then
 optimization) and executes, printing the result and the simulated cycle
 count; ``run``, ``check``, ``profile``, ``batch`` and ``bench`` all
-compile through the one cache-first :func:`repro.pipeline.compiler.jit`,
+compile through the one cache-first :func:`repro.pipeline.front.jit`,
 so they share cache keys and entries.  ``run``, ``check`` and
 ``profile`` take ``--check-bc={off,rewrite}``, which verifies every VM
 translation they execute, warm cache hits included (the cache stores
@@ -68,44 +68,39 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
-# Only what every verb needs loads here; modules that only some verbs or
-# flags use (the batch driver, the profiling VM, the bytecode verifier,
-# the fuzzers) are imported where they are used.
-from .analysis.blame import CHECK_EACH_PHASE, CHECK_MODES, CHECK_OFF, PhaseBlameError
-from .analysis.core import BytecodeVerificationError
-from .bench.harness import format_suite_report, run_suite, suite_report_json
-from .bench.trajectory import (
+# Only what every verb needs loads here: a warm ``run`` executes a cached
+# program and never loads the compiler (see docs/PIPELINE.md).  Modules
+# that only some verbs or flags use (the compiler stack, the workload
+# generators, the trajectory, the metrics fold, the compile profile, the
+# batch driver, the profiling VM, the bytecode verifier, the fuzzers)
+# are imported where they are used.
+from .analysis.blame import (
+    CHECK_EACH_PHASE,
+    CHECK_MODES,
+    CHECK_OFF,
+    BytecodeVerificationError,
+    PhaseBlameError,
+)
+from .bench.harness import (
     DEFAULT_REGRESSION_THRESHOLD,
     DEFAULT_TRAJECTORY_PATH,
+    SUITE_NAMES,
+    format_suite_report,
+    run_suite,
+    suite_report_json,
 )
-from .bench.workloads.suites import ALL_SUITES
 from .interp.interpreter import BudgetExceeded, Interpreter
 from .ir.stamps import INT_MAX, INT_MIN
-from .obs import (
-    NULL_TRACER,
-    CompileProfile,
-    MetricsSnapshot,
-    Tracer,
-    current_tracer,
-    use_tracer,
-    write_jsonl,
-)
+from .obs.sinks import write_jsonl
+from .obs.tracer import NULL_TRACER, Tracer, current_tracer, use_tracer
 from .pipeline.cache import ArtifactCache
-from .pipeline.compiler import (
-    ENGINES,
-    Artifact,
-    Compiler,
-    UserError,
-    jit,
-    measure_performance,
-    parse_entry,
-    parse_source,
-    require_function,
-)
 from .pipeline.config import CONFIGURATIONS
+from .pipeline.front import ENGINES, Artifact, UserError, jit, measure_performance
 
-# ``run``'s default engine loads with the CLI, as does every layer that
-# perfbench/traced.py wraps right after importing this module.
+# ``run``'s default engine loads with the CLI.  perfbench/traced.py wraps
+# the layers this import leaves loaded (these two and the harness); for
+# the compile stack's layers its ``install()`` imports
+# ``repro.pipeline.compiler``, which loads them all at module level.
 from .vm import megaunit, translate  # noqa: F401
 
 if TYPE_CHECKING:
@@ -171,7 +166,7 @@ def int64(text: str) -> int:
 
 
 def _add_jit_flags(parser: argparse.ArgumentParser, purpose: str) -> None:
-    """The inputs of :func:`~repro.pipeline.compiler.jit` other than the
+    """The inputs of :func:`~repro.pipeline.front.jit` other than the
     checks: entry, arguments and configuration."""
     parser.add_argument("--entry", default="main", help="entry function")
     parser.add_argument(
@@ -281,7 +276,7 @@ def _jit(
     path: pathlib.Path,
     cache: ArtifactCache | None = None,
 ) -> Artifact:
-    """:func:`~repro.pipeline.compiler.jit` on the source at ``path``
+    """:func:`~repro.pipeline.front.jit` on the source at ``path``
     with the entry, arguments, configuration and checks of ``args``."""
     return jit(
         _read_source(path), args.entry, [args.args],
@@ -307,6 +302,8 @@ def _emit_observability(args: argparse.Namespace) -> None:
             records = write_jsonl(tracer, args.trace_out)
         print(f"trace: {records} records -> {args.trace_out}", file=sys.stderr)
     if args.profile_compile:
+        from .obs.profile import CompileProfile
+
         print(CompileProfile.from_tracer(tracer).format())
 
 
@@ -366,6 +363,8 @@ def _emit_metrics(args: argparse.Namespace, tracer: Tracer) -> None:
     prom = getattr(args, "metrics_prom", None)
     if out is None and prom is None:
         return
+    from .obs.metrics import MetricsSnapshot
+
     snapshot = MetricsSnapshot.from_tracer(tracer)
     if out is not None:
         _write_output(
@@ -431,6 +430,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 @_with_telemetry
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .pipeline.compiler import Compiler, parse_source
+
     program = parse_source(_read_source(args.source), str(args.source))
     compiler = Compiler(
         CONFIGURATIONS[args.config], check_ir=args.check_ir,
@@ -461,6 +462,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Compile under a recording tracer; print the profile report."""
+    from .obs.profile import CompileProfile
+    from .pipeline.compiler import Compiler, parse_source
+
     program = parse_source(_read_source(args.source), str(args.source))
     tracer = Tracer()
     Compiler(CONFIGURATIONS[args.config], tracer=tracer).compile_program(program)
@@ -686,6 +690,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 @_with_telemetry
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench.workloads.suites import ALL_SUITES
+
     # Any telemetry option makes the verb's tracer record, and a recorded
     # compile is phase-profiled: the suite report then prints the phase
     # breakdown, and trajectory entries need its per-phase seconds.
@@ -882,6 +888,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from .interp.profile import apply_profile, profile_program
     from .opts.canonicalize import CanonicalizerPhase
     from .opts.inline import InliningPhase
+    from .pipeline.compiler import parse_entry, parse_source, require_function
 
     source, name = _read_source(args.source), str(args.source)
     if args.profile_args is not None:
@@ -903,7 +910,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
-    from .bench.workloads.suites import generate_workload
+    from .bench.workloads.suites import ALL_SUITES, generate_workload
 
     profile = ALL_SUITES[args.suite]
     name = args.name or profile.benchmark_names[0]
@@ -1102,7 +1109,7 @@ def main(argv: list[str] | None = None) -> int:
     check_parser.set_defaults(func=cmd_check)
 
     bench_parser = sub.add_parser("bench", help="run one evaluation suite")
-    bench_parser.add_argument("--suite", default="micro", choices=sorted(ALL_SUITES))
+    bench_parser.add_argument("--suite", default="micro", choices=SUITE_NAMES)
     bench_parser.add_argument("--seed", type=int, default=0)
     _add_engine_flag(bench_parser)
     bench_parser.add_argument(
@@ -1166,7 +1173,7 @@ def main(argv: list[str] | None = None) -> int:
     evaluate_parser.add_argument(
         "--suites",
         nargs="*",
-        choices=sorted(ALL_SUITES),
+        choices=SUITE_NAMES,
         default=None,
         help="suites to run (default: the four paper suites)",
     )
@@ -1196,7 +1203,7 @@ def main(argv: list[str] | None = None) -> int:
     workload_parser = sub.add_parser(
         "workload", help="print a generated benchmark's MiniLang source"
     )
-    workload_parser.add_argument("--suite", default="micro", choices=sorted(ALL_SUITES))
+    workload_parser.add_argument("--suite", default="micro", choices=SUITE_NAMES)
     workload_parser.add_argument("--name", default=None, help="benchmark name")
     workload_parser.add_argument("--seed", type=int, default=0)
     workload_parser.set_defaults(func=cmd_workload)

@@ -32,7 +32,6 @@ from .._lazy import lazy_exports
 # LIR checkers.
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".core": (
-        "BytecodeVerificationError",
         "CheckReport",
         "Checker",
         "CheckerContext",
@@ -52,6 +51,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".lir_checks": ("LirCheckerContext", "run_lir_checkers"),
     ".blame": (
+        "BytecodeVerificationError",
         "CHECK_BOUNDARIES",
         "CHECK_EACH_PHASE",
         "CHECK_MODES",

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 from ...obs.tracer import current_tracer
-from ..core import BytecodeVerificationError, CheckReport, Severity, Violation
+from ..blame import BytecodeVerificationError
+from ..core import CheckReport, Severity, Violation
 from .cfg import (
     BCBlock,
     BytecodeCFG,

@@ -14,24 +14,41 @@ duration of a compilation.  Failures are also emitted through the
 ambient tracer as structured ``analysis.violation`` / ``analysis.blame``
 events, and the check time itself is recorded as an ``ir-check`` phase
 span so ``--profile-compile`` shows analysis overhead.
+
+The two errors a checked compile or translation raises to the CLI live
+here, :class:`PhaseBlameError` and the bytecode verifier's
+:class:`BytecodeVerificationError`, and this module loads the checker
+framework only when a guard checks: catching them costs a warm run
+nothing.
 """
 
 from __future__ import annotations
 
-import difflib
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ..ir.graph import Graph
 from ..obs.tracer import current_tracer
-from .core import CheckReport, run_checkers
-from . import checkers as _checkers  # noqa: F401 - populate the registry
+
+if TYPE_CHECKING:
+    from .core import CheckReport
 
 #: ``--check-ir`` modes
 CHECK_OFF = "off"
 CHECK_BOUNDARIES = "boundaries"
 CHECK_EACH_PHASE = "each-phase"
 CHECK_MODES = (CHECK_OFF, CHECK_BOUNDARIES, CHECK_EACH_PHASE)
+
+
+class BytecodeVerificationError(Exception):
+    """Raised by checked-mode pipelines when bytecode verification fails;
+    ``report`` is the :class:`~repro.analysis.bcverify.BcVerifyReport`.
+    Defined here, apart from the verifier, so that callers can catch it
+    without loading the verifier."""
+
+    def __init__(self, report) -> None:
+        self.report = report
+        super().__init__(report.summary())
 
 
 class PhaseBlameError(Exception):
@@ -79,6 +96,8 @@ def _excerpt_diff(
 ) -> str:
     """Unified diff of the IR around the blamed phase (or a plain
     excerpt at a boundary check, where there is no before-state)."""
+    import difflib
+
     after_lines = after.splitlines()
     if before is None:
         shown = after_lines[:max_lines]
@@ -158,6 +177,8 @@ class PhaseGuard:
 
     # ------------------------------------------------------------------
     def _check(self, phase: str, graph: Graph, before: Optional[str]) -> None:
+        from .core import run_checkers
+
         tracer = current_tracer()
         self.checks += 1
         # The check itself appears as its own pipeline phase so compile

@@ -156,17 +156,6 @@ def get_checker(name: str) -> Checker:
         raise KeyError(f"unknown checker {name!r} (known: {known})") from None
 
 
-class BytecodeVerificationError(Exception):
-    """Raised by checked-mode pipelines when bytecode verification fails;
-    ``report`` is the :class:`~repro.analysis.bcverify.BcVerifyReport`.
-    Defined here, apart from the verifier, so that callers can catch it
-    without loading the verifier."""
-
-    def __init__(self, report) -> None:
-        self.report = report
-        super().__init__(report.summary())
-
-
 class _StopCheck(Exception):
     """Internal control flow: a fail-fast run hit an error."""
 

@@ -216,7 +216,7 @@ def validate_engines(
     ``vm`` and ``megaunit``.
     """
     from ..interp.interpreter import observable_outcome
-    from ..pipeline.compiler import ENGINES, jit, make_engine
+    from ..pipeline.front import ENGINES, jit, make_engine
     from ..pipeline.config import DBDS
 
     if config is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..ir.ops import EvaluationTrap, eval_binop, eval_cmp, wrap64
+from ..ir.ops import EvaluationTrap, check_array_length, eval_binop, eval_cmp, wrap64
 from ..interp.interpreter import HeapArray, HeapObject
 from .lir import (
     Immediate,
@@ -172,9 +172,7 @@ class Machine:
             self.globals[ins.global_name] = val(ins.src, frame)
             return None
         if isinstance(ins, LirNewArray):
-            length = val(ins.length, frame)
-            if length < 0:
-                raise EvaluationTrap(f"negative array length {length}")
+            length = check_array_length(val(ins.length, frame))
             frame[ins.dst] = HeapArray(
                 [ins.element_type.default_value()] * length
             )

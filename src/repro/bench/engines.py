@@ -33,7 +33,7 @@ from typing import Any, Optional, Sequence
 
 from ..interp.interpreter import observable_outcome
 from ..pipeline.cache import ArtifactCache
-from ..pipeline.compiler import jit, make_engine
+from ..pipeline.front import jit, make_engine
 from ..pipeline.config import CompilerConfig, DBDS
 from .workloads.suites import MICRO, SuiteProfile, Workload, generate_suite
 

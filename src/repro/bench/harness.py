@@ -15,20 +15,40 @@ The profile depends on the workload's source and profiling inputs, not
 on the configuration, so each workload is parsed and profiled once: every
 configuration compiles its own copy of that one profiled program (a
 :class:`~repro.pipeline.compiler.ProfiledSource`), so every compile
-starts from the same IR.
+starts from the same IR.  The compiler and the workload generators load
+with the first suite run, not with the harness: the CLI imports this
+module for every verb.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from ..pipeline.cache import ArtifactCache
-from ..pipeline.compiler import ProfiledSource, jit, measure_performance
 from ..pipeline.config import BASELINE, CompilerConfig, DBDS, DUPALOT
+from ..pipeline.front import jit, measure_performance
 from .stats import format_percent, geometric_mean, speedup_percent
-from .workloads.suites import SuiteProfile, Workload, generate_suite
+
+if TYPE_CHECKING:
+    from ..pipeline.cache import ArtifactCache
+    from ..pipeline.compiler import ProfiledSource
+    from .workloads.suites import SuiteProfile, Workload
+
+#: the suites ``repro bench`` runs: the keys of
+#: :data:`~repro.bench.workloads.suites.ALL_SUITES`, named here so that
+#: building the CLI parser loads no workload generator (a test keeps
+#: the two equal)
+SUITE_NAMES = ("java-dacapo", "micro", "octane", "recursion", "scala-dacapo")
+
+#: the committed perf trajectory ``bench --append-trajectory`` extends
+#: (:mod:`repro.bench.trajectory`)
+DEFAULT_TRAJECTORY_PATH = Path("benchmarks/results/BENCH_trajectory.json")
+
+#: default tolerated per-config median-cycles growth (5 %) of
+#: ``bench --check-regression``
+DEFAULT_REGRESSION_THRESHOLD = 0.05
 
 
 @dataclass
@@ -124,7 +144,7 @@ def measure_workload(
 
     ``profiled`` is the workload's profiled program, shared with the
     other configurations' compiles (default: parse and profile afresh);
-    :func:`~repro.pipeline.compiler.jit` rejects one built from another
+    :func:`~repro.pipeline.front.jit` rejects one built from another
     workload with a :class:`ValueError`.
 
     Under a recording ambient tracer (a CLI telemetry option) the
@@ -181,6 +201,9 @@ def run_suite(
 ) -> SuiteReport:
     """Measure a whole suite under baseline + the given configurations,
     parsing and profiling each workload once for all of them."""
+    from ..pipeline.compiler import ProfiledSource
+    from .workloads.suites import generate_suite
+
     configs = list(configs) if configs is not None else [DBDS, DUPALOT]
     workloads = workloads if workloads is not None else generate_suite(profile, seed)
     report = SuiteReport(suite=profile.suite, config_names=[c.name for c in configs])

@@ -49,14 +49,14 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..pipeline.config import CONFIGURATIONS
-from .harness import SuiteReport, suite_phase_times
+from .harness import (
+    DEFAULT_REGRESSION_THRESHOLD,
+    DEFAULT_TRAJECTORY_PATH,
+    SuiteReport,
+    suite_phase_times,
+)
 
 TRAJECTORY_SCHEMA_VERSION = 1
-
-DEFAULT_TRAJECTORY_PATH = Path("benchmarks/results/BENCH_trajectory.json")
-
-#: default tolerated per-config median-cycles growth (5 %)
-DEFAULT_REGRESSION_THRESHOLD = 0.05
 
 
 def _fingerprint(config_name: str) -> Optional[str]:

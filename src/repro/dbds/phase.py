@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..costmodel.estimator import graph_code_size
-from ..ir.cfgutils import canonical_cfg_cleanup
 from ..ir.graph import Graph, Program
 from ..ir.loops import LoopForest
 from ..ir.nodes import Goto
@@ -109,9 +108,14 @@ class DbdsPhase(Phase):
             # ---------------- Tier 2: trade-off -------------------------
             ranked = sort_candidates(candidates, config.trade_off)
             # ---------------- Tier 3: optimization ----------------------
+            duplications = tracer.counter("dbds.duplications")
             round_benefit = self._optimize(
                 graph, ranked, initial_size, tracer, iteration
             )
+            if tracer.counter("dbds.duplications") == duplications:
+                # Nothing changed: no follow-up work, and a round without
+                # benefit is the last one anyway.
+                break
             self._partial_optimizations(graph)
             if round_benefit < config.iteration_benefit_threshold:
                 break
@@ -279,4 +283,3 @@ class DbdsPhase(Phase):
         if self.program is not None:
             PartialEscapeAnalysisPhase(self.program).run(graph)
         CanonicalizerPhase().run(graph)
-        canonical_cfg_cleanup(graph)

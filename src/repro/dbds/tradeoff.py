@@ -14,10 +14,12 @@ benefit so the most promising pairs consume the budget first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..obs.tracer import Event, Tracer
-from .simulation import SimulationResult
+
+if TYPE_CHECKING:
+    from .simulation import SimulationResult
 
 #: BS — how much more cost than benefit we tolerate (paper: 256).
 BENEFIT_SCALE = 256.0

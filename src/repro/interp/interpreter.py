@@ -46,7 +46,13 @@ from ..ir.nodes import (
     StoreGlobal,
     Value,
 )
-from ..ir.ops import EvaluationTrap, eval_binop, eval_cmp, wrap64
+from ..ir.ops import (
+    EvaluationTrap,
+    check_array_length,
+    eval_binop,
+    eval_cmp,
+    wrap64,
+)
 
 
 class BudgetExceeded(Exception):
@@ -285,9 +291,7 @@ class Interpreter:
         return None
 
     def _exec_new_array(self, ins: NewArray, env) -> Any:
-        length = self._value_of(ins.length, env)
-        if length < 0:
-            raise EvaluationTrap(f"negative array length {length}")
+        length = check_array_length(self._value_of(ins.length, env))
         return HeapArray([ins.element_type.default_value()] * length)
 
     def _exec_array_load(self, ins: ArrayLoad, env) -> Any:

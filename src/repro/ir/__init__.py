@@ -6,54 +6,60 @@ repair, verification and cloning.  See DESIGN.md for the mapping onto
 the paper's Graal IR.
 """
 
-from .block import Block
-from .dominators import DominatorTree
-from .frequency import BlockFrequencies
-from .graph import Graph, Program
-from .loops import Loop, LoopForest
-from .nodes import (
-    ArithOp,
-    ArrayLength,
-    ArrayLoad,
-    ArrayStore,
-    Call,
-    Compare,
-    Constant,
-    Goto,
-    If,
-    Instruction,
-    LoadField,
-    LoadGlobal,
-    Neg,
-    New,
-    NewArray,
-    Not,
-    Parameter,
-    Phi,
-    Return,
-    StoreField,
-    StoreGlobal,
-    Terminator,
-    User,
-    Value,
-)
-from .ops import BinOp, CmpOp, EvaluationTrap, eval_binop, eval_cmp, wrap64
-from .types import (
-    BOOL,
-    INT,
-    NULL,
-    VOID,
-    ArrayType,
-    ClassDecl,
-    ClassTable,
-    FieldDecl,
-    IntType,
-    NullType,
-    ObjectType,
-    Type,
-    VoidType,
-)
-from .verifier import VerificationError, verify_graph, verify_program
+from .._lazy import lazy_exports
+
+# Names resolve on first use: loading one IR module (a cached program's
+# classes, say) does not load the analyses, the verifier or the rest.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".block": ("Block",),
+    ".dominators": ("DominatorTree",),
+    ".frequency": ("BlockFrequencies",),
+    ".graph": ("Graph", "Program"),
+    ".loops": ("Loop", "LoopForest"),
+    ".nodes": (
+        "ArithOp",
+        "ArrayLength",
+        "ArrayLoad",
+        "ArrayStore",
+        "Call",
+        "Compare",
+        "Constant",
+        "Goto",
+        "If",
+        "Instruction",
+        "LoadField",
+        "LoadGlobal",
+        "Neg",
+        "New",
+        "NewArray",
+        "Not",
+        "Parameter",
+        "Phi",
+        "Return",
+        "StoreField",
+        "StoreGlobal",
+        "Terminator",
+        "User",
+        "Value",
+    ),
+    ".ops": ("BinOp", "CmpOp", "EvaluationTrap", "eval_binop", "eval_cmp", "wrap64"),
+    ".types": (
+        "BOOL",
+        "INT",
+        "NULL",
+        "VOID",
+        "ArrayType",
+        "ClassDecl",
+        "ClassTable",
+        "FieldDecl",
+        "IntType",
+        "NullType",
+        "ObjectType",
+        "Type",
+        "VoidType",
+    ),
+    ".verifier": ("VerificationError", "verify_graph", "verify_program"),
+})
 
 __all__ = [
     "ArithOp", "ArrayLength", "ArrayLoad", "ArrayStore", "ArrayType",

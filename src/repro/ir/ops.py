@@ -21,6 +21,24 @@ class EvaluationTrap(Exception):
     """A runtime trap: division by zero, null dereference, bad index."""
 
 
+#: the longest array ``new T[n]`` allocates (2^24 elements): a longer
+#: one traps on every engine, as a negative length does, instead of
+#: failing to allocate or exhausting memory
+MAX_ARRAY_LENGTH = 1 << 24
+
+
+def check_array_length(length: int) -> int:
+    """``length``, if ``new T[length]`` can allocate it; a negative
+    length or one past :data:`MAX_ARRAY_LENGTH` traps."""
+    if length < 0:
+        raise EvaluationTrap(f"negative array length {length}")
+    if length > MAX_ARRAY_LENGTH:
+        raise EvaluationTrap(
+            f"array length {length} exceeds the maximum {MAX_ARRAY_LENGTH}"
+        )
+    return length
+
+
 def wrap64(value: int) -> int:
     """Wrap a Python int to signed 64-bit two's complement."""
     value &= _MASK

@@ -16,34 +16,40 @@ Typical use::
     write_jsonl(tracer, "trace.jsonl")
 """
 
-from .metrics import (
-    BYTES_BUCKETS,
-    HISTOGRAM_BUCKETS,
-    SECONDS_BUCKETS,
-    HistogramData,
-    MetricsSnapshot,
-    exponential_buckets,
-)
-from .profile import CompileProfile, PhaseStat
-from .sinks import (
-    TraceSchemaError,
-    event_from_dict,
-    event_to_dict,
-    read_jsonl,
-    trace_counters,
-    validate_record,
-    validate_trace,
-    validate_trace_file,
-    write_jsonl,
-)
-from .tracer import (
-    NULL_TRACER,
-    Event,
-    NullTracer,
-    Tracer,
-    current_tracer,
-    use_tracer,
-)
+from .._lazy import lazy_exports
+
+# Names resolve on first use: a run that records nothing never loads the
+# metrics fold or the compile-profile aggregation.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".metrics": (
+        "BYTES_BUCKETS",
+        "HISTOGRAM_BUCKETS",
+        "SECONDS_BUCKETS",
+        "HistogramData",
+        "MetricsSnapshot",
+        "exponential_buckets",
+    ),
+    ".profile": ("CompileProfile", "PhaseStat"),
+    ".sinks": (
+        "TraceSchemaError",
+        "event_from_dict",
+        "event_to_dict",
+        "read_jsonl",
+        "trace_counters",
+        "validate_record",
+        "validate_trace",
+        "validate_trace_file",
+        "write_jsonl",
+    ),
+    ".tracer": (
+        "NULL_TRACER",
+        "Event",
+        "NullTracer",
+        "Tracer",
+        "current_tracer",
+        "use_tracer",
+    ),
+})
 
 __all__ = [
     "BYTES_BUCKETS",

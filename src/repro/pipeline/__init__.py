@@ -1,8 +1,12 @@
 """``repro.pipeline`` — compilation driver, configurations, batching
 and the persistent artifact cache.
 
-* :mod:`repro.pipeline.compiler` — the phase pipeline for one unit
-  and :func:`jit`, the cache-first compile every verb goes through;
+* :mod:`repro.pipeline.front` — :func:`jit`, the cache-first compile
+  every verb goes through, its :class:`Artifact` and the engines that
+  run one; a warm run needs nothing else from here but the cache and
+  the configurations;
+* :mod:`repro.pipeline.compiler` — the phase pipeline for one unit,
+  which :func:`jit` imports on a cache miss;
 * :mod:`repro.pipeline.config` — the paper's named configurations;
 * :mod:`repro.pipeline.batch` — parallel many-file compilation;
 * :mod:`repro.pipeline.cache` — on-disk artifact cache keyed by
@@ -27,14 +31,12 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "make_entry",
         "normalize_ir",
     ),
-    ".compiler": (
+    ".compiler": ("Compiler", "ProfiledSource", "compile_and_profile"),
+    ".front": (
         "Artifact",
         "CompilationReport",
-        "Compiler",
         "ENGINES",
-        "ProfiledSource",
         "UnitMetrics",
-        "compile_and_profile",
         "jit",
         "measure_performance",
     ),

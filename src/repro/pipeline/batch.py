@@ -44,7 +44,7 @@ from ..obs.profile import CompileProfile
 from ..obs.sinks import event_from_dict, event_to_dict
 from ..obs.tracer import Event, Tracer, current_tracer
 from .cache import ArtifactCache, CacheEntry, cache_key
-from .compiler import CompilationReport, UserError, jit
+from .front import CompilationReport, UserError, jit
 from .config import CompilerConfig, DBDS
 
 #: one batch item: a filesystem path, or an explicit (name, source) pair

@@ -5,7 +5,7 @@ profiling run and the whole simulate → trade-off → optimize pipeline.
 The cache stores one :class:`CacheEntry` per *(source, configuration,
 repro version, profiling inputs)* combination — the optimized program
 (pickled; never its VM translation, which every run makes afresh), the
-:class:`~repro.pipeline.compiler.CompilationReport`, the full event
+:class:`~repro.pipeline.front.CompilationReport`, the full event
 trace of the original compilation, and a deterministic **artifact
 manifest** (IR dump + DBDS decision list + size/duplication numbers,
 no wall-clock fields) whose SHA-256 digest is the identity the
@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 from ..ir.graph import Program
 from ..obs.sinks import event_from_dict, event_to_dict
 from ..obs.tracer import Event, Tracer, current_tracer
-from .compiler import CompilationReport
+from .front import CompilationReport
 from .config import CompilerConfig
 
 #: bump when the on-disk payload layout changes (invalidates old dirs).

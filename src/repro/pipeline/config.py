@@ -11,9 +11,12 @@ compile-time comparison of Section 3.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from ..dbds.phase import DbdsConfig
 from ..dbds.tradeoff import TradeOffConfig
+
+if TYPE_CHECKING:
+    from ..dbds.phase import DbdsConfig
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,9 @@ class CompilerConfig:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def dbds_config(self) -> DbdsConfig:
+    def dbds_config(self) -> "DbdsConfig":
+        from ..dbds.phase import DbdsConfig
+
         return DbdsConfig(
             trade_off=self.trade_off,
             dupalot=self.dupalot,

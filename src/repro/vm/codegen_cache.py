@@ -33,7 +33,9 @@ from .bytecode import BytecodeFunction, disassemble
 #: register file and must never be exec'd against the new replay.
 #: 3: ``==``/``!=`` compile to a bare Python ``==``/``!=`` — schema-2
 #: text calls a reference-test helper the exec namespace no longer holds.
-CODEGEN_SCHEMA = 3
+#: 4: ``new T[n]`` traps past ``MAX_ARRAY_LENGTH`` — schema-3 text
+#: allocates any length and dies of a ``MemoryError``.
+CODEGEN_SCHEMA = 4
 
 #: default reprs embed ``id()`` addresses; scrub them so digests are
 #: pure functions of structure and compare equal across processes

@@ -34,7 +34,7 @@ from ..interp.interpreter import (
     InterpreterState,
     ProfileCollector,
 )
-from ..ir.ops import EvaluationTrap
+from ..ir.ops import EvaluationTrap, check_array_length
 from .bytecode import OP_CALL, BytecodeFunction, BytecodeProgram
 
 _MASK = (1 << 64) - 1
@@ -202,10 +202,7 @@ def _op_store_global(vm, ins, regs, pc):
 
 
 def _op_new_array(vm, ins, regs, pc):
-    length = regs[ins[4]]
-    if length < 0:
-        raise EvaluationTrap(f"negative array length {length}")
-    regs[ins[3]] = HeapArray([ins[5]] * length)
+    regs[ins[3]] = HeapArray([ins[5]] * check_array_length(regs[ins[4]]))
     return pc + 1
 
 

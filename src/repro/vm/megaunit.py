@@ -108,7 +108,7 @@ from ..interp.interpreter import (
     ExecutionResult,
     ProfileCollector,
 )
-from ..ir.ops import EvaluationTrap
+from ..ir.ops import MAX_ARRAY_LENGTH, EvaluationTrap
 from ..obs.tracer import current_tracer
 from .bytecode import (
     OP_ADD,
@@ -463,6 +463,14 @@ class _FunctionCompiler:
             emit(
                 indent + 1,
                 'raise EvaluationTrap(f"negative array length {n}")',
+            )
+            # ir.ops.check_array_length, inline.
+            emit(indent, f"if n > {MAX_ARRAY_LENGTH}:")
+            flush(indent + 1, k, ck)
+            emit(
+                indent + 1,
+                'raise EvaluationTrap(f"array length {n} exceeds the '
+                f'maximum {MAX_ARRAY_LENGTH}")',
             )
             emit(indent, f"{self.reg(dest)} = HeapArray([{ins[5]!r}] * n)")
         elif op in (OP_ARRAY_LOAD, OP_ARRAY_STORE):

@@ -12,7 +12,8 @@ from repro.analysis.bcverify import (
     verify_bytecode,
 )
 from repro.analysis.progen import mutated_program
-from repro.pipeline.compiler import compile_and_profile, make_engine
+from repro.pipeline.compiler import compile_and_profile
+from repro.pipeline.front import make_engine
 from repro.pipeline.config import CONFIGURATIONS
 from repro.vm.bytecode import (
     OP_ADD,

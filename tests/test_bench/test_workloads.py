@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.harness import SUITE_NAMES
 from repro.bench.workloads.kernels import KERNEL_BUILDERS, build_kernel
 from repro.bench.workloads.suites import (
     ALL_SUITES,
@@ -43,6 +44,11 @@ class TestKernels:
 
 
 class TestSuites:
+    def test_the_cli_names_every_suite(self):
+        # The CLI takes its --suite choices from the harness, which names
+        # the suites without loading their generators.
+        assert SUITE_NAMES == tuple(sorted(ALL_SUITES))
+
     def test_benchmark_names_match_paper(self):
         assert "jython" in JAVA_DACAPO.benchmark_names
         assert "xalan" in JAVA_DACAPO.benchmark_names

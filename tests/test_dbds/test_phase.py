@@ -8,6 +8,7 @@ from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import verify_graph, verify_program
 from repro.costmodel.estimator import estimated_run_time
+from repro.obs.tracer import Tracer, use_tracer
 
 
 OPPORTUNITY_RICH = """
@@ -152,3 +153,65 @@ fn f(x: int) -> int {
         DbdsPhase(program, DbdsConfig(dupalot=True, paranoid=True)).run(graph)
         actual = [Interpreter(program).run("f", [k]).value for k in range(-5, 6)]
         assert actual == expected
+
+
+#: one duplication in the first round, nothing left for the second
+ONE_ROUND = """
+fn f(x: int) -> int {
+  var p: int;
+  if (x > 0) { p = 3; } else { p = 5; }
+  return p * 2 + 1;
+}
+"""
+
+#: the passes that follow a round that duplicated
+PARTIAL_OPTIMIZATIONS = [
+    "canonicalize",
+    "global-value-numbering",
+    "conditional-elimination",
+    "read-elimination",
+    "partial-escape-analysis",
+    "canonicalize",
+]
+
+
+def _traced_dbds(source: str):
+    """Run DBDS on ``f`` under a recording tracer; returns the stats,
+    the phases run inside the ``dbds`` span and the rounds that kept a
+    duplication."""
+    program = compile_source(source)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        stats = DbdsPhase(program).run(program.function("f"))
+    events = tracer.events
+    start = next(
+        i for i, e in enumerate(events)
+        if e.name == "phase" and e.attrs["phase"] == "dbds"
+    )
+    nested = []
+    for event in events[start + 1:]:
+        if event.kind == "span" and event.depth <= events[start].depth:
+            break
+        if event.name == "phase":
+            nested.append(event.attrs["phase"])
+    duplicating = {
+        e.attrs["iteration"] for e in events
+        if e.name == "dbds.decision" and e.attrs["accepted"]
+    }
+    return stats, nested, duplicating
+
+
+class TestEmptyRounds:
+    """A round that duplicates nothing ends DBDS: no pass runs after it."""
+
+    def test_no_duplication_runs_no_phase(self):
+        stats, nested, duplicating = _traced_dbds(
+            "fn f(x: int) -> int { return x + 1; }"
+        )
+        assert (stats.iterations, stats.duplications_performed) == (1, 0)
+        assert nested == [] and duplicating == set()
+
+    def test_empty_round_after_a_duplicating_one_runs_no_phase(self):
+        stats, nested, duplicating = _traced_dbds(ONE_ROUND)
+        assert stats.iterations == 2 and duplicating == {0}
+        assert nested == PARTIAL_OPTIMIZATIONS

@@ -23,7 +23,8 @@ from repro.ir.copy import clone_instruction, copy_graph, copy_program
 from repro.ir.nodes import If
 from repro.obs import Tracer
 from repro.pipeline.cache import artifact_manifest, normalize_ir
-from repro.pipeline.compiler import Compiler, ProfiledSource, jit
+from repro.pipeline.compiler import Compiler, ProfiledSource
+from repro.pipeline.front import jit
 from repro.pipeline.config import CONFIGURATIONS
 
 from tests.helpers import REPO

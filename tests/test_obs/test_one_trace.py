@@ -54,10 +54,10 @@ def compiled(units: int, candidates: int, accepted: int, rejected: int,
 #: compiling nqueens (3 units) under dbds after its profiling run
 NQUEENS = {
     **compiled(3, 20, 3, 16, 1, 3),
-    **phases(canonicalize=20, conditional_elimination=10, dbds=3,
-             global_value_numbering=10, inlining=3,
-             loop_invariant_code_motion=6, partial_escape_analysis=10,
-             read_elimination=10),
+    **phases(canonicalize=14, conditional_elimination=7, dbds=3,
+             global_value_numbering=7, inlining=3,
+             loop_invariant_code_motion=6, partial_escape_analysis=7,
+             read_elimination=7),
     "repro_profile_runs_total{engine=megaunit}": 1,
 }
 RAN_ON_MEGAUNIT = {"repro_vm_runs_total{engine=megaunit}": 1}
@@ -65,10 +65,10 @@ RAN_ON_MEGAUNIT = {"repro_vm_runs_total{engine=megaunit}": 1}
 #: compiling the three examples (14 units) under dbds, each profiled
 EXAMPLES = {
     **compiled(14, 38, 3, 34, 1, 3),
-    **phases(canonicalize=86, conditional_elimination=43, dbds=14,
-             global_value_numbering=43, inlining=14,
-             loop_invariant_code_motion=28, partial_escape_analysis=43,
-             read_elimination=43),
+    **phases(canonicalize=58, conditional_elimination=29, dbds=14,
+             global_value_numbering=29, inlining=14,
+             loop_invariant_code_motion=28, partial_escape_analysis=29,
+             read_elimination=29),
     "repro_profile_runs_total{engine=vm}": 3,
 }
 BATCH_COMPILED = {
@@ -110,17 +110,17 @@ SCENARIOS = {
     ],
     "5 run, each-phase IR checks": [
         (["run", *NQUEENS_6, "--check-ir", "each-phase"],
-         {**NQUEENS, **RAN_ON_MEGAUNIT, **phases(ir_check=78)}),
+         {**NQUEENS, **RAN_ON_MEGAUNIT, **phases(ir_check=60)}),
     ],
     "6 profile": [(["profile", *NQUEENS_6], NQUEENS)],
     "7 check": [(["check", *EXAMPLES_4, "--check-ir=off"], EXAMPLES)],
     "8 check, fuzzers": [
         (["check", *EXAMPLES_4, "--check-ir=off", *FUZZ], {
             **compiled(55, 82, 9, 70, 3, 9),
-            **phases(canonicalize=300, conditional_elimination=150, dbds=39,
-                     global_value_numbering=150, inlining=55,
+            **phases(canonicalize=226, conditional_elimination=113, dbds=39,
+                     global_value_numbering=113, inlining=55,
                      loop_invariant_code_motion=110,
-                     partial_escape_analysis=150, read_elimination=150),
+                     partial_escape_analysis=113, read_elimination=113),
             "repro_profile_runs_total{engine=megaunit}": 3,
             "repro_profile_runs_total{engine=vm}": 12,
         }),
@@ -154,10 +154,10 @@ SCENARIOS = {
     "13 bench": [
         (["bench", "--suite", "micro", "--engine", "vm"], {
             **compiled(153, 522, 112, 302, 108, 112),
-            **phases(canonicalize=952, conditional_elimination=476,
-                     dbds=102, global_value_numbering=476, inlining=153,
+            **phases(canonicalize=782, conditional_elimination=391,
+                     dbds=102, global_value_numbering=391, inlining=153,
                      loop_invariant_code_motion=306,
-                     partial_escape_analysis=476, read_elimination=476),
+                     partial_escape_analysis=391, read_elimination=391),
             "repro_profile_runs_total{engine=vm}": 9,
             "repro_vm_runs_total{engine=vm}": 27,
         }),

@@ -29,6 +29,7 @@ from repro.bench import harness
 from repro.bench.workloads.suites import MICRO
 from repro.interp.interpreter import ExecutionResult
 from repro.interp.profile import profile_program
+from repro.ir.ops import MAX_ARRAY_LENGTH
 from repro.pipeline import compiler
 
 from tests.helpers import fresh_python
@@ -221,6 +222,26 @@ def test_an_out_of_bounds_trap_exits_1(tmp_path, capsys):
     assert code == 1
     assert captured.err.startswith("trap: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("engine", ["megaunit", "vm", "reference"])
+def test_an_unallocatable_array_length_traps(engine, tmp_path, capsys):
+    # Past MAX_ARRAY_LENGTH, new int[n] traps like a negative length on
+    # every engine: no MemoryError traceback, exit 1 (not 4).
+    path = tmp_path / "alloc.mini"
+    path.write_text(
+        "fn main(n: int) -> int {\n"
+        "  var a: int[] = new int[n];\n"
+        "  return len(a);\n"
+        "}\n"
+    )
+    n = 2**63 - 1
+    code = main(["run", str(path), "--args", str(n), "--engine", engine])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"trap: array length {n} exceeds the maximum {MAX_ARRAY_LENGTH}\n"
+    )
 
 
 def _failing_compile(self, program):

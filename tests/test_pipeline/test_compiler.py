@@ -9,13 +9,7 @@ from repro.interp.interpreter import Interpreter
 from repro.ir import verify_program
 from repro.obs.tracer import Tracer, use_tracer
 from repro.pipeline.cache import ArtifactCache, normalize_ir
-from repro.pipeline.compiler import (
-    Compiler,
-    ProfiledSource,
-    compile_and_profile,
-    jit,
-    measure_performance,
-)
+from repro.pipeline.compiler import Compiler, ProfiledSource, compile_and_profile
 from repro.pipeline.config import (
     BACKTRACKING,
     BASELINE,
@@ -24,6 +18,7 @@ from repro.pipeline.config import (
     DUPALOT,
     CompilerConfig,
 )
+from repro.pipeline.front import jit, measure_performance
 
 from tests.test_pipeline.test_cli import count_calls
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.frontend.irbuilder import compile_source
 from repro.pipeline.cache import pack_artifact, unpack_artifact
-from repro.pipeline.compiler import compile_and_profile, measure_performance
+from repro.pipeline.compiler import compile_and_profile
+from repro.pipeline.front import measure_performance
 from repro.pipeline.config import DBDS
 from repro.vm import VirtualMachine, translate_program
 from repro.vm.codegen_cache import function_digest

@@ -20,6 +20,7 @@ from repro.interp.interpreter import (
     Interpreter,
     observable_outcome,
 )
+from repro.ir.ops import MAX_ARRAY_LENGTH
 from repro.vm import MegaunitVirtualMachine, VirtualMachine, translate_program
 from repro.vm.bytecode import OP_EQ, OP_NE
 
@@ -83,6 +84,29 @@ def test_generated_programs_identical_on_every_engine(seed):
     assert result.ok, "\n".join(r.format() for r in result.divergences)
 
 
+NEW_ARRAY = """
+fn main(n: int) -> int {
+  var a: int[] = new int[n];
+  return len(a);
+}
+"""
+
+
+def test_array_lengths_past_the_maximum_trap_alike_on_every_engine():
+    # No engine allocates past MAX_ARRAY_LENGTH: each traps with the one
+    # message at the same step and cycle, as for a negative length.
+    lengths = [[3], [-1], [MAX_ARRAY_LENGTH + 1], [2**63 - 1]]
+    result = validate_engines(NEW_ARRAY, "main", lengths)
+    assert result.ok, "\n".join(r.format() for r in result.divergences)
+    program = compile_source(NEW_ARRAY)
+    interpreter = Interpreter(program)
+    for n in (MAX_ARRAY_LENGTH + 1, 2**63 - 1):
+        interpreter.reset()
+        assert interpreter.run("main", [n]).trap == (
+            f"array length {n} exceeds the maximum {MAX_ARRAY_LENGTH}"
+        )
+
+
 CALL_HEAVY = """
 fn leaf(x: int) -> int { return x * 3 + 1; }
 fn mid(x: int) -> int { return leaf(x) + leaf(x + 1); }
@@ -103,7 +127,8 @@ def test_budget_stops_identical_at_every_cap_across_engines():
     # mid-call, at call boundaries and inside callees; every engine
     # must report the same BudgetExceeded message, steps and cycles.
     from repro.interp.interpreter import BudgetExceeded
-    from repro.pipeline.compiler import ENGINES, compile_and_profile, make_engine
+    from repro.pipeline.compiler import compile_and_profile
+    from repro.pipeline.front import ENGINES, make_engine
     from repro.pipeline.config import DBDS
 
     program, _ = compile_and_profile(CALL_HEAVY, "main", [[4]], DBDS)

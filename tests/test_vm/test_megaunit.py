@@ -27,7 +27,8 @@ from repro.interp.interpreter import (
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.tracer import Tracer, use_tracer
 from repro.pipeline.cache import ArtifactCache
-from repro.pipeline.compiler import compile_and_profile, make_engine
+from repro.pipeline.compiler import compile_and_profile
+from repro.pipeline.front import make_engine
 from repro.pipeline.config import DBDS
 from repro.vm import MegaunitVirtualMachine, translate_program
 from repro.vm.bytecode import BytecodeProgram
@@ -630,12 +631,12 @@ def test_each_entrys_unit_lints_clean(metered):
 #: must come with a CODEGEN_SCHEMA bump.
 SOURCE_DIGESTS = {
     "matrix": (
-        "cafdc373f9563c7b50608d165a005bde7c088a247f55cdec7b869babfce9e0e1",
-        "aa601e2c3ce6db1aee74cda3d7206dd05d7c924d3b8ffaa20f08694524f6abec",
+        "e4f24c4f32d436f0115b0349ec94f1ba943b0f92af2d4177c74936a5bfb5d214",
+        "9c08e07a3f8a486260d3d5a89416d5e9d841f142720a9e779d4891348f7d9c87",
     ),
     "nqueens": (
-        "ccdf9b46aa09b2ed91fc5fedcb454ffb015d4c1ca07dca2a657de0d90dcd1f2b",
-        "1648211fba83dd35c33512bf31ea4bbea328ecf8c10d8449ea91709e12a3cfe1",
+        "a8d11b6676811a1e917495a45008f6b505153717ba3dc2dfa87c348a55b8db82",
+        "666bd7ff162e651fb4f515dcb7772058c33f2a6f6b0f8b0d80b54c87f0f47d33",
     ),
     "wordfreq": (
         "0f2b623ccc1f25cec4de7bec53e9a097cf2b7c84d119ca92362876d1fbfb0a6d",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.pipeline.compiler import ENGINES
+from repro.pipeline.front import ENGINES
 from repro.vm.bytecode import OP_CALL, OPCODE_NAMES, BytecodeFunction
 from repro.vm.machine import _HANDLERS
 from repro.vm.megaunit import _FunctionCompiler
