@@ -23,27 +23,28 @@ tracer and prints the aggregated compile profile.  ``bench``
 regenerates one of the paper's evaluation figures.  ``check`` runs the
 IR sanitizers (docs/ANALYSIS.md) over source files: checked compiles
 with phase-blame diagnostics, optional LIR checks, dynamic stamp
-checking, and translation-validation fuzzing.  ``run``,
-``compile``, ``check``, ``batch`` and ``bench`` all accept
-``--trace-out FILE`` (write the JSONL event trace; on ``bench``, the
-suite report) and ``--profile-compile`` (print the per-phase profile);
-see docs/OBSERVABILITY.md.  ``run`` and ``compile`` accept
+checking (observed on the reference interpreter), and
+translation-validation fuzzing.  ``run``, ``compile``, ``check``,
+``batch`` and ``bench`` all accept ``--trace-out FILE`` (write the
+JSONL event trace; on ``bench``, the suite report) and
+``--profile-compile`` (print the per-phase profile); see
+docs/OBSERVABILITY.md.  ``run`` and ``compile`` accept
 ``--check-ir={off,boundaries,each-phase}`` plus
-``--fail-fast``/``--keep-going``.  ``run``, ``bench`` and ``check``
-accept ``--engine={reference,vm,megaunit}`` to pick the executor;
-``run`` defaults to ``megaunit``, ``bench`` and ``check`` to
-``reference`` (``vm`` is the plain bytecode loop, ``megaunit`` compiles
-the whole program into one exec unit with direct calls, docs/VM.md);
-``bench --engine-report FILE`` writes the engine comparison matrix and
-``check --diff-engines``/``--fuzz-engines N`` differentially validate
-every engine against the reference
-(docs/VM.md).  ``profile`` (and ``bench --profile-run``, over a
-suite) executes under the profiling VM and prints per-opcode/function/
-block hot-path tables; ``run``, ``batch``, ``bench``, ``check`` and
-``profile`` accept ``--metrics-out FILE``/``--metrics-prom FILE`` to
-export the metrics snapshot, a view of the verb's one trace;
-``bench --append-trajectory``/``--check-regression`` maintain the
-committed perf trajectory (docs/OBSERVABILITY.md).
+``--fail-fast``/``--keep-going``.  ``run`` and ``bench`` meter their
+measured runs on ``--engine={reference,vm,megaunit}``, ``megaunit``
+by default (it compiles the whole program into one exec unit with
+direct calls; ``vm`` is the plain bytecode loop and ``reference`` the
+oracle interpreter; docs/VM.md); the profiling run that feeds the
+compiler picks its own engine.  ``bench --engine-report FILE`` writes
+the engine comparison matrix and ``check --diff-engines``/
+``--fuzz-engines N`` differentially validate every engine against the
+reference (docs/VM.md).  ``profile`` executes under the profiling VM
+and prints per-opcode/function/block hot-path tables; ``run``,
+``batch``, ``bench``, ``check`` and ``profile`` accept
+``--metrics-out FILE``/``--metrics-prom FILE`` to export the metrics
+snapshot, a view of the verb's one trace; ``bench
+--append-trajectory``/``--check-regression`` maintain the committed
+perf trajectory (docs/OBSERVABILITY.md).
 
 A user error — a source file that cannot be read or compiled, paths
 that hold no ``.mini`` source, an unknown ``--entry`` or ``workload
@@ -66,7 +67,6 @@ import json
 import pathlib
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
 
 # Only what every verb needs loads here: a warm ``run`` executes a cached
 # program and never loads the compiler (see docs/PIPELINE.md).  Modules
@@ -102,9 +102,6 @@ from .pipeline.front import ENGINES, Artifact, UserError, jit, measure_performan
 # the compile stack's layers its ``install()`` imports
 # ``repro.pipeline.compiler``, which loads them all at module level.
 from .vm import megaunit, translate  # noqa: F401
-
-if TYPE_CHECKING:
-    from .vm.profiler import VMProfile
 
 #: default on-disk cache location of the ``batch`` verb
 DEFAULT_CACHE_DIR = pathlib.Path(".repro-cache")
@@ -190,15 +187,13 @@ def _add_check_bc_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_flag(
-    parser: argparse.ArgumentParser, default: str = "reference"
-) -> None:
+def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
-        default=default,
+        default="megaunit",
         choices=ENGINES,
-        help="execution engine for program runs (default: %(default)s; "
-        "see docs/VM.md)",
+        help="execution engine for the measured runs; every engine "
+        "reports the same cycles (default: %(default)s; see docs/VM.md)",
     )
 
 
@@ -375,23 +370,6 @@ def _emit_metrics(args: argparse.Namespace, tracer: Tracer) -> None:
         _write_output(prom, snapshot.render_prometheus(), "metrics:")
 
 
-def _emit_vm_profile(
-    vmprofile: "VMProfile", cycles: float, top: int = 10
-) -> bool:
-    """Print the profile tables plus the cycle-reconciliation line;
-    returns whether the per-opcode cycle sum matches the metered total."""
-    print()
-    print(vmprofile.format(top=top))
-    ok = vmprofile.reconciles(cycles)
-    verdict = "exact" if ok else "MISMATCH"
-    print()
-    print(
-        f"reconciliation  : per-opcode cycles {vmprofile.total_cycles:.0f} "
-        f"vs metered total {cycles:.0f} -> {verdict}"
-    )
-    return ok
-
-
 @_with_telemetry
 def cmd_run(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
@@ -562,17 +540,11 @@ def _check_program_sweeps(
             if message is not None:
                 problems.append(message)
 
-        # Every engine exposes the same observer hook, so dynamic stamp
-        # checking doubles as a VM spot-check under --engine=vm (megaunit
-        # runs observed frames on the vm loop, so one VirtualMachine
-        # serves both bytecode engines here).
-        if args.engine != "reference":
-            from .vm.machine import VirtualMachine
-
-            runner = VirtualMachine(artifact.bytecode(), observer=observe)
-        else:
-            runner = Interpreter(program, observer=observe)
-        runner.run(args.entry, list(args.args))
+        # The stamp verdict is a property of the optimized IR: observe
+        # it on the oracle (--diff-engines holds the VMs to it).
+        Interpreter(program, observer=observe).run(
+            args.entry, list(args.args)
+        )
         for message in problems:
             print(f"{path}: dynamic-stamp: {message}", file=sys.stderr)
             failures += 1
@@ -729,40 +701,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
         if not comparison.all_match:
             return 1
-    if args.profile_run:
-        code = _bench_profile_run(args, profile)
-        if code:
-            return code
     if args.append_trajectory is not None or trajectory is not None:
         code = _bench_trajectory(args, report, comparison, trajectory)
         if code:
             return code
     _emit_cache_stats(args, cache)
     return 0
-
-
-def _bench_profile_run(args: argparse.Namespace, profile) -> int:
-    """Aggregate a VM execution profile across the suite's measured runs
-    (compiled fresh under the DBDS configuration)."""
-    from .bench.workloads.suites import generate_suite
-    from .vm.profiler import VMProfile, profile_run
-
-    vmprofile = VMProfile()
-    total = 0.0
-    for workload in generate_suite(profile, args.seed):
-        artifact = jit(
-            workload.source, workload.entry, workload.profile_args,
-            CONFIGURATIONS["dbds"],
-        )
-        cycles, _, _ = profile_run(
-            artifact.program, entry=workload.entry,
-            arg_sets=[tuple(a) for a in workload.measure_args],
-            bytecode=artifact.bytecode(), vmprofile=vmprofile,
-        )
-        total += cycles
-    print()
-    print(f"=== VM execution profile: {profile.suite} suite, dbds config ===")
-    return 0 if _emit_vm_profile(vmprofile, total) else 1
 
 
 def _load_trajectory(path: pathlib.Path) -> dict:
@@ -854,7 +798,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(f"result          : {result.value}")
     print(f"simulated cycles: {cycles:.0f}")
     print(f"compile time    : {artifact.report.total_compile_time * 1e3:.2f} ms")
-    ok = _emit_vm_profile(vmprofile, cycles, top=args.top)
+    print()
+    print(vmprofile.format(top=args.top))
+    # The per-opcode cycle sum must match the metered total.
+    ok = vmprofile.reconciles(cycles)
+    print()
+    print(
+        f"reconciliation  : per-opcode cycles {vmprofile.total_cycles:.0f} "
+        f"vs metered total {cycles:.0f} -> {'exact' if ok else 'MISMATCH'}"
+    )
     if args.collapsed is not None:
         _write_output(args.collapsed, vmprofile.collapsed(), "collapsed stacks")
     if args.json is not None:
@@ -934,7 +886,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("source", type=pathlib.Path, help="MiniLang source file")
     _add_jit_flags(run_parser, "the entry function")
     _add_check_bc_flag(run_parser)
-    _add_engine_flag(run_parser, default="megaunit")
+    _add_engine_flag(run_parser)
     _add_observability(run_parser)
     _add_metrics_flags(run_parser)
     _add_check_flags(run_parser)
@@ -1074,12 +1026,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="stop fuzzing after this many seconds",
     )
-    _add_engine_flag(check_parser)
     check_parser.add_argument(
         "--diff-engines",
         action="store_true",
-        help="run every checked program on both engines and demand "
-        "identical outcomes, steps and cycles",
+        help="run every checked program on every engine (reference, vm, "
+        "megaunit) and demand identical outcomes, steps and cycles",
     )
     check_parser.add_argument(
         "--fuzz-engines",
@@ -1132,12 +1083,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_observability(bench_parser)
     _add_metrics_flags(bench_parser)
     _add_cache_flags(bench_parser)
-    bench_parser.add_argument(
-        "--profile-run",
-        action="store_true",
-        help="also aggregate a VM execution profile over the suite's "
-        "measured runs (dbds config)",
-    )
     bench_parser.add_argument(
         "--append-trajectory",
         type=pathlib.Path,

@@ -14,10 +14,11 @@ check_bc="rewrite")``), never at load.  Three layers:
 * **Structural checks** (:mod:`.checks`) — block spans, tuple layouts,
   operand ranges, branch targets, register def-before-use.
 * **Codegen lint** (:mod:`.lint`) — the megaunit engine's
-  exec-generated source (each function's body, and the whole counted
-  module) is checked for banned names, leaked globals, balanced
-  accounting and direct-call targets against the program's function
-  table, without being executed.
+  exec-generated source (each function's body in the plain module
+  that measured runs execute, and the whole counted module that
+  profiling runs execute) is checked for banned names, leaked
+  globals, balanced accounting and direct-call targets against the
+  program's function table, without being executed.
 
 Entry points: :func:`verify_bytecode` (full verification of a
 :class:`~repro.vm.bytecode.BytecodeProgram`) and
@@ -133,11 +134,12 @@ def verify_bytecode(
                 break
 
         # The per-function checker lints each function's body in the
-        # plain megaunit module; the counted (profiling) module's counter
-        # slots are numbered across the whole unit, so its lint is
-        # program-level (skipped when per-function verification already
-        # failed — linting source generated from a known-bad table
-        # proves nothing).
+        # plain megaunit module, which measured runs execute; the counted
+        # module (the text profiling runs execute) numbers its counter
+        # slots across the whole unit, so its lint is program-level
+        # (skipped when per-function verification already failed —
+        # linting source generated from a known-bad table proves
+        # nothing).
         if (
             "bc-codegen-lint" not in disable
             and (checkers is None or "bc-codegen-lint" in checkers)

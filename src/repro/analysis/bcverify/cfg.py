@@ -114,7 +114,7 @@ class BytecodeCFG:
 def _edge_target(edge) -> int:
     if (
         not isinstance(edge, tuple)
-        or len(edge) != 4
+        or len(edge) != 3
         or not isinstance(edge[0], int)
     ):
         raise DecodeError(f"malformed edge descriptor {edge!r}")

@@ -14,10 +14,12 @@ promises:
   namespace, the whitelisted builtins, the per-function ``_mu<N>`` /
   ``_fn<N>`` / ``_tmpl<N>`` cells, parameters, and locals assigned in
   the function;
-* **balanced accounting**: per generated function, the step/cycle
-  charges — ``s += W`` / ``c += C`` per segment plus the ``m[0] = s +
-  1`` / ``c = m[1] + K`` call-site writebacks — sum to the bytecode
-  function's instruction count and total baked cost;
+* **balanced accounting**: per generated function, the step charges —
+  ``s += W`` per segment plus the ``m[0] = s + 1`` call-site
+  writebacks — sum to the bytecode function's instruction count, and
+  in the plain (metered) module the cycle charges — ``c += C`` per
+  segment plus the ``c = m[1] + K`` call-cost reloads — sum to its
+  total baked cost;
 * every ``raise EvaluationTrap(...)`` is preceded (in the same
   statement suite) by a ``state.steps = ...`` meter flush, so traps
   can never escape with stale accounting;
@@ -31,10 +33,10 @@ promises:
   order — a missing register would make the replay read a template
   slot instead of the live value.
 
-A counted module (the profiling variant) may also read its counter
-list ``_counts``, and only as ``_counts[<k>] += 1``: one literal slot
-per frame entry and CFG edge of the unit, each bumped at exactly one
-site.
+A counted module (the profiling variant, which meters no cycles) may
+also read its counter list ``_counts``, and only as ``_counts[<k>] +=
+1``: one literal slot per frame entry and CFG edge of the unit, each
+bumped at exactly one site.
 
 :func:`lint_megaunit_function` lints one function's ``_mu<N>`` body
 (the per-function ``bc-codegen-lint`` checker);
@@ -342,8 +344,9 @@ def _lint_accounting(
 ) -> None:
     """Whole-function meter balance: every instruction is stepped once
     (segment ``s += W`` sums plus one ``m[0] = s + 1`` per call site)
-    and every baked cost is charged once (segment ``c += C`` sums plus
-    the ``c = m[1] + K`` call-cost reloads)."""
+    and, in a ``metered`` (plain) module, every baked cost is charged
+    once (segment ``c += C`` sums plus the ``c = m[1] + K`` call-cost
+    reloads)."""
     steps, cycles = _meter_totals(func)
     if None in steps:
         messages.append(f"{func.name}: non-literal step increment")
@@ -373,7 +376,6 @@ def _lint_accounting(
 def _lint_function(
     node: ast.FunctionDef,
     order: list,
-    metered: bool,
     messages: list,
     counted: bool = False,
     slots: Optional[list] = None,
@@ -394,7 +396,7 @@ def _lint_function(
     _lint_counters(node, slots if slots is not None else [], messages)
     _lint_calls(node, order, messages)
     _lint_finishes(node, index, order[index], messages)
-    _lint_accounting(node, order[index], metered, messages)
+    _lint_accounting(node, order[index], not counted, messages)
     _lint_trap_flushes(node, messages)
     return index
 
@@ -418,29 +420,25 @@ def _parse(source: str, messages: list) -> list:
     return functions
 
 
-def lint_megaunit_function(bytecode, name: str, metered: bool = True) -> list[str]:
+def lint_megaunit_function(bytecode, name: str) -> list[str]:
     """Lint the ``_mu<N>`` function the plain module generates for the
     bytecode function ``name``; returns message strings."""
     try:
-        source = function_source(bytecode, name, metered=metered)
+        source = function_source(bytecode, name)
     except Exception as exc:
         return [f"megaunit codegen failed: {type(exc).__name__}: {exc}"]
     messages: list[str] = []
     order = list(bytecode.functions.values())
     for node in _parse(source, messages):
-        _lint_function(node, order, metered, messages)
+        _lint_function(node, order, messages)
     return messages
 
 
-def lint_megaunit_source(
-    bytecode, metered: bool = True, counted: bool = False
-) -> list[str]:
+def lint_megaunit_source(bytecode, counted: bool = False) -> list[str]:
     """Lint the whole-program megaunit module (``counted``: its
     profiling variant); returns message strings."""
     try:
-        source = generate_module_source(
-            bytecode, metered=metered, counted=counted
-        )
+        source = generate_module_source(bytecode, counted=counted)
     except Exception as exc:
         return [f"megaunit codegen failed: {type(exc).__name__}: {exc}"]
     messages: list[str] = []
@@ -448,7 +446,7 @@ def lint_megaunit_source(
     seen = set()
     slots: list[int] = []
     for node in _parse(source, messages):
-        seen.add(_lint_function(node, order, metered, messages, counted, slots))
+        seen.add(_lint_function(node, order, messages, counted, slots))
     missing = sorted(set(range(len(order))) - seen)
     if missing:
         messages.append(

@@ -137,7 +137,7 @@ def measure_workload(
     workload: Workload,
     config: CompilerConfig,
     cache: Optional[ArtifactCache] = None,
-    engine: str = "reference",
+    engine: str = "megaunit",
     profiled: Optional[ProfiledSource] = None,
 ) -> Measurement:
     """Compile under ``config`` and run the measured workload.
@@ -158,8 +158,9 @@ def measure_workload(
     columns stay meaningful; VM engines still translate the program
     once) and stored into it when cold.
 
-    ``engine`` picks the executor for the measured run; all report
-    identical cycles, so the choice only changes harness wall time.
+    ``engine`` picks the executor for the measured run (megaunit by
+    default, like every measured run); all report identical cycles, so
+    the choice only changes harness wall time.
     """
     wall_start = time.perf_counter()
     artifact = jit(
@@ -197,7 +198,7 @@ def run_suite(
     seed: int = 0,
     workloads: Optional[list[Workload]] = None,
     cache: Optional[ArtifactCache] = None,
-    engine: str = "reference",
+    engine: str = "megaunit",
 ) -> SuiteReport:
     """Measure a whole suite under baseline + the given configurations,
     parsing and profiling each workload once for all of them."""

@@ -275,10 +275,10 @@ def make_engine(
     program: Program,
     bytecode: Any = None,
     max_steps: int = 50_000_000,
-    metered: bool = True,
     codegen_cache: Any = None,
 ) -> Any:
-    """Construct a runner for ``engine`` (uniform run/reset/state API).
+    """Construct a metered runner for ``engine`` (uniform
+    run/reset/state API).
 
     ``reference`` is the tree-walking interpreter (the oracle); ``vm``
     the bytecode machine's plain flat-tuple loop; ``megaunit`` the
@@ -294,8 +294,8 @@ def make_engine(
         return Interpreter(
             program,
             max_steps=max_steps,
-            cycle_cost=cycles_of if metered else None,
-            terminator_cost=cycles_of if metered else None,
+            cycle_cost=cycles_of,
+            terminator_cost=cycles_of,
         )
     if engine not in ENGINES:
         raise ValueError(
@@ -309,10 +309,9 @@ def make_engine(
         bytecode = translate_program(program)
     if engine == "megaunit":
         return MegaunitVirtualMachine(
-            bytecode, max_steps=max_steps, metered=metered,
-            codegen_cache=codegen_cache,
+            bytecode, max_steps=max_steps, codegen_cache=codegen_cache
         )
-    return VirtualMachine(bytecode, max_steps=max_steps, metered=metered)
+    return VirtualMachine(bytecode, max_steps=max_steps)
 
 
 def measure_performance(
@@ -320,20 +319,20 @@ def measure_performance(
     entry: str,
     arg_sets: Iterable[list[Any]],
     max_steps: int = 50_000_000,
-    engine: str = "reference",
+    engine: str = "megaunit",
     bytecode: Any = None,
     codegen_cache: Any = None,
 ) -> tuple[float, list[ExecutionResult]]:
     """Simulated peak performance: total cost-model cycles over runs.
 
     ``engine`` selects the executor (see :func:`make_engine`): the
-    ``reference`` tree-walking interpreter, the ``vm`` bytecode loop or
-    the whole-program ``megaunit`` compiler — pass a pre-translated
-    ``bytecode`` program (e.g. an :meth:`Artifact.bytecode`) to skip
-    re-translation, and a ``codegen_cache`` to reuse megaunit's
-    generated source.  All engines report identical
-    cycles/steps/outcomes by construction.  The ambient tracer counts
-    the runs (``vm.runs.<engine>``).
+    whole-program ``megaunit`` compiler (the default), the ``vm``
+    bytecode loop or the ``reference`` tree-walking interpreter — pass
+    a pre-translated ``bytecode`` program (e.g. an
+    :meth:`Artifact.bytecode`) to skip re-translation, and a
+    ``codegen_cache`` to reuse megaunit's generated source.  All
+    engines report identical cycles/steps/outcomes by construction.
+    The ambient tracer counts the runs (``vm.runs.<engine>``).
     """
     runner = make_engine(
         engine, program, bytecode=bytecode, max_steps=max_steps,

@@ -12,16 +12,20 @@ engines:
 
 * the **vm** loop (:mod:`repro.vm.machine`, ``--engine=vm``) dispatches
   the 32 base opcodes through a handler table; it carries the profile
-  and observer hooks and is megaunit's fallback;
+  hooks and is megaunit's fallback;
 * the **megaunit engine** (:mod:`repro.vm.megaunit`,
-  ``--engine=megaunit``) compiles the whole call graph into one
-  ``exec`` unit — registers in Python locals, threaded intra-function
-  dispatch, ``OP_CALL`` as a direct Python call.
+  ``--engine=megaunit``, the default for measured runs) compiles the
+  whole call graph into one ``exec`` unit — registers in Python
+  locals, threaded intra-function dispatch, ``OP_CALL`` as a direct
+  Python call.
 
-Semantics are bit-for-bit those of the reference interpreter: shared
-heap/trap/outcome types, identical trap messages, identical step
-accounting and budget behaviour, identical :class:`ProfileCollector`
-and observer hooks.  ``repro check --diff-engines`` and the
+Each engine has two modes, one per kind of run: a measured run (no
+collector) meters cost-model cycles, and a profiling run (a
+:class:`ProfileCollector` attached) counts blocks and branches
+instead.  Semantics are bit-for-bit those of the reference
+interpreter: shared heap/trap/outcome types, identical trap messages,
+identical step accounting and budget behaviour, identical
+:class:`ProfileCollector` hooks.  ``repro check --diff-engines`` and the
 ``tests/test_vm`` differential suite enforce this; see docs/VM.md.
 
 Every name below resolves on first use, importing only the submodule

@@ -6,19 +6,20 @@ tuples**.  Every tuple shares a fixed prefix::
     (opcode, cycle_cost, source_node, dest_register, ...operands)
 
 * ``opcode`` — an integer index into the machine's handler table;
-* ``cycle_cost`` — the node's cost-model cycles, baked at translation
-  time so metered runs add a float instead of calling ``cycles_of``;
-* ``source_node`` — the originating IR node (kept for the observer
-  hook, ``ProfileCollector.record_branch`` and diagnostics);
+* ``cycle_cost`` — the node's cost-model cycles (``cycles_of``),
+  baked at translation time so metered runs add a number instead of
+  calling the cost model;
+* ``source_node`` — the originating IR node (kept for
+  ``ProfileCollector.record_branch``, the profiling VM's block
+  attribution and diagnostics);
 * ``dest_register`` — index into the flat register file, or ``-1``
-  for terminators (which produce no value and are never observed).
+  for terminators (which produce no value).
 
 Operand fields after the prefix are opcode-specific; the layouts are
 documented per-opcode below and in docs/VM.md.  Branch operands are
-**edge descriptors** ``(target_pc, moves, phis, target_block)``:
-``moves`` is the sequentialized parallel-copy list lowered from the
-target's phis for this edge, ``phis`` pairs each phi node with its
-destination register (observer mode only), ``target_block`` feeds
+**edge descriptors** ``(target_pc, moves, target_block)``: ``moves``
+is the sequentialized parallel-copy list lowered from the target's
+phis for this edge, ``target_block`` feeds
 ``ProfileCollector.record_block``.
 """
 
@@ -166,7 +167,7 @@ class BytecodeProgram:
 # Disassembler (debugging aid; also keeps docs/VM.md examples honest).
 # ----------------------------------------------------------------------
 def _format_edge(edge: tuple) -> str:
-    pc, moves, _phis, block = edge
+    pc, moves, block = edge
     copies = "".join(f" r{d}<-r{s}" for d, s in moves)
     return f"@{pc}({block.name}){copies}"
 

@@ -1,17 +1,17 @@
 """Persistent cache for megaunit's exec-generated source.
 
 The megaunit engine *generates Python source* from bytecode streams
-and runs it with ``exec``.  Codegen is pure — a deterministic
-function of the instruction stream, the metering mode and the baked-in
-limits — so the generated text can be persisted in the artifact
-cache's aux store (:meth:`~repro.pipeline.cache.ArtifactCache.put_aux`)
-and reused by warm runs, skipping source generation and the per-line
-f-string work entirely.
+and runs it with ``exec``.  Codegen is pure — a deterministic function
+of the instruction stream and the baked-in limits — so the plain
+module's text can be persisted in the artifact cache's aux store
+(:meth:`~repro.pipeline.cache.ArtifactCache.put_aux`) and reused by
+warm runs, skipping source generation and the per-line f-string work
+entirely.
 
 Keys are content digests over schema + per-function stream digests +
-every baked knob (``metered``, ``max_steps``, ``max_call_depth``), so a
-stale artifact can never be executed against a stream it was not
-generated from.  Payloads carry the source plus the function-name order
+every baked knob (``max_steps``, ``max_call_depth``), so a stale
+artifact can never be executed against a stream it was not generated
+from.  Payloads carry the source plus the function-name order
 needed to rebuild the exec namespace without regenerating.  Hits and
 misses are counted on the ambient tracer (``vm.codegen_cache.hit`` /
 ``.miss``), which the ``repro_codegen_cache_total`` metric reads.
@@ -76,17 +76,16 @@ def function_digest(fn: BytecodeFunction) -> str:
 
 def codegen_key(
     fns: Sequence[BytecodeFunction],
-    metered: bool,
     max_steps: int,
     max_call_depth: int,
 ) -> str:
-    """The aux-store key for one generated source unit."""
+    """The aux-store key for one generated (plain) source unit; the
+    counted module is never cached."""
     payload = json.dumps(
         {
             "schema": CODEGEN_SCHEMA,
             "engine": ENGINE,
             "functions": [function_digest(fn) for fn in fns],
-            "metered": bool(metered),
             "max_steps": max_steps,
             "max_call_depth": max_call_depth,
         },

@@ -10,10 +10,11 @@ reference interpreter's observable semantics:
   terminator, zero for phis — and the same
   :class:`BudgetExceeded` timing (checked before executing);
 * the same profile hooks (``record_block`` on every block entry,
-  ``record_branch`` per ``If``) and the same
-  ``observer(instruction, value)`` callback per produced value;
-* metered runs accumulate the costs baked into the tuples, matching
-  the reference's ``cycle_cost=cycles_of`` totals.
+  ``record_branch`` per ``If``);
+* a machine meters exactly when no profile collector is attached: a
+  measured run accumulates the costs baked into the tuples, matching
+  the reference's ``cycle_cost=cycles_of`` totals, and a profiling run
+  counts blocks and branches instead.
 
 The dispatch loop keeps ``steps``/``cycles`` in Python locals and
 flushes them to the shared :class:`InterpreterState` around calls,
@@ -242,20 +243,17 @@ def _op_call(vm, ins, regs, pc):  # pragma: no cover - dispatched inline
 
 
 def _take_edge(vm, regs, edge):
-    """Complete one CFG edge: profile hook, phi moves, observers."""
+    """Complete one CFG edge: profile hook, then phi moves."""
     if vm.profile is not None:
-        vm.profile.record_block(edge[3])
+        vm.profile.record_block(edge[2])
     for d, s in edge[1]:
         regs[d] = regs[s]
-    if vm.observer is not None:
-        for phi, dreg in edge[2]:
-            vm.observer(phi, regs[dreg])
     return edge[0]
 
 
 def _op_goto(vm, ins, regs, pc):
     edge = ins[4]
-    if vm.profile is None and vm.observer is None and not edge[1]:
+    if vm.profile is None and not edge[1]:
         return edge[0]
     return _take_edge(vm, regs, edge)
 
@@ -267,7 +265,7 @@ def _op_if(vm, ins, regs, pc):
         taken, edge = False, ins[6]
     if vm.profile is not None:
         vm.profile.record_branch(ins[2], taken)
-    if vm.profile is None and vm.observer is None and not edge[1]:
+    if vm.profile is None and not edge[1]:
         return edge[0]
     return _take_edge(vm, regs, edge)
 
@@ -291,37 +289,33 @@ class VirtualMachine:
     """Drop-in execution engine with the reference interpreter's API.
 
     ``run``/``reset``/``state`` mirror :class:`repro.interp.Interpreter`
-    so harness code can treat both engines uniformly.  Metering is a
-    boolean (costs are baked into the bytecode at translation time);
-    translate with custom cost functions for a non-default model.
+    so harness code can treat both engines uniformly.  A run is either
+    measured or profiling: the machine meters (adds the cycle costs
+    baked into the bytecode) exactly when no ``profile`` collector is
+    attached.
     """
 
     def __init__(
         self,
         bytecode: BytecodeProgram,
         max_steps: int = 50_000_000,
-        metered: bool = False,
         profile: Optional[ProfileCollector] = None,
         max_call_depth: int = 200,
-        observer: Optional[Callable[[Any, Any], None]] = None,
     ) -> None:
         self.bytecode = bytecode
         self.max_steps = max_steps
-        self.metered = metered
         self.profile = profile
         self.max_call_depth = max_call_depth
-        self.observer = observer
         self._call_depth = 0
         self._retval: Any = None
         self.state = InterpreterState()
         self._init_globals()
 
-    @classmethod
-    def for_program(cls, program, **kwargs) -> "VirtualMachine":
-        """Translate ``program`` and build a machine for it."""
-        from .translate import translate_program
-
-        return cls(translate_program(program), **kwargs)
+    @property
+    def metered(self) -> bool:
+        """Does a run add cycle costs?  Only when it is not profiling; a
+        property, since a collector may be attached between runs."""
+        return self.profile is None
 
     def _init_globals(self) -> None:
         self.state.globals = dict(self.bytecode.globals_init)
@@ -362,23 +356,23 @@ class VirtualMachine:
         regs = fn.template[:]
         if args:
             regs[: len(args)] = args
-        if self.profile is not None:
-            self.profile.record_block(fn.entry_block)
+        profile = self.profile
+        if profile is not None:
+            profile.record_block(fn.entry_block)
         state = self.state
         max_steps = self.max_steps
-        metered = self.metered
-        observer = self.observer
         handlers = _HANDLERS
         code = fn.code
         # Hot loop: steps/cycles live in locals, flushed to the shared
         # state around calls, returns and traps (see module docstring).
-        # Three specializations keep per-instruction branching minimal;
-        # they are line-for-line identical except for metering/observer.
+        # Two specializations keep per-instruction branching minimal;
+        # they are line-for-line identical except for metering, which a
+        # measured run (no collector) does and a profiling run does not.
         steps = state.steps
         cycles = state.cycles
         pc = 0
         try:
-            if observer is None and metered:
+            if profile is None:
                 while True:
                     ins = code[pc]
                     steps += 1
@@ -406,7 +400,7 @@ class VirtualMachine:
                         cycles = state.cycles
                         pc += 1
                     cycles += ins[1]
-            elif observer is None:
+            else:
                 while True:
                     ins = code[pc]
                     steps += 1
@@ -432,36 +426,6 @@ class VirtualMachine:
                         steps = state.steps
                         cycles = state.cycles
                         pc += 1
-            else:
-                while True:
-                    ins = code[pc]
-                    steps += 1
-                    if steps > max_steps:
-                        state.steps = steps
-                        state.cycles = cycles
-                        raise BudgetExceeded(
-                            f"exceeded {max_steps} interpreter steps"
-                        )
-                    op = ins[0]
-                    if op != OP_CALL:
-                        pc = handlers[op](self, ins, regs, pc)
-                        if pc < 0:
-                            state.steps = steps
-                            state.cycles = cycles + ins[1] if metered else cycles
-                            return self._retval
-                    else:
-                        state.steps = steps
-                        state.cycles = cycles
-                        regs[ins[3]] = self._call(
-                            ins[4], [regs[r] for r in ins[5]]
-                        )
-                        steps = state.steps
-                        cycles = state.cycles
-                        pc += 1
-                    if metered:
-                        cycles += ins[1]
-                    if ins[3] >= 0:
-                        observer(ins[2], regs[ins[3]])
         except EvaluationTrap:
             # A trap from a nested call already flushed fresher values.
             if steps > state.steps:

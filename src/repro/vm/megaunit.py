@@ -64,9 +64,8 @@ time.  Exactness is preserved at every observable point:
   state.cycles]`` once per machine entry and flushes back on normal
   return; every raising path flushed exactly at its raise site.
 
-``max_steps`` and ``metered`` are baked into the generated source, so
-the module is recompiled if either changes between runs on the same
-machine instance.
+``max_steps`` is baked into the generated source, so the module is
+recompiled if it changes between runs on the same machine instance.
 
 Graceful degradation: nested MiniLang calls are native Python calls,
 so a worst-case-deep run could hit CPython's recursion limit
@@ -76,18 +75,20 @@ case (``max_call_depth`` minus the current depth, plus
 ``_STACK_HEADROOM`` slack) fits under ``sys.getrecursionlimit()`` and
 otherwise runs the activation on the inherited ``vm`` loop, emitting a
 ``vm.fallback`` tracer event (once per machine and reason) and
-counting ``repro_vm_fallback_total``.  Observed runs always run on the
-``vm`` loop.
+counting ``repro_vm_fallback_total``.
 
-Profiled runs (a ``profile=`` collector) execute the **counted**
-variant of the module instead of the hooked machine loop: the same
-text plus one ``_counts[k] += 1`` per frame entry (after the depth
-guard) and per CFG edge site (before its phi moves) — exactly where
-the machine loop calls ``record_block`` and, on an ``If``'s edges,
-``record_branch``.  :meth:`MegaunitModule.fold_counts` turns the
-counts into collector entries whenever a run leaves the module
-(return, trap or budget stop); a budget guard's replay never reaches
-its segment's terminator, so no edge past a stop is counted.  This is
+The module comes in two variants, one per kind of run.  A measured run
+(no collector) executes the **plain** module, which meters cycles.  A
+profiling run (a ``profile=`` collector) executes the **counted**
+module instead of the hooked machine loop: it meters steps but not
+cycles, exactly like the machine's profiling loop, and adds one
+``_counts[k] += 1`` per frame entry (after the depth guard) and per
+CFG edge site (before its phi moves) — exactly where the machine loop
+calls ``record_block`` and, on an ``If``'s edges, ``record_branch``.
+:meth:`MegaunitModule.fold_counts` turns the counts into collector
+entries whenever a run leaves the module (return, trap or budget
+stop); a budget guard's replay never reaches its segment's
+terminator, so no edge past a stop is counted.  This is
 what lets :func:`repro.interp.profile.profile_program` profile at
 near-megaunit speed.
 
@@ -285,7 +286,6 @@ class _FunctionCompiler:
     def __init__(
         self,
         fn: BytecodeFunction,
-        metered: bool,
         max_steps: int,
         max_call_depth: int,
         index: int,
@@ -293,14 +293,15 @@ class _FunctionCompiler:
         sites: Optional[list] = None,
     ) -> None:
         self.fn = fn
-        self.metered = metered
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
         self.index = index
         self.entries = entries
         #: the counted module's counter sites, shared by every function
-        #: of the unit (``None``: an uncounted module)
+        #: of the unit (``None``: the plain module)
         self.sites = sites
+        #: only the plain module meters cycles (a profiling run counts)
+        self.metered = sites is None
         self.lines: list[str] = []
         self.lo = fn.const_base
         self.hi = fn.const_base + fn.const_count
@@ -608,7 +609,7 @@ class _FunctionCompiler:
     def gen_edge(
         self, indent: int, edge: tuple, branch=None, slot: int = 0
     ) -> None:
-        self.count(indent, edge[3], branch, slot)
+        self.count(indent, edge[2], branch, slot)
         for d, src in edge[1]:
             self.emit(indent, f"{self.reg(d)} = {self.reg(src)}")
         target = edge[0]
@@ -797,7 +798,6 @@ def unit_functions(
 
 def _unit_source(
     order: list[BytecodeFunction],
-    metered: bool,
     max_steps: int,
     max_call_depth: int,
     sites: Optional[list] = None,
@@ -807,7 +807,7 @@ def _unit_source(
     entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
     return "\n".join(
         _FunctionCompiler(
-            fn, metered, max_steps, max_call_depth, i, entries, sites
+            fn, max_steps, max_call_depth, i, entries, sites
         ).source()
         for i, fn in enumerate(order)
     )
@@ -815,7 +815,6 @@ def _unit_source(
 
 def generate_module_source(
     bytecode: BytecodeProgram,
-    metered: bool = True,
     max_steps: int = 50_000_000,
     max_call_depth: int = 200,
     roots: Optional[Sequence[str]] = None,
@@ -825,14 +824,12 @@ def generate_module_source(
     (see :func:`unit_functions`; ``None`` = the whole program), without
     executing it — the static codegen lint works on this text."""
     return _unit_source(
-        unit_functions(bytecode, roots), metered, max_steps, max_call_depth,
+        unit_functions(bytecode, roots), max_steps, max_call_depth,
         [] if counted else None,
     )
 
 
-def function_source(
-    bytecode: BytecodeProgram, name: str, metered: bool = True
-) -> str:
+def function_source(bytecode: BytecodeProgram, name: str) -> str:
     """The ``_mu<N>`` function :func:`generate_module_source` emits for
     ``name`` (whole program, default limits), alone — the per-function
     codegen lint works on this."""
@@ -840,7 +837,7 @@ def function_source(
     entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
     fn = bytecode.functions[name]
     return _FunctionCompiler(
-        fn, metered, 50_000_000, 200, order.index(fn), entries
+        fn, 50_000_000, 200, order.index(fn), entries
     ).source()
 
 
@@ -917,7 +914,6 @@ def _exec_module(
 
 def compile_module(
     bytecode: BytecodeProgram,
-    metered: bool,
     max_steps: int,
     max_call_depth: int,
     codegen_cache: Optional[Any] = None,
@@ -941,14 +937,14 @@ def compile_module(
     if codegen_cache is not None:
         from .codegen_cache import codegen_key, load_source, store_source
 
-        key = codegen_key(order, metered, max_steps, max_call_depth)
+        key = codegen_key(order, max_steps, max_call_depth)
         payload = load_source(codegen_cache, key)
         if (
             payload is not None
             and payload.get("functions") == [fn.name for fn in order]
         ):
             return _exec_module(bytecode, order, payload["source"])
-    source = _unit_source(order, metered, max_steps, max_call_depth, sites)
+    source = _unit_source(order, max_steps, max_call_depth, sites)
     module = _exec_module(bytecode, order, source, sites)
     if codegen_cache is not None:
         store_source(
@@ -967,12 +963,13 @@ class MegaunitVirtualMachine(VirtualMachine):
     constructor, ``run``/``reset``/``state`` API and observable
     semantics as every other engine.  The unit compiles lazily on the
     first frame; the machine keeps one, keyed by
-    ``(max_steps, metered, entry, counted)``, and recompiles when the
-    key changes.  A machine with a ``profile=`` collector runs the
-    counted module and folds its counts into the collector whenever a
-    run leaves it (return, trap or budget stop).  Insufficient
-    recursion headroom falls back to the inherited ``vm`` loop (a
-    ``vm.fallback`` event records why), and so do observed runs.
+    ``(max_steps, entry, counted)``, and recompiles when the key
+    changes.  A machine with a ``profile=`` collector runs the counted
+    module and folds its counts into the collector whenever a run
+    leaves it (return, trap or budget stop); without one it runs the
+    plain, metered module.  Insufficient recursion headroom falls back
+    to the inherited ``vm`` loop (a ``vm.fallback`` event records
+    why).
 
     ``codegen_cache`` (an :class:`~repro.pipeline.cache.ArtifactCache`
     or anything with its aux-store API) persists the generated text:
@@ -1002,11 +999,11 @@ class MegaunitVirtualMachine(VirtualMachine):
 
     def _module(self) -> MegaunitModule:
         counted = self.profile is not None
-        key = (self.max_steps, self.metered, self._mu_entry, counted)
+        key = (self.max_steps, self._mu_entry, counted)
         if key != self._mu_key:
             self._mu_key = key
             self._mu_module = compile_module(
-                self.bytecode, self.metered, self.max_steps,
+                self.bytecode, self.max_steps,
                 self.max_call_depth, codegen_cache=self.codegen_cache,
                 roots=None if self._mu_entry is None else (self._mu_entry,),
                 counted=counted,
@@ -1025,9 +1022,6 @@ class MegaunitVirtualMachine(VirtualMachine):
         )
 
     def _run_frame(self, fn: BytecodeFunction, args: list) -> Any:
-        if self.observer is not None:
-            # Observed runs: identical hook semantics to the base machine.
-            return super()._run_frame(fn, args)
         module = self._module()
         entry = module.entries.get(fn.name)
         if entry is None:  # pragma: no cover - run() resolves names first

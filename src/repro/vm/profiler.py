@@ -4,16 +4,17 @@ Attributes metered cycles and instruction counts **per opcode**, **per
 basic block** and **per function**, plus collapsed call-stack weights
 consumable by standard flamegraph tooling (Brendan Gregg's
 ``flamegraph.pl``, speedscope, inferno).  Surfaced on the CLI as the
-``repro profile`` verb and as ``bench --profile-run``.
+``repro profile`` verb.
 
 Zero-overhead contract
 ----------------------
 The profiled dispatch loop is a **separate specialization**:
 :class:`ProfilingVirtualMachine` overrides ``_run_frame`` with its own
-copy of the metered loop plus attribution, and pins ``profile=None`` /
-``observer=None`` so the shared opcode handlers keep taking their fast
-edge paths.  :class:`~repro.vm.machine.VirtualMachine` itself is not
-touched — the default VM pays nothing for the profiler's existence.
+copy of the metered loop plus attribution.  It attaches no
+``profile=`` collector, so it meters and the shared opcode handlers
+keep taking their fast edge paths.
+:class:`~repro.vm.machine.VirtualMachine` itself is not touched — the
+default VM pays nothing for the profiler's existence.
 ``tests/test_vm/test_profiler.py`` pins the override and the
 instruction-stream identity; the CI bench gate (≥2× median VM speedup)
 re-verifies the claim end to end.
@@ -50,11 +51,8 @@ _NOPCODES = len(OPCODE_NAMES)
 
 
 class VMProfile:
-    """Accumulated attribution from one or more profiled executions.
-
-    Merges across runs (and across programs, for suite-level tables):
-    all tallies are additive.
-    """
+    """Accumulated attribution from one or more profiled executions:
+    every tally is additive across runs."""
 
     def __init__(self) -> None:
         self.opcode_steps: list[int] = [0] * _NOPCODES
@@ -99,28 +97,6 @@ class VMProfile:
         self.func_steps[fn_name] = self.func_steps.get(fn_name, 0) + steps
         self.func_cycles[fn_name] = self.func_cycles.get(fn_name, 0.0) + cycles
         self.stacks[stack_key] = self.stacks.get(stack_key, 0.0) + cycles
-
-    # -- merge ----------------------------------------------------------
-    def merge(self, other: "VMProfile") -> "VMProfile":
-        for i in range(_NOPCODES):
-            self.opcode_steps[i] += other.opcode_steps[i]
-            self.opcode_cycles[i] += other.opcode_cycles[i]
-        for block, (fn_name, steps, cycles) in other._blocks.items():
-            acc = self._blocks.get(block)
-            if acc is None:
-                self._blocks[block] = [fn_name, steps, cycles]
-            else:
-                acc[1] += steps
-                acc[2] += cycles
-        for name, n in other.func_calls.items():
-            self.func_calls[name] = self.func_calls.get(name, 0) + n
-        for name, n in other.func_steps.items():
-            self.func_steps[name] = self.func_steps.get(name, 0) + n
-        for name, c in other.func_cycles.items():
-            self.func_cycles[name] = self.func_cycles.get(name, 0.0) + c
-        for key, c in other.stacks.items():
-            self.stacks[key] = self.stacks.get(key, 0.0) + c
-        return self
 
     # -- tables ---------------------------------------------------------
     def top_opcodes(self, n: int = 10) -> list[tuple[str, int, float]]:
@@ -245,11 +221,10 @@ class VMProfile:
 class ProfilingVirtualMachine(VirtualMachine):
     """A :class:`VirtualMachine` whose dispatch loop attributes cycles.
 
-    Always metered (attribution without metering is meaningless) and
-    always with ``profile=None`` / ``observer=None`` — the shared
-    opcode handlers check those two attributes for their fast edge
-    path, so pinning them keeps handler behaviour identical to an
-    unobserved metered run.  Use the base class's ``profile=`` hook
+    Metered, like every machine without a ``profile=`` collector
+    (attribution without metering is meaningless); the shared opcode
+    handlers then take the same fast edge paths as a measured run.  Use
+    the base class's ``profile=`` hook
     (:class:`~repro.interp.interpreter.ProfileCollector`) when you want
     branch probabilities for the compiler instead of a runtime profile.
     """
@@ -259,17 +234,11 @@ class ProfilingVirtualMachine(VirtualMachine):
         bytecode: BytecodeProgram,
         max_steps: int = 50_000_000,
         max_call_depth: int = 200,
-        vmprofile: Optional[VMProfile] = None,
     ) -> None:
         super().__init__(
-            bytecode,
-            max_steps=max_steps,
-            metered=True,
-            profile=None,
-            max_call_depth=max_call_depth,
-            observer=None,
+            bytecode, max_steps=max_steps, max_call_depth=max_call_depth
         )
-        self.vmprofile = vmprofile if vmprofile is not None else VMProfile()
+        self.vmprofile = VMProfile()
         self._stack: list[str] = []
 
     def _run_frame(self, fn, args):
@@ -364,7 +333,6 @@ def profile_run(
     *,
     bytecode: Optional[BytecodeProgram] = None,
     max_steps: int = 50_000_000,
-    vmprofile: Optional[VMProfile] = None,
 ) -> tuple[float, list[ExecutionResult], VMProfile]:
     """Execute ``entry`` over ``arg_sets`` under the profiling VM.
 
@@ -379,9 +347,7 @@ def profile_run(
         from .translate import translate_program
 
         bytecode = translate_program(program)
-    vm = ProfilingVirtualMachine(
-        bytecode, max_steps=max_steps, vmprofile=vmprofile
-    )
+    vm = ProfilingVirtualMachine(bytecode, max_steps=max_steps)
     total = 0.0
     results: list[ExecutionResult] = []
     for args in arg_sets:

@@ -25,15 +25,16 @@ Step parity falls out of the encoding: every executed bytecode tuple
 is exactly one reference step (instructions + terminators), and phi
 moves ride along with the branch at zero extra steps.
 
-Cycle costs are baked into each tuple at translation time.  Phi entry
-costs (zero under the default model) are folded into the cost of the
-successor block's first instruction — total metered cycles match the
-reference exactly on completed runs.
+Cycle costs (the node cost model, :func:`~repro.costmodel.model.cycles_of`)
+are baked into each tuple at translation time.  Phi entry costs (zero
+under the model) are folded into the cost of the successor block's
+first instruction — total metered cycles match the reference exactly
+on completed runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..costmodel.model import cycles_of
 from ..ir.cfgutils import reverse_post_order
@@ -117,14 +118,10 @@ class _GraphTranslator:
         program: Program,
         graph: Graph,
         functions: dict[str, BytecodeFunction],
-        cycle_cost: Callable,
-        terminator_cost: Callable,
     ) -> None:
         self.program = program
         self.graph = graph
         self.functions = functions
-        self.cycle_cost = cycle_cost
-        self.terminator_cost = terminator_cost
         self.regmap: dict = {}
         self.order = reverse_post_order(graph)
         assert self.order and self.order[0] is graph.entry
@@ -174,7 +171,7 @@ class _GraphTranslator:
     # -- instruction encoding -------------------------------------------
     def _encode(self, ins) -> list:
         """One pre-decoded tuple (as a mutable list until backpatch)."""
-        cost = self.cycle_cost(ins)
+        cost = cycles_of(ins)
         dest = self.regmap[ins]
         reg = self._reg
         if isinstance(ins, ArithOp):
@@ -221,7 +218,7 @@ class _GraphTranslator:
         raise AssertionError(f"cannot translate {type(ins).__name__}")
 
     def _encode_terminator(self, term) -> list:
-        cost = self.terminator_cost(term)
+        cost = cycles_of(term)
         if isinstance(term, Return):
             value = -1 if term.value is None else self._reg(term.value)
             return [OP_RETURN, cost, term, -1, value]
@@ -244,10 +241,9 @@ class _GraphTranslator:
                 for phi in target.phis
             ]
             moves = _sequentialize(pairs, self.scratch)
-            phis = tuple((phi, self.regmap[phi]) for phi in target.phis)
         else:
-            moves, phis = (), ()
-        return (pc, moves, phis, target)
+            moves = ()
+        return (pc, moves, target)
 
     # -- driver ----------------------------------------------------------
     def translate(self, fn: BytecodeFunction) -> BytecodeFunction:
@@ -265,7 +261,7 @@ class _GraphTranslator:
             if block.phis:
                 # Phi entry cost rides on the block's first instruction
                 # (always present: at minimum the terminator).
-                code[first][1] += sum(self.cycle_cost(p) for p in block.phis)
+                code[first][1] += sum(cycles_of(p) for p in block.phis)
         # Backpatch branch targets now that every block has a pc.
         for ins in code:
             op = ins[0]
@@ -291,8 +287,6 @@ def translate_graph(
     program: Program,
     graph: Graph,
     functions: Optional[dict[str, BytecodeFunction]] = None,
-    cycle_cost: Callable = cycles_of,
-    terminator_cost: Callable = cycles_of,
 ) -> BytecodeFunction:
     """Translate one function graph (callees resolve via ``functions``)."""
     if functions is None:
@@ -301,22 +295,17 @@ def translate_graph(
             for name, g in program.functions.items()
         }
     fn = functions[graph.name]
-    return _GraphTranslator(
-        program, graph, functions, cycle_cost, terminator_cost
-    ).translate(fn)
+    return _GraphTranslator(program, graph, functions).translate(fn)
 
 
 def translate_program(
     program: Program,
-    cycle_cost: Callable = cycles_of,
-    terminator_cost: Callable = cycles_of,
     check_bc: str = "off",
 ) -> BytecodeProgram:
     """Translate a whole program into executable bytecode.
 
-    Cost functions default to the node cost model so metered VM runs
-    report the same cycle totals as the metered reference interpreter;
-    pass custom functions to bake a different model.
+    Costs are the node cost model's, so metered VM runs report the same
+    cycle totals as the metered reference interpreter.
 
     ``check_bc="rewrite"`` runs the static bytecode verifier
     (:mod:`repro.analysis.bcverify`) on the freshly built streams and
@@ -329,7 +318,7 @@ def translate_program(
         for name, graph in program.functions.items()
     }
     for name, graph in program.functions.items():
-        translate_graph(program, graph, functions, cycle_cost, terminator_cost)
+        translate_graph(program, graph, functions)
     globals_init = tuple(
         (name, ty.default_value()) for name, ty in program.globals.items()
     )

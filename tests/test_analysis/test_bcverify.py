@@ -344,10 +344,7 @@ def test_megaunit_lint_rejects_the_retired_is_ref(bytecode, monkeypatch):
 
 
 def test_counted_megaunit_module_lints_clean(bytecode):
-    for metered in (False, True):
-        assert lint_megaunit_source(
-            bytecode, metered=metered, counted=True
-        ) == []
+    assert lint_megaunit_source(bytecode, counted=True) == []
     report = verify_bytecode(bytecode)
     assert report.ok, report.format()
 

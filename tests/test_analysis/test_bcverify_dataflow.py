@@ -27,7 +27,7 @@ from repro.vm.translate import translate_program
 
 
 def _edge(target, moves=()):
-    return (target, tuple(moves), (), None)
+    return (target, tuple(moves), None)
 
 
 def make_loop_fn():

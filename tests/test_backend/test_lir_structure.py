@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.progen import random_program
 from repro.backend.lir import PReg, StackSlot, VReg, fresh_vreg, Immediate
 from repro.backend.lowering import lower_graph, lower_program
 from repro.backend.regalloc import allocate, allocate_program
 from repro.frontend.irbuilder import compile_source
-from tests.generators import random_program
 
 
 class TestContainers:

@@ -5,13 +5,13 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.progen import random_program
 from repro.backend import Machine, compile_to_machine
 from repro.backend.machine import MachineBudgetExceeded
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter, deep_value
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import DBDS, DUPALOT
-from tests.generators import random_program
 
 
 def machine_outcome(machine: Machine, entry: str, args):

@@ -11,11 +11,11 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.progen import random_program
 from repro.dbds.duplicate import can_duplicate, duplicate_into
 from repro.frontend.irbuilder import compile_source
 from repro.ir import verify_graph
 from repro.ir.loops import LoopForest
-from tests.generators import random_program
 from tests.helpers import outcomes
 
 ARGS = [[0], [2], [5]]

@@ -4,13 +4,13 @@ and consistent with what the optimizer can actually deliver."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.progen import random_program
 from repro.costmodel.estimator import estimated_run_time
 from repro.dbds.phase import DbdsConfig, DbdsPhase
 from repro.dbds.simulation import SimulationTier
 from repro.frontend.irbuilder import compile_source
 from repro.interp.profile import apply_profile, profile_program
 from repro.ir import verify_graph
-from tests.generators import random_program
 
 
 def simulate_all(program):

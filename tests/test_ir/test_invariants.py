@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.progen import random_program
 from repro.frontend.irbuilder import compile_source
 from repro.ir import ArithOp, BinOp, verify_graph
 from repro.ir.cfgutils import canonical_cfg_cleanup, reverse_post_order
 from repro.ir.verifier import VerificationError
-from tests.generators import random_program
 
 
 class TestUseCountIntegrity:

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.progen import random_program
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import verify_graph
@@ -18,7 +19,6 @@ from repro.opts.peeling import (
 from repro.pipeline.cache import normalize_ir
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import PEEL_DBDS
-from tests.generators import random_program
 from tests.helpers import REPO, outcomes
 
 SIMPLE = """

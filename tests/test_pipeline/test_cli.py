@@ -73,6 +73,13 @@ class TestRun:
         assert main(argv + flags) == 0
         runs = json.loads(out.read_text())["counters"]["repro_vm_runs_total"]
         assert runs == {f"engine={engine}": 1}
+        if not flags:
+            # ``bench`` measures on the same default: recursion's five
+            # workloads under baseline, dbds and dupalot.
+            argv = ["bench", "--suite", "recursion", "--metrics-out", str(out)]
+            assert main(argv) == 0
+            runs = json.loads(out.read_text())["counters"]["repro_vm_runs_total"]
+            assert runs == {"engine=megaunit": 15}
 
     def test_warm_run_skips_parse_profile_compile_and_translate(
         self, tmp_path, monkeypatch, capsys
@@ -396,7 +403,8 @@ class TestArgparse:
 
     # ``compile`` never reads an entry, arguments or bytecode; the cache
     # of ``run``, ``check`` and ``bench`` is off unless --cache-dir; the
-    # profiling VM's tables are the ``profile`` verb's.
+    # profiling VM's tables are the ``profile`` verb's; ``check`` runs
+    # nothing it measures (its dynamic stamps observe on the reference).
     @pytest.mark.parametrize(
         "argv",
         [
@@ -407,11 +415,13 @@ class TestArgparse:
             ["check", "{path}", "--no-cache"],
             ["bench", "--no-cache"],
             ["run", "{path}", "--profile-run"],
+            ["check", "{path}", "--engine", "vm"],
+            ["bench", "--profile-run"],
         ],
         ids=[
             "compile --entry", "compile --args", "compile --check-bc",
             "run --no-cache", "check --no-cache", "bench --no-cache",
-            "run --profile-run",
+            "run --profile-run", "check --engine", "bench --profile-run",
         ],
     )
     def test_removed_flags_rejected(self, source_file, argv, capsys):

@@ -65,8 +65,8 @@ def test_pack_artifact_needs_only_shallow_recursion():
     fn = restored_bytecode.function("main")
     assert fn.entry_block is restored.function("main").entry
     bytecode = translate_program(program)
-    expected = VirtualMachine(bytecode, metered=True).run("main", [15])
-    actual = VirtualMachine(restored_bytecode, metered=True).run("main", [15])
+    expected = VirtualMachine(bytecode).run("main", [15])
+    actual = VirtualMachine(restored_bytecode).run("main", [15])
     assert (actual.value, actual.steps, actual.cycles) == (
         expected.value, expected.steps, expected.cycles
     )

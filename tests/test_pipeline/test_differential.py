@@ -13,11 +13,11 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.progen import random_program
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter, observable_outcome
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import BACKTRACKING, BASELINE, DBDS, DUPALOT
-from tests.generators import random_program
 from tests.helpers import outcomes
 
 

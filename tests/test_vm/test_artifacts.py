@@ -34,7 +34,7 @@ def test_pack_unpack_roundtrip_preserves_shared_identity():
     # The translation of the restored program references its own IR:
     # the entry block IS a block of the restored program.
     assert fn.entry_block is restored_program.function("main").entry
-    vm = VirtualMachine(restored_bytecode, metered=True)
+    vm = VirtualMachine(restored_bytecode)
     assert vm.run("main", [10]).value == 285
 
 

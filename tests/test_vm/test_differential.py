@@ -169,7 +169,7 @@ def test_unoptimized_programs_also_agree():
         reference = Interpreter(
             program, cycle_cost=cycles_of, terminator_cost=cycles_of
         )
-        vm = VirtualMachine(translate_program(program), metered=True)
+        vm = VirtualMachine(translate_program(program))
         for args in EXAMPLE_ARGS:
             reference.reset()
             vm.reset()
@@ -247,8 +247,8 @@ def test_reference_equality_is_identity_on_every_engine():
         "reference": Interpreter(
             program, cycle_cost=cycles_of, terminator_cost=cycles_of
         ),
-        "vm": VirtualMachine(bytecode, metered=True),
-        "megaunit": MegaunitVirtualMachine(bytecode, metered=True),
+        "vm": VirtualMachine(bytecode),
+        "megaunit": MegaunitVirtualMachine(bytecode),
     }
     outcomes = {}
     for name, engine in engines.items():

@@ -102,7 +102,7 @@ from repro.vm.translate import translate_program
 with open(sys.argv[1], "rb") as fh:
     program = unpack_artifact(fh.read())
 bytecode = translate_program(program)
-result = VirtualMachine(bytecode, metered=True).run("main", [int(sys.argv[2])])
+result = VirtualMachine(bytecode).run("main", [int(sys.argv[2])])
 print(json.dumps({"value": result.value, "steps": result.steps,
                   "cycles": result.cycles, "trap": result.trap}))
 """
@@ -112,7 +112,7 @@ def test_pickled_artifact_runs_in_a_fresh_process(tmp_path):
     source = (REPO / "examples" / "apps" / "matrix.mini").read_text()
     program, _ = compile_and_profile(source, "main", [[6]], DBDS)
     bytecode = translate_program(program)
-    VirtualMachine(bytecode, metered=True).run("main", [6])
+    VirtualMachine(bytecode).run("main", [6])
     path = tmp_path / "artifact.bin"
     path.write_bytes(pack_artifact(program))
     reference = Interpreter(

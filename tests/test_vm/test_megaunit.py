@@ -5,8 +5,10 @@ graph into one generated Python module — registers as locals, threaded
 intra-function dispatch, ``OP_CALL`` as a direct Python call — so every
 observable (values, traps, step/cycle accounting, budget stops mid-call
 and mid-segment, globals, reset) must match the reference interpreter
-bit-for-bit, and every degradation path (hooks, insufficient recursion
-headroom) must fall back transparently with a ``vm.fallback`` event.
+bit-for-bit, and insufficient recursion headroom must fall back
+transparently with a ``vm.fallback`` event.  A measured run executes the
+plain, metered module; a profiling run executes the counted one, which
+meters no cycles.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import sys
 
 import pytest
 
+import repro.vm.megaunit as megaunit_module
 from repro.analysis.bcverify import lint_megaunit_source, verify_bytecode
 from repro.costmodel.model import cycles_of
 from repro.frontend.irbuilder import compile_source
@@ -30,10 +33,10 @@ from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.front import make_engine
 from repro.pipeline.config import DBDS
+from repro.interp.profile import profile_program
 from repro.vm import MegaunitVirtualMachine, translate_program
 from repro.vm.bytecode import BytecodeProgram
 from repro.vm.megaunit import (
-    compile_module,
     generate_module_source,
     stack_headroom_ok,
     unit_functions,
@@ -86,19 +89,29 @@ fn main(x: int) -> int { return down(x, 0); }
 """
 
 
-def engines_for(source: str, metered: bool = True, **kwargs):
+def engines_for(source: str, profiled: bool = False, **kwargs):
+    """The reference and megaunit on ``source``, both measuring (metered)
+    or, with ``profiled``, both profiling into a collector of their own
+    (unmetered)."""
     program = compile_source(source)
     reference = Interpreter(
         program,
-        cycle_cost=cycles_of if metered else None,
-        terminator_cost=cycles_of if metered else None,
-        **{k: v for k, v in kwargs.items() if k != "max_steps"},
-        max_steps=kwargs.get("max_steps", 50_000_000),
+        cycle_cost=None if profiled else cycles_of,
+        terminator_cost=None if profiled else cycles_of,
+        profile=ProfileCollector() if profiled else None,
+        **kwargs,
     )
     megaunit = MegaunitVirtualMachine(
-        translate_program(program), metered=metered, **kwargs
+        translate_program(program),
+        profile=ProfileCollector() if profiled else None,
+        **kwargs,
     )
     return reference, megaunit
+
+
+def assert_same_counts(reference, megaunit):
+    assert reference.profile.block_counts == megaunit.profile.block_counts
+    assert reference.profile.branch_counts == megaunit.profile.branch_counts
 
 
 def assert_parity(reference, megaunit, args, entry="main"):
@@ -124,11 +137,12 @@ def test_apps_value_step_cycle_parity(name):
 def test_call_heavy_parity_and_unmetered():
     reference, megaunit = engines_for(CALLS)
     assert_parity(reference, megaunit, [9])
-    reference, megaunit = engines_for(CALLS, metered=False)
+    reference, megaunit = engines_for(CALLS, profiled=True)
     ref = reference.run("main", [9])
     out = megaunit.run("main", [9])
     assert (ref.value, ref.steps) == (out.value, out.steps)
     assert out.cycles == 0.0
+    assert_same_counts(reference, megaunit)
 
 
 def test_optimized_program_runs_through_make_engine():
@@ -194,8 +208,10 @@ def test_stack_overflow_trap_parity():
 # ----------------------------------------------------------------------
 # Budget stops: mid-segment, mid-call and at call boundaries
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
-def test_budget_stop_exact_at_every_cap(metered):
+#: "plain" is the unmetered row: a profiling run on the counted module,
+#: whose partial counts at the stop must match the reference's too
+@pytest.mark.parametrize("profiled", [True, False], ids=["plain", "metered"])
+def test_budget_stop_exact_at_every_cap(profiled):
     program = compile_source(CALLS)
     bytecode = translate_program(program)
     total = MegaunitVirtualMachine(bytecode).run("main", [5]).steps
@@ -203,11 +219,13 @@ def test_budget_stop_exact_at_every_cap(metered):
         reference = Interpreter(
             program,
             max_steps=cap,
-            cycle_cost=cycles_of if metered else None,
-            terminator_cost=cycles_of if metered else None,
+            cycle_cost=None if profiled else cycles_of,
+            terminator_cost=None if profiled else cycles_of,
+            profile=ProfileCollector() if profiled else None,
         )
         megaunit = MegaunitVirtualMachine(
-            bytecode, max_steps=cap, metered=metered
+            bytecode, max_steps=cap,
+            profile=ProfileCollector() if profiled else None,
         )
         ref_msg = mu_msg = None
         try:
@@ -220,8 +238,9 @@ def test_budget_stop_exact_at_every_cap(metered):
             mu_msg = str(exc)
         assert ref_msg == mu_msg
         assert reference.state.steps == megaunit.state.steps
-        if metered:
-            assert reference.state.cycles == megaunit.state.cycles
+        assert reference.state.cycles == megaunit.state.cycles
+        if profiled:
+            assert_same_counts(reference, megaunit)
 
 
 #: stores to arrays, fields and globals between the guards: a budget
@@ -256,7 +275,7 @@ def test_budget_stop_keeps_heap_and_globals_at_every_cap():
             program, max_steps=cap,
             cycle_cost=cycles_of, terminator_cost=cycles_of,
         )
-        megaunit = MegaunitVirtualMachine(bytecode, max_steps=cap, metered=True)
+        megaunit = MegaunitVirtualMachine(bytecode, max_steps=cap)
         outcomes = []
         for runner in (reference, megaunit):
             try:
@@ -316,8 +335,7 @@ def test_recursion_headroom_falls_back_to_vm():
     )
     tracer = Tracer()
     megaunit = MegaunitVirtualMachine(
-        bytecode, metered=True,
-        max_call_depth=sys.getrecursionlimit() + 100,
+        bytecode, max_call_depth=sys.getrecursionlimit() + 100
     )
     with use_tracer(tracer):
         assert_parity(reference, megaunit, [150])
@@ -356,20 +374,41 @@ def test_profile_hook_falls_back_to_machine_loops():
     assert not any(module.counts), "every count was folded"
 
 
-@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
-def test_counted_run_keeps_value_step_cycle_parity(metered):
-    reference, megaunit = engines_for(
-        CALLS, metered=metered, profile=ProfileCollector()
-    )
+@pytest.mark.parametrize("attached", [False, True], ids=["plain", "metered"])
+def test_counted_run_keeps_value_step_cycle_parity(attached):
+    # "metered": the machine first measures, then gets its collector
+    # attached the way the profiling runner attaches one before each
+    # run, and must stop metering and run the counted module.
+    reference, megaunit = engines_for(CALLS, profiled=True)
+    if attached:
+        collector, megaunit.profile = megaunit.profile, None
+        assert megaunit.metered
+        assert_parity(engines_for(CALLS)[0], megaunit, [5])
+        assert megaunit._module().counts is None
+        megaunit.profile = collector
+    assert not megaunit.metered
     for args in ([5], [9]):
         reference.reset()
         megaunit.reset()
         assert_parity(reference, megaunit, args)
-    assert reference.profile.block_counts == megaunit.profile.block_counts
-    assert reference.profile.branch_counts == megaunit.profile.branch_counts
+    assert megaunit._module().counts is not None
+    assert_same_counts(reference, megaunit)
+
+
+def _without_cycle_accounting(lines: list[str]) -> list[str]:
+    """``lines`` minus every cycle charge and flush, with each call-cost
+    reload ``c = m[1] + K`` cut back to ``c = m[1]``."""
+    kept = []
+    for line in lines:
+        if re.fullmatch(r"\s*(c \+= .*|state\.cycles = c( \+ .*)?)", line):
+            continue
+        kept.append(re.sub(r"^(\s*c = m\[1\]) \+ .*$", r"\1", line))
+    return kept
 
 
 def test_counted_module_only_differs_by_its_counters():
+    # The counted module without its counter lines is the plain module
+    # without its cycle accounting: a profiling run meters steps only.
     bytecode = translate_program(compile_source(CALLS))
     plain = generate_module_source(bytecode)
     counted = generate_module_source(bytecode, counted=True)
@@ -379,7 +418,29 @@ def test_counted_module_only_differs_by_its_counters():
     stripped = [
         line for line in counted.splitlines() if "_counts[" not in line
     ]
-    assert stripped == plain.splitlines()
+    assert stripped == _without_cycle_accounting(plain.splitlines())
+    assert stripped != plain.splitlines()
+
+
+def test_the_profiling_run_executes_the_verified_counted_module(monkeypatch):
+    # verify_bytecode lints (and SOURCE_DIGESTS pins) the text
+    # generate_module_source(..., counted=True) returns; it must be the
+    # very module a profiling run that moves to megaunit compiles.
+    compiled = []
+    original = megaunit_module.compile_module
+
+    def capture(bytecode, *args, **kwargs):
+        module = original(bytecode, *args, **kwargs)
+        compiled.append((bytecode, module))
+        return module
+
+    monkeypatch.setattr(megaunit_module, "compile_module", capture)
+    program = compile_source(open(APPS["nqueens"][0]).read())
+    profile_program(program, "main", [[8]])
+    assert len(compiled) == 1
+    bytecode, module = compiled[0]
+    assert module.counts is not None
+    assert module.source == generate_module_source(bytecode, counted=True)
 
 
 def test_counted_module_never_enters_the_codegen_cache(tmp_path):
@@ -393,30 +454,17 @@ def test_counted_module_never_enters_the_codegen_cache(tmp_path):
     assert (cache.stats.lookups, cache.stats.stores) == (0, 0)
 
 
-def test_observer_hook_falls_back_to_machine_loops():
-    program = compile_source(LOOP)
-    seen_ref, seen_mu = [], []
-    Interpreter(program, observer=lambda i, v: seen_ref.append((i, v))).run(
-        "main", [7]
-    )
-    MegaunitVirtualMachine(
-        translate_program(program),
-        observer=lambda i, v: seen_mu.append((i, v)),
-    ).run("main", [7])
-    assert seen_ref == seen_mu
-
-
 # ----------------------------------------------------------------------
 # Generated source: shape, lint, verifier integration
 # ----------------------------------------------------------------------
 def test_module_source_is_real_python_and_lints_clean():
     program, _ = compile_and_profile(CALLS, "main", [[6]], DBDS)
     bytecode = translate_program(program)
-    for metered in (False, True):
-        source = generate_module_source(bytecode, metered=metered)
+    for counted in (False, True):
+        source = generate_module_source(bytecode, counted=counted)
         compile(source, "<megaunit-test>", "exec")  # must parse
         assert "def _mu0(vm, m" in source
-        assert lint_megaunit_source(bytecode, metered=metered) == []
+        assert lint_megaunit_source(bytecode, counted=counted) == []
 
 
 def test_verify_bytecode_runs_the_megaunit_lint():
@@ -442,18 +490,14 @@ def test_codegen_cache_round_trip(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     tracer = Tracer()
     with use_tracer(tracer):
-        cold = MegaunitVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache
-        )
+        cold = MegaunitVirtualMachine(bytecode, codegen_cache=cache)
         cold_result = cold.run("main", [8])
     snap = MetricsSnapshot.from_tracer(tracer)
     assert snap.counter_value(
         "repro_codegen_cache_total", result="miss", engine="megaunit"
     ) == 1
     with use_tracer(tracer):
-        warm = MegaunitVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache
-        )
+        warm = MegaunitVirtualMachine(bytecode, codegen_cache=cache)
         warm_result = warm.run("main", [8])
     snap = MetricsSnapshot.from_tracer(tracer)
     assert snap.counter_value(
@@ -489,13 +533,13 @@ def test_older_codegen_schema_entries_are_ignored_and_regenerated(
             for i in range(len(order))
         ),
     }
-    key = codegen_cache.codegen_key(order, True, 50_000_000, 200)
+    key = codegen_cache.codegen_key(order, 50_000_000, 200)
     for old in range(1, current):
         cache = ArtifactCache(tmp_path / f"cache-{old}")
         # Under its own (older) key: never looked up by a current run.
         with monkeypatch.context() as patch:
             patch.setattr(codegen_cache, "CODEGEN_SCHEMA", old)
-            old_key = codegen_cache.codegen_key(order, True, 50_000_000, 200)
+            old_key = codegen_cache.codegen_key(order, 50_000_000, 200)
             codegen_cache.store_source(cache, old_key, stale)
         assert old_key != key
         # Under the current key (a stale or tampered entry): rejected on
@@ -503,9 +547,7 @@ def test_older_codegen_schema_entries_are_ignored_and_regenerated(
         cache.put_aux(key, dict(stale, schema=old))
         tracer = Tracer()
         with use_tracer(tracer):
-            megaunit = MegaunitVirtualMachine(
-                bytecode, metered=True, codegen_cache=cache
-            )
+            megaunit = MegaunitVirtualMachine(bytecode, codegen_cache=cache)
             reference, _ = engines_for(CALLS)
             assert_parity(reference, megaunit, [8])
         snap = MetricsSnapshot.from_tracer(tracer)
@@ -528,10 +570,10 @@ def test_codegen_cache_key_tracks_baked_knobs(tmp_path):
     tracer = Tracer()
     with use_tracer(tracer):
         MegaunitVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache, max_steps=1000
+            bytecode, codegen_cache=cache, max_steps=1000
         ).run("main", [5])
         MegaunitVirtualMachine(
-            bytecode, metered=True, codegen_cache=cache, max_steps=2000
+            bytecode, codegen_cache=cache, max_steps=2000
         ).run("main", [5])
     snap = MetricsSnapshot.from_tracer(tracer)
     assert snap.counter_value(
@@ -606,8 +648,9 @@ def test_codegen_cache_round_trip_per_entry(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("metered", [False, True], ids=["plain", "metered"])
-def test_each_entrys_unit_lints_clean(metered):
+#: the ids name the metering: the counted module is the unmetered one
+@pytest.mark.parametrize("counted", [True, False], ids=["plain", "metered"])
+def test_each_entrys_unit_lints_clean(counted):
     bytecode = translate_program(compile_source(TWO_ENTRIES))
     for entry in ("first", "second"):
         # An entry's unit is the whole-program module of the functions
@@ -617,9 +660,9 @@ def test_each_entrys_unit_lints_clean(metered):
             bytecode.globals_init,
         )
         assert generate_module_source(
-            bytecode, metered=metered, roots=[entry]
-        ) == generate_module_source(unit, metered=metered)
-        assert lint_megaunit_source(unit, metered=metered) == []
+            bytecode, roots=[entry], counted=counted
+        ) == generate_module_source(unit, counted=counted)
+        assert lint_megaunit_source(unit, counted=counted) == []
 
 
 # ----------------------------------------------------------------------
@@ -627,20 +670,22 @@ def test_each_entrys_unit_lints_clean(metered):
 # ----------------------------------------------------------------------
 #: sha256 of each app's whole-program module (plain, counted) under
 #: dbds, compiled with the APPS arguments as its profile.  Cached module
-#: text is keyed by the bytecode, not by the compiler, so a change here
-#: must come with a CODEGEN_SCHEMA bump.
+#: text is keyed by the bytecode, not by the compiler, so a change to
+#: the plain column must come with a CODEGEN_SCHEMA bump (the counted
+#: module is never cached; its column pins the unmetered text that
+#: profiling runs execute).
 SOURCE_DIGESTS = {
     "matrix": (
         "e4f24c4f32d436f0115b0349ec94f1ba943b0f92af2d4177c74936a5bfb5d214",
-        "9c08e07a3f8a486260d3d5a89416d5e9d841f142720a9e779d4891348f7d9c87",
+        "5126d7da41c9ad26b020238affcdf624c9601ba6b3d5accf863432fe17a0afd8",
     ),
     "nqueens": (
         "a8d11b6676811a1e917495a45008f6b505153717ba3dc2dfa87c348a55b8db82",
-        "666bd7ff162e651fb4f515dcb7772058c33f2a6f6b0f8b0d80b54c87f0f47d33",
+        "35109560fb42b24e2154ed051accbaadc3a4a1f2e69789b1012ac77eeff2996a",
     ),
     "wordfreq": (
         "0f2b623ccc1f25cec4de7bec53e9a097cf2b7c84d119ca92362876d1fbfb0a6d",
-        "79dd92fb5fbafbcba21ec8a08fce9bf8b33088fdd2265002d2e41ff93ef6fff2",
+        "eb763f6b9f2888b589b84a0a5af29210ba8d42403fce33917eb13d1815c349ec",
     ),
 }
 

@@ -42,7 +42,7 @@ def test_base_opcodes_are_the_first_32():
 def _sample(op: int, fn: BytecodeFunction) -> tuple:
     """A well-shaped instruction tuple for ``op`` (never executed)."""
     spec = OPCODE_SPECS[op]
-    edge = (0, ((2, 1),), (), None)
+    edge = (0, ((2, 1),), None)
     if spec.family == "call":
         return (op, 1, None, 0, fn, (1,))
     if spec.family == "goto":
@@ -61,7 +61,7 @@ def test_megaunit_codegen_covers_the_full_base_space():
     fn.nregs, fn.template = 3, [None] * 3
     fn.code = (_sample(OP_CALL, fn),)
     for op, spec in OPCODE_SPECS.items():
-        compiler = _FunctionCompiler(fn, True, 100, 10, 0, {id(fn): "_mu0"})
+        compiler = _FunctionCompiler(fn, 100, 10, 0, {id(fn): "_mu0"})
         ins = _sample(op, fn)
         if spec.family == "call":
             compiler.gen_call(0, ins, 0)
@@ -70,7 +70,7 @@ def test_megaunit_codegen_covers_the_full_base_space():
         else:
             compiler.gen_ins(0, ins, 1, 0)
         assert compiler.lines, spec.name
-    compiler = _FunctionCompiler(fn, True, 100, 10, 0, {id(fn): "_mu0"})
+    compiler = _FunctionCompiler(fn, 100, 10, 0, {id(fn): "_mu0"})
     with pytest.raises(AssertionError):
         compiler.gen_ins(0, (len(OPCODE_NAMES), 1, None, 0), 1, 0)
 

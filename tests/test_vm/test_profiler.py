@@ -20,7 +20,7 @@ from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import DBDS
 from repro.vm import VirtualMachine, translate_program
 from repro.vm.bytecode import OPCODE_NAMES
-from repro.vm.profiler import ProfilingVirtualMachine, VMProfile, profile_run
+from repro.vm.profiler import ProfilingVirtualMachine, profile_run
 
 APPS = {
     "nqueens": ("examples/apps/nqueens.mini", [6]),
@@ -47,7 +47,7 @@ fn main(n: int) -> int { return fib(n); }
 def metered_and_profiled(source: str, args):
     program = compile_source(source)
     bytecode = translate_program(program)
-    base = VirtualMachine(bytecode, metered=True)
+    base = VirtualMachine(bytecode)
     prof = ProfilingVirtualMachine(bytecode)
     ref = base.run("main", list(args))
     out = prof.run("main", list(args))
@@ -70,9 +70,10 @@ class TestZeroOverhead:
     def test_profiler_pins_the_handler_fast_path(self):
         program = compile_source("fn main(n: int) -> int { return n; }")
         vm = ProfilingVirtualMachine(translate_program(program))
-        # The shared opcode handlers branch on these two attributes;
-        # None keeps them on the same fast edge path as the default VM.
-        assert vm.profile is None and vm.observer is None
+        # The shared opcode handlers branch on the collector; None keeps
+        # them on the same fast edge path as a measured run, which
+        # meters.
+        assert vm.profile is None
         assert vm.metered
 
     @pytest.mark.parametrize("name", sorted(APPS))
@@ -91,7 +92,7 @@ class TestZeroOverhead:
         source = open("examples/apps/nqueens.mini").read()
         program, _ = compile_and_profile(source, "main", [[5]], DBDS)
         bytecode = translate_program(program)
-        ref = VirtualMachine(bytecode, metered=True).run("main", [7])
+        ref = VirtualMachine(bytecode).run("main", [7])
         out = ProfilingVirtualMachine(bytecode).run("main", [7])
         assert (ref.value, ref.steps, ref.cycles) == (
             out.value,
@@ -138,7 +139,7 @@ class TestReconciliation:
         )
         program = compile_source(source)
         bytecode = translate_program(program)
-        base = VirtualMachine(bytecode, metered=True, max_steps=1000)
+        base = VirtualMachine(bytecode, max_steps=1000)
         prof = ProfilingVirtualMachine(bytecode, max_steps=1000)
         with pytest.raises(BudgetExceeded):
             base.run("main", [0])
@@ -193,14 +194,6 @@ class TestAttribution:
         total, _, twice = profile_run(program, arg_sets=[(6,), (6,)])
         assert twice.total_steps == 2 * once.total_steps
         assert twice.reconciles(total)
-
-    def test_merge_is_additive(self):
-        program = compile_source(RECURSIVE)
-        _, _, a = profile_run(program, arg_sets=[(5,)])
-        _, _, b = profile_run(program, arg_sets=[(5,)])
-        merged = VMProfile().merge(a).merge(b)
-        assert merged.total_steps == a.total_steps + b.total_steps
-        assert merged.total_cycles == a.total_cycles + b.total_cycles
 
     def test_json_export(self):
         _, _, vmprofile = profile_run(compile_source(RECURSIVE), arg_sets=[(5,)])

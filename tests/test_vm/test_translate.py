@@ -108,10 +108,12 @@ def test_phis_lower_to_edge_moves():
         elif ins[0] == OP_IF:
             edges.extend([ins[5], ins[6]])
     # No PHI opcode exists; the merge's phi shows up as (dst, src)
-    # register moves (or pre-materialized constants) on incoming edges.
+    # register moves (or pre-materialized constants) on incoming edges,
+    # which are (target_pc, moves, target_block) descriptors.
+    assert all(len(edge) == 3 for edge in edges)
     moved = [edge for edge in edges if edge[1]]
-    phis = [edge for edge in edges if edge[2]]
-    assert phis, "edges into the merge must carry the phi list"
+    assert moved, "edges into the merge must carry the phi's moves"
+    assert all(edge[2].phis for edge in moved)
     assert all(
         isinstance(d, int) and isinstance(s, int)
         for edge in moved for d, s in edge[1]
