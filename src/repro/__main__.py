@@ -38,8 +38,8 @@ oracle interpreter; docs/VM.md); the profiling run that feeds the
 compiler picks its own engine.  ``bench --engine-report FILE`` writes
 the engine comparison matrix and ``check --diff-engines``/
 ``--fuzz-engines N`` differentially validate every engine against the
-reference (docs/VM.md).  ``profile`` executes under the profiling VM
-and prints per-opcode/function/block hot-path tables; ``run``,
+reference (docs/VM.md).  ``profile`` runs measured and profiled and
+prints per-opcode/function/block hot-path tables; ``run``,
 ``batch``, ``bench``, ``check`` and ``profile`` accept
 ``--metrics-out FILE``/``--metrics-prom FILE`` to export the metrics
 snapshot, a view of the verb's one trace; ``bench
@@ -67,6 +67,7 @@ import json
 import pathlib
 import sys
 from contextlib import contextmanager
+from typing import Any, Callable
 
 # Only what every verb needs loads here: a warm ``run`` executes a cached
 # program and never loads the compiler (see docs/PIPELINE.md).  Modules
@@ -89,7 +90,7 @@ from .bench.harness import (
     run_suite,
     suite_report_json,
 )
-from .interp.interpreter import BudgetExceeded, Interpreter
+from .interp.interpreter import BudgetExceeded
 from .ir.stamps import INT_MAX, INT_MIN
 from .obs.sinks import write_jsonl
 from .obs.tracer import NULL_TRACER, Tracer, current_tracer, use_tracer
@@ -149,6 +150,25 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
         choices=sorted(CONFIGURATIONS),
         help="compiler configuration",
     )
+
+
+def at_least(parse: Callable[[str], Any], low, strict: bool = False):
+    """An argparse type: ``parse(text)``, which must be at least ``low``
+    (above it when ``strict``); anything else is a usage error (exit 2).
+    """
+
+    def parse_bounded(text: str):
+        value = parse(text)
+        if not (value > low if strict else value >= low):  # NaN fails both
+            raise argparse.ArgumentTypeError(
+                f"{text} is out of range (must be {'>' if strict else '>='}"
+                f" {low})"
+            )
+        return value
+
+    # argparse names the type in its "invalid <type> value" message
+    parse_bounded.__name__ = parse.__name__
+    return parse_bounded
 
 
 def int64(text: str) -> int:
@@ -506,7 +526,11 @@ def _check_program_sweeps(
 ) -> int:
     """The post-compile sweeps: registered IR checkers plus optional
     LIR and dynamic-stamp validation; returns the failure count."""
-    from .analysis import check_stamp_dynamic, run_lir_checkers, run_program_checkers
+    from .analysis import (
+        StampCheckingInterpreter,
+        run_lir_checkers,
+        run_program_checkers,
+    )
 
     program = artifact.program
     failures = 0
@@ -533,19 +557,11 @@ def _check_program_sweeps(
                 failures += 1
 
     if args.dynamic_stamps:
-        problems: list[str] = []
-
-        def observe(instruction, value) -> None:
-            message = check_stamp_dynamic(instruction, value)
-            if message is not None:
-                problems.append(message)
-
         # The stamp verdict is a property of the optimized IR: observe
         # it on the oracle (--diff-engines holds the VMs to it).
-        Interpreter(program, observer=observe).run(
-            args.entry, list(args.args)
-        )
-        for message in problems:
+        interpreter = StampCheckingInterpreter(program)
+        interpreter.run(args.entry, list(args.args))
+        for message in interpreter.problems:
             print(f"{path}: dynamic-stamp: {message}", file=sys.stderr)
             failures += 1
 
@@ -670,7 +686,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     profile = ALL_SUITES[args.suite]
     cache = _make_cache(args)
     trajectory = (
-        _load_trajectory(args.check_regression)
+        _load_trajectory(args.check_regression, must_exist=True)
         if args.check_regression is not None
         else None
     )
@@ -709,12 +725,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trajectory(path: pathlib.Path) -> dict:
-    """The trajectory at ``path``; one that cannot be read or parsed is
-    a :class:`UserError`."""
+def _load_trajectory(path: pathlib.Path, must_exist: bool = False) -> dict:
+    """The trajectory at ``path`` (empty when absent, unless
+    ``must_exist``); one that cannot be read or parsed is a
+    :class:`UserError`."""
     from .bench.trajectory import load_trajectory
 
     try:
+        if must_exist:
+            path.stat()  # a missing file raises here, not an empty history
         return load_trajectory(path)
     except OSError as exc:
         raise UserError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -774,7 +793,7 @@ def _bench_trajectory(
 
 @_with_telemetry
 def cmd_profile(args: argparse.Namespace) -> int:
-    """JIT-compile, execute under the profiling VM, print hot paths."""
+    """JIT-compile, execute measured and profiled, print hot paths."""
     from .vm.profiler import profile_run
 
     try:
@@ -800,8 +819,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(f"compile time    : {artifact.report.total_compile_time * 1e3:.2f} ms")
     print()
     print(vmprofile.format(top=args.top))
-    # The per-opcode cycle sum must match the metered total.
-    ok = vmprofile.reconciles(cycles)
+    # The derived cycles and steps must match the measured run's.
+    ok = vmprofile.reconciles(cycles, result.steps)
     print()
     print(
         f"reconciliation  : per-opcode cycles {vmprofile.total_cycles:.0f} "
@@ -904,7 +923,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_check_flags(profile_parser)
     _add_metrics_flags(profile_parser)
     profile_parser.add_argument(
-        "--top", type=int, default=10, help="rows per profile table"
+        "--top", type=at_least(int, 1), default=10,
+        help="rows per profile table",
     )
     profile_parser.add_argument(
         "--collapsed",
@@ -934,7 +954,7 @@ def main(argv: list[str] | None = None) -> int:
     batch_parser.add_argument(
         "-j",
         "--jobs",
-        type=int,
+        type=at_least(int, 1),
         default=None,
         help="worker processes (default: os.cpu_count(); 1 = no pool)",
     )
@@ -972,7 +992,8 @@ def main(argv: list[str] | None = None) -> int:
         "--out", type=pathlib.Path, default=None, help="write the JSONL trace here"
     )
     trace_parser.add_argument(
-        "--top", type=int, default=10, help="rows per profile section"
+        "--top", type=at_least(int, 1), default=10,
+        help="rows per profile section",
     )
     trace_parser.add_argument(
         "--decisions",
@@ -1006,7 +1027,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     check_parser.add_argument(
         "--fuzz",
-        type=int,
+        type=at_least(int, 0),
         default=0,
         metavar="N",
         help="also translation-validate N generated programs",
@@ -1014,7 +1035,7 @@ def main(argv: list[str] | None = None) -> int:
     check_parser.add_argument("--seed", type=int, default=0, help="fuzz seed")
     check_parser.add_argument(
         "--fuzz-mutations",
-        type=int,
+        type=at_least(int, 0),
         default=0,
         metavar="N",
         help="also translation-validate N mutants of the checked sources "
@@ -1022,7 +1043,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     check_parser.add_argument(
         "--time-budget",
-        type=float,
+        type=at_least(float, 0, strict=True),
         default=None,
         help="stop fuzzing after this many seconds",
     )
@@ -1034,7 +1055,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     check_parser.add_argument(
         "--fuzz-engines",
-        type=int,
+        type=at_least(int, 0),
         default=0,
         metavar="N",
         help="also engine-validate N mutants of the checked sources "
@@ -1105,7 +1126,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench_parser.add_argument(
         "--regression-threshold",
-        type=float,
+        type=at_least(float, 0),
         default=DEFAULT_REGRESSION_THRESHOLD,
         metavar="FRAC",
         help="tolerated relative median-cycles growth (default: %(default)s)",

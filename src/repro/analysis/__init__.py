@@ -46,6 +46,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".checkers": (
         "CORE_CHECKERS",
         "STRUCTURAL_CHECKERS",
+        "StampCheckingInterpreter",
         "check_stamp_dynamic",
         "stamp_admits",
     ),
@@ -107,6 +108,7 @@ __all__ = [
     "ProgramGenerator",
     "STRUCTURAL_CHECKERS",
     "Severity",
+    "StampCheckingInterpreter",
     "SourceMutator",
     "ValidationResult",
     "Violation",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from ..interp.interpreter import _EXEC_HANDLERS, Interpreter, _resolve_handler
 from ..ir.block import Block
 from ..ir.nodes import (
     ArithOp,
@@ -309,14 +310,45 @@ def stamp_admits(stamp, value) -> bool:
 
 
 def check_stamp_dynamic(instruction: Instruction, value) -> Optional[str]:
-    """Dynamic stamp check for the interpreter's observer hook: the
-    declared stamp must admit the value actually produced."""
+    """Dynamic stamp check of one produced value: the declared stamp
+    must admit the value actually produced."""
     if stamp_admits(instruction.stamp, value):
         return None
     return (
         f"{instruction!r} produced {value!r} outside its declared "
         f"stamp {instruction.stamp!r}"
     )
+
+
+class StampCheckingInterpreter(Interpreter):
+    """The reference interpreter, checking every value an instruction or
+    phi produces with :func:`check_stamp_dynamic` (``repro check
+    --dynamic-stamps``); the messages collect in ``problems``."""
+
+    def __init__(self, program, **kwargs) -> None:
+        super().__init__(program, **kwargs)
+        self.problems: list[str] = []
+
+    def observe(self, instruction: Instruction, value) -> None:
+        message = check_stamp_dynamic(instruction, value)
+        if message is not None:
+            self.problems.append(message)
+
+    def _execute(self, ins, env):
+        # Dispatch as Interpreter._execute does rather than through it:
+        # no extra Python frame per nested call, so a run as deep as
+        # MAX_CALL_DEPTH fits CPython's default recursion limit.
+        cls = type(ins)
+        value = (_EXEC_HANDLERS.get(cls) or _resolve_handler(cls))(
+            self, ins, env
+        )
+        self.observe(ins, value)
+        return value
+
+    def _charge_block_entry(self, block, pred, env) -> None:
+        super()._charge_block_entry(block, pred, env)
+        for phi in block.phis:
+            self.observe(phi, env[phi])
 
 
 @checker("stamp-soundness", description="declared stamps over-approximate values")

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..ir.ops import EvaluationTrap, check_array_length, eval_binop, eval_cmp, wrap64
+from ..ir.ops import (
+    MAX_CALL_DEPTH,
+    EvaluationTrap,
+    check_array_length,
+    eval_binop,
+    eval_cmp,
+    wrap64,
+)
 from ..interp.interpreter import HeapArray, HeapObject
 from .lir import (
     Immediate,
@@ -60,7 +67,6 @@ class Machine:
 
     program: LirProgram
     max_steps: int = 50_000_000
-    max_call_depth: int = 200
     globals: dict[str, Any] = field(default_factory=dict)
     _steps: int = 0
     _depth: int = 0
@@ -90,7 +96,7 @@ class Machine:
             )
         self._depth += 1
         try:
-            if self._depth > self.max_call_depth:
+            if self._depth > MAX_CALL_DEPTH:
                 raise EvaluationTrap("stack overflow")
             return self._run_frame(function, args)
         finally:

@@ -10,7 +10,7 @@ Three roles:
   like Graal consumes HotSpot profiles, Section 5.3) is collected on
   the bytecode VM by :func:`repro.interp.profile.profile_program`; the
   parity tests demand it equal this hook's counts.
-* **Performance simulator** — executions can be charged node-cost-model
+* **Performance simulator** — a ``metered`` run charges node-cost-model
   cycles per executed instruction, giving the "peak performance" metric
   of the evaluation (see DESIGN.md for why this substitution is sound).
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from ..costmodel.model import cycles_of
 from ..ir.block import Block
 from ..ir.graph import Graph, Program
 from ..ir.nodes import (
@@ -47,6 +48,7 @@ from ..ir.nodes import (
     Value,
 )
 from ..ir.ops import (
+    MAX_CALL_DEPTH,
     EvaluationTrap,
     check_array_length,
     eval_binop,
@@ -114,21 +116,15 @@ class Interpreter:
         self,
         program: Program,
         max_steps: int = 50_000_000,
-        cycle_cost: Optional[Callable[[Instruction], float]] = None,
-        terminator_cost: Optional[Callable[[Any], float]] = None,
         profile: Optional["ProfileCollector"] = None,
-        max_call_depth: int = 200,
-        observer: Optional[Callable[[Instruction, Any], None]] = None,
+        metered: bool = False,
     ) -> None:
         self.program = program
         self.max_steps = max_steps
-        self.cycle_cost = cycle_cost
-        self.terminator_cost = terminator_cost
         self.profile = profile
-        self.max_call_depth = max_call_depth
-        #: called with (instruction, produced value) after every
-        #: execution step — the hook dynamic stamp checking plugs into
-        self.observer = observer
+        #: charge every instruction, phi and terminator its
+        #: :func:`~repro.costmodel.model.cycles_of` cycles
+        self.metered = metered
         self._call_depth = 0
         self.state = InterpreterState()
         self._init_globals()
@@ -169,7 +165,7 @@ class Interpreter:
             self._call_depth -= 1
 
     def _run_frame(self, graph: Graph, args: list[Any]) -> Any:
-        if self._call_depth > self.max_call_depth:
+        if self._call_depth > MAX_CALL_DEPTH:
             raise EvaluationTrap("stack overflow")
         env: dict[Value, Any] = {}
         for param, arg in zip(graph.parameters, args):
@@ -182,14 +178,12 @@ class Interpreter:
             for instruction in block.instructions:
                 self._step()
                 env[instruction] = self._execute(instruction, env)
-                if self.observer is not None:
-                    self.observer(instruction, env[instruction])
-                if self.cycle_cost is not None:
-                    self.state.cycles += self.cycle_cost(instruction)
+                if self.metered:
+                    self.state.cycles += cycles_of(instruction)
             terminator = block.terminator
             self._step()
-            if self.terminator_cost is not None:
-                self.state.cycles += self.terminator_cost(terminator)
+            if self.metered:
+                self.state.cycles += cycles_of(terminator)
             if isinstance(terminator, Return):
                 if terminator.value is None:
                     return None
@@ -221,10 +215,8 @@ class Interpreter:
         values = [self._value_of(phi.input(index), env) for phi in block.phis]
         for phi, value in zip(block.phis, values):
             env[phi] = value
-            if self.observer is not None:
-                self.observer(phi, value)
-            if self.cycle_cost is not None:
-                self.state.cycles += self.cycle_cost(phi)
+            if self.metered:
+                self.state.cycles += cycles_of(phi)
 
     def _step(self) -> None:
         self.state.steps += 1

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from ..ir.graph import Program
-from ..ir.loops import DEFAULT_TRIP_COUNT
 from ..ir.nodes import If
 from ..obs.tracer import current_tracer
 from .interpreter import BudgetExceeded, ProfileCollector
@@ -170,8 +169,3 @@ def apply_profile(program: Program, collector: ProfileCollector) -> None:
         # Probabilities and trip counts feed the frequency analysis (and
         # LoopForest snapshots trip counts at build time): recompute.
         graph.invalidate_analyses()
-
-
-def profiled_trip_count(block) -> float:
-    """Trip count recorded on a loop header, or the static default."""
-    return getattr(block, "profile_trip_count", DEFAULT_TRIP_COUNT)

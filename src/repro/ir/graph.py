@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .block import Block
-from .nodes import Constant, Parameter, Value
+from .nodes import Constant, Parameter
 from .types import BOOL, INT, ClassTable, Type, VOID
 
 
@@ -196,7 +196,3 @@ class Program:
     def describe(self) -> str:
         return "\n\n".join(g.describe() for g in self.functions.values())
 
-
-def uses_of(value: Value):
-    """All (user, count) pairs of a value — convenience for analyses."""
-    return list(value.uses.items())

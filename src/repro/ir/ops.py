@@ -26,6 +26,10 @@ class EvaluationTrap(Exception):
 #: failing to allocate or exhausting memory
 MAX_ARRAY_LENGTH = 1 << 24
 
+#: the deepest MiniLang call stack: the call that would nest one frame
+#: deeper traps with ``stack overflow`` on every engine
+MAX_CALL_DEPTH = 200
+
 
 def check_array_length(length: int) -> int:
     """``length``, if ``new T[length]`` can allocate it; a negative

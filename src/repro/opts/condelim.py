@@ -28,7 +28,7 @@ from ..ir.stamps import (
     TRUE_STAMP,
     join as stamp_join,
 )
-from .base import OptimizationContext, Phase
+from .base import Phase
 from .canonicalize import remove_dead_instructions
 from .stampmath import compare_stamps, refine_by_compare
 
@@ -67,17 +67,6 @@ class FactScope:
 
     def snapshot(self) -> dict[Value, Stamp]:
         return dict(self._facts)
-
-
-class FactContext(OptimizationContext):
-    """Optimization context whose stamps include branch facts."""
-
-    def __init__(self, graph: Graph, facts: FactScope) -> None:
-        super().__init__(graph)
-        self.facts = facts
-
-    def stamp(self, value: Value) -> Stamp:
-        return self.facts.stamp_of(self.resolve(value))
 
 
 def assume_condition(facts: FactScope, condition: Value, holds: bool) -> None:

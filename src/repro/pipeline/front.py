@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from ..analysis.blame import CHECK_OFF
-from ..costmodel.model import cycles_of
 from ..interp.interpreter import ExecutionResult, Interpreter
 from ..ir.graph import Program
 from ..obs.tracer import Event, Tracer, current_tracer
@@ -291,12 +290,7 @@ def make_engine(
     cycles/steps/outcomes by construction.
     """
     if engine == "reference":
-        return Interpreter(
-            program,
-            max_steps=max_steps,
-            cycle_cost=cycles_of,
-            terminator_cost=cycles_of,
-        )
+        return Interpreter(program, max_steps=max_steps, metered=True)
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r} (expected one of {ENGINES})"

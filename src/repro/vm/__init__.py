@@ -12,7 +12,8 @@ engines:
 
 * the **vm** loop (:mod:`repro.vm.machine`, ``--engine=vm``) dispatches
   the 32 base opcodes through a handler table; it carries the profile
-  hooks and is megaunit's fallback;
+  hooks and is megaunit's fallback, and ``repro profile`` derives its
+  tables from a profiling run on it (:mod:`repro.vm.profiler`);
 * the **megaunit engine** (:mod:`repro.vm.megaunit`,
   ``--engine=megaunit``, the default for measured runs) compiles the
   whole call graph into one ``exec`` unit — registers in Python
@@ -42,7 +43,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".megaunit": (
         "MegaunitModule", "MegaunitVirtualMachine", "generate_module_source",
     ),
-    ".profiler": ("ProfilingVirtualMachine", "VMProfile", "profile_run"),
+    ".profiler": (
+        "ProfilingVirtualMachine", "StackCollector", "VMProfile", "profile_run",
+    ),
     ".translate": ("translate_graph", "translate_program"),
 })
 
@@ -54,6 +57,7 @@ __all__ = [
     "OPCODE_SPECS",
     "OpSpec",
     "ProfilingVirtualMachine",
+    "StackCollector",
     "VMProfile",
     "VirtualMachine",
     "disassemble",

@@ -10,8 +10,8 @@ tuples**.  Every tuple shares a fixed prefix::
   baked at translation time so metered runs add a number instead of
   calling the cost model;
 * ``source_node`` — the originating IR node (kept for
-  ``ProfileCollector.record_branch``, the profiling VM's block
-  attribution and diagnostics);
+  ``ProfileCollector.record_branch``, ``repro profile``'s grouping of
+  instructions by block, and diagnostics);
 * ``dest_register`` — index into the flat register file, or ``-1``
   for terminators (which produce no value).
 

@@ -9,7 +9,7 @@ warm runs, skipping source generation and the per-line f-string work
 entirely.
 
 Keys are content digests over schema + per-function stream digests +
-every baked knob (``max_steps``, ``max_call_depth``), so a stale
+every baked knob (``max_steps``, ``MAX_CALL_DEPTH``), so a stale
 artifact can never be executed against a stream it was not generated
 from.  Payloads carry the source plus the function-name order
 needed to rebuild the exec namespace without regenerating.  Hits and
@@ -24,6 +24,7 @@ import json
 import re
 from typing import Any, Optional, Sequence
 
+from ..ir.ops import MAX_CALL_DEPTH
 from ..obs.tracer import current_tracer
 from .bytecode import BytecodeFunction, disassemble
 
@@ -74,11 +75,7 @@ def function_digest(fn: BytecodeFunction) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def codegen_key(
-    fns: Sequence[BytecodeFunction],
-    max_steps: int,
-    max_call_depth: int,
-) -> str:
+def codegen_key(fns: Sequence[BytecodeFunction], max_steps: int) -> str:
     """The aux-store key for one generated (plain) source unit; the
     counted module is never cached."""
     payload = json.dumps(
@@ -87,7 +84,7 @@ def codegen_key(
             "engine": ENGINE,
             "functions": [function_digest(fn) for fn in fns],
             "max_steps": max_steps,
-            "max_call_depth": max_call_depth,
+            "max_call_depth": MAX_CALL_DEPTH,
         },
         sort_keys=True,
     )

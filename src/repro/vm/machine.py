@@ -13,8 +13,8 @@ reference interpreter's observable semantics:
   ``record_branch`` per ``If``);
 * a machine meters exactly when no profile collector is attached: a
   measured run accumulates the costs baked into the tuples, matching
-  the reference's ``cycle_cost=cycles_of`` totals, and a profiling run
-  counts blocks and branches instead.
+  a ``metered`` reference's totals, and a profiling run counts blocks
+  and branches instead.
 
 The dispatch loop keeps ``steps``/``cycles`` in Python locals and
 flushes them to the shared :class:`InterpreterState` around calls,
@@ -35,7 +35,7 @@ from ..interp.interpreter import (
     InterpreterState,
     ProfileCollector,
 )
-from ..ir.ops import EvaluationTrap, check_array_length
+from ..ir.ops import MAX_CALL_DEPTH, EvaluationTrap, check_array_length
 from .bytecode import OP_CALL, BytecodeFunction, BytecodeProgram
 
 _MASK = (1 << 64) - 1
@@ -300,12 +300,10 @@ class VirtualMachine:
         bytecode: BytecodeProgram,
         max_steps: int = 50_000_000,
         profile: Optional[ProfileCollector] = None,
-        max_call_depth: int = 200,
     ) -> None:
         self.bytecode = bytecode
         self.max_steps = max_steps
         self.profile = profile
-        self.max_call_depth = max_call_depth
         self._call_depth = 0
         self._retval: Any = None
         self.state = InterpreterState()
@@ -351,7 +349,7 @@ class VirtualMachine:
             self._call_depth -= 1
 
     def _run_frame(self, fn: BytecodeFunction, args: list[Any]) -> Any:
-        if self._call_depth > self.max_call_depth:
+        if self._call_depth > MAX_CALL_DEPTH:
             raise EvaluationTrap("stack overflow")
         regs = fn.template[:]
         if args:

@@ -71,7 +71,7 @@ Graceful degradation: nested MiniLang calls are native Python calls,
 so a worst-case-deep run could hit CPython's recursion limit
 mid-frame — unrecoverable, since globals and heap effects are already
 applied.  ``_run_frame`` therefore checks *up front* that the worst
-case (``max_call_depth`` minus the current depth, plus
+case (:data:`~repro.ir.ops.MAX_CALL_DEPTH` minus the current depth, plus
 ``_STACK_HEADROOM`` slack) fits under ``sys.getrecursionlimit()`` and
 otherwise runs the activation on the inherited ``vm`` loop, emitting a
 ``vm.fallback`` tracer event (once per machine and reason) and
@@ -109,7 +109,7 @@ from ..interp.interpreter import (
     ExecutionResult,
     ProfileCollector,
 )
-from ..ir.ops import MAX_ARRAY_LENGTH, EvaluationTrap
+from ..ir.ops import MAX_ARRAY_LENGTH, MAX_CALL_DEPTH, EvaluationTrap
 from ..obs.tracer import current_tracer
 from .bytecode import (
     OP_ADD,
@@ -258,13 +258,13 @@ def _finish_budget(vm, fn, steps, cycles, pc, *live) -> None:
             cycles += ins[1]
 
 
-def stack_headroom_ok(call_depth: int, max_call_depth: int) -> bool:
+def stack_headroom_ok(call_depth: int) -> bool:
     """Can the *worst case* remaining MiniLang depth run as native
-    Python calls?  Conservative by design: uses ``max_call_depth``, not
+    Python calls?  Conservative by design: uses ``MAX_CALL_DEPTH``, not
     the depth the program will actually reach, because a megaunit frame
     that hits CPython's recursion limit mid-run cannot be replayed
     (heap and global effects are already applied)."""
-    remaining = max_call_depth - call_depth + 1
+    remaining = MAX_CALL_DEPTH - call_depth + 1
     depth = 0
     frame = sys._getframe()
     while frame is not None:
@@ -287,14 +287,12 @@ class _FunctionCompiler:
         self,
         fn: BytecodeFunction,
         max_steps: int,
-        max_call_depth: int,
         index: int,
         entries: dict[int, str],
         sites: Optional[list] = None,
     ) -> None:
         self.fn = fn
         self.max_steps = max_steps
-        self.max_call_depth = max_call_depth
         self.index = index
         self.entries = entries
         #: the counted module's counter sites, shared by every function
@@ -740,7 +738,7 @@ class _FunctionCompiler:
         params = "".join(f", r{k}" for k in range(fn.nparams))
         emit(0, f"def _mu{self.index}(vm, m{params}, d):")
         emit(1, "state = vm.state")
-        emit(1, f"if d > {self.max_call_depth}:")
+        emit(1, f"if d > {MAX_CALL_DEPTH}:")
         emit(2, "state.steps = m[0]")
         emit(2, "state.cycles = m[1]")
         emit(2, "raise EvaluationTrap('stack overflow')")
@@ -799,16 +797,13 @@ def unit_functions(
 def _unit_source(
     order: list[BytecodeFunction],
     max_steps: int,
-    max_call_depth: int,
     sites: Optional[list] = None,
 ) -> str:
     """The unit's module source; a ``sites`` list makes it a counted
     module and receives one ``(block, branch, slot)`` per counter."""
     entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
     return "\n".join(
-        _FunctionCompiler(
-            fn, max_steps, max_call_depth, i, entries, sites
-        ).source()
+        _FunctionCompiler(fn, max_steps, i, entries, sites).source()
         for i, fn in enumerate(order)
     )
 
@@ -816,7 +811,6 @@ def _unit_source(
 def generate_module_source(
     bytecode: BytecodeProgram,
     max_steps: int = 50_000_000,
-    max_call_depth: int = 200,
     roots: Optional[Sequence[str]] = None,
     counted: bool = False,
 ) -> str:
@@ -824,8 +818,7 @@ def generate_module_source(
     (see :func:`unit_functions`; ``None`` = the whole program), without
     executing it — the static codegen lint works on this text."""
     return _unit_source(
-        unit_functions(bytecode, roots), max_steps, max_call_depth,
-        [] if counted else None,
+        unit_functions(bytecode, roots), max_steps, [] if counted else None
     )
 
 
@@ -837,7 +830,7 @@ def function_source(bytecode: BytecodeProgram, name: str) -> str:
     entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
     fn = bytecode.functions[name]
     return _FunctionCompiler(
-        fn, 50_000_000, 200, order.index(fn), entries
+        fn, 50_000_000, order.index(fn), entries
     ).source()
 
 
@@ -915,7 +908,6 @@ def _exec_module(
 def compile_module(
     bytecode: BytecodeProgram,
     max_steps: int,
-    max_call_depth: int,
     codegen_cache: Optional[Any] = None,
     roots: Optional[Sequence[str]] = None,
     counted: bool = False,
@@ -937,14 +929,14 @@ def compile_module(
     if codegen_cache is not None:
         from .codegen_cache import codegen_key, load_source, store_source
 
-        key = codegen_key(order, max_steps, max_call_depth)
+        key = codegen_key(order, max_steps)
         payload = load_source(codegen_cache, key)
         if (
             payload is not None
             and payload.get("functions") == [fn.name for fn in order]
         ):
             return _exec_module(bytecode, order, payload["source"])
-    source = _unit_source(order, max_steps, max_call_depth, sites)
+    source = _unit_source(order, max_steps, sites)
     module = _exec_module(bytecode, order, source, sites)
     if codegen_cache is not None:
         store_source(
@@ -1004,14 +996,14 @@ class MegaunitVirtualMachine(VirtualMachine):
             self._mu_key = key
             self._mu_module = compile_module(
                 self.bytecode, self.max_steps,
-                self.max_call_depth, codegen_cache=self.codegen_cache,
+                codegen_cache=self.codegen_cache,
                 roots=None if self._mu_entry is None else (self._mu_entry,),
                 counted=counted,
             )
         return self._mu_module
 
     def _stack_headroom_ok(self) -> bool:
-        return stack_headroom_ok(self._call_depth, self.max_call_depth)
+        return stack_headroom_ok(self._call_depth)
 
     def _note_fallback(self, reason: str) -> None:
         if self._call_depth > 1 or reason in self.fallbacks:
@@ -1023,10 +1015,8 @@ class MegaunitVirtualMachine(VirtualMachine):
 
     def _run_frame(self, fn: BytecodeFunction, args: list) -> Any:
         module = self._module()
-        entry = module.entries.get(fn.name)
-        if entry is None:  # pragma: no cover - run() resolves names first
-            self._note_fallback("unknown-function")
-            return super()._run_frame(fn, args)
+        # The unit holds every function reachable from the run's entry.
+        entry = module.entries[fn.name]
         if not self._stack_headroom_ok():
             self._note_fallback("recursion-headroom")
             return super()._run_frame(fn, args)

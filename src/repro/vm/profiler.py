@@ -1,40 +1,40 @@
 """Execution profiling for the bytecode VM.
 
-Attributes metered cycles and instruction counts **per opcode**, **per
+Attributes simulated cycles and instruction counts **per opcode**, **per
 basic block** and **per function**, plus collapsed call-stack weights
 consumable by standard flamegraph tooling (Brendan Gregg's
 ``flamegraph.pl``, speedscope, inferno).  Surfaced on the CLI as the
 ``repro profile`` verb.
 
-Zero-overhead contract
-----------------------
-The profiled dispatch loop is a **separate specialization**:
-:class:`ProfilingVirtualMachine` overrides ``_run_frame`` with its own
-copy of the metered loop plus attribution.  It attaches no
-``profile=`` collector, so it meters and the shared opcode handlers
-keep taking their fast edge paths.
-:class:`~repro.vm.machine.VirtualMachine` itself is not touched — the
-default VM pays nothing for the profiler's existence.
-``tests/test_vm/test_profiler.py`` pins the override and the
-instruction-stream identity; the CI bench gate (≥2× median VM speedup)
-re-verifies the claim end to end.
+A profile is derived from block entries
+---------------------------------------
+In a run that returns, every block the run enters executes each of its
+instructions once per entry, so a block's steps are its entries times
+its length and its cycles its entries times its cost — the frequency ×
+cost product DBDS's benefit model computes statically (paper §5.3).
+The profile therefore needs no loop of its own: a
+:class:`ProfilingVirtualMachine` is an ordinary profiling-mode
+:class:`~repro.vm.machine.VirtualMachine` whose only override,
+``_call``, keeps the current call stack on its
+:class:`StackCollector`, and the collector's ``record_block`` — the
+hook every profiling run already calls on each block entry — counts
+entries per (call stack, block).  :class:`VMProfile` multiplies each
+count by its block's instructions.  The measured loop is untouched.
 
-Accounting contract (mirrors the metered loop exactly)
-------------------------------------------------------
-* every executed instruction counts one step attributed to its opcode;
-* an instruction's cycles are attributed only once it *completes* —
-  a trapping instruction counts a step but no cycles, exactly like the
-  metered loop (which skips ``cycles += ins[1]`` on the trap path);
-* the step that raises :class:`BudgetExceeded` is counted by the
-  machine but attributed to no opcode (the loop raises before
-  dispatch), so per-opcode step sums reconcile with ``state.steps``
-  on every run that finishes or traps, and per-opcode cycle sums
-  reconcile with ``state.cycles`` always.
+Reconciliation
+--------------
+A profiling run does not meter, so :func:`profile_run` takes the
+cycles and results from an ordinary measured run of the same bytecode
+(``measure_performance`` on the megaunit engine: the number ``repro
+run`` prints).  :meth:`VMProfile.reconciles` holds when the derived
+cycles equal that run's and the derived steps equal both runs' step
+counts.  Tables cover runs that return: an argument set whose measured
+run traps is not profiled.
 
-Block and function attribution piggyback on the same points, so their
-cycle sums reconcile too; function/stack weights are **exclusive**
-(callees excluded), which is what collapsed-stack format requires —
-the sum over all stacks equals the metered total.
+Function and stack weights are **exclusive** (callees excluded), which
+is what collapsed-stack format requires — the sum over all stacks
+equals the total.  A function's calls are its entry block's entries
+(an entry block has no predecessors).
 """
 
 from __future__ import annotations
@@ -42,19 +42,65 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Optional
 
-from ..interp.interpreter import BudgetExceeded, ExecutionResult
-from ..ir.ops import EvaluationTrap
-from .bytecode import OP_CALL, OPCODE_NAMES, BytecodeProgram
-from .machine import _HANDLERS, VirtualMachine
+from ..interp.interpreter import ExecutionResult, ProfileCollector
+from .bytecode import OPCODE_NAMES, BytecodeProgram
+from .machine import VirtualMachine
 
 _NOPCODES = len(OPCODE_NAMES)
 
 
-class VMProfile:
-    """Accumulated attribution from one or more profiled executions:
-    every tally is additive across runs."""
+class StackCollector(ProfileCollector):
+    """Block entries per call stack: ``entries[stack][block]``.
+
+    Branch outcomes are not recorded; a profile needs only entries."""
 
     def __init__(self) -> None:
+        super().__init__()
+        self.entries: dict[tuple[str, ...], dict[Any, int]] = {}
+        self.stack: tuple[str, ...] = ()
+        self._current: dict[Any, int] = {}
+
+    def enter(self, stack: tuple[str, ...]) -> None:
+        """Make ``stack`` (``()``: outside any call) the one block
+        entries count under."""
+        self.stack = stack
+        self._current = self.entries.setdefault(stack, {}) if stack else {}
+
+    def record_block(self, block) -> None:
+        current = self._current
+        current[block] = current.get(block, 0) + 1
+
+    def record_branch(self, branch, taken: bool) -> None:
+        pass
+
+
+class ProfilingVirtualMachine(VirtualMachine):
+    """A profiling-mode :class:`VirtualMachine` (attach a
+    :class:`StackCollector` as ``profile=``) that tells its collector
+    which call stack each frame runs under."""
+
+    def _call(self, fn, args):
+        collector = self.profile
+        caller = collector.stack
+        collector.enter(caller + (fn.name,))
+        try:
+            return super()._call(fn, args)
+        finally:
+            collector.enter(caller)
+
+
+class VMProfile:
+    """Attribution derived from ``entries`` (a :class:`StackCollector`'s)
+    over ``bytecode``; ``run_steps`` is the step count of the profiling
+    runs the entries came from."""
+
+    def __init__(
+        self,
+        bytecode: BytecodeProgram,
+        entries: dict[tuple[str, ...], dict[Any, int]],
+        run_steps: int,
+    ) -> None:
+        self.run_steps = run_steps
         self.opcode_steps: list[int] = [0] * _NOPCODES
         self.opcode_cycles: list[float] = [0.0] * _NOPCODES
         #: block object -> [function name, steps, cycles]
@@ -64,6 +110,39 @@ class VMProfile:
         self.func_cycles: dict[str, float] = {}
         #: call-stack tuple -> exclusive cycles
         self.stacks: dict[tuple[str, ...], float] = {}
+        #: block -> its instructions' (opcode, cost) pairs
+        layout: dict[Any, list[tuple[int, Any]]] = {}
+        for fn in bytecode.functions.values():
+            for ins in fn.code:
+                layout.setdefault(ins[2].block, []).append((ins[0], ins[1]))
+        for stack, counts in entries.items():
+            fn_name = stack[-1]
+            entry_block = bytecode.functions[fn_name].entry_block
+            stack_steps = 0
+            stack_cycles = 0.0
+            for block, n in counts.items():
+                if block is entry_block:
+                    self.func_calls[fn_name] = (
+                        self.func_calls.get(fn_name, 0) + n
+                    )
+                steps = cycles = 0
+                for op, cost in layout[block]:
+                    self.opcode_steps[op] += n
+                    self.opcode_cycles[op] += n * cost
+                    steps += n
+                    cycles += n * cost
+                acc = self._blocks.setdefault(block, [fn_name, 0, 0])
+                acc[1] += steps
+                acc[2] += cycles
+                stack_steps += steps
+                stack_cycles += cycles
+            self.func_steps[fn_name] = (
+                self.func_steps.get(fn_name, 0) + stack_steps
+            )
+            self.func_cycles[fn_name] = (
+                self.func_cycles.get(fn_name, 0.0) + stack_cycles
+            )
+            self.stacks[stack] = self.stacks.get(stack, 0.0) + stack_cycles
 
     # -- totals ---------------------------------------------------------
     @property
@@ -74,29 +153,17 @@ class VMProfile:
     def total_cycles(self) -> float:
         return sum(self.opcode_cycles)
 
-    def reconciles(self, cycles: float) -> bool:
-        """Do the per-opcode cycle sums match a metered total exactly?
+    def reconciles(self, cycles: float, steps: int) -> bool:
+        """Do the derived totals match a measured run's ``cycles`` and
+        ``steps``, and the profiling runs' steps, exactly?
 
         Cost-model cycles are integer-valued, so float summation is
         order-independent and exact; the tolerance only guards custom
         fractional cost models.
         """
-        return math.isclose(
+        return self.total_steps == steps == self.run_steps and math.isclose(
             self.total_cycles, cycles, rel_tol=1e-9, abs_tol=1e-9
         )
-
-    # -- frame flush (called by the profiled loop) ----------------------
-    def _flush_frame(
-        self,
-        fn_name: str,
-        stack_key: tuple[str, ...],
-        steps: int,
-        cycles: float,
-    ) -> None:
-        self.func_calls[fn_name] = self.func_calls.get(fn_name, 0) + 1
-        self.func_steps[fn_name] = self.func_steps.get(fn_name, 0) + steps
-        self.func_cycles[fn_name] = self.func_cycles.get(fn_name, 0.0) + cycles
-        self.stacks[stack_key] = self.stacks.get(stack_key, 0.0) + cycles
 
     # -- tables ---------------------------------------------------------
     def top_opcodes(self, n: int = 10) -> list[tuple[str, int, float]]:
@@ -218,114 +285,6 @@ class VMProfile:
         }
 
 
-class ProfilingVirtualMachine(VirtualMachine):
-    """A :class:`VirtualMachine` whose dispatch loop attributes cycles.
-
-    Metered, like every machine without a ``profile=`` collector
-    (attribution without metering is meaningless); the shared opcode
-    handlers then take the same fast edge paths as a measured run.  Use
-    the base class's ``profile=`` hook
-    (:class:`~repro.interp.interpreter.ProfileCollector`) when you want
-    branch probabilities for the compiler instead of a runtime profile.
-    """
-
-    def __init__(
-        self,
-        bytecode: BytecodeProgram,
-        max_steps: int = 50_000_000,
-        max_call_depth: int = 200,
-    ) -> None:
-        super().__init__(
-            bytecode, max_steps=max_steps, max_call_depth=max_call_depth
-        )
-        self.vmprofile = VMProfile()
-        self._stack: list[str] = []
-
-    def _run_frame(self, fn, args):
-        # A line-for-line copy of the base class's metered
-        # specialization with attribution added; keep the two in sync
-        # (test_profiler pins step/cycle parity against the base VM).
-        if self._call_depth > self.max_call_depth:
-            raise EvaluationTrap("stack overflow")
-        regs = fn.template[:]
-        if args:
-            regs[: len(args)] = args
-        state = self.state
-        max_steps = self.max_steps
-        handlers = _HANDLERS
-        code = fn.code
-        prof = self.vmprofile
-        op_steps = prof.opcode_steps
-        op_cycles = prof.opcode_cycles
-        blocks = prof._blocks
-        fn_name = fn.name
-        stack = self._stack
-        stack.append(fn_name)
-        stack_key = tuple(stack)
-        f_steps = 0
-        f_cycles = 0.0
-        steps = state.steps
-        cycles = state.cycles
-        pc = 0
-        try:
-            while True:
-                ins = code[pc]
-                steps += 1
-                if steps > max_steps:
-                    state.steps = steps
-                    state.cycles = cycles
-                    raise BudgetExceeded(
-                        f"exceeded {max_steps} interpreter steps"
-                    )
-                op = ins[0]
-                op_steps[op] += 1
-                f_steps += 1
-                if op != OP_CALL:
-                    pc = handlers[op](self, ins, regs, pc)
-                    if pc < 0:
-                        cost = ins[1]
-                        op_cycles[op] += cost
-                        f_cycles += cost
-                        block = ins[2].block
-                        acc = blocks.get(block)
-                        if acc is None:
-                            blocks[block] = [fn_name, 1, cost]
-                        else:
-                            acc[1] += 1
-                            acc[2] += cost
-                        state.steps = steps
-                        state.cycles = cycles + cost
-                        return self._retval
-                else:
-                    state.steps = steps
-                    state.cycles = cycles
-                    regs[ins[3]] = self._call(
-                        ins[4], [regs[r] for r in ins[5]]
-                    )
-                    steps = state.steps
-                    cycles = state.cycles
-                    pc += 1
-                cost = ins[1]
-                cycles += cost
-                op_cycles[op] += cost
-                f_cycles += cost
-                block = ins[2].block
-                acc = blocks.get(block)
-                if acc is None:
-                    blocks[block] = [fn_name, 1, cost]
-                else:
-                    acc[1] += 1
-                    acc[2] += cost
-        except EvaluationTrap:
-            if steps > state.steps:
-                state.steps = steps
-                state.cycles = cycles
-            raise
-        finally:
-            stack.pop()
-            prof._flush_frame(fn_name, stack_key, f_steps, f_cycles)
-
-
 def profile_run(
     program=None,
     entry: str = "main",
@@ -334,25 +293,34 @@ def profile_run(
     bytecode: Optional[BytecodeProgram] = None,
     max_steps: int = 50_000_000,
 ) -> tuple[float, list[ExecutionResult], VMProfile]:
-    """Execute ``entry`` over ``arg_sets`` under the profiling VM.
+    """Execute ``entry`` over ``arg_sets``, measured and profiled.
 
-    Returns ``(total metered cycles, per-run results, profile)``.  The
-    machine is reset between argument sets (run-to-run isolation, like
-    ``measure_performance``) while the profile accumulates across all
-    of them.
+    Returns ``(total metered cycles, per-run results, profile)``: the
+    cycles and results of a measured run (see
+    :func:`~repro.pipeline.front.measure_performance`), the profile of
+    a :class:`ProfilingVirtualMachine` run of every argument set whose
+    measured run returned.  Each run starts from fresh globals
+    (run-to-run isolation) while the profile accumulates.
     """
+    from ..pipeline.front import measure_performance
+
     if bytecode is None:
         if program is None:
             raise ValueError("need a program or pre-translated bytecode")
         from .translate import translate_program
 
         bytecode = translate_program(program)
-    vm = ProfilingVirtualMachine(bytecode, max_steps=max_steps)
-    total = 0.0
-    results: list[ExecutionResult] = []
-    for args in arg_sets:
-        vm.reset()
-        result = vm.run(entry, list(args))
-        results.append(result)
-        total += result.cycles
-    return total, results, vm.vmprofile
+    arg_sets = list(arg_sets)
+    total, results = measure_performance(
+        program, entry, arg_sets, max_steps=max_steps, bytecode=bytecode
+    )
+    collector = StackCollector()
+    vm = ProfilingVirtualMachine(
+        bytecode, max_steps=max_steps, profile=collector
+    )
+    steps = 0
+    for args, result in zip(arg_sets, results):
+        if not result.trapped:
+            vm.reset()
+            steps += vm.run(entry, list(args)).steps
+    return total, results, VMProfile(bytecode, collector.entries, steps)

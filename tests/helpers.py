@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import pathlib
@@ -97,6 +98,22 @@ def assert_configs_equivalent(source: str, entry: str, arg_sets: list[list]) -> 
 def compile_one(source: str):
     """Parse MiniLang to an IR program (no optimization)."""
     return compile_source(source)
+
+
+@contextlib.contextmanager
+def recursion_limit(frames: int):
+    """Set CPython's recursion limit ``frames`` above the caller's stack
+    depth for the block (and restore it after); yields the limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield depth + frames
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def fresh_python(*argv: str, check: bool = True) -> subprocess.CompletedProcess:

@@ -11,7 +11,7 @@ from repro.interp.interpreter import (
     deep_value,
     observable_outcome,
 )
-from repro.costmodel.model import cycles_of
+from repro.ir.ops import MAX_CALL_DEPTH
 
 
 def run(source: str, entry: str, args: list):
@@ -195,7 +195,7 @@ fn is_odd(n: int) -> bool { if (n == 0) { return false; } return is_even(n - 1);
 class TestCycleCharging:
     def test_cycles_accumulate(self):
         program = compile_source("fn f(a: int, b: int) -> int { return a + b; }")
-        interp = Interpreter(program, cycle_cost=cycles_of, terminator_cost=cycles_of)
+        interp = Interpreter(program, metered=True)
         result = interp.run("f", [1, 2])
         # Add (1 cycle) + Return (2 cycles)
         assert result.cycles == pytest.approx(3.0)
@@ -255,8 +255,9 @@ fn rec(n: int) -> int {
         result, _ = run(self.SRC, "rec", [150])
         assert result.value == 150
 
-    def test_depth_configurable(self):
-        program = compile_source(self.SRC)
-        interp = Interpreter(program, max_call_depth=10)
-        assert interp.run("rec", [5]).value == 5
-        assert interp.run("rec", [50]).trapped
+    def test_depth_limit_is_max_call_depth(self):
+        # rec(n) nests n + 1 frames: MAX_CALL_DEPTH fit, one more traps.
+        interp = Interpreter(compile_source(self.SRC))
+        limit = MAX_CALL_DEPTH
+        assert interp.run("rec", [limit - 1]).value == limit - 1
+        assert interp.run("rec", [limit]).trap == "stack overflow"

@@ -14,7 +14,6 @@ byte-identical manifests under every evaluated configuration.
 
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -38,6 +37,8 @@ from repro.pipeline.cache import artifact_manifest, pack_artifact, unpack_artifa
 from repro.pipeline.compiler import Compiler
 from repro.pipeline.config import CONFIGURATIONS
 from repro.vm.translate import translate_program
+
+from tests.helpers import recursion_limit
 
 ROOT = pathlib.Path(__file__).parent.parent.parent
 
@@ -339,27 +340,14 @@ def test_real_max_steps_below_the_switch_point_stops_on_the_vm_loop():
     assert events == [{"engine": "vm", "steps": cap + 1, "switch_step": None}]
 
 
-def _stack_depth() -> int:
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
-
-
 def test_without_recursion_headroom_it_profiles_on_the_vm_loop():
     program = compile_source(CALLS)
     expected = reference_profile(program, "main", [[12]], ProfileCollector())
     tracer = Tracer()
-    limit = sys.getrecursionlimit()
     # Room for the vm loop's modest depth, not for megaunit's worst case
-    # (max_call_depth native frames plus slack).
-    sys.setrecursionlimit(_stack_depth() + 150)
-    try:
-        with use_tracer(tracer):
-            actual = forced_profile(program, "main", [[12]])
-    finally:
-        sys.setrecursionlimit(limit)
+    # (MAX_CALL_DEPTH native frames plus slack).
+    with recursion_limit(150), use_tracer(tracer):
+        actual = forced_profile(program, "main", [[12]])
     assert_same_counts(expected, actual)
     by_name = {e.name: e.attrs for e in tracer.events}
     assert by_name["vm.fallback"] == {

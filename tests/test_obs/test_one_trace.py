@@ -112,7 +112,7 @@ SCENARIOS = {
         (["run", *NQUEENS_6, "--check-ir", "each-phase"],
          {**NQUEENS, **RAN_ON_MEGAUNIT, **phases(ir_check=60)}),
     ],
-    "6 profile": [(["profile", *NQUEENS_6], NQUEENS)],
+    "6 profile": [(["profile", *NQUEENS_6], {**NQUEENS, **RAN_ON_MEGAUNIT})],
     "7 check": [(["check", *EXAMPLES_4, "--check-ir=off"], EXAMPLES)],
     "8 check, fuzzers": [
         (["check", *EXAMPLES_4, "--check-ir=off", *FUZZ], {

@@ -198,8 +198,6 @@ fn f(n: int, k: int) -> int {
         assert actual == expected
 
     def test_reduces_dynamic_cycles(self):
-        from repro.costmodel.model import cycles_of
-
         source = """
 fn f(n: int, k: int) -> int {
   var s: int = 0;
@@ -212,9 +210,9 @@ fn f(n: int, k: int) -> int {
 
         program = compile_source(source)
         CanonicalizerPhase().run(program.function("f"))
-        interp = Interpreter(program, cycle_cost=cycles_of, terminator_cost=cycles_of)
+        interp = Interpreter(program, metered=True)
         before = interp.run("f", [50, 7]).cycles
         LoopInvariantCodeMotionPhase().run(program.function("f"))
-        interp2 = Interpreter(program, cycle_cost=cycles_of, terminator_cost=cycles_of)
+        interp2 = Interpreter(program, metered=True)
         after = interp2.run("f", [50, 7]).cycles
         assert after < before

@@ -274,6 +274,24 @@ class TestProfileAndMetrics:
         assert "opcode" in out and "function" in out and "block" in out
         assert "-> exact" in out
 
+    @pytest.mark.parametrize("off_by_one", ["cycles", "steps"])
+    def test_profile_reconciliation_mismatch_exits_1(
+        self, source_file, capsys, monkeypatch, off_by_one
+    ):
+        import repro.pipeline.front as front
+
+        measure = front.measure_performance
+
+        def patched(*args, **kwargs):
+            total, results = measure(*args, **kwargs)
+            setattr(results[0], off_by_one, getattr(results[0], off_by_one) + 1)
+            return total + (off_by_one == "cycles"), results
+
+        monkeypatch.setattr(front, "measure_performance", patched)
+        code = main(["profile", str(source_file), "--args", "20"])
+        assert code == 1
+        assert "-> MISMATCH" in capsys.readouterr().out
+
     def test_profile_trap_reported(self, tmp_path, capsys):
         path = tmp_path / "trap.mini"
         path.write_text(TRAPPING)

@@ -192,6 +192,57 @@ def test_an_out_of_range_program_argument_is_a_usage_error(
     assert int64(str(-(2**63))) == -(2**63)
 
 
+#: (verb, flag, out-of-range value) -> (argv after the verb with {path}
+#: for a valid source, the bound the message names)
+OUT_OF_RANGE_OPTIONS = {
+    ("profile", "--top", "-1"): (["{path}", "--args", "1", "--top"], ">= 1"),
+    ("trace", "--top", "0"): (["{path}", "--top"], ">= 1"),
+    ("batch", "-j/--jobs", "-2"): (["{path}", "--no-cache", "-j"], ">= 1"),
+    ("check", "--fuzz", "-1"): (["{path}", "--args", "3", "--fuzz"], ">= 0"),
+    ("check", "--fuzz-mutations", "-1"): (
+        ["{path}", "--args", "3", "--fuzz-mutations"], ">= 0",
+    ),
+    ("check", "--fuzz-engines", "-1"): (
+        ["{path}", "--args", "3", "--fuzz-engines"], ">= 0",
+    ),
+    **{
+        ("check", "--time-budget", value): (
+            ["{path}", "--args", "3", "--fuzz", "2", "--time-budget"], "> 0",
+        )
+        for value in ("-1", "nan")
+    },
+    ("bench", "--regression-threshold", "-1"): (
+        ["--suite", "recursion", "--regression-threshold"], ">= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, flag, value",
+    sorted(OUT_OF_RANGE_OPTIONS),
+    ids=[" ".join(key) for key in sorted(OUT_OF_RANGE_OPTIONS)],
+)
+def test_an_out_of_range_option_is_a_usage_error(
+    verb, flag, value, tmp_path, capsys
+):
+    # Not a silently different run: --top -1 dropped each table's last
+    # row, -j -2 ran one job, --time-budget -1 passed having checked
+    # nothing (nan never stopped) and --regression-threshold -1 failed
+    # every config.
+    argv, bound = OUT_OF_RANGE_OPTIONS[verb, flag, value]
+    path = tmp_path / "prog.mini"
+    path.write_text(PROGRAM)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *[arg.format(path=path) for arg in argv], value])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USER_ERROR
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"repro {verb}: error: argument {flag}: {value} is out of range "
+        f"(must be {bound})"
+    )
+
+
 def test_user_error_exit_status_from_a_fresh_process(tmp_path):
     proc = fresh_python(
         "-m", "repro", "run", str(tmp_path / "missing.mini"), check=False
@@ -353,6 +404,21 @@ def test_unwritable_output_is_a_user_error(verb, flag, tmp_path, capsys):
         f"repro: error: cannot write {out}: No such file or directory"
     )
     assert "Traceback" not in captured.err
+
+
+def test_missing_regression_baseline_is_refused_before_the_suite_runs(
+    tmp_path, capsys
+):
+    # Not "regression check: ok" against an empty history.
+    path = tmp_path / "missing.json"
+    code = main(["bench", "--suite", "recursion", "--check-regression", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USER_ERROR
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro: error: cannot read {path}: No such file or directory\n"
+    )
+    assert not path.exists()
 
 
 def test_unsupported_trajectory_is_refused_before_the_suite_runs(

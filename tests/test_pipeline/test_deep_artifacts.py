@@ -20,6 +20,8 @@ from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import DBDS
 from repro.vm import VirtualMachine, translate_program
 
+from tests.helpers import recursion_limit
+
 DEEP = {"regexp": "octane", "scalaxb": "scala-dacapo"}
 ARGS = ["--args", "15"]
 
@@ -38,27 +40,15 @@ def deep_files(tmp_path):
     return paths
 
 
-def _stack_depth() -> int:
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_pack_artifact_needs_only_shallow_recursion():
     # A plain pickle of this artifact needs a recursion limit between
     # 1000 and 2000 on CPython 3.11; the shell-first stream must fit in
     # a hundred frames above the caller and leave the limit alone.
     program, _ = compile_and_profile(deep_source("regexp"), "main", [[15]], DBDS)
-    limit = sys.getrecursionlimit()
-    shallow = _stack_depth() + 100
-    sys.setrecursionlimit(shallow)
-    try:
+    with recursion_limit(100) as shallow:
         blob = pack_artifact(program)
         restored = unpack_artifact(blob)
         assert sys.getrecursionlimit() == shallow
-    finally:
-        sys.setrecursionlimit(limit)
     assert restored.describe() == program.describe()
     # The restored program translates and runs like the original.
     restored_bytecode = translate_program(restored)

@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis.progen import mutated_program
 from repro.analysis.validate import SCREEN_STEP_BUDGET, _screen_mutant, validate_engines
-from repro.costmodel.model import cycles_of
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import (
     HeapArray,
@@ -166,9 +165,7 @@ def test_unoptimized_programs_also_agree():
     # the optimized pipeline product validate_engines exercises.
     for path in EXAMPLES:
         program = compile_source(path.read_text())
-        reference = Interpreter(
-            program, cycle_cost=cycles_of, terminator_cost=cycles_of
-        )
+        reference = Interpreter(program, metered=True)
         vm = VirtualMachine(translate_program(program))
         for args in EXAMPLE_ARGS:
             reference.reset()
@@ -244,9 +241,7 @@ def test_reference_equality_is_identity_on_every_engine():
     ]
     assert len(compares) == 2 * len(IDENTITY_CASES)
     engines = {
-        "reference": Interpreter(
-            program, cycle_cost=cycles_of, terminator_cost=cycles_of
-        ),
+        "reference": Interpreter(program, metered=True),
         "vm": VirtualMachine(bytecode),
         "megaunit": MegaunitVirtualMachine(bytecode),
     }

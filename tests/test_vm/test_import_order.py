@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.costmodel.model import cycles_of
 from repro.interp.interpreter import Interpreter
 from repro.pipeline.cache import pack_artifact
 from repro.pipeline.compiler import compile_and_profile
@@ -115,9 +114,7 @@ def test_pickled_artifact_runs_in_a_fresh_process(tmp_path):
     VirtualMachine(bytecode).run("main", [6])
     path = tmp_path / "artifact.bin"
     path.write_bytes(pack_artifact(program))
-    reference = Interpreter(
-        program, cycle_cost=cycles_of, terminator_cost=cycles_of
-    ).run("main", [7])
+    reference = Interpreter(program, metered=True).run("main", [7])
     seen = json.loads(fresh_python("-c", PICKLED_RUN, str(path), "7").stdout)
     assert seen == {
         "value": reference.value, "steps": reference.steps,

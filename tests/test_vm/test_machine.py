@@ -8,7 +8,6 @@ when it has no profile collector, so the references here meter too.
 
 import pytest
 
-from repro.costmodel.model import cycles_of
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import (
     BudgetExceeded,
@@ -29,9 +28,7 @@ APPS = {
 
 def engines_for(source: str, **vm_kwargs):
     program = compile_source(source)
-    reference = Interpreter(
-        program, cycle_cost=cycles_of, terminator_cost=cycles_of, **vm_kwargs
-    )
+    reference = Interpreter(program, metered=True, **vm_kwargs)
     vm = VirtualMachine(translate_program(program), **vm_kwargs)
     return reference, vm
 
@@ -64,9 +61,7 @@ def test_apps_value_step_cycle_parity(name):
 def test_parity_on_optimized_program():
     source = open("examples/apps/nqueens.mini").read()
     program, _ = compile_and_profile(source, "main", [[5]], DBDS)
-    reference = Interpreter(
-        program, cycle_cost=cycles_of, terminator_cost=cycles_of
-    )
+    reference = Interpreter(program, metered=True)
     vm = VirtualMachine(translate_program(program))
     ref = reference.run("main", [7])
     out = vm.run("main", [7])
@@ -156,7 +151,7 @@ fn main(n: int) -> int {
 def test_budget_exceeded_matches_reference():
     program = compile_source(LOOP)
     reference = Interpreter(
-        program, max_steps=500, cycle_cost=cycles_of, terminator_cost=cycles_of
+        program, max_steps=500, metered=True
     )
     vm = VirtualMachine(translate_program(program), max_steps=500)
     with pytest.raises(BudgetExceeded) as ref_exc:

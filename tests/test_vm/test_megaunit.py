@@ -13,13 +13,11 @@ meters no cycles.
 
 import hashlib
 import re
-import sys
 
 import pytest
 
 import repro.vm.megaunit as megaunit_module
 from repro.analysis.bcverify import lint_megaunit_source, verify_bytecode
-from repro.costmodel.model import cycles_of
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import (
     BudgetExceeded,
@@ -34,6 +32,7 @@ from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.front import make_engine
 from repro.pipeline.config import DBDS
 from repro.interp.profile import profile_program
+from repro.ir.ops import MAX_CALL_DEPTH
 from repro.vm import MegaunitVirtualMachine, translate_program
 from repro.vm.bytecode import BytecodeProgram
 from repro.vm.megaunit import (
@@ -41,6 +40,8 @@ from repro.vm.megaunit import (
     stack_headroom_ok,
     unit_functions,
 )
+
+from tests.helpers import recursion_limit
 
 APPS = {
     "nqueens": ("examples/apps/nqueens.mini", [6]),
@@ -96,9 +97,8 @@ def engines_for(source: str, profiled: bool = False, **kwargs):
     program = compile_source(source)
     reference = Interpreter(
         program,
-        cycle_cost=None if profiled else cycles_of,
-        terminator_cost=None if profiled else cycles_of,
         profile=ProfileCollector() if profiled else None,
+        metered=not profiled,
         **kwargs,
     )
     megaunit = MegaunitVirtualMachine(
@@ -219,9 +219,8 @@ def test_budget_stop_exact_at_every_cap(profiled):
         reference = Interpreter(
             program,
             max_steps=cap,
-            cycle_cost=None if profiled else cycles_of,
-            terminator_cost=None if profiled else cycles_of,
             profile=ProfileCollector() if profiled else None,
+            metered=not profiled,
         )
         megaunit = MegaunitVirtualMachine(
             bytecode, max_steps=cap,
@@ -271,10 +270,7 @@ def test_budget_stop_keeps_heap_and_globals_at_every_cap():
     bytecode = translate_program(program)
     total = MegaunitVirtualMachine(bytecode).run("main", [6]).steps
     for cap in range(1, total + 2):
-        reference = Interpreter(
-            program, max_steps=cap,
-            cycle_cost=cycles_of, terminator_cost=cycles_of,
-        )
+        reference = Interpreter(program, max_steps=cap, metered=True)
         megaunit = MegaunitVirtualMachine(bytecode, max_steps=cap)
         outcomes = []
         for runner in (reference, megaunit):
@@ -320,25 +316,20 @@ def test_globals_and_reset():
 # Fallbacks
 # ----------------------------------------------------------------------
 def test_recursion_headroom_falls_back_to_vm():
-    # max_call_depth far above what CPython's recursion limit can host
-    # natively: the conservative up-front guard must decline the native
-    # path, run the whole activation on the vm loop, and still be
-    # bit-identical (the run's actual depth is modest).
+    # A recursion limit too low for MAX_CALL_DEPTH native frames: the
+    # conservative up-front guard must decline the native path, run the
+    # whole activation on the vm loop, and still be bit-identical (the
+    # run's actual depth is modest).
     program = compile_source(DEEP)
-    bytecode = translate_program(program)
-    assert not stack_headroom_ok(1, sys.getrecursionlimit() + 100)
-    reference = Interpreter(
-        program,
-        cycle_cost=cycles_of,
-        terminator_cost=cycles_of,
-        max_call_depth=sys.getrecursionlimit() + 100,
-    )
+    reference = Interpreter(program, metered=True)
+    megaunit = MegaunitVirtualMachine(translate_program(program))
     tracer = Tracer()
-    megaunit = MegaunitVirtualMachine(
-        bytecode, max_call_depth=sys.getrecursionlimit() + 100
-    )
-    with use_tracer(tracer):
-        assert_parity(reference, megaunit, [150])
+    with recursion_limit(MAX_CALL_DEPTH), use_tracer(tracer):
+        assert not stack_headroom_ok(1)
+        assert_parity(reference, megaunit, [40])
+        # A second run notes nothing: once per machine, not per frame.
+        megaunit.reset()
+        megaunit.run("main", [10])
     events = [e for e in tracer.events if e.name == "vm.fallback"]
     assert len(events) == 1
     assert events[0].attrs == {
@@ -350,11 +341,6 @@ def test_recursion_headroom_falls_back_to_vm():
         "repro_vm_fallback_total", engine="megaunit",
         reason="recursion-headroom",
     ) == 1
-    # The fallback is noted once per machine, not once per frame.
-    with use_tracer(tracer):
-        megaunit.reset()
-        megaunit.run("main", [10])
-    assert len([e for e in tracer.events if e.name == "vm.fallback"]) == 1
 
 
 def test_profile_hook_falls_back_to_machine_loops():
@@ -533,13 +519,13 @@ def test_older_codegen_schema_entries_are_ignored_and_regenerated(
             for i in range(len(order))
         ),
     }
-    key = codegen_cache.codegen_key(order, 50_000_000, 200)
+    key = codegen_cache.codegen_key(order, 50_000_000)
     for old in range(1, current):
         cache = ArtifactCache(tmp_path / f"cache-{old}")
         # Under its own (older) key: never looked up by a current run.
         with monkeypatch.context() as patch:
             patch.setattr(codegen_cache, "CODEGEN_SCHEMA", old)
-            old_key = codegen_cache.codegen_key(order, 50_000_000, 200)
+            old_key = codegen_cache.codegen_key(order, 50_000_000)
             codegen_cache.store_source(cache, old_key, stale)
         assert old_key != key
         # Under the current key (a stale or tampered entry): rejected on

@@ -61,7 +61,7 @@ def test_megaunit_codegen_covers_the_full_base_space():
     fn.nregs, fn.template = 3, [None] * 3
     fn.code = (_sample(OP_CALL, fn),)
     for op, spec in OPCODE_SPECS.items():
-        compiler = _FunctionCompiler(fn, 100, 10, 0, {id(fn): "_mu0"})
+        compiler = _FunctionCompiler(fn, 100, 0, {id(fn): "_mu0"})
         ins = _sample(op, fn)
         if spec.family == "call":
             compiler.gen_call(0, ins, 0)
@@ -70,7 +70,7 @@ def test_megaunit_codegen_covers_the_full_base_space():
         else:
             compiler.gen_ins(0, ins, 1, 0)
         assert compiler.lines, spec.name
-    compiler = _FunctionCompiler(fn, 100, 10, 0, {id(fn): "_mu0"})
+    compiler = _FunctionCompiler(fn, 100, 0, {id(fn): "_mu0"})
     with pytest.raises(AssertionError):
         compiler.gen_ins(0, (len(OPCODE_NAMES), 1, None, 0), 1, 0)
 

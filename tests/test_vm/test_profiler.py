@@ -1,26 +1,34 @@
-"""VM execution profiler: zero overhead and exact attribution.
+"""VM execution profiler: no loop of its own, and exact attribution.
 
 Two contracts (docs/OBSERVABILITY.md):
 
-* **zero overhead** — the profiled dispatch loop is a *separate
-  specialization*; the default :class:`VirtualMachine` is untouched and
-  a profiled run produces bit-identical outcomes, step counts and
-  metered cycles to an unprofiled metered run;
-* **exact reconciliation** — per-opcode cycle sums equal the metered
-  total on every run (including trapped ones), and per-opcode step
-  sums equal ``state.steps`` except after :class:`BudgetExceeded`
-  (whose final step the machine counts but no opcode completes).
+* **zero overhead** — the profile is derived from an ordinary
+  profiling-mode run: :class:`ProfilingVirtualMachine` overrides only
+  ``_call`` (to keep the call stack), no dispatch loop is copied, and
+  the profiled run has the measured run's outcome and step count;
+* **exact reconciliation** — on a run that returns, the cycles and
+  steps derived from block entries equal the measured run's totals
+  (and the steps the profiling run's), per opcode, per function, per
+  block and per stack.
 """
+
+import ast
+import pathlib
 
 import pytest
 
+import repro
 from repro.frontend.irbuilder import compile_source
-from repro.interp.interpreter import BudgetExceeded, observable_outcome
+from repro.interp.interpreter import observable_outcome
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import DBDS
 from repro.vm import VirtualMachine, translate_program
 from repro.vm.bytecode import OPCODE_NAMES
-from repro.vm.profiler import ProfilingVirtualMachine, profile_run
+from repro.vm.profiler import (
+    ProfilingVirtualMachine,
+    StackCollector,
+    profile_run,
+)
 
 APPS = {
     "nqueens": ("examples/apps/nqueens.mini", [6]),
@@ -44,61 +52,76 @@ fn main(n: int) -> int { return fib(n); }
 """
 
 
-def metered_and_profiled(source: str, args):
-    program = compile_source(source)
-    bytecode = translate_program(program)
+def metered_and_profiled(bytecode, args):
+    """A metered ``vm`` run and a profiling run of ``main(*args)``."""
     base = VirtualMachine(bytecode)
-    prof = ProfilingVirtualMachine(bytecode)
+    prof = ProfilingVirtualMachine(bytecode, profile=StackCollector())
     ref = base.run("main", list(args))
-    out = prof.run("main", list(args))
-    return (base, ref), (prof, out)
+    return (base, ref), (prof, prof.run("main", list(args)))
 
 
 # ----------------------------------------------------------------------
 # Zero-overhead contract
 # ----------------------------------------------------------------------
 class TestZeroOverhead:
-    def test_profiled_loop_is_a_separate_specialization(self):
-        # The profiler must override the dispatch loop, never edit it:
-        # the base class's _run_frame stays byte-for-byte what it was.
-        assert (
-            ProfilingVirtualMachine._run_frame
-            is not VirtualMachine._run_frame
-        )
-        assert "vmprofile" not in VirtualMachine.__init__.__code__.co_names
+    def test_the_profiler_copies_no_dispatch_loop(self):
+        # Only the engines have a dispatch loop: the reference
+        # interpreter, the vm loop, megaunit's and the LIR machine's.
+        loops = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef)
+                    and item.name == "_run_frame"
+                    for item in node.body
+                ):
+                    loops.add(node.name)
+        assert loops == {
+            "Interpreter", "VirtualMachine", "MegaunitVirtualMachine",
+            "Machine",
+        }
+        own = [n for n in vars(ProfilingVirtualMachine) if not n.startswith("__")]
+        assert own == ["_call"]
 
-    def test_profiler_pins_the_handler_fast_path(self):
-        program = compile_source("fn main(n: int) -> int { return n; }")
-        vm = ProfilingVirtualMachine(translate_program(program))
-        # The shared opcode handlers branch on the collector; None keeps
-        # them on the same fast edge path as a measured run, which
-        # meters.
-        assert vm.profile is None
-        assert vm.metered
+    def test_the_profiling_run_does_not_meter(self):
+        program = compile_source(RECURSIVE)
+        (_, ref), (prof, out) = metered_and_profiled(
+            translate_program(program), [6]
+        )
+        # A profiling-mode run: the collector sees the block entries and
+        # the run adds no cycles; the measured run meters.
+        assert not prof.metered
+        assert prof.profile.entries and out.cycles == 0.0
+        assert ref.cycles > 0
 
     @pytest.mark.parametrize("name", sorted(APPS))
     def test_identical_outcome_steps_cycles(self, name):
         path, args = APPS[name]
-        (base, ref), (prof, out) = metered_and_profiled(
-            open(path).read(), args
-        )
+        bytecode = translate_program(compile_source(open(path).read()))
+        (base, ref), (prof, out) = metered_and_profiled(bytecode, args)
         assert observable_outcome(ref, base.state) == observable_outcome(
             out, prof.state
         )
         assert ref.steps == out.steps
-        assert ref.cycles == out.cycles
+        total, results, _ = profile_run(arg_sets=[tuple(args)], bytecode=bytecode)
+        assert (results[0].value, results[0].steps) == (ref.value, ref.steps)
+        assert total == results[0].cycles == ref.cycles
 
     def test_identical_on_optimized_program(self):
         source = open("examples/apps/nqueens.mini").read()
         program, _ = compile_and_profile(source, "main", [[5]], DBDS)
         bytecode = translate_program(program)
         ref = VirtualMachine(bytecode).run("main", [7])
-        out = ProfilingVirtualMachine(bytecode).run("main", [7])
+        total, results, vmprofile = profile_run(
+            program, arg_sets=[(7,)], bytecode=bytecode
+        )
+        out = results[0]
         assert (ref.value, ref.steps, ref.cycles) == (
             out.value,
             out.steps,
-            out.cycles,
+            total,
         )
+        assert vmprofile.run_steps == ref.steps
 
 
 # ----------------------------------------------------------------------
@@ -108,49 +131,37 @@ class TestReconciliation:
     @pytest.mark.parametrize("name", sorted(APPS))
     def test_opcode_sums_match_metered_totals(self, name):
         path, args = APPS[name]
-        _, (prof, out) = metered_and_profiled(open(path).read(), args)
-        vmprofile = prof.vmprofile
-        assert vmprofile.total_steps == prof.state.steps == out.steps
-        assert vmprofile.total_cycles == prof.state.cycles == out.cycles
-        assert vmprofile.reconciles(out.cycles)
+        total, results, vmprofile = profile_run(
+            compile_source(open(path).read()), arg_sets=[tuple(args)]
+        )
+        out = results[0]
+        assert vmprofile.total_steps == vmprofile.run_steps == out.steps
+        assert vmprofile.total_cycles == total == out.cycles
+        assert vmprofile.reconciles(out.cycles, out.steps)
+        assert not vmprofile.reconciles(out.cycles + 1, out.steps)
+        assert not vmprofile.reconciles(out.cycles, out.steps + 1)
 
     def test_function_and_block_sums_match_too(self):
         path, args = APPS["nqueens"]
-        _, (prof, out) = metered_and_profiled(open(path).read(), args)
-        vmprofile = prof.vmprofile
+        _, results, vmprofile = profile_run(
+            compile_source(open(path).read()), arg_sets=[tuple(args)]
+        )
+        out = results[0]
         assert sum(vmprofile.func_cycles.values()) == out.cycles
         assert sum(vmprofile.func_steps.values()) == out.steps
         assert sum(c for _, _, _, c in vmprofile.top_blocks(10**6)) == out.cycles
         assert sum(vmprofile.stacks.values()) == out.cycles
 
-    def test_trapped_run_still_reconciles(self):
-        # The trapping instruction counts a step but no cycles — in the
-        # metered loop and in the profiler alike.
-        (base, ref), (prof, out) = metered_and_profiled(TRAP_DIV, [3])
-        assert ref.trapped and out.trapped
-        assert ref.steps == out.steps and ref.cycles == out.cycles
-        assert prof.vmprofile.total_steps == out.steps
-        assert prof.vmprofile.reconciles(out.cycles)
-
-    def test_budget_exceeded_cycles_reconcile(self):
-        source = (
-            "fn main(n: int) -> int {"
-            " var i: int = 0; while (true) { i = i + 1; } return i; }"
+    def test_a_trapping_run_is_not_profiled(self):
+        # Tables cover runs that return; `repro profile` exits 1 on a
+        # trap before printing any.
+        total, results, vmprofile = profile_run(
+            compile_source(TRAP_DIV), arg_sets=[(3,)]
         )
-        program = compile_source(source)
-        bytecode = translate_program(program)
-        base = VirtualMachine(bytecode, max_steps=1000)
-        prof = ProfilingVirtualMachine(bytecode, max_steps=1000)
-        with pytest.raises(BudgetExceeded):
-            base.run("main", [0])
-        with pytest.raises(BudgetExceeded):
-            prof.run("main", [0])
-        assert base.state.steps == prof.state.steps
-        assert base.state.cycles == prof.state.cycles
-        # Cycle sums stay exact; the budget-raising step is counted by
-        # the machine but attributed to no opcode.
-        assert prof.vmprofile.reconciles(prof.state.cycles)
-        assert prof.vmprofile.total_steps == prof.state.steps - 1
+        assert results[0].trap == "division by zero"
+        assert total == results[0].cycles
+        assert vmprofile.total_steps == vmprofile.run_steps == 0
+        assert not vmprofile.reconciles(total, results[0].steps)
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +178,9 @@ class TestAttribution:
         assert any("fib;add" in key for key in stacks)
         # Exclusive weights: stack sum equals the metered total.
         assert sum(stacks.values()) == total
+        # A function's calls are its entry block's entries: fib(8) makes
+        # 67 fib frames and 33 add frames.
+        assert vmprofile.func_calls == {"main": 1, "fib": 67, "add": 33}
 
     def test_collapsed_format(self):
         _, _, vmprofile = profile_run(compile_source(RECURSIVE), arg_sets=[(6,)])
@@ -191,9 +205,9 @@ class TestAttribution:
     def test_profile_accumulates_across_arg_sets(self):
         program = compile_source(RECURSIVE)
         _, _, once = profile_run(program, arg_sets=[(6,)])
-        total, _, twice = profile_run(program, arg_sets=[(6,), (6,)])
+        total, results, twice = profile_run(program, arg_sets=[(6,), (6,)])
         assert twice.total_steps == 2 * once.total_steps
-        assert twice.reconciles(total)
+        assert twice.reconciles(total, sum(r.steps for r in results))
 
     def test_json_export(self):
         _, _, vmprofile = profile_run(compile_source(RECURSIVE), arg_sets=[(5,)])
