@@ -14,26 +14,33 @@ promises:
   namespace, the whitelisted builtins, the per-function ``_mu<N>`` /
   ``_fn<N>`` / ``_tmpl<N>`` cells, parameters, and locals assigned in
   the function;
-* **balanced accounting**: per generated function, the step charges —
-  ``s += W`` per segment plus the ``m[0] = s + 1`` call-site
-  writebacks — sum to the bytecode function's instruction count, and
-  in the plain (metered) module the cycle charges — ``c += C`` per
-  segment plus the ``c = m[1] + K`` call-cost reloads — sum to its
-  total baked cost;
+* **balanced accounting** on the packed meter ``e = (steps << K) +
+  cycles`` (``K`` from :func:`~repro.vm.megaunit.meter_width`): each
+  charge literal — ``e += L`` per segment, the ``m[0] = e + L``
+  call-site writebacks and the ``e = m[0] + L`` call-cost reloads —
+  decodes into ``(W, C) = (L >> K, L & (2**K - 1))``; per generated
+  function the ``W`` sum to the bytecode function's instruction count
+  and, in the plain (metered) module, the ``C`` sum to its total baked
+  cost;
 * every ``raise EvaluationTrap(...)`` is preceded (in the same
-  statement suite) by a ``state.steps = ...`` meter flush, so traps
-  can never escape with stale accounting;
+  statement suite) by an ``m[0] = ...`` meter flush, so traps can
+  never escape with stale accounting — except the prologue's depth
+  guard, which traps before the frame loads the meter;
 * every *direct call* is audited against the program's function table
   (the ``_mu<N>`` index must exist and the argument count must match
   the callee's arity plus the ``vm``/``m``/``d`` protocol slots);
-* every budget exit has the sparse form ``_finish(vm, _fn<N>, s, c,
-  pc, r<a>, r<b>, ...)``: its own function cell, the meter locals, a
-  literal pc inside the function, and exactly the registers
+* every budget exit is a guard ``if e > G: _finish(vm, m, _fn<N>, e,
+  pc, r<a>, r<b>, ...)``: its own function cell, the meter, a literal
+  pc inside the function, exactly the registers
   :func:`~repro.vm.megaunit.finish_live_ins` names for that pc, in that
   order — a missing register would make the replay read a template
-  slot instead of the live value.
+  slot instead of the live value — and ``G = ((MAX_STEPS - W) << K) |
+  (2**K - 1)`` for the ``W`` steps of the segment at that pc
+  (:func:`~repro.vm.megaunit.segment_steps`), so it fires exactly when
+  the segment cannot complete within the default budget the lint
+  generates the text with.
 
-A counted module (the profiling variant, which meters no cycles) may
+A counted module (the profiling variant: ``K = 0``, no cycle term) may
 also read its counter list ``_counts``, and only as ``_counts[<k>] +=
 1``: one literal slot per frame entry and CFG edge of the unit, each
 bumped at exactly one site.
@@ -47,10 +54,10 @@ Both return plain message strings.
 from __future__ import annotations
 
 import ast
-import math
 import re
 from typing import Optional
 
+from ...ir.ops import MAX_CALL_DEPTH, MAX_STEPS
 from ...vm.bytecode import OP_GOTO, OP_IF
 from ...vm.megaunit import (
     COUNTS_NAME,
@@ -59,6 +66,8 @@ from ...vm.megaunit import (
     finish_live_ins,
     function_source,
     generate_module_source,
+    meter_width,
+    segment_steps,
 )
 
 #: names generated code must never mention, in any position
@@ -89,6 +98,10 @@ def _literal(node) -> object:
     return None
 
 
+def _is_name(node, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
 def _is_trap_raise(stmt) -> bool:
     return (
         isinstance(stmt, ast.Raise)
@@ -98,14 +111,35 @@ def _is_trap_raise(stmt) -> bool:
     )
 
 
-def _is_steps_flush(stmt) -> bool:
+def _is_meter_slot(node) -> bool:
+    """``m[0]``, the one slot every frame exit leaves the meter in."""
+    return (
+        isinstance(node, ast.Subscript)
+        and _is_name(node.value, "m")
+        and _literal(node.slice) == 0
+    )
+
+
+def _is_meter_flush(stmt) -> bool:
     return (
         isinstance(stmt, ast.Assign)
         and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], ast.Attribute)
-        and stmt.targets[0].attr == "steps"
-        and isinstance(stmt.targets[0].value, ast.Name)
-        and stmt.targets[0].value.id == "state"
+        and _is_meter_slot(stmt.targets[0])
+    )
+
+
+def _is_depth_guard(stmt) -> bool:
+    """The prologue's ``if d > MAX_CALL_DEPTH: raise ...`` stack trap."""
+    return (
+        isinstance(stmt, ast.If)
+        and isinstance(stmt.test, ast.Compare)
+        and _is_name(stmt.test.left, "d")
+        and len(stmt.test.ops) == 1
+        and isinstance(stmt.test.ops[0], ast.Gt)
+        and _literal(stmt.test.comparators[0]) == MAX_CALL_DEPTH
+        and len(stmt.body) == 1
+        and _is_trap_raise(stmt.body[0])
+        and not stmt.orelse
     )
 
 
@@ -120,14 +154,23 @@ def _statement_suites(func: ast.FunctionDef):
 
 
 def _lint_trap_flushes(func: ast.FunctionDef, messages: list) -> None:
+    """Every trap follows an ``m[0]`` flush in its suite.  The one
+    exception is a depth guard opening the function: it traps before
+    the frame loads the meter, so ``m[0]`` still holds what the caller
+    flushed."""
+    exempt = None
+    if func.body and _is_depth_guard(func.body[0]):
+        exempt = func.body[0].body
     for suite in _statement_suites(func):
+        if suite is exempt:
+            continue
         for position, stmt in enumerate(suite):
             if _is_trap_raise(stmt) and not any(
-                _is_steps_flush(prior) for prior in suite[:position]
+                _is_meter_flush(prior) for prior in suite[:position]
             ):
                 messages.append(
                     f"{func.name}: EvaluationTrap raised without a "
-                    f"preceding state.steps flush (line {stmt.lineno})"
+                    f"preceding m[0] flush (line {stmt.lineno})"
                 )
 
 
@@ -204,27 +247,49 @@ def _lint_calls(
             )
 
 
-def _is_name(node, name: str) -> bool:
-    return isinstance(node, ast.Name) and node.id == name
+def _is_finish(node) -> bool:
+    return isinstance(node, ast.Call) and _is_name(node.func, "_finish")
+
+
+def _guard_literal(test) -> object:
+    """``G`` of a budget guard test ``e > G``, else None."""
+    if (
+        isinstance(test, ast.Compare)
+        and _is_name(test.left, "e")
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.Gt)
+    ):
+        return _literal(test.comparators[0])
+    return None
 
 
 def _lint_finishes(
-    func: ast.FunctionDef, index: int, fn, messages: list
+    func: ast.FunctionDef, index: int, fn, width: int, messages: list
 ) -> None:
     """Every ``_finish`` budget exit passes its own function cell, the
-    meter locals, a literal in-range pc and exactly the live-in
-    registers of that pc, in :func:`finish_live_ins` order."""
+    meter, a literal in-range pc and exactly the live-in registers of
+    that pc, in :func:`finish_live_ins` order, and is the whole body of
+    a guard whose literal admits exactly the steps the default budget
+    leaves for its segment."""
+    guards = {
+        id(node.body[0].value): node.test
+        for node in ast.walk(func)
+        if isinstance(node, ast.If)
+        and len(node.body) == 1
+        and isinstance(node.body[0], ast.Expr)
+        and _is_finish(node.body[0].value)
+    }
     for node in ast.walk(func):
-        if not (isinstance(node, ast.Call) and _is_name(node.func, "_finish")):
+        if not _is_finish(node):
             continue
         args = node.args
         if node.keywords or len(args) < 5 or not all(
             _is_name(arg, name)
-            for arg, name in zip(args, ("vm", f"_fn{index}", "s", "c"))
+            for arg, name in zip(args, ("vm", "m", f"_fn{index}", "e"))
         ):
             messages.append(
                 f"{func.name}: _finish call (line {node.lineno}) does not "
-                f"pass (vm, _fn{index}, s, c, pc, ...)"
+                f"pass (vm, m, _fn{index}, e, pc, ...)"
             )
             continue
         pc = _literal(args[4])
@@ -244,6 +309,14 @@ def _lint_finishes(
                 f"{func.name}: _finish at pc {pc} passes "
                 f"[{', '.join(passed)}] but its replay reads "
                 f"[{', '.join(expected)}]"
+            )
+        steps = segment_steps(fn, pc)
+        bound = ((MAX_STEPS - steps) << width) | ((1 << width) - 1)
+        if _guard_literal(guards.get(id(node))) != bound:
+            messages.append(
+                f"{func.name}: _finish at pc {pc} is not guarded by "
+                f"e > {bound} (its segment's {steps} step(s) against "
+                f"{MAX_STEPS})"
             )
 
 
@@ -291,97 +364,77 @@ def _counter_sites(order: list) -> int:
     return len(order) + edges
 
 
-def _meter_totals(func: ast.FunctionDef) -> tuple:
-    """Step and cycle charges of one generated megaunit function.
+def _meter_charges(func: ast.FunctionDef) -> list:
+    """The packed charge literals of one generated megaunit function.
 
-    The megaunit compiler keeps the meters in the locals ``s``/``c``:
-    a segment charges ``s += W`` / ``c += C``, and a call site charges
-    its step as the ``m[0] = s + 1`` writeback and its call cost on
-    the ``c = m[1] + K`` reload.  Returns ``(steps, cycles)`` lists
-    with ``None`` standing in for any non-literal charge."""
-    steps: list = []
-    cycles: list = []
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.AugAssign)
-            and isinstance(node.op, ast.Add)
-            and isinstance(node.target, ast.Name)
-        ):
-            if node.target.id == "s":
-                steps.append(_literal(node.value))
-            elif node.target.id == "c":
-                cycles.append(_literal(node.value))
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-            if not (
-                isinstance(value, ast.BinOp)
-                and isinstance(value.op, ast.Add)
+    A segment charges ``e += L``; a call site charges its step on the
+    ``m[0] = e + L`` writeback before the call and its cost on the ``e
+    = m[0] + L`` reload after it.  A trap site's ``m[0] = e + L``
+    flush (the one followed by a raise) is no charge.  ``None`` stands
+    in for a non-literal charge."""
+    charges: list = []
+    for suite in _statement_suites(func):
+        for position, stmt in enumerate(suite):
+            if isinstance(stmt, ast.AugAssign) and _is_name(stmt.target, "e"):
+                add = isinstance(stmt.op, ast.Add)
+                charges.append(_literal(stmt.value) if add else None)
+            elif not (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.value, ast.BinOp)
+                and isinstance(stmt.value.op, ast.Add)
             ):
                 continue
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "m"
-                and isinstance(target.slice, ast.Constant)
-                and target.slice.value == 0
-                and isinstance(value.left, ast.Name)
-                and value.left.id == "s"
+            elif _is_meter_slot(stmt.targets[0]) and _is_name(
+                stmt.value.left, "e"
             ):
-                steps.append(_literal(value.right))
-            elif (
-                isinstance(target, ast.Name)
-                and target.id == "c"
-                and isinstance(value.left, ast.Subscript)
-                and isinstance(value.left.value, ast.Name)
-                and value.left.value.id == "m"
+                following = suite[position + 1:position + 2]
+                if not (following and _is_trap_raise(following[0])):
+                    charges.append(_literal(stmt.value.right))
+            elif _is_name(stmt.targets[0], "e") and _is_meter_slot(
+                stmt.value.left
             ):
-                cycles.append(_literal(value.right))
-    return steps, cycles
+                charges.append(_literal(stmt.value.right))
+    return charges
 
 
 def _lint_accounting(
-    func: ast.FunctionDef, fn, metered: bool, messages: list
+    func: ast.FunctionDef, fn, width: int, messages: list
 ) -> None:
-    """Whole-function meter balance: every instruction is stepped once
-    (segment ``s += W`` sums plus one ``m[0] = s + 1`` per call site)
-    and, in a ``metered`` (plain) module, every baked cost is charged
-    once (segment ``c += C`` sums plus the ``c = m[1] + K`` call-cost
-    reloads)."""
-    steps, cycles = _meter_totals(func)
-    if None in steps:
-        messages.append(f"{func.name}: non-literal step increment")
+    """Whole-function meter balance: decoded at cycle-field width
+    ``width``, the charges step every instruction once and, in a
+    metered module (``width > 0``), charge every baked cost once."""
+    charges = _meter_charges(func)
+    if None in charges:
+        messages.append(f"{func.name}: non-literal meter charge")
         return
-    if sum(steps) != len(fn.code):
+    steps = sum(charge >> width for charge in charges)
+    if steps != len(fn.code):
         messages.append(
-            f"{func.name}: step increments sum to {sum(steps)} but "
+            f"{func.name}: step increments sum to {steps} but "
             f"{fn.name!r} has {len(fn.code)} instruction(s)"
         )
-    if metered:
-        if None in cycles:
-            messages.append(f"{func.name}: non-literal cycle increment")
-            return
-        expected = 0
-        for ins in fn.code:
-            expected = expected + ins[1]
-        total = sum(cycles)
-        if total != expected and not math.isclose(
-            total, expected, rel_tol=1e-12, abs_tol=1e-12
-        ):
+    if width:
+        cycles = sum(charge & ((1 << width) - 1) for charge in charges)
+        expected = sum(int(ins[1]) for ins in fn.code)
+        if cycles != expected:
             messages.append(
-                f"{func.name}: cycle increments sum to {total!r} but "
-                f"{fn.name!r}'s baked costs sum to {expected!r}"
+                f"{func.name}: cycle increments sum to {cycles} but "
+                f"{fn.name!r}'s baked costs sum to {expected}"
             )
 
 
 def _lint_function(
     node: ast.FunctionDef,
     order: list,
+    width: int,
     messages: list,
     counted: bool = False,
     slots: Optional[list] = None,
 ) -> Optional[int]:
-    """Every per-function check on one generated ``_mu<N>``; returns
-    its index, or None when it names no bytecode function."""
+    """Every per-function check on one generated ``_mu<N>`` of a unit
+    whose packed meter has cycle field ``width``; returns its index,
+    or None when it names no bytecode function."""
     match = _MEGA_DEF.match(node.name)
     if not match:
         messages.append(f"unexpected generated function {node.name!r}")
@@ -395,8 +448,8 @@ def _lint_function(
     _lint_names(node, messages, counted)
     _lint_counters(node, slots if slots is not None else [], messages)
     _lint_calls(node, order, messages)
-    _lint_finishes(node, index, order[index], messages)
-    _lint_accounting(node, order[index], not counted, messages)
+    _lint_finishes(node, index, order[index], width, messages)
+    _lint_accounting(node, order[index], width, messages)
     _lint_trap_flushes(node, messages)
     return index
 
@@ -429,8 +482,9 @@ def lint_megaunit_function(bytecode, name: str) -> list[str]:
         return [f"megaunit codegen failed: {type(exc).__name__}: {exc}"]
     messages: list[str] = []
     order = list(bytecode.functions.values())
+    width = meter_width(order, MAX_STEPS)
     for node in _parse(source, messages):
-        _lint_function(node, order, messages)
+        _lint_function(node, order, width, messages)
     return messages
 
 
@@ -443,10 +497,13 @@ def lint_megaunit_source(bytecode, counted: bool = False) -> list[str]:
         return [f"megaunit codegen failed: {type(exc).__name__}: {exc}"]
     messages: list[str] = []
     order = list(bytecode.functions.values())
+    width = meter_width(order, MAX_STEPS, counted)
     seen = set()
     slots: list[int] = []
     for node in _parse(source, messages):
-        seen.add(_lint_function(node, order, messages, counted, slots))
+        seen.add(
+            _lint_function(node, order, width, messages, counted, slots)
+        )
     missing = sorted(set(range(len(order))) - seen)
     if missing:
         messages.append(

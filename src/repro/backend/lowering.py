@@ -12,8 +12,6 @@ The IR's critical-edge invariant guarantees all phi moves sit before
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ir.block import Block
 from ..ir.cfgutils import reverse_post_order
 from ..ir.graph import Graph, Program
@@ -34,8 +32,6 @@ from ..ir.nodes import (
     New,
     NewArray,
     Not,
-    Parameter,
-    Phi,
     Return,
     StoreField,
     StoreGlobal,

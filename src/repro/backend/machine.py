@@ -13,6 +13,7 @@ from typing import Any, Optional
 
 from ..ir.ops import (
     MAX_CALL_DEPTH,
+    MAX_STEPS,
     EvaluationTrap,
     check_array_length,
     eval_binop,
@@ -66,7 +67,7 @@ class Machine:
     """Executes a :class:`LirProgram`."""
 
     program: LirProgram
-    max_steps: int = 50_000_000
+    max_steps: int = MAX_STEPS
     globals: dict[str, Any] = field(default_factory=dict)
     _steps: int = 0
     _depth: int = 0

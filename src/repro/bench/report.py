@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 from ..pipeline.config import CompilerConfig, DBDS, DUPALOT
 from .harness import SuiteReport, run_suite
 from .stats import format_percent, geometric_mean
-from .workloads.suites import ALL_SUITES, PAPER_SUITES, SuiteProfile
+from .workloads.suites import ALL_SUITES, PAPER_SUITES
 
 
 @dataclass

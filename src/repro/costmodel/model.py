@@ -28,7 +28,6 @@ from ..ir.nodes import (
     Constant,
     Goto,
     If,
-    Instruction,
     LoadField,
     LoadGlobal,
     Neg,
@@ -40,7 +39,6 @@ from ..ir.nodes import (
     Return,
     StoreField,
     StoreGlobal,
-    Terminator,
 )
 from ..ir.ops import BinOp
 

@@ -26,7 +26,7 @@ from ..ir.cfgutils import (
 from ..ir.copy import clone_instruction, clone_terminator
 from ..ir.graph import Graph
 from ..ir.loops import LoopForest
-from ..ir.nodes import Goto, Phi, Value
+from ..ir.nodes import Goto, Value
 from ..ir.ssa_repair import collect_external_uses, repair_value
 
 

@@ -23,7 +23,6 @@ from ..ir.graph import Graph, Program
 from ..obs.tracer import Event, Tracer, use_tracer
 from .simulation import SimulationResult, SimulationTier
 from .tradeoff import (
-    REASON_ACCEPT,
     REASON_BUDGET,
     REASON_THRESHOLD,
     REASON_UNIT_SIZE,

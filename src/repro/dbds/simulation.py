@@ -27,7 +27,6 @@ from ..ir.cfgutils import reverse_post_order
 from ..ir.graph import Graph, Program
 from ..ir.nodes import (
     Compare,
-    Constant,
     Goto,
     If,
     Instruction,
@@ -37,7 +36,6 @@ from ..ir.nodes import (
     StoreField,
     Value,
 )
-from ..ir.ops import CmpOp
 from ..ir.stamps import Stamp
 from ..obs.tracer import current_tracer
 from ..opts.base import OptimizationContext, Rewrite

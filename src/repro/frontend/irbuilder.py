@@ -47,7 +47,6 @@ from ..ir.types import (
     ObjectType,
     Type,
     assignable,
-    join,
 )
 from ..ir.verifier import verify_graph
 from . import ast

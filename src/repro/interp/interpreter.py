@@ -40,7 +40,6 @@ from ..ir.nodes import (
     New,
     NewArray,
     Not,
-    Parameter,
     Phi,
     Return,
     StoreField,
@@ -49,6 +48,7 @@ from ..ir.nodes import (
 )
 from ..ir.ops import (
     MAX_CALL_DEPTH,
+    MAX_STEPS,
     EvaluationTrap,
     check_array_length,
     eval_binop,
@@ -115,7 +115,7 @@ class Interpreter:
     def __init__(
         self,
         program: Program,
-        max_steps: int = 50_000_000,
+        max_steps: int = MAX_STEPS,
         profile: Optional["ProfileCollector"] = None,
         metered: bool = False,
     ) -> None:

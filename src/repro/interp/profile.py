@@ -28,6 +28,7 @@ from typing import Any, Iterable, Optional
 
 from ..ir.graph import Program
 from ..ir.nodes import If
+from ..ir.ops import MAX_STEPS
 from ..obs.tracer import current_tracer
 from .interpreter import BudgetExceeded, ProfileCollector
 
@@ -49,7 +50,7 @@ def profile_program(
     program: Program,
     entry: str,
     arg_sets: Iterable[list[Any]],
-    max_steps: int = 50_000_000,
+    max_steps: int = MAX_STEPS,
     collector: Optional[ProfileCollector] = None,
 ) -> ProfileCollector:
     """Run ``entry`` over every argument set, collecting counters.

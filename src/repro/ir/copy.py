@@ -15,7 +15,7 @@ Four consumers:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .block import Block
 from .graph import Graph, Program
@@ -36,7 +36,6 @@ from .nodes import (
     New,
     NewArray,
     Not,
-    Parameter,
     Phi,
     Return,
     StoreField,

@@ -10,10 +10,9 @@ trip counts, and normalize by the maximum frequency in the unit.
 from __future__ import annotations
 
 from .block import Block
-from .dominators import DominatorTree
 from .graph import Graph
 from .loops import LoopForest
-from .nodes import Goto, If
+from .nodes import If
 
 
 class BlockFrequencies:

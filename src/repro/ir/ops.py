@@ -30,6 +30,11 @@ MAX_ARRAY_LENGTH = 1 << 24
 #: deeper traps with ``stack overflow`` on every engine
 MAX_CALL_DEPTH = 200
 
+#: the default step budget of a run: the step that would exceed it
+#: stops the run with ``BudgetExceeded`` on every engine (the megaunit
+#: engine sizes its packed meter from the budget)
+MAX_STEPS = 50_000_000
+
 
 def check_array_length(length: int) -> int:
     """``length``, if ``new T[length]`` can allocate it; a negative

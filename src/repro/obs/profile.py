@@ -16,7 +16,7 @@ Exposed on the CLI as ``python -m repro trace prog.mini`` and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 from .sinks import trace_counters
 from .tracer import Event, Tracer

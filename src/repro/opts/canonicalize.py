@@ -17,7 +17,6 @@ from ..ir.nodes import (
     ArithOp,
     ArrayLength,
     Compare,
-    Constant,
     Goto,
     If,
     Instruction,
@@ -28,7 +27,7 @@ from ..ir.nodes import (
     Value,
 )
 from ..ir.ops import BinOp, CmpOp, EvaluationTrap, eval_binop, eval_cmp
-from ..ir.stamps import BoolStamp, IntStamp, ObjectStamp
+from ..ir.stamps import BoolStamp, IntStamp
 from .base import OptimizationContext, Phase, Rewrite
 from .stampmath import compare_stamps, power_of_two_exponent
 

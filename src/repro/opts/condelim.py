@@ -18,7 +18,7 @@ from ..ir.block import Block
 from ..ir.cfgutils import canonical_cfg_cleanup
 from ..ir.dominators import DominatorTree
 from ..ir.graph import Graph
-from ..ir.nodes import Compare, Constant, Goto, If, Instruction, Not, Value
+from ..ir.nodes import Compare, Constant, Goto, If, Not, Value
 from ..ir.ops import CmpOp
 from ..ir.stamps import (
     FALSE_STAMP,

@@ -17,7 +17,7 @@ that turned out identical.
 from __future__ import annotations
 
 from ..ir.graph import Graph
-from ..ir.nodes import ArithOp, Compare, Instruction, Neg, Not, Phi, Value
+from ..ir.nodes import ArithOp, Compare, Instruction, Neg, Not, Value
 from .base import Phase
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 from ..ir.block import Block
 from ..ir.graph import Graph, Program
 from .base import Phase
-from ..ir.nodes import Compare, Constant, Instruction, LoadField, New, StoreField, Value
+from ..ir.nodes import Compare, Constant, LoadField, New, StoreField, Value
 from ..ir.ops import CmpOp
 from .canonicalize import remove_dead_instructions
 

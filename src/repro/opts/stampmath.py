@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir.ops import BinOp, CmpOp, wrap64
+from ..ir.ops import BinOp, CmpOp
 from ..ir.stamps import (
     ANY_INT,
     BoolStamp,

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 from ..analysis.blame import CHECK_OFF
 from ..interp.interpreter import ExecutionResult, Interpreter
 from ..ir.graph import Program
+from ..ir.ops import MAX_STEPS
 from ..obs.tracer import Event, Tracer, current_tracer
 from .config import BASELINE, CompilerConfig
 
@@ -273,7 +274,7 @@ def make_engine(
     engine: str,
     program: Program,
     bytecode: Any = None,
-    max_steps: int = 50_000_000,
+    max_steps: int = MAX_STEPS,
     codegen_cache: Any = None,
 ) -> Any:
     """Construct a metered runner for ``engine`` (uniform
@@ -312,7 +313,7 @@ def measure_performance(
     program: Program,
     entry: str,
     arg_sets: Iterable[list[Any]],
-    max_steps: int = 50_000_000,
+    max_steps: int = MAX_STEPS,
     engine: str = "megaunit",
     bytecode: Any = None,
     codegen_cache: Any = None,

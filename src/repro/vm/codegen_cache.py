@@ -36,7 +36,10 @@ from .bytecode import BytecodeFunction, disassemble
 #: text calls a reference-test helper the exec namespace no longer holds.
 #: 4: ``new T[n]`` traps past ``MAX_ARRAY_LENGTH`` — schema-3 text
 #: allocates any length and dies of a ``MemoryError``.
-CODEGEN_SCHEMA = 4
+#: 5: one packed meter ``e = (steps << K) + cycles`` in the one slot
+#: ``m[0]``, and ``_finish(vm, m, _fn<N>, e, pc, ...)`` — schema-4 text
+#: keeps ``s``/``c`` in two slots and calls the old replay signature.
+CODEGEN_SCHEMA = 5
 
 #: default reprs embed ``id()`` addresses; scrub them so digests are
 #: pure functions of structure and compare equal across processes

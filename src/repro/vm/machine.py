@@ -35,7 +35,12 @@ from ..interp.interpreter import (
     InterpreterState,
     ProfileCollector,
 )
-from ..ir.ops import MAX_CALL_DEPTH, EvaluationTrap, check_array_length
+from ..ir.ops import (
+    MAX_CALL_DEPTH,
+    MAX_STEPS,
+    EvaluationTrap,
+    check_array_length,
+)
 from .bytecode import OP_CALL, BytecodeFunction, BytecodeProgram
 
 _MASK = (1 << 64) - 1
@@ -298,7 +303,7 @@ class VirtualMachine:
     def __init__(
         self,
         bytecode: BytecodeProgram,
-        max_steps: int = 50_000_000,
+        max_steps: int = MAX_STEPS,
         profile: Optional[ProfileCollector] = None,
     ) -> None:
         self.bytecode = bytecode

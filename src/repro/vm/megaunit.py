@@ -32,37 +32,43 @@ CPython's own bytecode do the dispatch:
   generated function — no ``_run_frame``, no register-file
   allocation through the machine.
 
-Steps and metered cycles are accounted **per segment** (a maximal
-call-free instruction run): one ``s += W`` / ``c += C`` pair per
-segment instead of per instruction, with ``W``/``C`` baked at compile
-time.  Exactness is preserved at every observable point:
+Steps and metered cycles share **one packed meter**, the integer ``e
+= (steps << K) + cycles``, and are accounted **per segment** (a
+maximal call-free instruction run): one ``e += (W << K) + C`` per
+segment instead of per instruction, with the literal baked at compile
+time.  ``K`` (:func:`meter_width`, stored on the module) is wide
+enough that no cycle total a budget-bounded run can reach carries into
+the step field.  Exactness is preserved at every observable point:
 
-* a segment-entry budget guard ``s + W > max_steps`` exits through
-  ``_finish(vm, _fn<N>, s, c, pc, *live)``, a cold path that rebuilds
-  the register file from ``fn.template`` plus only the registers its
-  segment replay reads (:func:`finish_live_ins` — none at a call
-  site) and replays the segment per instruction through the ``vm``
-  loop's handler table (:func:`_finish_budget`), so it stops with
-  bit-identical :class:`BudgetExceeded` timing;
-* trap sites flush ``state.steps = s + k`` / ``state.cycles = c + ck``
-  with the partial step count and the left-to-right partial cycle sum
-  baked in, so values, steps, cycles and trap messages match the
-  reference exactly (partial sums are exact for integer-valued cost
-  models — the default — since float addition is only associative on
-  integers);
-* the step/cycle meter ``m`` is a single shared two-slot list threaded
-  through every frame of a run; inside a frame the meters live in the
-  **locals** ``s``/``c`` and are written back exactly where another
-  frame or the machine observes them: a call site writes ``m[0] = s +
-  1`` / ``m[1] = c`` (the step charged, the machine's ordering),
-  dispatches, then reloads ``s = m[0]`` / ``c = m[1] + cost``; returns
-  write both slots back;
-* the callee prologue's stack-overflow guard flushes ``state`` from
-  ``m`` before trapping — bit-identical to the machine, where the
+* a segment-entry budget guard compares against one baked literal,
+  ``e > ((max_steps - W) << K) | (2**K - 1)``, which holds exactly
+  when ``steps + W > max_steps``, and exits through ``_finish(vm, m,
+  _fn<N>, e, pc, *live)``, a cold path that rebuilds the register file
+  from ``fn.template`` plus only the registers its segment replay
+  reads (:func:`finish_live_ins` — none at a call site) and replays
+  the segment per instruction through the ``vm`` loop's handler table
+  (:func:`_finish_budget`), so it stops with bit-identical
+  :class:`BudgetExceeded` timing;
+* trap sites flush ``m[0] = e + ((k << K) + ck)`` with the partial
+  step count and partial cycle sum baked in, so values, steps, cycles
+  and trap messages match the reference exactly (costs are integers,
+  and a float sum of integers is exact below ``2**53``);
+* the meter slot ``m`` is a single shared one-slot list threaded
+  through every frame of a run; inside a frame the meter lives in the
+  **local** ``e`` and is written back exactly where another frame or
+  the machine observes it: a call site writes ``m[0] = e + (1 << K)``
+  (the step charged, the machine's ordering), dispatches, then reloads
+  ``e = m[0] + cost``; returns write ``m[0] = e``;
+* so every exit leaves the packed meter in ``m[0]``; the callee
+  prologue's stack-overflow guard traps before loading it, leaving
+  what the caller flushed — bit-identical to the machine, where the
   caller flushed before ``vm._call`` and the callee traps untouched;
-* the engine's ``_run_frame`` builds ``m = [state.steps,
-  state.cycles]`` once per machine entry and flushes back on normal
-  return; every raising path flushed exactly at its raise site.
+* the engine's ``_run_frame`` is the one place that packs ``state``
+  into ``m[0]`` (once per machine entry) and unpacks it, in a
+  ``finally``, however the run leaves; cycles come back as the float
+  they are on every other engine.  Carried-in meters the field cannot
+  hold (cycles past ``2**(K-1)``, negative or fractional, negative
+  steps) run on the ``vm`` loop instead.
 
 ``max_steps`` is baked into the generated source, so the module is
 recompiled if it changes between runs on the same machine instance.
@@ -75,16 +81,18 @@ case (:data:`~repro.ir.ops.MAX_CALL_DEPTH` minus the current depth, plus
 ``_STACK_HEADROOM`` slack) fits under ``sys.getrecursionlimit()`` and
 otherwise runs the activation on the inherited ``vm`` loop, emitting a
 ``vm.fallback`` tracer event (once per machine and reason) and
-counting ``repro_vm_fallback_total``.
+counting ``repro_vm_fallback_total``.  A unit whose baked costs are not
+all non-negative integers (a custom cost model) runs there too.
 
 The module comes in two variants, one per kind of run.  A measured run
 (no collector) executes the **plain** module, which meters cycles.  A
 profiling run (a ``profile=`` collector) executes the **counted**
-module instead of the hooked machine loop: it meters steps but not
-cycles, exactly like the machine's profiling loop, and adds one
-``_counts[k] += 1`` per frame entry (after the depth guard) and per
-CFG edge site (before its phi moves) — exactly where the machine loop
-calls ``record_block`` and, on an ``If``'s edges, ``record_branch``.
+module instead of the hooked machine loop: the same codegen with ``K =
+0`` and no cycle term, so it meters steps but not cycles, exactly like
+the machine's profiling loop, and adds one ``_counts[k] += 1`` per
+frame entry (after the depth guard) and per CFG edge site (before its
+phi moves) — exactly where the machine loop calls ``record_block``
+and, on an ``If``'s edges, ``record_branch``.
 :meth:`MegaunitModule.fold_counts` turns the counts into collector
 entries whenever a run leaves the module (return, trap or budget
 stop); a budget guard's replay never reaches its segment's
@@ -109,7 +117,12 @@ from ..interp.interpreter import (
     ExecutionResult,
     ProfileCollector,
 )
-from ..ir.ops import MAX_ARRAY_LENGTH, MAX_CALL_DEPTH, EvaluationTrap
+from ..ir.ops import (
+    MAX_ARRAY_LENGTH,
+    MAX_CALL_DEPTH,
+    MAX_STEPS,
+    EvaluationTrap,
+)
 from ..obs.tracer import current_tracer
 from .bytecode import (
     OP_ADD,
@@ -186,29 +199,35 @@ _COMPARISONS = {
 }
 
 
-def finish_live_ins(fn: BytecodeFunction, pc: int) -> tuple[int, ...]:
-    """The registers a budget guard at ``pc`` hands to ``_finish``.
-
-    The guard fires only when the segment starting at ``pc`` cannot
-    complete, so the replay executes at most every instruction of the
-    segment but its last: the terminator never runs, and a call-site
-    guard replays nothing.  Those instructions read these registers
-    before writing them (first-read order).  Constants are left out:
-    the replay starts from a copy of ``fn.template``, which holds them.
-    Codegen, the replay and the codegen lint all call this one helper.
-    """
+def segment_steps(fn: BytecodeFunction, pc: int) -> int:
+    """``W``, the steps the budget guard at ``pc`` checks: the segment
+    starting there runs through its terminator or stops short of the
+    next call, and a call site's own guard covers the call's one step."""
     code = fn.code
     end = pc
     while code[end][0] not in _SEGMENT_ENDS:
         end += 1
     if code[end][0] == OP_CALL:
-        # The segment stops short of the call: its last instruction is
-        # the one before (nothing at all for the call's own guard).
-        end = max(pc, end - 1)
+        return max(end - pc, 1)
+    return end - pc + 1
+
+
+def finish_live_ins(fn: BytecodeFunction, pc: int) -> tuple[int, ...]:
+    """The registers a budget guard at ``pc`` hands to ``_finish``.
+
+    The guard fires only when the segment starting at ``pc`` cannot
+    complete, so the replay executes at most every instruction of the
+    segment but its last (:func:`segment_steps` minus one): the
+    terminator never runs, and a call-site guard replays nothing.
+    Those instructions read these registers before writing them
+    (first-read order).  Constants are left out: the replay starts from
+    a copy of ``fn.template``, which holds them.  Codegen, the replay
+    and the codegen lint all call this one helper.
+    """
     lo, hi = fn.const_base, fn.const_base + fn.const_count
     live: list[int] = []
     written: set[int] = set()
-    for ins in code[pc:end]:
+    for ins in fn.code[pc:pc + segment_steps(fn, pc) - 1]:
         for slot, kind in enumerate(OPCODE_SPECS[ins[0]].sig, 4):
             reg = ins[slot]
             if (
@@ -222,40 +241,65 @@ def finish_live_ins(fn: BytecodeFunction, pc: int) -> tuple[int, ...]:
     return tuple(live)
 
 
-def _finish_budget(vm, fn, steps, cycles, pc, *live) -> None:
+def meter_width(
+    order: Sequence[BytecodeFunction], max_steps: int, counted: bool = False
+) -> Optional[int]:
+    """``K``, the cycle-field width of a unit's packed meter ``(steps <<
+    K) + cycles``: 0 in the counted module, which meters steps only.
+
+    No run can step past ``max_steps`` and charge its cycles, so one
+    budget-bounded run reaches at most ``max_steps`` times the unit's
+    largest baked cost; ``K`` holds twice that, room for the run's own
+    cycles plus as many carried into the machine, so the cycle field
+    never carries into the step field (``_run_frame`` declines larger
+    carried-in totals).  ``None`` when a baked cost is not a
+    non-negative integer, which the packed meter cannot hold."""
+    if counted:
+        return 0
+    top = 0
+    for fn in order:
+        for ins in fn.code:
+            cost = ins[1]
+            if not (cost >= 0 and float(cost).is_integer()):
+                return None
+            top = max(top, int(cost))
+    return (max(max_steps, 0) * top).bit_length() + 1
+
+
+def _finish_budget(vm, m, fn, e, pc, *live) -> None:
     """Cold path of a budget guard: this segment's steps cannot all fit.
 
     Rebuilds the register file the segment replay reads (the template
     plus ``live``, in :func:`finish_live_ins` order) and replays from
     the segment's first pc through the ``vm`` loop's handler table with
-    its exact accounting.  The guard only fires when exhaustion is
-    guaranteed within the segment, so this always raises —
-    :class:`BudgetExceeded` at the precise instruction the ``vm`` loop
-    would stop at, or an :class:`EvaluationTrap` if an earlier
-    instruction traps first, flushed identically.
+    its exact accounting, on the packed meter ``e``.  The guard only
+    fires when exhaustion is guaranteed within the segment, so this
+    always raises — :class:`BudgetExceeded` at the precise instruction
+    the ``vm`` loop would stop at, or an :class:`EvaluationTrap` if an
+    earlier instruction traps first — and leaves the meter in ``m[0]``.
     """
     regs = fn.template[:]
     for reg, value in zip(finish_live_ins(fn, pc), live):
         regs[reg] = value
-    state = vm.state
-    code = fn.code
+    width = vm._mu_module.width
+    step = 1 << width
     max_steps = vm.max_steps
+    limit = (max_steps << width) | (step - 1)  # e > limit: steps > max
     metered = vm.metered
+    code = fn.code
     while True:
         ins = code[pc]
-        steps += 1
-        if steps > max_steps:
-            state.steps = steps
-            state.cycles = cycles
+        e += step
+        if e > limit:
+            m[0] = e
             raise BudgetExceeded(f"exceeded {max_steps} interpreter steps")
         try:
             pc = _HANDLERS[ins[0]](vm, ins, regs, pc)
         except EvaluationTrap:
-            state.steps = steps
-            state.cycles = cycles
+            m[0] = e
             raise
         if metered:
-            cycles += ins[1]
+            e += int(ins[1])
 
 
 def stack_headroom_ok(call_depth: int) -> bool:
@@ -290,6 +334,7 @@ class _FunctionCompiler:
         index: int,
         entries: dict[int, str],
         sites: Optional[list] = None,
+        width: Optional[int] = 0,
     ) -> None:
         self.fn = fn
         self.max_steps = max_steps
@@ -298,8 +343,13 @@ class _FunctionCompiler:
         #: the counted module's counter sites, shared by every function
         #: of the unit (``None``: the plain module)
         self.sites = sites
-        #: only the plain module meters cycles (a profiling run counts)
-        self.metered = sites is None
+        #: the unit's :func:`meter_width`; 0 (no cycle field) in the
+        #: counted module, which meters steps only
+        if width is None:
+            raise ValueError(
+                "the packed meter needs non-negative integer cycle costs"
+            )
+        self.width = width
         self.lines: list[str] = []
         self.lo = fn.const_base
         self.hi = fn.const_base + fn.const_count
@@ -322,19 +372,19 @@ class _FunctionCompiler:
                 return repr(value)
         return self.reg(reg)
 
+    def packed(self, steps: int, cycles) -> int:
+        """The meter literal charging ``steps`` steps and ``cycles``
+        cycles (the cycles vanish in the counted module: ``K = 0``)."""
+        return (steps << self.width) + (int(cycles) if self.width else 0)
+
     def flush(self, indent: int, k: int, ck) -> None:
         """Partial meter flush preceding a trap raise.
 
         ``k`` instructions of the current segment (including the
-        trapping one) count as steps; ``ck`` is the left-to-right
-        partial cycle sum of the instructions *before* it.
+        trapping one) count as steps; ``ck`` is the partial cycle sum
+        of the instructions *before* it.
         """
-        self.emit(indent, f"state.steps = s + {k}")
-        if self.metered:
-            if ck:
-                self.emit(indent, f"state.cycles = c + {ck!r}")
-            else:
-                self.emit(indent, "state.cycles = c")
+        self.emit(indent, f"m[0] = e + {self.packed(k, ck)}")
 
     def wrap64(self, indent: int, dest: int, expr: str) -> None:
         self.emit(indent, f"v = ({expr}) & {_MASK}")
@@ -502,30 +552,31 @@ class _FunctionCompiler:
         else:  # pragma: no cover - translate emits no other opcodes
             raise AssertionError(f"cannot compile opcode {op}")
 
-    # -- meter locals -----------------------------------------------------
-    # Steps and cycles live in the locals ``s``/``c`` (no ``m[0]`` /
-    # ``m[1]`` subscripts on the hot path) and are written back to the
-    # shared list exactly where another frame or the machine observes
-    # them: call sites, returns and trap raises.  ``_finish`` takes
-    # them as arguments.
+    # -- the packed meter -------------------------------------------------
+    # Steps and cycles live in one local, ``e = (steps << K) + cycles``
+    # (no ``m[0]`` subscript on the hot path), written back to the
+    # shared slot ``m[0]`` exactly where another frame or the machine
+    # observes it: call sites, returns and trap raises.  ``_finish``
+    # takes it as an argument.
     def meter_guard(self, indent: int, w: int, pc: int) -> None:
-        """Segment-entry budget guard routing to the ``_finish`` replay."""
-        self.emit(indent, f"if s + {w} > {self.max_steps}:")
+        """Segment-entry budget guard routing to the ``_finish`` replay:
+        ``e`` exceeds the literal exactly when ``steps + w`` exceeds
+        ``max_steps``, whatever the cycle field holds."""
+        limit = ((self.max_steps - w) << self.width) | ((1 << self.width) - 1)
+        self.emit(indent, f"if e > {limit}:")
         self.gen_finish(indent + 1, pc)
 
     def gen_finish(self, indent: int, pc: int) -> None:
-        """The budget exit of the guard at ``pc``: the meters plus the
+        """The budget exit of the guard at ``pc``: the meter plus the
         registers :func:`finish_live_ins` names."""
         live = "".join(
             f", {self.reg(k)}" for k in finish_live_ins(self.fn, pc)
         )
-        self.emit(indent, f"_finish(vm, _fn{self.index}, s, c, {pc}{live})")
+        self.emit(indent, f"_finish(vm, m, _fn{self.index}, e, {pc}{live})")
 
     def meter_charge(self, indent: int, w: int, acc) -> None:
         """Segment-exit meter charge: ``w`` steps, ``acc`` cycles."""
-        self.emit(indent, f"s += {w}")
-        if self.metered and acc:
-            self.emit(indent, f"c += {acc!r}")
+        self.emit(indent, f"e += {self.packed(w, acc)}")
 
     # -- profile counters -------------------------------------------------
     # A counted module bumps one counter per frame entry and per CFG
@@ -621,8 +672,7 @@ class _FunctionCompiler:
         op = ins[0]
         if op == OP_RETURN:
             value = self.operand(ins[4]) if ins[4] >= 0 else "None"
-            self.emit(indent, "m[0] = s")
-            self.emit(indent, "m[1] = c")
+            self.emit(indent, "m[0] = e")
             self.emit(indent, f"return {value}")
         elif op == OP_GOTO:
             self.gen_edge(indent, ins[4])
@@ -642,7 +692,7 @@ class _FunctionCompiler:
         self.meter_guard(indent, w, start)
         has_term = code[end - 1][0] in (OP_GOTO, OP_IF, OP_RETURN)
         body_end = end - 1 if has_term else end
-        acc = 0  # left-to-right partial cycle sum, exact for int costs
+        acc = 0  # partial cycle sum
         k = 0
         for pc in range(start, body_end):
             self.gen_ins(indent, code[pc], k + 1, acc)
@@ -656,7 +706,7 @@ class _FunctionCompiler:
 
     # -- direct call lowering -------------------------------------------
     def gen_call(self, indent: int, ins: tuple, pc: int) -> None:
-        """One call site: budget guard, write the meters back (the step
+        """One call site: budget guard, write the meter back (the step
         charged, so the callee observes the machine's ordering),
         dispatch the callee's generated function directly, reload and
         charge the call cost."""
@@ -667,17 +717,12 @@ class _FunctionCompiler:
                 "the compiled program"
             )
         emit = self.emit
-        emit(indent, f"if s + 1 > {self.max_steps}:")
-        self.gen_finish(indent + 1, pc)
-        emit(indent, "m[0] = s + 1")
-        emit(indent, "m[1] = c")
+        self.meter_guard(indent, 1, pc)
+        emit(indent, f"m[0] = e + {self.packed(1, 0)}")
         args = "".join(f", {self.reg(a)}" for a in ins[5])
         emit(indent, f"{self.reg(ins[3])} = {target}(vm, m{args}, d + 1)")
-        emit(indent, "s = m[0]")
-        if self.metered and ins[1]:
-            emit(indent, f"c = m[1] + {ins[1]!r}")
-        else:
-            emit(indent, "c = m[1]")
+        cost = self.packed(0, ins[1])
+        emit(indent, f"e = m[0] + {cost}" if cost else "e = m[0]")
 
     # -- function scaffolding -------------------------------------------
     def gen_seed(self) -> None:
@@ -737,14 +782,13 @@ class _FunctionCompiler:
         self._spans = {start: count for start, count, _name in blocks}
         params = "".join(f", r{k}" for k in range(fn.nparams))
         emit(0, f"def _mu{self.index}(vm, m{params}, d):")
-        emit(1, "state = vm.state")
+        # The depth trap leaves m[0] as the caller flushed it.
         emit(1, f"if d > {MAX_CALL_DEPTH}:")
-        emit(2, "state.steps = m[0]")
-        emit(2, "state.cycles = m[1]")
         emit(2, "raise EvaluationTrap('stack overflow')")
         self.count(1, fn.entry_block)
-        emit(1, "s = m[0]")
-        emit(1, "c = m[1]")
+        emit(1, "e = m[0]")
+        if any(ins[0] in (OP_LOAD_GLOBAL, OP_STORE_GLOBAL) for ins in fn.code):
+            emit(1, "state = vm.state")
         self.gen_seed()
         headers = self.loop_headers()
         ladder = headers + [
@@ -797,46 +841,52 @@ def unit_functions(
 def _unit_source(
     order: list[BytecodeFunction],
     max_steps: int,
+    width: Optional[int],
     sites: Optional[list] = None,
 ) -> str:
-    """The unit's module source; a ``sites`` list makes it a counted
-    module and receives one ``(block, branch, slot)`` per counter."""
+    """The unit's module source with cycle field ``width``; a ``sites``
+    list makes it a counted module and receives one ``(block, branch,
+    slot)`` per counter."""
     entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
     return "\n".join(
-        _FunctionCompiler(fn, max_steps, i, entries, sites).source()
+        _FunctionCompiler(fn, max_steps, i, entries, sites, width).source()
         for i, fn in enumerate(order)
     )
 
 
 def generate_module_source(
     bytecode: BytecodeProgram,
-    max_steps: int = 50_000_000,
+    max_steps: int = MAX_STEPS,
     roots: Optional[Sequence[str]] = None,
     counted: bool = False,
 ) -> str:
     """The Python source ``compile_module`` would exec for ``roots``
     (see :func:`unit_functions`; ``None`` = the whole program), without
     executing it — the static codegen lint works on this text."""
+    order = unit_functions(bytecode, roots)
     return _unit_source(
-        unit_functions(bytecode, roots), max_steps, [] if counted else None
+        order, max_steps, meter_width(order, max_steps, counted),
+        [] if counted else None,
     )
 
 
 def function_source(bytecode: BytecodeProgram, name: str) -> str:
     """The ``_mu<N>`` function :func:`generate_module_source` emits for
-    ``name`` (whole program, default limits), alone — the per-function
-    codegen lint works on this."""
+    ``name`` (plain, whole program, default limits), alone — the
+    per-function codegen lint works on this."""
     order = list(bytecode.functions.values())
     entries = {id(fn): f"_mu{i}" for i, fn in enumerate(order)}
     fn = bytecode.functions[name]
     return _FunctionCompiler(
-        fn, 50_000_000, order.index(fn), entries
+        fn, MAX_STEPS, order.index(fn), entries,
+        width=meter_width(order, MAX_STEPS),
     ).source()
 
 
 class MegaunitModule:
     """One compiled whole-program unit: the source, the per-function
-    entry points, and the function-name order the indices follow.
+    entry points, the function-name order the indices follow, and
+    ``width``, the ``K`` of its packed meter (:func:`meter_width`).
 
     A counted module also carries ``counts``, the list its generated
     code increments (one slot per frame entry or CFG edge site), and
@@ -844,19 +894,21 @@ class MegaunitModule:
     with ``branch`` the ``If`` node of an edge out of a branch (and
     ``slot`` 0 taken, 1 not taken) or ``None``."""
 
-    __slots__ = ("source", "entries", "order", "counts", "sites")
+    __slots__ = ("source", "entries", "order", "width", "counts", "sites")
 
     def __init__(
         self,
         source: str,
         entries: dict[str, Any],
         order: list[str],
+        width: int,
         counts: Optional[list] = None,
         sites: tuple = (),
     ) -> None:
         self.source = source
         self.entries = entries
         self.order = order
+        self.width = width
         self.counts = counts
         self.sites = sites
 
@@ -877,9 +929,9 @@ class MegaunitModule:
 
 
 def _exec_module(
-    bytecode: BytecodeProgram,
     order: list[BytecodeFunction],
     source: str,
+    width: int,
     sites: Optional[list] = None,
 ) -> MegaunitModule:
     namespace: dict[str, Any] = {
@@ -900,7 +952,7 @@ def _exec_module(
     )
     entries = {fn.name: namespace[f"_mu{i}"] for i, fn in enumerate(order)}
     return MegaunitModule(
-        source, entries, [fn.name for fn in order], counts,
+        source, entries, [fn.name for fn in order], width, counts,
         tuple(sites or ()),
     )
 
@@ -911,17 +963,21 @@ def compile_module(
     codegen_cache: Optional[Any] = None,
     roots: Optional[Sequence[str]] = None,
     counted: bool = False,
-) -> MegaunitModule:
+) -> Optional[MegaunitModule]:
     """Compile (or exec from cache) the unit of every function reachable
-    from ``roots`` (``None`` = the whole program).  The codegen cache
-    key hashes the unit's functions, so each set of roots has its own
-    entry.
+    from ``roots`` (``None`` = the whole program); ``None`` when its
+    baked costs cannot be packed (see :func:`meter_width`).  The
+    codegen cache key hashes the unit's functions, so each set of roots
+    has its own entry.
 
     ``counted`` compiles the profiling variant (see
     :class:`MegaunitModule`).  It is built once per profiling run and
     never enters the codegen cache: its counter sites hold the IR's
     blocks and branches, which a cached text could not name."""
     order = unit_functions(bytecode, roots)
+    width = meter_width(order, max_steps, counted)
+    if width is None:
+        return None
     sites = None
     if counted:
         sites = []
@@ -935,9 +991,9 @@ def compile_module(
             payload is not None
             and payload.get("functions") == [fn.name for fn in order]
         ):
-            return _exec_module(bytecode, order, payload["source"])
-    source = _unit_source(order, max_steps, sites)
-    module = _exec_module(bytecode, order, source, sites)
+            return _exec_module(order, payload["source"], width)
+    source = _unit_source(order, max_steps, width, sites)
+    module = _exec_module(order, source, width, sites)
     if codegen_cache is not None:
         store_source(
             codegen_cache, key,
@@ -959,9 +1015,10 @@ class MegaunitVirtualMachine(VirtualMachine):
     changes.  A machine with a ``profile=`` collector runs the counted
     module and folds its counts into the collector whenever a run
     leaves it (return, trap or budget stop); without one it runs the
-    plain, metered module.  Insufficient recursion headroom falls back
-    to the inherited ``vm`` loop (a ``vm.fallback`` event records
-    why).
+    plain, metered module.  Insufficient recursion headroom, carried-in
+    meters the packed meter cannot hold, or baked costs it cannot
+    hold fall back to the inherited ``vm`` loop (a ``vm.fallback``
+    event records why).
 
     ``codegen_cache`` (an :class:`~repro.pipeline.cache.ArtifactCache`
     or anything with its aux-store API) persists the generated text:
@@ -989,7 +1046,7 @@ class MegaunitVirtualMachine(VirtualMachine):
         self._mu_entry = function
         return super().run(function, args)
 
-    def _module(self) -> MegaunitModule:
+    def _module(self) -> Optional[MegaunitModule]:
         counted = self.profile is not None
         key = (self.max_steps, self._mu_entry, counted)
         if key != self._mu_key:
@@ -1015,25 +1072,43 @@ class MegaunitVirtualMachine(VirtualMachine):
 
     def _run_frame(self, fn: BytecodeFunction, args: list) -> Any:
         module = self._module()
+        if module is None:
+            self._note_fallback("non-integer-costs")
+            return super()._run_frame(fn, args)
         # The unit holds every function reachable from the run's entry.
         entry = module.entries[fn.name]
         if not self._stack_headroom_ok():
             self._note_fallback("recursion-headroom")
             return super()._run_frame(fn, args)
         state = self.state
-        m = [state.steps, state.cycles]
-        # Raising paths (traps, budget stops, the callee depth guard)
-        # flush state at their raise site; only the normal return path
-        # flushes here.  A counted module folds its counts however the
-        # run leaves it.
+        width = module.width
+        packed = state.steps
+        if width:
+            # The cycle field holds a run's own cycles plus as many
+            # carried in (see meter_width); a float total of integers
+            # below 2**53 is exact, so the cycles come back bit for bit.
+            cycles = state.cycles
+            if not (
+                packed >= 0
+                and type(cycles) is float
+                and cycles.is_integer()
+                and 0 <= cycles < 1 << (width - 1)
+            ):
+                self._note_fallback("meter-width")
+                return super()._run_frame(fn, args)
+            packed = (packed << width) + int(cycles)
+        m = [packed]
+        # Every exit leaves the packed meter in m[0]: returns, trap
+        # sites, the callee depth guard and the budget replay.  A
+        # counted module folds its counts however the run leaves it.
         try:
-            value = entry(self, m, *args, self._call_depth)
+            return entry(self, m, *args, self._call_depth)
         finally:
+            state.steps = m[0] >> width
+            if width:
+                state.cycles = float(m[0] & ((1 << width) - 1))
             if module.counts is not None:
                 module.fold_counts(self.profile)
-        state.steps = m[0]
-        state.cycles = m[1]
-        return value
 
 
 __all__ = [

@@ -43,6 +43,7 @@ import math
 from typing import Any, Iterable, Optional
 
 from ..interp.interpreter import ExecutionResult, ProfileCollector
+from ..ir.ops import MAX_STEPS
 from .bytecode import OPCODE_NAMES, BytecodeProgram
 from .machine import VirtualMachine
 
@@ -291,7 +292,7 @@ def profile_run(
     arg_sets: Iterable[tuple] = ((),),
     *,
     bytecode: Optional[BytecodeProgram] = None,
-    max_steps: int = 50_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> tuple[float, list[ExecutionResult], VMProfile]:
     """Execute ``entry`` over ``arg_sets``, measured and profiled.
 

@@ -15,6 +15,7 @@ from repro.analysis.bcverify import (
     verify_bytecode,
 )
 from repro.analysis.bcverify.lint import BANNED_NAMES, _lint_names
+from repro.ir.ops import MAX_STEPS
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import CONFIGURATIONS
 from repro.vm.bytecode import OP_ADD, OP_CALL, OP_RETURN, BytecodeFunction
@@ -22,6 +23,8 @@ from repro.vm.megaunit import (
     MEGAUNIT_NAMESPACE,
     finish_live_ins,
     generate_module_source,
+    meter_width,
+    segment_steps,
 )
 from repro.vm.translate import translate_program
 
@@ -187,33 +190,88 @@ def test_lint_catches_block_table_tamper(bytecode):
     assert lint_megaunit_function(bytecode, "main") != []
 
 
-def test_lint_catches_unbalanced_accounting():
+def _packed_lines(source: str, pattern: str) -> list:
+    """``(index, literal)`` of every line of ``source`` matching
+    ``pattern``, whose one group is a packed meter literal."""
+    return [
+        (index, int(match.group(1)))
+        for index, line in enumerate(source.splitlines())
+        for match in [re.fullmatch(pattern, line)]
+        if match
+    ]
+
+
+def _with_line(source: str, index: int, old: str, new: str) -> str:
+    lines = source.splitlines()
+    assert old in lines[index]
+    lines[index] = lines[index].replace(old, new)
+    return "\n".join(lines) + "\n"
+
+
+def test_lint_catches_unbalanced_accounting(bytecode, monkeypatch):
     from repro.analysis.bcverify.lint import _lint_accounting
 
+    # Packed at K = 8: one segment charge, (2 << 8) + 5.
     func = ast.parse(
         "def _mu0(vm, m, r0, d):\n"
-        "    s += 2\n"
-        "    c += 5\n"
+        "    e += 517\n"
     ).body[0]
     fn = BytecodeFunction("f", 1)
     fn.code = ((0, 7, None, 0, 1, 2),) * 3
     messages: list[str] = []
     # the function has 3 instructions costing 21 cycles; the generated
     # source only accounts for 2 steps and 5 cycles
-    _lint_accounting(func, fn, True, messages)
+    _lint_accounting(func, fn, 8, messages)
     assert any("step increments sum to 2" in m for m in messages)
 
     messages = []
     steps_ok = ast.parse(
         "def _mu0(vm, m, r0, d):\n"
-        "    s += 3\n"
-        "    c += 5\n"
+        "    e += 773\n"
     ).body[0]
-    _lint_accounting(steps_ok, fn, True, messages)
+    _lint_accounting(steps_ok, fn, 8, messages)
     assert any("cycle increments sum to 5" in m for m in messages)
 
+    # Generated text: one charge literal's cycle field, then its step
+    # field, off by one.
+    source = generate_module_source(bytecode)
+    width = meter_width(list(bytecode.functions.values()), MAX_STEPS)
+    index, charge = _packed_lines(source, r"\s*e \+= (\d+)")[0]
+    for delta, label in ((1, "cycle"), (1 << width, "step")):
+        tampered = _with_line(
+            source, index, f"e += {charge}", f"e += {charge + delta}"
+        )
+        messages = _lint_tampered(monkeypatch, bytecode, tampered)
+        assert any(f"{label} increments sum to" in m for m in messages), (
+            label, messages,
+        )
 
-def test_lint_catches_missing_trap_flush():
+
+def test_lint_rejects_a_guard_that_admits_one_step_too_many(
+    bytecode, monkeypatch
+):
+    # Raising a guard literal by 1 << K lets the segment run one step
+    # past max_steps before _finish replays it.
+    order = list(bytecode.functions.values())
+    width = meter_width(order, MAX_STEPS)
+    for counted, step in ((False, 1 << width), (True, 1)):
+        source = generate_module_source(bytecode, counted=counted)
+        index, bound = _packed_lines(source, r"\s*if e > (\d+):")[0]
+        # The guard's body is _mu0's _finish(vm, m, _fn0, e, <pc>, ...).
+        guarded = source.splitlines()[index + 1]
+        pc = int(re.search(r"_fn0, e, (\d+)", guarded)[1])
+        tampered = _with_line(
+            source, index, f"e > {bound}:", f"e > {bound + step}:"
+        )
+        messages = _lint_tampered(monkeypatch, bytecode, tampered, counted)
+        assert messages == [
+            f"_mu0: _finish at pc {pc} is not guarded by e > {bound} "
+            f"(its segment's {segment_steps(order[0], pc)} step(s) "
+            f"against {MAX_STEPS})"
+        ], messages
+
+
+def test_lint_catches_missing_trap_flush(bytecode, monkeypatch):
     from repro.analysis.bcverify.lint import _lint_trap_flushes
 
     func = ast.parse(
@@ -223,17 +281,35 @@ def test_lint_catches_missing_trap_flush():
     ).body[0]
     messages: list[str] = []
     _lint_trap_flushes(func, messages)
-    assert any("state.steps flush" in m for m in messages)
+    assert any("m[0] flush" in m for m in messages)
 
     flushed = ast.parse(
         "def _mu0(vm, m, r0, d):\n"
+        "    if d > 200:\n"
+        "        raise EvaluationTrap('stack overflow')\n"
+        "    e = m[0]\n"
         "    if r0 == 0:\n"
-        "        state.steps = m[0] + 1\n"
+        "        m[0] = e + 1\n"
         "        raise EvaluationTrap('division by zero')\n"
     ).body[0]
     messages = []
     _lint_trap_flushes(flushed, messages)
     assert messages == []
+
+    # Generated text: a trap site that lost its flush (the prologue's
+    # depth guard is the one raise that needs none).
+    source = generate_module_source(bytecode)
+    lines = source.splitlines()
+    index = next(
+        i for i, line in enumerate(lines)
+        if "raise EvaluationTrap" in line and "stack overflow" not in line
+    )
+    assert lines[index - 1].strip().startswith("m[0] = e + ")
+    del lines[index - 1]
+    messages = _lint_tampered(
+        monkeypatch, bytecode, "\n".join(lines) + "\n"
+    )
+    assert any("m[0] flush" in m for m in messages), messages
 
 
 def _finish_calls(source: str) -> list:
@@ -324,7 +400,7 @@ def test_megaunit_lint_rejects_a_full_register_file_exit(
     head = line[: line.index("_finish(")]
     lines[node.lineno - 1] = head + "_finish(vm, _fn0, [r0], m, 0)"
     messages = _lint_tampered(monkeypatch, bytecode, "\n".join(lines) + "\n")
-    assert any("does not pass (vm, _fn" in m for m in messages), messages
+    assert any("does not pass (vm, m, _fn" in m for m in messages), messages
 
 
 def test_megaunit_lint_rejects_the_retired_is_ref(bytecode, monkeypatch):

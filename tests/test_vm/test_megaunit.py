@@ -11,6 +11,7 @@ plain, metered module; a profiling run executes the counted one, which
 meters no cycles.
 """
 
+import ast
 import hashlib
 import re
 
@@ -32,11 +33,13 @@ from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.front import make_engine
 from repro.pipeline.config import DBDS
 from repro.interp.profile import profile_program
-from repro.ir.ops import MAX_CALL_DEPTH
+from repro.ir.ops import MAX_CALL_DEPTH, MAX_STEPS
 from repro.vm import MegaunitVirtualMachine, translate_program
-from repro.vm.bytecode import BytecodeProgram
+from repro.vm.bytecode import OP_CALL, BytecodeProgram
+from repro.vm.machine import VirtualMachine
 from repro.vm.megaunit import (
     generate_module_source,
+    meter_width,
     stack_headroom_ok,
     unit_functions,
 )
@@ -286,6 +289,138 @@ def test_budget_stop_keeps_heap_and_globals_at_every_cap():
         assert reference.state.globals == megaunit.state.globals, cap
 
 
+#: six 10-cycle stores per 10-step iteration: a run averages well over
+#: half the unit's largest cost, so its cycles fill the packed meter's
+#: field nearly as far as max_steps times that cost reaches
+STORES = """
+fn main(n: int) -> int {
+  var a: int[] = new int[6];
+  var i: int = 0;
+  while (i < n) {
+    a[0] = i; a[1] = i; a[2] = i; a[3] = i; a[4] = i; a[5] = i;
+    i = i + 1;
+  }
+  return a[5];
+}
+"""
+
+
+def _run_or_stop(runner, args):
+    """``(value, trap)`` of a run, or the message of its budget stop."""
+    try:
+        result = runner.run("main", args)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return (result.value, result.trap)
+
+
+def test_packed_meter_stays_exact_where_its_field_is_nearly_full():
+    # Caps 102 and 204 put max_steps times the largest cost (10) just
+    # under a power of two (1020 < 1024, 2040 < 2048); every cap runs
+    # twice on one machine, the second entry carrying the first's
+    # steps and cycles in, and must match the reference throughout.
+    program = compile_source(STORES)
+    bytecode = translate_program(program)
+    assert max(ins[1] for ins in bytecode.functions["main"].code) == 10
+    total = MegaunitVirtualMachine(bytecode).run("main", [25]).steps
+    assert total > 204
+    for cap in range(1, 2 * total + 2):
+        reference = Interpreter(program, max_steps=cap, metered=True)
+        megaunit = MegaunitVirtualMachine(bytecode, max_steps=cap)
+        for _entry in range(2):
+            assert _run_or_stop(reference, [25]) == _run_or_stop(
+                megaunit, [25]
+            ), cap
+            assert (reference.state.steps, reference.state.cycles) == (
+                megaunit.state.steps, megaunit.state.cycles
+            ), cap
+        assert not megaunit.fallbacks, cap
+    # The boundary is exercised: at cap 204 the first run stops past
+    # 2**10 cycles, which a field two bits narrower could not hold.
+    width = meter_width(unit_functions(bytecode), 204)
+    assert width == (204 * 10).bit_length() + 1 == 12
+    megaunit = MegaunitVirtualMachine(bytecode, max_steps=204)
+    with pytest.raises(BudgetExceeded):
+        megaunit.run("main", [25])
+    assert megaunit.state.cycles > 2 ** (width - 2)
+
+
+@pytest.mark.parametrize(
+    "cycles", [2.0 ** 40, None, 0.5, -1.0],
+    ids=["huge", "field-top", "fractional", "negative"],
+)
+def test_a_carried_in_meter_the_field_cannot_hold_falls_back(cycles):
+    # Set by hand: cycles past what the field holds (None: its very
+    # top, 2**K - 1), or no integer total at all.  The run must stay
+    # exact, on the vm loop, and say why.
+    program = compile_source(STORES)
+    bytecode = translate_program(program)
+    width = meter_width(unit_functions(bytecode), MAX_STEPS)
+    if cycles is None:
+        cycles = float((1 << width) - 1)
+    reference = Interpreter(program, metered=True)
+    megaunit = MegaunitVirtualMachine(bytecode)
+    reference.state.cycles = megaunit.state.cycles = cycles
+    tracer = Tracer()
+    with use_tracer(tracer):
+        assert_parity(reference, megaunit, [25])
+    assert megaunit.fallbacks == {"meter-width"}
+    reasons = [
+        event.attrs["reason"]
+        for event in tracer.events
+        if event.name == "vm.fallback"
+    ]
+    assert reasons == ["meter-width"]
+
+
+@pytest.mark.parametrize("profiled", [False, True], ids=["plain", "counted"])
+def test_cycles_stay_a_float_on_every_exit(profiled):
+    # The packed meter is an int; the cycles a run reports are the
+    # float every other engine reports, whichever way it leaves, and
+    # carried-in cycles come back (a counted run adds none to them).
+    cases = (
+        ("return", CALLS, {}),
+        ("trap", "fn main(x: int) -> int { return 1 / (x - 5); }", {}),
+        ("budget", CALLS, {"max_steps": 40}),
+    )
+    for kind, source, limits in cases:
+        reference, megaunit = engines_for(source, profiled=profiled, **limits)
+        for runner in (reference, megaunit):
+            runner.state.cycles = 7.0
+            try:
+                result = runner.run("main", [5])
+            except BudgetExceeded:
+                assert kind == "budget"
+            else:
+                assert kind == ("trap" if result.trap else "return")
+                assert type(result.cycles) is float
+        assert type(megaunit.state.cycles) is float
+        assert (reference.state.steps, reference.state.cycles) == (
+            megaunit.state.steps, megaunit.state.cycles
+        )
+        assert (megaunit.state.cycles == 7.0) == profiled
+        assert not megaunit.fallbacks
+
+
+def test_non_integer_costs_run_on_the_vm_loop():
+    # A custom cost model may bake fractional cycles, which the packed
+    # meter cannot hold: such a unit runs on the vm loop instead.
+    bytecode = translate_program(compile_source(CALLS))
+    fn = bytecode.functions["leaf"]
+    fn.code = ((fn.code[0][0], 1.5) + fn.code[0][2:],) + fn.code[1:]
+    with pytest.raises(ValueError):
+        generate_module_source(bytecode)
+    megaunit = MegaunitVirtualMachine(bytecode)
+    out = megaunit.run("main", [9])
+    ref = VirtualMachine(bytecode).run("main", [9])
+    assert (out.value, out.steps, out.cycles) == (
+        ref.value, ref.steps, ref.cycles
+    )
+    assert megaunit.fallbacks == {"non-integer-costs"}
+    # The counted module meters no cycles, so it still compiles.
+    assert generate_module_source(bytecode, counted=True)
+
+
 def test_changing_max_steps_recompiles_module():
     program = compile_source(LOOP)
     megaunit = MegaunitVirtualMachine(translate_program(program), max_steps=50)
@@ -381,20 +516,26 @@ def test_counted_run_keeps_value_step_cycle_parity(attached):
     assert_same_counts(reference, megaunit)
 
 
-def _without_cycle_accounting(lines: list[str]) -> list[str]:
-    """``lines`` minus every cycle charge and flush, with each call-cost
-    reload ``c = m[1] + K`` cut back to ``c = m[1]``."""
+def _at_width_zero(lines: list[str], width: int) -> list[str]:
+    """``lines`` with every packed meter literal re-encoded at ``K =
+    0`` with no cycle term: a charge, trap flush or call-site writeback
+    keeps its step field, a guard its step bound, and a call-cost
+    reload ``e = m[0] + C`` drops its cost."""
     kept = []
     for line in lines:
-        if re.fullmatch(r"\s*(c \+= .*|state\.cycles = c( \+ .*)?)", line):
-            continue
-        kept.append(re.sub(r"^(\s*c = m\[1\]) \+ .*$", r"\1", line))
+        packed = re.fullmatch(
+            r"(\s*(?:e \+= |m\[0\] = e \+ |if e > ))(-?\d+)(:?)", line
+        )
+        if packed:
+            head, literal, colon = packed.groups()
+            line = f"{head}{int(literal) >> width}{colon}"
+        kept.append(re.sub(r"^(\s*e = m\[0\]) \+ \d+$", r"\1", line))
     return kept
 
 
 def test_counted_module_only_differs_by_its_counters():
-    # The counted module without its counter lines is the plain module
-    # without its cycle accounting: a profiling run meters steps only.
+    # The counted module is the same codegen at K = 0 with no cycle
+    # term, plus its counters: a profiling run meters steps only.
     bytecode = translate_program(compile_source(CALLS))
     plain = generate_module_source(bytecode)
     counted = generate_module_source(bytecode, counted=True)
@@ -404,7 +545,9 @@ def test_counted_module_only_differs_by_its_counters():
     stripped = [
         line for line in counted.splitlines() if "_counts[" not in line
     ]
-    assert stripped == _without_cycle_accounting(plain.splitlines())
+    width = meter_width(unit_functions(bytecode), MAX_STEPS)
+    assert width > 0
+    assert stripped == _at_width_zero(plain.splitlines(), width)
     assert stripped != plain.splitlines()
 
 
@@ -458,6 +601,62 @@ def test_verify_bytecode_runs_the_megaunit_lint():
     bytecode = translate_program(program)
     report = verify_bytecode(bytecode)
     assert report.ok, report.format()
+
+
+def _segments_and_calls(bytecode) -> tuple[int, int]:
+    """Maximal call-free runs and call sites over every block."""
+    segments = calls = 0
+    for fn in bytecode.functions.values():
+        for start, count, _name in fn.blocks:
+            in_segment = False
+            for ins in fn.code[start:start + count]:
+                if ins[0] == OP_CALL:
+                    calls += 1
+                    in_segment = False
+                elif not in_segment:
+                    segments += 1
+                    in_segment = True
+    return segments, calls
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["plain", "counted"])
+def test_one_packed_meter_in_the_generated_code(counted):
+    # One local meter e, charged once and guarded once per segment (a
+    # call site has its own guard); nothing writes state's meters.
+    program, _ = compile_and_profile(CALLS, "main", [[6]], DBDS)
+    bytecode = translate_program(program)
+    tree = ast.parse(generate_module_source(bytecode, counted=counted))
+    stored = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert "e" in stored and not stored & {"s", "c"}
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("steps", "cycles")
+    ]
+    charges = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.target, ast.Name) and node.target.id == "e"
+    ]
+    guards = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name) and node.test.left.id == "e"
+    ]
+    assert all(
+        isinstance(node.op, ast.Add) and isinstance(node.value, ast.Constant)
+        for node in charges
+    )
+    assert all(
+        isinstance(node.test.ops[0], ast.Gt)
+        and isinstance(node.test.comparators[0], ast.Constant)
+        for node in guards
+    )
+    segments, calls = _segments_and_calls(bytecode)
+    assert calls
+    assert (len(charges), len(guards)) == (segments, segments + calls)
 
 
 def test_straight_line_function_has_no_dispatch_loop():
@@ -662,16 +861,16 @@ def test_each_entrys_unit_lints_clean(counted):
 #: profiling runs execute).
 SOURCE_DIGESTS = {
     "matrix": (
-        "e4f24c4f32d436f0115b0349ec94f1ba943b0f92af2d4177c74936a5bfb5d214",
-        "5126d7da41c9ad26b020238affcdf624c9601ba6b3d5accf863432fe17a0afd8",
+        "a5f3da8ae91564373c79165ab5b7f2e0b5980696313d07b0c77bd665283b1fb2",
+        "086f0dae0ef096369111b3454532d2359051a9887844a3ba2d05021eb6600edc",
     ),
     "nqueens": (
-        "a8d11b6676811a1e917495a45008f6b505153717ba3dc2dfa87c348a55b8db82",
-        "35109560fb42b24e2154ed051accbaadc3a4a1f2e69789b1012ac77eeff2996a",
+        "fd796d24ef5dbc2222365d30fa719f3731524dcc547fded4045a94792983603b",
+        "229c01f8fe00774c0f9c123e76955f95d95f1e5f588aa7bafd75dcaa947cbe31",
     ),
     "wordfreq": (
-        "0f2b623ccc1f25cec4de7bec53e9a097cf2b7c84d119ca92362876d1fbfb0a6d",
-        "eb763f6b9f2888b589b84a0a5af29210ba8d42403fce33917eb13d1815c349ec",
+        "cb2bd7ecebccfbd0524859035336d986bab50f5859b13b4d3ce594eec069fe11",
+        "5e5773562c4c888f0861972222b57379b0550bd754caee182eee2398ba2e1c30",
     ),
 }
 
