@@ -6,6 +6,10 @@ registry afterwards.  When a phase breaks an invariant the guard
 raises (or, in keep-going mode, collects) a :class:`PhaseBlameError`
 that names the offending phase and checker and carries a unified diff
 of the IR before and after the phase — the *phase-blame diagnostic*.
+The guard also blames a phase that changed the IR without its graph's
+change log noticing (the ``change-log`` check): the incremental
+canonicalizer trusts that log, so an unlogged edit would make it skip
+work silently.
 
 The guard is ambient, mirroring the tracer: instrumentation sites call
 :func:`current_guard` instead of threading a guard argument through
@@ -38,6 +42,14 @@ CHECK_OFF = "off"
 CHECK_BOUNDARIES = "boundaries"
 CHECK_EACH_PHASE = "each-phase"
 CHECK_MODES = (CHECK_OFF, CHECK_BOUNDARIES, CHECK_EACH_PHASE)
+
+#: the guard's own check: a phase's IR dump changed, its graph's change
+#: log serial did not
+CHANGE_LOG_CHECK = "change-log"
+
+#: what :meth:`PhaseGuard.before_phase` records: the IR dump and the
+#: change log's serial
+Snapshot = tuple[str, int]
 
 
 class BytecodeVerificationError(Exception):
@@ -156,15 +168,15 @@ class PhaseGuard:
         """Whether every ``Phase.run()`` is bracketed with checks."""
         return self.mode == CHECK_EACH_PHASE
 
-    def before_phase(self, phase: str, graph: Graph) -> Optional[str]:
+    def before_phase(self, phase: str, graph: Graph) -> Optional[Snapshot]:
         """Snapshot hook called before a phase runs; returns the
         snapshot token to pass back to :meth:`after_phase`."""
         if not self.per_phase:
             return None
-        return graph.describe()
+        return graph.describe(), graph.changes.serial
 
     def after_phase(
-        self, phase: str, graph: Graph, before: Optional[str]
+        self, phase: str, graph: Graph, before: Optional[Snapshot]
     ) -> None:
         """Check hook called after a phase ran."""
         if self.per_phase:
@@ -176,8 +188,10 @@ class PhaseGuard:
             self._check(label, graph, None)
 
     # ------------------------------------------------------------------
-    def _check(self, phase: str, graph: Graph, before: Optional[str]) -> None:
-        from .core import run_checkers
+    def _check(
+        self, phase: str, graph: Graph, before: Optional[Snapshot]
+    ) -> None:
+        from .core import Severity, Violation, run_checkers
 
         tracer = current_tracer()
         self.checks += 1
@@ -191,9 +205,27 @@ class PhaseGuard:
                 disable=self.disable,
                 fail_fast=False,
             )
+        # Like the derived-state checkers, this one stays silent when
+        # another checker already blames the phase.
+        dump = None
+        if report.ok and before is not None and graph.changes.serial == before[1]:
+            dump = graph.describe()
+            if dump != before[0]:
+                report.violations.append(
+                    Violation(
+                        checker=CHANGE_LOG_CHECK,
+                        severity=Severity.ERROR,
+                        graph=graph.name,
+                        message="changed the graph without logging it",
+                    )
+                )
         if report.ok:
             return
-        diff = _excerpt_diff(before, graph.describe(), self.max_diff_lines)
+        diff = _excerpt_diff(
+            None if before is None else before[0],
+            dump or graph.describe(),
+            self.max_diff_lines,
+        )
         error = PhaseBlameError(phase, graph.name, report, diff)
         for violation in report.errors():
             tracer.event(

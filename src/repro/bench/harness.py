@@ -124,6 +124,15 @@ class SuiteReport:
         ]
         return (geometric_mean(ratios) - 1.0) * 100.0
 
+    def compile_seconds(self) -> dict[str, float]:
+        """Config name -> absolute compile seconds, summed over the
+        rows.  A ratio column can rise while every compile gets
+        faster; these show which."""
+        totals = {"baseline": sum(row.baseline.compile_time for row in self.rows)}
+        for name in self.config_names:
+            totals[name] = sum(row.configs[name].compile_time for row in self.rows)
+        return totals
+
     def geomean_code_size(self, config: str) -> float:
         ratios = [
             max(row.configs[config].code_size, 1e-9)
@@ -248,6 +257,15 @@ def format_suite_report(report: SuiteReport) -> str:
             f"{format_percent(report.geomean_compile_time(name)):>9s} "
             f"{format_percent(report.geomean_code_size(name)):>9s}"
         )
+    # Never a workload/config name first, nor 4 or 7 tokens with a
+    # percentage second: the Figure 5-8 table parsers skip this line.
+    lines.append(
+        "Absolute compile time (suite total, s):"
+        + "".join(
+            f"  {name} {seconds:.3f}"
+            for name, seconds in report.compile_seconds().items()
+        )
+    )
     breakdown = suite_phase_times(report)
     if any(breakdown.values()):
         lines.append("Compile-time breakdown by phase (inclusive ms, suite total):")
@@ -326,5 +344,6 @@ def suite_report_json(report: SuiteReport) -> dict[str, Any]:
             }
             for name in report.config_names
         },
+        "compile_seconds": report.compile_seconds(),
         "phase_times": suite_phase_times(report),
     }

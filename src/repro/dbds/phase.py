@@ -109,8 +109,10 @@ class DbdsPhase(Phase):
             ranked = sort_candidates(candidates, config.trade_off)
             # ---------------- Tier 3: optimization ----------------------
             duplications = tracer.counter("dbds.duplications")
+            # Only the first round starts from the unit as measured.
             round_benefit = self._optimize(
-                graph, ranked, initial_size, tracer, iteration
+                graph, ranked, initial_size, tracer, iteration,
+                current_size=initial_size if iteration == 0 else None,
             )
             if tracer.counter("dbds.duplications") == duplications:
                 # Nothing changed: no follow-up work, and a round without
@@ -164,7 +166,12 @@ class DbdsPhase(Phase):
         initial_size: float,
         tracer: Tracer,
         iteration: int,
+        current_size: Optional[float],
     ) -> float:
+        """Apply the accepted candidates of one round; ``current_size``
+        is the unit's size if known.  It changes only with an accepted
+        duplication and the path extension that follows it, so it is
+        measured again only after those."""
         config = self.config
         mode = "dupalot" if config.dupalot else "dbds"
         round_benefit = 0.0
@@ -190,7 +197,8 @@ class DbdsPhase(Phase):
                     mode=mode,
                 )
                 continue
-            current_size = graph_code_size(graph)
+            if current_size is None:
+                current_size = graph_code_size(graph)
             decision = self._decide(candidate, current_size, initial_size)
             emit_decision(
                 tracer, graph.name, candidate, decision,
@@ -208,6 +216,7 @@ class DbdsPhase(Phase):
                 round_benefit += self._extend_along_path(
                     graph, candidate.pred, initial_size, tracer, iteration
                 )
+            current_size = None
         return round_benefit
 
     def _extend_along_path(

@@ -8,6 +8,9 @@ Structural invariants (checked by :mod:`repro.ir.verifier`):
   makes tail duplication a well-defined "append to predecessor" step.
 * ``If`` terminators have two distinct targets (folded to Goto
   otherwise), so an edge is uniquely identified by ``(pred, succ)``.
+
+Every edit of a block goes through a method here, and each method logs
+itself to the graph's :class:`~repro.ir.graph.ChangeLog`.
 """
 
 from __future__ import annotations
@@ -67,6 +70,31 @@ class Block:
         self.graph.invalidate_analyses()
         return index
 
+    def replace_predecessor(self, old: "Block", new: "Block") -> None:
+        """Put ``new`` in ``old``'s slot of the predecessor list: the
+        edge keeps its position, so phi inputs stay where they are."""
+        self.predecessors[self.predecessor_index(old)] = new
+        self.graph.invalidate_analyses()
+
+    def reorder_predecessors(self, order: list["Block"]) -> None:
+        """Permute the predecessor list to ``order``.  Phi inputs are
+        positional, so this is for cloning, before phis get inputs."""
+        self.predecessors = list(order)
+        self.graph.invalidate_analyses()
+
+    def route_through(self, pred: "Block", via: "Block") -> None:
+        """Send the edge ``pred -> self`` through the fresh block
+        ``via``, which takes ``pred``'s slot in the predecessor list
+        (phi inputs stay where they are) and ends in a Goto here."""
+        term = pred.terminator
+        term._targets[term._targets.index(self)] = via
+        via.add_predecessor(pred)
+        self.replace_predecessor(pred, via)
+        goto = Goto(self)
+        goto.block = via
+        via.terminator = goto
+        self.graph.changes.cfg_changed(goto)
+
     def predecessor_index(self, pred: "Block") -> int:
         for i, p in enumerate(self.predecessors):
             if p is pred:
@@ -81,18 +109,31 @@ class Block:
         assert not isinstance(instruction, Phi)
         instruction.block = self
         self.instructions.append(instruction)
+        self.graph.changes.added(instruction)
         return instruction
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:
         assert not isinstance(instruction, Phi)
         instruction.block = self
         self.instructions.insert(index, instruction)
+        self.graph.changes.added(instruction)
         return instruction
 
     def add_phi(self, phi: Phi) -> Phi:
         assert phi.block is self
         self.phis.append(phi)
+        self.graph.changes.added(phi)
         return phi
+
+    def move_instructions(self, moving: list[Instruction], into: "Block") -> None:
+        """Move ``moving`` (instructions of this block, in their order)
+        to the end of ``into``.  They keep their operands and uses."""
+        gone = set(moving)
+        self.instructions[:] = [i for i in self.instructions if i not in gone]
+        for instruction in moving:
+            instruction.block = into
+        into.instructions.extend(moving)
+        self.graph.changes.moved()
 
     def remove_instruction(self, instruction: Instruction) -> None:
         """Remove an instruction (or phi) and release its operand uses.
@@ -107,30 +148,42 @@ class Block:
             self.phis.remove(instruction)
         else:
             self.instructions.remove(instruction)
-        instruction.drop_inputs()
+        self.graph.changes.removed(instruction, instruction.drop_inputs())
         instruction.block = None
 
     def set_terminator(self, terminator: Terminator) -> Terminator:
         """Install ``terminator``, maintaining successor predecessor lists."""
-        if self.terminator is not None:
-            for t in self.terminator.targets:
-                t.remove_predecessor(self)
-            self.terminator.drop_inputs()
-            self.terminator.block = None
+        self.clear_terminator()
         self.terminator = terminator
         terminator.block = self
         for t in terminator.targets:
             t.add_predecessor(self)
+        self.graph.changes.cfg_changed(terminator)
         return terminator
 
     def clear_terminator(self) -> None:
-        """Detach the terminator (used while deleting the block)."""
-        if self.terminator is not None:
-            for t in self.terminator.targets:
+        """Detach the terminator, dropping its edges."""
+        old = self.terminator
+        if old is not None:
+            for t in old.targets:
                 t.remove_predecessor(self)
-            self.terminator.drop_inputs()
-            self.terminator.block = None
+            self.graph.changes.removed(old, old.drop_inputs())
+            self.graph.changes.cfg_changed()
+            old.block = None
             self.terminator = None
+
+    def move_terminator(self, into: "Block") -> None:
+        """Hand this block's terminator, edges and all, to ``into``
+        (which has none): each successor sees ``into`` in this block's
+        predecessor slot, so its phi inputs stay where they are."""
+        term = self.terminator
+        assert into.terminator is None and term is not None
+        self.terminator = None
+        into.terminator = term
+        term.block = into
+        for t in term.targets:
+            t.replace_predecessor(self, into)
+        self.graph.changes.cfg_changed()
 
     # ------------------------------------------------------------------
     # Iteration helpers

@@ -63,18 +63,7 @@ def insert_block_on_edge(graph: Graph, pred: Block, succ: Block) -> Block:
     replaces ``pred`` at the same predecessor index.
     """
     edge_block = graph.new_block()
-    term = pred.terminator
-    slot = list(term.targets).index(succ)
-    # Low-level retarget: edge identity (position in succ.predecessors
-    # and phi input order) must be preserved, so bypass set_target.
-    term._targets[slot] = edge_block
-    edge_block.add_predecessor(pred)
-    index = succ.predecessor_index(pred)
-    succ.predecessors[index] = edge_block
-    goto = Goto(succ)
-    goto.block = edge_block
-    edge_block.terminator = goto
-    graph.invalidate_analyses()  # low-level edits above bypass the hooks
+    succ.route_through(pred, edge_block)
     return edge_block
 
 
@@ -140,23 +129,13 @@ def merge_straightline_blocks(graph: Graph) -> int:
                 continue
             if succ is graph.entry:
                 continue
-            # Move instructions and adopt the successor's terminator.
-            for ins in list(succ.instructions):
-                succ.instructions.remove(ins)
-                ins.block = block
-                block.instructions.append(ins)
-            succ_term = succ.terminator
-            # Detach succ_term from succ without dropping its edges,
-            # then rebind those edges to `block`.
-            succ.terminator = None
-            block.terminator.drop_inputs()
-            block.terminator = succ_term
-            succ_term.block = block
-            for t in succ_term.targets:
-                i = t.predecessor_index(succ)
-                t.predecessors[i] = block
-            graph.blocks.remove(succ)
-            graph.invalidate_analyses()  # direct edge rewrite above
+            # Move instructions and adopt the successor's terminator,
+            # whose edges keep their slots in the targets' predecessor
+            # lists.
+            succ.move_instructions(list(succ.instructions), block)
+            block.clear_terminator()
+            succ.move_terminator(block)
+            graph.remove_block(succ)
             count += 1
             changed = True
     return count

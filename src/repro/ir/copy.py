@@ -196,7 +196,7 @@ def copy_graph(graph: Graph) -> tuple[Graph, dict[Value, Value]]:
         new_block = block_map[block]
         desired = [block_map[p] for p in block.predecessors]
         if new_block.predecessors != desired:
-            new_block.predecessors = desired
+            new_block.reorder_predecessors(desired)
 
     # Pass 3: fill phi inputs.
     for old_phi, new_phi in pending_phis:

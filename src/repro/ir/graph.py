@@ -1,7 +1,8 @@
 """Function graphs and whole programs.
 
 A :class:`Graph` is one compilation unit: an entry block, a block list,
-parameters, and an interning table for constants.  A :class:`Program`
+parameters, an interning table for constants, and the
+:class:`ChangeLog` its mutation methods write.  A :class:`Program`
 bundles the class table, global variable declarations and all function
 graphs — the unit the interpreter executes and the pipeline compiles.
 """
@@ -11,8 +12,111 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .block import Block
-from .nodes import Constant, Parameter
+from .nodes import Constant, Parameter, Phi
 from .types import BOOL, INT, ClassTable, Type, VOID
+
+
+class ChangeLog:
+    """What changed in one graph since the canonicalizer last caught up.
+
+    Only the IR's mutation methods log changes here: ``User.set_input``
+    and the phi input edits, ``Block``'s instruction, terminator and
+    predecessor edits, and ``Graph.new_block``, ``remove_block`` and
+    ``invalidate_analyses``.  ``serial`` counts every change.  The
+    readers, the canonicalizer and dead-code elimination, empty what
+    they have handled.
+
+    The sets are kept from the first time a reader looks, which seeds
+    them with the whole graph: a graph that has never reached a
+    fixpoint counts as all-dirty.  A graph pickles without its log, so
+    an unpickled one starts all-dirty again.
+    """
+
+    __slots__ = ("serial", "fixpoint", "revisit", "dead", "cfg")
+
+    def __init__(self) -> None:
+        #: bumped by every write, never reset
+        self.serial = 0
+        #: ``serial`` when the canonicalizer last reached a fixpoint
+        #: (None: never, so everything counts as changed)
+        self.fixpoint: Optional[int] = None
+        #: instructions, and terminators, whose applicability checks
+        #: may answer differently: each added instruction, each user
+        #: whose inputs changed plus that user's users (a check reads
+        #: two levels of inputs), each installed terminator
+        self.revisit: Optional[set] = None
+        #: dead-code candidates: added instructions and phis, and the
+        #: values that lost a use
+        self.dead: Optional[set] = None
+        #: whether an edge, a terminator, a phi or the block list changed
+        self.cfg = True
+
+    def track(self, blocks: Iterable[Block]) -> None:
+        """Start keeping the sets, with everything in ``blocks`` logged."""
+        revisit: set = set()
+        dead: set = set()
+        for block in blocks:
+            revisit.update(block.instructions)
+            dead.update(block.phis)
+            dead.update(block.instructions)
+            if block.terminator is not None:
+                revisit.add(block.terminator)
+        self.revisit, self.dead, self.cfg = revisit, dead, True
+
+    def reached_fixpoint(self) -> None:
+        """The canonicalizer found nothing left to do."""
+        self.fixpoint = self.serial
+        self.revisit.clear()
+        self.dead.clear()
+        self.cfg = False
+
+    # ------------------------------------------------------------------
+    # Writers (called by the IR's mutation methods only).  Before the
+    # sets are kept, a write only counts: ``track`` logs everything.
+    # ------------------------------------------------------------------
+    def added(self, instruction) -> None:
+        """``instruction`` (a phi or not) was put into a block."""
+        self.serial += 1
+        if self.revisit is not None:
+            self.revisit.add(instruction)
+            self.dead.add(instruction)
+            if isinstance(instruction, Phi):
+                self.cfg = True
+
+    def edited(self, user, lost=None) -> None:
+        """``user``'s inputs changed; ``lost`` (if any) lost a use."""
+        self.serial += 1
+        revisit = self.revisit
+        if revisit is not None:
+            revisit.add(user)
+            uses = getattr(user, "uses", None)  # terminators have none
+            if uses:
+                revisit.update(uses)
+            if lost is not None:
+                self.dead.add(lost)
+            if isinstance(user, Phi):
+                self.cfg = True
+
+    def removed(self, user, inputs) -> None:
+        """``user`` left the graph; each of ``inputs`` lost a use."""
+        self.serial += 1
+        if self.dead is not None:
+            self.dead.update(inputs)
+            if isinstance(user, Phi):
+                self.cfg = True
+
+    def cfg_changed(self, terminator=None) -> None:
+        """An edge or the block list changed, or ``terminator`` was
+        installed."""
+        self.serial += 1
+        self.cfg = True
+        if terminator is not None and self.revisit is not None:
+            self.revisit.add(terminator)
+
+    def moved(self) -> None:
+        """Instructions changed blocks: no check answers differently,
+        but the IR reads differently."""
+        self.serial += 1
 
 
 class Graph:
@@ -35,6 +139,7 @@ class Graph:
             Parameter(i, pname, ty) for i, (pname, ty) in enumerate(param_specs)
         ]
         self._constants: dict[tuple, Constant] = {}
+        self.changes = ChangeLog()
         self.entry: Block = self.new_block("entry")
 
     # ------------------------------------------------------------------
@@ -60,7 +165,7 @@ class Graph:
             # drop_inputs of the sibling instructions; external uses
             # must already be gone (verifier property of unreachable
             # removal: callers remove whole unreachable regions).
-            ins.drop_inputs()
+            self.changes.removed(ins, ins.drop_inputs())
             ins.uses.clear()
             ins.block = None
         block.phis.clear()
@@ -72,11 +177,12 @@ class Graph:
     # Cached CFG analyses
     # ------------------------------------------------------------------
     def invalidate_analyses(self) -> None:
-        """Drop every cached analysis; called at CFG mutation points
-        (edge/block changes, profile application)."""
+        """Drop every cached analysis and log a CFG change; called at
+        CFG mutation points (edge/block changes, profile application)."""
         cache = self._analysis_cache
         if cache:
             cache.clear()
+        self.changes.cfg_changed()
 
     def dominator_tree(self):
         """The (cached) dominator tree of the current CFG."""
@@ -115,11 +221,18 @@ class Graph:
         return freqs
 
     def __getstate__(self) -> dict:
-        # Cached analyses are snapshots full of cross-references; a
-        # rehydrated graph recomputes them on demand instead.
+        # Cached analyses are snapshots full of cross-references, and
+        # the change log holds whatever changed since the last fixpoint;
+        # a rehydrated graph recomputes the former on demand and counts
+        # as all-dirty.
         state = self.__dict__.copy()
         state["_analysis_cache"] = {}
+        del state["changes"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.changes = ChangeLog()
 
     # ------------------------------------------------------------------
     # Constants

@@ -80,7 +80,12 @@ class Value:
 
 class User:
     """Base for everything holding operand slots (instructions, phis,
-    terminators). Manages use-def bookkeeping for its inputs."""
+    terminators). Manages use-def bookkeeping for its inputs, and logs
+    each input edit of a user placed in a block to its graph's
+    :class:`~repro.ir.graph.ChangeLog`."""
+
+    #: the block holding this user (None while detached)
+    block: Optional["Block"] = None
 
     def __init__(self, inputs: list[Value]) -> None:
         self._inputs: list[Value] = list(inputs)
@@ -101,6 +106,8 @@ class User:
         old._remove_use(self)
         self._inputs[index] = new
         new._add_use(self)
+        if self.block is not None:
+            self.block.graph.changes.edited(self, old)
 
     def replace_input(self, old: Value, new: Value) -> None:
         """Replace *all* operand slots holding ``old`` with ``new``."""
@@ -108,19 +115,26 @@ class User:
             if v is old:
                 self.set_input(i, new)
 
-    def drop_inputs(self) -> None:
-        """Deregister all uses; called when the user is deleted."""
-        for v in self._inputs:
+    def drop_inputs(self) -> list[Value]:
+        """Deregister all uses; called when the user is deleted (the
+        caller logs the deletion).  Returns the former inputs."""
+        dropped = self._inputs
+        for v in dropped:
             v._remove_use(self)
         self._inputs = []
+        return dropped
 
     def _append_input(self, v: Value) -> None:
         self._inputs.append(v)
         v._add_use(self)
+        if self.block is not None:
+            self.block.graph.changes.edited(self)
 
     def _remove_input_at(self, index: int) -> None:
-        self._inputs[index]._remove_use(self)
-        del self._inputs[index]
+        lost = self._inputs.pop(index)
+        lost._remove_use(self)
+        if self.block is not None:
+            self.block.graph.changes.edited(self, lost)
 
 
 class Constant(Value):

@@ -5,12 +5,17 @@ This reproduces Graal's ``Canonicalizable`` interface, which the paper
 extends into ACs (Section 5.2, "Applicability Checks in Graal").  The
 single entry point :func:`canonicalize_instruction` is shared verbatim
 between the real phase below and the DBDS simulation tier.
+
+The phase is incremental, like Graal's ``IncrementalCanonicalizerPhase``:
+it revisits only what the graph's :class:`~repro.ir.graph.ChangeLog`
+names, which on a graph that never reached a fixpoint is everything.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..ir.block import Block
 from ..ir.cfgutils import canonical_cfg_cleanup
 from ..ir.graph import Graph
 from ..ir.nodes import (
@@ -258,11 +263,16 @@ def apply_rewrite(ins: Instruction, rewrite: Rewrite) -> None:
     block.remove_instruction(ins)
 
 
-def fold_constant_branches(graph: Graph, ctx: Optional[OptimizationContext] = None) -> int:
-    """Turn ``If`` with a statically known condition into ``Goto``."""
+def fold_constant_branches(
+    graph: Graph,
+    ctx: Optional[OptimizationContext] = None,
+    blocks: Optional[list[Block]] = None,
+) -> int:
+    """Turn ``If`` with a statically known condition into ``Goto``, in
+    ``blocks`` (default: every block)."""
     ctx = ctx or OptimizationContext(graph)
     folded = 0
-    for block in list(graph.blocks):
+    for block in list(graph.blocks if blocks is None else blocks):
         term = block.terminator
         if not isinstance(term, If):
             continue
@@ -275,12 +285,17 @@ def fold_constant_branches(graph: Graph, ctx: Optional[OptimizationContext] = No
     return folded
 
 
-def simplify_negated_branches(graph: Graph, ctx: Optional[OptimizationContext] = None) -> int:
+def simplify_negated_branches(
+    graph: Graph,
+    ctx: Optional[OptimizationContext] = None,
+    blocks: Optional[list[Block]] = None,
+) -> int:
     """Rewrite ``If !c ? t : f`` to ``If c ? f : t`` (swapping the
-    profiled probability along), erasing the negation."""
+    profiled probability along), erasing the negation, in ``blocks``
+    (default: every block)."""
     ctx = ctx or OptimizationContext(graph)
     simplified = 0
-    for block in list(graph.blocks):
+    for block in list(graph.blocks if blocks is None else blocks):
         term = block.terminator
         if not isinstance(term, If):
             continue
@@ -300,51 +315,93 @@ def simplify_negated_branches(graph: Graph, ctx: Optional[OptimizationContext] =
 
 
 def remove_dead_instructions(graph: Graph) -> int:
-    """Classic DCE: drop unused, effect-free instructions and phis."""
+    """DCE over the change log's candidates: drop unused, effect-free
+    instructions and phis, then whatever their removal leaves unused.
+
+    Every dead instruction is a candidate: it was added dead or lost
+    its last use since the log was last emptied here.  (Which one goes
+    first changes nothing: a removal only drops uses.)
+    """
+    log = graph.changes
+    if log.dead is None:
+        log.track(graph.blocks)
+    candidates = list(log.dead)
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for block in graph.blocks:
-            for ins in list(block.phis) + list(block.instructions):
-                if ins.has_uses():
-                    continue
-                if isinstance(ins, Phi) or ins.is_removable:
-                    block.remove_instruction(ins)
-                    removed += 1
-                    changed = True
+    while candidates:
+        value = candidates.pop()
+        block = getattr(value, "block", None)  # constants have none
+        if block is None or value.uses:
+            continue
+        if isinstance(value, Phi) or value.is_removable:
+            inputs = value.inputs
+            block.remove_instruction(value)
+            removed += 1
+            candidates.extend(inputs)
+    log.dead.clear()
     return removed
 
 
 class CanonicalizerPhase(Phase):
-    """Fixpoint application of all canonicalization ACs + CFG cleanup."""
+    """Fixpoint application of all canonicalization ACs + CFG cleanup,
+    over what the graph's change log names.
+
+    Each round does what a full sweep would, in the same order, but
+    skips what cannot answer differently since the last fixpoint:
+
+    * applicability checks run on logged instructions only, in block
+      order and then instruction order, as the sweep meets them (one
+      logged during the round is still met if the sweep has not passed
+      it yet);
+    * branch folding looks at logged terminators only;
+    * DCE starts from the logged candidates;
+    * the CFG cleanup runs only when an edge, terminator or phi changed
+      (its own changes included).
+
+    A run on a graph with nothing logged since its last fixpoint
+    returns at once.
+    """
 
     name = "canonicalize"
 
     def run(self, graph: Graph) -> int:
         """Run to fixpoint; returns the number of rewrites applied."""
+        log = graph.changes
+        if log.fixpoint == log.serial:
+            return 0
+        if log.fixpoint is None:
+            log.track(graph.blocks)
+        revisit = log.revisit
         total = 0
         ctx = OptimizationContext(graph)
         changed = True
         while changed:
             changed = False
             for block in list(graph.blocks):
+                if revisit.isdisjoint(block.instructions):
+                    continue
                 for ins in list(block.instructions):
-                    if ins.block is not block:
-                        continue  # removed by an earlier rewrite
+                    if ins not in revisit or ins.block is not block:
+                        continue  # unchanged, or removed by a rewrite
+                    revisit.discard(ins)
                     rewrite = canonicalize_instruction(ins, ctx)
                     if rewrite is None:
                         continue
                     apply_rewrite(ins, rewrite)
                     total += 1
                     changed = True
-            if fold_constant_branches(graph, ctx):
-                changed = True
-            if simplify_negated_branches(graph, ctx):
-                changed = True
+            branches = [b for b in graph.blocks if b.terminator in revisit]
+            if branches:
+                revisit.difference_update([b.terminator for b in branches])
+                if fold_constant_branches(graph, ctx, branches):
+                    changed = True
+                if simplify_negated_branches(graph, ctx, branches):
+                    changed = True
             if remove_dead_instructions(graph):
                 changed = True
             # A merged block or a folded phi can expose new rewrites.
-            if canonical_cfg_cleanup(graph):
-                changed = True
+            if log.cfg:
+                log.cfg = False
+                if canonical_cfg_cleanup(graph):
+                    changed = True
+        log.reached_fixpoint()
         return total

@@ -93,17 +93,10 @@ class InliningPhase(Phase):
         # 1. Split the call block: everything after the call moves into a
         #    fresh continuation block, which inherits the terminator.
         continuation = graph.new_block(f"inl_{call.callee}_ret")
-        for ins in call_block.instructions[call_index + 1 :]:
-            ins.block = continuation
-            continuation.instructions.append(ins)
-        del call_block.instructions[call_index + 1 :]
-        terminator = call_block.terminator
-        call_block.terminator = None
-        continuation.terminator = terminator
-        terminator.block = continuation
-        for target in terminator.targets:
-            index = target.predecessor_index(call_block)
-            target.predecessors[index] = continuation
+        call_block.move_instructions(
+            call_block.instructions[call_index + 1 :], continuation
+        )
+        call_block.move_terminator(continuation)
 
         # 2. Clone the callee body into the caller.
         value_map: dict[Value, Value] = {
@@ -162,7 +155,7 @@ class InliningPhase(Phase):
             actual_non_entry = [p for p in dst.predecessors if p in desired]
             if actual_non_entry != desired:
                 others = [p for p in dst.predecessors if p not in desired]
-                dst.predecessors = desired + others
+                dst.reorder_predecessors(desired + others)
         for old_phi, new_phi in pending_phis:
             for value in old_phi.inputs:
                 new_phi._append_input(mapped(value))

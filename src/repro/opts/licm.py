@@ -96,6 +96,4 @@ class LoopInvariantCodeMotionPhase(Phase):
 
     @staticmethod
     def _move(ins: Instruction, preheader: Block) -> None:
-        ins.block.instructions.remove(ins)
-        ins.block = preheader
-        preheader.instructions.append(ins)
+        ins.block.move_instructions([ins], preheader)

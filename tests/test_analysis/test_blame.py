@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import PhaseBlameError, PhaseGuard, use_guard
-from repro.analysis.blame import CHECK_BOUNDARIES
+from repro.analysis.blame import CHANGE_LOG_CHECK, CHECK_BOUNDARIES
+from repro.ir import ArithOp, BinOp
 from repro.ir.stamps import IntStamp
 from repro.obs.sinks import event_to_dict, validate_record
 from repro.obs.tracer import Tracer, use_tracer
@@ -30,6 +31,27 @@ class BadPhiPhase(Phase):
             for phi in block.phis:
                 phi._remove_input_at(0)
                 return
+
+
+class UnloggedAppendPhase(Phase):
+    """A phase that appends an instruction by hand, bypassing
+    ``Block.append`` and so the change log."""
+
+    name = "unlogged-append"
+
+    def run(self, graph):
+        x = graph.parameters[0]
+        ins = ArithOp(BinOp.MUL, x, x)
+        ins.block = graph.entry
+        graph.entry.instructions.append(ins)
+
+
+class LoggedAppendPhase(Phase):
+    name = "logged-append"
+
+    def run(self, graph):
+        x = graph.parameters[0]
+        graph.entry.append(ArithOp(BinOp.MUL, x, x))
 
 
 def test_unknown_mode_rejected():
@@ -139,3 +161,21 @@ def test_guard_emits_structured_events_and_profile_span(diamond):
     blame = next(e for e in tracer.events if e.name == "analysis.blame")
     assert blame.attrs["phase"] == "bad-probability"
     assert blame.attrs["checkers"] == ["block-structure"]
+
+
+def test_an_unlogged_edit_is_blamed_on_its_phase(diamond):
+    with use_guard(PhaseGuard("each-phase")):
+        with pytest.raises(PhaseBlameError) as info:
+            UnloggedAppendPhase().run(diamond["graph"])
+    error = info.value
+    assert error.phase == "unlogged-append"
+    assert error.checkers == [CHANGE_LOG_CHECK]
+    assert "changed the graph without logging it" in error.format_blame()
+    assert "+  v" in error.diff  # the appended instruction
+
+
+def test_the_same_edit_through_the_ir_passes(diamond):
+    guard = PhaseGuard("each-phase")
+    with use_guard(guard):
+        LoggedAppendPhase().run(diamond["graph"])
+    assert not guard.failures

@@ -10,6 +10,7 @@ from repro.bench.harness import (
     format_suite_report,
     measure_workload,
     run_suite,
+    suite_report_json,
 )
 from repro.bench.workloads.suites import MICRO, generate_suite, generate_workload
 from repro.obs.tracer import Tracer, use_tracer
@@ -129,6 +130,34 @@ def figure_columns(text: str) -> list[list[str]]:
         elif len(tokens) == 7 and tokens[1].endswith("%"):  # benchmark row
             rows.append([tokens[0], *tokens[1::3], *tokens[3::3]])
     return rows
+
+
+def test_absolute_compile_seconds_are_printed_where_table_parsers_skip_them(
+    mini_suite_report,
+):
+    report = mini_suite_report
+    seconds = report.compile_seconds()
+    assert list(seconds) == ["baseline", "dbds", "dupalot"]
+    assert seconds["baseline"] == pytest.approx(
+        sum(row.baseline.compile_time for row in report.rows)
+    )
+    assert seconds["dbds"] == pytest.approx(
+        sum(row.configs["dbds"].compile_time for row in report.rows)
+    )
+    assert suite_report_json(report)["compile_seconds"] == seconds
+    text = format_suite_report(report)
+    (line,) = [
+        line for line in text.splitlines() if line.startswith("Absolute compile")
+    ]
+    for name, value in seconds.items():
+        assert f" {name} {value:.3f}" in line
+    # perfbench's octane check reads lines that start with a workload or
+    # configuration name; figure_columns reads lines of 4 or 7 tokens
+    # with a percentage second.
+    tokens = line.split()
+    assert tokens[0] not in {row.workload for row in report.rows} | set(seconds)
+    assert not (len(tokens) in (4, 7) and tokens[1].endswith("%"))
+    assert figure_columns(text) == figure_columns(text.replace(line, ""))
 
 
 def test_figure_7_perf_and_size_columns_hold():
