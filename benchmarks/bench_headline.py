@@ -4,7 +4,8 @@ Paper: peak performance improvements of **up to 40%** with a **mean of
 +5.89%**, at a mean compile-time increase of **+18.44%** and code-size
 increase of **+9.93%** (means across the four suites).
 
-This benchmark runs all four suites and aggregates:
+This benchmark runs the four paper suites (``PAPER_SUITES``) and
+aggregates, through ``EvaluationResult.headline()``:
 * the maximum per-benchmark speedup ("up to X%"),
 * the cross-suite geometric-mean speedup / compile time / code size.
 
@@ -15,43 +16,32 @@ benchmarks, bought with extra compilation time.
 from _support import bench_cache, record_figure
 
 from repro.bench.harness import run_suite
-from repro.bench.stats import format_percent, geometric_mean
-from repro.bench.workloads.suites import ALL_SUITES
+from repro.bench.report import EvaluationResult
+from repro.bench.stats import format_percent
+from repro.bench.workloads.suites import ALL_SUITES, PAPER_SUITES
 
 
-def _run_all():
+def _run_all() -> EvaluationResult:
     cache = bench_cache()  # warm reruns opt in via REPRO_BENCH_CACHE=1
-    return {
-        name: run_suite(profile, cache=cache)
-        for name, profile in ALL_SUITES.items()
-    }
+    return EvaluationResult({
+        name: run_suite(ALL_SUITES[name], cache=cache) for name in PAPER_SUITES
+    })
 
 
 def test_headline_means(benchmark):
-    reports = benchmark.pedantic(_run_all, rounds=1, iterations=1)
-
-    speedups, ctimes, sizes, best = [], [], [], ("", 0.0)
-    for report in reports.values():
-        for row in report.rows:
-            s = row.speedup("dbds")
-            speedups.append(1.0 + s / 100.0)
-            ctimes.append(1.0 + row.compile_time_increase("dbds") / 100.0)
-            sizes.append(1.0 + row.code_size_increase("dbds") / 100.0)
-            if s > best[1]:
-                best = (f"{report.suite}/{row.workload}", s)
-
-    mean_speedup = (geometric_mean(speedups) - 1.0) * 100.0
-    mean_ctime = (geometric_mean(ctimes) - 1.0) * 100.0
-    mean_size = (geometric_mean(sizes) - 1.0) * 100.0
+    result = benchmark.pedantic(_run_all, rounds=1, iterations=1)
+    reports = result.reports
+    headline = result.headline()
 
     lines = [
         "=== Headline (paper: up to +40% perf, mean +5.89% perf, "
         "+18.44% compile time, +9.93% code size) ===",
-        f"benchmarks measured : {len(speedups)}",
-        f"max speedup         : {format_percent(best[1])} ({best[0]})",
-        f"mean speedup        : {format_percent(mean_speedup)}",
-        f"mean compile time   : {format_percent(mean_ctime)}",
-        f"mean code size      : {format_percent(mean_size)}",
+        f"benchmarks measured : {headline['benchmarks']}",
+        f"max speedup         : {format_percent(headline['max_speedup'])} "
+        f"({headline['max_speedup_benchmark']})",
+        f"mean speedup        : {format_percent(headline['mean_speedup'])}",
+        f"mean compile time   : {format_percent(headline['mean_compile_time'])}",
+        f"mean code size      : {format_percent(headline['mean_code_size'])}",
     ]
     for name, report in reports.items():
         lines.append(
@@ -61,9 +51,11 @@ def test_headline_means(benchmark):
         )
     record_figure("headline", "\n".join(lines))
 
-    assert mean_speedup > 0.0, "DBDS must improve the overall mean"
-    assert best[1] > mean_speedup, "standout benchmarks exceed the mean"
-    assert mean_ctime > 0.0, "duplication costs compile time"
+    assert headline["mean_speedup"] > 0.0, "DBDS must improve the overall mean"
+    assert headline["max_speedup"] > headline["mean_speedup"], (
+        "standout benchmarks exceed the mean"
+    )
+    assert headline["mean_compile_time"] > 0.0, "duplication costs compile time"
     # Java DaCapo benefits least — the paper's suite ordering.
     assert reports["java-dacapo"].geomean_speedup("dbds") <= max(
         reports["micro"].geomean_speedup("dbds"),

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro run program.mini --entry main --args 10 --config dbds
     python -m repro compile program.mini --config dupalot --dump --json
-    python -m repro trace program.mini --config dbds --out trace.jsonl
+    python -m repro explain program.mini --args 10 --function main
     python -m repro bench --suite micro --profile-compile
     python -m repro check examples/ --check-ir=each-phase --fuzz 20
     python -m repro profile program.mini --top 5 --collapsed out.folded
@@ -13,17 +13,19 @@ Usage::
 optimization) and executes, printing the result and the simulated cycle
 count; ``run``, ``check``, ``profile``, ``batch`` and ``bench`` all
 compile through the one cache-first :func:`repro.pipeline.front.jit`,
-so they share cache keys and entries.  ``run``, ``check`` and
-``profile`` take ``--check-bc={off,rewrite}``, which verifies every VM
-translation they execute, warm cache hits included (the cache stores
-programs, not bytecode).
-``compile`` optimizes without a profile and prints per-unit metrics
-and optionally the optimized IR.  ``trace`` compiles under a recording
-tracer and prints the aggregated compile profile.  ``bench``
-regenerates one of the paper's evaluation figures.  ``check`` runs the
-IR sanitizers (docs/ANALYSIS.md) over source files: checked compiles
-with phase-blame diagnostics, optional LIR checks, dynamic stamp
-checking (observed on the reference interpreter), and
+so they share cache keys and entries, and ``explain`` makes the same
+compile without a cache.  ``run``, ``check`` and ``profile`` take
+``--check-bc={off,rewrite}``, which verifies every VM translation they
+execute, warm cache hits included (the cache stores programs, not
+bytecode).  ``compile`` optimizes without a profile and prints
+per-unit metrics and optionally the optimized IR.  ``explain`` records
+its compile and prints every DBDS decision of the trace, per unit
+(:func:`repro.obs.profile.format_decisions`, which renders any
+``--trace-out`` file the same way).  ``bench`` regenerates one of the
+paper's evaluation figures.  ``check`` runs the IR sanitizers
+(docs/ANALYSIS.md) over source files: checked compiles with
+phase-blame diagnostics, optional LIR checks, dynamic stamp checking
+(observed on the reference interpreter), and
 translation-validation fuzzing.  ``run``, ``compile``, ``check``,
 ``batch`` and ``bench`` all accept ``--trace-out FILE`` (write the
 JSONL event trace; on ``bench``, the suite report) and
@@ -458,28 +460,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Compile under a recording tracer; print the profile report."""
-    from .obs.profile import CompileProfile
-    from .pipeline.compiler import Compiler, parse_source
-
-    program = parse_source(_read_source(args.source), str(args.source))
-    tracer = Tracer()
-    Compiler(CONFIGURATIONS[args.config], tracer=tracer).compile_program(program)
-    print(CompileProfile.from_tracer(tracer).format(top=args.top))
-    if args.decisions:
-        from .dbds.explain import format_decision_events
-
-        print()
-        print("DBDS decisions:")
-        print(format_decision_events(tracer.events))
-    if args.out is not None:
-        with _writing(args.out):
-            records = write_jsonl(tracer, args.out)
-        print(f"trace: {records} records -> {args.out}", file=sys.stderr)
-    return 0
-
-
 def _collect_sources(paths: list[pathlib.Path]) -> list[pathlib.Path]:
     """Expand files/directories into the list of .mini sources; none at
     all is a :class:`UserError`."""
@@ -855,28 +835,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from .dbds.explain import explain_graph
-    from .interp.profile import apply_profile, profile_program
-    from .opts.canonicalize import CanonicalizerPhase
-    from .opts.inline import InliningPhase
-    from .pipeline.compiler import parse_entry, parse_source, require_function
+    """Every DBDS decision of the compile ``run`` makes, per unit."""
+    from .obs.profile import decision_units, format_decisions
 
-    source, name = _read_source(args.source), str(args.source)
-    if args.profile_args is not None:
-        program = parse_entry(
-            source, args.entry, [args.profile_args], name, "--profile-args"
-        )
-        collector = profile_program(program, args.entry, [args.profile_args])
-        apply_profile(program, collector)
-    else:
-        program = parse_source(source, name)
-    functions = [args.function] if args.function else list(program.functions)
-    for function in functions:
-        graph = require_function(program, function, "to explain", name)
-        InliningPhase(program).run(graph)
-        CanonicalizerPhase().run(graph)
-        print(explain_graph(graph, program))
-        print()
+    name = str(args.source)
+    artifact = jit(
+        _read_source(args.source), args.entry, [args.args],
+        CONFIGURATIONS[args.config], tracer=Tracer(), name=name,
+    )
+    units = decision_units(artifact.events)
+    if args.function is not None:
+        from .pipeline.compiler import require_function
+
+        require_function(artifact.program, args.function, "to explain", name)
+        units = [unit for unit in units if unit.function == args.function]
+    print(format_decisions(units))
     return 0
 
 
@@ -982,25 +955,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="print the report as JSON"
     )
     compile_parser.set_defaults(func=cmd_compile)
-
-    trace_parser = sub.add_parser(
-        "trace", help="compile under a recording tracer, print the profile"
-    )
-    trace_parser.add_argument("source", type=pathlib.Path)
-    _add_config_flag(trace_parser)
-    trace_parser.add_argument(
-        "--out", type=pathlib.Path, default=None, help="write the JSONL trace here"
-    )
-    trace_parser.add_argument(
-        "--top", type=at_least(int, 1), default=10,
-        help="rows per profile section",
-    )
-    trace_parser.add_argument(
-        "--decisions",
-        action="store_true",
-        help="also list every DBDS decision event",
-    )
-    trace_parser.set_defaults(func=cmd_trace)
 
     check_parser = sub.add_parser(
         "check", help="run the IR sanitizers over source files"
@@ -1150,20 +1104,16 @@ def main(argv: list[str] | None = None) -> int:
     evaluate_parser.set_defaults(func=cmd_evaluate)
 
     explain_parser = sub.add_parser(
-        "explain", help="report every duplication candidate and decision"
-    )
-    explain_parser.add_argument("source", type=pathlib.Path)
-    explain_parser.add_argument(
-        "--function", default=None, help="only this function (default: all)"
+        "explain",
+        help="JIT-compile as run does, report every DBDS decision it made",
     )
     explain_parser.add_argument(
-        "--profile-args",
-        nargs="*",
-        type=int64,
-        default=None,
-        help="profile with these entry args before explaining",
+        "source", type=pathlib.Path, help="MiniLang source file"
     )
-    explain_parser.add_argument("--entry", default="main")
+    _add_jit_flags(explain_parser, "the profiling run")
+    explain_parser.add_argument(
+        "--function", default=None, help="only this unit (default: all)"
+    )
     explain_parser.set_defaults(func=cmd_explain)
 
     workload_parser = sub.add_parser(

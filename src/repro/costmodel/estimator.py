@@ -45,9 +45,17 @@ def graph_code_size(graph: Graph) -> float:
     """Code-size estimate of a whole compilation unit.
 
     This (not the raw node count) is the quantity the paper's budget
-    heuristic compares against the initial size (Section 5.2).
+    heuristic compares against the initial size (Section 5.2).  Every
+    edit that can change it is a write to the graph's change log, so
+    one walk serves every call until the log's ``serial`` moves.
     """
-    return sum(block_size(b) for b in graph.blocks)
+    serial = graph.changes.serial
+    cached = graph._analysis_cache.get("code_size")
+    if cached is not None and cached[0] == serial:
+        return cached[1]
+    size = sum(block_size(b) for b in graph.blocks)
+    graph._analysis_cache["code_size"] = (serial, size)
+    return size
 
 
 def estimated_run_time(graph: Graph, frequencies: BlockFrequencies | None = None) -> float:

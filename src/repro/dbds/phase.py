@@ -16,7 +16,6 @@ from typing import Optional
 
 from ..costmodel.estimator import graph_code_size
 from ..ir.graph import Graph, Program
-from ..ir.loops import LoopForest
 from ..ir.nodes import Goto
 from ..ir.verifier import verify_graph
 from ..obs.tracer import NULL_TRACER, Tracer, current_tracer
@@ -109,10 +108,8 @@ class DbdsPhase(Phase):
             ranked = sort_candidates(candidates, config.trade_off)
             # ---------------- Tier 3: optimization ----------------------
             duplications = tracer.counter("dbds.duplications")
-            # Only the first round starts from the unit as measured.
             round_benefit = self._optimize(
-                graph, ranked, initial_size, tracer, iteration,
-                current_size=initial_size if iteration == 0 else None,
+                graph, ranked, initial_size, tracer, iteration
             )
             if tracer.counter("dbds.duplications") == duplications:
                 # Nothing changed: no follow-up work, and a round without
@@ -166,22 +163,14 @@ class DbdsPhase(Phase):
         initial_size: float,
         tracer: Tracer,
         iteration: int,
-        current_size: Optional[float],
     ) -> float:
-        """Apply the accepted candidates of one round; ``current_size``
-        is the unit's size if known.  It changes only with an accepted
-        duplication and the path extension that follows it, so it is
-        measured again only after those."""
+        """Apply the accepted candidates of one round, each judged
+        against the unit's size after the duplications before it."""
         config = self.config
         mode = "dupalot" if config.dupalot else "dbds"
         round_benefit = 0.0
-        loops = graph.loop_forest()
-        structure_dirty = False
         for candidate in ranked:
-            if structure_dirty:
-                loops = graph.loop_forest()
-                structure_dirty = False
-            if not self._still_valid(graph, candidate, loops):
+            if not self._still_valid(graph, candidate):
                 tracer.count("dbds.decision.invalidated")
                 tracer.event(
                     "dbds.decision",
@@ -197,9 +186,9 @@ class DbdsPhase(Phase):
                     mode=mode,
                 )
                 continue
-            if current_size is None:
-                current_size = graph_code_size(graph)
-            decision = self._decide(candidate, current_size, initial_size)
+            decision = self._decide(
+                candidate, graph_code_size(graph), initial_size
+            )
             emit_decision(
                 tracer, graph.name, candidate, decision,
                 iteration=iteration, mode=mode,
@@ -211,12 +200,10 @@ class DbdsPhase(Phase):
                 verify_graph(graph)
             self._record_applied(tracer, candidate)
             round_benefit += candidate.weighted_benefit
-            structure_dirty = True
             if config.path_duplication:
                 round_benefit += self._extend_along_path(
                     graph, candidate.pred, initial_size, tracer, iteration
                 )
-            current_size = None
         return round_benefit
 
     def _extend_along_path(
@@ -258,8 +245,7 @@ class DbdsPhase(Phase):
             )
             if match is None:
                 break
-            current_size = graph_code_size(graph)
-            decision = self._decide(match, current_size, initial_size)
+            decision = self._decide(match, graph_code_size(graph), initial_size)
             emit_decision(
                 tracer, graph.name, match, decision,
                 iteration=iteration, mode="path",
@@ -274,12 +260,14 @@ class DbdsPhase(Phase):
         return gained
 
     @staticmethod
-    def _still_valid(graph: Graph, candidate: SimulationResult, loops: LoopForest) -> bool:
+    def _still_valid(graph: Graph, candidate: SimulationResult) -> bool:
         """Earlier duplications this round may have restructured the CFG;
         drop candidates whose pair no longer exists as simulated."""
         if candidate.merge not in graph.blocks or candidate.pred not in graph.blocks:
             return False
-        return can_duplicate(graph, candidate.pred, candidate.merge, loops)
+        return can_duplicate(
+            graph, candidate.pred, candidate.merge, graph.loop_forest()
+        )
 
     # ------------------------------------------------------------------
     def _partial_optimizations(self, graph: Graph) -> None:

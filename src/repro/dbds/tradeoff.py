@@ -14,9 +14,9 @@ benefit so the most promising pairs consume the budget first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from ..obs.tracer import Event, Tracer
+from ..obs.tracer import Tracer
 
 if TYPE_CHECKING:
     from .simulation import SimulationResult
@@ -41,7 +41,7 @@ class TradeOffConfig:
     use_probability: bool = True
 
 
-#: canonical rejection wordings (shared by explain and decision events)
+#: canonical rejection wordings (the ``reason`` of decision events)
 REASON_THRESHOLD = "benefit below cost threshold"
 REASON_UNIT_SIZE = "compilation unit at max size"
 REASON_BUDGET = "code-size budget exhausted"
@@ -54,8 +54,8 @@ class TradeOffDecision:
     """One evaluated ``shouldDuplicate`` predicate, term by term.
 
     This is the record the telemetry subsystem serializes as a
-    ``dbds.decision`` event, and the record ``repro.dbds.explain``
-    renders — one source of truth for the three terms.
+    ``dbds.decision`` event, which ``repro explain`` renders — one
+    source of truth for the three terms.
     """
 
     weighted: float
@@ -122,12 +122,12 @@ def emit_decision(
     *,
     iteration: int = 0,
     mode: str = "dbds",
-) -> Optional[Event]:
+) -> None:
     """Record one ``dbds.decision`` event and bump the accept/reject
-    counters; returns the event (None when the tracer is disabled)."""
+    counters."""
     accepted = decision.accepted
     tracer.count("dbds.decision.accepted" if accepted else "dbds.decision.rejected")
-    return tracer.event(
+    tracer.event(
         "dbds.decision",
         graph=graph_name,
         merge=candidate.merge.name,

@@ -1,9 +1,10 @@
 """``repro.obs`` — the compiler telemetry subsystem.
 
-Phase tracing, DBDS decision events, trace sinks, and the two views of
-a trace: compile profiles and metrics.  See ``docs/OBSERVABILITY.md``
-for the event schema and the CLI surface (``python -m repro trace``,
-``--trace-out``, ``--profile-compile``, ``--metrics-out``).
+Phase tracing, DBDS decision events, trace sinks, and the views of a
+trace: compile profiles, DBDS decision reports and metrics.  See
+``docs/OBSERVABILITY.md`` for the event schema and the CLI surface
+(``--trace-out``, ``--profile-compile``, ``--metrics-out``,
+``python -m repro explain``).
 
 Typical use::
 
@@ -29,7 +30,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "MetricsSnapshot",
         "exponential_buckets",
     ),
-    ".profile": ("CompileProfile", "PhaseStat"),
+    ".profile": (
+        "CompileProfile",
+        "PhaseStat",
+        "UnitDecisions",
+        "decision_units",
+        "format_decisions",
+    ),
     ".sinks": (
         "TraceSchemaError",
         "event_from_dict",
@@ -65,9 +72,12 @@ __all__ = [
     "exponential_buckets",
     "TraceSchemaError",
     "Tracer",
+    "UnitDecisions",
     "current_tracer",
+    "decision_units",
     "event_from_dict",
     "event_to_dict",
+    "format_decisions",
     "read_jsonl",
     "trace_counters",
     "use_tracer",

@@ -1,4 +1,4 @@
-"""Aggregated compile profiles: where time, nodes and size go.
+"""Two folds of one trace: compile profiles and DBDS decision reports.
 
 :class:`CompileProfile` folds a trace (live :class:`Tracer` or parsed
 JSONL events) into the questions a compiler engineer actually asks:
@@ -9,8 +9,12 @@ JSONL events) into the questions a compiler engineer actually asks:
 * what DBDS decided (accept/reject breakdown by reason, and which
   enabled optimizations the accepted duplications paid for).
 
-Exposed on the CLI as ``python -m repro trace prog.mini`` and the
-``--profile-compile`` flag of ``run``/``compile``/``bench``.
+:func:`decision_units` folds the same trace into every DBDS decision of
+each compiled unit, in the order the phase made them, and
+:func:`format_decisions` renders them.
+
+Exposed on the CLI as the ``--profile-compile`` flag of
+``run``/``compile``/``bench`` and as ``python -m repro explain``.
 """
 
 from __future__ import annotations
@@ -171,3 +175,91 @@ class CompileProfile:
             for tag, count in sorted(self.applied.items(), key=lambda kv: -kv[1]):
                 lines.append(f"    {tag:<26s}{count:>6d}")
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Decision reports
+# ----------------------------------------------------------------------
+@dataclass
+class UnitDecisions:
+    """The DBDS decisions of one compilation unit, as its trace tells."""
+
+    function: str
+    config: str
+    #: whether a ``dbds`` phase ran on the unit
+    dbds: bool = False
+    #: every ``dbds.decision``'s attrs, in order, with the optimizations
+    #: the simulation found for its pair
+    decisions: list[tuple[dict[str, Any], list[str]]] = field(
+        default_factory=list
+    )
+
+    @property
+    def duplications(self) -> int:
+        return sum(1 for attrs, _ in self.decisions if attrs["accepted"])
+
+
+def _candidate_key(attrs: dict[str, Any]) -> tuple:
+    return tuple(
+        attrs[name] for name in ("merge", "pred", "benefit", "cost", "probability")
+    )
+
+
+def decision_units(events: Iterable[Event]) -> list[UnitDecisions]:
+    """One :class:`UnitDecisions` per ``compile`` span of ``events``,
+    in order.  A decision's optimizations are the ``reasons`` of the
+    latest ``dbds.candidate`` event before it with its pair and
+    estimates (a path-duplication hop re-simulates every pair, so the
+    pair alone may name a later simulation than the one decided)."""
+    units: list[UnitDecisions] = []
+    found: dict[tuple, list[str]] = {}
+    for event in events:
+        attrs = event.attrs
+        if event.kind == "span" and event.name == "compile":
+            units.append(UnitDecisions(
+                str(attrs.get("function", "?")), str(attrs.get("config", "?"))
+            ))
+            found = {}
+        elif not units:
+            continue
+        elif event.name == "phase" and attrs.get("phase") == "dbds":
+            units[-1].dbds = True
+        elif event.name == "dbds.candidate":
+            found[_candidate_key(attrs)] = list(attrs.get("reasons", ()))
+        elif event.name == "dbds.decision":
+            units[-1].decisions.append(
+                (attrs, found.get(_candidate_key(attrs), []))
+            )
+    return units
+
+
+def format_decisions(units: Iterable[UnitDecisions]) -> str:
+    """Render decision reports the way a compiler log would: per unit,
+    each decision with its round and mode, benefit x probability against
+    cost, the optimizations it enables, and the verdict."""
+    reports = []
+    for unit in units:
+        head = f"DBDS decisions for {unit.function!r} ({unit.config})"
+        if not unit.dbds:
+            reports.append(f"{head}: no DBDS phase in this configuration")
+            continue
+        if not unit.decisions:
+            reports.append(f"{head}: no predecessor-merge pairs to consider")
+            continue
+        lines = [
+            f"{head}: {unit.duplications} of {len(unit.decisions)} "
+            "duplicated"
+        ]
+        for rank, (a, enables) in enumerate(unit.decisions, start=1):
+            weighted = a.get("weighted", a["benefit"] * a["probability"])
+            verdict = "DUPLICATE" if a["accepted"] else f"skip ({a['reason']})"
+            lines += [
+                f"  #{rank} round {a.get('iteration', 0) + 1} "
+                f"{a.get('mode', 'dbds')}: {a['merge']} -> {a['pred']}: "
+                f"benefit {a['benefit']:.1f} cyc x p {a['probability']:.2f} "
+                f"= {weighted:.2f}, cost {a['cost']:.1f}",
+                f"      enables: {', '.join(enables) or 'nothing fires'}",
+                f"      decision: {verdict}",
+            ]
+        reports.append("\n".join(lines))
+    return "\n\n".join(reports) or "no compiles recorded"

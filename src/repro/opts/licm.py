@@ -14,6 +14,7 @@ through nested loops.
 from __future__ import annotations
 
 from ..ir.block import Block
+from ..ir.cfgutils import reverse_post_order
 from ..ir.graph import Graph
 from ..ir.loops import Loop
 from ..ir.nodes import ArithOp, Compare, Goto, Instruction, Neg, Not
@@ -34,11 +35,16 @@ class LoopInvariantCodeMotionPhase(Phase):
     name = "loop-invariant-code-motion"
 
     def run(self, graph: Graph) -> int:
-        forest = graph.loop_forest()
+        loops = graph.loop_forest().loops
+        if not loops:
+            return 0
+        # Hoisting moves instructions, never edges: one order serves
+        # every loop and pass.
+        order = reverse_post_order(graph)
         hoisted = 0
         # Innermost loops first: larger depth first.
-        for loop in sorted(forest.loops, key=lambda l: -l.depth):
-            hoisted += self._hoist_loop(graph, loop)
+        for loop in sorted(loops, key=lambda l: -l.depth):
+            hoisted += self._hoist_loop(order, loop)
         return hoisted
 
     # ------------------------------------------------------------------
@@ -59,15 +65,16 @@ class LoopInvariantCodeMotionPhase(Phase):
             return None
         return preheader
 
-    def _hoist_loop(self, graph: Graph, loop: Loop) -> int:
+    def _hoist_loop(self, order: list[Block], loop: Loop) -> int:
         preheader = self._preheader(loop)
         if preheader is None:
             return 0
+        blocks = [block for block in order if block in loop.blocks]
         hoisted = 0
         changed = True
         while changed:
             changed = False
-            for block in self._loop_blocks_in_order(graph, loop):
+            for block in blocks:
                 for ins in list(block.instructions):
                     if not _is_hoistable(ins):
                         continue
@@ -77,14 +84,6 @@ class LoopInvariantCodeMotionPhase(Phase):
                     hoisted += 1
                     changed = True
         return hoisted
-
-    @staticmethod
-    def _loop_blocks_in_order(graph: Graph, loop: Loop):
-        from ..ir.cfgutils import reverse_post_order
-
-        for block in reverse_post_order(graph):
-            if block in loop.blocks:
-                yield block
 
     @staticmethod
     def _operands_invariant(ins: Instruction, loop: Loop) -> bool:

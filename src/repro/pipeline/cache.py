@@ -205,9 +205,9 @@ class CacheEntry:
 
     ``program_blob`` is the packed optimized :class:`Program` (see
     :func:`pack_artifact`); ``events`` is the original compilation's
-    full trace (so ``repro explain``-style decision rendering works
-    offline from cache); ``counters`` is the original tracer's counter
-    table.
+    full trace (so :func:`~repro.obs.profile.format_decisions` renders
+    its DBDS decisions offline from cache); ``counters`` is the
+    original tracer's counter table.
     """
 
     key: str

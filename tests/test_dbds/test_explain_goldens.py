@@ -1,10 +1,11 @@
 """Golden-file snapshots of ``repro explain`` DBDS decision reports.
 
 The explain report is the human contract of the trade-off tier: every
-candidate with its benefit x probability, cost, fired optimizations and
-verdict.  These snapshots pin it for three real programs so that a cost
--model or simulation change shows up as a reviewable diff, not a silent
-drift.  Regenerate on purpose with::
+decision the compile made, with its round and mode, benefit x
+probability, cost, fired optimizations and verdict.  These snapshots pin
+it for three real programs so that a cost-model or simulation change
+shows up as a reviewable diff, not a silent drift.  Regenerate on
+purpose with::
 
     PYTHONPATH=src python -m pytest tests/test_dbds/test_explain_goldens.py \
         --update-goldens
@@ -20,8 +21,8 @@ from repro.__main__ import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "goldens"
 
-#: (example file, profiling args) — args kept small so the profiling
-#: interpreter run stays fast while still marking branch probabilities
+#: (example file, entry args) — args kept small so the profiling run
+#: stays fast while still marking branch probabilities
 CASES = [
     ("examples/apps/matrix.mini", "4"),
     ("examples/apps/nqueens.mini", "5"),
@@ -33,12 +34,12 @@ def golden_path(source: str) -> pathlib.Path:
     return GOLDEN_DIR / f"explain_{pathlib.Path(source).stem}.txt"
 
 
-@pytest.mark.parametrize("source,profile_arg", CASES)
-def test_explain_matches_golden(source, profile_arg, update_goldens, capsys):
-    rc = main(["explain", source, "--profile-args", profile_arg])
+@pytest.mark.parametrize("source,args", CASES)
+def test_explain_matches_golden(source, args, update_goldens, capsys):
+    rc = main(["explain", source, "--args", args])
     assert rc == 0
     actual = capsys.readouterr().out
-    assert "DBDS candidate report" in actual
+    assert "DBDS decisions for" in actual
 
     path = golden_path(source)
     if update_goldens:

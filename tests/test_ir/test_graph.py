@@ -96,15 +96,3 @@ class TestProgram:
             p.add_function(graph)
         text = p.describe()
         assert "fn f" in text and "fn g" in text
-
-
-class TestPrinter:
-    def test_format_helpers(self):
-        from repro.ir.printer import format_graph, format_program
-
-        p = Program()
-        g = Graph("f", [], VOID)
-        g.entry.set_terminator(Return(None))
-        p.add_function(g)
-        assert format_graph(g) == g.describe()
-        assert "fn f" in format_program(p)

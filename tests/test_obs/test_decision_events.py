@@ -1,78 +1,23 @@
-"""DBDS decision events must agree with the ``explain`` tier.
+"""DBDS candidate and decision events of a full pipeline compile.
 
-Both now share ``tradeoff.evaluate_candidate``/``emit_decision``, so a
-recorded trace of a real DBDS run and the offline explain report must
-tell the same story wherever their inputs coincide: before the first
-accepted duplication of the first iteration, the phase evaluates every
-candidate against ``current_size == initial_size`` — exactly the
-explain premise.
+``repro explain`` renders exactly these events (tests/test_dbds/
+test_explain.py pins it to the trace of ``repro run``).
 """
 
 import pathlib
 
 import pytest
 
-from repro.dbds.explain import explain_candidates
-from repro.dbds.phase import DbdsPhase
 from repro.frontend.irbuilder import compile_source
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer
 from repro.pipeline.compiler import Compiler
-from repro.pipeline.config import BASELINE, DBDS
+from repro.pipeline.config import DBDS
 
 APPS = sorted(
     (pathlib.Path(__file__).parent / ".." / ".." / "examples" / "apps").resolve().glob("*.mini")
 )
 
 DECISION_FIELDS = ("benefit", "cost", "probability", "accepted", "reason")
-
-
-def prepared_program(path):
-    """Front end + the pre-DBDS pipeline (inline + cleanups)."""
-    program = compile_source(path.read_text())
-    Compiler(BASELINE).compile_program(program)
-    return program
-
-
-@pytest.mark.parametrize("path", APPS, ids=lambda p: p.stem)
-class TestAgreementWithExplain:
-    def test_decisions_match_explain_verdicts(self, path):
-        program = prepared_program(path)
-        compared = 0
-        for name in list(program.functions):
-            graph = program.function(name)
-            explanations = explain_candidates(graph, program)
-            verdicts = {
-                (e.candidate.merge.name, e.candidate.pred.name): e.accepted
-                for e in explanations
-            }
-            tracer = Tracer()
-            with use_tracer(tracer):
-                DbdsPhase(program).run(graph)
-            round0 = [
-                e
-                for e in tracer.named("dbds.decision")
-                if e.attrs.get("iteration") == 0 and e.attrs.get("mode") == "dbds"
-            ]
-            seen_accept = False
-            for event in round0:
-                attrs = event.attrs
-                for field in DECISION_FIELDS:
-                    assert field in attrs
-                pair = (attrs["merge"], attrs["pred"])
-                if "invalidated" in attrs["reason"]:
-                    continue
-                assert pair in verdicts
-                if not seen_accept:
-                    # Same premise as explain: budget untouched so far.
-                    assert attrs["accepted"] == verdicts[pair], (
-                        f"{path.stem}/{name} {pair}"
-                    )
-                elif attrs["accepted"]:
-                    # Tighter budget accepted => looser explain budget must too.
-                    assert verdicts[pair]
-                compared += 1
-                seen_accept = seen_accept or attrs["accepted"]
-        assert compared > 0
 
 
 @pytest.mark.parametrize("path", APPS, ids=lambda p: p.stem)

@@ -6,7 +6,14 @@ import json
 import textwrap
 
 from repro.__main__ import main
-from repro.obs import MetricsSnapshot, Tracer, event_to_dict, validate_record
+from repro.obs import (
+    MetricsSnapshot,
+    Tracer,
+    decision_units,
+    event_to_dict,
+    format_decisions,
+    validate_record,
+)
 from repro.pipeline.batch import BatchOptions, compile_batch
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.config import DBDS
@@ -135,6 +142,8 @@ def test_warm_batch_entries_keep_their_decision_trace(tmp_path):
     # though it is excluded from the batch profile.
     assert any(e.name == "dbds.decision" for e in result.events)
     assert result.manifest["decisions"]
+    report = format_decisions(decision_units(result.events))
+    assert report.count("decision: ") == len(result.manifest["decisions"])
 
 
 def test_cache_key_respects_batch_args(tmp_path):

@@ -236,16 +236,6 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "176" in out and "compile profile" in out
 
-    def test_trace_verb(self, source_file, tmp_path, capsys):
-        out = tmp_path / "t.jsonl"
-        code = main(
-            ["trace", str(source_file), "--decisions", "--out", str(out)]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "compile profile" in text and "DBDS decisions" in text
-        assert out.exists()
-
     def test_bench_trace_out_json(self, tmp_path, capsys, monkeypatch):
         import dataclasses
         import json
@@ -422,31 +412,46 @@ class TestArgparse:
     # ``compile`` never reads an entry, arguments or bytecode; the cache
     # of ``run``, ``check`` and ``bench`` is off unless --cache-dir; the
     # profiling VM's tables are the ``profile`` verb's; ``check`` runs
-    # nothing it measures (its dynamic stamps observe on the reference).
+    # nothing it measures (its dynamic stamps observe on the reference);
+    # ``explain`` profiles with ``--args`` like every JIT verb, and the
+    # ``trace`` verb is ``compile --profile-compile --trace-out`` plus
+    # ``explain``.
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["compile", "{path}", "--entry", "nope"],
-            ["compile", "{path}", "--args", "1", "2", "3"],
-            ["compile", "{path}", "--check-bc", "rewrite"],
-            ["run", "{path}", "--no-cache"],
-            ["check", "{path}", "--no-cache"],
-            ["bench", "--no-cache"],
-            ["run", "{path}", "--profile-run"],
-            ["check", "{path}", "--engine", "vm"],
-            ["bench", "--profile-run"],
+            (["compile", "{path}", "--entry", "nope"], "unrecognized arguments"),
+            (
+                ["compile", "{path}", "--args", "1", "2", "3"],
+                "unrecognized arguments",
+            ),
+            (
+                ["compile", "{path}", "--check-bc", "rewrite"],
+                "unrecognized arguments",
+            ),
+            (["run", "{path}", "--no-cache"], "unrecognized arguments"),
+            (["check", "{path}", "--no-cache"], "unrecognized arguments"),
+            (["bench", "--no-cache"], "unrecognized arguments"),
+            (["run", "{path}", "--profile-run"], "unrecognized arguments"),
+            (["check", "{path}", "--engine", "vm"], "unrecognized arguments"),
+            (["bench", "--profile-run"], "unrecognized arguments"),
+            (
+                ["explain", "{path}", "--profile-args", "4"],
+                "unrecognized arguments",
+            ),
+            (["trace", "{path}"], "invalid choice: 'trace'"),
         ],
         ids=[
             "compile --entry", "compile --args", "compile --check-bc",
             "run --no-cache", "check --no-cache", "bench --no-cache",
             "run --profile-run", "check --engine", "bench --profile-run",
+            "explain --profile-args", "trace",
         ],
     )
-    def test_removed_flags_rejected(self, source_file, argv, capsys):
+    def test_removed_flags_rejected(self, source_file, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main([arg.format(path=source_file) for arg in argv])
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestWorkloadCommand:

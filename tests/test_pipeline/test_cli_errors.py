@@ -100,22 +100,22 @@ VERB_CASES = {
         (verb, "missing file"): (
             None, [], "cannot read {path}: No such file or directory",
         )
-        for verb in ("compile", "trace", "explain", "check", "profile", "batch")
+        for verb in ("compile", "explain", "check", "profile", "batch")
     },
     **{
         (verb, "syntax error"): (SYNTAX_ERROR[0], [], SYNTAX_ERROR[2])
-        for verb in ("compile", "trace", "explain", "check", "profile")
+        for verb in ("compile", "explain", "check", "profile")
     },
     ("explain", "unknown entry"): (
-        PROGRAM, ["--entry", "nosuch", "--profile-args", "4"],
+        PROGRAM, ["--entry", "nosuch", "--args", "4"],
         "{path}: no function 'nosuch' to run (defined: twice, main)",
     ),
     ("explain", "profile arity"): (
-        PROGRAM, ["--profile-args", "4", "5"],
-        "{path}: main takes 1 argument(s), --profile-args gave 2",
+        PROGRAM, ["--args", "4", "5"],
+        "{path}: main takes 1 argument(s), --args gave 2",
     ),
     ("explain", "unknown function"): (
-        PROGRAM, ["--function", "nosuch"],
+        PROGRAM, ["--args", "4", "--function", "nosuch"],
         "{path}: no function 'nosuch' to explain (defined: twice, main)",
     ),
 }
@@ -167,7 +167,7 @@ def test_naming_nothing_is_a_user_error(case, tmp_path, capsys):
     "verb, flag, value",
     [
         ("run", "--args", "99999999999999999999999"),
-        ("explain", "--profile-args", str(-(2**63) - 1)),
+        ("explain", "--args", str(-(2**63) - 1)),
     ],
 )
 def test_an_out_of_range_program_argument_is_a_usage_error(
@@ -196,7 +196,6 @@ def test_an_out_of_range_program_argument_is_a_usage_error(
 #: for a valid source, the bound the message names)
 OUT_OF_RANGE_OPTIONS = {
     ("profile", "--top", "-1"): (["{path}", "--args", "1", "--top"], ">= 1"),
-    ("trace", "--top", "0"): (["{path}", "--top"], ">= 1"),
     ("batch", "-j/--jobs", "-2"): (["{path}", "--no-cache", "-j"], ">= 1"),
     ("check", "--fuzz", "-1"): (["{path}", "--args", "3", "--fuzz"], ">= 0"),
     ("check", "--fuzz-mutations", "-1"): (
@@ -369,7 +368,6 @@ OUTPUT_CASES = {
     ("run", "--metrics-out"): ["{path}", "--args", "3", "--metrics-out", "{out}"],
     ("run", "--metrics-prom"): ["{path}", "--args", "3", "--metrics-prom", "{out}"],
     ("compile", "--trace-out"): ["{path}", "--trace-out", "{out}"],
-    ("trace", "--out"): ["{path}", "--out", "{out}"],
     ("check", "--metrics-out"): ["{path}", "--args", "3", "--metrics-out", "{out}"],
     ("batch", "--trace-out"): [
         "{path}", "-j", "1", "--no-cache", "--args", "3", "--trace-out", "{out}",
