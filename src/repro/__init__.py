@@ -35,9 +35,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".analysis.blame": ("PhaseBlameError", "PhaseGuard", "use_guard"),
     ".analysis.lir_checks": ("run_lir_checkers",),
     ".analysis.progen": ("SourceMutator",),
-    ".analysis.validate": (
-        "fuzz_mutations", "fuzz_translation", "validate_translation",
-    ),
     ".dbds.duplicate": ("DuplicationError", "can_duplicate", "duplicate_into"),
     ".dbds.phase": ("DbdsConfig", "DbdsPhase", "DbdsStats"),
     ".dbds.simulation": ("SimulationResult", "SimulationTier"),
@@ -102,14 +99,14 @@ __all__ = [
     "CONFIGURATIONS", "config_fingerprint", "current_tracer", "DBDS",
     "DbdsConfig", "DbdsPhase", "DbdsStats", "DUPALOT",
     "duplicate_into", "DuplicationError", "ExecutionResult",
-    "FileResult", "fuzz_mutations", "fuzz_translation", "Graph",
-    "HeapArray", "HeapObject", "Interpreter", "make_entry",
+    "FileResult", "Graph", "HeapArray", "HeapObject", "Interpreter",
+    "make_entry",
     "artifact_manifest", "measure_performance", "observable_outcome",
     "parse_module", "PhaseBlameError", "PhaseGuard", "profile_program",
     "Program", "read_jsonl", "run_checkers", "run_lir_checkers",
     "run_program_checkers", "Severity", "should_duplicate",
     "SimulationResult", "SimulationTier", "sort_candidates",
     "SourceMutator", "TradeOffConfig", "Tracer", "UnitMetrics",
-    "use_guard", "use_tracer", "validate_translation", "verify_graph",
-    "verify_program", "Violation", "write_jsonl",
+    "use_guard", "use_tracer", "verify_graph", "verify_program",
+    "Violation", "write_jsonl",
 ]

@@ -14,7 +14,7 @@ optimization) and executes, printing the result and the simulated cycle
 count; ``run``, ``check``, ``profile``, ``batch`` and ``bench`` all
 compile through the one cache-first :func:`repro.pipeline.front.jit`,
 so they share cache keys and entries, and ``explain`` makes the same
-compile without a cache.  ``run``, ``check`` and ``profile`` take
+compile without a cache.  ``run`` and ``profile`` take
 ``--check-bc={off,rewrite}``, which verifies every VM translation they
 execute, warm cache hits included (the cache stores programs, not
 bytecode).  ``compile`` optimizes without a profile and prints
@@ -24,9 +24,11 @@ its compile and prints every DBDS decision of the trace, per unit
 ``--trace-out`` file the same way).  ``bench`` regenerates one of the
 paper's evaluation figures.  ``check`` runs the IR sanitizers
 (docs/ANALYSIS.md) over source files: checked compiles with
-phase-blame diagnostics, optional LIR checks, dynamic stamp checking
-(observed on the reference interpreter), and
-translation-validation fuzzing.  ``run``, ``compile``, ``check``,
+phase-blame diagnostics, optional LIR checks and bytecode verification,
+the differential oracle (``--diff-engines``: baseline against
+``--config``, every engine against the reference, every value against
+its stamp), and ``--fuzz N`` programs held to the same checks with the
+oracle on.  ``run``, ``compile``, ``check``,
 ``batch`` and ``bench`` all accept ``--trace-out FILE`` (write the
 JSONL event trace; on ``bench``, the suite report) and
 ``--profile-compile`` (print the per-phase profile); see
@@ -38,11 +40,9 @@ by default (it compiles the whole program into one exec unit with
 direct calls; ``vm`` is the plain bytecode loop and ``reference`` the
 oracle interpreter; docs/VM.md); the profiling run that feeds the
 compiler picks its own engine.  ``bench --engine-report FILE`` writes
-the engine comparison matrix and ``check --diff-engines``/
-``--fuzz-engines N`` differentially validate every engine against the
-reference (docs/VM.md).  ``profile`` runs measured and profiled and
-prints per-opcode/function/block hot-path tables; ``run``,
-``batch``, ``bench``, ``check`` and ``profile`` accept
+the engine comparison matrix (docs/VM.md).  ``profile`` runs measured
+and profiled and prints per-opcode/function/block hot-path tables;
+``run``, ``batch``, ``bench``, ``check`` and ``profile`` accept
 ``--metrics-out FILE``/``--metrics-prom FILE`` to export the metrics
 snapshot, a view of the verb's one trace; ``bench
 --append-trajectory``/``--check-regression`` maintain the committed
@@ -75,7 +75,7 @@ from typing import Any, Callable
 # program and never loads the compiler (see docs/PIPELINE.md).  Modules
 # that only some verbs or flags use (the compiler stack, the workload
 # generators, the trajectory, the metrics fold, the compile profile, the
-# batch driver, the profiling VM, the bytecode verifier, the fuzzers)
+# batch driver, the profiling VM, the bytecode verifier, the fuzz loop)
 # are imported where they are used.
 from .analysis.blame import (
     CHECK_EACH_PHASE,
@@ -476,148 +476,104 @@ def _collect_sources(paths: list[pathlib.Path]) -> list[pathlib.Path]:
     return files
 
 
-def _check_one_file(
-    path: pathlib.Path,
+def _check_program(
     args: argparse.Namespace,
+    source: str,
+    name: str,
+    entry: str,
+    arg_sets: list[list[Any]],
     cache: ArtifactCache | None = None,
+    oracle: bool = False,
 ) -> int:
-    """Run every requested sanitizer over one source file; returns the
-    number of failures found (0 = clean).  A cache hit skips the
-    pipeline and its guards (entries are only written for clean checked
-    compiles); the whole-program sweeps still run on the rehydrated
-    artifact."""
-    failures = 0
+    """Every requested check of one program, each failure printed as a
+    ``name: ...`` line; returns how many failed.
+
+    A checked compile under ``--config`` (``--check-ir``; a cache hit
+    skips the pipeline and its guards, since entries are only written
+    for clean checked compiles), then the whole-program IR sweep,
+    ``--lir``, ``--verify-bytecode`` and, with ``oracle``, the
+    differential (:func:`~repro.analysis.validate.differential`),
+    whose baseline compile shares this compile's profiling run.
+    """
+    from .analysis import run_lir_checkers, run_program_checkers
+    from .analysis.validate import differential
+    from .pipeline.compiler import ProfiledSource
+
+    profiled = ProfiledSource(
+        source, entry, arg_sets, uses=2 if oracle else 1, name=name
+    )
     try:
-        artifact = _jit(args, path, cache)
-        failures = _report_guard_failures(artifact.failures)
-        return failures + _check_program_sweeps(path, args, artifact)
+        artifact = jit(
+            source, entry, arg_sets, CONFIGURATIONS[args.config],
+            cache=cache, check_ir=args.check_ir, fail_fast=args.fail_fast,
+            name=name, profiled=profiled,
+        )
     except PhaseBlameError as exc:
-        print(f"{path}:", file=sys.stderr)
+        print(f"{name}:", file=sys.stderr)
         print(exc.format_blame(), file=sys.stderr)
         return 1
-    except BytecodeVerificationError as exc:
-        print(f"{path}:", file=sys.stderr)
-        print(exc.report.format(), file=sys.stderr)
-        return failures + len(exc.report.errors())
-
-
-def _check_program_sweeps(
-    path: pathlib.Path, args: argparse.Namespace, artifact: Artifact
-) -> int:
-    """The post-compile sweeps: registered IR checkers plus optional
-    LIR and dynamic-stamp validation; returns the failure count."""
-    from .analysis import (
-        StampCheckingInterpreter,
-        run_lir_checkers,
-        run_program_checkers,
-    )
-
+    failures = _report_guard_failures(artifact.failures)
     program = artifact.program
-    failures = 0
-    # Whole-program sweep with every registered IR checker, keep-going.
-    for report in run_program_checkers(program, fail_fast=False):
-        for violation in report.errors():
-            print(f"{path}: {violation.format()}", file=sys.stderr)
-            failures += 1
-
+    # Every registered checker, keep-going.
+    reports = run_program_checkers(program)
     if args.lir:
         from .backend.lowering import lower_program
         from .backend.regalloc import allocate_program
 
         lir_program = lower_program(program)
-        reports = [run_lir_checkers(fn) for fn in lir_program.functions.values()]
+        reports.extend(run_lir_checkers(fn) for fn in lir_program.functions.values())
         allocations = allocate_program(lir_program)
         reports.extend(
-            run_lir_checkers(fn, allocations[name])
-            for name, fn in lir_program.functions.items()
+            run_lir_checkers(fn, allocations[unit])
+            for unit, fn in lir_program.functions.items()
         )
-        for report in reports:
-            for violation in report.errors():
-                print(f"{path}: {violation.format()}", file=sys.stderr)
-                failures += 1
-
-    if args.dynamic_stamps:
-        # The stamp verdict is a property of the optimized IR: observe
-        # it on the oracle (--diff-engines holds the VMs to it).
-        interpreter = StampCheckingInterpreter(program)
-        interpreter.run(args.entry, list(args.args))
-        for message in interpreter.problems:
-            print(f"{path}: dynamic-stamp: {message}", file=sys.stderr)
-            failures += 1
-
-    if args.diff_engines:
-        from .analysis import validate_engines
-
-        result = validate_engines(
-            _read_source(path), args.entry, [args.args],
-            config=CONFIGURATIONS[args.config],
-        )
-        for record in result.divergences:
-            print(f"{path}: engine-diff: {record.format()}", file=sys.stderr)
-            failures += 1
-
     if args.verify_bytecode:
         from .analysis.bcverify import verify_bytecode
 
         # Every checker including the codegen lint, keep-going.
         report = verify_bytecode(artifact.bytecode())
-        for violation in report.errors():
-            print(f"{path}: {violation.format()}", file=sys.stderr)
-            failures += 1
-        if not hasattr(args, "_bc_reports"):
-            args._bc_reports = []
-        args._bc_reports.append({"file": str(path), **report.to_json()})
-    return failures
+        reports.append(report)
+        args.bc_reports.append({"file": name, **report.to_json()})
+    problems = [v.format() for report in reports for v in report.errors()]
+    if oracle:
+        problems += differential(artifact, profiled)
+    for message in problems:
+        print(f"{name}: {message}", file=sys.stderr)
+    return failures + len(problems)
 
 
 @_with_telemetry
 def cmd_check(args: argparse.Namespace) -> int:
-    """Checked compiles plus optional LIR/dynamic/fuzz validation."""
-    config = CONFIGURATIONS[args.config]
+    """Every requested check of each file, then the fuzz loop."""
     cache = _make_cache(args)
     files = _collect_sources(args.paths or [pathlib.Path("examples")])
-    failures = 0
-    for path in files:
-        failures += _check_one_file(path, args, cache)
+    sources = [_read_source(path) for path in files]
+    args.bc_reports = []
+    failures = sum(
+        _check_program(
+            args, source, str(path), args.entry, [args.args], cache,
+            oracle=args.diff_engines,
+        )
+        for path, source in zip(files, sources)
+    )
 
     if args.fuzz:
-        from .analysis import fuzz_translation
+        from .analysis.validate import FUZZ_ARGS, FUZZ_ENTRY, fuzz
 
-        report = fuzz_translation(
-            seed=args.seed, programs=args.fuzz, time_budget=args.time_budget
-        )
-        print(report.format())
-        failures += len(report.divergences) + len(report.compile_failures)
-
-    if args.fuzz_mutations:
-        from .analysis import fuzz_mutations
-
-        corpus = [_read_source(path) for path in files]
-        report = fuzz_mutations(
+        report = fuzz(
+            lambda source, name: _check_program(
+                args, source, name, FUZZ_ENTRY, FUZZ_ARGS, oracle=True
+            ),
             seed=args.seed,
-            programs=args.fuzz_mutations,
+            programs=args.fuzz,
+            corpus=sources,
             time_budget=args.time_budget,
-            corpus=corpus,
         )
         print(report.format())
-        failures += len(report.divergences) + len(report.compile_failures)
-
-    if args.fuzz_engines:
-        from .analysis import fuzz_engines
-
-        corpus = [_read_source(path) for path in files]
-        report = fuzz_engines(
-            seed=args.seed,
-            programs=args.fuzz_engines,
-            time_budget=args.time_budget,
-            config=config,
-            corpus=corpus,
-        )
-        print(report.format())
-        failures += len(report.divergences) + len(report.compile_failures)
+        failures += report.failures + len(report.crashes)
 
     if args.bc_report:
-        payload = {"files": getattr(args, "_bc_reports", [])}
+        payload = {"files": args.bc_reports}
         _write_output(
             args.bc_report, json.dumps(payload, indent=2) + "\n", "bytecode report"
         )
@@ -966,7 +922,6 @@ def main(argv: list[str] | None = None) -> int:
         help="MiniLang files or directories (default: examples/)",
     )
     _add_jit_flags(check_parser, "profiling and dynamic runs")
-    _add_check_bc_flag(check_parser)
     _add_check_flags(check_parser, default=CHECK_EACH_PHASE)
     check_parser.add_argument(
         "--lir",
@@ -974,27 +929,15 @@ def main(argv: list[str] | None = None) -> int:
         help="also lower to LIR and run the LIR checkers (pre/post regalloc)",
     )
     check_parser.add_argument(
-        "--dynamic-stamps",
-        action="store_true",
-        help="interpret the optimized program and check every produced "
-        "value against its static stamp",
-    )
-    check_parser.add_argument(
         "--fuzz",
         type=at_least(int, 0),
         default=0,
         metavar="N",
-        help="also translation-validate N generated programs",
+        help="also check N fuzzed programs, held to the differential "
+        "oracle: generated programs at even seeds, mutants of the checked "
+        "sources at odd ones (see docs/ANALYSIS.md)",
     )
-    check_parser.add_argument("--seed", type=int, default=0, help="fuzz seed")
-    check_parser.add_argument(
-        "--fuzz-mutations",
-        type=at_least(int, 0),
-        default=0,
-        metavar="N",
-        help="also translation-validate N mutants of the checked sources "
-        "(template-extraction-style fuzzing; see docs/ANALYSIS.md)",
-    )
+    check_parser.add_argument("--seed", type=int, default=0, help="first fuzz seed")
     check_parser.add_argument(
         "--time-budget",
         type=at_least(float, 0, strict=True),
@@ -1004,16 +947,9 @@ def main(argv: list[str] | None = None) -> int:
     check_parser.add_argument(
         "--diff-engines",
         action="store_true",
-        help="run every checked program on every engine (reference, vm, "
-        "megaunit) and demand identical outcomes, steps and cycles",
-    )
-    check_parser.add_argument(
-        "--fuzz-engines",
-        type=at_least(int, 0),
-        default=0,
-        metavar="N",
-        help="also engine-validate N mutants of the checked sources "
-        "(reference interpreter vs every VM engine)",
+        help="hold every checked file to the differential oracle: the "
+        "baseline's outcomes, the same outcomes, steps and cycles on every "
+        "engine (reference, vm, megaunit), every value inside its stamp",
     )
     check_parser.add_argument(
         "--verify-bytecode",

@@ -5,10 +5,11 @@ bytecode (:mod:`~repro.analysis.core`, :mod:`~repro.analysis.checkers`,
 :mod:`~repro.analysis.lir_checks`, :mod:`~repro.analysis.bcverify`),
 per-phase invariant checking with phase-blame diagnostics
 (:mod:`~repro.analysis.blame`, wired into ``Phase.run`` and the
-``--check-ir`` pipeline modes), a translation-validation harness
-(:mod:`~repro.analysis.validate`, behind ``repro check --fuzz``), and
-the static bytecode verifier with its dataflow framework
-(``--check-bc``, ``repro check --verify-bytecode``).  See
+``--check-ir`` pipeline modes), the differential oracle and its fuzz
+loop (:mod:`~repro.analysis.validate`, behind ``repro check
+--diff-engines`` and ``--fuzz``), and the static bytecode verifier
+with its dataflow framework (``--check-bc``, ``repro check
+--verify-bytecode``).  See
 ``docs/ANALYSIS.md``.
 
 Typical use::
@@ -62,16 +63,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "current_guard",
         "use_guard",
     ),
-    ".validate": (
-        "DivergenceRecord",
-        "FuzzReport",
-        "ValidationResult",
-        "fuzz_engines",
-        "fuzz_mutations",
-        "fuzz_translation",
-        "validate_engines",
-        "validate_translation",
-    ),
+    ".validate": ("FuzzReport", "differential", "fuzz"),
     ".progen": (
         "MUTATION_KINDS",
         "MutatedProgram",
@@ -98,7 +90,6 @@ __all__ = [
     "CheckReport",
     "Checker",
     "CheckerContext",
-    "DivergenceRecord",
     "FuzzReport",
     "LirCheckerContext",
     "MUTATION_KINDS",
@@ -110,15 +101,13 @@ __all__ = [
     "Severity",
     "StampCheckingInterpreter",
     "SourceMutator",
-    "ValidationResult",
     "Violation",
     "all_checkers",
     "check_stamp_dynamic",
     "checker",
     "current_guard",
-    "fuzz_engines",
-    "fuzz_mutations",
-    "fuzz_translation",
+    "differential",
+    "fuzz",
     "get_checker",
     "mutated_program",
     "random_program",
@@ -128,7 +117,5 @@ __all__ = [
     "run_program_checkers",
     "stamp_admits",
     "use_guard",
-    "validate_engines",
-    "validate_translation",
     "verify_bytecode",
 ]

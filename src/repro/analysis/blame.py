@@ -29,7 +29,7 @@ nothing.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..ir.graph import Graph
 from ..obs.tracer import current_tracer
@@ -104,7 +104,7 @@ class PhaseBlameError(Exception):
 
 
 def _excerpt_diff(
-    before: Optional[str], after: str, max_lines: int
+    before: Optional[str], after: str, max_lines: int = 40
 ) -> str:
     """Unified diff of the IR around the blamed phase (or a plain
     excerpt at a boundary check, where there is no before-state)."""
@@ -131,7 +131,8 @@ def _excerpt_diff(
 
 
 class PhaseGuard:
-    """Checks graph invariants around phases and assigns blame.
+    """Checks graph invariants around phases, with every registered IR
+    checker, and assigns blame.
 
     ``fail_fast=True`` raises :class:`PhaseBlameError` at the first
     failing phase; ``fail_fast=False`` (keep-going) collects every
@@ -140,23 +141,12 @@ class PhaseGuard:
     """
 
     def __init__(
-        self,
-        mode: str = CHECK_EACH_PHASE,
-        *,
-        program=None,
-        fail_fast: bool = True,
-        checkers: Optional[Iterable[str]] = None,
-        disable: Sequence[str] = (),
-        max_diff_lines: int = 40,
+        self, mode: str = CHECK_EACH_PHASE, *, fail_fast: bool = True
     ) -> None:
         if mode not in CHECK_MODES:
             raise ValueError(f"unknown check mode {mode!r} (choose from {CHECK_MODES})")
         self.mode = mode
-        self.program = program
         self.fail_fast = fail_fast
-        self.checkers = list(checkers) if checkers is not None else None
-        self.disable = tuple(disable)
-        self.max_diff_lines = max_diff_lines
         #: collected blame errors (keep-going mode; fail-fast raises)
         self.failures: list[PhaseBlameError] = []
         #: number of checked phase/boundary points
@@ -198,13 +188,7 @@ class PhaseGuard:
         # The check itself appears as its own pipeline phase so compile
         # profiles attribute analysis overhead explicitly.
         with tracer.span("phase", phase="ir-check", graph=graph.name):
-            report = run_checkers(
-                graph,
-                self.program,
-                checkers=self.checkers,
-                disable=self.disable,
-                fail_fast=False,
-            )
+            report = run_checkers(graph)
         # Like the derived-state checkers, this one stays silent when
         # another checker already blames the phase.
         dump = None
@@ -222,9 +206,7 @@ class PhaseGuard:
         if report.ok:
             return
         diff = _excerpt_diff(
-            None if before is None else before[0],
-            dump or graph.describe(),
-            self.max_diff_lines,
+            None if before is None else before[0], dump or graph.describe()
         )
         error = PhaseBlameError(phase, graph.name, report, diff)
         for violation in report.errors():

@@ -322,8 +322,9 @@ def check_stamp_dynamic(instruction: Instruction, value) -> Optional[str]:
 
 class StampCheckingInterpreter(Interpreter):
     """The reference interpreter, checking every value an instruction or
-    phi produces with :func:`check_stamp_dynamic` (``repro check
-    --dynamic-stamps``); the messages collect in ``problems``."""
+    phi produces with :func:`check_stamp_dynamic` (the reference run of
+    :func:`~repro.analysis.validate.differential`); the messages
+    collect in ``problems``."""
 
     def __init__(self, program, **kwargs) -> None:
         super().__init__(program, **kwargs)

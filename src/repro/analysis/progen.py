@@ -14,14 +14,14 @@ Two complementary strategies:
   inside ``if`` conditions, and wrap loop bodies in a redundant
   always-true branch.  Mutating hand-written sources reaches idiom
   combinations the generator's grammar never emits, while keeping the
-  program shape realistic; :func:`repro.analysis.validate.fuzz_mutations`
-  drives the mutants through the translation-validation harness.
+  program shape realistic; :func:`repro.analysis.validate.fuzz`
+  drives the mutants through the differential oracle.
 
 Mutation operators deliberately avoid ``while`` headers: loop bounds
 and conditions stay as authored so mutants terminate like their
 originals (a flipped ``if`` can still change how much work runs —
-:func:`~repro.analysis.validate.fuzz_mutations` screens mutants with a
-small interpreter step budget before differential runs).
+:func:`~repro.analysis.validate.fuzz` screens mutants with a small
+interpreter step budget before differential runs).
 """
 
 from __future__ import annotations
@@ -290,8 +290,7 @@ class SourceMutator:
     Every operator preserves syntactic validity; semantic changes are
     the point — the mutant and its original are *different* programs,
     each of which must still agree with itself across compiler
-    configurations (that is what the translation-validation harness
-    checks).
+    configurations (that is what the differential oracle checks).
     """
 
     def __init__(self, seed: int) -> None:

@@ -16,11 +16,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def percent_change(ratio: float) -> float:
-    """Normalized-ratio → percent change (1.05 → +5.0)."""
-    return (ratio - 1.0) * 100.0
-
-
 def speedup_percent(baseline_cycles: float, config_cycles: float) -> float:
     """Peak-performance improvement in percent (higher is better)."""
     if config_cycles == 0:

@@ -217,7 +217,3 @@ def generate_suite(profile: SuiteProfile, seed: int = 0) -> list[Workload]:
     return [
         generate_workload(profile, name, seed) for name in profile.benchmark_names
     ]
-
-
-def workload_by_name(suite: str, benchmark: str, seed: int = 0) -> Workload:
-    return generate_workload(ALL_SUITES[suite], benchmark, seed)

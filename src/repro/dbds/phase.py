@@ -216,13 +216,14 @@ class DbdsPhase(Phase):
     ) -> float:
         """Section 8 future work: the predecessor just absorbed a merge;
         if it now ends in a Goto to *another* merge, keep specializing
-        along the path (re-simulating each hop) up to max_path_length."""
+        along the path (simulating each hop's one pair) up to
+        max_path_length."""
         config = self.config
         gained = 0.0
         for _ in range(config.max_path_length):
             # Cash in the copies made so far: folding them turns the
             # next merge's phi input into the specialized value the
-            # re-simulation needs to see (the simulation tier proper
+            # hop's simulation needs to see (the simulation tier proper
             # gets this for free from its synonym maps).
             CanonicalizerPhase().run(graph)
             if pred not in graph.blocks:
@@ -234,20 +235,15 @@ class DbdsPhase(Phase):
             loops = graph.loop_forest()
             if not can_duplicate(graph, pred, next_merge, loops):
                 break
-            tier = SimulationTier(graph, self.program)
-            match = next(
-                (
-                    r
-                    for r in tier.run()
-                    if r.pred is pred and r.merge is next_merge
-                ),
-                None,
+            candidate = SimulationTier(graph, self.program).simulate(
+                pred, next_merge
             )
-            if match is None:
-                break
-            decision = self._decide(match, graph_code_size(graph), initial_size)
+            tracer.count("dbds.candidates")
+            decision = self._decide(
+                candidate, graph_code_size(graph), initial_size
+            )
             emit_decision(
-                tracer, graph.name, match, decision,
+                tracer, graph.name, candidate, decision,
                 iteration=iteration, mode="path",
             )
             if not decision.accepted:
@@ -255,8 +251,8 @@ class DbdsPhase(Phase):
             duplicate_into(graph, pred, next_merge)
             if config.paranoid:
                 verify_graph(graph)
-            self._record_applied(tracer, match)
-            gained += match.weighted_benefit
+            self._record_applied(tracer, candidate)
+            gained += candidate.weighted_benefit
         return gained
 
     @staticmethod

@@ -132,7 +132,6 @@ class SimulationTier:
     # ------------------------------------------------------------------
     def run(self) -> list[SimulationResult]:
         """Simulate every candidate pair; returns unsorted results."""
-        tracer = current_tracer()
         results: list[SimulationResult] = []
         facts = FactScope()
         ENTER, LEAVE = 0, 1
@@ -149,23 +148,21 @@ class SimulationTier:
             for merge in block.successors:
                 if merge.is_merge() and not self.loops.is_loop_header(merge):
                     if isinstance(block.terminator, Goto):
-                        result = self._simulate_pair(block, merge, facts)
-                        if result is not None:
-                            results.append(result)
-                            if tracer.enabled:
-                                tracer.event(
-                                    "dbds.candidate",
-                                    graph=self.graph.name,
-                                    merge=result.merge.name,
-                                    pred=result.pred.name,
-                                    benefit=result.benefit,
-                                    cost=result.cost,
-                                    probability=result.probability,
-                                    reasons=sorted(set(result.reasons)),
-                                )
+                        results.append(self._simulate_pair(block, merge, facts))
             for child in reversed(self.dom.dominator_tree_children(block)):
                 stack.append((ENTER, child))
         return results
+
+    def simulate(self, pred: Block, merge: Block) -> SimulationResult:
+        """The one pair ``(pred, merge)``, which
+        :func:`~repro.dbds.duplicate.can_duplicate` accepts, simulated
+        as :meth:`run` simulates it on reaching ``pred``: under the
+        branch facts of ``pred``'s dominator chain, applied from the
+        entry down."""
+        facts = FactScope()
+        for block in reversed(list(self.dom.walk_up(pred))):
+            self._apply_edge_facts(block, facts)
+        return self._simulate_pair(pred, merge, facts)
 
     def _apply_edge_facts(self, block: Block, facts: FactScope) -> None:
         if len(block.predecessors) != 1:
@@ -182,7 +179,8 @@ class SimulationTier:
     # ------------------------------------------------------------------
     def _simulate_pair(
         self, pred: Block, merge: Block, facts: FactScope
-    ) -> Optional[SimulationResult]:
+    ) -> SimulationResult:
+        """The DST of one pair; records a ``dbds.candidate`` event."""
         ctx = SimulationContext(self.graph, facts)
         pred_index = merge.predecessor_index(pred)
         for phi in merge.phis:
@@ -275,7 +273,7 @@ class SimulationTier:
             merge.terminator
         )
         cost = max(duplication_size - size_saved, 0.0)
-        return SimulationResult(
+        result = SimulationResult(
             pred=pred,
             merge=merge,
             benefit=cycles_saved,
@@ -283,6 +281,19 @@ class SimulationTier:
             probability=self.frequencies.relative(pred),
             reasons=reasons,
         )
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.event(
+                "dbds.candidate",
+                graph=self.graph.name,
+                merge=merge.name,
+                pred=pred.name,
+                benefit=result.benefit,
+                cost=result.cost,
+                probability=result.probability,
+                reasons=sorted(set(reasons)),
+            )
+        return result
 
     def _simulate_instruction(
         self,

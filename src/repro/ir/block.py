@@ -193,9 +193,6 @@ class Block:
         yield from self.phis
         yield from self.instructions
 
-    def ends_with_goto(self) -> bool:
-        return isinstance(self.terminator, Goto)
-
     def describe(self) -> str:
         lines = [f"{self.name}:  preds={[p.name for p in self.predecessors]}"]
         for phi in self.phis:

@@ -156,16 +156,6 @@ def canonical_cfg_cleanup(graph: Graph) -> int:
     )
 
 
-def predecessor_pairs(graph: Graph) -> list[tuple[Block, Block]]:
-    """All (predecessor, merge) pairs of the CFG — the candidate space of
-    the DBDS simulation tier (Algorithm 2)."""
-    pairs = []
-    for merge in graph.merge_blocks():
-        for pred in merge.predecessors:
-            pairs.append((pred, merge))
-    return pairs
-
-
 def block_of_use(user, slot: int) -> Block:
     """The block in which operand ``slot`` of ``user`` is *consumed*.
 

@@ -88,9 +88,6 @@ class DominatorTree:
             self._dfs_in[a] <= self._dfs_in[b] and self._dfs_out[b] <= self._dfs_out[a]
         )
 
-    def strictly_dominates(self, a: Block, b: Block) -> bool:
-        return a is not b and self.dominates(a, b)
-
     def immediate_dominator(self, block: Block) -> Block:
         return self.idom[block]
 
@@ -106,16 +103,6 @@ class DominatorTree:
             if parent is current:
                 return
             current = parent
-
-    def depth_first(self):
-        """Pre-order DFS of the dominator tree (the traversal the DBDS
-        simulation tier is built on, Figure 2)."""
-        stack = [self.graph.entry]
-        while stack:
-            block = stack.pop()
-            yield block
-            for child in reversed(self.children[block]):
-                stack.append(child)
 
     # ------------------------------------------------------------------
     # Dominance frontiers

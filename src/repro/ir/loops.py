@@ -105,13 +105,3 @@ class LoopForest:
 
     def is_loop_header(self, block: Block) -> bool:
         return any(loop.header is block for loop in self.loops)
-
-    def loop_depth(self, block: Block) -> int:
-        loop = self._innermost.get(block)
-        return loop.depth if loop else 0
-
-    def is_back_edge(self, pred: Block, succ: Block) -> bool:
-        return any(
-            loop.header is succ and pred in loop.back_edge_predecessors
-            for loop in self.loops
-        )

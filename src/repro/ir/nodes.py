@@ -271,9 +271,6 @@ class Phi(Instruction):
     def type(self) -> Type:
         return self._declared_type
 
-    def input_for_predecessor_index(self, index: int) -> Value:
-        return self._inputs[index]
-
     def describe(self) -> str:
         pairs = " ".join(
             f"[{pred.name}: {v!r}]"

@@ -209,8 +209,7 @@ def decision_units(events: Iterable[Event]) -> list[UnitDecisions]:
     """One :class:`UnitDecisions` per ``compile`` span of ``events``,
     in order.  A decision's optimizations are the ``reasons`` of the
     latest ``dbds.candidate`` event before it with its pair and
-    estimates (a path-duplication hop re-simulates every pair, so the
-    pair alone may name a later simulation than the one decided)."""
+    estimates: the simulation the decision judged."""
     units: list[UnitDecisions] = []
     found: dict[tuple, list[str]] = {}
     for event in events:

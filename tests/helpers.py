@@ -23,8 +23,10 @@ from repro.ir import (
     Phi,
     Return,
 )
-from repro.pipeline.compiler import compile_and_profile
+from repro.analysis.validate import differential
+from repro.pipeline.compiler import ProfiledSource, compile_and_profile
 from repro.pipeline.config import BACKTRACKING, BASELINE, DBDS, DUPALOT
+from repro.pipeline.front import jit
 
 ALL_CONFIGS = [BASELINE, DBDS, DUPALOT, BACKTRACKING]
 
@@ -93,6 +95,14 @@ def assert_configs_equivalent(source: str, entry: str, arg_sets: list[list]) -> 
     for name, outs in per_config.items():
         assert outs == baseline, f"{name} diverged from baseline semantics"
     return per_config
+
+
+def oracle(source: str, arg_sets: list[list], config=DBDS) -> list[str]:
+    """What :func:`~repro.analysis.validate.differential` reports for
+    ``source`` compiled under ``config`` and entered at ``main``."""
+    profiled = ProfiledSource(source, "main", arg_sets, uses=2)
+    artifact = jit(source, "main", arg_sets, config, profiled=profiled)
+    return differential(artifact, profiled)
 
 
 def compile_one(source: str):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
+from collections import Counter
 
 from repro.__main__ import main
+from repro.analysis.validate import FUZZ_ARGS
 from repro.ir.nodes import Call
 from repro.ir.ops import MAX_CALL_DEPTH
 from repro.ir.stamps import IntStamp
+from repro.obs import read_jsonl
+from repro.vm.megaunit import MegaunitVirtualMachine
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 NQUEENS = EXAMPLES / "apps" / "nqueens.mini"
@@ -34,8 +39,9 @@ def test_check_boundaries_keep_going(capsys):
 
 
 def test_check_with_lir_and_dynamic_stamps(capsys):
+    # --diff-engines runs the oracle, whose reference run checks stamps.
     code = main(
-        ["check", str(NQUEENS), "--lir", "--dynamic-stamps", "--args", "4"]
+        ["check", str(NQUEENS), "--lir", "--diff-engines", "--args", "4"]
     )
     assert code == 0
     assert "ok" in capsys.readouterr().out
@@ -44,10 +50,11 @@ def test_check_with_lir_and_dynamic_stamps(capsys):
 def test_dynamic_stamps_reports_a_value_outside_its_stamp(monkeypatch, capsys):
     # Narrow the stamp of the first call left in main (place recurses,
     # so inlining keeps a call): the static sweep cannot refute a call's
-    # stamp, the run on the reference interpreter can.
+    # stamp, the oracle's run on the reference interpreter can.  Only
+    # the --config compile is narrowed; the baseline compiles apart.
     import repro.__main__ as cli
 
-    jit = cli._jit
+    jit = cli.jit
     call = None
 
     def narrowed(*args, **kwargs):
@@ -63,9 +70,9 @@ def test_dynamic_stamps_reports_a_value_outside_its_stamp(monkeypatch, capsys):
         call.stamp = IntStamp(-1, -1)
         return artifact
 
-    monkeypatch.setattr(cli, "_jit", narrowed)
+    monkeypatch.setattr(cli, "jit", narrowed)
     code = main(
-        ["check", str(NQUEENS), "--dynamic-stamps", "--args", "4",
+        ["check", str(NQUEENS), "--diff-engines", "--args", "4",
          "--check-ir=off"]
     )
     assert code == 1
@@ -84,13 +91,39 @@ def test_dynamic_stamps_run_as_deep_as_the_call_depth_limit(tmp_path, capsys):
         "  return 1 + rec(n - 1);\n"
         "}\n"
     )
-    # rec(n) nests n + 1 frames: the deepest run the limit allows.
+    # rec(n) nests n + 1 frames: the deepest run the limit allows, on
+    # every engine of the oracle.
     code = main(
-        ["check", str(path), "--entry", "rec", "--dynamic-stamps",
+        ["check", str(path), "--entry", "rec", "--diff-engines",
          "--check-ir=off", "--args", str(MAX_CALL_DEPTH - 1)]
     )
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_diff_engines_compiles_each_configuration_once(tmp_path, capsys):
+    # The oracle reuses the file's checked artifact: one dbds and one
+    # baseline compile per function, both from one profiling run.
+    trace = tmp_path / "t.jsonl"
+    code = main(
+        ["check", str(NQUEENS), "--diff-engines", "--args", "4",
+         "--check-ir=off", "--trace-out", str(trace)]
+    )
+    assert code == 0, capsys.readouterr().err
+    events = read_jsonl(trace)
+    spans = Counter(
+        (event.attrs["config"], event.attrs["function"])
+        for event in events
+        if event.kind == "span" and event.name == "compile"
+    )
+    functions = {function for _, function in spans}
+    assert functions == {"conflicts", "main", "place"}
+    assert spans == Counter(
+        (config, function)
+        for config in ("dbds", "baseline")
+        for function in functions
+    )
+    assert sum(event.name == "interp.profile" for event in events) == 1
 
 
 def test_check_fuzz(capsys):
@@ -99,7 +132,36 @@ def test_check_fuzz(capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "translation validation: ok" in out
+    assert "fuzz: ok — 2 programs" in out
+
+
+def test_fuzz_holds_generated_programs_to_every_engine(monkeypatch, capsys):
+    # A fault planted in megaunit's metered runs: --fuzz runs every
+    # fuzzed program on every engine, so each generated one reports it.
+    run = MegaunitVirtualMachine.run
+
+    def one_cycle_more(self, function, args):
+        result = run(self, function, args)
+        if not self.metered:
+            return result
+        return dataclasses.replace(result, cycles=result.cycles + 1)
+
+    monkeypatch.setattr(MegaunitVirtualMachine, "run", one_cycle_more)
+    code = main(
+        ["check", str(NQUEENS), "--args", "4", "--check-ir=off",
+         "--fuzz", "4", "--seed", "0"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "fuzz: FAILED — 4 programs" in captured.out
+    for seed in (0, 2):
+        name = f"fuzz seed {seed} [generated]"
+        reported = [
+            line for line in captured.err.splitlines()
+            if line.startswith(f"{name}: engine-diff: main(")
+        ]
+        assert len(reported) == len(FUZZ_ARGS), captured.err
+        assert all(" but megaunit -> " in line for line in reported)
 
 
 def test_run_accepts_check_ir(capsys):

@@ -1,4 +1,5 @@
-"""The template-extraction-style source mutator and its fuzz driver."""
+"""The template-extraction-style source mutator and the fuzz loop's
+mutants."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ from repro.analysis.progen import (
     SourceMutator,
     mutated_program,
 )
-from repro.analysis.validate import fuzz_mutations
+from repro.analysis.validate import FUZZ_ARGS, fuzz
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
+
+from tests.helpers import oracle
 
 PROGRAM = textwrap.dedent(
     """
@@ -98,38 +101,45 @@ def test_mutated_program_without_corpus_uses_generator():
 
 
 # ----------------------------------------------------------------------
-# The fuzz driver
+# The fuzz loop's mutants
 # ----------------------------------------------------------------------
 def test_fuzz_mutations_green_on_apps_corpus():
     corpus = [path.read_text() for path in APPS]
-    report = fuzz_mutations(
-        seed=0,
-        programs=4,
-        corpus=corpus,
-        arg_values=(0, 2, 4),
-        time_budget=60.0,
-    )
+    names = []
+
+    def check(source: str, name: str) -> int:
+        names.append(name)
+        problems = oracle(source, FUZZ_ARGS)
+        assert not problems, (name, problems)
+        return 0
+
+    report = fuzz(check, seed=1, programs=4, corpus=corpus, time_budget=60.0)
     assert report.ok, report.format()
     assert report.programs == 4
-    assert report.runs + report.skipped > 0
+    # Seeds 1 and 3 mutate the apps; the screen may turn one away.
+    mutants = [name for name in names if "[corpus[" in name]
+    assert mutants and len(mutants) + report.skipped == 2
 
 
 def test_fuzz_mutations_time_budget_stops_early():
     corpus = [path.read_text() for path in APPS]
-    report = fuzz_mutations(
-        seed=0, programs=500, corpus=corpus, arg_values=(2,), time_budget=0.0
+    report = fuzz(
+        lambda source, name: 0, seed=0, programs=500, corpus=corpus,
+        time_budget=0.0,
     )
     assert report.programs <= 1
 
 
 def test_fuzz_mutations_counts_screened_blowups_as_skipped():
     # A mutant whose unoptimized run busts a tiny step budget is
-    # skipped, not failed: differential runs need both sides to finish.
-    corpus = [PROGRAM]
-    report = fuzz_mutations(
-        seed=0, programs=3, corpus=corpus, arg_values=(5,), screen_steps=10
+    # skipped, not failed: differential runs need every run to finish.
+    # Generated programs (even seeds) are not screened.
+    names = []
+    report = fuzz(
+        lambda source, name: names.append(name) or 0, seed=1, programs=4,
+        corpus=[PROGRAM], screen_steps=10,
     )
     assert report.ok
-    assert report.skipped == report.programs
-    assert report.runs == 0
-    assert "skipped" in report.format()
+    assert report.skipped == 2
+    assert names == ["fuzz seed 2 [generated]", "fuzz seed 4 [generated]"]
+    assert "2 skipped" in report.format()

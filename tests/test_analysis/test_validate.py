@@ -1,10 +1,17 @@
-"""Translation-validation tests: real runs plus divergence detection."""
+"""The differential oracle and the fuzz loop: real runs plus planted
+divergences and crashes."""
 
 from __future__ import annotations
 
-import repro.analysis.validate as validate_mod
-from repro.analysis import fuzz_translation, validate_translation
-from repro.pipeline.config import BASELINE, DBDS, DUPALOT
+import dataclasses
+
+from repro.analysis import fuzz
+from repro.analysis.validate import FUZZ_ARGS
+from repro.interp.interpreter import Interpreter
+from repro.obs.tracer import Tracer, use_tracer
+from repro.pipeline.config import BASELINE, DUPALOT
+
+from tests.helpers import oracle
 
 SOURCE = """
 fn main(n: int) -> int {
@@ -19,61 +26,92 @@ fn main(n: int) -> int {
 """
 
 
+def compile_spans(tracer: Tracer) -> list[str]:
+    return [
+        event.attrs["config"] for event in tracer.events
+        if event.kind == "span" and event.name == "compile"
+    ]
+
+
 def test_validate_translation_agrees_on_real_program():
-    result = validate_translation(SOURCE, "main", arg_sets=[[0], [5], [12]])
-    assert result.ok
-    assert result.configs == ["baseline", "dbds"]
-    assert result.runs == 6  # 3 arg sets x 2 configs
+    tracer = Tracer()
+    with use_tracer(tracer):
+        assert oracle(SOURCE, [[0], [5], [12]]) == []
+    # The dbds and the baseline compile share one profiling run.
+    assert compile_spans(tracer) == ["dbds", "baseline"]
+    assert sum(event.name == "interp.profile" for event in tracer.events) == 1
 
 
 def test_validate_translation_accepts_custom_configs():
-    result = validate_translation(
-        SOURCE, "main", arg_sets=[[4]], configs=(BASELINE, DBDS, DUPALOT)
-    )
-    assert result.ok
-    assert result.configs == ["baseline", "dbds", "dupalot"]
+    assert oracle(SOURCE, [[4]], DUPALOT) == []
+    # A baseline program is its own baseline: one compile.
+    tracer = Tracer()
+    with use_tracer(tracer):
+        assert oracle(SOURCE, [[4]], BASELINE) == []
+    assert compile_spans(tracer) == ["baseline"]
 
 
 def test_divergence_is_reported_against_the_reference(monkeypatch):
-    outcomes = {"baseline": [(10, None, ())], "dbds": [(11, None, ())]}
+    # Plant an off-by-one in the baseline's run (the only unmetered
+    # interpreter the oracle runs).
+    run = Interpreter.run
 
-    def fake_compile(source, entry, sets, config):
-        return config.name, None
+    def off_by_one(self, function, args):
+        result = run(self, function, args)
+        if self.metered:
+            return result
+        return dataclasses.replace(result, value=result.value + 1)
 
-    monkeypatch.setattr(validate_mod, "_outcomes", lambda p, e, s: outcomes[p])
-    import repro.pipeline.compiler as compiler_mod
+    monkeypatch.setattr(Interpreter, "run", off_by_one)
+    problems = oracle(SOURCE, [[3], [5]])
+    assert problems == [
+        "config-diff: main(3): baseline -> (-1, None, ()) but dbds -> "
+        "(-2, None, ())",
+        "config-diff: main(5): baseline -> (4, None, ()) but dbds -> "
+        "(3, None, ())",
+    ]
 
-    monkeypatch.setattr(compiler_mod, "compile_and_profile", fake_compile)
-    result = validate_translation(SOURCE, "main", arg_sets=[[3]], seed=42)
-    assert not result.ok
-    record = result.divergences[0]
-    assert record.config_a == "baseline" and record.config_b == "dbds"
-    assert record.args == (3,)
-    assert record.seed == 42
-    assert "seed 42" in record.format()
-    assert "baseline" in record.format() and "dbds" in record.format()
+
+def check_with_oracle(source: str, name: str) -> int:
+    problems = oracle(source, FUZZ_ARGS)
+    assert not problems, (name, problems)
+    return 0
 
 
 def test_fuzz_translation_smoke():
-    report = fuzz_translation(seed=1, programs=3)
+    names = []
+
+    def check(source: str, name: str) -> int:
+        names.append(name)
+        return check_with_oracle(source, name)
+
+    report = fuzz(check, seed=1, programs=3)
     assert report.ok, report.format()
     assert report.programs == 3
-    assert report.runs == 3 * 2 * len(validate_mod.DEFAULT_ARG_VALUES)
-    assert "translation validation: ok" in report.format()
+    # A generated program at the even seed, mutants at the odd ones
+    # (of generated programs: there is no corpus).
+    assert names == [
+        "fuzz seed 1 [generated[1]: swap-constant, swap-constant]",
+        "fuzz seed 2 [generated]",
+        "fuzz seed 3 [generated[3]: swap-constant]",
+    ]
+    assert report.format().startswith("fuzz: ok — 3 programs in ")
 
 
 def test_fuzz_translation_honours_time_budget():
-    report = fuzz_translation(seed=0, programs=1000, time_budget=0.0)
+    report = fuzz(lambda source, name: 0, seed=0, programs=1000, time_budget=0.0)
     assert report.programs == 0
 
 
-def test_fuzz_translation_records_compile_crashes(monkeypatch):
-    def broken(*args, **kwargs):
+def test_fuzz_translation_records_compile_crashes():
+    def broken(source: str, name: str) -> int:
         raise RuntimeError("synthetic compiler crash")
 
-    monkeypatch.setattr(validate_mod, "validate_translation", broken)
-    report = fuzz_translation(seed=7, programs=2)
+    report = fuzz(broken, seed=7, programs=2)
     assert not report.ok
-    assert len(report.compile_failures) == 2
-    assert report.compile_failures[0][0] == 7
-    assert "synthetic compiler crash" in report.format()
+    (seed, mutant), (next_seed, generated) = report.crashes
+    assert (seed, next_seed) == (7, 8)
+    assert mutant.startswith("[generated[7]: ")
+    assert mutant.endswith("] RuntimeError: synthetic compiler crash")
+    assert generated == "[generated] RuntimeError: synthetic compiler crash"
+    assert "seed 7: crash: [generated[7]: " in report.format()

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.bench.stats import (
     format_percent,
     geometric_mean,
-    percent_change,
     speedup_percent,
 )
 
@@ -42,10 +41,6 @@ class TestGeometricMean:
 
 
 class TestPercentHelpers:
-    def test_percent_change(self):
-        assert percent_change(1.05) == pytest.approx(5.0)
-        assert percent_change(0.9) == pytest.approx(-10.0)
-
     def test_speedup_percent(self):
         assert speedup_percent(200.0, 100.0) == pytest.approx(100.0)
         assert speedup_percent(100.0, 100.0) == pytest.approx(0.0)

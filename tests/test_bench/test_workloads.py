@@ -12,7 +12,6 @@ from repro.bench.workloads.suites import (
     SCALA_DACAPO,
     generate_suite,
     generate_workload,
-    workload_by_name,
 )
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
@@ -84,11 +83,6 @@ class TestSuites:
             workload.entry, list(workload.profile_args[0])
         )
         assert not result.trapped
-
-    def test_workload_by_name(self):
-        w = workload_by_name("micro", "charcount")
-        assert w.name == "charcount"
-        assert w.suite == "micro"
 
     def test_suite_generation_complete(self):
         workloads = generate_suite(MICRO)

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.progen import random_program
+from repro.bench.workloads.suites import ALL_SUITES, generate_suite
 from repro.costmodel.estimator import estimated_run_time
 from repro.dbds.phase import DbdsConfig, DbdsPhase
 from repro.dbds.simulation import SimulationTier
 from repro.frontend.irbuilder import compile_source
 from repro.interp.profile import apply_profile, profile_program
 from repro.ir import verify_graph
+
+from tests.helpers import REPO
+
+EXAMPLES = sorted((REPO / "examples").rglob("*.mini"))
 
 
 def simulate_all(program):
@@ -96,3 +101,21 @@ class TestEstimatorConsistency:
         after = estimated_run_time(graph)
         # Tolerance: repair phis and edge blocks can add epsilon cost.
         assert after <= before * 1.05 + 5.0
+
+
+def test_one_pair_simulates_as_the_traversal_does():
+    # A path-duplication hop simulates only the pair it decides: the
+    # branch facts of the pair's dominator chain must give it the
+    # estimates the whole-graph traversal gives it.  The examples and
+    # the micro suite hold pairs whose estimates depend on those facts.
+    sources = [path.read_text() for path in EXAMPLES]
+    sources += [w.source for w in generate_suite(ALL_SUITES["micro"], 0)]
+    for source in sources:
+        program = compile_source(source)
+        for graph in program.functions.values():
+            tier = SimulationTier(graph, program)
+            for r in tier.run():
+                one = tier.simulate(r.pred, r.merge)
+                assert (one.benefit, one.cost, one.probability, one.reasons) == (
+                    r.benefit, r.cost, r.probability, r.reasons,
+                )

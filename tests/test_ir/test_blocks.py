@@ -126,13 +126,6 @@ class TestQueries:
         p2.set_terminator(Goto(m))
         assert m.is_merge()
 
-    def test_ends_with_goto(self, graph):
-        b = graph.new_block()
-        graph.entry.set_terminator(Goto(b))
-        b.set_terminator(Return(None))
-        assert graph.entry.ends_with_goto()
-        assert not b.ends_with_goto()
-
     def test_describe_contains_structure(self, graph):
         b = graph.new_block("body")
         graph.entry.set_terminator(Goto(b))

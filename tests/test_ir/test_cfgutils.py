@@ -20,7 +20,6 @@ from repro.ir.cfgutils import (
     fold_redundant_ifs,
     insert_block_on_edge,
     merge_straightline_blocks,
-    predecessor_pairs,
     reachable_blocks,
     remove_unreachable_blocks,
     reverse_post_order,
@@ -191,12 +190,6 @@ class TestStraightlineMerging:
 
 
 class TestPredecessorPairs:
-    def test_diamond_pairs(self, diamond):
-        pairs = predecessor_pairs(diamond["graph"])
-        assert len(pairs) == 2
-        preds = {pred for pred, merge in pairs}
-        assert preds == {diamond["true_block"], diamond["false_block"]}
-
     def test_canonical_cleanup_keeps_valid(self, diamond):
         canonical_cfg_cleanup(diamond["graph"])
         verify_graph(diamond["graph"])

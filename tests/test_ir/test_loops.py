@@ -36,10 +36,6 @@ class TestSimpleLoop:
         forest = LoopForest(g)
         assert forest.is_loop_header(header)
         assert not forest.is_loop_header(body)
-        assert forest.loop_depth(header) == 1
-        assert forest.loop_depth(exit_) == 0
-        assert forest.is_back_edge(body, header)
-        assert not forest.is_back_edge(g.entry, header)
         assert forest.innermost_loop(body).header is header
         assert forest.innermost_loop(exit_) is None
 

@@ -198,7 +198,7 @@ class TestPhi:
         p2.set_terminator(Goto(merge))
         phi = Phi(merge, INT, [a, b])
         merge.add_phi(phi)
-        assert phi.input_for_predecessor_index(0) is a
-        assert phi.input_for_predecessor_index(1) is b
+        assert phi.input(0) is a
+        assert phi.input(1) is b
         assert phi.type == INT
         assert "Phi" in phi.describe()

@@ -25,8 +25,7 @@ from tests.helpers import REPO
 
 NQUEENS_6 = [str(REPO / "examples" / "apps" / "nqueens.mini"), "--args", "6"]
 EXAMPLES_4 = [str(REPO / "examples"), "--args", "4"]
-FUZZ = ["--fuzz", "3", "--fuzz-mutations", "2", "--fuzz-engines", "2",
-        "--seed", "0"]
+FUZZ = ["--fuzz", "4", "--seed", "0"]
 
 
 def phases(**counts: int) -> dict[str, int]:
@@ -116,21 +115,20 @@ SCENARIOS = {
     "7 check": [(["check", *EXAMPLES_4, "--check-ir=off"], EXAMPLES)],
     "8 check, fuzzers": [
         (["check", *EXAMPLES_4, "--check-ir=off", *FUZZ], {
-            **compiled(55, 82, 9, 70, 3, 9),
-            **phases(canonicalize=226, conditional_elimination=113, dbds=39,
-                     global_value_numbering=113, inlining=55,
-                     loop_invariant_code_motion=110,
-                     partial_escape_analysis=113, read_elimination=113),
-            "repro_profile_runs_total{engine=megaunit}": 3,
-            "repro_profile_runs_total{engine=vm}": 12,
+            **compiled(36, 50, 3, 46, 1, 3),
+            **phases(canonicalize=146, conditional_elimination=73, dbds=25,
+                     global_value_numbering=73, inlining=36,
+                     loop_invariant_code_motion=72,
+                     partial_escape_analysis=73, read_elimination=73),
+            "repro_profile_runs_total{engine=megaunit}": 1,
+            "repro_profile_runs_total{engine=vm}": 5,
         }),
     ],
     "9 check, bytecode verified": [
-        (["check", *EXAMPLES_4, "--check-ir=off", "--verify-bytecode",
-          "--check-bc", "rewrite"], {
+        (["check", *EXAMPLES_4, "--check-ir=off", "--verify-bytecode"], {
             **EXAMPLES,
-            "repro_bcverify_runs_total{result=ok}": 6,
-            "repro_bcverify_seconds": 6,
+            "repro_bcverify_runs_total{result=ok}": 3,
+            "repro_bcverify_seconds": 3,
         }),
     ],
     "10 batch, serial, no cache": [
@@ -200,15 +198,18 @@ def test_metrics_are_the_view_of_the_verbs_trace(
 
 
 def test_check_with_fuzzers_is_one_trace(tmp_path, capsys):
-    # The fuzzers' compiles and profiling runs are in the verb's trace:
-    # 14 of the 55 compiles and 3 of the 15 profiles are the examples'.
+    # The fuzz loop's compiles and profiling runs are in the verb's
+    # trace: 14 of the 36 compiles and 3 of the 6 profiles are the
+    # examples'; the 3 fuzzed programs the screen lets through compile
+    # their 11 units under dbds and baseline, each program from one
+    # profile.
     trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.json"
     argv = ["check", *EXAMPLES_4, "--check-ir=off", *FUZZ,
             "--trace-out", str(trace), "--metrics-out", str(metrics)]
     assert main(argv) == 0, capsys.readouterr().err
     events = read_jsonl(trace)
-    assert sum(e.name == "compile" and e.kind == "span" for e in events) == 55
-    assert sum(e.name == "interp.profile" for e in events) == 15
+    assert sum(e.name == "compile" and e.kind == "span" for e in events) == 36
+    assert sum(e.name == "interp.profile" for e in events) == 6
     view = MetricsSnapshot.from_events(events).to_json()
     assert flat(view) == flat(json.loads(metrics.read_text()))
 

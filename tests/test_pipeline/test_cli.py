@@ -412,10 +412,13 @@ class TestArgparse:
     # ``compile`` never reads an entry, arguments or bytecode; the cache
     # of ``run``, ``check`` and ``bench`` is off unless --cache-dir; the
     # profiling VM's tables are the ``profile`` verb's; ``check`` runs
-    # nothing it measures (its dynamic stamps observe on the reference);
-    # ``explain`` profiles with ``--args`` like every JIT verb, and the
-    # ``trace`` verb is ``compile --profile-compile --trace-out`` plus
-    # ``explain``.
+    # nothing it measures (its oracle runs every engine); ``explain``
+    # profiles with ``--args`` like every JIT verb, and the ``trace``
+    # verb is ``compile --profile-compile --trace-out`` plus
+    # ``explain``.  ``check --fuzz N`` fuzzes generated programs and
+    # mutants, each held to the oracle, whose reference run checks the
+    # stamps, and ``--verify-bytecode`` runs the verifier
+    # ``--check-bc=rewrite`` ran.
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -439,12 +442,27 @@ class TestArgparse:
                 "unrecognized arguments",
             ),
             (["trace", "{path}"], "invalid choice: 'trace'"),
+            (
+                ["check", "{path}", "--fuzz-mutations", "2"],
+                "unrecognized arguments",
+            ),
+            (
+                ["check", "{path}", "--fuzz-engines", "2"],
+                "unrecognized arguments",
+            ),
+            (["check", "{path}", "--dynamic-stamps"], "unrecognized arguments"),
+            (
+                ["check", "{path}", "--check-bc", "rewrite"],
+                "unrecognized arguments",
+            ),
         ],
         ids=[
             "compile --entry", "compile --args", "compile --check-bc",
             "run --no-cache", "check --no-cache", "bench --no-cache",
             "run --profile-run", "check --engine", "bench --profile-run",
-            "explain --profile-args", "trace",
+            "explain --profile-args", "trace", "check --fuzz-mutations",
+            "check --fuzz-engines", "check --dynamic-stamps",
+            "check --check-bc",
         ],
     )
     def test_removed_flags_rejected(self, source_file, argv, message, capsys):

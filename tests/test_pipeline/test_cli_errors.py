@@ -198,12 +198,6 @@ OUT_OF_RANGE_OPTIONS = {
     ("profile", "--top", "-1"): (["{path}", "--args", "1", "--top"], ">= 1"),
     ("batch", "-j/--jobs", "-2"): (["{path}", "--no-cache", "-j"], ">= 1"),
     ("check", "--fuzz", "-1"): (["{path}", "--args", "3", "--fuzz"], ">= 0"),
-    ("check", "--fuzz-mutations", "-1"): (
-        ["{path}", "--args", "3", "--fuzz-mutations"], ">= 0",
-    ),
-    ("check", "--fuzz-engines", "-1"): (
-        ["{path}", "--args", "3", "--fuzz-engines"], ">= 0",
-    ),
     **{
         ("check", "--time-budget", value): (
             ["{path}", "--args", "3", "--fuzz", "2", "--time-budget"], "> 0",

@@ -1,17 +1,26 @@
-"""Engine differential suite: the VM against the reference interpreter.
+"""Engine differential suite: the VM engines against the reference
+interpreter.
 
-Every bundled example program and a corpus of seeded mutants (the
+Every bundled example program, a corpus of seeded mutants (the
 template-extraction mutation operators of :mod:`repro.analysis.progen`
-applied to the examples) run on both engines after a full DBDS compile;
-observable outcomes, trap messages and step counts must be identical.
+applied to the examples) and seeded generated programs go through the
+differential oracle after a full DBDS compile: observable outcomes,
+trap messages, steps and cycles must be identical on every engine (and
+the outcomes equal the baseline's, every value inside its stamp).
 """
 
+import dataclasses
 import pathlib
 
 import pytest
 
 from repro.analysis.progen import mutated_program
-from repro.analysis.validate import SCREEN_STEP_BUDGET, _screen_mutant, validate_engines
+from repro.analysis.validate import (
+    FUZZ_ARGS,
+    SCREEN_STEP_BUDGET,
+    _screen_mutant,
+    fuzz,
+)
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import (
     HeapArray,
@@ -22,6 +31,8 @@ from repro.interp.interpreter import (
 from repro.ir.ops import MAX_ARRAY_LENGTH
 from repro.vm import MegaunitVirtualMachine, VirtualMachine, translate_program
 from repro.vm.bytecode import OP_EQ, OP_NE
+
+from tests.helpers import oracle
 
 EXAMPLES = sorted(
     (pathlib.Path(__file__).parent.parent.parent / "examples").rglob("*.mini")
@@ -42,8 +53,8 @@ def test_examples_present():
     "path", EXAMPLES, ids=[p.stem for p in EXAMPLES]
 )
 def test_examples_identical_on_both_engines(path):
-    result = validate_engines(path.read_text(), "main", EXAMPLE_ARGS)
-    assert result.ok, "\n".join(r.format() for r in result.divergences)
+    problems = oracle(path.read_text(), EXAMPLE_ARGS)
+    assert not problems, "\n".join(problems)
 
 
 @pytest.mark.parametrize("seed", range(MUTANT_COUNT))
@@ -52,19 +63,33 @@ def test_mutants_identical_on_both_engines(seed):
     mutant = mutated_program(seed, corpus, mutations=2)
     if not _screen_mutant(mutant.source, "main", MUTANT_ARGS, SCREEN_STEP_BUDGET):
         pytest.skip("mutant exceeds the screening step budget")
-    result = validate_engines(mutant.source, "main", MUTANT_ARGS, seed=seed)
-    assert result.ok, (
+    problems = oracle(mutant.source, MUTANT_ARGS)
+    assert not problems, (
         f"[{mutant.base}: {', '.join(mutant.applied) or 'unchanged'}]\n"
-        + "\n".join(r.format() for r in result.divergences)
+        + "\n".join(problems)
     )
 
 
-def test_cross_product_covers_every_engine():
-    # validate_engines defaults to the full matrix: the reference
-    # interpreter plus every VM engine, every pair compared.
-    result = validate_engines(EXAMPLES[0].read_text(), "main", [[2]])
-    assert result.ok
-    assert result.configs == ["reference", "vm", "megaunit"]
+def test_cross_product_covers_every_engine(monkeypatch):
+    # The oracle runs the full matrix: a step too many planted in either
+    # VM engine's metered runs is reported against the reference.
+    for engine in (VirtualMachine, MegaunitVirtualMachine):
+        monkeypatch.setattr(engine, "run", _one_step_more(engine.run))
+    problems = oracle(EXAMPLES[0].read_text(), [[2]])
+    assert len(problems) == 2
+    for problem, engine in zip(problems, ("vm", "megaunit")):
+        assert problem.startswith("engine-diff: main(2): reference -> ")
+        assert f" but {engine} -> " in problem
+
+
+def _one_step_more(run):
+    def planted(self, function, args):
+        result = run(self, function, args)
+        if not self.metered:
+            return result
+        return dataclasses.replace(result, steps=result.steps + 1)
+
+    return planted
 
 
 #: seeded generator programs for the full-matrix sweep — whole programs
@@ -79,8 +104,8 @@ def test_generated_programs_identical_on_every_engine(seed):
     source = random_program(seed * 7919 + 17)
     if not _screen_mutant(source, "main", MUTANT_ARGS, SCREEN_STEP_BUDGET):
         pytest.skip("generated program exceeds the screening step budget")
-    result = validate_engines(source, "main", MUTANT_ARGS, seed=seed)
-    assert result.ok, "\n".join(r.format() for r in result.divergences)
+    problems = oracle(source, MUTANT_ARGS)
+    assert not problems, "\n".join(problems)
 
 
 NEW_ARRAY = """
@@ -95,8 +120,8 @@ def test_array_lengths_past_the_maximum_trap_alike_on_every_engine():
     # No engine allocates past MAX_ARRAY_LENGTH: each traps with the one
     # message at the same step and cycle, as for a negative length.
     lengths = [[3], [-1], [MAX_ARRAY_LENGTH + 1], [2**63 - 1]]
-    result = validate_engines(NEW_ARRAY, "main", lengths)
-    assert result.ok, "\n".join(r.format() for r in result.divergences)
+    problems = oracle(NEW_ARRAY, lengths)
+    assert not problems, "\n".join(problems)
     program = compile_source(NEW_ARRAY)
     interpreter = Interpreter(program)
     for n in (MAX_ARRAY_LENGTH + 1, 2**63 - 1):
@@ -154,15 +179,20 @@ def test_budget_stops_identical_at_every_cap_across_engines():
 
 
 def test_fuzz_engines_smoke_over_full_matrix():
-    from repro.analysis.validate import fuzz_engines
+    problems = []
 
-    report = fuzz_engines(seed=1234, programs=6)
-    assert report.ok, report.format()
+    def check(source: str, name: str) -> int:
+        found = oracle(source, FUZZ_ARGS)
+        problems.extend(f"{name}: {problem}" for problem in found)
+        return len(found)
+
+    report = fuzz(check, seed=1234, programs=6)
+    assert report.ok, "\n".join([report.format(), *problems])
 
 
 def test_unoptimized_programs_also_agree():
     # The differential holds for raw front-end output too, not only for
-    # the optimized pipeline product validate_engines exercises.
+    # the optimized pipeline product the oracle exercises.
     for path in EXAMPLES:
         program = compile_source(path.read_text())
         reference = Interpreter(program, metered=True)
