@@ -29,6 +29,7 @@ imports for phase guarding.
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
@@ -111,7 +112,8 @@ class FuzzReport:
     skipped: int = 0
     #: failures the per-program check reported
     failures: int = 0
-    #: (seed, label and error) of each program whose check raised
+    #: (seed, label, error and where it was raised) of each program
+    #: whose check raised
     crashes: list[tuple[int, str]] = field(default_factory=list)
     elapsed: float = 0.0
 
@@ -150,7 +152,8 @@ def fuzz(
     finish within ``screen_steps`` interpreter steps on every argument
     set is skipped: the differential needs every run to finish.  An
     exception out of ``check`` (a compile crash) is a failure that
-    carries the seed and the program's label.  A ``time_budget``
+    carries the seed, the program's label and the innermost frame of
+    its traceback (``file:line in function``).  A ``time_budget``
     (seconds) stops the loop early.
     """
     report = FuzzReport()
@@ -174,9 +177,12 @@ def fuzz(
                 continue
             report.failures += check(source, f"fuzz seed {program_seed} [{label}]")
         except Exception as exc:  # a crash: also a fuzz finding
-            report.crashes.append(
-                (program_seed, f"[{label}] {type(exc).__name__}: {exc}")
-            )
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            report.crashes.append((
+                program_seed,
+                f"[{label}] {type(exc).__name__}: {exc} (at {where.filename}"
+                f":{where.lineno} in {where.name})",
+            ))
     report.elapsed = time.perf_counter() - start
     return report
 

@@ -35,7 +35,7 @@ from ..ir.nodes import (
     StoreGlobal,
     Value,
 )
-from ..ir.ops import BinOp, CmpOp
+from ..ir.ops import BinOp, CmpOp, wrap64
 from ..ir.types import (
     BOOL,
     INT,
@@ -363,7 +363,7 @@ class _FunctionBuilder:
 
     def _build_expr_inner(self, expr: ast.Expr) -> tuple[Value, Type]:
         if isinstance(expr, ast.IntLiteral):
-            return self.graph.const_int(expr.value), INT
+            return self._int_literal(expr.value, expr.line), INT
         if isinstance(expr, ast.BoolLiteral):
             return self.graph.const_bool(expr.value), BOOL
         if isinstance(expr, ast.NullLiteral):
@@ -410,9 +410,20 @@ class _FunctionBuilder:
             return value, ArrayType(expr.element_type)
         raise AssertionError(f"unknown expression {expr!r}")
 
+    def _int_literal(self, value: int, line: int) -> Value:
+        """The constant of an integer literal, which must be a signed
+        64-bit int, as every value a program computes is (the minimum
+        only as ``-9223372036854775808``)."""
+        if wrap64(value) != value:
+            raise CompileError(
+                f"integer literal {value} is outside the signed 64-bit range",
+                line,
+            )
+        return self.graph.const_int(value)
+
     def _build_unary(self, expr: ast.Unary) -> tuple[Value, Type]:
         if expr.op == "-" and isinstance(expr.operand, ast.IntLiteral):
-            return self.graph.const_int(-expr.operand.value), INT
+            return self._int_literal(-expr.operand.value, expr.line), INT
         value, ty = self._build_expr(expr.operand)
         if expr.op == "-":
             if ty != INT:

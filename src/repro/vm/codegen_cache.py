@@ -39,7 +39,10 @@ from .bytecode import BytecodeFunction, disassemble
 #: 5: one packed meter ``e = (steps << K) + cycles`` in the one slot
 #: ``m[0]``, and ``_finish(vm, m, _fn<N>, e, pc, ...)`` — schema-4 text
 #: keeps ``s``/``c`` in two slots and calls the old replay signature.
-CODEGEN_SCHEMA = 5
+#: 6: one expression per instruction, wrapping through ``_w`` only out
+#: of range — schema-5 text is the same program in longer form, and a
+#: cached entry must be the text this codegen would generate.
+CODEGEN_SCHEMA = 6
 
 #: default reprs embed ``id()`` addresses; scrub them so digests are
 #: pure functions of structure and compare equal across processes

@@ -40,6 +40,7 @@ from ..ir.ops import (
     MAX_STEPS,
     EvaluationTrap,
     check_array_length,
+    wrap64,
 )
 from .bytecode import OP_CALL, BytecodeFunction, BytecodeProgram
 
@@ -52,6 +53,8 @@ _TWO64 = 1 << 64
 # Handlers.  Uniform signature (vm, ins, regs, pc) -> next pc; a
 # negative pc means "return from frame" (the value is in vm._retval).
 # Arithmetic inlines the wrap64/eval_binop semantics of repro.ir.ops.
+# Every operand is a signed 64-bit int, and that range is closed under
+# %, &, |, ^ and >>, so their handlers skip the wrap.
 # ----------------------------------------------------------------------
 def _op_add(vm, ins, regs, pc):
     v = (regs[ins[4]] + regs[ins[5]]) & _MASK
@@ -90,28 +93,22 @@ def _op_mod(vm, ins, regs, pc):
         raise EvaluationTrap("modulo by zero")
     a = regs[ins[4]]
     r = abs(a) % abs(b)
-    if a < 0:
-        r = -r
-    v = r & _MASK
-    regs[ins[3]] = v - _TWO64 if v & _SIGN else v
+    regs[ins[3]] = -r if a < 0 else r
     return pc + 1
 
 
 def _op_and(vm, ins, regs, pc):
-    v = (regs[ins[4]] & regs[ins[5]]) & _MASK
-    regs[ins[3]] = v - _TWO64 if v & _SIGN else v
+    regs[ins[3]] = regs[ins[4]] & regs[ins[5]]
     return pc + 1
 
 
 def _op_or(vm, ins, regs, pc):
-    v = (regs[ins[4]] | regs[ins[5]]) & _MASK
-    regs[ins[3]] = v - _TWO64 if v & _SIGN else v
+    regs[ins[3]] = regs[ins[4]] | regs[ins[5]]
     return pc + 1
 
 
 def _op_xor(vm, ins, regs, pc):
-    v = (regs[ins[4]] ^ regs[ins[5]]) & _MASK
-    regs[ins[3]] = v - _TWO64 if v & _SIGN else v
+    regs[ins[3]] = regs[ins[4]] ^ regs[ins[5]]
     return pc + 1
 
 
@@ -122,8 +119,7 @@ def _op_shl(vm, ins, regs, pc):
 
 
 def _op_shr(vm, ins, regs, pc):
-    v = (regs[ins[4]] >> (regs[ins[5]] & 63)) & _MASK
-    regs[ins[3]] = v - _TWO64 if v & _SIGN else v
+    regs[ins[3]] = regs[ins[4]] >> (regs[ins[5]] & 63)
     return pc + 1
 
 
@@ -330,8 +326,17 @@ class VirtualMachine:
 
     # ------------------------------------------------------------------
     def run(self, function: str, args: list[Any]) -> ExecutionResult:
-        """Call ``function`` with ``args`` and capture the outcome."""
+        """Call ``function`` with ``args`` and capture the outcome.
+
+        An int argument must be a signed 64-bit int, as every value a
+        program computes is: the operators that cannot leave that range
+        do not wrap their results."""
         fn = self.bytecode.functions[function]
+        if any(type(arg) is int and wrap64(arg) != arg for arg in args):
+            raise ValueError(
+                f"{function}: an int argument is outside the signed 64-bit"
+                " range"
+            )
         try:
             value = self._call(fn, list(args))
             return ExecutionResult(

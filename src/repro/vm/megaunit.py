@@ -9,11 +9,20 @@ its whole call graph** (every function reachable through ``OP_CALL``,
 CPython's own bytecode do the dispatch:
 
 * every bytecode function becomes one Python function
-  ``_mu<N>(vm, m, r0.., d)`` — its registers are **Python locals**
-  seeded from the constant template, not a list;
-* instructions are inlined as straight-line statements — arithmetic
-  with the wrap64 literals baked in, interned constants inlined as
-  Python literals, field/array/global traffic as plain subscripts;
+  ``_mu<N>(vm, m, r0.., d)`` — its registers are **Python locals**,
+  not a list, and the prologue seeds from the constant template only
+  those the body reads by name;
+* instructions are inlined as straight-line statements, **one
+  expression per instruction** where it can be, since a measured run
+  pays ``compile()`` for every node: interned constants inline as
+  Python literals, operand registers are read in place, and
+  field/array/global traffic is plain subscripts;
+* add/sub/mul/shl assign ``v if MIN <= (v := X) <= MAX else _w(v)``,
+  where ``_w`` is the reference's own :func:`~repro.ir.ops.wrap64`,
+  called only out of range (neg checks only ``MAX``).  Every operand
+  is a signed 64-bit int, a range closed under ``&``, ``|``, ``^``,
+  ``>>`` and ``%``, so those wrap nothing; ushr wraps only where its
+  shift count can be 0, and div only where ``MIN // -1`` can happen;
 * ``==``/``!=`` compile to a bare Python ``==``/``!=``, references
   included: runtime values are only ints, bools, ``None`` and the heap
   classes, which define neither ``__eq__`` nor ``__ne__``, so Python
@@ -122,6 +131,7 @@ from ..ir.ops import (
     MAX_CALL_DEPTH,
     MAX_STEPS,
     EvaluationTrap,
+    wrap64,
 )
 from ..obs.tracer import current_tracer
 from .bytecode import (
@@ -164,8 +174,6 @@ from .machine import _HANDLERS, HeapArray, HeapObject, VirtualMachine
 from .opspec import OPCODE_SPECS
 
 _MASK = "18446744073709551615"
-_SIGN = "9223372036854775808"
-_TWO64 = "18446744073709551616"
 _INT_MIN = "-9223372036854775808"
 _INT_MAX = "9223372036854775807"
 
@@ -178,7 +186,7 @@ _STACK_HEADROOM = 64
 #: (per-function cells ``_mu<N>`` / ``_fn<N>`` / ``_tmpl<N>`` are
 #: added per program and matched by pattern in the lint)
 MEGAUNIT_NAMESPACE = frozenset(
-    ("EvaluationTrap", "HeapObject", "HeapArray", "_finish")
+    ("EvaluationTrap", "HeapObject", "HeapArray", "_finish", "_w")
 )
 
 #: the counter list of a counted module (see :class:`MegaunitModule`);
@@ -355,6 +363,9 @@ class _FunctionCompiler:
         self.hi = fn.const_base + fn.const_count
         self._inline: set[int] = set()
         self._spans: dict[int, int] = {}
+        #: the registers the generated text reads by name (the
+        #: prologue seeds the non-parameters among them)
+        self._read: set[int] = set()
 
     # -- helpers ---------------------------------------------------------
     def emit(self, indent: int, text: str) -> None:
@@ -364,45 +375,55 @@ class _FunctionCompiler:
         """How generated code names register ``reg``: a Python local."""
         return f"r{reg}"
 
+    def read(self, reg: int) -> str:
+        """A read of register ``reg`` by name."""
+        self._read.add(reg)
+        return self.reg(reg)
+
     def operand(self, reg: int) -> str:
         """A register read — interned constants inline as literals."""
         if self.lo <= reg < self.hi:
             value = self.fn.template[reg]
             if value is None or type(value) in (int, bool):
                 return repr(value)
-        return self.reg(reg)
+        return self.read(reg)
+
+    def shift(self, reg: int) -> str:
+        """A shift count: a literal folds to its low six bits."""
+        count = self.operand(reg)
+        if count.lstrip("-").isdigit():
+            return str(int(count) & 63)
+        return f"({count} & 63)"
 
     def packed(self, steps: int, cycles) -> int:
         """The meter literal charging ``steps`` steps and ``cycles``
         cycles (the cycles vanish in the counted module: ``K = 0``)."""
         return (steps << self.width) + (int(cycles) if self.width else 0)
 
-    def flush(self, indent: int, k: int, ck) -> None:
-        """Partial meter flush preceding a trap raise.
+    def trap(self, indent: int, k: int, ck, test: str, message: str) -> None:
+        """A trap site: when ``test`` holds, flush the partial meter and
+        raise ``message`` (the Python text of the message).
 
         ``k`` instructions of the current segment (including the
         trapping one) count as steps; ``ck`` is the partial cycle sum
         of the instructions *before* it.
         """
-        self.emit(indent, f"m[0] = e + {self.packed(k, ck)}")
+        self.emit(indent, f"if {test}:")
+        self.emit(indent + 1, f"m[0] = e + {self.packed(k, ck)}")
+        self.emit(indent + 1, f"raise EvaluationTrap({message})")
 
-    def wrap64(self, indent: int, dest: int, expr: str) -> None:
-        self.emit(indent, f"v = ({expr}) & {_MASK}")
+    def wrapped(
+        self, indent: int, dest: int, expr: str, low: bool = True
+    ) -> None:
+        """``dest = expr`` wrapped to 64 bits: ``_w`` (the reference's
+        :func:`~repro.ir.ops.wrap64`) runs only on an out-of-range
+        value.  ``low=False`` for a value that cannot fall below the
+        range (a negation, an unsigned shift)."""
+        floor = f"{_INT_MIN} <= " if low else ""
         self.emit(
-            indent, f"{self.reg(dest)} = v - {_TWO64} if v & {_SIGN} else v"
-        )
-
-    def guarded64(self, indent: int, dest: int, expr: str) -> None:
-        # add/sub/mul: skip the mask while the result is in range
-        # (identical values — masking an in-range int is the identity).
-        self.emit(indent, f"v = {expr}")
-        self.emit(indent, f"if {_INT_MIN} <= v <= {_INT_MAX}:")
-        self.emit(indent + 1, f"{self.reg(dest)} = v")
-        self.emit(indent, "else:")
-        self.emit(indent + 1, f"v &= {_MASK}")
-        self.emit(
-            indent + 1,
-            f"{self.reg(dest)} = v - {_TWO64} if v & {_SIGN} else v",
+            indent,
+            f"{self.reg(dest)} = v if {floor}(v := {expr}) <= {_INT_MAX}"
+            " else _w(v)",
         )
 
     # -- per-instruction codegen ----------------------------------------
@@ -410,54 +431,65 @@ class _FunctionCompiler:
         """One non-call, non-terminator instruction.
 
         ``k``/``ck`` position it inside its segment for trap flushes.
+        Every operand is a signed 64-bit int, and that range is closed
+        under ``&``, ``|``, ``^``, ``>>`` and ``%``, so only the other
+        arithmetic can leave it and wrap.
         """
         op, dest = ins[0], ins[3]
-        emit, flush = self.emit, self.flush
+        emit = self.emit
+
+        def trap(test: str, message: str) -> None:
+            self.trap(indent, k, ck, test, message)
+
         if op in (OP_ADD, OP_SUB, OP_MUL):
             sym = {OP_ADD: "+", OP_SUB: "-", OP_MUL: "*"}[op]
-            self.guarded64(
+            self.wrapped(
                 indent, dest,
                 f"{self.operand(ins[4])} {sym} {self.operand(ins[5])}",
             )
         elif op in (OP_AND, OP_OR, OP_XOR):
             sym = {OP_AND: "&", OP_OR: "|", OP_XOR: "^"}[op]
-            self.wrap64(
-                indent, dest,
-                f"{self.operand(ins[4])} {sym} {self.operand(ins[5])}",
+            emit(
+                indent,
+                f"{self.reg(dest)} = {self.operand(ins[4])} {sym}"
+                f" {self.operand(ins[5])}",
             )
         elif op == OP_SHL:
-            self.wrap64(
+            self.wrapped(
                 indent, dest,
-                f"{self.operand(ins[4])} << ({self.operand(ins[5])} & 63)",
+                f"{self.operand(ins[4])} << {self.shift(ins[5])}",
             )
         elif op == OP_SHR:
-            self.wrap64(
-                indent, dest,
-                f"{self.operand(ins[4])} >> ({self.operand(ins[5])} & 63)",
+            emit(
+                indent,
+                f"{self.reg(dest)} = {self.operand(ins[4])}"
+                f" >> {self.shift(ins[5])}",
             )
         elif op == OP_USHR:
-            self.wrap64(
-                indent, dest,
-                f"({self.operand(ins[4])} & {_MASK})"
-                f" >> ({self.operand(ins[5])} & 63)",
-            )
-        elif op in (OP_DIV, OP_MOD):
-            emit(indent, f"b = {self.operand(ins[5])}")
-            emit(indent, "if b == 0:")
-            flush(indent + 1, k, ck)
-            word = "division" if op == OP_DIV else "modulo"
-            emit(indent + 1, f"raise EvaluationTrap('{word} by zero')")
-            emit(indent, f"a = {self.operand(ins[4])}")
-            if op == OP_DIV:
-                emit(indent, "v = abs(a) // abs(b)")
-                emit(indent, "if (a >= 0) != (b >= 0):")
-                emit(indent + 1, "v = -v")
+            # Below 2**63, so in range, unless the count is 0.
+            count = self.shift(ins[5])
+            expr = f"({self.operand(ins[4])} & {_MASK}) >> {count}"
+            if count.isdigit() and count != "0":
+                emit(indent, f"{self.reg(dest)} = {expr}")
             else:
-                emit(indent, "v = abs(a) % abs(b)")
-                emit(indent, "if a < 0:")
-                emit(indent + 1, "v = -v")
-            emit(indent, f"v &= {_MASK}")
-            emit(indent, f"{self.reg(dest)} = v - {_TWO64} if v & {_SIGN} else v")
+                self.wrapped(indent, dest, expr, low=False)
+        elif op in (OP_DIV, OP_MOD):
+            a, b = self.operand(ins[4]), self.operand(ins[5])
+            word = "division" if op == OP_DIV else "modulo"
+            trap(f"{b} == 0", f"'{word} by zero'")
+            if op == OP_MOD:
+                emit(indent, f"v = abs({a}) % abs({b})")
+                emit(indent, f"{self.reg(dest)} = -v if {a} < 0 else v")
+            else:
+                emit(indent, f"v = abs({a}) // abs({b})")
+                quotient = f"-v if ({a} >= 0) != ({b} >= 0) else v"
+                # Only MIN // -1 leaves the range: wrap where a register
+                # or literal could be MIN and the divisor -1.
+                if a in (self.reg(ins[4]), _INT_MIN) and b in (
+                    self.reg(ins[5]), "-1"
+                ):
+                    quotient += f" if v <= {_INT_MAX} else _w(v)"
+                emit(indent, f"{self.reg(dest)} = {quotient}")
         elif op in _COMPARISONS:
             # A bare ==/!= is identity on references: the heap classes
             # define no __eq__/__ne__ (see repro.ir.ops.eval_cmp).
@@ -470,33 +502,24 @@ class _FunctionCompiler:
         elif op == OP_NOT:
             emit(indent, f"{self.reg(dest)} = not {self.operand(ins[4])}")
         elif op == OP_NEG:
-            self.guarded64(indent, dest, f"-{self.operand(ins[4])}")
+            self.wrapped(indent, dest, f"-{self.operand(ins[4])}", low=False)
         elif op == OP_NEW:
             emit(
                 indent,
                 f"{self.reg(dest)} = HeapObject({ins[4]!r}, dict({ins[5]!r}))",
             )
-        elif op == OP_LOAD_FIELD:
-            emit(indent, f"o = {self.operand(ins[4])}")
-            emit(indent, "if o is None:")
-            flush(indent + 1, k, ck)
-            emit(
-                indent + 1,
-                f"raise EvaluationTrap('null dereference reading"
-                f" .{ins[5]}')",
-            )
-            emit(indent, f"{self.reg(dest)} = o.fields[{ins[5]!r}]")
-        elif op == OP_STORE_FIELD:
-            emit(indent, f"o = {self.operand(ins[4])}")
-            emit(indent, "if o is None:")
-            flush(indent + 1, k, ck)
-            emit(
-                indent + 1,
-                f"raise EvaluationTrap('null dereference writing"
-                f" .{ins[5]}')",
-            )
-            emit(indent, f"o.fields[{ins[5]!r}] = {self.operand(ins[6])}")
-            emit(indent, f"{self.reg(dest)} = None")
+        elif op in (OP_LOAD_FIELD, OP_STORE_FIELD):
+            obj = self.operand(ins[4])
+            word = "reading" if op == OP_LOAD_FIELD else "writing"
+            trap(f"{obj} is None", f"'null dereference {word} .{ins[5]}'")
+            if op == OP_LOAD_FIELD:
+                emit(indent, f"{self.reg(dest)} = {obj}.fields[{ins[5]!r}]")
+            else:
+                emit(
+                    indent,
+                    f"{obj}.fields[{ins[5]!r}] = {self.operand(ins[6])}",
+                )
+                emit(indent, f"{self.reg(dest)} = None")
         elif op == OP_LOAD_GLOBAL:
             emit(indent, f"{self.reg(dest)} = state.globals[{ins[4]!r}]")
         elif op == OP_STORE_GLOBAL:
@@ -506,49 +529,32 @@ class _FunctionCompiler:
             )
             emit(indent, f"{self.reg(dest)} = None")
         elif op == OP_NEW_ARRAY:
-            emit(indent, f"n = {self.operand(ins[4])}")
-            emit(indent, "if n < 0:")
-            flush(indent + 1, k, ck)
-            emit(
-                indent + 1,
-                'raise EvaluationTrap(f"negative array length {n}")',
-            )
+            n = self.operand(ins[4])
+            trap(f"{n} < 0", f'f"negative array length {{{n}}}"')
             # ir.ops.check_array_length, inline.
-            emit(indent, f"if n > {MAX_ARRAY_LENGTH}:")
-            flush(indent + 1, k, ck)
-            emit(
-                indent + 1,
-                'raise EvaluationTrap(f"array length {n} exceeds the '
-                f'maximum {MAX_ARRAY_LENGTH}")',
+            trap(
+                f"{n} > {MAX_ARRAY_LENGTH}",
+                f'f"array length {{{n}}} exceeds the maximum'
+                f' {MAX_ARRAY_LENGTH}"',
             )
-            emit(indent, f"{self.reg(dest)} = HeapArray([{ins[5]!r}] * n)")
+            emit(indent, f"{self.reg(dest)} = HeapArray([{ins[5]!r}] * {n})")
         elif op in (OP_ARRAY_LOAD, OP_ARRAY_STORE):
-            emit(indent, f"a = {self.operand(ins[4])}")
-            emit(indent, "if a is None:")
-            flush(indent + 1, k, ck)
-            emit(indent + 1, "raise EvaluationTrap('null array access')")
-            emit(indent, f"i = {self.operand(ins[5])}")
-            emit(indent, "vs = a.values")
-            emit(indent, "if not 0 <= i < len(vs):")
-            flush(indent + 1, k, ck)
-            emit(
-                indent + 1,
-                'raise EvaluationTrap(f"array index {i} out of bounds")',
+            array, i = self.operand(ins[4]), self.operand(ins[5])
+            trap(f"{array} is None", "'null array access'")
+            emit(indent, f"vs = {array}.values")
+            trap(
+                f"not 0 <= {i} < len(vs)",
+                f'f"array index {{{i}}} out of bounds"',
             )
             if op == OP_ARRAY_LOAD:
-                emit(indent, f"{self.reg(dest)} = vs[i]")
+                emit(indent, f"{self.reg(dest)} = vs[{i}]")
             else:
-                emit(indent, f"vs[i] = {self.operand(ins[6])}")
+                emit(indent, f"vs[{i}] = {self.operand(ins[6])}")
                 emit(indent, f"{self.reg(dest)} = None")
         elif op == OP_ARRAY_LENGTH:
-            emit(indent, f"a = {self.operand(ins[4])}")
-            emit(indent, "if a is None:")
-            flush(indent + 1, k, ck)
-            emit(
-                indent + 1,
-                "raise EvaluationTrap('null dereference in len()')",
-            )
-            emit(indent, f"{self.reg(dest)} = len(a.values)")
+            array = self.operand(ins[4])
+            trap(f"{array} is None", "'null dereference in len()'")
+            emit(indent, f"{self.reg(dest)} = len({array}.values)")
         else:  # pragma: no cover - translate emits no other opcodes
             raise AssertionError(f"cannot compile opcode {op}")
 
@@ -570,7 +576,7 @@ class _FunctionCompiler:
         """The budget exit of the guard at ``pc``: the meter plus the
         registers :func:`finish_live_ins` names."""
         live = "".join(
-            f", {self.reg(k)}" for k in finish_live_ins(self.fn, pc)
+            f", {self.read(k)}" for k in finish_live_ins(self.fn, pc)
         )
         self.emit(indent, f"_finish(vm, m, _fn{self.index}, e, {pc}{live})")
 
@@ -660,7 +666,7 @@ class _FunctionCompiler:
     ) -> None:
         self.count(indent, edge[2], branch, slot)
         for d, src in edge[1]:
-            self.emit(indent, f"{self.reg(d)} = {self.reg(src)}")
+            self.emit(indent, f"{self.reg(d)} = {self.operand(src)}")
         target = edge[0]
         if target in self._inline:
             self.gen_body(indent, target, self._spans[target])
@@ -719,35 +725,38 @@ class _FunctionCompiler:
         emit = self.emit
         self.meter_guard(indent, 1, pc)
         emit(indent, f"m[0] = e + {self.packed(1, 0)}")
-        args = "".join(f", {self.reg(a)}" for a in ins[5])
+        args = "".join(f", {self.operand(a)}" for a in ins[5])
         emit(indent, f"{self.reg(ins[3])} = {target}(vm, m{args}, d + 1)")
         cost = self.packed(0, ins[1])
         emit(indent, f"e = m[0] + {cost}" if cost else "e = m[0]")
 
     # -- function scaffolding -------------------------------------------
-    def gen_seed(self) -> None:
-        """Seed every non-parameter register from the constant template.
+    def gen_seed(self) -> list[str]:
+        """The prologue lines seeding, from the constant template,
+        every non-parameter register the body reads by name.
 
-        Every slot is bound eagerly, so a register read before any
-        write sees its template value, as in the machine's
-        template-copied register file.  Literal-representable values
-        (the ``operand`` rule: ``None``/``int``/``bool``) are grouped
-        by repr into chained assignments; anything else loads from the
-        function's template cell."""
+        So a register read before any write sees its template value, as
+        in the machine's template-copied register file.
+        Literal-representable values (the ``operand`` rule:
+        ``None``/``int``/``bool``) are grouped by repr into chained
+        assignments; anything else loads from the function's template
+        cell."""
         fn = self.fn
+        lines = []
         groups: dict[str, list[int]] = {}
-        for k in range(fn.nparams, fn.nregs):
+        for k in sorted(k for k in self._read if k >= fn.nparams):
             value = fn.template[k]
             if value is None or type(value) in (int, bool):
                 groups.setdefault(repr(value), []).append(k)
             else:
-                self.emit(1, f"{self.reg(k)} = _tmpl{self.index}[{k}]")
+                lines.append(f"    {self.reg(k)} = _tmpl{self.index}[{k}]")
         for literal, regs in groups.items():
             for chunk in range(0, len(regs), 12):
                 targets = " = ".join(
                     self.reg(k) for k in regs[chunk:chunk + 12]
                 )
-                self.emit(1, f"{targets} = {literal}")
+                lines.append(f"    {targets} = {literal}")
+        return lines
 
     def gen_body(self, indent: int, start: int, count: int) -> None:
         """One block's body: maximal call-free segments + call sites."""
@@ -789,7 +798,7 @@ class _FunctionCompiler:
         emit(1, "e = m[0]")
         if any(ins[0] in (OP_LOAD_GLOBAL, OP_STORE_GLOBAL) for ins in fn.code):
             emit(1, "state = vm.state")
-        self.gen_seed()
+        seed_at = len(self.lines)
         headers = self.loop_headers()
         ladder = headers + [
             start
@@ -802,17 +811,19 @@ class _FunctionCompiler:
             # jumps back to the entry, so no `continue` is ever emitted
             # — skip the dispatch loop entirely.
             self.gen_body(1, ladder[0], self._spans[ladder[0]])
-            return
-        emit(1, "_L = 0")
-        emit(1, "while True:")
-        for idx, start in enumerate(ladder):
-            if idx == 0:
-                emit(2, f"if _L == {start}:")
-            elif idx == len(ladder) - 1:
-                emit(2, "else:")
-            else:
-                emit(2, f"elif _L == {start}:")
-            self.gen_body(3, start, self._spans[start])
+        else:
+            emit(1, "_L = 0")
+            emit(1, "while True:")
+            for idx, start in enumerate(ladder):
+                if idx == 0:
+                    emit(2, f"if _L == {start}:")
+                elif idx == len(ladder) - 1:
+                    emit(2, "else:")
+                else:
+                    emit(2, f"elif _L == {start}:")
+                self.gen_body(3, start, self._spans[start])
+        # The body is generated: it names the registers to seed.
+        self.lines[seed_at:seed_at] = self.gen_seed()
 
     def source(self) -> str:
         self.gen_function()
@@ -939,6 +950,7 @@ def _exec_module(
         "HeapObject": HeapObject,
         "HeapArray": HeapArray,
         "_finish": _finish_budget,
+        "_w": wrap64,
     }
     counts = None
     if sites is not None:

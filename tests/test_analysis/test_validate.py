@@ -111,7 +111,15 @@ def test_fuzz_translation_records_compile_crashes():
     assert not report.ok
     (seed, mutant), (next_seed, generated) = report.crashes
     assert (seed, next_seed) == (7, 8)
+    # Each crash names the planted raise: the innermost frame.
+    raised_at = (
+        f"(at {__file__}:{broken.__code__.co_firstlineno + 1} in broken)"
+    )
     assert mutant.startswith("[generated[7]: ")
-    assert mutant.endswith("] RuntimeError: synthetic compiler crash")
-    assert generated == "[generated] RuntimeError: synthetic compiler crash"
+    assert mutant.endswith(
+        f"] RuntimeError: synthetic compiler crash {raised_at}"
+    )
+    assert generated == (
+        f"[generated] RuntimeError: synthetic compiler crash {raised_at}"
+    )
     assert "seed 7: crash: [generated[7]: " in report.format()

@@ -187,6 +187,14 @@ class TestTypeErrors:
             ("class A { x: int; }\nfn f(a: A) -> bool { return a == 1; }", "cannot compare"),
             ("fn f() {}\nfn f() {}", "duplicate function"),
             ("global g: int;\nglobal g: int;", "duplicate global"),
+            (
+                "fn f() -> int { return 9223372036854775808; }",
+                "literal 9223372036854775808 is outside the signed 64-bit",
+            ),
+            (
+                "fn f() -> int { return -9223372036854775809; }",
+                "literal -9223372036854775809 is outside",
+            ),
         ],
     )
     def test_rejected(self, source, message):

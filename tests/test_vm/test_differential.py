@@ -283,3 +283,81 @@ def test_reference_equality_is_identity_on_every_engine():
     assert outcomes["reference"][:2] == (expected, None)
     assert outcomes["vm"] == outcomes["reference"]
     assert outcomes["megaunit"] == outcomes["reference"]
+
+
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
+
+#: operands at and next to the edges of the signed 64-bit range
+EDGE_VALUES = (INT_MIN, INT_MIN + 1, -2, -1, 0, 1, 2, INT_MAX - 1, INT_MAX)
+
+#: shift counts: the ones the low six bits keep, and ones they wrap
+SHIFT_COUNTS = (0, 1, 62, 63, 64, 65, -1)
+
+#: every ArithOp in MiniLang and NEG: the operator and its right
+#: operands (``None``: no right operand)
+EDGE_OPERATORS = {
+    "add": ("+", EDGE_VALUES), "sub": ("-", EDGE_VALUES),
+    "mul": ("*", EDGE_VALUES), "div": ("/", EDGE_VALUES),
+    "mod": ("%", EDGE_VALUES), "and": ("&", EDGE_VALUES),
+    "or": ("|", EDGE_VALUES), "xor": ("^", EDGE_VALUES),
+    "shl": ("<<", SHIFT_COUNTS), "shr": (">>", SHIFT_COUNTS),
+    "ushr": (">>>", SHIFT_COUNTS), "neg": ("-", None),
+}
+
+
+def _edge_functions(op: str, rights) -> tuple[str, list]:
+    """One function per operand form of ``op``: each operand a
+    parameter or a local bound to a literal, which the unoptimized
+    compile keeps as an interned constant, so the instruction reads it
+    as a literal.  Returns the source and ``(function, args)`` of every
+    case."""
+    functions, cases = [], []
+
+    def form(name, params, bound, expr, args):
+        lets = "".join(f"  var {var}: int = {value};\n" for var, value in bound)
+        functions.append(
+            f"fn {name}({', '.join(f'{p}: int' for p in params)}) -> int {{\n"
+            f"{lets}  return {expr};\n}}"
+        )
+        cases.extend((name, arg) for arg in args)
+
+    if rights is None:
+        form("p", ["a"], [], "-a", [[a] for a in EDGE_VALUES])
+        for i, a in enumerate(EDGE_VALUES):
+            form(f"l{i}", [], [("a", a)], "-a", [[]])
+        return "\n".join(functions), cases
+    expr = f"a {op} b"
+    form("pp", ["a", "b"], [], expr, [[a, b] for a in EDGE_VALUES for b in rights])
+    for i, a in enumerate(EDGE_VALUES):
+        form(f"l{i}p", ["b"], [("a", a)], expr, [[b] for b in rights])
+        for j, b in enumerate(rights):
+            form(f"l{i}l{j}", [], [("a", a), ("b", b)], expr, [[]])
+    for j, b in enumerate(rights):
+        form(f"pl{j}", ["a"], [("b", b)], expr, [[a] for a in EDGE_VALUES])
+    return "\n".join(functions), cases
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_OPERATORS))
+def test_edge_values_agree_on_every_engine(name):
+    # Unoptimized, so no operation folds away and both operand forms
+    # reach codegen: a register, and an inlined literal.
+    source, cases = _edge_functions(*EDGE_OPERATORS[name])
+    program = compile_source(source)
+    bytecode = translate_program(program)
+    # The operation and the return, per function: nothing folded.
+    assert {len(fn.code) for fn in bytecode.functions.values()} == {2}
+    engines = {
+        "reference": Interpreter(program, metered=True),
+        "vm": VirtualMachine(bytecode),
+        "megaunit": MegaunitVirtualMachine(bytecode),
+    }
+    for function, args in cases:
+        outcomes = {}
+        for engine_name, engine in engines.items():
+            engine.reset()
+            out = engine.run(function, list(args))
+            outcomes[engine_name] = (out.value, out.trap, out.steps, out.cycles)
+            assert out.trap or type(out.value) is int, (engine_name, function)
+        assert outcomes["vm"] == outcomes["reference"], (function, args)
+        assert outcomes["megaunit"] == outcomes["reference"], (function, args)
+    assert engines["megaunit"].fallbacks == set()

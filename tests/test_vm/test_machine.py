@@ -17,7 +17,7 @@ from repro.interp.interpreter import (
 )
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import DBDS
-from repro.vm import VirtualMachine, translate_program
+from repro.vm import MegaunitVirtualMachine, VirtualMachine, translate_program
 
 APPS = {
     "nqueens": ("examples/apps/nqueens.mini", [6]),
@@ -196,6 +196,19 @@ def test_arity_mismatch_raises_typeerror_like_reference():
     with pytest.raises(TypeError) as vm_exc:
         vm.run("main", [1, 2])
     assert str(ref_exc.value) == str(vm_exc.value)
+
+
+def test_an_argument_outside_the_64_bit_range_is_refused():
+    # The handlers of %, &, |, ^ and >> do not wrap: the VM engines take
+    # only what a program can compute, as `--args` does.
+    bytecode = translate_program(
+        compile_source("fn main(x: int) -> int { return x | 0; }")
+    )
+    for engine in (VirtualMachine, MegaunitVirtualMachine):
+        for arg in (2**63, -(2**63) - 1):
+            with pytest.raises(ValueError, match="outside the signed 64-bit"):
+                engine(bytecode).run("main", [arg])
+        assert engine(bytecode).run("main", [-(2**63)]).value == -(2**63)
 
 
 def test_unknown_entry_raises_keyerror():

@@ -861,16 +861,16 @@ def test_each_entrys_unit_lints_clean(counted):
 #: profiling runs execute).
 SOURCE_DIGESTS = {
     "matrix": (
-        "a5f3da8ae91564373c79165ab5b7f2e0b5980696313d07b0c77bd665283b1fb2",
-        "086f0dae0ef096369111b3454532d2359051a9887844a3ba2d05021eb6600edc",
+        "29088e40e9508e357c0c45c78988229dda5e3a05894a345df804b6b5755de27c",
+        "3b1e22467b84d5ed59e9c368eef4a20213f5dd8c09e459a025a29706634726b6",
     ),
     "nqueens": (
-        "fd796d24ef5dbc2222365d30fa719f3731524dcc547fded4045a94792983603b",
-        "229c01f8fe00774c0f9c123e76955f95d95f1e5f588aa7bafd75dcaa947cbe31",
+        "694849a4dbc60aa858afe3a5fcdccb2712a9c9acbb121b908faa3d189fa953ef",
+        "4e38d227287d5700ccaa6050de7e15c2eb7eefea30629b90ddaea0d1933b8d25",
     ),
     "wordfreq": (
-        "cb2bd7ecebccfbd0524859035336d986bab50f5859b13b4d3ce594eec069fe11",
-        "5e5773562c4c888f0861972222b57379b0550bd754caee182eee2398ba2e1c30",
+        "44d984205975e7907dcf4c3c7c7667b85a35de247870b55514893b5a6cbddd14",
+        "18bc4d3e6ceb3d28396cce7f22aba038b9b4c0affd6a5ce92a4cd7e75ab9c1ea",
     ),
 }
 
@@ -887,3 +887,24 @@ def test_generated_source_is_byte_stable(name):
         for counted in (False, True)
     )
     assert digests == SOURCE_DIGESTS[name]
+
+
+#: AST nodes per bytecode instruction the apps' plain modules may hold.
+#: A measured run pays ``compile()`` on every node: 34.6 per instruction
+#: with one expression per instruction, 42.5 when each add, sub, mul and
+#: neg wrapped through a five-line block and each bitwise op or shift
+#: through a mask and fold.
+MAX_NODES_PER_INSTRUCTION = 37
+
+
+def test_generated_source_stays_compact():
+    nodes = instructions = 0
+    for path, args in APPS.values():
+        program, _ = compile_and_profile(open(path).read(), "main", [args], DBDS)
+        bytecode = translate_program(program)
+        tree = ast.parse(generate_module_source(bytecode))
+        nodes += sum(1 for _node in ast.walk(tree))
+        instructions += sum(len(fn.code) for fn in bytecode.functions.values())
+    assert nodes <= MAX_NODES_PER_INSTRUCTION * instructions, (
+        f"{nodes / instructions:.1f} AST nodes per instruction"
+    )
