@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import importlib
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..ir.cfgutils import reachable_blocks
@@ -62,31 +61,49 @@ class Severity(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
 class Violation:
-    """One broken invariant, attributed to the checker that found it."""
+    """One broken invariant, attributed to the checker that found it;
+    ``block`` names the block it anchors to (None = graph-level)."""
 
-    checker: str
-    severity: Severity
-    graph: str
-    message: str
-    #: name of the block the violation anchors to (None = graph-level)
-    block: Optional[str] = None
+    __slots__ = ("checker", "severity", "graph", "message", "block")
+
+    def __init__(
+        self,
+        checker: str,
+        severity: Severity,
+        graph: str,
+        message: str,
+        block: Optional[str] = None,
+    ) -> None:
+        self.checker = checker
+        self.severity = severity
+        self.graph = graph
+        self.message = message
+        self.block = block
 
     def format(self) -> str:
         where = f"{self.graph}/{self.block}" if self.block else self.graph
         return f"{self.severity.value}[{self.checker}] {where}: {self.message}"
 
 
-@dataclass(frozen=True)
 class Checker:
     """A registered invariant checker."""
 
-    name: str
-    func: Callable
-    severity: Severity = Severity.ERROR
-    scope: str = SCOPE_IR
-    description: str = ""
+    __slots__ = ("name", "func", "severity", "scope", "description")
+
+    def __init__(
+        self,
+        name: str,
+        func: Callable,
+        severity: Severity = Severity.ERROR,
+        scope: str = SCOPE_IR,
+        description: str = "",
+    ) -> None:
+        self.name = name
+        self.func = func
+        self.severity = severity
+        self.scope = scope
+        self.description = description
 
 
 #: registration-ordered checker table; within a scope, order is the run
@@ -232,15 +249,17 @@ class CheckerContext(_ContextBase):
         return self._reachable
 
 
-@dataclass
 class CheckReport:
-    """Outcome of one ``run_checkers`` call."""
+    """Outcome of one ``run_checkers`` call; ``checker_times`` maps a
+    checker name to its wall seconds."""
 
-    graph: str
-    violations: list[Violation] = field(default_factory=list)
-    checkers_run: list[str] = field(default_factory=list)
-    #: checker name -> wall seconds
-    checker_times: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("graph", "violations", "checkers_run", "checker_times")
+
+    def __init__(self, graph: str) -> None:
+        self.graph = graph
+        self.violations: list[Violation] = []
+        self.checkers_run: list[str] = []
+        self.checker_times: dict[str, float] = {}
 
     @property
     def ok(self) -> bool:

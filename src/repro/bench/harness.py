@@ -23,7 +23,6 @@ module for every verb.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
@@ -51,7 +50,6 @@ DEFAULT_TRAJECTORY_PATH = Path("benchmarks/results/BENCH_trajectory.json")
 DEFAULT_REGRESSION_THRESHOLD = 0.05
 
 
-@dataclass
 class Measurement:
     """One (workload, configuration) cell.
 
@@ -66,23 +64,46 @@ class Measurement:
     was stored into a cache.
     """
 
-    workload: str
-    config: str
-    cycles: float
-    compile_time: float
-    code_size: float
-    duplications: int
-    wall_time: float = 0.0
-    phase_times: dict[str, float] = field(default_factory=dict)
+    __slots__ = (
+        "workload", "config", "cycles", "compile_time", "code_size",
+        "duplications", "wall_time", "phase_times",
+    )
+
+    def __init__(
+        self,
+        workload: str,
+        config: str,
+        cycles: float,
+        compile_time: float,
+        code_size: float,
+        duplications: int,
+        wall_time: float = 0.0,
+        phase_times: Optional[dict[str, float]] = None,
+    ) -> None:
+        self.workload = workload
+        self.config = config
+        self.cycles = cycles
+        self.compile_time = compile_time
+        self.code_size = code_size
+        self.duplications = duplications
+        self.wall_time = wall_time
+        self.phase_times = phase_times if phase_times is not None else {}
 
 
-@dataclass
 class BenchmarkRow:
     """One workload across all configurations, normalized to baseline."""
 
-    workload: str
-    baseline: Measurement
-    configs: dict[str, Measurement] = field(default_factory=dict)
+    __slots__ = ("workload", "baseline", "configs")
+
+    def __init__(
+        self,
+        workload: str,
+        baseline: Measurement,
+        configs: Optional[dict[str, Measurement]] = None,
+    ) -> None:
+        self.workload = workload
+        self.baseline = baseline
+        self.configs = configs if configs is not None else {}
 
     def speedup(self, config: str) -> float:
         return speedup_percent(self.baseline.cycles, self.configs[config].cycles)
@@ -98,13 +119,20 @@ class BenchmarkRow:
         return (self.configs[config].code_size / self.baseline.code_size - 1.0) * 100.0
 
 
-@dataclass
 class SuiteReport:
     """All rows of one suite plus the geomean summary."""
 
-    suite: str
-    rows: list[BenchmarkRow] = field(default_factory=list)
-    config_names: list[str] = field(default_factory=list)
+    __slots__ = ("suite", "rows", "config_names")
+
+    def __init__(
+        self,
+        suite: str,
+        rows: Optional[list[BenchmarkRow]] = None,
+        config_names: Optional[list[str]] = None,
+    ) -> None:
+        self.suite = suite
+        self.rows = rows if rows is not None else []
+        self.config_names = config_names if config_names is not None else []
 
     def geomean_speedup(self, config: str) -> float:
         ratios = [

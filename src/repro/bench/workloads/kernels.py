@@ -11,19 +11,35 @@ but reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class Kernel:
-    """One generated kernel: optional class decls + the function text."""
+    """One generated kernel: optional class decls + the function text;
+    ``kind`` names the opportunity class it exercises (for reporting).
+    Kernels are equal when all their fields are (generation is
+    deterministic per seed)."""
 
-    name: str
-    declarations: str
-    function: str
-    call: str
-    #: which opportunity class this kernel exercises (for reporting)
-    kind: str
+    __slots__ = ("name", "declarations", "function", "call", "kind")
+
+    def __init__(
+        self, name: str, declarations: str, function: str, call: str, kind: str
+    ) -> None:
+        self.name = name
+        self.declarations = declarations
+        self.function = function
+        self.call = call
+        self.kind = kind
+
+    def _fields(self) -> tuple:
+        return (self.name, self.declarations, self.function, self.call, self.kind)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def _payload(rng: random.Random, var: str, lines: int) -> str:

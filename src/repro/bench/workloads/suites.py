@@ -26,38 +26,66 @@ call-heavy programs — see docs/VM.md and the CI bench gates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .kernels import Kernel, build_kernel
 
 
-@dataclass
 class Workload:
     """A generated benchmark: source text plus how to run it."""
 
-    name: str
-    suite: str
-    source: str
-    entry: str = "main"
-    profile_args: list[list[int]] = field(default_factory=list)
-    measure_args: list[list[int]] = field(default_factory=list)
-    kinds: list[str] = field(default_factory=list)
+    __slots__ = (
+        "name", "suite", "source", "entry", "profile_args", "measure_args",
+        "kinds",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        suite: str,
+        source: str,
+        entry: str = "main",
+        profile_args: Optional[list[list[int]]] = None,
+        measure_args: Optional[list[list[int]]] = None,
+        kinds: Optional[list[str]] = None,
+    ) -> None:
+        self.name = name
+        self.suite = suite
+        self.source = source
+        self.entry = entry
+        self.profile_args = profile_args if profile_args is not None else []
+        self.measure_args = measure_args if measure_args is not None else []
+        self.kinds = kinds if kinds is not None else []
 
 
-@dataclass(frozen=True)
 class SuiteProfile:
-    """Generation parameters of one suite."""
+    """Generation parameters of one suite: ``kernel_mix`` is the
+    opportunity mix as (kind, relative weight) pairs; ``run_iterations``
+    and ``profile_iterations`` are the main-loop iterations of the
+    measured and the profiling run."""
 
-    suite: str
-    benchmark_names: tuple[str, ...]
-    #: (kind, relative weight) — the opportunity mix
-    kernel_mix: tuple[tuple[str, float], ...]
-    kernels_min: int
-    kernels_max: int
-    #: main-loop iterations for the measured run
-    run_iterations: int
-    #: main-loop iterations for the profiling run
-    profile_iterations: int
+    __slots__ = (
+        "suite", "benchmark_names", "kernel_mix", "kernels_min",
+        "kernels_max", "run_iterations", "profile_iterations",
+    )
+
+    def __init__(
+        self,
+        suite: str,
+        benchmark_names: tuple[str, ...],
+        kernel_mix: tuple[tuple[str, float], ...],
+        kernels_min: int,
+        kernels_max: int,
+        run_iterations: int,
+        profile_iterations: int,
+    ) -> None:
+        self.suite = suite
+        self.benchmark_names = benchmark_names
+        self.kernel_mix = kernel_mix
+        self.kernels_min = kernels_min
+        self.kernels_max = kernels_max
+        self.run_iterations = run_iterations
+        self.profile_iterations = profile_iterations
 
 
 JAVA_DACAPO = SuiteProfile(

@@ -9,8 +9,6 @@ consume these estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..ir.block import Block
 from ..ir.frequency import BlockFrequencies
 from ..ir.graph import Graph
@@ -66,12 +64,14 @@ def estimated_run_time(graph: Graph, frequencies: BlockFrequencies | None = None
     )
 
 
-@dataclass(frozen=True)
 class GraphCostSummary:
     """Size and estimated run time of a compilation unit."""
 
-    code_size: float
-    estimated_cycles: float
+    __slots__ = ("code_size", "estimated_cycles")
+
+    def __init__(self, code_size: float, estimated_cycles: float) -> None:
+        self.code_size = code_size
+        self.estimated_cycles = estimated_cycles
 
     @staticmethod
     def of(graph: Graph) -> "GraphCostSummary":

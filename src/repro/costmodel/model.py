@@ -16,8 +16,6 @@ worked examples:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..ir.nodes import (
     ArithOp,
     ArrayLength,
@@ -43,12 +41,20 @@ from ..ir.nodes import (
 from ..ir.ops import BinOp
 
 
-@dataclass(frozen=True)
 class NodeCost:
-    """Abstract run-time (cycles) and machine-code size of one node."""
+    """Abstract run-time (cycles) and machine-code size of one node.
 
-    cycles: float
-    size: float
+    Immutable: the cost tables hand the same instance to every caller.
+    """
+
+    __slots__ = ("cycles", "size")
+
+    def __init__(self, cycles: float, size: float) -> None:
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "size", size)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"NodeCost is immutable (cannot set {name!r})")
 
 
 _CLASS_COSTS: dict[type, NodeCost] = {}

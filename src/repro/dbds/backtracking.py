@@ -12,7 +12,6 @@ graph to use afterwards; callers must rebind (the pipeline does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..costmodel.estimator import graph_code_size
@@ -26,12 +25,14 @@ from ..opts.readelim import ReadEliminationPhase
 from .duplicate import can_duplicate, duplicate_into
 
 
-@dataclass
 class BacktrackingStats:
-    attempts: int = 0
-    kept: int = 0
-    rolled_back: int = 0
-    cfg_copies: int = 0
+    __slots__ = ("attempts", "kept", "rolled_back", "cfg_copies")
+
+    def __init__(self) -> None:
+        self.attempts = 0
+        self.kept = 0
+        self.rolled_back = 0
+        self.cfg_copies = 0
 
 
 class BacktrackingDuplication:

@@ -11,7 +11,6 @@ inside the trade-off predicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..costmodel.estimator import graph_code_size
@@ -37,29 +36,48 @@ from .tradeoff import (
 )
 
 
-@dataclass
 class DbdsConfig:
-    """Behavioural switches of the DBDS phase."""
+    """Behavioural switches of the DBDS phase.
 
-    trade_off: TradeOffConfig = field(default_factory=TradeOffConfig)
-    #: maximum simulate→trade-off→optimize rounds (paper: 3)
-    max_iterations: int = 3
-    #: minimum cumulative weighted benefit to justify another round
-    iteration_benefit_threshold: float = 1.0
-    #: dupalot mode: perform every positive-benefit duplication, no
-    #: cost/benefit trade-off (the paper's comparison configuration)
-    dupalot: bool = False
-    #: run the verifier after every duplication (tests enable this)
-    paranoid: bool = False
-    #: Section 8 future work: after a kept duplication, keep duplicating
-    #: along the resulting Goto chain through further merges in the same
-    #: pass ("duplicate over multiple merges along paths")
-    path_duplication: bool = False
-    #: maximum extra merges to absorb along one path
-    max_path_length: int = 3
+    * ``max_iterations``: maximum simulate→trade-off→optimize rounds
+      (paper: 3).
+    * ``iteration_benefit_threshold``: minimum cumulative weighted
+      benefit to justify another round.
+    * ``dupalot``: perform every positive-benefit duplication, no
+      cost/benefit trade-off (the paper's comparison configuration).
+    * ``paranoid``: run the verifier after every duplication (tests
+      enable this).
+    * ``path_duplication`` (Section 8 future work): after a kept
+      duplication, keep duplicating along the resulting Goto chain
+      through further merges in the same pass ("duplicate over multiple
+      merges along paths"), absorbing at most ``max_path_length`` extra
+      merges along one path.
+    """
+
+    __slots__ = (
+        "trade_off", "max_iterations", "iteration_benefit_threshold",
+        "dupalot", "paranoid", "path_duplication", "max_path_length",
+    )
+
+    def __init__(
+        self,
+        trade_off: Optional[TradeOffConfig] = None,
+        max_iterations: int = 3,
+        iteration_benefit_threshold: float = 1.0,
+        dupalot: bool = False,
+        paranoid: bool = False,
+        path_duplication: bool = False,
+        max_path_length: int = 3,
+    ) -> None:
+        self.trade_off = trade_off if trade_off is not None else TradeOffConfig()
+        self.max_iterations = max_iterations
+        self.iteration_benefit_threshold = iteration_benefit_threshold
+        self.dupalot = dupalot
+        self.paranoid = paranoid
+        self.path_duplication = path_duplication
+        self.max_path_length = max_path_length
 
 
-@dataclass
 class DbdsStats:
     """Phase outcome for reporting.
 
@@ -71,11 +89,17 @@ class DbdsStats:
     event recording is on.
     """
 
-    candidates_simulated: int = 0
-    duplications_performed: int = 0
-    iterations: int = 0
-    initial_size: float = 0.0
-    final_size: float = 0.0
+    __slots__ = (
+        "candidates_simulated", "duplications_performed", "iterations",
+        "initial_size", "final_size",
+    )
+
+    def __init__(self, initial_size: float = 0.0) -> None:
+        self.candidates_simulated = 0
+        self.duplications_performed = 0
+        self.iterations = 0
+        self.initial_size = initial_size
+        self.final_size = 0.0
 
 
 class DbdsPhase(Phase):

@@ -17,7 +17,6 @@ predecessor-merge pair.  No IR is mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..costmodel.estimator import block_cycles
@@ -45,20 +44,31 @@ from ..opts.readelim import MemoryCache, ReadEliminationPhase
 from ..opts.stampmath import compare_stamps
 
 
-@dataclass
 class SimulationResult:
-    """Everything the trade-off tier needs about one candidate pair."""
+    """Everything the trade-off tier needs about one candidate pair:
+    ``benefit``, the estimated cycles saved per execution of the
+    pred→merge path; ``cost``, the estimated code-size increase of
+    performing the duplication; ``probability``, the relative execution
+    probability of the predecessor (0..1]; and ``reasons``, which
+    optimizations fired (for reporting and debugging)."""
 
-    pred: Block
-    merge: Block
-    #: estimated cycles saved per execution of the pred→merge path
-    benefit: float
-    #: estimated code-size increase of performing the duplication
-    cost: float
-    #: relative execution probability of the predecessor (0..1]
-    probability: float
-    #: which optimizations fired, for reporting/debugging
-    reasons: list[str] = field(default_factory=list)
+    __slots__ = ("pred", "merge", "benefit", "cost", "probability", "reasons")
+
+    def __init__(
+        self,
+        pred: Block,
+        merge: Block,
+        benefit: float,
+        cost: float,
+        probability: float,
+        reasons: Optional[list[str]] = None,
+    ) -> None:
+        self.pred = pred
+        self.merge = merge
+        self.benefit = benefit
+        self.cost = cost
+        self.probability = probability
+        self.reasons = reasons if reasons is not None else []
 
     @property
     def weighted_benefit(self) -> float:

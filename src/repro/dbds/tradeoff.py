@@ -13,7 +13,6 @@ benefit so the most promising pairs consume the budget first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..obs.tracer import Tracer
@@ -30,15 +29,32 @@ INCREASE_BUDGET = 1.5
 MAX_UNIT_SIZE = 20_000.0
 
 
-@dataclass
 class TradeOffConfig:
-    """Tunable constants of the heuristic (ablation benches sweep them)."""
+    """Tunable constants of the heuristic (ablation benches sweep them).
 
-    benefit_scale: float = BENEFIT_SCALE
-    increase_budget: float = INCREASE_BUDGET
-    max_unit_size: float = MAX_UNIT_SIZE
-    #: when False, probabilities are ignored (ablation A1)
-    use_probability: bool = True
+    With ``use_probability`` False, probabilities are ignored (ablation
+    A1).
+    """
+
+    __slots__ = ("benefit_scale", "increase_budget", "max_unit_size", "use_probability")
+
+    def __init__(
+        self,
+        benefit_scale: float = BENEFIT_SCALE,
+        increase_budget: float = INCREASE_BUDGET,
+        max_unit_size: float = MAX_UNIT_SIZE,
+        use_probability: bool = True,
+    ) -> None:
+        self.benefit_scale = benefit_scale
+        self.increase_budget = increase_budget
+        self.max_unit_size = max_unit_size
+        self.use_probability = use_probability
+
+    def to_json(self) -> dict:
+        """Every constant by name: keyword arguments that rebuild this
+        configuration, and part of a compiler configuration's
+        fingerprint."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 #: canonical rejection wordings (the ``reason`` of decision events)
@@ -49,7 +65,6 @@ REASON_INVALIDATED = "invalidated by earlier duplication"
 REASON_ACCEPT = "accept"
 
 
-@dataclass
 class TradeOffDecision:
     """One evaluated ``shouldDuplicate`` predicate, term by term.
 
@@ -58,12 +73,26 @@ class TradeOffDecision:
     source of truth for the three terms.
     """
 
-    weighted: float
-    threshold_term: bool
-    unit_size_term: bool
-    budget_term: bool
-    current_size: float
-    initial_size: float
+    __slots__ = (
+        "weighted", "threshold_term", "unit_size_term", "budget_term",
+        "current_size", "initial_size",
+    )
+
+    def __init__(
+        self,
+        weighted: float,
+        threshold_term: bool,
+        unit_size_term: bool,
+        budget_term: bool,
+        current_size: float,
+        initial_size: float,
+    ) -> None:
+        self.weighted = weighted
+        self.threshold_term = threshold_term
+        self.unit_size_term = unit_size_term
+        self.budget_term = budget_term
+        self.current_size = current_size
+        self.initial_size = initial_size
 
     @property
     def accepted(self) -> bool:

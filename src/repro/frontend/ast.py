@@ -1,177 +1,275 @@
 """Abstract syntax tree for MiniLang.
 
-Plain dataclasses; every node records its source line for diagnostics.
+Plain slotted classes; every node records its source line for
+diagnostics, and every constructor takes the line first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..ir.types import Type
 
 
-@dataclass
 class Node:
-    line: int
+    __slots__ = ("line",)
+
+    def __init__(self, line: int) -> None:
+        self.line = line
 
 
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
-@dataclass
 class Expr(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class IntLiteral(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, line: int, value: int) -> None:
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class BoolLiteral(Expr):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, line: int, value: bool) -> None:
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class NullLiteral(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class VarRef(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, line: int, name: str) -> None:
+        self.line = line
+        self.name = name
 
 
-@dataclass
 class Unary(Expr):
-    op: str  # "-" or "!"
-    operand: Expr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, line: int, op: str, operand: Expr) -> None:
+        self.line = line
+        self.op = op  # "-" or "!"
+        self.operand = operand
 
 
-@dataclass
 class Binary(Expr):
-    op: str  # arithmetic / comparison / logical operator text
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, line: int, op: str, left: Expr, right: Expr) -> None:
+        self.line = line
+        self.op = op  # arithmetic / comparison / logical operator text
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class FieldAccess(Expr):
-    obj: Expr
-    field: str
+    __slots__ = ("obj", "field")
+
+    def __init__(self, line: int, obj: Expr, field: str) -> None:
+        self.line = line
+        self.obj = obj
+        self.field = field
 
 
-@dataclass
 class Index(Expr):
-    array: Expr
-    index: Expr
+    __slots__ = ("array", "index")
+
+    def __init__(self, line: int, array: Expr, index: Expr) -> None:
+        self.line = line
+        self.array = array
+        self.index = index
 
 
-@dataclass
 class CallExpr(Expr):
-    callee: str
-    args: list[Expr]
+    __slots__ = ("callee", "args")
+
+    def __init__(self, line: int, callee: str, args: list[Expr]) -> None:
+        self.line = line
+        self.callee = callee
+        self.args = args
 
 
-@dataclass
 class NewObject(Expr):
-    class_name: str
-    #: (field-name, initializer) pairs, e.g. ``new A { x = 0 }``.
-    initializers: list[tuple[str, Expr]] = field(default_factory=list)
+    __slots__ = ("class_name", "initializers")
+
+    def __init__(
+        self,
+        line: int,
+        class_name: str,
+        initializers: Optional[list[tuple[str, Expr]]] = None,
+    ) -> None:
+        self.line = line
+        self.class_name = class_name
+        #: (field-name, initializer) pairs, e.g. ``new A { x = 0 }``.
+        self.initializers = initializers if initializers is not None else []
 
 
-@dataclass
 class NewArrayExpr(Expr):
-    element_type: Type
-    length: Expr
+    __slots__ = ("element_type", "length")
+
+    def __init__(self, line: int, element_type: Type, length: Expr) -> None:
+        self.line = line
+        self.element_type = element_type
+        self.length = length
 
 
-@dataclass
 class LenExpr(Expr):
-    array: Expr
+    __slots__ = ("array",)
+
+    def __init__(self, line: int, array: Expr) -> None:
+        self.line = line
+        self.array = array
 
 
 # ----------------------------------------------------------------------
 # Statements
 # ----------------------------------------------------------------------
-@dataclass
 class Stmt(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class VarDecl(Stmt):
-    name: str
-    declared_type: Type
-    init: Optional[Expr]
+    __slots__ = ("name", "declared_type", "init")
+
+    def __init__(
+        self, line: int, name: str, declared_type: Type, init: Optional[Expr]
+    ) -> None:
+        self.line = line
+        self.name = name
+        self.declared_type = declared_type
+        self.init = init
 
 
-@dataclass
 class Assign(Stmt):
-    target: Expr  # VarRef, FieldAccess or Index
-    value: Expr
+    __slots__ = ("target", "value")
+
+    def __init__(self, line: int, target: Expr, value: Expr) -> None:
+        self.line = line
+        self.target = target  # VarRef, FieldAccess or Index
+        self.value = value
 
 
-@dataclass
 class IfStmt(Stmt):
-    condition: Expr
-    then_body: list[Stmt]
-    else_body: list[Stmt]
+    __slots__ = ("condition", "then_body", "else_body")
+
+    def __init__(
+        self,
+        line: int,
+        condition: Expr,
+        then_body: list[Stmt],
+        else_body: list[Stmt],
+    ) -> None:
+        self.line = line
+        self.condition = condition
+        self.then_body = then_body
+        self.else_body = else_body
 
 
-@dataclass
 class WhileStmt(Stmt):
-    condition: Expr
-    body: list[Stmt]
+    __slots__ = ("condition", "body")
+
+    def __init__(self, line: int, condition: Expr, body: list[Stmt]) -> None:
+        self.line = line
+        self.condition = condition
+        self.body = body
 
 
-@dataclass
 class ForStmt(Stmt):
     """``for (init; cond; step) body`` — sugar for init + while."""
 
-    init: Stmt  # VarDecl or Assign
-    condition: Expr
-    step: "Assign"
-    body: list[Stmt]
+    __slots__ = ("init", "condition", "step", "body")
+
+    def __init__(
+        self,
+        line: int,
+        init: Stmt,
+        condition: Expr,
+        step: Assign,
+        body: list[Stmt],
+    ) -> None:
+        self.line = line
+        self.init = init  # VarDecl or Assign
+        self.condition = condition
+        self.step = step
+        self.body = body
 
 
-@dataclass
 class ReturnStmt(Stmt):
-    value: Optional[Expr]
+    __slots__ = ("value",)
+
+    def __init__(self, line: int, value: Optional[Expr]) -> None:
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, line: int, expr: Expr) -> None:
+        self.line = line
+        self.expr = expr
 
 
 # ----------------------------------------------------------------------
 # Declarations
 # ----------------------------------------------------------------------
-@dataclass
 class ClassDef(Node):
-    name: str
-    fields: list[tuple[str, Type]]
+    __slots__ = ("name", "fields")
+
+    def __init__(self, line: int, name: str, fields: list[tuple[str, Type]]) -> None:
+        self.line = line
+        self.name = name
+        self.fields = fields
 
 
-@dataclass
 class GlobalDef(Node):
-    name: str
-    declared_type: Type
+    __slots__ = ("name", "declared_type")
+
+    def __init__(self, line: int, name: str, declared_type: Type) -> None:
+        self.line = line
+        self.name = name
+        self.declared_type = declared_type
 
 
-@dataclass
 class FunctionDef(Node):
-    name: str
-    params: list[tuple[str, Type]]
-    return_type: Type
-    body: list[Stmt]
+    __slots__ = ("name", "params", "return_type", "body")
+
+    def __init__(
+        self,
+        line: int,
+        name: str,
+        params: list[tuple[str, Type]],
+        return_type: Type,
+        body: list[Stmt],
+    ) -> None:
+        self.line = line
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.body = body
 
 
-@dataclass
 class Module(Node):
-    classes: list[ClassDef]
-    globals: list[GlobalDef]
-    functions: list[FunctionDef]
+    __slots__ = ("classes", "globals", "functions")
+
+    def __init__(
+        self,
+        line: int,
+        classes: list[ClassDef],
+        globals: list[GlobalDef],
+        functions: list[FunctionDef],
+    ) -> None:
+        self.line = line
+        self.classes = classes
+        self.globals = globals
+        self.functions = functions

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class CompileError(Exception):
@@ -42,12 +41,21 @@ PUNCTUATION = (
 )
 
 
-@dataclass(frozen=True)
+#: the characters that start or continue a token (docs/LANGUAGE.md):
+#: ASCII only, so a non-ASCII digit or letter is an unexpected character
+DIGITS = frozenset("0123456789")
+IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+IDENT_CHARS = IDENT_START | DIGITS
+
+
 class Token:
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, column: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text
@@ -81,16 +89,16 @@ def tokenize(source: str) -> list[Token]:
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in DIGITS:
                 j += 1
             tokens.append(Token(TokenKind.INT, source[i:j], line, col))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in IDENT_START:
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j] in IDENT_CHARS:
                 j += 1
             text = source[i:j]
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT

@@ -17,7 +17,6 @@ Three roles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..costmodel.model import cycles_of
@@ -86,27 +85,37 @@ class HeapArray:
         return f"<array[{len(self.values)}]>"
 
 
-@dataclass
 class ExecutionResult:
     """Outcome of one interpreted call."""
 
-    value: Any = None
-    trap: Optional[str] = None
-    steps: int = 0
-    cycles: float = 0.0
+    __slots__ = ("value", "trap", "steps", "cycles")
+
+    def __init__(
+        self,
+        value: Any = None,
+        trap: Optional[str] = None,
+        steps: int = 0,
+        cycles: float = 0.0,
+    ) -> None:
+        self.value = value
+        self.trap = trap
+        self.steps = steps
+        self.cycles = cycles
 
     @property
     def trapped(self) -> bool:
         return self.trap is not None
 
 
-@dataclass
 class InterpreterState:
     """Mutable cross-call state: globals, step counter, cycle meter."""
 
-    globals: dict[str, Any] = field(default_factory=dict)
-    steps: int = 0
-    cycles: float = 0.0
+    __slots__ = ("globals", "steps", "cycles")
+
+    def __init__(self) -> None:
+        self.globals: dict[str, Any] = {}
+        self.steps = 0
+        self.cycles = 0.0
 
 
 class Interpreter:

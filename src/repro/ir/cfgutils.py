@@ -14,7 +14,19 @@ from .nodes import Goto, If, Phi
 
 def reverse_post_order(graph: Graph) -> list[Block]:
     """Reachable blocks in reverse post order (defs before uses for
-    acyclic paths; loop headers before their bodies)."""
+    acyclic paths; loop headers before their bodies).
+
+    The order is kept in the graph's analysis cache, beside the
+    dominator tree, until the next CFG edit clears it, so callers share
+    one list and must not mutate it.
+    """
+    order = graph._analysis_cache.get("rpo")
+    if order is None:
+        order = graph._analysis_cache["rpo"] = _walk_reverse_post_order(graph)
+    return order
+
+
+def _walk_reverse_post_order(graph: Graph) -> list[Block]:
     visited: set[int] = set()
     order: list[Block] = []
 

@@ -54,8 +54,7 @@ def clone_order(graph: Graph) -> list[Block]:
 
     order = reverse_post_order(graph)
     seen = set(order)
-    order.extend(b for b in graph.blocks if b not in seen)
-    return order
+    return order + [b for b in graph.blocks if b not in seen]
 
 
 def clone_instruction(instruction: Instruction, mapper: ValueMapper) -> Instruction:

@@ -131,9 +131,9 @@ class Graph:
         self.name = name
         self.return_type = return_type
         self._block_ids = 0
-        #: lazily computed CFG analyses (dominators/loops/frequency),
-        #: cleared by invalidate_analyses at every CFG mutation point,
-        #: and the code size of one change-log ``serial``
+        #: lazily computed CFG analyses (reverse post order, dominators,
+        #: loops, frequency), cleared by invalidate_analyses at every CFG
+        #: mutation point, and the code size of one change-log ``serial``
         self._analysis_cache: dict = {}
         self.blocks: list[Block] = []
         self.parameters: list[Parameter] = [

@@ -8,8 +8,6 @@ frequencies, which scale duplication benefits in the trade-off tier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .block import Block
 from .dominators import DominatorTree
 from .graph import Graph
@@ -18,16 +16,21 @@ from .graph import Graph
 DEFAULT_TRIP_COUNT = 10.0
 
 
-@dataclass
 class Loop:
-    """A natural loop: header plus body, with its nesting parent."""
+    """A natural loop: header plus body, with its nesting parent.
 
-    header: Block
-    blocks: set[Block] = field(default_factory=set)
-    back_edge_predecessors: list[Block] = field(default_factory=list)
-    parent: "Loop | None" = None
-    #: Estimated iterations per entry, set from profiles when available.
-    trip_count: float = DEFAULT_TRIP_COUNT
+    ``trip_count`` estimates the iterations per entry; profiles set it
+    when available.
+    """
+
+    __slots__ = ("header", "blocks", "back_edge_predecessors", "parent", "trip_count")
+
+    def __init__(self, header: Block, blocks: set[Block]) -> None:
+        self.header = header
+        self.blocks = blocks
+        self.back_edge_predecessors: list[Block] = []
+        self.parent: "Loop | None" = None
+        self.trip_count = DEFAULT_TRIP_COUNT
 
     @property
     def depth(self) -> int:
@@ -58,7 +61,7 @@ class LoopForest:
                 if succ in self.dom._dfs_in and self.dom.dominates(succ, block):
                     loop = by_header.get(succ)
                     if loop is None:
-                        loop = Loop(header=succ, blocks={succ})
+                        loop = Loop(succ, {succ})
                         loop.trip_count = getattr(
                             succ, "profile_trip_count", DEFAULT_TRIP_COUNT
                         )

@@ -10,11 +10,12 @@ Stamps form a lattice per kind; :func:`meet` is the merge (union of
 possibilities, used at CFG merges) and :meth:`join` the intersection
 (used when a dominating condition adds information).  An empty stamp
 means the code is unreachable under the current assumptions.
+
+Stamps are value objects, never mutated once built: two stamps are
+equal, and hash alike, when their classes and fields are.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .types import BOOL, INT, ArrayType, NullType, ObjectType, Type, VoidType
 
@@ -23,7 +24,21 @@ INT_MAX = 2**63 - 1
 
 
 class Stamp:
-    """Base class for all stamps."""
+    """Base class for all stamps.
+
+    A stamp without fields (:class:`VoidStamp`) equals every instance of
+    its own class; the others compare their fields too.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return _NO_FIELDS_HASH
 
     def is_empty(self) -> bool:
         """True when no runtime value satisfies this stamp (dead code)."""
@@ -38,12 +53,26 @@ class Stamp:
         return None
 
 
-@dataclass(frozen=True)
+#: the hash of an empty field tuple
+_NO_FIELDS_HASH = hash(())
+
+
 class IntStamp(Stamp):
     """A signed 64-bit integer in the inclusive range [lo, hi]."""
 
-    lo: int = INT_MIN
-    hi: int = INT_MAX
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int = INT_MIN, hi: int = INT_MAX) -> None:
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     def is_empty(self) -> bool:
         return self.lo > self.hi
@@ -80,12 +109,24 @@ class IntStamp(Stamp):
         return f"i64[{lo}..{hi}]"
 
 
-@dataclass(frozen=True)
 class BoolStamp(Stamp):
     """A boolean which may be true, false, or either."""
 
-    can_be_true: bool = True
-    can_be_false: bool = True
+    __slots__ = ("can_be_true", "can_be_false")
+
+    def __init__(self, can_be_true: bool = True, can_be_false: bool = True) -> None:
+        self.can_be_true = can_be_true
+        self.can_be_false = can_be_false
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.can_be_true, self.can_be_false) == (
+                other.can_be_true, other.can_be_false,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.can_be_true, self.can_be_false))
 
     def is_empty(self) -> bool:
         return not (self.can_be_true or self.can_be_false)
@@ -122,13 +163,27 @@ class BoolStamp(Stamp):
         return "bool"
 
 
-@dataclass(frozen=True)
 class ObjectStamp(Stamp):
     """A reference value: its static type plus nullness information."""
 
-    type: Type
-    non_null: bool = False
-    always_null: bool = False
+    __slots__ = ("type", "non_null", "always_null")
+
+    def __init__(
+        self, type: Type, non_null: bool = False, always_null: bool = False
+    ) -> None:
+        self.type = type
+        self.non_null = non_null
+        self.always_null = always_null
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.type, self.non_null, self.always_null) == (
+                other.type, other.non_null, other.always_null,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.type, self.non_null, self.always_null))
 
     def is_empty(self) -> bool:
         return self.non_null and self.always_null
@@ -168,9 +223,10 @@ class ObjectStamp(Stamp):
         return f"ref({self.type!r}){suffix}"
 
 
-@dataclass(frozen=True)
 class VoidStamp(Stamp):
     """Stamp of instructions that produce no value (stores, returns)."""
+
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return "void"

@@ -5,17 +5,33 @@ opportunity catalog (Section 2) needs: machine integers, booleans,
 reference types with named fields (for partial escape analysis and read
 elimination), and arrays (for the array-heavy Octane-style workloads).
 
-Types are immutable value objects; object types are interned by name in a
-:class:`ClassTable` owned by the program.
+Types are value objects, never mutated once built: two types are equal,
+and hash alike, when their classes and fields are.  Object types are
+interned by name in a :class:`ClassTable` owned by the program.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 
 class Type:
-    """Base class for all MiniLang types."""
+    """Base class for all MiniLang types.
+
+    A type without fields (``int``, ``bool``, ``void``, ``null``) equals
+    every instance of its own class; :class:`ObjectType` and
+    :class:`ArrayType` compare their fields too.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return _NO_FIELDS_HASH
 
     def is_primitive(self) -> bool:
         return False
@@ -28,9 +44,14 @@ class Type:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+#: the hash of an empty field tuple, shared by every field-less type
+_NO_FIELDS_HASH = hash(())
+
+
 class IntType(Type):
     """64-bit signed integer (Python ints wrapped to 64 bits on overflow)."""
+
+    __slots__ = ()
 
     def is_primitive(self) -> bool:
         return True
@@ -42,8 +63,9 @@ class IntType(Type):
         return "int"
 
 
-@dataclass(frozen=True)
 class BoolType(Type):
+    __slots__ = ()
+
     def is_primitive(self) -> bool:
         return True
 
@@ -54,8 +76,9 @@ class BoolType(Type):
         return "bool"
 
 
-@dataclass(frozen=True)
 class VoidType(Type):
+    __slots__ = ()
+
     def default_value(self):
         return None
 
@@ -63,9 +86,10 @@ class VoidType(Type):
         return "void"
 
 
-@dataclass(frozen=True)
 class NullType(Type):
     """The type of the ``null`` literal; assignable to any reference type."""
+
+    __slots__ = ()
 
     def is_reference(self) -> bool:
         return True
@@ -77,11 +101,21 @@ class NullType(Type):
         return "null"
 
 
-@dataclass(frozen=True)
 class ObjectType(Type):
     """A reference to an instance of a declared class."""
 
-    class_name: str
+    __slots__ = ("class_name",)
+
+    def __init__(self, class_name: str) -> None:
+        self.class_name = class_name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.class_name == other.class_name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.class_name,))
 
     def is_reference(self) -> bool:
         return True
@@ -93,11 +127,21 @@ class ObjectType(Type):
         return self.class_name
 
 
-@dataclass(frozen=True)
 class ArrayType(Type):
     """A reference to an array with a fixed element type."""
 
-    element: Type
+    __slots__ = ("element",)
+
+    def __init__(self, element: Type) -> None:
+        self.element = element
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.element == other.element
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.element,))
 
     def is_reference(self) -> bool:
         return True
@@ -139,20 +183,24 @@ def join(a: Type, b: Type) -> Type:
     raise TypeError(f"incompatible types at merge: {a!r} vs {b!r}")
 
 
-@dataclass
 class FieldDecl:
     """A single field of a class declaration."""
 
-    name: str
-    type: Type
+    __slots__ = ("name", "type")
+
+    def __init__(self, name: str, type: Type) -> None:
+        self.name = name
+        self.type = type
 
 
-@dataclass
 class ClassDecl:
     """A class declaration: a name and an ordered list of typed fields."""
 
-    name: str
-    fields: list[FieldDecl] = field(default_factory=list)
+    __slots__ = ("name", "fields")
+
+    def __init__(self, name: str, fields: Optional[list[FieldDecl]] = None) -> None:
+        self.name = name
+        self.fields = fields if fields is not None else []
 
     def field_type(self, name: str) -> Type:
         for f in self.fields:

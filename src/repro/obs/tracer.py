@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 #: event kinds admitted by the schema
@@ -38,22 +37,44 @@ KIND_EVENT = "event"
 KIND_SPAN = "span"
 
 
-@dataclass
 class Event:
     """One telemetry record.
 
     ``ts`` is seconds since the owning tracer's epoch; ``dur`` is the
     span duration (``None`` for point events); ``depth`` is the span
     nesting depth at emission time.  Everything domain-specific lives
-    in ``attrs`` so the schema can grow without code changes.
+    in ``attrs`` so the schema can grow without code changes.  Events
+    are equal when all six fields are (a trace read back from JSON
+    equals the one written).
     """
 
-    name: str
-    kind: str = KIND_EVENT
-    ts: float = 0.0
-    dur: Optional[float] = None
-    depth: int = 0
-    attrs: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "kind", "ts", "dur", "depth", "attrs")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str = KIND_EVENT,
+        ts: float = 0.0,
+        dur: Optional[float] = None,
+        depth: int = 0,
+        attrs: Optional[dict[str, Any]] = None,
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.ts = ts
+        self.dur = dur
+        self.depth = depth
+        self.attrs = attrs if attrs is not None else {}
+
+    def _fields(self) -> tuple:
+        return (self.name, self.kind, self.ts, self.dur, self.depth, self.attrs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None  # mutable: ``attrs`` grows after a span closes
 
 
 class _Span:

@@ -22,7 +22,6 @@ and refined stamps, the real phases resolve identically.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..analysis.blame import current_guard
@@ -94,7 +93,6 @@ class Phase:
             cls.run = _traced_run(run)
 
 
-@dataclass
 class Rewrite:
     """The outcome of an action step, as a pure description.
 
@@ -102,13 +100,21 @@ class Rewrite:
     substitute (legal only for value-less instructions such as stores).
     ``new_instructions`` are nodes the action step built; they must be
     scheduled immediately before the rewritten instruction when the
-    rewrite is applied for real.
+    rewrite is applied for real.  ``reason`` is a short human-readable
+    tag of the optimization that fired.
     """
 
-    replacement: Optional[Value] = None
-    new_instructions: list[Instruction] = field(default_factory=list)
-    #: short human-readable tag of the optimization that fired
-    reason: str = ""
+    __slots__ = ("replacement", "new_instructions", "reason")
+
+    def __init__(
+        self,
+        replacement: Optional[Value] = None,
+        new_instructions: Optional[list[Instruction]] = None,
+        reason: str = "",
+    ) -> None:
+        self.replacement = replacement
+        self.new_instructions = new_instructions if new_instructions is not None else []
+        self.reason = reason
 
     @classmethod
     def remove(cls, reason: str) -> "Rewrite":

@@ -14,7 +14,6 @@ is default-value forwarding out of fresh allocations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..ir.block import Block
@@ -55,13 +54,20 @@ def may_alias(a: Value, b: Value) -> bool:
     return True
 
 
-@dataclass
 class MemoryCache:
     """Known memory contents at a program point."""
 
-    fields: dict[tuple[Value, str], Value] = field(default_factory=dict)
-    globals_: dict[str, Value] = field(default_factory=dict)
-    arrays: dict[tuple[Value, Value], Value] = field(default_factory=dict)
+    __slots__ = ("fields", "globals_", "arrays")
+
+    def __init__(
+        self,
+        fields: Optional[dict[tuple[Value, str], Value]] = None,
+        globals_: Optional[dict[str, Value]] = None,
+        arrays: Optional[dict[tuple[Value, Value], Value]] = None,
+    ) -> None:
+        self.fields = fields if fields is not None else {}
+        self.globals_ = globals_ if globals_ is not None else {}
+        self.arrays = arrays if arrays is not None else {}
 
     def copy(self) -> "MemoryCache":
         return MemoryCache(dict(self.fields), dict(self.globals_), dict(self.arrays))

@@ -349,7 +349,10 @@ def compile_batch(
                 )
             if tracer.enabled:
                 tracer.events.extend(
-                    replace(event, depth=event.depth + span.depth + 1)
+                    Event(
+                        event.name, event.kind, event.ts, event.dur,
+                        event.depth + span.depth + 1, event.attrs,
+                    )
                     for event in result.events
                 )
             for counter, value in result.counters.items():

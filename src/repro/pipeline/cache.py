@@ -42,7 +42,6 @@ import os
 import pickle
 import re
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -65,7 +64,9 @@ from .config import CompilerConfig
 #: with a stale ``xcode`` attribute.
 #: v7: program blobs hold the optimized program alone, no bytecode
 #: translation.
-CACHE_SCHEMA_VERSION = 7
+#: v8: types, stamps and class declarations are slotted classes; a v7
+#: blob holds their state as a ``__dict__``, which they cannot restore.
+CACHE_SCHEMA_VERSION = 8
 
 #: pickle protocol pinned so parent and pool workers agree
 PICKLE_PROTOCOL = 4
@@ -199,7 +200,6 @@ def manifest_digest(manifest: dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # Entries
 # ----------------------------------------------------------------------
-@dataclass
 class CacheEntry:
     """Everything needed to skip a recompile.
 
@@ -210,17 +210,29 @@ class CacheEntry:
     original tracer's counter table.
     """
 
-    key: str
-    manifest: dict[str, Any]
-    report: CompilationReport
-    program_blob: bytes
-    events: list[Event] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    #: memoized program — :meth:`ArtifactCache.get` decodes it to
-    #: validate the entry, and the caller then asks for it
-    _program: Optional[Program] = field(
-        default=None, init=False, repr=False, compare=False
+    __slots__ = (
+        "key", "manifest", "report", "program_blob", "events", "counters",
+        "_program",
     )
+
+    def __init__(
+        self,
+        key: str,
+        manifest: dict[str, Any],
+        report: CompilationReport,
+        program_blob: bytes,
+        events: Optional[list[Event]] = None,
+        counters: Optional[dict[str, int]] = None,
+    ) -> None:
+        self.key = key
+        self.manifest = manifest
+        self.report = report
+        self.program_blob = program_blob
+        self.events = events if events is not None else []
+        self.counters = counters if counters is not None else {}
+        #: memoized program — :meth:`ArtifactCache.get` decodes it to
+        #: validate the entry, and the caller then asks for it
+        self._program: Optional[Program] = None
 
     def program(self) -> Program:
         """Rehydrate the optimized program."""
@@ -262,8 +274,8 @@ class _ShellPickler(pickle.Pickler):
     writes the queue as further pickles on the same stream (the memo
     carries across ``dump`` calls).  Recursion depth is then bounded by
     the container nesting inside one object's state, not by the graph.
-    Value-hashed objects (frozen dataclasses, enums) are pickled as
-    usual: a shell of one could not be hashed as a dict key."""
+    Value-hashed objects (types, stamps, enums) are pickled as usual: a
+    shell of one could not be hashed as a dict key."""
 
     def __init__(self, file) -> None:
         super().__init__(file, protocol=PICKLE_PROTOCOL)
@@ -358,14 +370,16 @@ def _decode_entry(payload: dict[str, Any]) -> CacheEntry:
 # ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
-@dataclass
 class CacheStats:
     """Tallies of one cache's lifetime (one process)."""
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
+    __slots__ = ("hits", "misses", "stores", "evictions")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.evictions = 0
 
     @property
     def lookups(self) -> int:

@@ -10,8 +10,7 @@ compile-time comparison of Section 3.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from ..dbds.tradeoff import TradeOffConfig
 
@@ -19,43 +18,77 @@ if TYPE_CHECKING:
     from ..dbds.phase import DbdsConfig
 
 
-@dataclass(frozen=True)
 class CompilerConfig:
-    """One named pipeline configuration."""
+    """One named pipeline configuration.
 
-    name: str
-    #: run the DBDS phase (simulate → trade-off → optimize)
-    enable_dbds: bool = False
-    #: DBDS without the trade-off tier: every positive-benefit pair
-    dupalot: bool = False
-    #: use the backtracking baseline instead of simulation
-    backtracking: bool = False
-    #: run the inliner in the front end
-    enable_inlining: bool = True
-    #: trade-off constants (ablations override)
-    trade_off: TradeOffConfig = field(default_factory=TradeOffConfig)
-    #: verify the IR after each phase (slow; tests enable it)
-    paranoid: bool = False
-    max_dbds_iterations: int = 3
-    #: Section 8 future work: duplicate over multiple merges along paths
-    path_duplication: bool = False
-    #: experimental: peel first iterations of constant-entry loops
-    #: before DBDS (duplication at loop headers — see DESIGN.md)
-    enable_peeling: bool = False
+    * ``enable_dbds``: run the DBDS phase (simulate → trade-off →
+      optimize); ``dupalot``: DBDS without the trade-off tier, every
+      positive-benefit pair; ``backtracking``: the backtracking baseline
+      instead of simulation.
+    * ``enable_inlining``: run the inliner in the front end.
+    * ``trade_off``: trade-off constants (ablations override).
+    * ``paranoid``: verify the IR after each phase (slow; tests enable
+      it).
+    * ``path_duplication`` (Section 8 future work): duplicate over
+      multiple merges along paths.
+    * ``enable_peeling`` (experimental): peel first iterations of
+      constant-entry loops before DBDS (duplication at loop headers —
+      see DESIGN.md).
+
+    Configurations are not mutated once built; :meth:`replace` and
+    :meth:`with_trade_off` make changed copies.
+    """
+
+    __slots__ = (
+        "name", "enable_dbds", "dupalot", "backtracking", "enable_inlining",
+        "trade_off", "paranoid", "max_dbds_iterations", "path_duplication",
+        "enable_peeling",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        enable_dbds: bool = False,
+        dupalot: bool = False,
+        backtracking: bool = False,
+        enable_inlining: bool = True,
+        trade_off: Optional[TradeOffConfig] = None,
+        paranoid: bool = False,
+        max_dbds_iterations: int = 3,
+        path_duplication: bool = False,
+        enable_peeling: bool = False,
+    ) -> None:
+        self.name = name
+        self.enable_dbds = enable_dbds
+        self.dupalot = dupalot
+        self.backtracking = backtracking
+        self.enable_inlining = enable_inlining
+        self.trade_off = trade_off if trade_off is not None else TradeOffConfig()
+        self.paranoid = paranoid
+        self.max_dbds_iterations = max_dbds_iterations
+        self.path_duplication = path_duplication
+        self.enable_peeling = enable_peeling
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def replace(self, **changes) -> "CompilerConfig":
+        """A copy with ``changes`` (field name -> value) applied."""
+        return CompilerConfig(**{**self._fields(), **changes})
 
     def fingerprint(self) -> str:
         """Deterministic digest of every tunable (cache-key component).
 
-        Built from ``dataclasses.asdict`` so nested
-        :class:`TradeOffConfig` constants participate: two configs that
-        differ in any field — even an ablation tweak — never share
-        artifact-cache entries (see ``repro.pipeline.cache``).
+        Every field by name, nested :class:`TradeOffConfig` constants
+        included, so two configs that differ in any field — even an
+        ablation tweak — never share artifact-cache entries (see
+        ``repro.pipeline.cache``).
         """
-        import dataclasses
         import hashlib
         import json
 
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        fields = {**self._fields(), "trade_off": self.trade_off.to_json()}
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def dbds_config(self) -> "DbdsConfig":
@@ -70,7 +103,10 @@ class CompilerConfig:
         )
 
     def with_trade_off(self, **kwargs) -> "CompilerConfig":
-        return replace(self, trade_off=replace(self.trade_off, **kwargs))
+        """A copy whose trade-off constants have ``kwargs`` applied."""
+        return self.replace(
+            trade_off=TradeOffConfig(**{**self.trade_off.to_json(), **kwargs})
+        )
 
 
 BASELINE = CompilerConfig(name="baseline")

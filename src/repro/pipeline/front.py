@@ -14,7 +14,6 @@ So a warm ``repro run`` loads the runtime and not the compiler
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from ..analysis.blame import CHECK_OFF
@@ -30,7 +29,6 @@ if TYPE_CHECKING:
     from .compiler import ProfiledSource
 
 
-@dataclass
 class UnitMetrics:
     """Metrics of one compiled function (compilation unit).
 
@@ -39,13 +37,28 @@ class UnitMetrics:
     populated only when compiling under an event-recording tracer.
     """
 
-    function: str
-    compile_time: float = 0.0
-    code_size: float = 0.0
-    initial_code_size: float = 0.0
-    duplications: int = 0
-    candidates: int = 0
-    phase_times: dict[str, float] = field(default_factory=dict)
+    __slots__ = (
+        "function", "compile_time", "code_size", "initial_code_size",
+        "duplications", "candidates", "phase_times",
+    )
+
+    def __init__(
+        self,
+        function: str,
+        compile_time: float = 0.0,
+        code_size: float = 0.0,
+        initial_code_size: float = 0.0,
+        duplications: int = 0,
+        candidates: int = 0,
+        phase_times: Optional[dict[str, float]] = None,
+    ) -> None:
+        self.function = function
+        self.compile_time = compile_time
+        self.code_size = code_size
+        self.initial_code_size = initial_code_size
+        self.duplications = duplications
+        self.candidates = candidates
+        self.phase_times = phase_times if phase_times is not None else {}
 
     @property
     def code_size_increase(self) -> float:
@@ -77,12 +90,14 @@ class UnitMetrics:
         )
 
 
-@dataclass
 class CompilationReport:
     """Aggregated result of compiling a whole program."""
 
-    config: str
-    units: list[UnitMetrics] = field(default_factory=list)
+    __slots__ = ("config", "units")
+
+    def __init__(self, config: str, units: Optional[list[UnitMetrics]] = None) -> None:
+        self.config = config
+        self.units = units if units is not None else []
 
     @property
     def total_compile_time(self) -> float:
@@ -136,26 +151,42 @@ class UserError(Exception):
     """
 
 
-@dataclass
 class Artifact:
     """One JIT compilation, as :func:`jit` returns it.
 
     ``cached`` says the artifact cache served it; ``failures`` are the
     IR violations a keep-going compile collected (such an artifact is
     never stored); ``events``/``counters`` are the compile trace (no
-    events unless the compile was recorded or came from the cache).
+    events unless the compile was recorded or came from the cache);
+    ``check_bc`` is the ``--check-bc`` mode of the translation
+    (``"rewrite"`` verifies).
     """
 
-    program: Program
-    report: CompilationReport
-    key: str
-    cached: bool = False
-    failures: list[PhaseBlameError] = field(default_factory=list)
-    events: list[Event] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    #: ``--check-bc`` mode of the translation (``"rewrite"`` verifies)
-    check_bc: str = "off"
-    _bytecode: Any = field(default=None, init=False, repr=False)
+    __slots__ = (
+        "program", "report", "key", "cached", "failures", "events",
+        "counters", "check_bc", "_bytecode",
+    )
+
+    def __init__(
+        self,
+        program: Program,
+        report: CompilationReport,
+        key: str,
+        cached: bool = False,
+        failures: Optional[list[PhaseBlameError]] = None,
+        events: Optional[list[Event]] = None,
+        counters: Optional[dict[str, int]] = None,
+        check_bc: str = "off",
+    ) -> None:
+        self.program = program
+        self.report = report
+        self.key = key
+        self.cached = cached
+        self.failures = failures if failures is not None else []
+        self.events = events if events is not None else []
+        self.counters = counters if counters is not None else {}
+        self.check_bc = check_bc
+        self._bytecode: Any = None
 
     def bytecode(self) -> Any:
         """The VM translation, made on first use — once per artifact,

@@ -24,8 +24,6 @@ register read, ``k`` a non-register literal operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bytecode import (
     OP_ADD,
     OP_ARRAY_LENGTH,
@@ -51,14 +49,16 @@ from .bytecode import (
 TERMINATOR_FAMILIES = frozenset(("goto", "if", "return"))
 
 
-@dataclass(frozen=True)
 class OpSpec:
-    """Shape of one opcode's instruction tuple."""
+    """Shape of one opcode's instruction tuple; ``sig`` is the operand
+    signature after the dest slot (``base`` family only)."""
 
-    name: str
-    family: str
-    #: operand signature after the dest slot (``base`` family only)
-    sig: str = ""
+    __slots__ = ("name", "family", "sig")
+
+    def __init__(self, name: str, family: str, sig: str = "") -> None:
+        self.name = name
+        self.family = family
+        self.sig = sig
 
     @property
     def terminator(self) -> bool:

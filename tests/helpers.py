@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 import pathlib
 import subprocess
@@ -24,6 +23,7 @@ from repro.ir import (
     Return,
 )
 from repro.analysis.validate import differential
+from repro.bench.workloads.suites import SuiteProfile
 from repro.pipeline.compiler import ProfiledSource, compile_and_profile
 from repro.pipeline.config import BACKTRACKING, BASELINE, DBDS, DUPALOT
 from repro.pipeline.front import jit
@@ -88,7 +88,7 @@ def assert_configs_equivalent(source: str, entry: str, arg_sets: list[list]) -> 
     """
     per_config = {}
     for config in ALL_CONFIGS:
-        config = dataclasses.replace(config, paranoid=True)
+        config = config.replace(paranoid=True)
         program, _ = compile_and_profile(source, entry, arg_sets, config)
         per_config[config.name] = outcomes(program, entry, arg_sets)
     baseline = per_config["baseline"]
@@ -103,6 +103,16 @@ def oracle(source: str, arg_sets: list[list], config=DBDS) -> list[str]:
     profiled = ProfiledSource(source, "main", arg_sets, uses=2)
     artifact = jit(source, "main", arg_sets, config, profiled=profiled)
     return differential(artifact, profiled)
+
+
+def first_benchmarks(profile: SuiteProfile, count: int) -> SuiteProfile:
+    """``profile`` cut down to its first ``count`` benchmarks (for test
+    speed)."""
+    return SuiteProfile(
+        profile.suite, profile.benchmark_names[:count], profile.kernel_mix,
+        profile.kernels_min, profile.kernels_max, profile.run_iterations,
+        profile.profile_iterations,
+    )
 
 
 def compile_one(source: str):

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 from collections import Counter
 
 from repro.__main__ import main
 from repro.analysis.validate import FUZZ_ARGS
+from repro.interp.interpreter import ExecutionResult
 from repro.ir.nodes import Call
 from repro.ir.ops import MAX_CALL_DEPTH
 from repro.ir.stamps import IntStamp
@@ -144,7 +144,9 @@ def test_fuzz_holds_generated_programs_to_every_engine(monkeypatch, capsys):
         result = run(self, function, args)
         if not self.metered:
             return result
-        return dataclasses.replace(result, cycles=result.cycles + 1)
+        return ExecutionResult(
+            result.value, result.trap, result.steps, result.cycles + 1
+        )
 
     monkeypatch.setattr(MegaunitVirtualMachine, "run", one_cycle_more)
     code = main(

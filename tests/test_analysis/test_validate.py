@@ -3,11 +3,9 @@ divergences and crashes."""
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.analysis import fuzz
 from repro.analysis.validate import FUZZ_ARGS
-from repro.interp.interpreter import Interpreter
+from repro.interp.interpreter import ExecutionResult, Interpreter
 from repro.obs.tracer import Tracer, use_tracer
 from repro.pipeline.config import BASELINE, DUPALOT
 
@@ -60,7 +58,9 @@ def test_divergence_is_reported_against_the_reference(monkeypatch):
         result = run(self, function, args)
         if self.metered:
             return result
-        return dataclasses.replace(result, value=result.value + 1)
+        return ExecutionResult(
+            result.value + 1, result.trap, result.steps, result.cycles
+        )
 
     monkeypatch.setattr(Interpreter, "run", off_by_one)
     problems = oracle(SOURCE, [[3], [5]])

@@ -1,7 +1,5 @@
 """Tests for the evaluation harness (on a reduced suite for speed)."""
 
-import dataclasses
-
 import pytest
 
 from repro.bench.harness import (
@@ -17,15 +15,13 @@ from repro.obs.tracer import Tracer, use_tracer
 from repro.pipeline.compiler import Compiler
 from repro.pipeline.config import BASELINE, DBDS, DUPALOT
 
-from tests.helpers import REPO
+from tests.helpers import REPO, first_benchmarks
 from tests.test_pipeline.test_cli import count_calls
 
 
 @pytest.fixture(scope="module")
 def mini_suite_report():
-    profile = dataclasses.replace(
-        MICRO, benchmark_names=MICRO.benchmark_names[:2]
-    )
+    profile = first_benchmarks(MICRO, 2)
     return run_suite(profile)
 
 
@@ -94,9 +90,7 @@ def deterministic(m: Measurement) -> tuple:
 
 
 def test_each_workload_is_parsed_and_profiled_once(monkeypatch):
-    profile = dataclasses.replace(
-        MICRO, benchmark_names=MICRO.benchmark_names[:2]
-    )
+    profile = first_benchmarks(MICRO, 2)
     calls = count_calls(
         monkeypatch,
         functions=[

@@ -1,20 +1,18 @@
 """Tests for the evaluation report generator."""
 
-import dataclasses
-
 import pytest
 
 import repro.bench.workloads.suites as suites
 from repro.bench.report import render_markdown, run_evaluation
+
+from tests.helpers import first_benchmarks
 
 
 @pytest.fixture(scope="module")
 def tiny_evaluation(tmp_path_factory):
     """One-benchmark-per-suite evaluation, shared across tests."""
     tiny = {
-        name: dataclasses.replace(
-            profile, benchmark_names=profile.benchmark_names[:1]
-        )
+        name: first_benchmarks(profile, 1)
         for name, profile in suites.ALL_SUITES.items()
     }
     saved = dict(suites.ALL_SUITES)

@@ -5,7 +5,6 @@ that the paper's claimed optimization actually happened *and* that the
 program's observable behaviour is unchanged.
 """
 
-import dataclasses
 
 import pytest
 
@@ -18,7 +17,7 @@ from tests.helpers import assert_configs_equivalent
 
 
 def compile_dbds(source: str, entry: str, profile_args):
-    config = dataclasses.replace(DBDS, paranoid=True)
+    config = DBDS.replace(paranoid=True)
     program, report = compile_and_profile(source, entry, profile_args, config)
     return program, report
 

@@ -1,6 +1,5 @@
 """Tests for the path-duplication extension (Section 8 future work)."""
 
-import dataclasses
 
 import pytest
 
@@ -102,6 +101,6 @@ class TestPathExtension:
             "  return t;\n}\n"
         )
         reference = outcomes(compile_source(source), "main", [[0], [3], [9]])
-        config = dataclasses.replace(PATH_DBDS, paranoid=True)
+        config = PATH_DBDS.replace(paranoid=True)
         program, report = compile_and_profile(source, "main", [[9]], config)
         assert outcomes(program, "main", [[0], [3], [9]]) == reference

@@ -16,6 +16,7 @@ from repro.ir import (
     verify_graph,
 )
 from repro.ir.cfgutils import (
+    _walk_reverse_post_order,
     canonical_cfg_cleanup,
     fold_redundant_ifs,
     insert_block_on_edge,
@@ -56,6 +57,74 @@ class TestReversePostOrder:
         exit_.set_terminator(Return(g.const_int(0)))
         order = reverse_post_order(g)
         assert order.index(header) < order.index(body)
+
+
+def _detour(d):
+    """Send the true branch to a terminator-less ``tail`` and park a
+    ``Goto merge`` in an unreachable block, for ``move_terminator``."""
+    g = d["graph"]
+    tail, parked = g.new_block("tail"), g.new_block("parked")
+    d["true_block"].set_terminator(Goto(tail))
+    parked.set_terminator(Goto(d["merge"]))
+    return tail, parked
+
+
+def _exit_block(g):
+    block = g.new_block("exit")
+    block.set_terminator(Return(None))
+    return block
+
+
+def _dead_edge_into_merge(d):
+    g = d["graph"]
+    dead = g.new_block("dead")
+    dead.set_terminator(Goto(d["merge"]))
+    d["phi"]._append_input(g.const_int(99))
+    return dead
+
+
+#: one CFG edit each: prepare(diamond) -> state, edit(diamond, state)
+CFG_EDITS = {
+    "set_terminator": (
+        lambda d: None,
+        lambda d, _: d["graph"].entry.set_terminator(Goto(d["true_block"])),
+    ),
+    "set_target": (
+        lambda d: _exit_block(d["graph"]),
+        lambda d, exit_: d["graph"].entry.terminator.set_target(1, exit_),
+    ),
+    "route_through": (
+        lambda d: d["graph"].new_block("via"),
+        lambda d, via: d["merge"].route_through(d["true_block"], via),
+    ),
+    "move_terminator": (
+        _detour,
+        lambda d, state: state[1].move_terminator(state[0]),
+    ),
+    "new_block": (
+        lambda d: None,
+        lambda d, _: d["graph"].new_block("fresh"),
+    ),
+    "remove_block": (
+        _dead_edge_into_merge,
+        lambda d, dead: d["graph"].remove_block(dead),
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CFG_EDITS))
+def test_cached_order_is_a_fresh_walk_after_each_cfg_edit(diamond, edit):
+    prepare, apply = CFG_EDITS[edit]
+    g = diamond["graph"]
+    state = prepare(diamond)
+    before = list(reverse_post_order(g))
+    assert reverse_post_order(g) is reverse_post_order(g)  # cached
+    apply(diamond, state)
+    assert reverse_post_order(g) == _walk_reverse_post_order(g)
+    if edit not in ("new_block", "remove_block"):
+        # Unreachable blocks come and go without moving the order; every
+        # other edit here changes it, so a stale order would fail above.
+        assert reverse_post_order(g) != before
 
 
 class TestUnreachableRemoval:

@@ -5,8 +5,9 @@ CLI imports the modules that only some verbs or flags need where they
 are used, so a ``repro run`` on the default megaunit engine never pays
 for the profiling VM, the bytecode verifier, the fuzzers, the backend
 or the batch driver, and a warm one (served from the artifact cache)
-not for the compiler either.  Every public name still resolves exactly
-as before.
+not for the compiler either.  No ``run`` or ``bench`` loads
+``dataclasses`` or ``inspect``.  Every public name still resolves
+exactly as before.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ COMPILE_ONLY = (
     "repro.obs.profile",
 )
 
+#: the standard library that only ``@dataclass`` needed: the records on
+#: the run and bench paths are slotted classes, so no verb below execs
+#: generated methods or loads ``inspect`` (and with it ``ast``, ``dis``
+#: and ``tokenize``)
+CODEGEN_STDLIB = ("dataclasses", "inspect")
+
 LOADED = """
 import json, sys
 import repro.__main__ as cli
@@ -82,6 +89,7 @@ def test_warm_megaunit_run_stays_within_budget(tmp_path):
     modules, stderr = _loaded(*argv)
     assert "compiled from   : cache" in stderr
     assert _within(modules, OFF_BUDGET + COMPILE_ONLY) == []
+    assert _within(modules, CODEGEN_STDLIB) == []
 
 
 def test_uncached_megaunit_run_never_fuses():
@@ -89,6 +97,13 @@ def test_uncached_megaunit_run_never_fuses():
     modules, _ = _loaded(*RUN)
     assert _within(modules, OFF_BUDGET) == []
     assert "repro.pipeline.compiler" in modules
+    assert _within(modules, CODEGEN_STDLIB) == []
+
+
+def test_bench_loads_no_dataclass_machinery():
+    modules, _ = _loaded("bench", "--suite", "micro")
+    assert "repro.bench.workloads.suites" in modules
+    assert _within(modules, CODEGEN_STDLIB) == []
 
 
 #: perfbench/traced.py's set-up, step by step: it imports the CLI, then

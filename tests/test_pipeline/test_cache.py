@@ -76,15 +76,16 @@ def test_key_misses_on_version_bump():
 
 
 def test_schema_5_directory_is_keyed_apart(tmp_path, monkeypatch):
-    # Schema-5 entries could carry a fused fast stream and schema-6 ones
-    # a bytecode translation: a directory filled by an older build must
-    # never serve the current one.
+    # Schema-5 entries could carry a fused fast stream, schema-6 ones a
+    # bytecode translation and schema-7 ones dataclass types and stamps:
+    # a directory filled by an older build must never serve the current
+    # one.
     from repro.pipeline import cache as cache_module
 
-    assert cache_module.CACHE_SCHEMA_VERSION == 7
+    assert cache_module.CACHE_SCHEMA_VERSION == 8
     key = cache_key(SOURCE, DBDS)
     cache = ArtifactCache(tmp_path)
-    for old_schema in (5, 6):
+    for old_schema in (5, 6, 7):
         with monkeypatch.context() as patch:
             patch.setattr(cache_module, "CACHE_SCHEMA_VERSION", old_schema)
             old_key = cache_key(SOURCE, DBDS)

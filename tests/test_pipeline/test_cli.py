@@ -8,7 +8,7 @@ import pytest
 from repro.__main__ import main
 from repro.pipeline.compiler import Compiler
 
-from tests.helpers import REPO
+from tests.helpers import REPO, first_benchmarks
 
 PROGRAM = """
 fn foo(x: int) -> int {
@@ -189,11 +189,8 @@ class TestBench:
     def test_bench_suite_table(self, capsys, monkeypatch):
         # Shrink the suite for test speed.
         import repro.bench.workloads.suites as suites
-        import dataclasses
 
-        tiny = dataclasses.replace(
-            suites.MICRO, benchmark_names=suites.MICRO.benchmark_names[:1]
-        )
+        tiny = first_benchmarks(suites.MICRO, 1)
         monkeypatch.setitem(suites.ALL_SUITES, "micro", tiny)
         code = main(["bench", "--suite", "micro"])
         assert code == 0
@@ -237,14 +234,11 @@ class TestObservabilityFlags:
         assert "176" in out and "compile profile" in out
 
     def test_bench_trace_out_json(self, tmp_path, capsys, monkeypatch):
-        import dataclasses
         import json
 
         import repro.bench.workloads.suites as suites
 
-        tiny = dataclasses.replace(
-            suites.MICRO, benchmark_names=suites.MICRO.benchmark_names[:1]
-        )
+        tiny = first_benchmarks(suites.MICRO, 1)
         monkeypatch.setitem(suites.ALL_SUITES, "micro", tiny)
         out = tmp_path / "suite.json"
         code = main(["bench", "--suite", "micro", "--trace-out", str(out)])
@@ -349,13 +343,10 @@ class TestProfileAndMetrics:
 class TestTrajectoryCli:
     @pytest.fixture
     def tiny_suite(self, monkeypatch):
-        import dataclasses
 
         import repro.bench.workloads.suites as suites
 
-        tiny = dataclasses.replace(
-            suites.MICRO, benchmark_names=suites.MICRO.benchmark_names[:1]
-        )
+        tiny = first_benchmarks(suites.MICRO, 1)
         monkeypatch.setitem(suites.ALL_SUITES, "micro", tiny)
 
     def test_append_then_check_passes(self, tiny_suite, tmp_path, capsys):

@@ -74,6 +74,22 @@ CASES = {
         "fn main(n: int) -> int {\n  m = 1;\n  return n;\n}\n", ["--args", "3"],
         "{path}:2: undefined variable 'm'",
     ),
+    # Literals are ASCII decimal digits and identifiers ASCII letters,
+    # digits and "_" (docs/LANGUAGE.md): other Unicode digits and
+    # letters are characters the language does not have.
+    "superscript digit": (
+        "fn main(n: int) -> int {\n  return \u00b2;\n}\n", ["--args", "3"],
+        "{path}:2:10: unexpected character '\u00b2'",
+    ),
+    "non-ASCII identifier": (
+        "fn main(n: int) -> int {\n  var \u00e9: int = 3;\n  return n;\n}\n",
+        ["--args", "3"],
+        "{path}:2:7: unexpected character '\u00e9'",
+    ),
+    "Arabic-Indic digits": (
+        "fn main(n: int) -> int {\n  return \u0661\u0662;\n}\n", ["--args", "3"],
+        "{path}:2:10: unexpected character '\u0661'",
+    ),
 }
 
 

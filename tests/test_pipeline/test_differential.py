@@ -8,7 +8,6 @@ global state) — checked on randomly generated programs covering the
 full language.
 """
 
-import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -39,7 +38,7 @@ def test_all_configs_semantically_transparent(seed):
     reference_program = compile_source(source)
     reference = behaviours(reference_program, ARGS)
     for config in (BASELINE, DBDS, DUPALOT):
-        config = dataclasses.replace(config, paranoid=True)
+        config = config.replace(paranoid=True)
         program, _ = compile_and_profile(source, "main", ARGS[:2], config)
         assert behaviours(program, ARGS) == reference, (
             f"{config.name} changed semantics for seed {seed}\n{source}"
@@ -55,7 +54,7 @@ def test_all_configs_semantically_transparent(seed):
 def test_backtracking_semantically_transparent(seed):
     source = random_program(seed)
     reference = behaviours(compile_source(source), ARGS)
-    config = dataclasses.replace(BACKTRACKING, paranoid=True)
+    config = BACKTRACKING.replace(paranoid=True)
     program, _ = compile_and_profile(source, "main", ARGS[:2], config)
     assert behaviours(program, ARGS) == reference, (
         f"backtracking changed semantics for seed {seed}\n{source}"

@@ -9,7 +9,6 @@ trap messages, steps and cycles must be identical on every engine (and
 the outcomes equal the baseline's, every value inside its stamp).
 """
 
-import dataclasses
 import pathlib
 
 import pytest
@@ -23,6 +22,7 @@ from repro.analysis.validate import (
 )
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import (
+    ExecutionResult,
     HeapArray,
     HeapObject,
     Interpreter,
@@ -87,7 +87,9 @@ def _one_step_more(run):
         result = run(self, function, args)
         if not self.metered:
             return result
-        return dataclasses.replace(result, steps=result.steps + 1)
+        return ExecutionResult(
+            result.value, result.trap, result.steps + 1, result.cycles
+        )
 
     return planted
 
