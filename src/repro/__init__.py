@@ -36,7 +36,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".analysis.lir_checks": ("run_lir_checkers",),
     ".analysis.progen": ("SourceMutator",),
     ".dbds.duplicate": ("DuplicationError", "can_duplicate", "duplicate_into"),
-    ".dbds.phase": ("DbdsConfig", "DbdsPhase", "DbdsStats"),
+    ".dbds.phase": ("DbdsPhase", "DbdsStats"),
     ".dbds.simulation": ("SimulationResult", "SimulationTier"),
     ".dbds.tradeoff": ("TradeOffConfig", "should_duplicate", "sort_candidates"),
     ".frontend.irbuilder": ("build_program", "compile_source"),
@@ -97,7 +97,7 @@ __all__ = [
     "compile_and_profile", "compile_batch", "CompileError",
     "compile_source", "CompileProfile", "Compiler", "CompilerConfig",
     "CONFIGURATIONS", "config_fingerprint", "current_tracer", "DBDS",
-    "DbdsConfig", "DbdsPhase", "DbdsStats", "DUPALOT",
+    "DbdsPhase", "DbdsStats", "DUPALOT",
     "duplicate_into", "DuplicationError", "ExecutionResult",
     "FileResult", "Graph", "HeapArray", "HeapObject", "Interpreter",
     "make_entry",

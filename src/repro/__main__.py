@@ -14,17 +14,16 @@ optimization) and executes, printing the result and the simulated cycle
 count; ``run``, ``check``, ``profile``, ``batch`` and ``bench`` all
 compile through the one cache-first :func:`repro.pipeline.front.jit`,
 so they share cache keys and entries, and ``explain`` makes the same
-compile without a cache.  ``run`` and ``profile`` take
-``--check-bc={off,rewrite}``, which verifies every VM translation they
-execute, warm cache hits included (the cache stores programs, not
-bytecode).  ``compile`` optimizes without a profile and prints
-per-unit metrics and optionally the optimized IR.  ``explain`` records
-its compile and prints every DBDS decision of the trace, per unit
+compile without a cache.  ``compile`` optimizes without a profile and
+prints per-unit metrics and optionally the optimized IR.  ``explain``
+records its compile and prints every DBDS decision of the trace, per unit
 (:func:`repro.obs.profile.format_decisions`, which renders any
 ``--trace-out`` file the same way).  ``bench`` regenerates one of the
 paper's evaluation figures.  ``check`` runs the IR sanitizers
 (docs/ANALYSIS.md) over source files: checked compiles with
-phase-blame diagnostics, optional LIR checks and bytecode verification,
+phase-blame diagnostics, optional LIR checks and bytecode verification
+(``--verify-bytecode``: the translation every verb executes, warm cache
+hits included, since the cache stores programs, not bytecode),
 the differential oracle (``--diff-engines``: baseline against
 ``--config``, every engine against the reference, every value against
 its stamp), and ``--fuzz N`` programs held to the same checks with the
@@ -81,7 +80,6 @@ from .analysis.blame import (
     CHECK_EACH_PHASE,
     CHECK_MODES,
     CHECK_OFF,
-    BytecodeVerificationError,
     PhaseBlameError,
 )
 from .bench.harness import (
@@ -198,17 +196,6 @@ def _add_jit_flags(parser: argparse.ArgumentParser, purpose: str) -> None:
     _add_config_flag(parser)
 
 
-def _add_check_bc_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--check-bc",
-        default="off",
-        choices=("off", "rewrite"),
-        help="statically verify VM bytecode: 'rewrite' checks every "
-        "translated stream before it runs, warm cache hits included "
-        "(see docs/ANALYSIS.md)",
-    )
-
-
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
@@ -298,8 +285,7 @@ def _jit(
     return jit(
         _read_source(path), args.entry, [args.args],
         CONFIGURATIONS[args.config], cache=cache,
-        check_ir=args.check_ir, fail_fast=args.fail_fast,
-        check_bc=args.check_bc, name=str(path),
+        check_ir=args.check_ir, fail_fast=args.fail_fast, name=str(path),
     )
 
 
@@ -353,9 +339,8 @@ def _with_telemetry(impl):
     """Run a verb under one ambient tracer, then export its metrics.
 
     The tracer records when any of :data:`_TELEMETRY_OPTIONS` was given
-    (else it is the no-op ``NULL_TRACER``, and compiles keep their
-    private counting tracers).  Every layer the verb drives records
-    into it, so ``--trace-out``, ``--profile-compile`` and the
+    (else it is the no-op ``NULL_TRACER``).  Every layer the verb drives
+    records into it, so ``--trace-out``, ``--profile-compile`` and the
     ``--metrics-out``/``--metrics-prom`` snapshot
     (:meth:`~repro.obs.metrics.MetricsSnapshot.from_tracer`) all read
     the same one trace.
@@ -407,9 +392,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     except PhaseBlameError as exc:
         print(exc.format_blame(), file=sys.stderr)
-        return 1
-    except BytecodeVerificationError as exc:
-        print(exc.report.format(), file=sys.stderr)
         return 1
     result = results[0]
     if result.trapped:
@@ -704,9 +686,7 @@ def _bench_trajectory(
         ),
     )
     if trajectory is not None:
-        failures = check_regression(
-            trajectory, entry, args.regression_threshold
-        )
+        failures = check_regression(trajectory, entry)
         for failure in failures:
             print(f"regression: {failure}", file=sys.stderr)
         if failures:
@@ -742,9 +722,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     except PhaseBlameError as exc:
         print(exc.format_blame(), file=sys.stderr)
-        return 1
-    except BytecodeVerificationError as exc:
-        print(exc.report.format(), file=sys.stderr)
         return 1
     result = results[0]
     if result.trapped:
@@ -833,7 +810,6 @@ def main(argv: list[str] | None = None) -> int:
     run_parser = sub.add_parser("run", help="JIT-compile and execute")
     run_parser.add_argument("source", type=pathlib.Path, help="MiniLang source file")
     _add_jit_flags(run_parser, "the entry function")
-    _add_check_bc_flag(run_parser)
     _add_engine_flag(run_parser)
     _add_observability(run_parser)
     _add_metrics_flags(run_parser)
@@ -848,7 +824,6 @@ def main(argv: list[str] | None = None) -> int:
         "source", type=pathlib.Path, help="MiniLang source file"
     )
     _add_jit_flags(profile_parser, "the entry function")
-    _add_check_bc_flag(profile_parser)
     _add_check_flags(profile_parser)
     _add_metrics_flags(profile_parser)
     profile_parser.add_argument(
@@ -1011,15 +986,9 @@ def main(argv: list[str] | None = None) -> int:
         const=DEFAULT_TRAJECTORY_PATH,
         default=None,
         metavar="FILE",
-        help="fail when per-config median cycles regress beyond the "
-        "threshold against the last comparable trajectory entry",
-    )
-    bench_parser.add_argument(
-        "--regression-threshold",
-        type=at_least(float, 0),
-        default=DEFAULT_REGRESSION_THRESHOLD,
-        metavar="FRAC",
-        help="tolerated relative median-cycles growth (default: %(default)s)",
+        help="fail when per-config median cycles grow more than "
+        f"{DEFAULT_REGRESSION_THRESHOLD * 100:g}%% against the last "
+        "comparable trajectory entry",
     )
     bench_parser.set_defaults(func=cmd_bench)
 

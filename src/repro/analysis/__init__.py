@@ -8,8 +8,7 @@ per-phase invariant checking with phase-blame diagnostics
 ``--check-ir`` pipeline modes), the differential oracle and its fuzz
 loop (:mod:`~repro.analysis.validate`, behind ``repro check
 --diff-engines`` and ``--fuzz``), and the static bytecode verifier
-with its dataflow framework (``--check-bc``, ``repro check
---verify-bytecode``).  See
+with its dataflow framework (``repro check --verify-bytecode``).  See
 ``docs/ANALYSIS.md``.
 
 Typical use::
@@ -53,7 +52,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".lir_checks": ("LirCheckerContext", "run_lir_checkers"),
     ".blame": (
-        "BytecodeVerificationError",
         "CHECK_BOUNDARIES",
         "CHECK_EACH_PHASE",
         "CHECK_MODES",
@@ -86,7 +84,6 @@ __all__ = [
     "CHECK_OFF",
     "CORE_CHECKERS",
     "BcVerifyReport",
-    "BytecodeVerificationError",
     "CheckReport",
     "Checker",
     "CheckerContext",

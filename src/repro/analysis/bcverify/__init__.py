@@ -3,9 +3,10 @@
 JVM-style verification for the register VM: before a freshly
 translated program reaches a dispatch loop, this package proves it
 well-formed with purely static means.  The artifact cache stores no
-bytecode — every verb translates the cached program afresh — so streams
-are verified where they are made (``translate_program(...,
-check_bc="rewrite")``), never at load.  Three layers:
+bytecode — every verb translates the cached program afresh
+(:meth:`~repro.pipeline.front.Artifact.bytecode`) — so ``repro check
+--verify-bytecode`` verifies that translation, cold or warm, never a
+stored one.  Three layers:
 
 * **CFG recovery + dataflow** (:mod:`.cfg`, :mod:`.dataflow`) — block
   structure decoded through the :mod:`repro.vm.opspec` registry, a
@@ -22,8 +23,8 @@ check_bc="rewrite")``), never at load.  Three layers:
 
 Entry points: :func:`verify_bytecode` (full verification of a
 :class:`~repro.vm.bytecode.BytecodeProgram`) and
-:func:`run_bc_checkers` for one function.  CLI: ``--check-bc`` and
-``repro check --verify-bytecode``; see docs/ANALYSIS.md.
+:func:`run_bc_checkers` for one function.  CLI: ``repro check
+--verify-bytecode``; see docs/ANALYSIS.md.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 from ...obs.tracer import current_tracer
-from ..blame import BytecodeVerificationError
 from ..core import CheckReport, Severity, Violation
 from .cfg import (
     BCBlock,
@@ -45,9 +45,6 @@ from .cfg import (
 from .checks import BcCheckerContext, run_bc_checkers
 from .dataflow import DataflowResult, MustDefined, solve_forward
 from .lint import BANNED_NAMES, lint_megaunit_function, lint_megaunit_source
-
-#: ``--check-bc`` modes: "rewrite" verifies every translated stream.
-CHECK_BC_MODES = ("off", "rewrite")
 
 
 @dataclass
@@ -164,8 +161,6 @@ __all__ = [
     "BcCheckerContext",
     "BcVerifyReport",
     "BytecodeCFG",
-    "BytecodeVerificationError",
-    "CHECK_BC_MODES",
     "DataflowResult",
     "DecodeError",
     "MustDefined",

@@ -19,11 +19,9 @@ ambient tracer as structured ``analysis.violation`` / ``analysis.blame``
 events, and the check time itself is recorded as an ``ir-check`` phase
 span so ``--profile-compile`` shows analysis overhead.
 
-The two errors a checked compile or translation raises to the CLI live
-here, :class:`PhaseBlameError` and the bytecode verifier's
-:class:`BytecodeVerificationError`, and this module loads the checker
-framework only when a guard checks: catching them costs a warm run
-nothing.
+The error a checked compile raises to the CLI, :class:`PhaseBlameError`,
+lives here, and this module loads the checker framework only when a
+guard checks: catching it costs a warm run nothing.
 """
 
 from __future__ import annotations
@@ -50,17 +48,6 @@ CHANGE_LOG_CHECK = "change-log"
 #: what :meth:`PhaseGuard.before_phase` records: the IR dump and the
 #: change log's serial
 Snapshot = tuple[str, int]
-
-
-class BytecodeVerificationError(Exception):
-    """Raised by checked-mode pipelines when bytecode verification fails;
-    ``report`` is the :class:`~repro.analysis.bcverify.BcVerifyReport`.
-    Defined here, apart from the verifier, so that callers can catch it
-    without loading the verifier."""
-
-    def __init__(self, report) -> None:
-        self.report = report
-        super().__init__(report.summary())
 
 
 class PhaseBlameError(Exception):

@@ -13,22 +13,23 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..analysis.blame import current_guard
 from ..costmodel.estimator import graph_code_size
+from ..ir.block import Block
 from ..ir.graph import Graph, Program
 from ..ir.nodes import Goto
-from ..ir.verifier import verify_graph
-from ..obs.tracer import NULL_TRACER, Tracer, current_tracer
+from ..obs.tracer import Tracer, current_tracer
 from ..opts.base import Phase
 from ..opts.canonicalize import CanonicalizerPhase
 from ..opts.condelim import ConditionalEliminationPhase
 from ..opts.gvn import GlobalValueNumberingPhase
 from ..opts.pea import PartialEscapeAnalysisPhase
 from ..opts.readelim import ReadEliminationPhase
+from ..pipeline.config import DBDS, CompilerConfig
 from .duplicate import can_duplicate, duplicate_into
 from .simulation import SimulationResult, SimulationTier
 from .tradeoff import (
     REASON_INVALIDATED,
-    TradeOffConfig,
     TradeOffDecision,
     emit_decision,
     evaluate_candidate,
@@ -36,57 +37,24 @@ from .tradeoff import (
 )
 
 
-class DbdsConfig:
-    """Behavioural switches of the DBDS phase.
+#: Section 5.2: another round runs only when the last one gained at
+#: least this much cumulative weighted benefit.
+ITERATION_BENEFIT_THRESHOLD = 1.0
 
-    * ``max_iterations``: maximum simulate→trade-off→optimize rounds
-      (paper: 3).
-    * ``iteration_benefit_threshold``: minimum cumulative weighted
-      benefit to justify another round.
-    * ``dupalot``: perform every positive-benefit duplication, no
-      cost/benefit trade-off (the paper's comparison configuration).
-    * ``paranoid``: run the verifier after every duplication (tests
-      enable this).
-    * ``path_duplication`` (Section 8 future work): after a kept
-      duplication, keep duplicating along the resulting Goto chain
-      through further merges in the same pass ("duplicate over multiple
-      merges along paths"), absorbing at most ``max_path_length`` extra
-      merges along one path.
-    """
-
-    __slots__ = (
-        "trade_off", "max_iterations", "iteration_benefit_threshold",
-        "dupalot", "paranoid", "path_duplication", "max_path_length",
-    )
-
-    def __init__(
-        self,
-        trade_off: Optional[TradeOffConfig] = None,
-        max_iterations: int = 3,
-        iteration_benefit_threshold: float = 1.0,
-        dupalot: bool = False,
-        paranoid: bool = False,
-        path_duplication: bool = False,
-        max_path_length: int = 3,
-    ) -> None:
-        self.trade_off = trade_off if trade_off is not None else TradeOffConfig()
-        self.max_iterations = max_iterations
-        self.iteration_benefit_threshold = iteration_benefit_threshold
-        self.dupalot = dupalot
-        self.paranoid = paranoid
-        self.path_duplication = path_duplication
-        self.max_path_length = max_path_length
+#: Section 8 path duplication: the merges one path absorbs after the
+#: kept duplication that starts it.
+MAX_PATH_LENGTH = 3
 
 
 class DbdsStats:
-    """Phase outcome for reporting.
+    """Phase outcome, which :meth:`DbdsPhase.run` returns.
 
-    Since the telemetry subsystem landed this is a *view* over the
-    tracer's counters — ``candidates_simulated`` and
-    ``duplications_performed`` are the per-run deltas of the
-    ``dbds.candidates`` / ``dbds.duplications`` counters, and every
-    accept/reject is also available as a ``dbds.decision`` event when
-    event recording is on.
+    ``candidates_simulated`` and ``duplications_performed`` count every
+    simulated pair and every duplication, path hops included; the
+    compiler reports them per unit.  The tracer's ``dbds.candidates`` /
+    ``dbds.duplications`` counters tally the same, and every
+    accept/reject is also a ``dbds.decision`` event when the tracer
+    records.
     """
 
     __slots__ = (
@@ -103,51 +71,40 @@ class DbdsStats:
 
 
 class DbdsPhase(Phase):
-    """Dominance-based duplication simulation, end to end."""
+    """Dominance-based duplication simulation, end to end, under the
+    configuration's ``trade_off``, ``dupalot``, ``max_dbds_iterations``
+    and ``path_duplication``."""
 
     name = "dbds"
 
-    def __init__(self, program: Optional[Program] = None, config: Optional[DbdsConfig] = None) -> None:
+    def __init__(
+        self, program: Optional[Program] = None, config: CompilerConfig = DBDS
+    ) -> None:
         self.program = program
-        self.config = config or DbdsConfig()
+        self.config = config
 
     def run(self, graph: Graph) -> DbdsStats:
         config = self.config
         tracer = current_tracer()
-        if tracer is NULL_TRACER:
-            # Standalone use (tests, examples): counters must still
-            # tally for the stats view, so swap in a counting tracer.
-            tracer = Tracer(enabled=False)
-        candidates_before = tracer.counter("dbds.candidates")
-        duplications_before = tracer.counter("dbds.duplications")
         stats = DbdsStats(initial_size=graph_code_size(graph))
-        initial_size = stats.initial_size
-        for iteration in range(config.max_iterations):
+        for iteration in range(config.max_dbds_iterations):
             stats.iterations += 1
             # ---------------- Tier 1: simulation -----------------------
-            tier = SimulationTier(graph, self.program)
-            candidates = tier.run()
+            candidates = SimulationTier(graph, self.program).run()
+            stats.candidates_simulated += len(candidates)
             tracer.count("dbds.candidates", len(candidates))
             # ---------------- Tier 2: trade-off -------------------------
             ranked = sort_candidates(candidates, config.trade_off)
             # ---------------- Tier 3: optimization ----------------------
-            duplications = tracer.counter("dbds.duplications")
-            round_benefit = self._optimize(
-                graph, ranked, initial_size, tracer, iteration
-            )
-            if tracer.counter("dbds.duplications") == duplications:
+            duplications = stats.duplications_performed
+            round_benefit = self._optimize(graph, ranked, stats, tracer, iteration)
+            if stats.duplications_performed == duplications:
                 # Nothing changed: no follow-up work, and a round without
                 # benefit is the last one anyway.
                 break
             self._partial_optimizations(graph)
-            if round_benefit < config.iteration_benefit_threshold:
+            if round_benefit < ITERATION_BENEFIT_THRESHOLD:
                 break
-        stats.candidates_simulated = (
-            tracer.counter("dbds.candidates") - candidates_before
-        )
-        stats.duplications_performed = (
-            tracer.counter("dbds.duplications") - duplications_before
-        )
         stats.final_size = graph_code_size(graph)
         return stats
 
@@ -171,10 +128,19 @@ class DbdsPhase(Phase):
             candidate, current_size, initial_size, config.trade_off
         )
 
-    def _record_applied(
-        self, tracer: Tracer, candidate: SimulationResult
+    @staticmethod
+    def _duplicate(
+        graph: Graph, candidate: SimulationResult, stats: DbdsStats,
+        tracer: Tracer,
     ) -> None:
-        """Attribute the enabled optimizations to this duplication."""
+        """Duplicate the candidate's merge into its predecessor, check
+        the IR when every phase is checked (``--check-ir=each-phase``),
+        and count the duplication and the optimizations it enables."""
+        duplicate_into(graph, candidate.pred, candidate.merge)
+        guard = current_guard()
+        if guard is not None and guard.per_phase:
+            guard.check_boundary("dbds-duplication", graph)
+        stats.duplications_performed += 1
         tracer.count("dbds.duplications")
         for reason in candidate.reasons:
             tracer.count(f"dbds.applied.{reason}")
@@ -184,7 +150,7 @@ class DbdsPhase(Phase):
         self,
         graph: Graph,
         ranked: list[SimulationResult],
-        initial_size: float,
+        stats: DbdsStats,
         tracer: Tracer,
         iteration: int,
     ) -> float:
@@ -211,7 +177,7 @@ class DbdsPhase(Phase):
                 )
                 continue
             decision = self._decide(
-                candidate, graph_code_size(graph), initial_size
+                candidate, graph_code_size(graph), stats.initial_size
             )
             emit_decision(
                 tracer, graph.name, candidate, decision,
@@ -219,32 +185,28 @@ class DbdsPhase(Phase):
             )
             if not decision.accepted:
                 continue
-            duplicate_into(graph, candidate.pred, candidate.merge)
-            if config.paranoid:
-                verify_graph(graph)
-            self._record_applied(tracer, candidate)
+            self._duplicate(graph, candidate, stats, tracer)
             round_benefit += candidate.weighted_benefit
             if config.path_duplication:
                 round_benefit += self._extend_along_path(
-                    graph, candidate.pred, initial_size, tracer, iteration
+                    graph, candidate.pred, stats, tracer, iteration
                 )
         return round_benefit
 
     def _extend_along_path(
         self,
         graph: Graph,
-        pred,
-        initial_size: float,
+        pred: Block,
+        stats: DbdsStats,
         tracer: Tracer,
         iteration: int,
     ) -> float:
         """Section 8 future work: the predecessor just absorbed a merge;
         if it now ends in a Goto to *another* merge, keep specializing
         along the path (simulating each hop's one pair) up to
-        max_path_length."""
-        config = self.config
+        :data:`MAX_PATH_LENGTH` merges."""
         gained = 0.0
-        for _ in range(config.max_path_length):
+        for _ in range(MAX_PATH_LENGTH):
             # Cash in the copies made so far: folding them turns the
             # next merge's phi input into the specialized value the
             # hop's simulation needs to see (the simulation tier proper
@@ -262,9 +224,10 @@ class DbdsPhase(Phase):
             candidate = SimulationTier(graph, self.program).simulate(
                 pred, next_merge
             )
+            stats.candidates_simulated += 1
             tracer.count("dbds.candidates")
             decision = self._decide(
-                candidate, graph_code_size(graph), initial_size
+                candidate, graph_code_size(graph), stats.initial_size
             )
             emit_decision(
                 tracer, graph.name, candidate, decision,
@@ -272,10 +235,7 @@ class DbdsPhase(Phase):
             )
             if not decision.accepted:
                 break
-            duplicate_into(graph, pred, next_merge)
-            if config.paranoid:
-                verify_graph(graph)
-            self._record_applied(tracer, candidate)
+            self._duplicate(graph, candidate, stats, tracer)
             gained += candidate.weighted_benefit
         return gained
 

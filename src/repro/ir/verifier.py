@@ -2,10 +2,12 @@
 
 The checks themselves now live in the pluggable registry of
 :mod:`repro.analysis` (see ``docs/ANALYSIS.md``); this module keeps the
-historical fail-fast API that phases and tests call between rewrites.
-Message texts are unchanged: :func:`verify_graph` raises
-:class:`VerificationError` describing the first violated property, and
-:func:`verify_program` names the failing function.
+historical fail-fast API that the front end and tests call; a compile
+checks its IR through the phase guard instead (``--check-ir=each-phase``:
+around every phase and after every DBDS duplication).  Message texts
+are unchanged: :func:`verify_graph` raises :class:`VerificationError`
+describing the first violated property, and :func:`verify_program`
+names the failing function.
 
 The analysis imports are deferred into the functions because
 ``repro.ir.__init__`` re-exports this module while the analysis

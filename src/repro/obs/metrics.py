@@ -224,12 +224,8 @@ class MetricsSnapshot:
                     engine=attrs["engine"], reason=attrs["reason"],
                 )
         snap._inc("repro_dbds_candidates_total", counters.get("dbds.candidates", 0))
-        # The pipeline also counts the backtracking baseline's kept
-        # duplications as dbds.duplications; the metric is the DBDS tier's.
         snap._inc(
-            "repro_dbds_duplications_total",
-            counters.get("dbds.duplications", 0)
-            - counters.get("dbds.backtrack.kept", 0),
+            "repro_dbds_duplications_total", counters.get("dbds.duplications", 0)
         )
         for counter, value in counters.items():
             for prefix, (metric, label, fixed) in LABELED_COUNTERS.items():

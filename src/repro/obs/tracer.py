@@ -11,16 +11,14 @@ compilation (or one benchmark run):
   and ``dbds.decision`` events (one per simulated pair, with benefit,
   cost, probability and every ``shouldDuplicate`` term);
 * **counters** — cheap monotonic tallies (``dbds.duplications``,
-  ``dbds.applied.constant-fold``, …) that stay live even when event
-  recording is off.
+  ``dbds.applied.constant-fold``, …).
 
-Overhead discipline: the ambient default is :data:`NULL_TRACER`, whose
-every operation is a no-op, and every instrumentation site checks
-``tracer.enabled`` before computing anything expensive (code-size
-recomputation in particular).  A ``Tracer(enabled=False)`` is the
-middle setting — counters tally, but no events or timestamps are taken
-— and is what the compiler uses by default so that per-unit metrics
-can be wired from counters without ad-hoc plumbing.
+There are two settings: a :class:`Tracer` records all three, and
+:data:`NULL_TRACER`, the ambient default, drops everything.  Overhead
+discipline: every instrumentation site checks ``tracer.enabled`` before
+computing anything expensive (code-size recomputation in particular).
+No number a compile reports is read back from a tracer: the phases
+return their own counts (see :class:`repro.dbds.phase.DbdsStats`).
 
 The event schema and its serialization live in
 :mod:`repro.obs.sinks`; aggregation lives in :mod:`repro.obs.profile`.
@@ -106,7 +104,7 @@ class _Span:
 
 
 class _NullSpan:
-    """Shared do-nothing span for disabled tracers."""
+    """Shared do-nothing span of :data:`NULL_TRACER`."""
 
     __slots__ = ()
 
@@ -122,21 +120,14 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects spans, events and counters for one compilation.
+    """Collects spans, events and counters for one compilation."""
 
-    ``enabled=True`` records everything; ``enabled=False`` keeps only
-    the counters (cheap dict increments — this is the compiler's
-    default so metrics wiring works without event overhead).
-    """
+    #: whether this tracer records (only :data:`NULL_TRACER` does not)
+    enabled = True
 
-    __slots__ = ("enabled", "clock", "epoch", "events", "counters", "_depth")
+    __slots__ = ("clock", "epoch", "events", "counters", "_depth")
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        self.enabled = enabled
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
         self.epoch = clock()
         self.events: list[Event] = []
@@ -146,14 +137,10 @@ class Tracer:
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: Any):
         """Start a span; use as ``with tracer.span("phase", ...) as ev``."""
-        if not self.enabled:
-            return _NULL_SPAN
         return _Span(self, name, attrs)
 
     def event(self, name: str, **attrs: Any) -> Optional[Event]:
-        """Record a point event; returns it (or None when disabled)."""
-        if not self.enabled:
-            return None
+        """Record a point event; returns it (None on :data:`NULL_TRACER`)."""
         record = Event(
             name=name,
             ts=self.clock() - self.epoch,
@@ -164,7 +151,7 @@ class Tracer:
         return record
 
     def count(self, name: str, n: int = 1) -> None:
-        """Bump a counter (works even when event recording is off)."""
+        """Bump a counter."""
         self.counters[name] = self.counters.get(name, 0) + n
 
     def counter(self, name: str) -> int:
@@ -186,17 +173,18 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """The ambient default: drops events *and* counters.
+    """The ambient default: drops spans, events *and* counters.
 
     A process-wide singleton must not accrue state across unrelated
-    compilations, so unlike ``Tracer(enabled=False)`` even ``count``
-    is a no-op here.
+    compilations, so every operation is a no-op here.
     """
+
+    enabled = False
 
     __slots__ = ()
 
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
+    def span(self, name: str, **attrs: Any):
+        return _NULL_SPAN
 
     def event(self, name: str, **attrs: Any) -> Optional[Event]:
         return None

@@ -29,7 +29,6 @@ from ..frontend.lexer import CompileError
 from ..interp.profile import apply_profile, profile_program
 from ..ir.copy import copy_program
 from ..ir.graph import Graph, Program
-from ..ir.verifier import verify_graph
 from ..obs.tracer import Tracer, current_tracer, use_tracer
 from ..opts.canonicalize import CanonicalizerPhase
 from ..opts.condelim import ConditionalEliminationPhase
@@ -45,20 +44,20 @@ from .front import CompilationReport, UnitMetrics, UserError, jit
 class Compiler:
     """Compiles IR programs under a :class:`CompilerConfig`.
 
-    Pass an event-recording :class:`~repro.obs.tracer.Tracer` to get a
-    full trace — per-phase spans, DBDS candidate and decision events.
-    Without one, the compiler records into the ambient tracer when that
-    one records (a CLI verb's ``--trace-out``/``--metrics-out``/...
-    tracer), so the verb's trace holds every compile; otherwise it uses
-    a private counting-only tracer, which keeps overhead at one flag
-    check per phase while still feeding the ``dbds.*`` counters that
-    :class:`UnitMetrics` is wired from.
+    Pass a :class:`~repro.obs.tracer.Tracer` to get a full trace —
+    per-phase spans, DBDS candidate and decision events.  Without one,
+    the compiler records into the ambient tracer (a CLI verb's
+    ``--trace-out``/``--metrics-out``/... tracer, so the verb's trace
+    holds every compile; by default the no-op ``NULL_TRACER``).  The
+    per-unit counts of :class:`UnitMetrics` come from what the
+    duplication phases return, never from the tracer.
 
     ``check_ir`` selects the IR sanitizer mode (``--check-ir``): ``off``
     (default), ``boundaries`` (pipeline entry/exit only), or
-    ``each-phase`` (around every optimization phase, with phase-blame
-    diagnostics).  ``fail_fast=False`` collects every violation instead
-    of raising :class:`~repro.analysis.PhaseBlameError` on the first.
+    ``each-phase`` (around every optimization phase and after every
+    duplication, with phase-blame diagnostics).  ``fail_fast=False``
+    collects every violation instead of raising
+    :class:`~repro.analysis.PhaseBlameError` on the first.
     """
 
     def __init__(
@@ -69,10 +68,7 @@ class Compiler:
         fail_fast: bool = True,
     ) -> None:
         self.config = config
-        if tracer is None:
-            ambient = current_tracer()
-            tracer = ambient if ambient.enabled else Tracer(enabled=False)
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else current_tracer()
         self.guard: Optional[PhaseGuard] = (
             PhaseGuard(mode=check_ir, fail_fast=fail_fast)
             if check_ir != CHECK_OFF
@@ -98,8 +94,6 @@ class Compiler:
         tracer = self.tracer
         graph = program.function(name)
         metrics = UnitMetrics(function=name)
-        candidates_before = tracer.counter("dbds.candidates")
-        duplications_before = tracer.counter("dbds.duplications")
         span_start = len(tracer.events)
         with tracer.span("compile", function=name, config=self.config.name):
             start = time.perf_counter()
@@ -127,23 +121,21 @@ class Compiler:
                 if new_graph is not graph:
                     program.functions[name] = new_graph
                     graph = new_graph
-                tracer.count("dbds.duplications", backtracker.stats.kept)
+                metrics.duplications = backtracker.stats.kept
                 # Backtracking swaps whole graphs rather than running as
                 # a Phase, so the per-phase guard hook never sees it.
                 if self.guard is not None and self.guard.per_phase:
                     self.guard.check_boundary("backtracking", graph)
             elif self.config.enable_dbds:
-                DbdsPhase(program, self.config.dbds_config()).run(graph)
+                stats = DbdsPhase(program, self.config).run(graph)
+                metrics.candidates = stats.candidates_simulated
+                metrics.duplications = stats.duplications_performed
 
             self._cleanup_phases(program, graph)
             if self.guard is not None:
                 self.guard.check_boundary("pipeline-exit", graph)
             metrics.compile_time = time.perf_counter() - start
 
-        metrics.duplications = (
-            tracer.counter("dbds.duplications") - duplications_before
-        )
-        metrics.candidates = tracer.counter("dbds.candidates") - candidates_before
         metrics.code_size = graph_code_size(graph)
         if tracer.enabled:
             for event in tracer.events[span_start:]:
@@ -153,8 +145,6 @@ class Compiler:
                         metrics.phase_times.get(phase_name, 0.0)
                         + (event.dur or 0.0)
                     )
-        if self.config.paranoid:
-            verify_graph(graph)
         return metrics
 
     def _cleanup_phases(self, program: Program, graph: Graph) -> None:
@@ -165,8 +155,6 @@ class Compiler:
         ReadEliminationPhase(program).run(graph)
         PartialEscapeAnalysisPhase(program).run(graph)
         CanonicalizerPhase().run(graph)
-        if self.config.paranoid:
-            verify_graph(graph)
 
 
 # ----------------------------------------------------------------------

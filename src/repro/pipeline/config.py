@@ -10,12 +10,9 @@ compile-time comparison of Section 3.1.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..dbds.tradeoff import TradeOffConfig
-
-if TYPE_CHECKING:
-    from ..dbds.phase import DbdsConfig
 
 
 class CompilerConfig:
@@ -27,10 +24,12 @@ class CompilerConfig:
       instead of simulation.
     * ``enable_inlining``: run the inliner in the front end.
     * ``trade_off``: trade-off constants (ablations override).
-    * ``paranoid``: verify the IR after each phase (slow; tests enable
-      it).
-    * ``path_duplication`` (Section 8 future work): duplicate over
-      multiple merges along paths.
+    * ``max_dbds_iterations``: the bound on DBDS's simulate →
+      trade-off → optimize rounds (paper: 3).
+    * ``path_duplication`` (Section 8 future work): after a kept
+      duplication, keep duplicating along the resulting Goto chain
+      through further merges ("duplicate over multiple merges along
+      paths"; :data:`repro.dbds.phase.MAX_PATH_LENGTH` bounds a path).
     * ``enable_peeling`` (experimental): peel first iterations of
       constant-entry loops before DBDS (duplication at loop headers —
       see DESIGN.md).
@@ -41,7 +40,7 @@ class CompilerConfig:
 
     __slots__ = (
         "name", "enable_dbds", "dupalot", "backtracking", "enable_inlining",
-        "trade_off", "paranoid", "max_dbds_iterations", "path_duplication",
+        "trade_off", "max_dbds_iterations", "path_duplication",
         "enable_peeling",
     )
 
@@ -53,7 +52,6 @@ class CompilerConfig:
         backtracking: bool = False,
         enable_inlining: bool = True,
         trade_off: Optional[TradeOffConfig] = None,
-        paranoid: bool = False,
         max_dbds_iterations: int = 3,
         path_duplication: bool = False,
         enable_peeling: bool = False,
@@ -64,7 +62,6 @@ class CompilerConfig:
         self.backtracking = backtracking
         self.enable_inlining = enable_inlining
         self.trade_off = trade_off if trade_off is not None else TradeOffConfig()
-        self.paranoid = paranoid
         self.max_dbds_iterations = max_dbds_iterations
         self.path_duplication = path_duplication
         self.enable_peeling = enable_peeling
@@ -90,17 +87,6 @@ class CompilerConfig:
         fields = {**self._fields(), "trade_off": self.trade_off.to_json()}
         payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def dbds_config(self) -> "DbdsConfig":
-        from ..dbds.phase import DbdsConfig
-
-        return DbdsConfig(
-            trade_off=self.trade_off,
-            dupalot=self.dupalot,
-            paranoid=self.paranoid,
-            max_iterations=self.max_dbds_iterations,
-            path_duplication=self.path_duplication,
-        )
 
     def with_trade_off(self, **kwargs) -> "CompilerConfig":
         """A copy whose trade-off constants have ``kwargs`` applied."""

@@ -32,9 +32,10 @@ if TYPE_CHECKING:
 class UnitMetrics:
     """Metrics of one compiled function (compilation unit).
 
-    ``duplications`` and ``candidates`` are wired from the tracer's
-    ``dbds.*`` counters; ``phase_times`` (phase name → seconds) is
-    populated only when compiling under an event-recording tracer.
+    ``duplications`` and ``candidates`` are what the unit's duplication
+    phase returned (:class:`~repro.dbds.phase.DbdsStats`, or the kept
+    pairs of the backtracking baseline); ``phase_times`` (phase name →
+    seconds) is populated only when compiling under a recording tracer.
     """
 
     __slots__ = (
@@ -157,14 +158,12 @@ class Artifact:
     ``cached`` says the artifact cache served it; ``failures`` are the
     IR violations a keep-going compile collected (such an artifact is
     never stored); ``events``/``counters`` are the compile trace (no
-    events unless the compile was recorded or came from the cache);
-    ``check_bc`` is the ``--check-bc`` mode of the translation
-    (``"rewrite"`` verifies).
+    events unless the compile was recorded or came from the cache).
     """
 
     __slots__ = (
         "program", "report", "key", "cached", "failures", "events",
-        "counters", "check_bc", "_bytecode",
+        "counters", "_bytecode",
     )
 
     def __init__(
@@ -176,7 +175,6 @@ class Artifact:
         failures: Optional[list[PhaseBlameError]] = None,
         events: Optional[list[Event]] = None,
         counters: Optional[dict[str, int]] = None,
-        check_bc: str = "off",
     ) -> None:
         self.program = program
         self.report = report
@@ -185,7 +183,6 @@ class Artifact:
         self.failures = failures if failures is not None else []
         self.events = events if events is not None else []
         self.counters = counters if counters is not None else {}
-        self.check_bc = check_bc
         self._bytecode: Any = None
 
     def bytecode(self) -> Any:
@@ -194,9 +191,7 @@ class Artifact:
         if self._bytecode is None:
             from ..vm.translate import translate_program
 
-            self._bytecode = translate_program(
-                self.program, check_bc=self.check_bc
-            )
+            self._bytecode = translate_program(self.program)
         return self._bytecode
 
     def entry(self) -> "CacheEntry":
@@ -218,7 +213,6 @@ def jit(
     tracer: Optional[Tracer] = None,
     check_ir: str = CHECK_OFF,
     fail_fast: bool = True,
-    check_bc: str = "off",
     name: str = "<source>",
     profiled: Optional["ProfiledSource"] = None,
 ) -> Artifact:
@@ -241,13 +235,10 @@ def jit(
     compiler.
 
     ``tracer`` records the compile, the profiling run if this compile
-    makes it, and the cache events (default: the ambient tracer when it
-    records, else a private counting one for the compile); a compile
-    that is stored is recorded anyway, so its entry keeps the decision
-    trace.  The artifact's ``events`` and ``counters`` are this
-    compile's alone, on a tracer shared across compiles too.
-    ``check_bc`` applies to the translation :meth:`Artifact.bytecode`
-    makes, on a cache hit as on a miss.
+    makes it, and the cache events (default: the ambient tracer); a
+    compile that is stored is recorded anyway, so its entry keeps the
+    decision trace.  The artifact's ``events`` and ``counters`` are
+    this compile's alone, on a tracer shared across compiles too.
     """
     from .cache import cache_key
 
@@ -269,7 +260,7 @@ def jit(
     if hit is not None:
         return Artifact(
             hit.program(), hit.report, key, cached=True, events=hit.events,
-            counters=hit.counters, check_bc=check_bc,
+            counters=hit.counters,
         )
     from .compiler import Compiler, ProfiledSource
 
@@ -290,7 +281,6 @@ def jit(
             for name, value in compiler.tracer.counters.items()
             if value != before.get(name)
         },
-        check_bc=check_bc,
     )
     if cache is not None and not artifact.failures:
         cache.put(artifact.entry(), tracer)
@@ -317,8 +307,7 @@ def make_engine(
     direct calls — see docs/VM.md), whose generated source
     ``codegen_cache`` (an :class:`~repro.pipeline.cache.ArtifactCache`)
     persists across processes.  VM engines run the given ``bytecode``
-    (an :meth:`Artifact.bytecode`, which owns ``--check-bc``) or an
-    unchecked translation of ``program``.  All engines report identical
+    (an :meth:`Artifact.bytecode`) or a translation of ``program``.  All engines report identical
     cycles/steps/outcomes by construction.
     """
     if engine == "reference":

@@ -298,20 +298,13 @@ def translate_graph(
     return _GraphTranslator(program, graph, functions).translate(fn)
 
 
-def translate_program(
-    program: Program,
-    check_bc: str = "off",
-) -> BytecodeProgram:
+def translate_program(program: Program) -> BytecodeProgram:
     """Translate a whole program into executable bytecode.
 
     Costs are the node cost model's, so metered VM runs report the same
-    cycle totals as the metered reference interpreter.
-
-    ``check_bc="rewrite"`` runs the static bytecode verifier
-    (:mod:`repro.analysis.bcverify`) on the freshly built streams and
-    raises :class:`~repro.analysis.bcverify.BytecodeVerificationError`
-    on any violation.  The artifact cache stores programs, not
-    bytecode, so a warm run's streams are built and checked here too.
+    cycle totals as the metered reference interpreter.  The static
+    bytecode verifier (:mod:`repro.analysis.bcverify`, ``repro check
+    --verify-bytecode``) checks what this returns.
     """
     functions = {
         name: BytecodeFunction(name, len(graph.parameters))
@@ -322,14 +315,4 @@ def translate_program(
     globals_init = tuple(
         (name, ty.default_value()) for name, ty in program.globals.items()
     )
-    bytecode = BytecodeProgram(functions, globals_init)
-    if check_bc == "rewrite":
-        from ..analysis.bcverify import (
-            BytecodeVerificationError,
-            verify_bytecode,
-        )
-
-        report = verify_bytecode(bytecode)
-        if not report.ok:
-            raise BytecodeVerificationError(report)
-    return bytecode
+    return BytecodeProgram(functions, globals_init)

@@ -88,8 +88,9 @@ def assert_configs_equivalent(source: str, entry: str, arg_sets: list[list]) -> 
     """
     per_config = {}
     for config in ALL_CONFIGS:
-        config = config.replace(paranoid=True)
-        program, _ = compile_and_profile(source, entry, arg_sets, config)
+        program, _ = compile_and_profile(
+            source, entry, arg_sets, config, check_ir="each-phase"
+        )
         per_config[config.name] = outcomes(program, entry, arg_sets)
     baseline = per_config["baseline"]
     for name, outs in per_config.items():

@@ -8,7 +8,6 @@ import re
 import pytest
 
 from repro.analysis.bcverify import (
-    BytecodeVerificationError,
     lint_megaunit_function,
     lint_megaunit_source,
     run_bc_checkers,
@@ -18,6 +17,7 @@ from repro.analysis.bcverify.lint import BANNED_NAMES, _lint_names
 from repro.ir.ops import MAX_STEPS
 from repro.pipeline.compiler import compile_and_profile
 from repro.pipeline.config import CONFIGURATIONS
+from repro.pipeline.front import jit
 from repro.vm.bytecode import OP_ADD, OP_CALL, OP_RETURN, BytecodeFunction
 from repro.vm.megaunit import (
     MEGAUNIT_NAMESPACE,
@@ -444,28 +444,13 @@ def test_counted_megaunit_lint_rejects_a_lost_counter(bytecode, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# translate_program(check_bc=...)
+# The translation every verb runs (``check --verify-bytecode`` checks it)
 # ----------------------------------------------------------------------
-def test_checked_translate_passes_clean(compiled):
-    bytecode = translate_program(compiled, check_bc="rewrite")
-    assert bytecode.function("main").code
-
-
-def test_checked_translate_raises_on_violation(compiled, monkeypatch):
-    import repro.vm.translate as translate
-
-    real = translate.BytecodeProgram
-
-    def sabotage(functions, globals_init):
-        fn = functions["main"]
-        ins = fn.code[0]
-        fn.code = (ins[:1] + (-1,) + ins[2:],) + fn.code[1:]
-        return real(functions, globals_init)
-
-    monkeypatch.setattr(translate, "BytecodeProgram", sabotage)
-    with pytest.raises(BytecodeVerificationError) as excinfo:
-        translate_program(compiled, check_bc="rewrite")
-    assert not excinfo.value.report.ok
+def test_checked_translate_passes_clean():
+    artifact = jit(LOOP_SOURCE, "main", [[8]], CONFIGURATIONS["dbds"])
+    bytecode = artifact.bytecode()
+    assert artifact.bytecode() is bytecode  # translated once
+    assert verify_bytecode(bytecode).ok
 
 
 def test_return_terminates_every_function(bytecode):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 from collections import Counter
 
@@ -164,6 +165,47 @@ def test_fuzz_holds_generated_programs_to_every_engine(monkeypatch, capsys):
         ]
         assert len(reported) == len(FUZZ_ARGS), captured.err
         assert all(" but megaunit -> " in line for line in reported)
+
+
+def test_verify_bytecode_checks_a_warm_translation(tmp_path, capsys):
+    # The cache stores programs, not bytecode: a hit's translation is
+    # made afresh, and verified as a cold one is.
+    argv = [
+        "check", str(NQUEENS), "--args", "4", "--check-ir=off",
+        "--verify-bytecode", "--cache-dir", str(tmp_path / "cache"),
+    ]
+    assert main(argv) == 0
+    out = tmp_path / "metrics.json"
+    assert main([*argv, "--metrics-out", str(out)]) == 0
+    counters = json.loads(out.read_text())["counters"]
+    assert counters["repro_cache_lookups_total"] == {"result=hit": 1}
+    assert counters["repro_bcverify_runs_total"] == {"result=ok": 1}
+
+
+def test_verify_bytecode_reports_a_sabotaged_stream(monkeypatch, capsys):
+    import repro.vm.translate as translate
+
+    real = translate.BytecodeProgram
+
+    def sabotage(functions, globals_init):
+        fn = functions["main"]
+        ins = fn.code[0]
+        fn.code = (ins[:1] + (-1,) + ins[2:],) + fn.code[1:]
+        return real(functions, globals_init)
+
+    monkeypatch.setattr(translate, "BytecodeProgram", sabotage)
+    argv = ["check", str(NQUEENS), "--args", "4", "--check-ir=off"]
+    assert main([*argv, "--verify-bytecode"]) == 1
+    captured = capsys.readouterr()
+    assert "failure(s)" in captured.out
+    lines = captured.err.splitlines()
+    assert (
+        f"{NQUEENS}: error[bc-structure] main: pc 0: negative cycle cost -1"
+        in lines
+    )
+    assert all(line.startswith(f"{NQUEENS}: error[bc-") for line in lines)
+    # Without the verifier nothing reads the stream.
+    assert main(argv) == 0
 
 
 def test_run_accepts_check_ir(capsys):

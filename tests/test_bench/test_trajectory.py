@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.harness import run_suite
+from repro.bench.harness import DEFAULT_TRAJECTORY_PATH, run_suite
 from repro.bench.trajectory import (
     TRAJECTORY_SCHEMA_VERSION,
     append_trajectory,
@@ -15,6 +15,7 @@ from repro.bench.trajectory import (
 )
 from repro.bench.workloads.suites import ALL_SUITES
 from repro.pipeline.config import CONFIGURATIONS
+from tests.helpers import REPO
 
 
 def make_entry(
@@ -189,3 +190,17 @@ def test_committed_trajectory_gates_a_real_run(micro_entry, tmp_path):
     worse = json.loads(json.dumps(micro_entry))
     worse["configs"]["dbds"]["median_cycles"] *= 1.2
     assert len(check_regression(trajectory, worse, 0.05)) == 1
+
+
+def test_committed_trajectory_carries_todays_fingerprints():
+    """``check_regression`` skips a config whose fingerprint differs
+    from the committed entry's, so CI's ``bench --check-regression``
+    gates nothing once a config changes, until a fresh entry
+    (``bench --append-trajectory``) is committed."""
+    trajectory = load_trajectory(REPO / DEFAULT_TRAJECTORY_PATH)
+    entry = last_comparable_entry(trajectory, {"suite": "micro", "seed": 0})
+    assert entry is not None
+    committed = {name: c["fingerprint"] for name, c in entry["configs"].items()}
+    assert committed == {
+        name: CONFIGURATIONS[name].fingerprint() for name in committed
+    }

@@ -17,9 +17,9 @@ from tests.helpers import assert_configs_equivalent
 
 
 def compile_dbds(source: str, entry: str, profile_args):
-    config = DBDS.replace(paranoid=True)
-    program, report = compile_and_profile(source, entry, profile_args, config)
-    return program, report
+    return compile_and_profile(
+        source, entry, profile_args, DBDS, check_ir="each-phase"
+    )
 
 
 def instructions_of(graph, kind):

@@ -3,11 +3,14 @@
 
 import pytest
 
-from repro.dbds.phase import DbdsConfig, DbdsPhase
+from repro.analysis.blame import PhaseGuard, use_guard
+from repro.dbds import phase
+from repro.dbds.phase import DbdsPhase
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import verify_graph
-from repro.pipeline.config import PATH_DBDS
+from repro.obs.tracer import Tracer, use_tracer
+from repro.pipeline.config import DBDS, PATH_DBDS
 from tests.helpers import outcomes
 
 # An inner merge with a local fold whose Goto leads straight into an
@@ -28,6 +31,25 @@ fn f(x: int, y: int) -> int {
 }
 """
 
+# Nested diamonds, each enclosing merge computing its value from the
+# one it joins: the kept duplication of the innermost merge into its
+# constant predecessor continues through both enclosing merges.
+NESTED = """
+fn f(a: int, b: int, c: int, x: int) -> int {
+  var p: int;
+  var q: int;
+  var r: int;
+  if (c > 0) {
+    if (b > 0) {
+      if (a > 0) { p = 1; } else { p = x; }
+      q = p * 4 + 1;
+    } else { q = x; }
+    r = q * 4 + 1;
+  } else { r = x; }
+  return r * 3;
+}
+"""
+
 
 class TestPathExtension:
     def test_single_iteration_reaches_deeper(self):
@@ -35,14 +57,15 @@ class TestPathExtension:
         duplications than plain mode (which needs iteration 2+)."""
         plain_program = compile_source(CHAINED)
         plain_stats = DbdsPhase(
-            plain_program, DbdsConfig(max_iterations=1)
+            plain_program, DBDS.replace(max_dbds_iterations=1)
         ).run(plain_program.function("f"))
 
         path_program = compile_source(CHAINED)
-        path_stats = DbdsPhase(
-            path_program,
-            DbdsConfig(max_iterations=1, path_duplication=True, paranoid=True),
-        ).run(path_program.function("f"))
+        with use_guard(PhaseGuard()):
+            path_stats = DbdsPhase(
+                path_program,
+                DBDS.replace(max_dbds_iterations=1, path_duplication=True),
+            ).run(path_program.function("f"))
 
         assert path_stats.duplications_performed > plain_stats.duplications_performed
         verify_graph(path_program.function("f"))
@@ -51,28 +74,34 @@ class TestPathExtension:
         program = compile_source(CHAINED)
         args = [[x, y] for x in range(-2, 8) for y in range(-2, 9)]
         expected = outcomes(program, "f", args)
-        DbdsPhase(
-            program, DbdsConfig(path_duplication=True, paranoid=True)
-        ).run(program.function("f"))
+        with use_guard(PhaseGuard()):
+            DbdsPhase(program, PATH_DBDS).run(program.function("f"))
         assert outcomes(program, "f", args) == expected
 
-    def test_path_length_limit(self):
-        # Stack several merges; a tiny limit must bound the chain.
-        source = "fn f(x: int) -> int {\n  var acc: int = x;\n"
-        for j in range(5):
-            source += (
-                f"  var p{j}: int;\n"
-                f"  if (acc > {j}) {{ p{j} = acc; }} else {{ p{j} = {j}; }}\n"
-                f"  acc = acc + p{j} * 2;\n"
-            )
-        source += "  return acc;\n}\n"
-        program = compile_source(source)
-        limited = DbdsPhase(
-            program,
-            DbdsConfig(max_iterations=1, path_duplication=True, max_path_length=1),
-        ).run(program.function("f"))
-        assert limited.duplications_performed >= 1
-        verify_graph(program.function("f"))
+    def test_path_length_limit(self, monkeypatch):
+        """The chain NESTED allows (two merges after the kept
+        duplication) stops at MAX_PATH_LENGTH merges."""
+        for limit in (1, 2):
+            monkeypatch.setattr(phase, "MAX_PATH_LENGTH", limit)
+            program = compile_source(NESTED)
+            tracer = Tracer()
+            with use_tracer(tracer):
+                stats = DbdsPhase(
+                    program,
+                    DBDS.replace(max_dbds_iterations=1, path_duplication=True),
+                ).run(program.function("f"))
+            accepted = [
+                e.attrs for e in tracer.named("dbds.decision")
+                if e.attrs["accepted"]
+            ]
+            hops = [d for d in accepted if d["mode"] == "path"]
+            assert len(hops) == limit
+            # One chain: the hops follow the kept duplication they extend.
+            start = accepted.index(hops[0])
+            assert accepted[start - 1]["mode"] == "dbds"
+            assert accepted[start:start + limit] == hops
+            assert stats.duplications_performed == len(accepted)
+            verify_graph(program.function("f"))
 
     def test_respects_budget(self):
         from repro.dbds.tradeoff import TradeOffConfig
@@ -80,16 +109,12 @@ class TestPathExtension:
         program = compile_source(CHAINED)
         stats = DbdsPhase(
             program,
-            DbdsConfig(
-                path_duplication=True,
-                trade_off=TradeOffConfig(max_unit_size=1.0),
-            ),
+            PATH_DBDS.replace(trade_off=TradeOffConfig(max_unit_size=1.0)),
         ).run(program.function("f"))
         assert stats.duplications_performed == 0
 
     def test_config_wiring(self):
         assert PATH_DBDS.path_duplication
-        assert PATH_DBDS.dbds_config().path_duplication
 
     def test_pipeline_config_semantics(self):
         from repro.pipeline.compiler import compile_and_profile
@@ -101,6 +126,7 @@ class TestPathExtension:
             "  return t;\n}\n"
         )
         reference = outcomes(compile_source(source), "main", [[0], [3], [9]])
-        config = PATH_DBDS.replace(paranoid=True)
-        program, report = compile_and_profile(source, "main", [[9]], config)
+        program, report = compile_and_profile(
+            source, "main", [[9]], PATH_DBDS, check_ir="each-phase"
+        )
         assert outcomes(program, "main", [[0], [3], [9]]) == reference

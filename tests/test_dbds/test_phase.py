@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.dbds.phase import DbdsConfig, DbdsPhase
+from repro.analysis.blame import PhaseBlameError, PhaseGuard, use_guard
+from repro.dbds import phase
+from repro.dbds.phase import DbdsPhase
 from repro.dbds.tradeoff import TradeOffConfig
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
-from repro.ir import verify_graph, verify_program
+from repro.ir import If, verify_graph, verify_program
 from repro.costmodel.estimator import estimated_run_time
 from repro.obs.tracer import Tracer, use_tracer
+from repro.pipeline.compiler import Compiler
+from repro.pipeline.config import DBDS
 
 
 OPPORTUNITY_RICH = """
@@ -27,7 +31,8 @@ class TestDriver:
     def test_duplications_performed_and_verified(self):
         program = compile_source(OPPORTUNITY_RICH)
         graph = program.function("f")
-        stats = DbdsPhase(program, DbdsConfig(paranoid=True)).run(graph)
+        with use_guard(PhaseGuard()):
+            stats = DbdsPhase(program).run(graph)
         assert stats.duplications_performed > 0
         assert stats.candidates_simulated > 0
         verify_graph(graph)
@@ -36,7 +41,8 @@ class TestDriver:
         program = compile_source(OPPORTUNITY_RICH)
         graph = program.function("f")
         expected = [Interpreter(program).run("f", [k]).value for k in range(-5, 6)]
-        DbdsPhase(program, DbdsConfig(paranoid=True)).run(graph)
+        with use_guard(PhaseGuard()):
+            DbdsPhase(program).run(graph)
         actual = [Interpreter(program).run("f", [k]).value for k in range(-5, 6)]
         assert actual == expected
 
@@ -50,7 +56,7 @@ class TestDriver:
     def test_iteration_cap_respected(self):
         program = compile_source(OPPORTUNITY_RICH)
         graph = program.function("f")
-        stats = DbdsPhase(program, DbdsConfig(max_iterations=1)).run(graph)
+        stats = DbdsPhase(program, DBDS.replace(max_dbds_iterations=1)).run(graph)
         assert stats.iterations == 1
 
     def test_max_three_iterations_default(self):
@@ -74,11 +80,37 @@ class TestDriver:
         assert stats.final_size > 0
 
 
+class TestCheckedDuplications:
+    def test_each_phase_blames_the_duplication_that_broke_the_ir(
+        self, monkeypatch
+    ):
+        """``--check-ir=each-phase`` checks the IR after every
+        duplication, so a broken one is blamed as itself, before the
+        phases after it run."""
+        duplicate_into = phase.duplicate_into
+
+        def corrupting(graph, pred, merge):
+            mapping = duplicate_into(graph, pred, merge)
+            branch = next(
+                b.terminator for b in graph.blocks if isinstance(b.terminator, If)
+            )
+            branch.true_probability = 9.0
+            return mapping
+
+        monkeypatch.setattr(phase, "duplicate_into", corrupting)
+        program = compile_source(OPPORTUNITY_RICH)
+        compiler = Compiler(DBDS, check_ir="each-phase")
+        with pytest.raises(PhaseBlameError) as info:
+            compiler.compile_program(program)
+        assert info.value.phase == "dbds-duplication"
+        assert info.value.checkers == ["block-structure"]
+
+
 class TestBudgetEnforcement:
     def test_tiny_unit_cap_blocks_duplication(self):
         program = compile_source(OPPORTUNITY_RICH)
         graph = program.function("f")
-        config = DbdsConfig(trade_off=TradeOffConfig(max_unit_size=1.0))
+        config = DBDS.replace(trade_off=TradeOffConfig(max_unit_size=1.0))
         stats = DbdsPhase(program, config).run(graph)
         assert stats.duplications_performed == 0
 
@@ -94,7 +126,7 @@ class TestBudgetEnforcement:
         source += "  return acc;\n}\n"
         program = compile_source(source)
         graph = program.function("f")
-        config = DbdsConfig(trade_off=TradeOffConfig(increase_budget=1.1))
+        config = DBDS.replace(trade_off=TradeOffConfig(increase_budget=1.1))
         stats = DbdsPhase(program, config).run(graph)
         assert stats.final_size < stats.initial_size * 1.3
 
@@ -107,7 +139,7 @@ class TestDupalot:
         dbds_stats = DbdsPhase(p1).run(g1)
         p2 = compile_source(source)
         g2 = p2.function("f")
-        dup_stats = DbdsPhase(p2, DbdsConfig(dupalot=True)).run(g2)
+        dup_stats = DbdsPhase(p2, DBDS.replace(dupalot=True)).run(g2)
         assert dup_stats.duplications_performed >= dbds_stats.duplications_performed
 
     def test_dupalot_ignores_cost(self):
@@ -134,23 +166,22 @@ fn f(x: int) -> int {
         collector = profile_program(p1, "f", [[k] for k in range(1, 60)])
         apply_profile(p1, collector)
         g1 = p1.function("f")
-        strict = DbdsConfig(
-            trade_off=TradeOffConfig(benefit_scale=4.0)
-        )
+        strict = DBDS.replace(trade_off=TradeOffConfig(benefit_scale=4.0))
         dbds_stats = DbdsPhase(p1, strict).run(g1)
 
         p2 = compile_source(source)
         collector = profile_program(p2, "f", [[k] for k in range(1, 60)])
         apply_profile(p2, collector)
         g2 = p2.function("f")
-        dup_stats = DbdsPhase(p2, DbdsConfig(dupalot=True)).run(g2)
+        dup_stats = DbdsPhase(p2, DBDS.replace(dupalot=True)).run(g2)
         assert dup_stats.duplications_performed > dbds_stats.duplications_performed
 
     def test_dupalot_semantics(self):
         program = compile_source(OPPORTUNITY_RICH)
         graph = program.function("f")
         expected = [Interpreter(program).run("f", [k]).value for k in range(-5, 6)]
-        DbdsPhase(program, DbdsConfig(dupalot=True, paranoid=True)).run(graph)
+        with use_guard(PhaseGuard()):
+            DbdsPhase(program, DBDS.replace(dupalot=True)).run(graph)
         actual = [Interpreter(program).run("f", [k]).value for k in range(-5, 6)]
         assert actual == expected
 

@@ -4,10 +4,11 @@ and consistent with what the optimizer can actually deliver."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.blame import PhaseGuard, use_guard
 from repro.analysis.progen import random_program
 from repro.bench.workloads.suites import ALL_SUITES, generate_suite
 from repro.costmodel.estimator import estimated_run_time
-from repro.dbds.phase import DbdsConfig, DbdsPhase
+from repro.dbds.phase import DbdsPhase
 from repro.dbds.simulation import SimulationTier
 from repro.frontend.irbuilder import compile_source
 from repro.interp.profile import apply_profile, profile_program
@@ -97,7 +98,8 @@ class TestEstimatorConsistency:
 
         CanonicalizerPhase().run(graph)
         before = estimated_run_time(graph)
-        DbdsPhase(program, DbdsConfig(paranoid=True)).run(graph)
+        with use_guard(PhaseGuard()):
+            DbdsPhase(program).run(graph)
         after = estimated_run_time(graph)
         # Tolerance: repair phis and edge blocks can add epsilon cost.
         assert after <= before * 1.05 + 5.0

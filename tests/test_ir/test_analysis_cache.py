@@ -35,7 +35,7 @@ def fresh_graph():
 
 def test_accessors_memoize():
     graph = fresh_graph()
-    tracer = Tracer(enabled=False)
+    tracer = Tracer()
     with use_tracer(tracer):
         dom = graph.dominator_tree()
         assert graph.dominator_tree() is dom
@@ -48,7 +48,7 @@ def test_accessors_memoize():
 
 def test_derived_analyses_reuse_cached_prerequisites():
     graph = fresh_graph()
-    tracer = Tracer(enabled=False)
+    tracer = Tracer()
     with use_tracer(tracer):
         # frequency pulls in loops pulls in dominators — each once.
         graph.block_frequencies()
@@ -76,7 +76,7 @@ def test_edge_mutation_invalidates():
 
 def test_block_removal_invalidates():
     graph = fresh_graph()
-    tracer = Tracer(enabled=False)
+    tracer = Tracer()
     with use_tracer(tracer):
         graph.dominator_tree()
         dead = graph.new_block("dead")
@@ -103,7 +103,7 @@ def test_straightline_compile_computes_each_analysis_once_per_phase():
     per-phase bound)."""
     source = "fn main(x: int) -> int { return x * 2 + 1; }"
     program = compile_source(source)
-    tracer = Tracer(enabled=False)
+    tracer = Tracer()
     with use_tracer(tracer):
         Compiler(DBDS).compile_program(program)
     for counter in COUNTERS:
@@ -117,7 +117,7 @@ def test_loopy_compile_bounded_by_mutation_count():
     small loop must stay within a small number of recomputations —
     the cached accessors cap each phase at one compute per mutation."""
     program = compile_source(LOOPY)
-    tracer = Tracer(enabled=False)
+    tracer = Tracer()
     with use_tracer(tracer):
         Compiler(DBDS).compile_program(program)
     for counter in COUNTERS:

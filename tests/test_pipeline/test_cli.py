@@ -133,13 +133,6 @@ class TestRun:
             "engine=megaunit,result=hit": 1,
         }
 
-    def test_warm_run_verifies_its_translation(self, source_file, tmp_path, capsys):
-        counters = self._warm_counters(
-            tmp_path, source_file, "--check-bc", "rewrite"
-        )
-        assert "compiled from   : cache" in capsys.readouterr().err
-        assert counters["repro_bcverify_runs_total"] == {"result=ok": 1}
-
 
 def count_calls(monkeypatch, functions=(), methods=()):
     """Count calls of each ``(module, name)`` function, wrapped at every
@@ -304,18 +297,6 @@ class TestProfileAndMetrics:
         assert data["schema"] == 1
         assert data["total_cycles"] == sum(data["stacks"].values())
 
-    def test_profile_honours_check_bc(self, source_file, tmp_path):
-        import json
-
-        out = tmp_path / "metrics.json"
-        argv = [
-            "profile", str(source_file), "--args", "20",
-            "--check-bc", "rewrite", "--metrics-out", str(out),
-        ]
-        assert main(argv) == 0
-        counters = json.loads(out.read_text())["counters"]
-        assert counters["repro_bcverify_runs_total"] == {"result=ok": 1}
-
     def test_metrics_out_json(self, source_file, tmp_path):
         import json
 
@@ -408,8 +389,9 @@ class TestArgparse:
     # verb is ``compile --profile-compile --trace-out`` plus
     # ``explain``.  ``check --fuzz N`` fuzzes generated programs and
     # mutants, each held to the oracle, whose reference run checks the
-    # stamps, and ``--verify-bytecode`` runs the verifier
-    # ``--check-bc=rewrite`` ran.
+    # stamps, and ``check --verify-bytecode`` runs the verifier
+    # ``--check-bc=rewrite`` ran on ``run``/``profile``; the regression
+    # gate's threshold is a constant.
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -446,6 +428,18 @@ class TestArgparse:
                 ["check", "{path}", "--check-bc", "rewrite"],
                 "unrecognized arguments",
             ),
+            (
+                ["run", "{path}", "--check-bc", "rewrite"],
+                "unrecognized arguments",
+            ),
+            (
+                ["profile", "{path}", "--check-bc", "rewrite"],
+                "unrecognized arguments",
+            ),
+            (
+                ["bench", "--regression-threshold", "0.1"],
+                "unrecognized arguments",
+            ),
         ],
         ids=[
             "compile --entry", "compile --args", "compile --check-bc",
@@ -453,7 +447,8 @@ class TestArgparse:
             "run --profile-run", "check --engine", "bench --profile-run",
             "explain --profile-args", "trace", "check --fuzz-mutations",
             "check --fuzz-engines", "check --dynamic-stamps",
-            "check --check-bc",
+            "check --check-bc", "run --check-bc", "profile --check-bc",
+            "bench --regression-threshold",
         ],
     )
     def test_removed_flags_rejected(self, source_file, argv, message, capsys):

@@ -220,9 +220,6 @@ OUT_OF_RANGE_OPTIONS = {
         )
         for value in ("-1", "nan")
     },
-    ("bench", "--regression-threshold", "-1"): (
-        ["--suite", "recursion", "--regression-threshold"], ">= 0",
-    ),
 }
 
 
@@ -235,9 +232,8 @@ def test_an_out_of_range_option_is_a_usage_error(
     verb, flag, value, tmp_path, capsys
 ):
     # Not a silently different run: --top -1 dropped each table's last
-    # row, -j -2 ran one job, --time-budget -1 passed having checked
-    # nothing (nan never stopped) and --regression-threshold -1 failed
-    # every config.
+    # row, -j -2 ran one job and --time-budget -1 passed having checked
+    # nothing (nan never stopped).
     argv, bound = OUT_OF_RANGE_OPTIONS[verb, flag, value]
     path = tmp_path / "prog.mini"
     path.write_text(PROGRAM)

@@ -7,7 +7,7 @@ import pytest
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import verify_program
-from repro.obs.tracer import Tracer, use_tracer
+from repro.obs.tracer import NULL_TRACER, Tracer, use_tracer
 from repro.pipeline.cache import ArtifactCache, normalize_ir
 from repro.pipeline.compiler import Compiler, ProfiledSource, compile_and_profile
 from repro.pipeline.config import (
@@ -52,10 +52,6 @@ class TestConfigurations:
         custom = DBDS.with_trade_off(benefit_scale=16.0)
         assert custom.trade_off.benefit_scale == 16.0
         assert DBDS.trade_off.benefit_scale == 256.0  # original untouched
-
-    def test_dbds_config_projection(self):
-        config = DUPALOT.dbds_config()
-        assert config.dupalot
 
 
 class TestCompiler:
@@ -129,8 +125,8 @@ class TestProfiledSource:
 
 
 class TestTracerChoice:
-    def test_compiler_counts_privately_unless_the_ambient_tracer_records(self):
-        assert not Compiler(DBDS).tracer.enabled
+    def test_compiler_records_into_the_ambient_tracer(self):
+        assert Compiler(DBDS).tracer is NULL_TRACER
         tracer = Tracer()
         with use_tracer(tracer):
             assert Compiler(DBDS).tracer is tracer

@@ -38,8 +38,9 @@ def test_all_configs_semantically_transparent(seed):
     reference_program = compile_source(source)
     reference = behaviours(reference_program, ARGS)
     for config in (BASELINE, DBDS, DUPALOT):
-        config = config.replace(paranoid=True)
-        program, _ = compile_and_profile(source, "main", ARGS[:2], config)
+        program, _ = compile_and_profile(
+            source, "main", ARGS[:2], config, check_ir="each-phase"
+        )
         assert behaviours(program, ARGS) == reference, (
             f"{config.name} changed semantics for seed {seed}\n{source}"
         )
@@ -54,8 +55,9 @@ def test_all_configs_semantically_transparent(seed):
 def test_backtracking_semantically_transparent(seed):
     source = random_program(seed)
     reference = behaviours(compile_source(source), ARGS)
-    config = BACKTRACKING.replace(paranoid=True)
-    program, _ = compile_and_profile(source, "main", ARGS[:2], config)
+    program, _ = compile_and_profile(
+        source, "main", ARGS[:2], BACKTRACKING, check_ir="each-phase"
+    )
     assert behaviours(program, ARGS) == reference, (
         f"backtracking changed semantics for seed {seed}\n{source}"
     )
