@@ -42,10 +42,13 @@ compiler picks its own engine.  ``bench --engine-report FILE`` writes
 the engine comparison matrix (docs/VM.md).  ``profile`` runs measured
 and profiled and prints per-opcode/function/block hot-path tables;
 ``run``, ``batch``, ``bench``, ``check`` and ``profile`` accept
-``--metrics-out FILE``/``--metrics-prom FILE`` to export the metrics
-snapshot, a view of the verb's one trace; ``bench
+``--metrics-out FILE`` to export the metrics snapshot as JSON, a view
+of the verb's one trace; ``bench
 --append-trajectory``/``--check-regression`` maintain the committed
-perf trajectory (docs/OBSERVABILITY.md).
+perf trajectory (docs/OBSERVABILITY.md); a ``--check-regression``
+that compared no configuration fails.  ``--config`` names one of the
+six configurations (``repro.pipeline.config``), which decides the
+phases a compile runs.
 
 A user error — a source file that cannot be read or compiled, paths
 that hold no ``.mini`` source, an unknown ``--entry`` or ``workload
@@ -318,20 +321,13 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="write the metrics snapshot as JSON (docs/OBSERVABILITY.md)",
     )
-    parser.add_argument(
-        "--metrics-prom",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="write the metrics snapshot in Prometheus text format",
-    )
 
 
 #: the options (``dest`` names) whose output is read from the verb's
 #: trace: any of them makes the verb record one
 _TELEMETRY_OPTIONS = (
-    "trace_out", "profile_compile", "metrics_out", "metrics_prom",
-    "append_trajectory", "check_regression",
+    "trace_out", "profile_compile", "metrics_out", "append_trajectory",
+    "check_regression",
 )
 
 
@@ -341,7 +337,7 @@ def _with_telemetry(impl):
     The tracer records when any of :data:`_TELEMETRY_OPTIONS` was given
     (else it is the no-op ``NULL_TRACER``).  Every layer the verb drives
     records into it, so ``--trace-out``, ``--profile-compile`` and the
-    ``--metrics-out``/``--metrics-prom`` snapshot
+    ``--metrics-out`` snapshot
     (:meth:`~repro.obs.metrics.MetricsSnapshot.from_tracer`) all read
     the same one trace.
     """
@@ -359,22 +355,18 @@ def _with_telemetry(impl):
 
 
 def _emit_metrics(args: argparse.Namespace, tracer: Tracer) -> None:
-    """Write ``--metrics-out``/``--metrics-prom`` (on the verbs that
-    take them) from the verb's trace."""
+    """Write ``--metrics-out`` (on the verbs that take it) from the
+    verb's trace."""
     out = getattr(args, "metrics_out", None)
-    prom = getattr(args, "metrics_prom", None)
-    if out is None and prom is None:
+    if out is None:
         return
     from .obs.metrics import MetricsSnapshot
 
     snapshot = MetricsSnapshot.from_tracer(tracer)
-    if out is not None:
-        _write_output(
-            out, json.dumps(snapshot.to_json(), indent=2, sort_keys=True) + "\n",
-            "metrics:",
-        )
-    if prom is not None:
-        _write_output(prom, snapshot.render_prometheus(), "metrics:")
+    _write_output(
+        out, json.dumps(snapshot.to_json(), indent=2, sort_keys=True) + "\n",
+        "metrics:",
+    )
 
 
 @_with_telemetry
@@ -672,6 +664,8 @@ def _bench_trajectory(
     from .bench.trajectory import (
         append_trajectory,
         check_regression,
+        compared_configs,
+        last_comparable_entry,
         trajectory_entry,
     )
 
@@ -686,13 +680,30 @@ def _bench_trajectory(
         ),
     )
     if trajectory is not None:
-        failures = check_regression(trajectory, entry)
+        # A gate that compared nothing passes nothing.
+        path = args.check_regression
+        baseline = last_comparable_entry(trajectory, entry)
+        compared = [] if baseline is None else compared_configs(baseline, entry)
+        if baseline is None:
+            failures = [
+                f"compared nothing: {path} holds no entry for suite "
+                f"{entry['suite']}, seed {entry['seed']}"
+            ]
+        elif not compared:
+            failures = [
+                "compared nothing: every configuration's fingerprint "
+                f"changed since the entry of {baseline.get('recorded_at')} "
+                f"in {path} (commit a fresh one: --append-trajectory)"
+            ]
+        else:
+            failures = check_regression(trajectory, entry)
         for failure in failures:
             print(f"regression: {failure}", file=sys.stderr)
         if failures:
             return 1
         print(
-            f"regression check: ok against {args.check_regression}",
+            f"regression check: ok, {len(compared)} configuration(s) "
+            f"against {path}",
             file=sys.stderr,
         )
     if args.append_trajectory is not None:
@@ -988,7 +999,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         help="fail when per-config median cycles grow more than "
         f"{DEFAULT_REGRESSION_THRESHOLD * 100:g}%% against the last "
-        "comparable trajectory entry",
+        "comparable trajectory entry, or when that entry gates no "
+        "configuration",
     )
     bench_parser.set_defaults(func=cmd_bench)
 

@@ -118,30 +118,43 @@ def verify_bytecode(
     with current_tracer().span("bcverify") as span:
         result = BcVerifyReport()
         disable = tuple(disable)
-        for fn in bytecode.functions.values():
+        lint = "bc-codegen-lint" not in disable and (
+            checkers is None or "bc-codegen-lint" in checkers
+        )
+        functions = list(bytecode.functions.values())
+        for fn in functions:
             report = run_bc_checkers(
                 fn,
                 bytecode,
                 checkers=checkers,
-                disable=disable,
+                disable=(*disable, "bc-codegen-lint"),
                 fail_fast=fail_fast,
             )
             result.reports.append(report)
             if fail_fast and not report.ok:
                 break
 
-        # The per-function checker lints each function's body in the
-        # plain megaunit module, which measured runs execute; the counted
-        # module (the text profiling runs execute) numbers its counter
-        # slots across the whole unit, so its lint is program-level
-        # (skipped when per-function verification already failed —
+        # The codegen lint reads source generated from the whole
+        # program's tables (the unit's meter width, the call targets),
+        # so one malformed stream would fail every function's lint:
         # linting source generated from a known-bad table proves
-        # nothing).
-        if (
-            "bc-codegen-lint" not in disable
-            and (checkers is None or "bc-codegen-lint" in checkers)
-            and result.ok
-        ):
+        # nothing.  The per-function lint of each body in the plain
+        # megaunit module, which measured runs execute, waits until
+        # every function passed bc-structure; the lint of the counted
+        # module (the text profiling runs execute, numbering its counter
+        # slots across the whole unit) waits for a clean report.
+        structured = not any(
+            v.checker == "bc-structure" for v in result.errors()
+        )
+        if lint and structured:
+            for fn, report in zip(functions, result.reports):
+                linted = run_bc_checkers(
+                    fn, bytecode, checkers=("bc-codegen-lint",)
+                )
+                report.violations += linted.violations
+                report.checkers_run += linted.checkers_run
+                report.checker_times.update(linted.checker_times)
+        if lint and result.ok:
             for message in lint_megaunit_source(bytecode, counted=True):
                 result.violations.append(
                     Violation(

@@ -10,10 +10,9 @@ promises:
   definitions, one per bytecode function;
 * no **banned names** anywhere (``eval``, ``exec``, ``open``, ... —
   generated code has no business reaching them) and no name reads
-  outside the closed set the compiler seeds: the fixed support
+  outside the closed set the compiler provides: the fixed support
   namespace, the whitelisted builtins, the per-function ``_mu<N>`` /
-  ``_fn<N>`` / ``_tmpl<N>`` cells, parameters, and locals assigned in
-  the function;
+  ``_fn<N>`` cells, parameters, and locals assigned in the function;
 * **balanced accounting** on the packed meter ``e = (steps << K) +
   cycles`` (``K`` from :func:`~repro.vm.megaunit.meter_width`): each
   charge literal — ``e += L`` per segment, the ``m[0] = e + L``
@@ -80,7 +79,7 @@ BANNED_NAMES = frozenset(
 )
 
 #: megaunit generated cells: entry functions, function refs, templates
-_MEGA_NAME = re.compile(r"\A(_mu\d+|_fn\d+|_tmpl\d+)\Z")
+_MEGA_NAME = re.compile(r"\A(_mu\d+|_fn\d+)\Z")
 _MEGA_DEF = re.compile(r"\A_mu(\d+)\Z")
 
 

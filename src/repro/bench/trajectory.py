@@ -7,7 +7,8 @@ the repository (``benchmarks/results/BENCH_trajectory.json``), so perf
 is a *trajectory* rather than a point: every ``repro bench
 --append-trajectory`` run adds one entry, and ``repro bench
 --check-regression`` fails when the new run's per-configuration median
-cycles regress beyond a threshold against the last committed entry.
+cycles regress beyond a threshold against the last committed entry, or
+when that entry gates no configuration at all.
 
 Gating policy: only **simulated cycles** gate.  They are deterministic
 (cost-model arithmetic, identical on every machine), so a regression
@@ -157,23 +158,15 @@ def last_comparable_entry(
     return None
 
 
-def check_regression(
-    trajectory: dict[str, Any],
-    entry: dict[str, Any],
-    threshold: float = DEFAULT_REGRESSION_THRESHOLD,
+def compared_configs(
+    baseline: dict[str, Any], entry: dict[str, Any]
 ) -> list[str]:
-    """Compare ``entry`` against the last comparable committed entry.
-
-    Returns human-readable failure strings, one per configuration whose
-    median simulated cycles grew beyond ``threshold`` (relative).  A
-    configuration whose fingerprint changed since the committed entry
-    is skipped — its constants changed, so its medians are a new
-    baseline rather than a regression.  Empty list = pass.
-    """
-    baseline = last_comparable_entry(trajectory, entry)
-    if baseline is None:
-        return []
-    failures: list[str] = []
+    """The configurations of ``entry`` that the committed ``baseline``
+    gates: those it holds too, under the same fingerprint.  A
+    configuration whose fingerprint changed is skipped — its constants
+    changed, so its medians are a new baseline rather than a
+    regression."""
+    names = []
     for name, new in entry.get("configs", {}).items():
         old = baseline.get("configs", {}).get(name)
         if old is None:
@@ -184,6 +177,28 @@ def check_regression(
             and old["fingerprint"] != new["fingerprint"]
         ):
             continue
+        names.append(name)
+    return names
+
+
+def check_regression(
+    trajectory: dict[str, Any],
+    entry: dict[str, Any],
+    threshold: float = DEFAULT_REGRESSION_THRESHOLD,
+) -> list[str]:
+    """Compare ``entry`` against the last comparable committed entry.
+
+    Returns human-readable failure strings, one per configuration
+    (of :func:`compared_configs`) whose median simulated cycles grew
+    beyond ``threshold`` (relative).  Empty list = pass.
+    """
+    baseline = last_comparable_entry(trajectory, entry)
+    if baseline is None:
+        return []
+    failures: list[str] = []
+    for name in compared_configs(baseline, entry):
+        old = baseline["configs"][name]
+        new = entry["configs"][name]
         old_cycles = old.get("median_cycles", 0.0)
         new_cycles = new.get("median_cycles", 0.0)
         if old_cycles <= 0:
@@ -211,6 +226,7 @@ __all__ = [
     "TRAJECTORY_SCHEMA_VERSION",
     "append_trajectory",
     "check_regression",
+    "compared_configs",
     "last_comparable_entry",
     "load_trajectory",
     "trajectory_entry",

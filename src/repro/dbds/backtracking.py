@@ -22,7 +22,11 @@ from ..opts.canonicalize import CanonicalizerPhase
 from ..opts.condelim import ConditionalEliminationPhase
 from ..opts.pea import PartialEscapeAnalysisPhase
 from ..opts.readelim import ReadEliminationPhase
+from . import tradeoff
 from .duplicate import can_duplicate, duplicate_into
+
+#: the kept duplications one run stops at
+MAX_DUPLICATIONS = 50
 
 
 class BacktrackingStats:
@@ -40,15 +44,8 @@ class BacktrackingDuplication:
 
     name = "backtracking-duplication"
 
-    def __init__(
-        self,
-        program: Optional[Program] = None,
-        max_duplications: int = 50,
-        size_budget_factor: float = 1.5,
-    ) -> None:
+    def __init__(self, program: Optional[Program] = None) -> None:
         self.program = program
-        self.max_duplications = max_duplications
-        self.size_budget_factor = size_budget_factor
         self.stats = BacktrackingStats()
 
     def run(self, graph: Graph) -> Graph:
@@ -65,13 +62,13 @@ class BacktrackingDuplication:
             )
 
     def _run(self, graph: Graph) -> Graph:
-        initial_size = graph_code_size(graph)
-        size_limit = initial_size * self.size_budget_factor
+        # The unit may grow as far as the trade-off tier's IB lets DBDS.
+        size_limit = graph_code_size(graph) * tradeoff.INCREASE_BUDGET
         # Index of the next predecessor-merge pair to try.  A rollback
         # replaces the whole graph object, so the position (not block
         # identity) carries across — copy_graph preserves block order.
         skip = 0
-        while self.stats.kept < self.max_duplications:
+        while self.stats.kept < MAX_DUPLICATIONS:
             pairs = [
                 (merge, pred)
                 for merge in graph.merge_blocks()

@@ -31,11 +31,15 @@ from .simulation import SimulationResult, SimulationTier
 from .tradeoff import (
     REASON_INVALIDATED,
     TradeOffDecision,
+    dupalot_decision,
     emit_decision,
     evaluate_candidate,
     sort_candidates,
 )
 
+
+#: Section 5.2: the bound on the simulate → trade-off → optimize rounds.
+MAX_DBDS_ITERATIONS = 3
 
 #: Section 5.2: another round runs only when the last one gained at
 #: least this much cumulative weighted benefit.
@@ -72,8 +76,9 @@ class DbdsStats:
 
 class DbdsPhase(Phase):
     """Dominance-based duplication simulation, end to end, under the
-    configuration's ``trade_off``, ``dupalot``, ``max_dbds_iterations``
-    and ``path_duplication``."""
+    configuration's ``trade_off``; the ``dupalot`` configuration skips
+    the trade-off and ``path-dbds`` extends kept duplications along
+    paths."""
 
     name = "dbds"
 
@@ -84,17 +89,16 @@ class DbdsPhase(Phase):
         self.config = config
 
     def run(self, graph: Graph) -> DbdsStats:
-        config = self.config
         tracer = current_tracer()
         stats = DbdsStats(initial_size=graph_code_size(graph))
-        for iteration in range(config.max_dbds_iterations):
+        for iteration in range(MAX_DBDS_ITERATIONS):
             stats.iterations += 1
             # ---------------- Tier 1: simulation -----------------------
             candidates = SimulationTier(graph, self.program).run()
             stats.candidates_simulated += len(candidates)
             tracer.count("dbds.candidates", len(candidates))
             # ---------------- Tier 2: trade-off -------------------------
-            ranked = sort_candidates(candidates, config.trade_off)
+            ranked = sort_candidates(candidates, self.config.trade_off)
             # ---------------- Tier 3: optimization ----------------------
             duplications = stats.duplications_performed
             round_benefit = self._optimize(graph, ranked, stats, tracer, iteration)
@@ -114,18 +118,10 @@ class DbdsPhase(Phase):
     ) -> TradeOffDecision:
         """Evaluate one candidate under the configured policy (the
         dupalot configuration skips the cost/benefit trade-off)."""
-        config = self.config
-        if config.dupalot:
-            return TradeOffDecision(
-                weighted=candidate.weighted_benefit,
-                threshold_term=candidate.benefit > 0,
-                unit_size_term=current_size < config.trade_off.max_unit_size,
-                budget_term=True,
-                current_size=current_size,
-                initial_size=initial_size,
-            )
+        if self.config.name == "dupalot":
+            return dupalot_decision(candidate, current_size, initial_size)
         return evaluate_candidate(
-            candidate, current_size, initial_size, config.trade_off
+            candidate, current_size, initial_size, self.config.trade_off
         )
 
     @staticmethod
@@ -156,8 +152,8 @@ class DbdsPhase(Phase):
     ) -> float:
         """Apply the accepted candidates of one round, each judged
         against the unit's size after the duplications before it."""
-        config = self.config
-        mode = "dupalot" if config.dupalot else "dbds"
+        mode = "dupalot" if self.config.name == "dupalot" else "dbds"
+        paths = self.config.name == "path-dbds"
         round_benefit = 0.0
         for candidate in ranked:
             if not self._still_valid(graph, candidate):
@@ -187,7 +183,7 @@ class DbdsPhase(Phase):
                 continue
             self._duplicate(graph, candidate, stats, tracer)
             round_benefit += candidate.weighted_benefit
-            if config.path_duplication:
+            if paths:
                 round_benefit += self._extend_along_path(
                     graph, candidate.pred, stats, tracer, iteration
                 )

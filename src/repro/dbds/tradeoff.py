@@ -25,29 +25,28 @@ BENEFIT_SCALE = 256.0
 #: IB — max code size growth per compilation unit (paper: 1.5 = 150%).
 INCREASE_BUDGET = 1.5
 #: MS — absolute compilation-unit size cap (HotSpot install limit
-#: stand-in, in cost-model size units).
+#: stand-in, in cost-model size units).  Read at call time, by the
+#: trade-off tier and by dupalot alike.
 MAX_UNIT_SIZE = 20_000.0
 
 
 class TradeOffConfig:
-    """Tunable constants of the heuristic (ablation benches sweep them).
-
-    With ``use_probability`` False, probabilities are ignored (ablation
-    A1).
+    """The constants of the heuristic that ablation A1 sweeps: BS, IB
+    and whether probabilities weight the benefit (with
+    ``use_probability`` False they are ignored).  MS is the constant
+    :data:`MAX_UNIT_SIZE`.
     """
 
-    __slots__ = ("benefit_scale", "increase_budget", "max_unit_size", "use_probability")
+    __slots__ = ("benefit_scale", "increase_budget", "use_probability")
 
     def __init__(
         self,
         benefit_scale: float = BENEFIT_SCALE,
         increase_budget: float = INCREASE_BUDGET,
-        max_unit_size: float = MAX_UNIT_SIZE,
         use_probability: bool = True,
     ) -> None:
         self.benefit_scale = benefit_scale
         self.increase_budget = increase_budget
-        self.max_unit_size = max_unit_size
         self.use_probability = use_probability
 
     def to_json(self) -> dict:
@@ -126,8 +125,24 @@ def evaluate_candidate(
     return TradeOffDecision(
         weighted=b * p,
         threshold_term=b * p * cfg.benefit_scale > c,
-        unit_size_term=current_size < cfg.max_unit_size,
+        unit_size_term=current_size < MAX_UNIT_SIZE,
         budget_term=current_size + c < initial_size * cfg.increase_budget,
+        current_size=current_size,
+        initial_size=initial_size,
+    )
+
+
+def dupalot_decision(
+    candidate: SimulationResult, current_size: float, initial_size: float
+) -> TradeOffDecision:
+    """Dupalot's predicate (Section 6.1: DBDS "without cost/benefit
+    trade-off"): every positive-benefit candidate while the unit is
+    under MS; neither BS nor IB applies."""
+    return TradeOffDecision(
+        weighted=candidate.weighted_benefit,
+        threshold_term=candidate.benefit > 0,
+        unit_size_term=current_size < MAX_UNIT_SIZE,
+        budget_term=True,
         current_size=current_size,
         initial_size=initial_size,
     )

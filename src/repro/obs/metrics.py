@@ -22,9 +22,8 @@ batch's workers hand their traces to the parent's
 (:func:`~repro.pipeline.batch.compile_batch`), so serial and parallel
 batches fold to the same totals.
 
-Two exporters: :meth:`MetricsSnapshot.to_json` (the ``--metrics-out``
-payload) and :meth:`MetricsSnapshot.render_prometheus` (text
-exposition).
+One exporter: :meth:`MetricsSnapshot.to_json`, the ``--metrics-out``
+payload.
 """
 
 from __future__ import annotations
@@ -61,41 +60,12 @@ HISTOGRAM_BUCKETS: dict[str, tuple[float, ...]] = {
     "repro_bcverify_seconds": SECONDS_BUCKETS,
 }
 
-#: HELP strings for the Prometheus exposition
-METRIC_HELP: dict[str, str] = {
-    "repro_cache_lookups_total": "Artifact-cache lookups by result (hit/miss).",
-    "repro_cache_stores_total": "Artifact-cache entries written.",
-    "repro_cache_evictions_total": "Corrupted artifact-cache entries evicted.",
-    "repro_cache_entry_bytes": "Artifact-cache entry payload sizes.",
-    "repro_batch_queue_depth": "Batch jobs queued for workers (peak over batches).",
-    "repro_batch_jobs_total": "Batch jobs by outcome (cached/compiled/error).",
-    "repro_batch_job_seconds": "Per-job batch compile latency.",
-    "repro_compile_units_total": "Compilation units optimized.",
-    "repro_compile_unit_seconds": "Wall time per compilation unit.",
-    "repro_compile_phase_seconds": "Wall time per optimization-phase run.",
-    "repro_dbds_candidates_total": "DBDS duplication candidates simulated.",
-    "repro_dbds_decisions_total": "DBDS trade-off decisions by outcome.",
-    "repro_dbds_duplications_total": "Duplications performed by the DBDS tier.",
-    "repro_dbds_backtrack_total": "Backtracking-baseline attempts by outcome.",
-    "repro_analysis_violations_total": "IR sanitizer findings by severity.",
-    "repro_vm_runs_total": "Measured program executions by engine.",
-    "repro_profile_runs_total": "Profiling runs by the engine that profiled.",
-    "repro_bcverify_runs_total": "Bytecode verifier runs by result (ok/fail).",
-    "repro_bcverify_seconds": "Wall time per bytecode verifier run.",
-}
-
 #: label-set key used inside snapshots: "" or "k=v,k2=v2" (sorted)
 LabelKey = str
 
 
 def label_key(labels: dict[str, Any]) -> LabelKey:
     return ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-
-
-def parse_label_key(key: LabelKey) -> dict[str, str]:
-    if not key:
-        return {}
-    return dict(part.split("=", 1) for part in key.split(","))
 
 
 # ----------------------------------------------------------------------
@@ -106,8 +76,7 @@ class HistogramData:
     """One labeled histogram series: cumulative-free bucket counts.
 
     ``counts`` has ``len(buckets) + 1`` slots — the final slot is the
-    overflow (``+Inf``) bucket.  The Prometheus renderer emits the
-    conventional cumulative ``_bucket{le=...}`` form.
+    overflow (``+Inf``) bucket.
     """
 
     buckets: tuple[float, ...]
@@ -286,59 +255,3 @@ class MetricsSnapshot:
                 for n, s in sorted(self.histograms.items())
             },
         }
-
-    # -- Prometheus text exposition -------------------------------------
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        lines: list[str] = []
-
-        def header(name: str, kind: str) -> None:
-            help_text = METRIC_HELP.get(name, name.replace("_", " "))
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-
-        def fmt_labels(key: LabelKey, extra: str = "") -> str:
-            parts = [
-                f'{k}="{v}"' for k, v in sorted(parse_label_key(key).items())
-            ]
-            if extra:
-                parts.append(extra)
-            return "{" + ",".join(parts) + "}" if parts else ""
-
-        def fmt_value(value: float) -> str:
-            return repr(value) if isinstance(value, float) else str(value)
-
-        for name in sorted(self.counters):
-            header(name, "counter")
-            for key in sorted(self.counters[name]):
-                lines.append(
-                    f"{name}{fmt_labels(key)} "
-                    f"{fmt_value(self.counters[name][key])}"
-                )
-        for name in sorted(self.gauges):
-            header(name, "gauge")
-            for key in sorted(self.gauges[name]):
-                lines.append(
-                    f"{name}{fmt_labels(key)} "
-                    f"{fmt_value(self.gauges[name][key])}"
-                )
-        for name in sorted(self.histograms):
-            header(name, "histogram")
-            for key in sorted(self.histograms[name]):
-                data = self.histograms[name][key]
-                cumulative = 0
-                for bound, count in zip(data.buckets, data.counts):
-                    cumulative += count
-                    le = 'le="' + fmt_value(bound) + '"'
-                    lines.append(
-                        f"{name}_bucket{fmt_labels(key, le)} {cumulative}"
-                    )
-                inf = 'le="+Inf"'
-                lines.append(
-                    f"{name}_bucket{fmt_labels(key, inf)} {data.count}"
-                )
-                lines.append(
-                    f"{name}_sum{fmt_labels(key)} {fmt_value(data.sum)}"
-                )
-                lines.append(f"{name}_count{fmt_labels(key)} {data.count}")
-        return "\n".join(lines) + "\n"

@@ -22,31 +22,30 @@ from .base import Phase
 from ..ir.nodes import Call, Constant, Goto, Phi, Return, Value
 from ..ir.types import VOID
 
+#: callees with more instructions than this are not inlined
+MAX_CALLEE_SIZE = 80
+#: inlining passes over a caller's calls (each inlines what the last
+#: one exposed)
+MAX_ROUNDS = 4
+#: a caller stops inlining at this multiple of its initial size ...
+CALLER_GROWTH_FACTOR = 4.0
+#: ... or at this many instructions, whichever is smaller
+CALLER_SIZE_CAP = 2000
+
 
 class InliningPhase(Phase):
     """Iteratively inline small callees into a caller graph."""
 
     name = "inlining"
 
-    def __init__(
-        self,
-        program: Program,
-        max_callee_size: int = 80,
-        max_rounds: int = 4,
-        caller_growth_factor: float = 4.0,
-        caller_size_cap: int = 2000,
-    ) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
-        self.max_callee_size = max_callee_size
-        self.max_rounds = max_rounds
-        self.caller_growth_factor = caller_growth_factor
-        self.caller_size_cap = caller_size_cap
 
     def run(self, graph: Graph) -> int:
         initial_size = max(graph.instruction_count(), 1)
-        budget = min(initial_size * self.caller_growth_factor, self.caller_size_cap)
+        budget = min(initial_size * CALLER_GROWTH_FACTOR, CALLER_SIZE_CAP)
         inlined = 0
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             calls = [
                 ins
                 for block in graph.blocks
@@ -75,7 +74,7 @@ class InliningPhase(Phase):
         callee = self.program.functions.get(call.callee)
         if callee is None:
             return False
-        if callee.instruction_count() > self.max_callee_size:
+        if callee.instruction_count() > MAX_CALLEE_SIZE:
             return False
         # A callee that never returns would leave the continuation
         # unreachable and the call result undefined; keep the call.

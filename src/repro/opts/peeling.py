@@ -32,6 +32,9 @@ from ..ir.loops import Loop, LoopForest
 from ..ir.nodes import Constant, Goto, Phi, Value
 from ..ir.ssa_repair import repair_value
 
+#: the loops one :class:`LoopPeelingPhase` run peels at most
+MAX_PEELS = 4
+
 
 class PeelingError(Exception):
     """The loop cannot be peeled."""
@@ -240,18 +243,15 @@ class LoopPeelingPhase(Phase):
 
     Heuristic: a loop is worth peeling when some header phi has a
     constant input on the entry edge (the peeled iteration then folds),
-    bounded by a peel budget.  This is an experimental extension, not
-    part of the default pipeline — see DESIGN.md.
+    at most :data:`MAX_PEELS` loops per run.  This is an experimental
+    extension, not part of the default pipeline — see DESIGN.md.
     """
 
     name = "loop-peeling"
 
-    def __init__(self, max_peels: int = 4) -> None:
-        self.max_peels = max_peels
-
     def run(self, graph: Graph) -> int:
         peeled = 0
-        while peeled < self.max_peels:
+        while peeled < MAX_PEELS:
             forest = graph.loop_forest()
             candidate = self._pick(graph, forest)
             if candidate is None:

@@ -92,25 +92,25 @@ class Compiler:
 
     def _compile_function(self, program: Program, name: str) -> UnitMetrics:
         tracer = self.tracer
+        config_name = self.config.name
         graph = program.function(name)
         metrics = UnitMetrics(function=name)
         span_start = len(tracer.events)
-        with tracer.span("compile", function=name, config=self.config.name):
+        with tracer.span("compile", function=name, config=config_name):
             start = time.perf_counter()
             if self.guard is not None:
                 self.guard.check_boundary("pipeline-entry", graph)
 
-            if self.config.enable_inlining:
-                InliningPhase(program).run(graph)
+            InliningPhase(program).run(graph)
             self._cleanup_phases(program, graph)
-            if self.config.enable_peeling:
+            if config_name == "peel-dbds":
                 from ..opts.peeling import LoopPeelingPhase
 
                 LoopPeelingPhase().run(graph)
                 self._cleanup_phases(program, graph)
             metrics.initial_code_size = graph_code_size(graph)
 
-            if self.config.backtracking:
+            if config_name == "backtracking":
                 backtracker = BacktrackingDuplication(program)
                 # Not a Phase subclass, so the phase-entry hook never
                 # sees it: span it here.
@@ -126,7 +126,7 @@ class Compiler:
                 # a Phase, so the per-phase guard hook never sees it.
                 if self.guard is not None and self.guard.per_phase:
                     self.guard.check_boundary("backtracking", graph)
-            elif self.config.enable_dbds:
+            elif config_name != "baseline":
                 stats = DbdsPhase(program, self.config).run(graph)
                 metrics.candidates = stats.candidates_simulated
                 metrics.duplications = stats.duplications_performed

@@ -42,7 +42,9 @@ from .bytecode import BytecodeFunction, disassemble
 #: 6: one expression per instruction, wrapping through ``_w`` only out
 #: of range — schema-5 text is the same program in longer form, and a
 #: cached entry must be the text this codegen would generate.
-CODEGEN_SCHEMA = 6
+#: 7: no prologue seeds registers and the exec namespace holds no
+#: ``_tmpl<N>`` cells — schema-6 text reads them.
+CODEGEN_SCHEMA = 7
 
 #: default reprs embed ``id()`` addresses; scrub them so digests are
 #: pure functions of structure and compare equal across processes

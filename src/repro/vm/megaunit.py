@@ -10,8 +10,9 @@ CPython's own bytecode do the dispatch:
 
 * every bytecode function becomes one Python function
   ``_mu<N>(vm, m, r0.., d)`` — its registers are **Python locals**,
-  not a list, and the prologue seeds from the constant template only
-  those the body reads by name;
+  not a list, and nothing seeds them: constants (int, bool or null)
+  are literals, and ``bc-defuse`` proves every other register written
+  before it is read;
 * instructions are inlined as straight-line statements, **one
   expression per instruction** where it can be, since a measured run
   pays ``compile()`` for every node: interned constants inline as
@@ -183,8 +184,8 @@ _INT_MAX = "9223372036854775807"
 _STACK_HEADROOM = 64
 
 #: every fixed global name the generated module may reference
-#: (per-function cells ``_mu<N>`` / ``_fn<N>`` / ``_tmpl<N>`` are
-#: added per program and matched by pattern in the lint)
+#: (per-function cells ``_mu<N>`` / ``_fn<N>`` are added per program
+#: and matched by pattern in the lint)
 MEGAUNIT_NAMESPACE = frozenset(
     ("EvaluationTrap", "HeapObject", "HeapArray", "_finish", "_w")
 )
@@ -363,9 +364,6 @@ class _FunctionCompiler:
         self.hi = fn.const_base + fn.const_count
         self._inline: set[int] = set()
         self._spans: dict[int, int] = {}
-        #: the registers the generated text reads by name (the
-        #: prologue seeds the non-parameters among them)
-        self._read: set[int] = set()
 
     # -- helpers ---------------------------------------------------------
     def emit(self, indent: int, text: str) -> None:
@@ -375,18 +373,12 @@ class _FunctionCompiler:
         """How generated code names register ``reg``: a Python local."""
         return f"r{reg}"
 
-    def read(self, reg: int) -> str:
-        """A read of register ``reg`` by name."""
-        self._read.add(reg)
-        return self.reg(reg)
-
     def operand(self, reg: int) -> str:
-        """A register read — interned constants inline as literals."""
+        """A register read — interned constants (int, bool or null)
+        inline as literals."""
         if self.lo <= reg < self.hi:
-            value = self.fn.template[reg]
-            if value is None or type(value) in (int, bool):
-                return repr(value)
-        return self.read(reg)
+            return repr(self.fn.template[reg])
+        return self.reg(reg)
 
     def shift(self, reg: int) -> str:
         """A shift count: a literal folds to its low six bits."""
@@ -576,7 +568,7 @@ class _FunctionCompiler:
         """The budget exit of the guard at ``pc``: the meter plus the
         registers :func:`finish_live_ins` names."""
         live = "".join(
-            f", {self.read(k)}" for k in finish_live_ins(self.fn, pc)
+            f", {self.reg(k)}" for k in finish_live_ins(self.fn, pc)
         )
         self.emit(indent, f"_finish(vm, m, _fn{self.index}, e, {pc}{live})")
 
@@ -731,33 +723,6 @@ class _FunctionCompiler:
         emit(indent, f"e = m[0] + {cost}" if cost else "e = m[0]")
 
     # -- function scaffolding -------------------------------------------
-    def gen_seed(self) -> list[str]:
-        """The prologue lines seeding, from the constant template,
-        every non-parameter register the body reads by name.
-
-        So a register read before any write sees its template value, as
-        in the machine's template-copied register file.
-        Literal-representable values (the ``operand`` rule:
-        ``None``/``int``/``bool``) are grouped by repr into chained
-        assignments; anything else loads from the function's template
-        cell."""
-        fn = self.fn
-        lines = []
-        groups: dict[str, list[int]] = {}
-        for k in sorted(k for k in self._read if k >= fn.nparams):
-            value = fn.template[k]
-            if value is None or type(value) in (int, bool):
-                groups.setdefault(repr(value), []).append(k)
-            else:
-                lines.append(f"    {self.reg(k)} = _tmpl{self.index}[{k}]")
-        for literal, regs in groups.items():
-            for chunk in range(0, len(regs), 12):
-                targets = " = ".join(
-                    self.reg(k) for k in regs[chunk:chunk + 12]
-                )
-                lines.append(f"    {targets} = {literal}")
-        return lines
-
     def gen_body(self, indent: int, start: int, count: int) -> None:
         """One block's body: maximal call-free segments + call sites."""
         code = self.fn.code
@@ -798,7 +763,6 @@ class _FunctionCompiler:
         emit(1, "e = m[0]")
         if any(ins[0] in (OP_LOAD_GLOBAL, OP_STORE_GLOBAL) for ins in fn.code):
             emit(1, "state = vm.state")
-        seed_at = len(self.lines)
         headers = self.loop_headers()
         ladder = headers + [
             start
@@ -822,8 +786,6 @@ class _FunctionCompiler:
                 else:
                     emit(2, f"elif _L == {start}:")
                 self.gen_body(3, start, self._spans[start])
-        # The body is generated: it names the registers to seed.
-        self.lines[seed_at:seed_at] = self.gen_seed()
 
     def source(self) -> str:
         self.gen_function()
@@ -957,7 +919,6 @@ def _exec_module(
         counts = namespace[COUNTS_NAME] = [0] * len(sites)
     for i, fn in enumerate(order):
         namespace[f"_fn{i}"] = fn
-        namespace[f"_tmpl{i}"] = fn.template
     exec(  # noqa: S102 - the source is generated from trusted IR
         compile(source, "<megaunit>", "exec"),
         namespace,

@@ -1,7 +1,8 @@
 """The artifact-manifest digest of every paper-figure compile.
 
-Compiles every workload of every suite at seed 0 under baseline, dbds
-and dupalot, one profiling run per workload as ``run_suite`` does, and
+Compiles every workload of every suite at seed 0 under each of the six
+named configurations (``CONFIGURATIONS``), one profiling run per
+workload as ``run_suite`` does, and
 compares each compile's :func:`~repro.pipeline.cache.artifact_manifest`
 digest (optimized IR, DBDS decisions, sizes and counts) with the
 committed ``tests/goldens/manifest_digests.json``.  A change to compile
@@ -25,11 +26,11 @@ import sys
 from repro.bench.workloads.suites import ALL_SUITES, generate_suite
 from repro.obs.tracer import Tracer
 from repro.pipeline import ProfiledSource, artifact_manifest, jit
-from repro.pipeline.config import BASELINE, DBDS, DUPALOT
+from repro.pipeline.config import CONFIGURATIONS
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "manifest_digests.json"
 
-CONFIGS = (BASELINE, DBDS, DUPALOT)
+CONFIGS = tuple(CONFIGURATIONS.values())
 
 
 def manifest_digests(suites=None, seed: int = 0) -> dict[str, str]:

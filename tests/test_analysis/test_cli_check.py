@@ -198,12 +198,12 @@ def test_verify_bytecode_reports_a_sabotaged_stream(monkeypatch, capsys):
     assert main([*argv, "--verify-bytecode"]) == 1
     captured = capsys.readouterr()
     assert "failure(s)" in captured.out
-    lines = captured.err.splitlines()
-    assert (
+    # One bad stream, one failure: the codegen lint of the functions
+    # generated from the same tables waits for a well-formed program.
+    lines = [line for line in captured.err.splitlines() if "error[" in line]
+    assert lines == [
         f"{NQUEENS}: error[bc-structure] main: pc 0: negative cycle cost -1"
-        in lines
-    )
-    assert all(line.startswith(f"{NQUEENS}: error[bc-") for line in lines)
+    ]
     # Without the verifier nothing reads the stream.
     assert main(argv) == 0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dbds import backtracking, tradeoff
 from repro.dbds.backtracking import BacktrackingDuplication
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
@@ -62,7 +63,8 @@ class TestBacktracking:
         actual = [Interpreter(program).run("f", [k]).value for k in range(-4, 5)]
         assert actual == expected
 
-    def test_respects_duplication_cap(self):
+    def test_respects_duplication_cap(self, monkeypatch):
+        monkeypatch.setattr(backtracking, "MAX_DUPLICATIONS", 2)
         source = "fn f(x: int) -> int {\n  var acc: int = 0;\n"
         for i in range(6):
             source += (
@@ -73,7 +75,7 @@ class TestBacktracking:
         source += "  return acc;\n}\n"
         program = compile_source(source)
         graph = program.function("f")
-        backtracker = BacktrackingDuplication(program, max_duplications=2)
+        backtracker = BacktrackingDuplication(program)
         result = backtracker.run(graph)
         assert backtracker.stats.kept <= 2
 
@@ -84,9 +86,11 @@ class TestBacktracking:
         backtracker.run(graph)
         assert backtracker.stats.cfg_copies == backtracker.stats.attempts
 
-    def test_size_budget_stops_expansion(self):
+    def test_size_budget_stops_expansion(self, monkeypatch):
+        """The unit grows no further than the trade-off tier's IB."""
+        monkeypatch.setattr(tradeoff, "INCREASE_BUDGET", 1.0)
         program = compile_source(OPPORTUNITY)
         graph = program.function("f")
-        backtracker = BacktrackingDuplication(program, size_budget_factor=1.0)
+        backtracker = BacktrackingDuplication(program)
         result = backtracker.run(graph)
         assert backtracker.stats.kept == 0

@@ -8,6 +8,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.bench.workloads.suites import MICRO, generate_suite
+from repro.dbds import tradeoff
 from repro.dbds.simulation import SimulationTier
 from repro.dbds.tradeoff import TradeOffDecision
 from repro.frontend.irbuilder import compile_source
@@ -83,8 +84,9 @@ class TestExplainCandidates:
         assert unit.decisions and unit.duplications == 0
         assert all(not a["threshold_term"] for a, _ in unit.decisions)
 
-    def test_unit_size_term(self):
-        unit = explained(DBDS.with_trade_off(max_unit_size=1.0))
+    def test_unit_size_term(self, monkeypatch):
+        monkeypatch.setattr(tradeoff, "MAX_UNIT_SIZE", 1.0)
+        unit = explained(DBDS)
         assert unit.decisions
         assert all(not a["unit_size_term"] for a, _ in unit.decisions)
         assert "skip (compilation unit at max size)" in format_decisions([unit])

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.analysis.blame import PhaseGuard, use_guard
-from repro.dbds import phase
+from repro.dbds import phase, tradeoff
 from repro.dbds.phase import DbdsPhase
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
@@ -52,20 +52,20 @@ fn f(a: int, b: int, c: int, x: int) -> int {
 
 
 class TestPathExtension:
-    def test_single_iteration_reaches_deeper(self):
+    def test_single_iteration_reaches_deeper(self, monkeypatch):
         """With one DBDS iteration, path mode performs strictly more
         duplications than plain mode (which needs iteration 2+)."""
+        monkeypatch.setattr(phase, "MAX_DBDS_ITERATIONS", 1)
         plain_program = compile_source(CHAINED)
-        plain_stats = DbdsPhase(
-            plain_program, DBDS.replace(max_dbds_iterations=1)
-        ).run(plain_program.function("f"))
+        plain_stats = DbdsPhase(plain_program, DBDS).run(
+            plain_program.function("f")
+        )
 
         path_program = compile_source(CHAINED)
         with use_guard(PhaseGuard()):
-            path_stats = DbdsPhase(
-                path_program,
-                DBDS.replace(max_dbds_iterations=1, path_duplication=True),
-            ).run(path_program.function("f"))
+            path_stats = DbdsPhase(path_program, PATH_DBDS).run(
+                path_program.function("f")
+            )
 
         assert path_stats.duplications_performed > plain_stats.duplications_performed
         verify_graph(path_program.function("f"))
@@ -81,15 +81,13 @@ class TestPathExtension:
     def test_path_length_limit(self, monkeypatch):
         """The chain NESTED allows (two merges after the kept
         duplication) stops at MAX_PATH_LENGTH merges."""
+        monkeypatch.setattr(phase, "MAX_DBDS_ITERATIONS", 1)
         for limit in (1, 2):
             monkeypatch.setattr(phase, "MAX_PATH_LENGTH", limit)
             program = compile_source(NESTED)
             tracer = Tracer()
             with use_tracer(tracer):
-                stats = DbdsPhase(
-                    program,
-                    DBDS.replace(max_dbds_iterations=1, path_duplication=True),
-                ).run(program.function("f"))
+                stats = DbdsPhase(program, PATH_DBDS).run(program.function("f"))
             accepted = [
                 e.attrs for e in tracer.named("dbds.decision")
                 if e.attrs["accepted"]
@@ -103,18 +101,25 @@ class TestPathExtension:
             assert stats.duplications_performed == len(accepted)
             verify_graph(program.function("f"))
 
-    def test_respects_budget(self):
-        from repro.dbds.tradeoff import TradeOffConfig
-
+    def test_respects_budget(self, monkeypatch):
+        monkeypatch.setattr(tradeoff, "MAX_UNIT_SIZE", 1.0)
         program = compile_source(CHAINED)
-        stats = DbdsPhase(
-            program,
-            PATH_DBDS.replace(trade_off=TradeOffConfig(max_unit_size=1.0)),
-        ).run(program.function("f"))
+        stats = DbdsPhase(program, PATH_DBDS).run(program.function("f"))
         assert stats.duplications_performed == 0
 
     def test_config_wiring(self):
-        assert PATH_DBDS.path_duplication
+        """Only the path-dbds configuration extends along paths."""
+        modes = {}
+        for config in (DBDS, PATH_DBDS):
+            program = compile_source(NESTED)
+            tracer = Tracer()
+            with use_tracer(tracer):
+                DbdsPhase(program, config).run(program.function("f"))
+            modes[config.name] = {
+                e.attrs["mode"] for e in tracer.named("dbds.decision")
+            }
+        assert "path" in modes["path-dbds"]
+        assert modes["dbds"] == {"dbds"}
 
     def test_pipeline_config_semantics(self):
         from repro.pipeline.compiler import compile_and_profile

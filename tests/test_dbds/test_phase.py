@@ -3,16 +3,15 @@
 import pytest
 
 from repro.analysis.blame import PhaseBlameError, PhaseGuard, use_guard
-from repro.dbds import phase
+from repro.dbds import phase, tradeoff
 from repro.dbds.phase import DbdsPhase
-from repro.dbds.tradeoff import TradeOffConfig
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import If, verify_graph, verify_program
 from repro.costmodel.estimator import estimated_run_time
 from repro.obs.tracer import Tracer, use_tracer
 from repro.pipeline.compiler import Compiler
-from repro.pipeline.config import DBDS
+from repro.pipeline.config import DBDS, DUPALOT
 
 
 OPPORTUNITY_RICH = """
@@ -53,10 +52,11 @@ class TestDriver:
         DbdsPhase(program).run(graph)
         assert estimated_run_time(graph) <= before
 
-    def test_iteration_cap_respected(self):
+    def test_iteration_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(phase, "MAX_DBDS_ITERATIONS", 1)
         program = compile_source(OPPORTUNITY_RICH)
         graph = program.function("f")
-        stats = DbdsPhase(program, DBDS.replace(max_dbds_iterations=1)).run(graph)
+        stats = DbdsPhase(program, DBDS).run(graph)
         assert stats.iterations == 1
 
     def test_max_three_iterations_default(self):
@@ -107,11 +107,11 @@ class TestCheckedDuplications:
 
 
 class TestBudgetEnforcement:
-    def test_tiny_unit_cap_blocks_duplication(self):
+    def test_tiny_unit_cap_blocks_duplication(self, monkeypatch):
+        monkeypatch.setattr(tradeoff, "MAX_UNIT_SIZE", 1.0)
         program = compile_source(OPPORTUNITY_RICH)
         graph = program.function("f")
-        config = DBDS.replace(trade_off=TradeOffConfig(max_unit_size=1.0))
-        stats = DbdsPhase(program, config).run(graph)
+        stats = DbdsPhase(program, DBDS).run(graph)
         assert stats.duplications_performed == 0
 
     def test_increase_budget_limits_growth(self):
@@ -126,7 +126,7 @@ class TestBudgetEnforcement:
         source += "  return acc;\n}\n"
         program = compile_source(source)
         graph = program.function("f")
-        config = DBDS.replace(trade_off=TradeOffConfig(increase_budget=1.1))
+        config = DBDS.with_trade_off(increase_budget=1.1)
         stats = DbdsPhase(program, config).run(graph)
         assert stats.final_size < stats.initial_size * 1.3
 
@@ -139,7 +139,7 @@ class TestDupalot:
         dbds_stats = DbdsPhase(p1).run(g1)
         p2 = compile_source(source)
         g2 = p2.function("f")
-        dup_stats = DbdsPhase(p2, DBDS.replace(dupalot=True)).run(g2)
+        dup_stats = DbdsPhase(p2, DUPALOT).run(g2)
         assert dup_stats.duplications_performed >= dbds_stats.duplications_performed
 
     def test_dupalot_ignores_cost(self):
@@ -166,22 +166,29 @@ fn f(x: int) -> int {
         collector = profile_program(p1, "f", [[k] for k in range(1, 60)])
         apply_profile(p1, collector)
         g1 = p1.function("f")
-        strict = DBDS.replace(trade_off=TradeOffConfig(benefit_scale=4.0))
+        strict = DBDS.with_trade_off(benefit_scale=4.0)
         dbds_stats = DbdsPhase(p1, strict).run(g1)
 
         p2 = compile_source(source)
         collector = profile_program(p2, "f", [[k] for k in range(1, 60)])
         apply_profile(p2, collector)
         g2 = p2.function("f")
-        dup_stats = DbdsPhase(p2, DBDS.replace(dupalot=True)).run(g2)
+        dup_stats = DbdsPhase(p2, DUPALOT).run(g2)
         assert dup_stats.duplications_performed > dbds_stats.duplications_performed
+
+    def test_dupalot_respects_the_unit_cap(self, monkeypatch):
+        """MS binds dupalot as it binds the trade-off tier."""
+        monkeypatch.setattr(tradeoff, "MAX_UNIT_SIZE", 1.0)
+        program = compile_source(OPPORTUNITY_RICH)
+        stats = DbdsPhase(program, DUPALOT).run(program.function("f"))
+        assert stats.duplications_performed == 0
 
     def test_dupalot_semantics(self):
         program = compile_source(OPPORTUNITY_RICH)
         graph = program.function("f")
         expected = [Interpreter(program).run("f", [k]).value for k in range(-5, 6)]
         with use_guard(PhaseGuard()):
-            DbdsPhase(program, DBDS.replace(dupalot=True)).run(graph)
+            DbdsPhase(program, DUPALOT).run(graph)
         actual = [Interpreter(program).run("f", [k]).value for k in range(-5, 6)]
         assert actual == expected
 

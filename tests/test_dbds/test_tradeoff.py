@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dbds import tradeoff
 from repro.dbds.simulation import SimulationResult
 from repro.dbds.tradeoff import (
     BENEFIT_SCALE,
@@ -57,14 +58,12 @@ class TestShouldDuplicate:
         cold = candidate(benefit=1.0, cost=100.0, probability=0.01)
         assert should_duplicate(cold, current_size=100, initial_size=1000, config=config)
 
-    def test_max_unit_size_cap(self):
-        config = TradeOffConfig(max_unit_size=500.0)
+    def test_max_unit_size_cap(self, monkeypatch):
+        monkeypatch.setattr(tradeoff, "MAX_UNIT_SIZE", 500.0)
         assert not should_duplicate(
-            candidate(), current_size=500.0, initial_size=100, config=config
+            candidate(), current_size=500.0, initial_size=100
         )
-        assert should_duplicate(
-            candidate(), current_size=499.0, initial_size=400, config=config
-        )
+        assert should_duplicate(candidate(), current_size=499.0, initial_size=400)
 
     def test_increase_budget(self):
         # cs + c < is * 1.5

@@ -10,6 +10,7 @@ from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import verify_graph
 from repro.ir.loops import LoopForest
+from repro.opts import peeling
 from repro.opts.peeling import (
     LoopPeelingPhase,
     PeelingError,
@@ -193,7 +194,8 @@ class TestPeelingPhase:
         assert peeled == 1  # i enters as constant 0
         verify_graph(graph)
 
-    def test_phase_respects_budget(self):
+    def test_phase_respects_budget(self, monkeypatch):
+        monkeypatch.setattr(peeling, "MAX_PEELS", 2)
         source = "fn f(n: int) -> int {\n  var t: int = 0;\n"
         for k in range(6):
             source += (
@@ -203,7 +205,7 @@ class TestPeelingPhase:
         source += "  return t;\n}\n"
         program = compile_source(source)
         graph = program.function("f")
-        peeled = LoopPeelingPhase(max_peels=2).run(graph)
+        peeled = LoopPeelingPhase().run(graph)
         assert peeled == 2
         verify_graph(graph)
 

@@ -310,16 +310,6 @@ class TestProfileAndMetrics:
         assert data["counters"]["repro_compile_units_total"][""] == 2
         assert "repro_dbds_decisions_total" in data["counters"]
 
-    def test_metrics_prometheus_text(self, source_file, tmp_path):
-        out = tmp_path / "metrics.prom"
-        code = main(
-            ["run", str(source_file), "--args", "20", "--metrics-prom", str(out)]
-        )
-        assert code == 0
-        text = out.read_text()
-        assert "# TYPE repro_compile_units_total counter" in text
-        assert "# TYPE repro_compile_phase_seconds histogram" in text
-
 
 class TestTrajectoryCli:
     @pytest.fixture
@@ -371,6 +361,67 @@ class TestTrajectoryCli:
         # The failing run must not be committed to the history.
         assert len(json.loads(path.read_text())["entries"]) == 1
 
+    def test_a_gate_that_compared_nothing_fails(
+        self, tiny_suite, tmp_path, capsys
+    ):
+        """Every configuration's fingerprint changed since the last
+        entry: nothing was compared, so nothing passed."""
+        import json
+
+        path = tmp_path / "traj.json"
+        assert main(["bench", "--suite", "micro", "--append-trajectory", str(path)]) == 0
+        data = json.loads(path.read_text())
+        for config in data["entries"][0]["configs"].values():
+            config["fingerprint"] = "0" * 64
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(
+            [
+                "bench", "--suite", "micro",
+                "--check-regression", str(path),
+                "--append-trajectory", str(path),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "regression check: ok" not in err
+        assert (
+            "regression: compared nothing: every configuration's fingerprint "
+            "changed since the entry of"
+        ) in err
+        assert len(json.loads(path.read_text())["entries"]) == 1
+
+    def test_a_gate_without_a_comparable_entry_fails(
+        self, tiny_suite, tmp_path, capsys
+    ):
+        import json
+
+        path = tmp_path / "traj.json"
+        assert main(["bench", "--suite", "micro", "--append-trajectory", str(path)]) == 0
+        capsys.readouterr()
+        code = main(
+            ["bench", "--suite", "micro", "--seed", "1", "--check-regression", str(path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (
+            f"regression: compared nothing: {path} holds no entry for suite "
+            "micro, seed 1"
+        ) in err
+        assert len(json.loads(path.read_text())["entries"]) == 1
+
+    def test_a_passing_gate_counts_what_it_compared(
+        self, tiny_suite, tmp_path, capsys
+    ):
+        path = tmp_path / "traj.json"
+        assert main(["bench", "--suite", "micro", "--append-trajectory", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--suite", "micro", "--check-regression", str(path)]) == 0
+        assert (
+            f"regression check: ok, 3 configuration(s) against {path}"
+            in capsys.readouterr().err
+        )
+
 
 class TestArgparse:
     def test_unknown_command_rejected(self):
@@ -391,7 +442,8 @@ class TestArgparse:
     # mutants, each held to the oracle, whose reference run checks the
     # stamps, and ``check --verify-bytecode`` runs the verifier
     # ``--check-bc=rewrite`` ran on ``run``/``profile``; the regression
-    # gate's threshold is a constant.
+    # gate's threshold is a constant; ``--metrics-out`` is the one
+    # metrics export.
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -440,6 +492,20 @@ class TestArgparse:
                 ["bench", "--regression-threshold", "0.1"],
                 "unrecognized arguments",
             ),
+            (["run", "{path}", "--metrics-prom", "m.prom"], "unrecognized arguments"),
+            (
+                ["check", "{path}", "--metrics-prom", "m.prom"],
+                "unrecognized arguments",
+            ),
+            (
+                ["batch", "{path}", "--metrics-prom", "m.prom"],
+                "unrecognized arguments",
+            ),
+            (["bench", "--metrics-prom", "m.prom"], "unrecognized arguments"),
+            (
+                ["profile", "{path}", "--metrics-prom", "m.prom"],
+                "unrecognized arguments",
+            ),
         ],
         ids=[
             "compile --entry", "compile --args", "compile --check-bc",
@@ -448,7 +514,9 @@ class TestArgparse:
             "explain --profile-args", "trace", "check --fuzz-mutations",
             "check --fuzz-engines", "check --dynamic-stamps",
             "check --check-bc", "run --check-bc", "profile --check-bc",
-            "bench --regression-threshold",
+            "bench --regression-threshold", "run --metrics-prom",
+            "check --metrics-prom", "batch --metrics-prom",
+            "bench --metrics-prom", "profile --metrics-prom",
         ],
     )
     def test_removed_flags_rejected(self, source_file, argv, message, capsys):

@@ -372,7 +372,6 @@ def test_exhausted_step_limit_exits_3(verb, tmp_path, monkeypatch, capsys):
 OUTPUT_CASES = {
     ("run", "--trace-out"): ["{path}", "--args", "3", "--trace-out", "{out}"],
     ("run", "--metrics-out"): ["{path}", "--args", "3", "--metrics-out", "{out}"],
-    ("run", "--metrics-prom"): ["{path}", "--args", "3", "--metrics-prom", "{out}"],
     ("compile", "--trace-out"): ["{path}", "--trace-out", "{out}"],
     ("check", "--metrics-out"): ["{path}", "--args", "3", "--metrics-out", "{out}"],
     ("batch", "--trace-out"): [

@@ -13,9 +13,12 @@ from repro.pipeline.compiler import Compiler, ProfiledSource, compile_and_profil
 from repro.pipeline.config import (
     BACKTRACKING,
     BASELINE,
+    CONFIGURATION_NAMES,
     CONFIGURATIONS,
     DBDS,
     DUPALOT,
+    PATH_DBDS,
+    PEEL_DBDS,
     CompilerConfig,
 )
 from repro.pipeline.front import jit, measure_performance
@@ -39,19 +42,50 @@ fn main(n: int) -> int {
 
 class TestConfigurations:
     def test_registry_contains_paper_configs(self):
-        assert set(CONFIGURATIONS) == {
+        assert list(CONFIGURATIONS) == list(CONFIGURATION_NAMES) == [
             "baseline", "dbds", "dupalot", "backtracking", "path-dbds",
             "peel-dbds",
-        }
-        assert not BASELINE.enable_dbds
-        assert DBDS.enable_dbds and not DBDS.dupalot
-        assert DUPALOT.dupalot
-        assert BACKTRACKING.backtracking
+        ]
+        named = (BASELINE, DBDS, DUPALOT, BACKTRACKING, PATH_DBDS, PEEL_DBDS)
+        assert [c.name for c in named] == list(CONFIGURATIONS)
+        assert all(CONFIGURATIONS[c.name] is c for c in named)
+
+    def test_unknown_name_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown compiler configuration"):
+            CompilerConfig("dbds2")
+
+    def test_fingerprints_are_distinct(self):
+        fingerprints = {c.fingerprint() for c in CONFIGURATIONS.values()}
+        assert len(fingerprints) == len(CONFIGURATION_NAMES) == 6
+        assert CompilerConfig("dbds").fingerprint() == DBDS.fingerprint()
 
     def test_with_trade_off_override(self):
         custom = DBDS.with_trade_off(benefit_scale=16.0)
+        assert custom.name == "dbds"
         assert custom.trade_off.benefit_scale == 16.0
         assert DBDS.trade_off.benefit_scale == 256.0  # original untouched
+        assert custom.fingerprint() != DBDS.fingerprint()
+
+    def test_the_name_selects_the_phases(self):
+        """What a compile runs follows from the configuration's name."""
+        duplication = {"dbds", "backtracking-duplication", "loop-peeling"}
+        ran = {}
+        for name, config in CONFIGURATIONS.items():
+            tracer = Tracer()
+            Compiler(config, tracer=tracer).compile_program(
+                compile_source(SOURCE)
+            )
+            ran[name] = {
+                e.attrs["phase"] for e in tracer.named("phase")
+            } & duplication
+        assert ran == {
+            "baseline": set(),
+            "dbds": {"dbds"},
+            "dupalot": {"dbds"},
+            "backtracking": {"backtracking-duplication"},
+            "path-dbds": {"dbds"},
+            "peel-dbds": {"loop-peeling", "dbds"},
+        }
 
 
 class TestCompiler:

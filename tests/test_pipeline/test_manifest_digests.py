@@ -24,5 +24,5 @@ def test_golden_covers_every_suite_workload_and_config():
 def test_micro_suite_compiles_to_the_committed_digests():
     digests = manifest_digests(["micro"])
     golden = json.loads(GOLDEN.read_text())
-    assert len(digests) == 27
+    assert len(digests) == 9 * len(CONFIGS) == 54
     assert moved({key: golden[key] for key in digests}, digests) == []

@@ -861,16 +861,16 @@ def test_each_entrys_unit_lints_clean(counted):
 #: profiling runs execute).
 SOURCE_DIGESTS = {
     "matrix": (
-        "29088e40e9508e357c0c45c78988229dda5e3a05894a345df804b6b5755de27c",
-        "3b1e22467b84d5ed59e9c368eef4a20213f5dd8c09e459a025a29706634726b6",
+        "0d993727d86fba262ff15a869c31274941b87d5cf9a3ce2164fba28cf8a9d955",
+        "49dce786ebfc0696bf37c20658f80aa5309314e803247f57221b7709452dfa43",
     ),
     "nqueens": (
-        "694849a4dbc60aa858afe3a5fcdccb2712a9c9acbb121b908faa3d189fa953ef",
-        "4e38d227287d5700ccaa6050de7e15c2eb7eefea30629b90ddaea0d1933b8d25",
+        "83c459afbdba0fe482117701b72c37c4fcfc09e9f5f59210c29d8bfb8961032f",
+        "d1e79f8db7ca25a7607c4efbbd23282275295b9d182b7d519669d47b52adb79d",
     ),
     "wordfreq": (
-        "44d984205975e7907dcf4c3c7c7667b85a35de247870b55514893b5a6cbddd14",
-        "18bc4d3e6ceb3d28396cce7f22aba038b9b4c0affd6a5ce92a4cd7e75ab9c1ea",
+        "70a9496decbed095ed68e5c9ab02a88c373d1dd458596b8c5b0a9d43a11577a4",
+        "b3e9481434a33e1167fb7752a863be6ae3516b7a394b435f3c24aa4baab3b273",
     ),
 }
 
@@ -890,11 +890,25 @@ def test_generated_source_is_byte_stable(name):
 
 
 #: AST nodes per bytecode instruction the apps' plain modules may hold.
-#: A measured run pays ``compile()`` on every node: 34.6 per instruction
-#: with one expression per instruction, 42.5 when each add, sub, mul and
-#: neg wrapped through a five-line block and each bitwise op or shift
-#: through a mask and fold.
+#: A measured run pays ``compile()`` on every node: 33.1 per instruction
+#: with one expression per instruction and no prologue seeds, 34.6 when
+#: the prologue seeded every register the body read by name, 42.5 when
+#: each add, sub, mul and neg also wrapped through a five-line block and
+#: each bitwise op or shift through a mask and fold.
 MAX_NODES_PER_INSTRUCTION = 37
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["plain", "counted"])
+def test_generated_functions_seed_no_registers(counted):
+    """Constants are literals and ``bc-defuse`` proves every other
+    register written before it is read, so no prologue seeds registers
+    and no template cell is read."""
+    seed = re.compile(r"\s*r\d+( = r\d+)+ = None")
+    for path, args in APPS.values():
+        program, _ = compile_and_profile(open(path).read(), "main", [args], DBDS)
+        source = generate_module_source(translate_program(program), counted=counted)
+        assert "_tmpl" not in source
+        assert not [line for line in source.splitlines() if seed.fullmatch(line)]
 
 
 def test_generated_source_stays_compact():
