@@ -302,15 +302,15 @@ def _report_guard_failures(failures: list) -> int:
 def _emit_observability(args: argparse.Namespace) -> None:
     """Write ``--trace-out`` and print ``--profile-compile`` from the
     verb's tracer (see :func:`_with_telemetry`)."""
-    tracer = current_tracer()
+    events = current_tracer().events
     if args.trace_out is not None:
         with _writing(args.trace_out):
-            records = write_jsonl(tracer, args.trace_out)
+            records = write_jsonl(events, args.trace_out)
         print(f"trace: {records} records -> {args.trace_out}", file=sys.stderr)
     if args.profile_compile:
         from .obs.profile import CompileProfile
 
-        print(CompileProfile.from_tracer(tracer).format())
+        print(CompileProfile.from_events(events).format())
 
 
 def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
@@ -338,7 +338,7 @@ def _with_telemetry(impl):
     (else it is the no-op ``NULL_TRACER``).  Every layer the verb drives
     records into it, so ``--trace-out``, ``--profile-compile`` and the
     ``--metrics-out`` snapshot
-    (:meth:`~repro.obs.metrics.MetricsSnapshot.from_tracer`) all read
+    (:meth:`~repro.obs.metrics.MetricsSnapshot.from_events`) all read
     the same one trace.
     """
 
@@ -362,7 +362,7 @@ def _emit_metrics(args: argparse.Namespace, tracer: Tracer) -> None:
         return
     from .obs.metrics import MetricsSnapshot
 
-    snapshot = MetricsSnapshot.from_tracer(tracer)
+    snapshot = MetricsSnapshot.from_events(tracer.events)
     _write_output(
         out, json.dumps(snapshot.to_json(), indent=2, sort_keys=True) + "\n",
         "metrics:",
@@ -372,6 +372,15 @@ def _emit_metrics(args: argparse.Namespace, tracer: Tracer) -> None:
 @_with_telemetry
 def cmd_run(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
+    code = _run(args, cache)
+    _emit_observability(args)
+    _emit_cache_stats(args, cache)
+    return code
+
+
+def _run(args: argparse.Namespace, cache: ArtifactCache | None) -> int:
+    """Compile and measure ``args.source``; returns the exit status
+    (1 for a trap or a broken IR invariant)."""
     try:
         artifact = _jit(args, args.source, cache)
         if _report_guard_failures(artifact.failures):
@@ -397,13 +406,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"duplications    : {report.total_duplications}")
     if artifact.cached:
         print("compiled from   : cache", file=sys.stderr)
-    _emit_observability(args)
-    _emit_cache_stats(args, cache)
     return 0
 
 
 @_with_telemetry
 def cmd_compile(args: argparse.Namespace) -> int:
+    code = _compile(args)
+    _emit_observability(args)
+    return code
+
+
+def _compile(args: argparse.Namespace) -> int:
+    """Compile ``args.source`` without a profile and print its metrics;
+    returns the exit status (1 for a broken IR invariant)."""
     from .pipeline.compiler import Compiler, parse_source
 
     program = parse_source(_read_source(args.source), str(args.source))
@@ -430,7 +445,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.dump:
         print()
         print(program.describe())
-    _emit_observability(args)
     return 0
 
 

@@ -45,7 +45,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".checkers": (
         "CORE_CHECKERS",
-        "STRUCTURAL_CHECKERS",
         "StampCheckingInterpreter",
         "check_stamp_dynamic",
         "stamp_admits",
@@ -94,7 +93,6 @@ __all__ = [
     "PhaseBlameError",
     "PhaseGuard",
     "ProgramGenerator",
-    "STRUCTURAL_CHECKERS",
     "Severity",
     "StampCheckingInterpreter",
     "SourceMutator",

@@ -30,7 +30,7 @@ Entry points: :func:`verify_bytecode` (full verification of a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any
 
 from ...obs.tracer import current_tracer
 from ..core import CheckReport, Severity, Violation
@@ -105,34 +105,17 @@ class BcVerifyReport:
         }
 
 
-def verify_bytecode(
-    bytecode,
-    *,
-    checkers: Optional[Iterable[str]] = None,
-    disable: Sequence[str] = (),
-    fail_fast: bool = False,
-) -> BcVerifyReport:
-    """Statically verify every function of a translated program; the
-    ambient tracer records the run as one ``bcverify`` span carrying
-    the verdict (``ok``)."""
+def verify_bytecode(bytecode) -> BcVerifyReport:
+    """Statically verify every function of a translated program with
+    every bytecode checker, keep-going; the ambient tracer records the
+    run as one ``bcverify`` span carrying the verdict (``ok``)."""
     with current_tracer().span("bcverify") as span:
         result = BcVerifyReport()
-        disable = tuple(disable)
-        lint = "bc-codegen-lint" not in disable and (
-            checkers is None or "bc-codegen-lint" in checkers
-        )
         functions = list(bytecode.functions.values())
         for fn in functions:
-            report = run_bc_checkers(
-                fn,
-                bytecode,
-                checkers=checkers,
-                disable=(*disable, "bc-codegen-lint"),
-                fail_fast=fail_fast,
+            result.reports.append(
+                run_bc_checkers(fn, bytecode, checkers=("bc-structure", "bc-defuse"))
             )
-            result.reports.append(report)
-            if fail_fast and not report.ok:
-                break
 
         # The codegen lint reads source generated from the whole
         # program's tables (the unit's meter width, the call targets),
@@ -146,15 +129,14 @@ def verify_bytecode(
         structured = not any(
             v.checker == "bc-structure" for v in result.errors()
         )
-        if lint and structured:
+        if structured:
             for fn, report in zip(functions, result.reports):
                 linted = run_bc_checkers(
                     fn, bytecode, checkers=("bc-codegen-lint",)
                 )
                 report.violations += linted.violations
                 report.checkers_run += linted.checkers_run
-                report.checker_times.update(linted.checker_times)
-        if lint and result.ok:
+        if result.ok:
             for message in lint_megaunit_source(bytecode, counted=True):
                 result.violations.append(
                     Violation(

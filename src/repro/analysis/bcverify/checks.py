@@ -17,7 +17,7 @@ registry/report machinery as the IR and LIR sanitizers:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ...vm.bytecode import BytecodeFunction
 from ..core import (
@@ -39,13 +39,8 @@ _MAX_REPORTS = 20
 class BcCheckerContext(_ContextBase):
     """One bytecode check run: the function plus its memoized CFG."""
 
-    def __init__(
-        self,
-        fn: BytecodeFunction,
-        bytecode=None,
-        label: Optional[str] = None,
-    ) -> None:
-        super().__init__(label or fn.name)
+    def __init__(self, fn: BytecodeFunction, bytecode=None) -> None:
+        super().__init__(fn.name)
         self.fn = fn
         self.bytecode = bytecode
         self._cfg = None
@@ -243,15 +238,13 @@ def run_bc_checkers(
     fn: BytecodeFunction,
     bytecode=None,
     *,
-    label: Optional[str] = None,
     checkers: Optional[Iterable[str]] = None,
-    disable: Sequence[str] = (),
-    fail_fast: bool = False,
 ) -> CheckReport:
-    """Run bytecode checkers over one translated function."""
-    selected = _select(checkers, disable, SCOPE_BC)
-    ctx = BcCheckerContext(fn, bytecode, label=label)
-    return _execute(ctx, selected, fail_fast, CheckReport(graph=ctx.graph_name))
+    """Run bytecode checkers (``checkers`` by name, None = all) over one
+    translated function, keep-going."""
+    selected = _select(checkers, SCOPE_BC)
+    ctx = BcCheckerContext(fn, bytecode)
+    return _execute(ctx, selected, False, CheckReport(graph=ctx.graph_name))
 
 
 __all__ = ["BcCheckerContext", "run_bc_checkers"]

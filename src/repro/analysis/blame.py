@@ -15,9 +15,11 @@ The guard is ambient, mirroring the tracer: instrumentation sites call
 :func:`current_guard` instead of threading a guard argument through
 every phase constructor, and :func:`use_guard` installs one for the
 duration of a compilation.  Failures are also emitted through the
-ambient tracer as structured ``analysis.violation`` / ``analysis.blame``
-events, and the check time itself is recorded as an ``ir-check`` phase
-span so ``--profile-compile`` shows analysis overhead.
+ambient tracer: the checker runner records each violation as an
+``analysis.violation`` event, and the guard names the blamed phase in
+one ``analysis.blame`` event.  The check time itself is recorded as an
+``ir-check`` phase span so ``--profile-compile`` shows analysis
+overhead.
 
 The error a checked compile raises to the CLI, :class:`PhaseBlameError`,
 lives here, and this module loads the checker framework only when a
@@ -136,8 +138,6 @@ class PhaseGuard:
         self.fail_fast = fail_fast
         #: collected blame errors (keep-going mode; fail-fast raises)
         self.failures: list[PhaseBlameError] = []
-        #: number of checked phase/boundary points
-        self.checks = 0
 
     # ------------------------------------------------------------------
     @property
@@ -171,7 +171,6 @@ class PhaseGuard:
         from .core import Severity, Violation, run_checkers
 
         tracer = current_tracer()
-        self.checks += 1
         # The check itself appears as its own pipeline phase so compile
         # profiles attribute analysis overhead explicitly.
         with tracer.span("phase", phase="ir-check", graph=graph.name):
@@ -196,16 +195,6 @@ class PhaseGuard:
             None if before is None else before[0], dump or graph.describe()
         )
         error = PhaseBlameError(phase, graph.name, report, diff)
-        for violation in report.errors():
-            tracer.event(
-                "analysis.violation",
-                phase=phase,
-                graph=graph.name,
-                checker=violation.checker,
-                severity=violation.severity.value,
-                block=violation.block,
-                message=violation.message,
-            )
         tracer.event(
             "analysis.blame",
             phase=phase,
@@ -213,7 +202,6 @@ class PhaseGuard:
             checkers=error.checkers,
             violations=len(report.errors()),
         )
-        tracer.count("analysis.blame")
         self.failures.append(error)
         if self.fail_fast:
             raise error

@@ -47,9 +47,6 @@ CORE_CHECKERS = (
     "use-lists",
 )
 
-#: the ``verify_graph(check_dominance=False)`` subset
-STRUCTURAL_CHECKERS = ("block-structure", "edge-consistency", "phi-inputs")
-
 
 # ----------------------------------------------------------------------
 # Structural checkers (ported from the old verifier)

@@ -15,18 +15,17 @@ Two consumption styles:
 * ``run_checkers(graph, fail_fast=False)`` — CI style, collect every
   violation of every checker in one pass (``repro check --keep-going``).
 
-Per-checker wall time and violation counts are tallied on the ambient
-tracer (``analysis.checker.<name>.us`` / ``.violations``) so
-``--profile-compile`` shows what the checking itself costs, and every
-violation counts once per severity (``analysis.violations.<severity>``).
+Every violation a run finds is one ``analysis.violation`` event on the
+ambient tracer (which ``repro_analysis_violations_total`` folds by
+severity); the phase guard times its checking as ``ir-check`` phase
+spans.
 """
 
 from __future__ import annotations
 
 import enum
 import importlib
-import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from ..ir.cfgutils import reachable_blocks
 from ..ir.dominators import DominatorTree
@@ -250,16 +249,14 @@ class CheckerContext(_ContextBase):
 
 
 class CheckReport:
-    """Outcome of one ``run_checkers`` call; ``checker_times`` maps a
-    checker name to its wall seconds."""
+    """Outcome of one ``run_checkers`` call."""
 
-    __slots__ = ("graph", "violations", "checkers_run", "checker_times")
+    __slots__ = ("graph", "violations", "checkers_run")
 
     def __init__(self, graph: str) -> None:
         self.graph = graph
         self.violations: list[Violation] = []
         self.checkers_run: list[str] = []
-        self.checker_times: dict[str, float] = {}
 
     @property
     def ok(self) -> bool:
@@ -286,16 +283,10 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _select(
-    names: Optional[Iterable[str]],
-    disable: Sequence[str],
-    scope: str,
-) -> list[Checker]:
+def _select(names: Optional[Iterable[str]], scope: str) -> list[Checker]:
     if names is None:
-        selected = all_checkers(scope)
-    else:
-        selected = [get_checker(n) for n in names]
-    return [c for c in selected if c.name not in set(disable)]
+        return all_checkers(scope)
+    return [get_checker(n) for n in names]
 
 
 def _execute(
@@ -309,7 +300,6 @@ def _execute(
     for chk in selected:
         ctx._checker = chk
         before = len(ctx.violations)
-        start = time.perf_counter()
         stop = False
         try:
             chk.func(ctx)
@@ -327,28 +317,19 @@ def _execute(
             stop = fail_fast
         finally:
             ctx._checker = None
-        elapsed = time.perf_counter() - start
         report.checkers_run.append(chk.name)
-        report.checker_times[chk.name] = (
-            report.checker_times.get(chk.name, 0.0) + elapsed
-        )
-        found = len(ctx.violations) - before
-        tracer.count(f"analysis.checker.{chk.name}.us", int(elapsed * 1e6))
-        if found:
-            tracer.count(f"analysis.checker.{chk.name}.violations", found)
-            tracer.count(f"analysis.checker.{chk.name}.fail")
-            for violation in ctx.violations[before:]:
-                tracer.count(f"analysis.violations.{violation.severity.value}")
-        else:
-            tracer.count(f"analysis.checker.{chk.name}.pass")
+        for violation in ctx.violations[before:]:
+            tracer.event(
+                "analysis.violation",
+                graph=violation.graph,
+                checker=violation.checker,
+                severity=violation.severity.value,
+                block=violation.block,
+                message=violation.message,
+            )
         if stop:
             break
     report.violations = ctx.violations
-    tracer.count("analysis.runs")
-    if report.errors():
-        tracer.count("analysis.runs.fail")
-    else:
-        tracer.count("analysis.runs.pass")
     return report
 
 
@@ -357,39 +338,19 @@ def run_checkers(
     program=None,
     *,
     checkers: Optional[Iterable[str]] = None,
-    disable: Sequence[str] = (),
     fail_fast: bool = False,
 ) -> CheckReport:
     """Run IR checkers over one graph.
 
-    ``checkers`` selects by name (None = every registered IR checker);
-    ``disable`` removes names from the selection.  With ``fail_fast``
-    the run stops at the first :data:`Severity.ERROR` violation —
-    warnings never stop a run.
+    ``checkers`` selects by name (None = every registered IR checker).
+    With ``fail_fast`` the run stops at the first
+    :data:`Severity.ERROR` violation — warnings never stop a run.
     """
-    selected = _select(checkers, disable, SCOPE_IR)
+    selected = _select(checkers, SCOPE_IR)
     ctx = CheckerContext(graph, program)
     return _execute(ctx, selected, fail_fast, CheckReport(graph=graph.name))
 
 
-def run_program_checkers(
-    program,
-    *,
-    checkers: Optional[Iterable[str]] = None,
-    disable: Sequence[str] = (),
-    fail_fast: bool = False,
-) -> list[CheckReport]:
-    """Run IR checkers over every function of a program."""
-    reports = []
-    for graph in program.functions.values():
-        report = run_checkers(
-            graph,
-            program,
-            checkers=checkers,
-            disable=disable,
-            fail_fast=fail_fast,
-        )
-        reports.append(report)
-        if fail_fast and not report.ok:
-            break
-    return reports
+def run_program_checkers(program) -> list[CheckReport]:
+    """Run every IR checker over every function of a program."""
+    return [run_checkers(graph, program) for graph in program.functions.values()]

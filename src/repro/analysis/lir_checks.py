@@ -9,7 +9,7 @@ as the IR checkers, under the ``lir`` scope.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ..backend.lir import (
     Immediate,
@@ -222,10 +222,9 @@ def run_lir_checkers(
     allocation: Optional[AllocationResult] = None,
     *,
     checkers: Optional[Iterable[str]] = None,
-    disable: Sequence[str] = (),
-    fail_fast: bool = False,
 ) -> CheckReport:
-    """Run LIR checkers over one lowered function."""
-    selected = _select(checkers, disable, SCOPE_LIR)
+    """Run LIR checkers (``checkers`` by name, None = all) over one
+    lowered function, keep-going."""
+    selected = _select(checkers, SCOPE_LIR)
     ctx = LirCheckerContext(function, allocation)
-    return _execute(ctx, selected, fail_fast, CheckReport(graph=function.name))
+    return _execute(ctx, selected, False, CheckReport(graph=function.name))

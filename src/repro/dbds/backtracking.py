@@ -17,7 +17,6 @@ from typing import Optional
 from ..costmodel.estimator import graph_code_size
 from ..ir.copy import copy_graph
 from ..ir.graph import Graph, Program
-from ..obs.tracer import current_tracer
 from ..opts.canonicalize import CanonicalizerPhase
 from ..opts.condelim import ConditionalEliminationPhase
 from ..opts.pea import PartialEscapeAnalysisPhase
@@ -49,19 +48,6 @@ class BacktrackingDuplication:
         self.stats = BacktrackingStats()
 
     def run(self, graph: Graph) -> Graph:
-        kept_before = self.stats.kept
-        rolled_before = self.stats.rolled_back
-        try:
-            return self._run(graph)
-        finally:
-            tracer = current_tracer()
-            tracer.count("dbds.backtrack.kept", self.stats.kept - kept_before)
-            tracer.count(
-                "dbds.backtrack.rolled_back",
-                self.stats.rolled_back - rolled_before,
-            )
-
-    def _run(self, graph: Graph) -> Graph:
         # The unit may grow as far as the trade-off tier's IB lets DBDS.
         size_limit = graph_code_size(graph) * tradeoff.INCREASE_BUDGET
         # Index of the next predecessor-merge pair to try.  A rollback

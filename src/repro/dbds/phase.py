@@ -55,10 +55,10 @@ class DbdsStats:
 
     ``candidates_simulated`` and ``duplications_performed`` count every
     simulated pair and every duplication, path hops included; the
-    compiler reports them per unit.  The tracer's ``dbds.candidates`` /
-    ``dbds.duplications`` counters tally the same, and every
-    accept/reject is also a ``dbds.decision`` event when the tracer
-    records.
+    compiler reports them per unit.  When the tracer records, each
+    simulated pair is also a ``dbds.candidate`` event and each
+    accept/reject a ``dbds.decision`` event, and the metrics fold the
+    same counts from those.
     """
 
     __slots__ = (
@@ -96,7 +96,6 @@ class DbdsPhase(Phase):
             # ---------------- Tier 1: simulation -----------------------
             candidates = SimulationTier(graph, self.program).run()
             stats.candidates_simulated += len(candidates)
-            tracer.count("dbds.candidates", len(candidates))
             # ---------------- Tier 2: trade-off -------------------------
             ranked = sort_candidates(candidates, self.config.trade_off)
             # ---------------- Tier 3: optimization ----------------------
@@ -126,20 +125,16 @@ class DbdsPhase(Phase):
 
     @staticmethod
     def _duplicate(
-        graph: Graph, candidate: SimulationResult, stats: DbdsStats,
-        tracer: Tracer,
+        graph: Graph, candidate: SimulationResult, stats: DbdsStats
     ) -> None:
         """Duplicate the candidate's merge into its predecessor, check
         the IR when every phase is checked (``--check-ir=each-phase``),
-        and count the duplication and the optimizations it enables."""
+        and count the duplication."""
         duplicate_into(graph, candidate.pred, candidate.merge)
         guard = current_guard()
         if guard is not None and guard.per_phase:
             guard.check_boundary("dbds-duplication", graph)
         stats.duplications_performed += 1
-        tracer.count("dbds.duplications")
-        for reason in candidate.reasons:
-            tracer.count(f"dbds.applied.{reason}")
 
     # ------------------------------------------------------------------
     def _optimize(
@@ -157,7 +152,6 @@ class DbdsPhase(Phase):
         round_benefit = 0.0
         for candidate in ranked:
             if not self._still_valid(graph, candidate):
-                tracer.count("dbds.decision.invalidated")
                 tracer.event(
                     "dbds.decision",
                     graph=graph.name,
@@ -181,7 +175,7 @@ class DbdsPhase(Phase):
             )
             if not decision.accepted:
                 continue
-            self._duplicate(graph, candidate, stats, tracer)
+            self._duplicate(graph, candidate, stats)
             round_benefit += candidate.weighted_benefit
             if paths:
                 round_benefit += self._extend_along_path(
@@ -221,7 +215,6 @@ class DbdsPhase(Phase):
                 pred, next_merge
             )
             stats.candidates_simulated += 1
-            tracer.count("dbds.candidates")
             decision = self._decide(
                 candidate, graph_code_size(graph), stats.initial_size
             )
@@ -231,7 +224,7 @@ class DbdsPhase(Phase):
             )
             if not decision.accepted:
                 break
-            self._duplicate(graph, candidate, stats, tracer)
+            self._duplicate(graph, candidate, stats)
             gained += candidate.weighted_benefit
         return gained
 

@@ -301,7 +301,7 @@ class SimulationTier:
                 benefit=result.benefit,
                 cost=result.cost,
                 probability=result.probability,
-                reasons=sorted(set(reasons)),
+                reasons=list(reasons),
             )
         return result
 

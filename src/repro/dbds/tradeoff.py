@@ -167,10 +167,8 @@ def emit_decision(
     iteration: int = 0,
     mode: str = "dbds",
 ) -> None:
-    """Record one ``dbds.decision`` event and bump the accept/reject
-    counters."""
+    """Record one ``dbds.decision`` event."""
     accepted = decision.accepted
-    tracer.count("dbds.decision.accepted" if accepted else "dbds.decision.rejected")
     tracer.event(
         "dbds.decision",
         graph=graph_name,

@@ -189,10 +189,8 @@ class Graph:
         """The (cached) dominator tree of the current CFG."""
         tree = self._analysis_cache.get("dominators")
         if tree is None:
-            from ..obs.tracer import current_tracer
             from .dominators import DominatorTree
 
-            current_tracer().count("analysis.dominators")
             tree = DominatorTree(self)
             self._analysis_cache["dominators"] = tree
         return tree
@@ -201,10 +199,8 @@ class Graph:
         """The (cached) natural-loop forest of the current CFG."""
         forest = self._analysis_cache.get("loops")
         if forest is None:
-            from ..obs.tracer import current_tracer
             from .loops import LoopForest
 
-            current_tracer().count("analysis.loops")
             forest = LoopForest(self, self.dominator_tree())
             self._analysis_cache["loops"] = forest
         return forest
@@ -213,10 +209,8 @@ class Graph:
         """The (cached) profile-driven block frequencies."""
         freqs = self._analysis_cache.get("frequency")
         if freqs is None:
-            from ..obs.tracer import current_tracer
             from .frequency import BlockFrequencies
 
-            current_tracer().count("analysis.frequency")
             freqs = BlockFrequencies(self, self.loop_forest())
             self._analysis_cache["frequency"] = freqs
         return freqs

@@ -35,13 +35,12 @@ class VerificationError(Exception):
         self.function = function
 
 
-def verify_graph(graph: Graph, check_dominance: bool = True) -> None:
+def verify_graph(graph: Graph) -> None:
     """Verify all structural invariants of one function graph."""
-    from ..analysis.checkers import CORE_CHECKERS, STRUCTURAL_CHECKERS
+    from ..analysis.checkers import CORE_CHECKERS
     from ..analysis.core import run_checkers
 
-    names = CORE_CHECKERS if check_dominance else STRUCTURAL_CHECKERS
-    report = run_checkers(graph, checkers=names, fail_fast=True)
+    report = run_checkers(graph, checkers=CORE_CHECKERS, fail_fast=True)
     errors = report.errors()
     if errors:
         raise VerificationError(

@@ -1,7 +1,8 @@
 """``repro.obs`` — the compiler telemetry subsystem.
 
 Phase tracing, DBDS decision events, trace sinks, and the views of a
-trace: compile profiles, DBDS decision reports and metrics.  See
+trace: compile profiles, DBDS decision reports and metrics, each a
+fold of the trace's spans and events.  See
 ``docs/OBSERVABILITY.md`` for the event schema and the CLI surface
 (``--trace-out``, ``--profile-compile``, ``--metrics-out``,
 ``python -m repro explain``).
@@ -13,8 +14,8 @@ Typical use::
     tracer = Tracer()                       # enabled, records everything
     compiler = Compiler(DBDS, tracer=tracer)
     compiler.compile_program(program)
-    print(CompileProfile.from_tracer(tracer).format())
-    write_jsonl(tracer, "trace.jsonl")
+    print(CompileProfile.from_events(tracer.events).format())
+    write_jsonl(tracer.events, "trace.jsonl")
 """
 
 from .._lazy import lazy_exports
@@ -42,7 +43,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "event_from_dict",
         "event_to_dict",
         "read_jsonl",
-        "trace_counters",
         "validate_record",
         "validate_trace",
         "validate_trace_file",
@@ -79,7 +79,6 @@ __all__ = [
     "event_to_dict",
     "format_decisions",
     "read_jsonl",
-    "trace_counters",
     "use_tracer",
     "validate_record",
     "validate_trace",

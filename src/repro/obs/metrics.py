@@ -1,7 +1,7 @@
 """Metrics: counters, gauges and histograms, as a view of a trace.
 
 The :class:`~repro.obs.tracer.Tracer` is the one telemetry channel:
-every layer records spans, events and counters into it, and
+every layer records spans and events into it, and
 :meth:`MetricsSnapshot.from_events` folds a finished trace (live, or
 read back with :func:`~repro.obs.sinks.read_jsonl`) into labeled
 series, as :meth:`~repro.obs.profile.CompileProfile.from_events` folds
@@ -32,8 +32,8 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from .sinks import trace_counters
-from .tracer import KIND_SPAN, Event, Tracer
+from ..dbds.tradeoff import REASON_INVALIDATED
+from .tracer import KIND_SPAN, Event
 
 #: bump when the snapshot JSON layout changes
 METRICS_SCHEMA_VERSION = 1
@@ -105,19 +105,6 @@ class HistogramData:
 # ----------------------------------------------------------------------
 # Snapshots
 # ----------------------------------------------------------------------
-#: trace-counter prefix -> (metric, label, fixed labels): the counter
-#: ``<prefix><value>`` adds to the series ``metric{label="<value>"}``
-LABELED_COUNTERS: dict[str, tuple[str, str, dict[str, str]]] = {
-    "dbds.decision.": ("repro_dbds_decisions_total", "outcome", {}),
-    "dbds.backtrack.": ("repro_dbds_backtrack_total", "outcome", {}),
-    "analysis.violations.": ("repro_analysis_violations_total", "severity", {}),
-    "vm.runs.": ("repro_vm_runs_total", "engine", {}),
-    "vm.codegen_cache.": (
-        "repro_codegen_cache_total", "result", {"engine": "megaunit"}
-    ),
-}
-
-
 @dataclass
 class MetricsSnapshot:
     """The metric series of one trace (see :meth:`from_events`)."""
@@ -127,23 +114,14 @@ class MetricsSnapshot:
     histograms: dict[str, dict[LabelKey, HistogramData]] = field(default_factory=dict)
 
     @classmethod
-    def from_events(
-        cls,
-        events: Iterable[Event],
-        counters: Optional[dict[str, int]] = None,
-    ) -> "MetricsSnapshot":
+    def from_events(cls, events: Iterable[Event]) -> "MetricsSnapshot":
         """Fold a trace into its metric series.
 
-        ``counters`` is the trace's counter table (default: the
-        ``counters`` record of ``events``).  Every ``phase`` span is a
-        ``repro_compile_phase_seconds`` observation, the guard's
-        ``ir-check`` spans and the back end's ``lowering``/``regalloc``
-        spans included.  A series appears only once something adds to
-        it.
+        Every ``phase`` span is a ``repro_compile_phase_seconds``
+        observation, the guard's ``ir-check`` spans and the back end's
+        ``lowering``/``regalloc`` spans included.  A series appears
+        only once something adds to it.
         """
-        events = list(events)
-        if counters is None:
-            counters = trace_counters(events)
         snap = cls()
         for event in events:
             name, attrs = event.name, event.attrs
@@ -153,6 +131,12 @@ class MetricsSnapshot:
                     snap._observe(
                         "repro_compile_phase_seconds", dur, phase=attrs["phase"]
                     )
+                    # the backtracking span's outcome tallies
+                    for outcome in ("kept", "rolled_back"):
+                        snap._inc(
+                            "repro_dbds_backtrack_total", attrs.get(outcome, 0),
+                            outcome=outcome,
+                        )
                 elif name == "compile":
                     snap._inc("repro_compile_units_total")
                     snap._observe("repro_compile_unit_seconds", dur)
@@ -169,6 +153,17 @@ class MetricsSnapshot:
                         "repro_batch_jobs_total", attrs.get("cached", 0),
                         outcome="cached",
                     )
+            elif name == "dbds.candidate":
+                snap._inc("repro_dbds_candidates_total")
+            elif name == "dbds.decision":
+                if attrs["accepted"]:
+                    outcome = "accepted"
+                    snap._inc("repro_dbds_duplications_total")
+                elif attrs["reason"] == REASON_INVALIDATED:
+                    outcome = "invalidated"
+                else:
+                    outcome = "rejected"
+                snap._inc("repro_dbds_decisions_total", outcome=outcome)
             elif name in ("cache.hit", "cache.miss"):
                 snap._inc("repro_cache_lookups_total", result=name[len("cache."):])
                 if "bytes" in attrs:  # an entry, not an aux blob
@@ -185,27 +180,25 @@ class MetricsSnapshot:
                     outcome="compiled" if attrs["ok"] else "error",
                 )
                 snap._observe("repro_batch_job_seconds", attrs.get("elapsed", 0.0))
+            elif name == "analysis.violation":
+                snap._inc(
+                    "repro_analysis_violations_total", severity=attrs["severity"]
+                )
             elif name == "interp.profile":
                 snap._inc("repro_profile_runs_total", engine=attrs["engine"])
+            elif name == "vm.measure":
+                snap._inc("repro_vm_runs_total", attrs["runs"], engine=attrs["engine"])
+            elif name == "vm.codegen_cache":
+                snap._inc(
+                    "repro_codegen_cache_total",
+                    engine=attrs["engine"], result=attrs["result"],
+                )
             elif name == "vm.fallback":
                 snap._inc(
                     "repro_vm_fallback_total",
                     engine=attrs["engine"], reason=attrs["reason"],
                 )
-        snap._inc("repro_dbds_candidates_total", counters.get("dbds.candidates", 0))
-        snap._inc(
-            "repro_dbds_duplications_total", counters.get("dbds.duplications", 0)
-        )
-        for counter, value in counters.items():
-            for prefix, (metric, label, fixed) in LABELED_COUNTERS.items():
-                if counter.startswith(prefix):
-                    labels = {**fixed, label: counter[len(prefix):]}
-                    snap._inc(metric, value, **labels)
         return snap
-
-    @classmethod
-    def from_tracer(cls, tracer: Tracer) -> "MetricsSnapshot":
-        return cls.from_events(tracer.events, counters=tracer.counters)
 
     def _inc(self, name: str, n: float = 1, **labels: Any) -> None:
         if n:

@@ -1,13 +1,14 @@
 """Two folds of one trace: compile profiles and DBDS decision reports.
 
-:class:`CompileProfile` folds a trace (live :class:`Tracer` or parsed
+:class:`CompileProfile` folds a trace (a live tracer's events or parsed
 JSONL events) into the questions a compiler engineer actually asks:
 
 * which *phases* are hot (count, total/mean/max wall time, cumulative
   node and code-size deltas);
 * which *functions* are expensive to compile;
 * what DBDS decided (accept/reject breakdown by reason, and which
-  enabled optimizations the accepted duplications paid for).
+  enabled optimizations the accepted duplications paid for: the
+  ``reasons`` of the candidate each accepted decision judged).
 
 :func:`decision_units` folds the same trace into every DBDS decision of
 each compiled unit, in the order the phase made them, and
@@ -20,10 +21,9 @@ Exposed on the CLI as the ``--profile-compile`` flag of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
-from .sinks import trace_counters
-from .tracer import Event, Tracer
+from .tracer import Event
 
 
 @dataclass
@@ -56,18 +56,13 @@ class CompileProfile:
     reject_reasons: dict[str, int] = field(default_factory=dict)
     #: optimization tag -> times enabled by an accepted duplication
     applied: dict[str, int] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=dict)
     total_time: float = 0.0
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_events(
-        cls,
-        events: Iterable[Event],
-        counters: Optional[dict[str, int]] = None,
-    ) -> "CompileProfile":
+    def from_events(cls, events: Iterable[Event]) -> "CompileProfile":
         events = list(events)
-        profile = cls(counters=dict(counters or trace_counters(events)))
+        profile = cls()
         for event in events:
             if event.kind == "span" and event.name == "phase":
                 profile._add_phase_span(event)
@@ -79,16 +74,14 @@ class CompileProfile:
                 profile.total_time += event.dur or 0.0
             elif event.name == "dbds.decision":
                 profile._add_decision(event)
-        for name, value in profile.counters.items():
-            prefix = "dbds.applied."
-            if name.startswith(prefix):
-                tag = name[len(prefix):]
-                profile.applied[tag] = profile.applied.get(tag, 0) + value
+        # An accepted duplication paid for every optimization the
+        # simulation found for its pair.
+        for unit in decision_units(events):
+            for attrs, found in unit.decisions:
+                if attrs["accepted"]:
+                    for tag in found:
+                        profile.applied[tag] = profile.applied.get(tag, 0) + 1
         return profile
-
-    @classmethod
-    def from_tracer(cls, tracer: Tracer) -> "CompileProfile":
-        return cls.from_events(tracer.events, counters=tracer.counters)
 
     # ------------------------------------------------------------------
     def _add_phase_span(self, event: Event) -> None:
@@ -137,7 +130,6 @@ class CompileProfile:
                 "reject_reasons": dict(self.reject_reasons),
                 "applied": dict(self.applied),
             },
-            "counters": dict(self.counters),
         }
 
     # ------------------------------------------------------------------
@@ -257,7 +249,8 @@ def format_decisions(units: Iterable[UnitDecisions]) -> str:
                 f"{a.get('mode', 'dbds')}: {a['merge']} -> {a['pred']}: "
                 f"benefit {a['benefit']:.1f} cyc x p {a['probability']:.2f} "
                 f"= {weighted:.2f}, cost {a['cost']:.1f}",
-                f"      enables: {', '.join(enables) or 'nothing fires'}",
+                "      enables: "
+                + (", ".join(sorted(set(enables))) or "nothing fires"),
                 f"      decision: {verdict}",
             ]
         reports.append("\n".join(lines))

@@ -6,10 +6,11 @@ The wire format is one JSON object per line (JSONL), one object per
 ``{"name": str, "kind": "event"|"span", "ts": float, "dur": float|null,
 "depth": int, "attrs": {...}}``
 
-A trace file ends with one synthetic ``counters`` record carrying the
-tracer's counter table, so a trace is self-contained.  The schema is
-documented in ``docs/OBSERVABILITY.md``; :func:`validate_trace`
-enforces it (CI runs it against a smoke-compiled trace).
+Spans and events are the only records, so a trace file is
+self-contained: every metric and profile tally folds from it.  The
+schema is documented in ``docs/OBSERVABILITY.md``;
+:func:`validate_trace` enforces it (CI runs it against a
+smoke-compiled trace).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Union
 
-from .tracer import KIND_EVENT, KIND_SPAN, Event, Tracer
+from .tracer import KIND_EVENT, KIND_SPAN, Event
 
 #: record name -> the attrs every record of that name must carry
 REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
@@ -27,7 +28,7 @@ REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
         "accepted", "reason",
     ),
     "dbds.candidate": ("graph", "merge", "pred", "benefit", "cost", "probability"),
-    "analysis.violation": ("phase", "graph", "checker", "severity", "message"),
+    "analysis.violation": ("graph", "checker", "severity", "message"),
     "analysis.blame": ("phase", "graph", "violations"),
     "cache.hit": ("key",),
     "cache.miss": ("key",),
@@ -36,6 +37,10 @@ REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
     "batch.worker": ("path", "key", "ok"),
     # megaunit declining a frame and running it on the vm loop instead
     "vm.fallback": ("engine", "fallback", "reason"),
+    # one measured execution: its engine and how many argument sets ran
+    "vm.measure": ("engine", "runs"),
+    # the codegen cache's verdict on one lookup: "hit" or "miss"
+    "vm.codegen_cache": ("engine", "key", "result"),
     # the engine that gathered the profile, its steps, and the step it
     # switched at or null
     "interp.profile": ("engine", "steps", "switch_step"),
@@ -45,9 +50,6 @@ REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
     "bcverify": ("ok",),
     "batch": ("pending", "cached"),
 }
-
-#: the counter-table trailer record's name
-COUNTERS_RECORD = "counters"
 
 
 class TraceSchemaError(ValueError):
@@ -79,42 +81,18 @@ def event_from_dict(record: dict[str, Any]) -> Event:
     )
 
 
-def write_jsonl(
-    source: Union[Tracer, Iterable[Event]],
-    path: Union[str, Path],
-) -> int:
-    """Write a trace file; returns the number of records written.
-
-    Accepts a tracer (events + counter trailer) or a bare event
-    iterable (no trailer).
-    """
-    counters = source.counters if isinstance(source, Tracer) else None
-    events = source.events if isinstance(source, Tracer) else source
+def write_jsonl(events: Iterable[Event], path: Union[str, Path]) -> int:
+    """Write a trace file; returns the number of records written."""
     written = 0
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
             fh.write(json.dumps(event_to_dict(event)) + "\n")
             written += 1
-        if counters is not None:
-            fh.write(
-                json.dumps(
-                    {
-                        "name": COUNTERS_RECORD,
-                        "kind": KIND_EVENT,
-                        "ts": 0.0,
-                        "dur": None,
-                        "depth": 0,
-                        "attrs": dict(counters),
-                    }
-                )
-                + "\n"
-            )
-            written += 1
     return written
 
 
 def read_jsonl(path: Union[str, Path]) -> list[Event]:
-    """Parse a trace file back into events (counter trailer included)."""
+    """Parse a trace file back into events."""
     events = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -122,14 +100,6 @@ def read_jsonl(path: Union[str, Path]) -> list[Event]:
             if line:
                 events.append(event_from_dict(json.loads(line)))
     return events
-
-
-def trace_counters(events: Iterable[Event]) -> dict[str, int]:
-    """Recover the counter table from a parsed trace (empty if absent)."""
-    for event in events:
-        if event.name == COUNTERS_RECORD:
-            return dict(event.attrs)
-    return {}
 
 
 # ----------------------------------------------------------------------

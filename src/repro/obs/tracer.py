@@ -1,7 +1,7 @@
 """The event/span tracer at the heart of the telemetry subsystem.
 
-A :class:`Tracer` collects three kinds of telemetry from one
-compilation (or one benchmark run):
+A :class:`Tracer` collects two kinds of record from one compilation
+(or one benchmark run):
 
 * **spans** — named, nested intervals with wall-clock duration.  The
   pipeline wraps every phase run in a ``phase`` span (see
@@ -9,14 +9,15 @@ compilation (or one benchmark run):
   node-count and code-size deltas the phase caused;
 * **point events** — typed records such as the DBDS ``dbds.candidate``
   and ``dbds.decision`` events (one per simulated pair, with benefit,
-  cost, probability and every ``shouldDuplicate`` term);
-* **counters** — cheap monotonic tallies (``dbds.duplications``,
-  ``dbds.applied.constant-fold``, …).
+  cost, probability and every ``shouldDuplicate`` term).
 
-There are two settings: a :class:`Tracer` records all three, and
-:data:`NULL_TRACER`, the ambient default, drops everything.  Overhead
-discipline: every instrumentation site checks ``tracer.enabled`` before
-computing anything expensive (code-size recomputation in particular).
+Every tally a metric or a compile profile prints is a fold of these
+records (:mod:`repro.obs.metrics`, :mod:`repro.obs.profile`), so a
+trace file alone reproduces every number.  There are two settings: a
+:class:`Tracer` records both kinds, and :data:`NULL_TRACER`, the
+ambient default, drops everything.  Overhead discipline: every
+instrumentation site checks ``tracer.enabled`` before computing
+anything expensive (code-size recomputation in particular).
 No number a compile reports is read back from a tracer: the phases
 return their own counts (see :class:`repro.dbds.phase.DbdsStats`).
 
@@ -26,9 +27,9 @@ The event schema and its serialization live in
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from time import perf_counter
+from typing import Any, Iterator, Optional
 
 #: event kinds admitted by the schema
 KIND_EVENT = "event"
@@ -92,13 +93,13 @@ class _Span:
         tracer._depth += 1
         # Appended at entry so the trace reads in start order.
         tracer.events.append(self.event)
-        self._t0 = tracer.clock()
+        self._t0 = perf_counter()
         self.event.ts = self._t0 - tracer.epoch
         return self.event
 
     def __exit__(self, *exc) -> bool:
         tracer = self._tracer
-        self.event.dur = tracer.clock() - self._t0
+        self.event.dur = perf_counter() - self._t0
         tracer._depth -= 1
         return False
 
@@ -120,18 +121,16 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects spans, events and counters for one compilation."""
+    """Collects the spans and events of one compilation."""
 
     #: whether this tracer records (only :data:`NULL_TRACER` does not)
     enabled = True
 
-    __slots__ = ("clock", "epoch", "events", "counters", "_depth")
+    __slots__ = ("epoch", "events", "_depth")
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self.clock = clock
-        self.epoch = clock()
+    def __init__(self) -> None:
+        self.epoch = perf_counter()
         self.events: list[Event] = []
-        self.counters: dict[str, int] = {}
         self._depth = 0
 
     # ------------------------------------------------------------------
@@ -143,20 +142,12 @@ class Tracer:
         """Record a point event; returns it (None on :data:`NULL_TRACER`)."""
         record = Event(
             name=name,
-            ts=self.clock() - self.epoch,
+            ts=perf_counter() - self.epoch,
             depth=self._depth,
             attrs=attrs,
         )
         self.events.append(record)
         return record
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a counter."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def counter(self, name: str) -> int:
-        """Current value of a counter (0 when never bumped)."""
-        return self.counters.get(name, 0)
 
     # ------------------------------------------------------------------
     def spans(self, name: Optional[str] = None) -> list[Event]:
@@ -173,7 +164,7 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """The ambient default: drops spans, events *and* counters.
+    """The ambient default: drops spans and events.
 
     A process-wide singleton must not accrue state across unrelated
     compilations, so every operation is a no-op here.
@@ -187,9 +178,6 @@ class NullTracer(Tracer):
         return _NULL_SPAN
 
     def event(self, name: str, **attrs: Any) -> Optional[Event]:
-        return None
-
-    def count(self, name: str, n: int = 1) -> None:
         return None
 
 

@@ -80,7 +80,6 @@ class FileResult:
     manifest: dict[str, Any] = field(default_factory=dict)
     report: Optional[CompilationReport] = None
     events: list[Event] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
     program_blob: bytes = b""
     error: Optional[str] = None
     check_failures: list[str] = field(default_factory=list)
@@ -143,18 +142,9 @@ class BatchReport:
                 merged.extend(result.events)
         return merged
 
-    def counters(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for result in self.results:
-            if result.cached:
-                continue
-            for name, value in result.counters.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
     def profile(self) -> CompileProfile:
         """One aggregated compile profile across all workers."""
-        return CompileProfile.from_events(self.events(), counters=self.counters())
+        return CompileProfile.from_events(self.events())
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -209,8 +199,7 @@ def _compile_worker(
     The worker always compiles under a recording tracer: the trace is
     what makes cached artifacts explainable and the batch profile
     aggregatable.  It travels in the entry; a failed compile, which
-    makes none, returns the trace it recorded as ``events`` and
-    ``counters``.
+    makes none, returns the trace it recorded as ``events``.
     """
     tracer = Tracer()
     started = time.perf_counter()
@@ -235,10 +224,7 @@ def _compile_worker(
             elapsed=time.perf_counter() - started,
         )
     if "error" in result:
-        result.update(
-            events=[event_to_dict(event) for event in tracer.events],
-            counters=dict(tracer.counters),
-        )
+        result["events"] = [event_to_dict(event) for event in tracer.events]
     return result
 
 
@@ -251,7 +237,6 @@ def _result_from_entry(
         manifest=entry.manifest,
         report=entry.report,
         events=list(entry.events),
-        counters=dict(entry.counters),
         program_blob=entry.program_blob,
         **outcome,
     )
@@ -338,7 +323,6 @@ def compile_batch(
                 result = FileResult(
                     name=payload["name"], key=key, error=payload["error"],
                     events=[event_from_dict(d) for d in payload["events"]],
-                    counters=payload["counters"],
                 )
             else:
                 entry = CacheEntry.from_payload(payload["entry"])
@@ -355,9 +339,6 @@ def compile_batch(
                     )
                     for event in result.events
                 )
-            for counter, value in result.counters.items():
-                tracer.count(counter, value)
-            tracer.count("batch.worker")
             tracer.event(
                 "batch.worker",
                 path=result.name,

@@ -206,14 +206,10 @@ class CacheEntry:
     ``program_blob`` is the packed optimized :class:`Program` (see
     :func:`pack_artifact`); ``events`` is the original compilation's
     full trace (so :func:`~repro.obs.profile.format_decisions` renders
-    its DBDS decisions offline from cache); ``counters`` is the
-    original tracer's counter table.
+    its DBDS decisions offline from cache).
     """
 
-    __slots__ = (
-        "key", "manifest", "report", "program_blob", "events", "counters",
-        "_program",
-    )
+    __slots__ = ("key", "manifest", "report", "program_blob", "events", "_program")
 
     def __init__(
         self,
@@ -222,14 +218,12 @@ class CacheEntry:
         report: CompilationReport,
         program_blob: bytes,
         events: Optional[list[Event]] = None,
-        counters: Optional[dict[str, int]] = None,
     ) -> None:
         self.key = key
         self.manifest = manifest
         self.report = report
         self.program_blob = program_blob
         self.events = events if events is not None else []
-        self.counters = counters if counters is not None else {}
         #: memoized program — :meth:`ArtifactCache.get` decodes it to
         #: validate the entry, and the caller then asks for it
         self._program: Optional[Program] = None
@@ -248,7 +242,6 @@ class CacheEntry:
             "report": self.report.to_json(),
             "program_blob": self.program_blob,
             "events": [event_to_dict(e) for e in self.events],
-            "counters": dict(self.counters),
         }
 
     @classmethod
@@ -259,7 +252,6 @@ class CacheEntry:
             report=CompilationReport.from_json(payload["report"]),
             program_blob=payload["program_blob"],
             events=[event_from_dict(d) for d in payload.get("events", [])],
-            counters=dict(payload.get("counters", {})),
         )
 
 
@@ -345,7 +337,6 @@ def make_entry(
     program: Program,
     report: CompilationReport,
     events: Iterable[Event] = (),
-    counters: Optional[dict[str, int]] = None,
 ) -> CacheEntry:
     """Build an entry from a just-finished compilation."""
     events = list(events)
@@ -355,7 +346,6 @@ def make_entry(
         report=report,
         program_blob=pack_artifact(program),
         events=events,
-        counters=dict(counters or {}),
     )
 
 
@@ -525,17 +515,14 @@ class ArtifactCache:
     def _miss(self, key: str, tracer: Tracer, **attrs: Any) -> None:
         """Count a lookup that found nothing usable; returns None."""
         self.stats.misses += 1
-        tracer.count("cache.miss")
         tracer.event("cache.miss", key=key, **attrs)
 
     def _hit(self, key: str, path: Path, tracer: Tracer, **attrs: Any) -> None:
         self.stats.hits += 1
-        tracer.count("cache.hit")
         tracer.event("cache.hit", key=key, path=str(path), **attrs)
 
     def _stored(self, key: str, path: Path, tracer: Tracer, **attrs: Any) -> None:
         self.stats.stores += 1
-        tracer.count("cache.store")
         tracer.event("cache.store", key=key, path=str(path), **attrs)
 
     def _evict(
@@ -546,5 +533,4 @@ class ArtifactCache:
         except OSError:
             pass
         self.stats.evictions += 1
-        tracer.count("cache.evict")
         tracer.event("cache.evict", key=key, reason=reason)

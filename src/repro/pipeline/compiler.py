@@ -113,11 +113,18 @@ class Compiler:
             if config_name == "backtracking":
                 backtracker = BacktrackingDuplication(program)
                 # Not a Phase subclass, so the phase-entry hook never
-                # sees it: span it here.
+                # sees it: span it here, with its outcome tallies (also
+                # of a run a broken IR invariant cut short).
                 with tracer.span(
                     "phase", phase=BacktrackingDuplication.name, graph=name
-                ):
-                    new_graph = backtracker.run(graph)
+                ) as span:
+                    try:
+                        new_graph = backtracker.run(graph)
+                    finally:
+                        span.attrs.update(
+                            kept=backtracker.stats.kept,
+                            rolled_back=backtracker.stats.rolled_back,
+                        )
                 if new_graph is not graph:
                     program.functions[name] = new_graph
                     graph = new_graph

@@ -157,13 +157,12 @@ class Artifact:
 
     ``cached`` says the artifact cache served it; ``failures`` are the
     IR violations a keep-going compile collected (such an artifact is
-    never stored); ``events``/``counters`` are the compile trace (no
-    events unless the compile was recorded or came from the cache).
+    never stored); ``events`` are the compile trace (none unless the
+    compile was recorded or came from the cache).
     """
 
     __slots__ = (
-        "program", "report", "key", "cached", "failures", "events",
-        "counters", "_bytecode",
+        "program", "report", "key", "cached", "failures", "events", "_bytecode",
     )
 
     def __init__(
@@ -174,7 +173,6 @@ class Artifact:
         cached: bool = False,
         failures: Optional[list[PhaseBlameError]] = None,
         events: Optional[list[Event]] = None,
-        counters: Optional[dict[str, int]] = None,
     ) -> None:
         self.program = program
         self.report = report
@@ -182,7 +180,6 @@ class Artifact:
         self.cached = cached
         self.failures = failures if failures is not None else []
         self.events = events if events is not None else []
-        self.counters = counters if counters is not None else {}
         self._bytecode: Any = None
 
     def bytecode(self) -> Any:
@@ -198,9 +195,7 @@ class Artifact:
         """This artifact as a cache entry."""
         from .cache import make_entry
 
-        return make_entry(
-            self.key, self.program, self.report, self.events, self.counters
-        )
+        return make_entry(self.key, self.program, self.report, self.events)
 
 
 def jit(
@@ -237,8 +232,8 @@ def jit(
     ``tracer`` records the compile, the profiling run if this compile
     makes it, and the cache events (default: the ambient tracer); a
     compile that is stored is recorded anyway, so its entry keeps the
-    decision trace.  The artifact's ``events`` and ``counters`` are
-    this compile's alone, on a tracer shared across compiles too.
+    decision trace.  The artifact's ``events`` are this compile's
+    alone, on a tracer shared across compiles too.
     """
     from .cache import cache_key
 
@@ -259,8 +254,7 @@ def jit(
     hit = cache.get(key, tracer) if cache is not None else None
     if hit is not None:
         return Artifact(
-            hit.program(), hit.report, key, cached=True, events=hit.events,
-            counters=hit.counters,
+            hit.program(), hit.report, key, cached=True, events=hit.events
         )
     from .compiler import Compiler, ProfiledSource
 
@@ -269,18 +263,12 @@ def jit(
     recorder = Tracer() if tracer is None and cache is not None else tracer
     # A tracer shared across compiles keeps only this one's records here.
     mark = len(recorder.events) if recorder is not None else 0
-    before = dict(recorder.counters) if recorder is not None else {}
     program = profiled.program(recorder)
     compiler = Compiler(config, tracer=recorder, check_ir=check_ir, fail_fast=fail_fast)
     artifact = Artifact(
         program, compiler.compile_program(program), key,
         failures=[] if compiler.guard is None else list(compiler.guard.failures),
         events=compiler.tracer.events[mark:],
-        counters={
-            name: value - before.get(name, 0)
-            for name, value in compiler.tracer.counters.items()
-            if value != before.get(name)
-        },
     )
     if cache is not None and not artifact.failures:
         cache.put(artifact.entry(), tracer)
@@ -347,7 +335,8 @@ def measure_performance(
     :meth:`Artifact.bytecode`) to skip re-translation, and a
     ``codegen_cache`` to reuse megaunit's generated source.  All
     engines report identical cycles/steps/outcomes by construction.
-    The ambient tracer counts the runs (``vm.runs.<engine>``).
+    The ambient tracer records the call as one ``vm.measure`` event
+    (``engine``, ``runs``).
     """
     runner = make_engine(
         engine, program, bytecode=bytecode, max_steps=max_steps,
@@ -360,6 +349,5 @@ def measure_performance(
         result = runner.run(entry, list(args))
         results.append(result)
         total += result.cycles
-    if results:
-        current_tracer().count(f"vm.runs.{engine}", len(results))
+    current_tracer().event("vm.measure", engine=engine, runs=len(results))
     return total, results

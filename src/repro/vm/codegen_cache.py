@@ -12,9 +12,11 @@ Keys are content digests over schema + per-function stream digests +
 every baked knob (``max_steps``, ``MAX_CALL_DEPTH``), so a stale
 artifact can never be executed against a stream it was not generated
 from.  Payloads carry the source plus the function-name order
-needed to rebuild the exec namespace without regenerating.  Hits and
-misses are counted on the ambient tracer (``vm.codegen_cache.hit`` /
-``.miss``), which the ``repro_codegen_cache_total`` metric reads.
+needed to rebuild the exec namespace without regenerating.  Each
+lookup's verdict is one ``vm.codegen_cache`` event on the ambient
+tracer, which the ``repro_codegen_cache_total`` metric folds: a
+payload of an older schema under the current key is a hit of the aux
+store but a miss here.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def codegen_key(fns: Sequence[BytecodeFunction], max_steps: int) -> str:
 
 
 def load_source(cache: Optional[Any], key: str) -> Optional[dict]:
-    """Aux-store lookup; counts ``vm.codegen_cache.hit``/``.miss``.
+    """Aux-store lookup; records its verdict as a ``vm.codegen_cache``
+    event.
 
     Returns the payload dict on a schema- and engine-matching hit,
     ``None`` otherwise (including when ``cache`` is ``None``)."""
@@ -113,7 +116,10 @@ def load_source(cache: Optional[Any], key: str) -> Optional[dict]:
         and payload.get("engine") == ENGINE
         and isinstance(payload.get("source"), str)
     )
-    current_tracer().count(f"vm.codegen_cache.{'hit' if hit else 'miss'}")
+    current_tracer().event(
+        "vm.codegen_cache", engine=ENGINE, key=key,
+        result="hit" if hit else "miss",
+    )
     return payload if hit else None
 
 

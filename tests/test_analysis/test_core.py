@@ -1,4 +1,4 @@
-"""Framework tests: registry, selection, fail modes, counters."""
+"""Framework tests: registry, selection, fail modes, trace events."""
 
 from __future__ import annotations
 
@@ -77,14 +77,11 @@ def test_clean_graph_passes_everything(diamond):
     assert report.ok
     assert not report.violations
     assert list(report.checkers_run) == [c.name for c in all_checkers("ir")]
-    assert set(report.checker_times) == set(report.checkers_run)
 
 
 def test_enable_disable_selection(diamond):
     report = run_checkers(diamond["graph"], checkers=["block-structure"])
     assert report.checkers_run == ["block-structure"]
-    report = run_checkers(diamond["graph"], disable=["stamp-soundness"])
-    assert "stamp-soundness" not in report.checkers_run
 
 
 def test_fail_fast_stops_at_first_erroring_checker(diamond):
@@ -136,19 +133,22 @@ def test_checker_crash_becomes_violation(diamond):
     assert "checker crashed: RuntimeError: boom" in report.violations[0].message
 
 
-def test_tracer_counters_record_pass_fail_and_time(diamond):
+def test_each_violation_is_one_trace_event(diamond):
     tracer = Tracer()
     with use_tracer(tracer):
         run_checkers(diamond["graph"], checkers=["block-structure"])
+        assert tracer.events == []  # a clean run records nothing
         diamond["graph"].entry.terminator.true_probability = 7.0
-        run_checkers(diamond["graph"], checkers=["block-structure"])
-    assert tracer.counter("analysis.checker.block-structure.pass") == 1
-    assert tracer.counter("analysis.checker.block-structure.fail") == 1
-    assert tracer.counter("analysis.checker.block-structure.violations") == 1
-    assert tracer.counter("analysis.checker.block-structure.us") >= 0
-    assert tracer.counter("analysis.runs") == 2
-    assert tracer.counter("analysis.runs.pass") == 1
-    assert tracer.counter("analysis.runs.fail") == 1
+        report = run_checkers(diamond["graph"], checkers=["block-structure"])
+    (violation,) = report.violations
+    (event,) = tracer.named("analysis.violation")
+    assert event.attrs == {
+        "graph": violation.graph,
+        "checker": "block-structure",
+        "severity": "error",
+        "block": violation.block,
+        "message": violation.message,
+    }
 
 
 def test_warnings_do_not_fail_a_run(diamond):

@@ -370,7 +370,7 @@ def test_example_apps_profile_on_the_engine_the_switch_rule_picks(name, engine):
     (event,) = [e.attrs for e in tracer.events if e.name == "interp.profile"]
     assert event["engine"] == engine
     assert (event["switch_step"] is not None) == (engine == "megaunit")
-    assert MetricsSnapshot.from_tracer(tracer).counter_value(
+    assert MetricsSnapshot.from_events(tracer.events).counter_value(
         "repro_profile_runs_total", engine=engine
     ) == 1
 

@@ -155,7 +155,6 @@ DATA_HOMES = {
     "MUTATION_KINDS": "repro.analysis.progen",
     "OPCODE_SPECS": "repro.vm.opspec",
     "SECONDS_BUCKETS": "repro.obs.metrics",
-    "STRUCTURAL_CHECKERS": "repro.analysis.checkers",
 }
 
 RESOLVE = """

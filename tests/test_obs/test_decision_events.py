@@ -26,7 +26,7 @@ def test_full_pipeline_trace_has_phases_and_decisions(path):
     decision events with the trade-off fields."""
     program = compile_source(path.read_text())
     tracer = Tracer()
-    Compiler(DBDS, tracer=tracer).compile_program(program)
+    report = Compiler(DBDS, tracer=tracer).compile_program(program)
     phases = {e.attrs.get("phase") for e in tracer.spans("phase")}
     assert {
         "inlining",
@@ -43,5 +43,8 @@ def test_full_pipeline_trace_has_phases_and_decisions(path):
     for event in decisions:
         for field in DECISION_FIELDS:
             assert field in event.attrs
+    # one event per simulated pair and per decision, as the units count
     candidates = tracer.named("dbds.candidate")
-    assert len(candidates) == tracer.counter("dbds.candidates")
+    assert len(candidates) == sum(u.candidates for u in report.units)
+    accepted = [e for e in decisions if e.attrs["accepted"]]
+    assert len(accepted) == report.total_duplications

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dbds.tradeoff import REASON_INVALIDATED, REASON_THRESHOLD
 from repro.obs import Tracer, read_jsonl, use_tracer, write_jsonl
 from repro.obs.metrics import (
     BYTES_BUCKETS,
@@ -90,7 +91,7 @@ class TestFromEvents:
             span("bcverify", ok=False),
             event("vm.fallback", engine="megaunit", fallback="vm",
                   reason="recursion-headroom"),
-        ], counters={})
+        ])
         assert snap.counters == {
             "repro_batch_jobs_total": {
                 "outcome=cached": 1, "outcome=compiled": 1, "outcome=error": 1,
@@ -120,37 +121,54 @@ class TestFromEvents:
         assert snap.histogram("repro_compile_unit_seconds").sum == 0.01
 
     def test_counters_fold_into_labeled_series(self):
-        snap = MetricsSnapshot.from_events([], counters={
-            "dbds.candidates": 7,
-            "dbds.duplications": 5,
-            "dbds.decision.accepted": 3,
-            "dbds.decision.rejected": 4,
-            "dbds.backtrack.kept": 2,
-            "dbds.backtrack.rolled_back": 6,
-            "analysis.violations.error": 1,
-            "vm.runs.megaunit": 2,
-            "vm.codegen_cache.hit": 1,
-            "cache.hit": 9,  # the events, not the counter, feed lookups
-        })
+        def decision(accepted, reason):
+            return event("dbds.decision", accepted=accepted, reason=reason)
+
+        snap = MetricsSnapshot.from_events(
+            [event("dbds.candidate", reasons=["constant-fold"])] * 7
+            + [decision(True, "")] * 3
+            + [decision(False, REASON_THRESHOLD)] * 4
+            + [decision(False, REASON_INVALIDATED)] * 2
+            + [
+                span("phase", phase="backtracking-duplication",
+                     kept=2, rolled_back=6),
+                span("phase", phase="backtracking-duplication",
+                     kept=1, rolled_back=0),
+                event("analysis.violation", graph="f", checker="use-lists",
+                      severity="error", message="m"),
+                event("vm.measure", engine="megaunit", runs=2),
+                event("vm.measure", engine="vm", runs=1),
+                event("vm.codegen_cache", engine="megaunit", key="k",
+                      result="hit"),
+                event("vm.codegen_cache", engine="megaunit", key="k",
+                      result="miss"),
+            ]
+        )
         assert snap.counters == {
             "repro_dbds_candidates_total": {"": 7},
-            "repro_dbds_duplications_total": {"": 5},
+            "repro_dbds_duplications_total": {"": 3},
             "repro_dbds_decisions_total": {
                 "outcome=accepted": 3, "outcome=rejected": 4,
+                "outcome=invalidated": 2,
             },
             "repro_dbds_backtrack_total": {
-                "outcome=kept": 2, "outcome=rolled_back": 6,
+                "outcome=kept": 3, "outcome=rolled_back": 6,
             },
             "repro_analysis_violations_total": {"severity=error": 1},
-            "repro_vm_runs_total": {"engine=megaunit": 2},
-            "repro_codegen_cache_total": {"engine=megaunit,result=hit": 1},
+            "repro_vm_runs_total": {"engine=megaunit": 2, "engine=vm": 1},
+            "repro_codegen_cache_total": {
+                "engine=megaunit,result=hit": 1,
+                "engine=megaunit,result=miss": 1,
+            },
         }
 
     def test_nothing_added_means_no_series(self):
-        snap = MetricsSnapshot.from_events(
-            [span("batch", pending=0, cached=0)],
-            counters={"dbds.candidates": 0, "dbds.backtrack.kept": 0},
-        )
+        snap = MetricsSnapshot.from_events([
+            span("batch", pending=0, cached=0),
+            span("phase", phase="backtracking-duplication",
+                 kept=0, rolled_back=0),
+            event("vm.measure", engine="megaunit", runs=0),
+        ])
         assert snap.counters == {}
         # a batch always reports its queue depth, zero included
         assert snap.gauges == {"repro_batch_queue_depth": {"": 0}}
@@ -167,20 +185,16 @@ class TestSnapshotMerge:
         ] + [event("batch.worker", path="a", key="k", ok=True, elapsed=0.01)]
 
     def test_counters_add_gauges_take_max(self):
-        snap = MetricsSnapshot.from_events(
-            self.batch(5, 2) + self.batch(2, 3), counters={}
-        )
+        snap = MetricsSnapshot.from_events(self.batch(5, 2) + self.batch(2, 3))
         assert snap.counter_value("repro_cache_lookups_total", result="hit") == 5
         assert snap.gauge_value("repro_batch_queue_depth") == 5
         assert snap.histogram_count("repro_batch_job_seconds") == 2
 
     def test_merge_is_order_independent(self):
         parts = [self.batch(i, i) for i in (1, 2, 3)]
-        forward = MetricsSnapshot.from_events(
-            [e for part in parts for e in part], counters={}
-        )
+        forward = MetricsSnapshot.from_events([e for part in parts for e in part])
         backward = MetricsSnapshot.from_events(
-            [e for part in reversed(parts) for e in part], counters={}
+            [e for part in reversed(parts) for e in part]
         )
         assert forward.to_json() == backward.to_json()
 
@@ -206,8 +220,8 @@ class TestSerialization:
         with use_tracer(tracer):
             compile_and_profile(source, "main", [[10]], DBDS)
         path = tmp_path / "trace.jsonl"
-        write_jsonl(tracer, path)
-        live = MetricsSnapshot.from_tracer(tracer).to_json()
+        write_jsonl(tracer.events, path)
+        live = MetricsSnapshot.from_events(tracer.events).to_json()
         read = MetricsSnapshot.from_events(read_jsonl(path)).to_json()
         assert read == live
         assert live["counters"]["repro_compile_units_total"] == {"": 1}

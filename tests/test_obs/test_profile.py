@@ -1,9 +1,18 @@
 """Tests for compile-profile aggregation over real compilations."""
 
+from collections import Counter
+
 import pytest
 
 from repro.frontend.irbuilder import compile_source
-from repro.obs import CompileProfile, Tracer, read_jsonl, use_tracer, write_jsonl
+from repro.obs import (
+    CompileProfile,
+    MetricsSnapshot,
+    Tracer,
+    read_jsonl,
+    use_tracer,
+    write_jsonl,
+)
 from repro.obs.tracer import NULL_TRACER
 from repro.pipeline.compiler import Compiler
 from repro.pipeline.config import CONFIGURATIONS, DBDS
@@ -45,7 +54,7 @@ def traced_compile():
 class TestCompileProfile:
     def test_every_pipeline_phase_profiled(self, traced_compile):
         tracer, _ = traced_compile
-        profile = CompileProfile.from_tracer(tracer)
+        profile = CompileProfile.from_events(tracer.events)
         assert PIPELINE_PHASES <= set(profile.phases)
         for phase in PIPELINE_PHASES:
             stat = profile.phases[phase]
@@ -55,7 +64,7 @@ class TestCompileProfile:
 
     def test_functions_and_total(self, traced_compile):
         tracer, report = traced_compile
-        profile = CompileProfile.from_tracer(tracer)
+        profile = CompileProfile.from_events(tracer.events)
         assert set(profile.functions) == {"helper", "main"}
         assert profile.total_time > 0.0
         # Total compile time (inside spans) is close to the report's.
@@ -64,52 +73,55 @@ class TestCompileProfile:
         )
 
     def test_decision_breakdown_matches_counters(self, traced_compile):
-        tracer, _ = traced_compile
-        profile = CompileProfile.from_tracer(tracer)
-        assert profile.accepted == tracer.counter("dbds.decision.accepted")
-        rejected = (
-            tracer.counter("dbds.decision.rejected")
-            + tracer.counter("dbds.decision.invalidated")
-        )
-        assert profile.rejected == rejected
-        assert profile.accepted > 0  # this program duplicates
+        """The profile and the metrics fold the same decision events."""
+        tracer, report = traced_compile
+        profile = CompileProfile.from_events(tracer.events)
+        snap = MetricsSnapshot.from_events(tracer.events)
+        decisions = "repro_dbds_decisions_total"
+        assert profile.accepted == snap.counter_value(decisions, outcome="accepted")
+        assert profile.rejected == snap.counter_value(
+            decisions, outcome="rejected"
+        ) + snap.counter_value(decisions, outcome="invalidated")
+        assert profile.accepted == report.total_duplications > 0
 
     def test_applied_counters_surface(self, traced_compile):
         tracer, _ = traced_compile
-        profile = CompileProfile.from_tracer(tracer)
+        profile = CompileProfile.from_events(tracer.events)
         assert profile.applied  # at least one optimization attributed
         assert all(count > 0 for count in profile.applied.values())
 
     def test_survives_jsonl_round_trip(self, traced_compile, tmp_path):
         tracer, _ = traced_compile
         path = tmp_path / "trace.jsonl"
-        write_jsonl(tracer, path)
+        write_jsonl(tracer.events, path)
         rebuilt = CompileProfile.from_events(read_jsonl(path))
-        direct = CompileProfile.from_tracer(tracer)
+        direct = CompileProfile.from_events(tracer.events)
         assert rebuilt.to_json() == direct.to_json()
 
     def test_format_mentions_phases_and_decisions(self, traced_compile):
         tracer, _ = traced_compile
-        text = CompileProfile.from_tracer(tracer).format()
+        text = CompileProfile.from_events(tracer.events).format()
         assert "dbds" in text and "canonicalize" in text
         assert "decisions" in text
 
     def test_hottest_phases_sorted(self, traced_compile):
         tracer, _ = traced_compile
-        profile = CompileProfile.from_tracer(tracer)
+        profile = CompileProfile.from_events(tracer.events)
         totals = [s.total for s in profile.hottest_phases(20)]
         assert totals == sorted(totals, reverse=True)
 
 
 class TestMetricsWiring:
     def test_unit_metrics_from_counters(self, traced_compile):
-        """The tracer's counters tally what the units report."""
+        """The metric counters folded from the trace tally what the
+        units report."""
         tracer, report = traced_compile
-        assert sum(u.candidates for u in report.units) == tracer.counter(
-            "dbds.candidates"
+        snap = MetricsSnapshot.from_events(tracer.events)
+        assert sum(u.candidates for u in report.units) == snap.counter_value(
+            "repro_dbds_candidates_total"
         )
-        assert sum(u.duplications for u in report.units) == tracer.counter(
-            "dbds.duplications"
+        assert sum(u.duplications for u in report.units) == snap.counter_value(
+            "repro_dbds_duplications_total"
         )
 
     def test_untraced_compiler_metrics_identical(self, traced_compile):
@@ -142,7 +154,73 @@ class TestMetricsWiring:
         report = Compiler(
             CONFIGURATIONS["backtracking"], tracer=tracer
         ).compile_program(program)
-        assert report.total_duplications == tracer.counter("dbds.backtrack.kept")
-        assert tracer.counter("dbds.duplications") == 0
+        snap = MetricsSnapshot.from_events(tracer.events)
+        assert report.total_duplications == snap.counter_value(
+            "repro_dbds_backtrack_total", outcome="kept"
+        )
+        assert snap.counter_value("repro_dbds_duplications_total") == 0
         phases = {e.attrs.get("phase") for e in tracer.spans("phase")}
         assert "backtracking-duplication" in phases
+
+    def test_a_backtracking_run_cut_short_keeps_its_tallies(self, monkeypatch):
+        from repro.dbds.backtracking import BacktrackingDuplication
+
+        attempts = []
+        optimize = BacktrackingDuplication._optimizations_triggered
+
+        def triggered(self, graph):
+            attempts.append(graph)
+            if len(attempts) > 1:
+                raise RuntimeError("boom")
+            return optimize(self, graph)  # this program: a kept pair
+
+        monkeypatch.setattr(
+            BacktrackingDuplication, "_optimizations_triggered", triggered
+        )
+        program = compile_source(
+            "fn main(n: int) -> int {\n"
+            "  var p: int;\n"
+            "  if (n > 0) { p = n; } else { p = 0; }\n"
+            "  var q: int;\n"
+            "  if (p > 2) { q = p; } else { q = 1; }\n"
+            "  return p + q;\n"
+            "}\n"
+        )
+        tracer = Tracer()
+        with pytest.raises(RuntimeError, match="boom"):
+            Compiler(
+                CONFIGURATIONS["backtracking"], tracer=tracer
+            ).compile_program(program)
+        assert len(attempts) == 2  # the second attempt of the one unit
+        snap = MetricsSnapshot.from_events(tracer.events)
+        assert snap.counter_value("repro_dbds_backtrack_total", outcome="kept") == 1
+
+
+@pytest.mark.parametrize("config", ["dbds", "dupalot", "path-dbds"])
+def test_applied_tallies_the_reasons_of_every_duplicated_candidate(
+    config, monkeypatch
+):
+    """A batch's profile counts, per optimization, exactly the reasons
+    of the candidates the phase duplicated, over the micro suite."""
+    from repro.bench.workloads.suites import ALL_SUITES, generate_suite
+    from repro.dbds.phase import DbdsPhase
+    from repro.pipeline.batch import BatchOptions, compile_batch
+
+    received = []
+    duplicate = DbdsPhase._duplicate
+
+    def capture(graph, candidate, *rest):
+        received.extend(candidate.reasons)
+        return duplicate(graph, candidate, *rest)
+
+    monkeypatch.setattr(DbdsPhase, "_duplicate", staticmethod(capture))
+    suite = ALL_SUITES["micro"]
+    report = compile_batch(
+        [(w.name, w.source) for w in generate_suite(suite, seed=0)],
+        BatchOptions(
+            config=CONFIGURATIONS[config], jobs=1,
+            args=(suite.profile_iterations,),
+        ),
+    )
+    assert report.ok and received
+    assert report.profile().applied == dict(Counter(received))

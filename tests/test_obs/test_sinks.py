@@ -9,7 +9,6 @@ from repro.obs.sinks import (
     event_from_dict,
     event_to_dict,
     read_jsonl,
-    trace_counters,
     validate_record,
     validate_trace,
     validate_trace_file,
@@ -29,7 +28,6 @@ def make_tracer():
         benefit=12.0, cost=3.0, probability=0.5,
         accepted=True, reason="accept",
     )
-    tracer.count("dbds.duplications", 2)
     return tracer
 
 
@@ -42,25 +40,24 @@ class TestRoundTrip:
     def test_jsonl_round_trip(self, tmp_path):
         tracer = make_tracer()
         path = tmp_path / "trace.jsonl"
-        written = write_jsonl(tracer, path)
+        written = write_jsonl(tracer.events, path)
         events = read_jsonl(path)
-        assert written == len(events) == 3  # span + decision + counters
+        assert written == len(events) == 2  # span + decision
+        assert events == tracer.events
         assert events[0].name == "phase" and events[0].kind == "span"
         assert events[1].attrs["benefit"] == 12.0
-        assert trace_counters(events) == {"dbds.duplications": 2}
 
     def test_bare_iterable_has_no_counter_trailer(self, tmp_path):
-        tracer = make_tracer()
         path = tmp_path / "trace.jsonl"
-        write_jsonl(list(tracer.events), path)
-        assert trace_counters(read_jsonl(path)) == {}
+        write_jsonl(iter(make_tracer().events), path)
+        assert [e.name for e in read_jsonl(path)] == ["phase", "dbds.decision"]
 
 
 class TestValidation:
     def test_valid_trace_passes(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        write_jsonl(make_tracer(), path)
-        assert validate_trace_file(path) == 3
+        write_jsonl(make_tracer().events, path)
+        assert validate_trace_file(path) == 2
 
     def test_missing_name_rejected(self):
         assert any("name" in p for p in validate_record({"kind": "event", "ts": 0.0, "attrs": {}}))

@@ -2,6 +2,8 @@
 
 import time
 
+import pytest
+
 from repro.obs.tracer import (
     NULL_TRACER,
     Event,
@@ -68,12 +70,13 @@ class TestEventsAndCounters:
         assert event in tracer.events
         assert event.kind == "event" and event.dur is None
 
-    def test_counters_tally(self):
+    def test_records_no_counters(self):
+        """A trace is spans and events: every tally is a fold of them."""
+        with pytest.raises(TypeError):
+            Tracer(time.perf_counter)
         tracer = Tracer()
-        tracer.count("dbds.duplications")
-        tracer.count("dbds.duplications", 2)
-        assert tracer.counter("dbds.duplications") == 3
-        assert tracer.counter("never") == 0
+        for name in ("count", "counter", "counters", "clock"):
+            assert not hasattr(tracer, name)
 
 
 class TestNullTracer:
@@ -85,9 +88,7 @@ class TestNullTracer:
         with tracer.span("phase", phase="p") as event:
             event.attrs["ok"] = 1  # writable throwaway
             tracer.event("x", a=1)
-            tracer.count("c")
         assert tracer.events == []
-        assert tracer.counters == {}
 
     def test_noop_overhead_negligible(self):
         tracer = NULL_TRACER
@@ -95,11 +96,11 @@ class TestNullTracer:
         for _ in range(10_000):
             with tracer.span("phase", phase="p"):
                 pass
-            tracer.count("c")
+            tracer.event("e", a=1)
         elapsed = time.perf_counter() - start
         # Generous bound: 10k no-op spans must be far under a second.
         assert elapsed < 0.5
-        assert tracer.events == [] and tracer.counters == {}
+        assert tracer.events == []
 
 
 class TestNullParityAudit:
@@ -127,12 +128,9 @@ class TestNullParityAudit:
         with tracer.span("phase", phase="p") as event:
             event.attrs["x"] = 1
         tracer.event("e", a=1)
-        tracer.count("c", 2)
         assert tracer.events == []
-        assert tracer.counters == {}
         assert tracer.spans() == []
         assert tracer.named("e") == []
-        assert tracer.counter("c") == 0
 
 
 class TestAmbientTracer:

@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from repro.obs import Tracer, validate_record, event_to_dict
+from repro.obs import MetricsSnapshot, Tracer, validate_record, event_to_dict
 from repro.pipeline.batch import BatchOptions, compile_batch
 from repro.pipeline.cache import (
     PICKLE_PROTOCOL,
@@ -45,7 +45,7 @@ SOURCE = textwrap.dedent(
 def compiled_entry(key: str):
     tracer = Tracer()
     program, report = compile_and_profile(SOURCE, "main", [[5]], DBDS, tracer=tracer)
-    return make_entry(key, program, report, tracer.events, tracer.counters)
+    return make_entry(key, program, report, tracer.events)
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +164,9 @@ def test_cache_events_match_schema(tmp_path):
     assert names == ["cache.miss", "cache.store", "cache.hit"]
     for event in tracer.events:
         assert validate_record(event_to_dict(event)) == []
-    assert tracer.counter("cache.hit") == 1
-    assert tracer.counter("cache.miss") == 1
+    # the events are the lookups' one record: the metrics fold them
+    lookups = MetricsSnapshot.from_events(tracer.events).counters
+    assert lookups["repro_cache_lookups_total"] == {"result=miss": 1, "result=hit": 1}
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +248,7 @@ cache = ArtifactCache(sys.argv[1])
 key = cache_key(source, DBDS, profile_args=[[5]])
 tracer = Tracer()
 program, report = compile_and_profile(source, "main", [[5]], DBDS, tracer=tracer)
-entry = make_entry(key, program, report, tracer.events, tracer.counters)
+entry = make_entry(key, program, report, tracer.events)
 for _ in range(40):
     cache.put(entry)
 print("done")
@@ -302,6 +303,11 @@ def test_entry_payload_round_trip(tmp_path):
     clone = CacheEntry.from_payload(entry.to_payload())
     assert clone.key == entry.key
     assert clone.manifest == entry.manifest
-    assert clone.counters == entry.counters
-    assert len(clone.events) == len(entry.events)
+    assert clone.events == entry.events
+    # the trace is the entry's one record of its compile, and a payload
+    # from before the counter table went still loads
+    payload = entry.to_payload()
+    assert "counters" not in payload
+    older = CacheEntry.from_payload({**payload, "counters": {"cache.miss": 1}})
+    assert older.events == entry.events
     assert json.dumps(clone.report.to_json()) == json.dumps(entry.report.to_json())

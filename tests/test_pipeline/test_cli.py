@@ -220,6 +220,26 @@ class TestObservabilityFlags:
         assert decisions
         assert all("benefit" in e.attrs for e in decisions)
 
+    def test_a_trapping_run_writes_its_trace_and_metrics(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import MetricsSnapshot, read_jsonl
+
+        path = tmp_path / "trap.mini"
+        path.write_text(
+            "fn main(n: int) -> int { var a: int[] = new int[2]; return a[n]; }"
+        )
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.json"
+        code = main([
+            "run", str(path), "--args", "5",
+            "--trace-out", str(trace), "--metrics-out", str(metrics),
+        ])
+        assert code == 1
+        assert "trap" in capsys.readouterr().err
+        view = MetricsSnapshot.from_events(read_jsonl(trace))
+        assert view.to_json() == json.loads(metrics.read_text())
+        assert view.counter_value("repro_vm_runs_total", engine="megaunit") == 1
+
     def test_run_profile_compile(self, source_file, capsys):
         code = main(["run", str(source_file), "--args", "20", "--profile-compile"])
         assert code == 0

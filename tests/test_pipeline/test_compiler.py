@@ -7,6 +7,7 @@ import pytest
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import Interpreter
 from repro.ir import verify_program
+from repro.obs.metrics import MetricsSnapshot
 from repro.obs.tracer import NULL_TRACER, Tracer, use_tracer
 from repro.pipeline.cache import ArtifactCache, normalize_ir
 from repro.pipeline.compiler import Compiler, ProfiledSource, compile_and_profile
@@ -169,9 +170,10 @@ class TestTracerChoice:
         self, tmp_path
     ):
         def dbds_counters(artifact):
+            counters = MetricsSnapshot.from_events(artifact.events).counters
             return {
-                name: value for name, value in artifact.counters.items()
-                if name.startswith("dbds.")
+                name: series for name, series in counters.items()
+                if name.startswith("repro_dbds_")
             }
 
         shared = Tracer()
@@ -186,7 +188,7 @@ class TestTracerChoice:
             )
         # Both compiles recorded into the ambient tracer ...
         assert len(shared.spans("compile")) == 2 * len(alone.report.units)
-        assert shared.counter("dbds.candidates") == 2 * sum(
+        assert len(shared.named("dbds.candidate")) == 2 * sum(
             unit.candidates for unit in alone.report.units
         )
         # ... and each artifact (so each cache entry) holds its compile's.

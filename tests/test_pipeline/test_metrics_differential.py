@@ -34,7 +34,7 @@ def batch_snapshot(jobs: int):
     options = BatchOptions(jobs=jobs, args=PROFILE_ARGS)
     report = compile_batch(EXAMPLES, options, tracer=tracer)
     assert report.ok
-    return MetricsSnapshot.from_tracer(tracer)
+    return MetricsSnapshot.from_events(tracer.events)
 
 
 @pytest.fixture(scope="module")

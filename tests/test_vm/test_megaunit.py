@@ -472,7 +472,7 @@ def test_recursion_headroom_falls_back_to_vm():
         "fallback": "vm",
         "reason": "recursion-headroom",
     }
-    assert MetricsSnapshot.from_tracer(tracer).counter_value(
+    assert MetricsSnapshot.from_events(tracer.events).counter_value(
         "repro_vm_fallback_total", engine="megaunit",
         reason="recursion-headroom",
     ) == 1
@@ -677,14 +677,14 @@ def test_codegen_cache_round_trip(tmp_path):
     with use_tracer(tracer):
         cold = MegaunitVirtualMachine(bytecode, codegen_cache=cache)
         cold_result = cold.run("main", [8])
-    snap = MetricsSnapshot.from_tracer(tracer)
+    snap = MetricsSnapshot.from_events(tracer.events)
     assert snap.counter_value(
         "repro_codegen_cache_total", result="miss", engine="megaunit"
     ) == 1
     with use_tracer(tracer):
         warm = MegaunitVirtualMachine(bytecode, codegen_cache=cache)
         warm_result = warm.run("main", [8])
-    snap = MetricsSnapshot.from_tracer(tracer)
+    snap = MetricsSnapshot.from_events(tracer.events)
     assert snap.counter_value(
         "repro_codegen_cache_total", result="hit", engine="megaunit"
     ) == 1
@@ -735,7 +735,7 @@ def test_older_codegen_schema_entries_are_ignored_and_regenerated(
             megaunit = MegaunitVirtualMachine(bytecode, codegen_cache=cache)
             reference, _ = engines_for(CALLS)
             assert_parity(reference, megaunit, [8])
-        snap = MetricsSnapshot.from_tracer(tracer)
+        snap = MetricsSnapshot.from_events(tracer.events)
         assert snap.counter_value(
             "repro_codegen_cache_total", result="miss", engine="megaunit"
         ) == 1
@@ -760,7 +760,7 @@ def test_codegen_cache_key_tracks_baked_knobs(tmp_path):
         MegaunitVirtualMachine(
             bytecode, codegen_cache=cache, max_steps=2000
         ).run("main", [5])
-    snap = MetricsSnapshot.from_tracer(tracer)
+    snap = MetricsSnapshot.from_events(tracer.events)
     assert snap.counter_value(
         "repro_codegen_cache_total", result="miss", engine="megaunit"
     ) == 2
@@ -822,7 +822,7 @@ def test_codegen_cache_round_trip_per_entry(tmp_path):
                 machine.run(entry, [6])
                 for entry in ("first", "second")
             ])
-    snap = MetricsSnapshot.from_tracer(tracer)
+    snap = MetricsSnapshot.from_events(tracer.events)
     for result in ("miss", "hit"):
         assert snap.counter_value(
             "repro_codegen_cache_total", result=result, engine="megaunit"
