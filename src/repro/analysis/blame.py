@@ -15,11 +15,12 @@ The guard is ambient, mirroring the tracer: instrumentation sites call
 :func:`current_guard` instead of threading a guard argument through
 every phase constructor, and :func:`use_guard` installs one for the
 duration of a compilation.  Failures are also emitted through the
-ambient tracer: the checker runner records each violation as an
-``analysis.violation`` event, and the guard names the blamed phase in
-one ``analysis.blame`` event.  The check time itself is recorded as an
-``ir-check`` phase span so ``--profile-compile`` shows analysis
-overhead.
+ambient tracer: each violation, the guard's own ``change-log`` one
+included, is an ``analysis.violation`` event recorded by the checker
+framework's :func:`~repro.analysis.core.record_violations`, and the
+guard names the blamed phase in one ``analysis.blame`` event.  The
+check time itself is recorded as an ``ir-check`` phase span so
+``--profile-compile`` shows analysis overhead.
 
 The error a checked compile raises to the CLI, :class:`PhaseBlameError`,
 lives here, and this module loads the checker framework only when a
@@ -168,7 +169,7 @@ class PhaseGuard:
     def _check(
         self, phase: str, graph: Graph, before: Optional[Snapshot]
     ) -> None:
-        from .core import Severity, Violation, run_checkers
+        from .core import Severity, Violation, record_violations, run_checkers
 
         tracer = current_tracer()
         # The check itself appears as its own pipeline phase so compile
@@ -181,14 +182,14 @@ class PhaseGuard:
         if report.ok and before is not None and graph.changes.serial == before[1]:
             dump = graph.describe()
             if dump != before[0]:
-                report.violations.append(
-                    Violation(
-                        checker=CHANGE_LOG_CHECK,
-                        severity=Severity.ERROR,
-                        graph=graph.name,
-                        message="changed the graph without logging it",
-                    )
+                violation = Violation(
+                    checker=CHANGE_LOG_CHECK,
+                    severity=Severity.ERROR,
+                    graph=graph.name,
+                    message="changed the graph without logging it",
                 )
+                report.violations.append(violation)
+                record_violations([violation])
         if report.ok:
             return
         diff = _excerpt_diff(

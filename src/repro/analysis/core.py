@@ -289,13 +289,27 @@ def _select(names: Optional[Iterable[str]], scope: str) -> list[Checker]:
     return [get_checker(n) for n in names]
 
 
+def record_violations(violations: Iterable[Violation]) -> None:
+    """Record each violation as one ``analysis.violation`` event on the
+    ambient tracer: the one writer of that event."""
+    tracer = current_tracer()
+    for violation in violations:
+        tracer.event(
+            "analysis.violation",
+            graph=violation.graph,
+            checker=violation.checker,
+            severity=violation.severity.value,
+            block=violation.block,
+            message=violation.message,
+        )
+
+
 def _execute(
     ctx: _ContextBase,
     selected: list[Checker],
     fail_fast: bool,
     report: CheckReport,
 ) -> CheckReport:
-    tracer = current_tracer()
     ctx.fail_fast = fail_fast
     for chk in selected:
         ctx._checker = chk
@@ -318,15 +332,7 @@ def _execute(
         finally:
             ctx._checker = None
         report.checkers_run.append(chk.name)
-        for violation in ctx.violations[before:]:
-            tracer.event(
-                "analysis.violation",
-                graph=violation.graph,
-                checker=violation.checker,
-                severity=violation.severity.value,
-                block=violation.block,
-                message=violation.message,
-            )
+        record_violations(ctx.violations[before:])
         if stop:
             break
     report.violations = ctx.violations

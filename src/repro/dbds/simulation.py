@@ -1,12 +1,20 @@
 """The DBDS simulation tier (Section 4.1, Figures 2 and 3).
 
-A depth-first traversal of the dominator tree carries the optimization
-state (branch facts as refined stamps, plus straight-line memory state).
-Whenever the traversal reaches a block ``p`` whose CFG successor ``m``
-is a merge, it pauses and starts a *duplication simulation traversal*
-(DST): the instructions of ``m`` are processed as if appended to ``p``,
-with a **synonym map** translating each phi of ``m`` to its input along
-the ``p`` edge.
+The tier walks the optimizations' own traversals, so its estimates
+see exactly what they would see after a duplication: conditional
+elimination's dominator-tree walk
+(:meth:`~repro.ir.dominators.DominatorTree.walk` with
+:func:`~repro.opts.condelim.apply_edge_facts`) carries the branch facts
+as refined stamps, and read elimination's
+:func:`~repro.opts.readelim.memory_walk` gives each block's
+straight-line memory state.  Whenever the traversal reaches a block
+``p`` whose CFG successor ``m`` is a merge, it pauses and starts a
+*duplication simulation traversal* (DST): the instructions of ``m`` are
+processed as if appended to ``p``, with a **synonym map** translating
+each phi of ``m`` to its input along the ``p`` edge.  The DST decides
+``m``'s branch with conditional elimination's
+:func:`~repro.opts.condelim.decide`, the synonym map as its ``resolve``
+hook.
 
 During the DST the shared applicability checks fire exactly as they
 would after a real duplication; their action steps return fresh
@@ -22,10 +30,8 @@ from typing import Optional
 from ..costmodel.estimator import block_cycles
 from ..costmodel.model import cycles_of, size_of
 from ..ir.block import Block
-from ..ir.cfgutils import reverse_post_order
 from ..ir.graph import Graph, Program
 from ..ir.nodes import (
-    Compare,
     Goto,
     If,
     Instruction,
@@ -39,9 +45,8 @@ from ..ir.stamps import Stamp
 from ..obs.tracer import current_tracer
 from ..opts.base import OptimizationContext, Rewrite
 from ..opts.canonicalize import canonicalize_instruction
-from ..opts.condelim import FactScope, assume_condition
-from ..opts.readelim import MemoryCache, ReadEliminationPhase
-from ..opts.stampmath import compare_stamps
+from ..opts.condelim import FactScope, apply_edge_facts, assume_condition, decide
+from ..opts.readelim import MemoryCache, ReadEliminationPhase, memory_walk
 
 
 class SimulationResult:
@@ -117,50 +122,33 @@ class SimulationTier:
         self.loops = graph.loop_forest()
         self.frequencies = graph.block_frequencies()
         self._readelim = ReadEliminationPhase(program)
-        self._out_caches = self._compute_memory_states()
-
-    # ------------------------------------------------------------------
-    # Straight-line memory state (read-elimination view), non-mutating.
-    # ------------------------------------------------------------------
-    def _compute_memory_states(self) -> dict[Block, MemoryCache]:
-        helper = self._readelim
-        out: dict[Block, MemoryCache] = {}
-        in_state: dict[Block, MemoryCache] = {}
-        for block in reverse_post_order(self.graph):
-            cache = in_state.pop(block, None)
-            if cache is None or block.is_merge():
-                cache = MemoryCache()
+        #: each block's memory state on leaving it (read-elimination view)
+        self._out_caches: dict[Block, MemoryCache] = {}
+        for block, cache in memory_walk(graph):
             for ins in block.instructions:
-                # _transfer with replacement ignored: only state matters.
-                helper._transfer(ins, cache)
-            out[block] = cache
-            for succ in block.successors:
-                if len(succ.predecessors) == 1:
-                    in_state[succ] = cache.copy()
-        return out
+                self._readelim._transfer(ins, cache)  # state only, nothing replaced
+            self._out_caches[block] = cache
 
     # ------------------------------------------------------------------
     def run(self) -> list[SimulationResult]:
-        """Simulate every candidate pair; returns unsorted results."""
+        """Simulate every candidate pair; returns unsorted results.
+
+        Conditional elimination's own traversal, paused at each block
+        that ends in a ``Goto`` to a merge other than a loop header.
+        """
         results: list[SimulationResult] = []
         facts = FactScope()
-        ENTER, LEAVE = 0, 1
-        stack: list[tuple[int, Block]] = [(ENTER, self.graph.entry)]
-        while stack:
-            action, block = stack.pop()
-            if action == LEAVE:
+        for block, entering in self.dom.walk():
+            if not entering:
                 facts.pop_scope()
                 continue
             facts.push_scope()
-            stack.append((LEAVE, block))
-            self._apply_edge_facts(block, facts)
-            # Pause: run a DST for each merge successor of this block.
-            for merge in block.successors:
+            apply_edge_facts(block, self.dom, facts)
+            term = block.terminator
+            if isinstance(term, Goto):
+                merge = term.target
                 if merge.is_merge() and not self.loops.is_loop_header(merge):
-                    if isinstance(block.terminator, Goto):
-                        results.append(self._simulate_pair(block, merge, facts))
-            for child in reversed(self.dom.dominator_tree_children(block)):
-                stack.append((ENTER, child))
+                    results.append(self._simulate_pair(block, merge, facts))
         return results
 
     def simulate(self, pred: Block, merge: Block) -> SimulationResult:
@@ -171,18 +159,8 @@ class SimulationTier:
         entry down."""
         facts = FactScope()
         for block in reversed(list(self.dom.walk_up(pred))):
-            self._apply_edge_facts(block, facts)
+            apply_edge_facts(block, self.dom, facts)
         return self._simulate_pair(pred, merge, facts)
-
-    def _apply_edge_facts(self, block: Block, facts: FactScope) -> None:
-        if len(block.predecessors) != 1:
-            return
-        pred = block.predecessors[0]
-        if self.dom.immediate_dominator(block) is not pred:
-            return
-        term = pred.terminator
-        if isinstance(term, If):
-            assume_condition(facts, term.condition, block is term.true_target)
 
     # ------------------------------------------------------------------
     # The duplication simulation traversal for one pair.
@@ -227,7 +205,7 @@ class SimulationTier:
             term = merge.terminator
             lookahead: list[tuple[Block, float, Optional[tuple[Value, bool]]]] = []
             if isinstance(term, If):
-                outcome = self._decide(term.condition, ctx)
+                outcome = decide(term.condition, facts, ctx.resolve)
                 if outcome is not None:
                     dead = term.false_target if outcome else term.true_target
                     taken = term.true_target if outcome else term.false_target
@@ -347,17 +325,6 @@ class SimulationTier:
         return ins
 
     # ------------------------------------------------------------------
-    def _decide(self, condition: Value, ctx: SimulationContext) -> Optional[bool]:
-        known = ctx.constant_value(condition)
-        if known is not None:
-            return bool(known[0])
-        resolved = ctx.resolve(condition)
-        if isinstance(resolved, Compare):
-            return compare_stamps(
-                resolved.op, ctx.stamp(resolved.x), ctx.stamp(resolved.y)
-            )
-        return None
-
     def _pea_opportunity(self, phi: Phi, specialized: Value, merge: Block) -> float:
         """Cycles saved when duplication un-escapes an allocation.
 

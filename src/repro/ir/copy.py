@@ -1,23 +1,30 @@
-"""Instruction and whole-graph cloning.
+"""Instruction, block and whole-graph cloning.
 
-Four consumers:
+:func:`clone_blocks` clones one graph's blocks into fresh blocks of
+another, for two consumers:
 
-* the **bench harness** profiles each workload once and compiles a
-  :func:`copy_program` clone of it under every configuration but the
-  last;
-* the **backtracking baseline** (Algorithm 1 of the paper) copies the
-  entire CFG before every tentative duplication — the very cost the
-  simulation tier exists to avoid;
-* the **duplication transformation** clones the instructions of one
-  merge block into each predecessor;
-* the **inliner** clones a callee graph into a caller.
+* :func:`copy_graph` deep-copies a function.  The **bench harness**
+  profiles each workload once and compiles a :func:`copy_program` clone
+  of it under every configuration but the last; the **backtracking
+  baseline** (Algorithm 1 of the paper) copies the entire CFG before
+  every tentative duplication — the very cost the simulation tier
+  exists to avoid;
+* the **inliner** clones a callee graph into a caller, each return a
+  jump to the call's continuation.
+
+:func:`clone_instruction` and :func:`clone_terminator` also serve the
+**duplication transformation**, which clones one merge block into each
+predecessor, and **loop peeling**, which clones a loop body ahead of
+the loop: both copy a region into its own graph under edge rules of
+their own.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from .block import Block
+from .cfgutils import reverse_post_order
 from .graph import Graph, Program
 from .nodes import (
     ArithOp,
@@ -45,16 +52,6 @@ from .nodes import (
 )
 
 ValueMapper = Callable[[Value], Value]
-
-
-def clone_order(graph: Graph) -> list[Block]:
-    """Blocks in an order where definitions precede their uses: reverse
-    post order first, then any unreachable stragglers."""
-    from .cfgutils import reverse_post_order
-
-    order = reverse_post_order(graph)
-    seen = set(order)
-    return order + [b for b in graph.blocks if b not in seen]
 
 
 def clone_instruction(instruction: Instruction, mapper: ValueMapper) -> Instruction:
@@ -120,6 +117,86 @@ def clone_terminator(
     raise TypeError(f"cannot clone terminator {type(term).__name__}")
 
 
+def clone_blocks(
+    source: Graph,
+    into: Graph,
+    block_map: dict[Block, Block],
+    value_map: dict[Value, Value],
+    returns: Optional[Block] = None,
+) -> list[tuple[Block, Optional[Value]]]:
+    """Clone every block of ``source`` into its fresh, empty block of
+    ``into`` in ``block_map``: trip counts, phis, instructions,
+    terminators, predecessor order and phi inputs.
+
+    ``value_map`` maps ``source``'s parameters on entry and every cloned
+    value on return; constants are interned in ``into``.  With
+    ``returns``, each ``Return`` becomes a ``Goto returns``; the result
+    lists those copies, in ``source.blocks`` order, each with its
+    mapped return value (None for a void return).
+    """
+
+    def mapped(value: Value) -> Value:
+        replacement = value_map.get(value)
+        if replacement is not None:
+            return replacement
+        if isinstance(value, Constant):
+            replacement = into.constant(value.value, value.type)
+            value_map[value] = replacement
+            return replacement
+        raise KeyError(f"unmapped value {value!r} while cloning {source.name}")
+
+    for block, copy in block_map.items():
+        trips = getattr(block, "profile_trip_count", None)
+        if trips is not None:
+            copy.profile_trip_count = trips
+
+    # Phis first, with empty inputs (they may reference values defined
+    # later or cyclically), then straight-line instructions, both in
+    # reverse post order: every definition's block precedes its uses'
+    # blocks there (dominators come first), which ``source.blocks``
+    # (creation order) does not guarantee after block-restructuring
+    # phases.  Unreachable stragglers come last.
+    order = reverse_post_order(source)
+    reached = set(order)
+    order += [b for b in source.blocks if b not in reached]
+    pending_phis: list[tuple[Phi, Phi]] = []
+    for block in order:
+        copy = block_map[block]
+        for phi in block.phis:
+            new_phi = Phi(copy, phi.type, [])
+            copy.add_phi(new_phi)
+            value_map[phi] = new_phi
+            pending_phis.append((phi, new_phi))
+    for block in order:
+        copy = block_map[block]
+        for ins in block.instructions:
+            value_map[ins] = copy.append(clone_instruction(ins, mapped))
+
+    exits: list[tuple[Block, Optional[Value]]] = []
+    for block in source.blocks:
+        term = block.terminator
+        if term is None:
+            continue
+        copy = block_map[block]
+        if returns is not None and isinstance(term, Return):
+            exits.append((copy, None if term.value is None else mapped(term.value)))
+            copy.set_terminator(Goto(returns))
+        else:
+            copy.set_terminator(clone_terminator(term, mapped, block_map.__getitem__))
+
+    # Phi inputs are positional: the copies' predecessor order must be
+    # the originals', whatever order the terminators were wired in.
+    for block in source.blocks:
+        copy = block_map[block]
+        desired = [block_map[p] for p in block.predecessors]
+        if copy.predecessors != desired:
+            copy.reorder_predecessors(desired)
+    for old_phi, new_phi in pending_phis:
+        for value in old_phi.inputs:
+            new_phi._append_input(mapped(value))
+    return exits
+
+
 def copy_graph(graph: Graph) -> tuple[Graph, dict[Value, Value]]:
     """Deep-copy a function graph.
 
@@ -131,77 +208,12 @@ def copy_graph(graph: Graph) -> tuple[Graph, dict[Value, Value]]:
         [(p.param_name, p.type) for p in graph.parameters],
         graph.return_type,
     )
-    value_map: dict[Value, Value] = {}
-    for old_p, new_p in zip(graph.parameters, new_graph.parameters):
-        value_map[old_p] = new_p
-
+    value_map: dict[Value, Value] = dict(zip(graph.parameters, new_graph.parameters))
     block_map: dict[Block, Block] = {graph.entry: new_graph.entry}
     for block in graph.blocks:
-        if block is graph.entry:
-            continue
-        block_map[block] = new_graph.new_block(block._name)
-    for block, new_block in block_map.items():
-        trips = getattr(block, "profile_trip_count", None)
-        if trips is not None:
-            new_block.profile_trip_count = trips
-
-    def mapped(value: Value) -> Value:
-        replacement = value_map.get(value)
-        if replacement is not None:
-            return replacement
-        if isinstance(value, Constant):
-            replacement = new_graph.constant(value.value, value.type)
-            value_map[value] = replacement
-            return replacement
-        raise KeyError(f"unmapped value {value!r} during graph copy")
-
-    # Pass 1: create phis with empty inputs (they may reference values
-    # defined later / cyclically) and clone straight-line instructions.
-    # Instructions are cloned in reverse post order: every definition's
-    # block precedes its uses' blocks there (dominators come first),
-    # which graph.blocks (creation order) does not guarantee after
-    # block-restructuring phases.
-    order = clone_order(graph)
-    pending_phis: list[tuple[Phi, Phi]] = []
-    for block in order:
-        new_block = block_map[block]
-        for phi in block.phis:
-            new_phi = Phi(new_block, phi.type, [])
-            new_block.add_phi(new_phi)
-            value_map[phi] = new_phi
-            pending_phis.append((phi, new_phi))
-
-    for block in order:
-        new_block = block_map[block]
-        for ins in block.instructions:
-            new_ins = clone_instruction(ins, mapped)
-            new_block.append(new_ins)
-            value_map[ins] = new_ins
-
-    # Pass 2: terminators (this wires predecessor lists in CFG order
-    # identical to the original because we iterate blocks in creation
-    # order and set_terminator appends predecessors).
-    for block in graph.blocks:
-        if block.terminator is None:
-            continue
-        new_term = clone_terminator(
-            block.terminator, mapped, lambda b: block_map[b]
-        )
-        block_map[block].set_terminator(new_term)
-
-    # Predecessor *order* must match for positional phi inputs; enforce
-    # it explicitly rather than relying on iteration order.
-    for block in graph.blocks:
-        new_block = block_map[block]
-        desired = [block_map[p] for p in block.predecessors]
-        if new_block.predecessors != desired:
-            new_block.reorder_predecessors(desired)
-
-    # Pass 3: fill phi inputs.
-    for old_phi, new_phi in pending_phis:
-        for value in old_phi.inputs:
-            new_phi._append_input(mapped(value))
-
+        if block is not graph.entry:
+            block_map[block] = new_graph.new_block(block._name)
+    clone_blocks(graph, new_graph, block_map, value_map)
     return new_graph, value_map
 
 

@@ -65,19 +65,22 @@ class DominatorTree:
         return a
 
     def _number(self) -> None:
-        counter = 0
-        stack: list[tuple[Block, bool]] = [(self.graph.entry, False)]
+        for counter, (block, entering) in enumerate(self.walk()):
+            (self._dfs_in if entering else self._dfs_out)[block] = counter
+
+    def walk(self):
+        """Depth-first over the dominator tree from the entry: yield
+        ``(block, True)`` on entering ``block`` and ``(block, False)``
+        once its whole subtree is done, children in RPO order.  The
+        one dominator-tree traversal: scoped state (value tables,
+        branch facts) is pushed on entering and popped on leaving."""
+        stack: list[tuple[Block, bool]] = [(self.graph.entry, True)]
         while stack:
-            block, done = stack.pop()
-            if done:
-                self._dfs_out[block] = counter
-                counter += 1
-                continue
-            self._dfs_in[block] = counter
-            counter += 1
-            stack.append((block, True))
-            for child in reversed(self.children[block]):
-                stack.append((child, False))
+            block, entering = stack.pop()
+            yield block, entering
+            if entering:
+                stack.append((block, False))
+                stack.extend((child, True) for child in reversed(self.children[block]))
 
     # ------------------------------------------------------------------
     # Queries
@@ -90,9 +93,6 @@ class DominatorTree:
 
     def immediate_dominator(self, block: Block) -> Block:
         return self.idom[block]
-
-    def dominator_tree_children(self, block: Block) -> list[Block]:
-        return self.children[block]
 
     def walk_up(self, block: Block):
         """Yield ``block`` and all its dominators up to the entry."""

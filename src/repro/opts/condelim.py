@@ -1,18 +1,21 @@
 """Conditional elimination (Section 2, Listing 1/2).
 
-A depth-first traversal of the dominator tree carries a stack of facts
-derived from dominating branch conditions ("Every split in the control-
-flow graph narrows the information for a dominating condition's
+A depth-first traversal of the dominator tree
+(:meth:`~repro.ir.dominators.DominatorTree.walk`) carries a stack of
+facts derived from dominating branch conditions ("Every split in the
+control-flow graph narrows the information for a dominating condition's
 operands", Section 4.1).  Dominated conditions that the facts decide are
 folded, letting the CFG cleanup remove the dead branch.
 
-The fact store (:class:`FactScope`) is also the state the DBDS
-simulation traversal reuses when it pauses at a predecessor-merge pair.
+The DBDS simulation tier walks the same traversal with the same fact
+store (:class:`FactScope`), edge-fact step (:func:`apply_edge_facts`)
+and branch decision (:func:`decide`), so at each predecessor-merge pair
+it sees exactly what this phase would see after the duplication.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..ir.block import Block
 from ..ir.cfgutils import canonical_cfg_cleanup
@@ -65,9 +68,6 @@ class FactScope:
     def stamp_of(self, value: Value) -> Stamp:
         return self._facts.get(value, value.stamp)
 
-    def snapshot(self) -> dict[Value, Stamp]:
-        return dict(self._facts)
-
 
 def assume_condition(facts: FactScope, condition: Value, holds: bool) -> None:
     """Record everything implied by ``condition == holds``.
@@ -104,84 +104,74 @@ def assume_condition(facts: FactScope, condition: Value, holds: bool) -> None:
                 facts.refine(y, ObjectStamp(sy.type, non_null=True))
 
 
+def apply_edge_facts(block: Block, dom: DominatorTree, facts: FactScope) -> None:
+    """When ``block`` is a branch target of its immediate dominator's
+    ``If`` (and its only predecessor), the branch condition holds or
+    fails throughout the dominator subtree rooted here."""
+    if len(block.predecessors) != 1:
+        return
+    pred = block.predecessors[0]
+    if dom.immediate_dominator(block) is not pred:
+        return
+    term = pred.terminator
+    if isinstance(term, If):
+        assume_condition(facts, term.condition, block is term.true_target)
+
+
+def _identity(value: Value) -> Value:
+    return value
+
+
+def decide(
+    condition: Value,
+    facts: FactScope,
+    resolve: Callable[[Value], Value] = _identity,
+) -> Optional[bool]:
+    """The outcome ``facts`` fix for ``condition``, or None when open.
+
+    ``resolve`` maps each value to the one the facts are about: the
+    identity in this phase, the synonym map of a duplication
+    simulation traversal in :mod:`repro.dbds.simulation`.
+    """
+    condition = resolve(condition)
+    known = facts.stamp_of(condition).as_constant()
+    if known is not None:
+        return bool(known[0])
+    if isinstance(condition, Compare):
+        return compare_stamps(
+            condition.op,
+            facts.stamp_of(resolve(condition.x)),
+            facts.stamp_of(resolve(condition.y)),
+        )
+    return None
+
+
 class ConditionalEliminationPhase(Phase):
     """Fold dominated conditions that dominating branches decide."""
 
     name = "conditional-elimination"
 
     def run(self, graph: Graph) -> int:
-        folded = self._run_traversal(graph)
-        if folded:
-            canonical_cfg_cleanup(graph)
-            remove_dead_instructions(graph)
-        return folded
-
-    def _run_traversal(self, graph: Graph) -> int:
         dom = graph.dominator_tree()
         facts = FactScope()
-        #: If terminators to fold: (block, decided outcome)
-        decisions: list[tuple[Block, bool]] = []
-
-        # Iterative DFS to avoid Python recursion limits on deep CFGs.
-        self._iterative_dfs(graph, dom, facts, decisions)
-
-        for block, outcome in decisions:
-            term = block.terminator
-            if isinstance(term, If):
-                target = term.true_target if outcome else term.false_target
-                block.set_terminator(Goto(target))
-        return len(decisions)
-
-    def _iterative_dfs(
-        self,
-        graph: Graph,
-        dom: DominatorTree,
-        facts: FactScope,
-        decisions: list[tuple[Block, bool]],
-    ) -> None:
-        ENTER, LEAVE = 0, 1
-        stack: list[tuple[int, Block]] = [(ENTER, graph.entry)]
-        while stack:
-            action, block = stack.pop()
-            if action == LEAVE:
+        #: each decided If's block with the target it keeps
+        folds: list[tuple[Block, Block]] = []
+        for block, entering in dom.walk():
+            if not entering:
                 facts.pop_scope()
                 continue
             facts.push_scope()
-            stack.append((LEAVE, block))
-            self._apply_edge_facts(block, dom, facts)
+            apply_edge_facts(block, dom, facts)
             term = block.terminator
             if isinstance(term, If):
-                outcome = self._decide(term.condition, facts)
+                outcome = decide(term.condition, facts)
                 if outcome is not None:
-                    decisions.append((block, outcome))
-            for child in reversed(dom.dominator_tree_children(block)):
-                stack.append((ENTER, child))
-
-    @staticmethod
-    def _apply_edge_facts(block: Block, dom: DominatorTree, facts: FactScope) -> None:
-        """When ``block`` is a branch target of its immediate dominator's
-        ``If`` (and its only predecessor), the branch condition holds or
-        fails throughout the dominator subtree rooted here."""
-        if len(block.predecessors) != 1:
-            return
-        pred = block.predecessors[0]
-        if dom.immediate_dominator(block) is not pred:
-            return
-        term = pred.terminator
-        if not isinstance(term, If):
-            return
-        assume_condition(facts, term.condition, block is term.true_target)
-
-    @staticmethod
-    def _decide(condition: Value, facts: FactScope) -> Optional[bool]:
-        stamp = facts.stamp_of(condition)
-        known = stamp.as_constant()
-        if known is not None:
-            return bool(known[0])
-        if isinstance(condition, Compare):
-            return compare_stamps(
-                condition.op,
-                facts.stamp_of(condition.x),
-                facts.stamp_of(condition.y),
-            )
-        return None
+                    folds.append(
+                        (block, term.true_target if outcome else term.false_target)
+                    )
+        for block, target in folds:
+            block.set_terminator(Goto(target))
+        if folds:
+            canonical_cfg_cleanup(graph)
+            remove_dead_instructions(graph)
+        return len(folds)

@@ -43,23 +43,16 @@ class GlobalValueNumberingPhase(Phase):
     name = "global-value-numbering"
 
     def run(self, graph: Graph) -> int:
-        dom = graph.dominator_tree()
         available: dict[object, Value] = {}
-        eliminated = 0
-
-        ENTER, LEAVE = 0, 1
-        stack: list[tuple[int, object]] = [(ENTER, graph.entry)]
         scopes: list[list[object]] = []
-        while stack:
-            action, item = stack.pop()
-            if action == LEAVE:
+        eliminated = 0
+        for block, entering in graph.dominator_tree().walk():
+            if not entering:
                 for key in scopes.pop():
                     del available[key]
                 continue
-            block = item
             introduced: list[object] = []
             scopes.append(introduced)
-            stack.append((LEAVE, block))
             for ins in list(block.instructions):
                 key = _value_key(ins)
                 if key is None:
@@ -72,6 +65,4 @@ class GlobalValueNumberingPhase(Phase):
                 else:
                     available[key] = ins
                     introduced.append(key)
-            for child in reversed(dom.dominator_tree_children(block)):
-                stack.append((ENTER, child))
         return eliminated

@@ -5,21 +5,19 @@ duplication opportunities (boxing, accessors) only exist after inlining,
 which is why the workload generators lean on small helper functions.
 
 Inlining splices a clone of the callee between the call block and a
-continuation block; multiple returns merge at the continuation with a
-phi over the returned values.  Probabilities and trip counts survive via
-the shared cloning helpers.
+continuation block.  :func:`~repro.ir.copy.clone_blocks` makes the
+clone, probabilities and trip counts included, and turns each return
+into a jump to the continuation; multiple returns merge there with a
+phi over the returned values.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..ir.block import Block
 from ..ir.cfgutils import canonical_cfg_cleanup
-from ..ir.copy import clone_instruction, clone_terminator
+from ..ir.copy import clone_blocks
 from ..ir.graph import Graph, Program
 from .base import Phase
-from ..ir.nodes import Call, Constant, Goto, Phi, Return, Value
+from ..ir.nodes import Call, Goto, Phi, Return
 from ..ir.types import VOID
 
 #: callees with more instructions than this are not inlined
@@ -97,81 +95,30 @@ class InliningPhase(Phase):
         )
         call_block.move_terminator(continuation)
 
-        # 2. Clone the callee body into the caller.
-        value_map: dict[Value, Value] = {
-            param: arg for param, arg in zip(callee.parameters, call.args)
+        # 2. Clone the callee body into the caller; its returns jump to
+        #    the continuation.
+        block_map = {
+            src: graph.new_block(f"inl_{call.callee}_{src.name}")
+            for src in callee.blocks
         }
-        block_map: dict[Block, Block] = {}
-        for src in callee.blocks:
-            dst = graph.new_block(f"inl_{call.callee}_{src.name}")
-            trips = getattr(src, "profile_trip_count", None)
-            if trips is not None:
-                dst.profile_trip_count = trips
-            block_map[src] = dst
+        return_sites = clone_blocks(
+            callee,
+            graph,
+            block_map,
+            dict(zip(callee.parameters, call.args)),
+            returns=continuation,
+        )
 
-        def mapped(value: Value) -> Value:
-            known = value_map.get(value)
-            if known is not None:
-                return known
-            if isinstance(value, Constant):
-                cloned = graph.constant(value.value, value.type)
-                value_map[value] = cloned
-                return cloned
-            raise KeyError(f"unmapped value {value!r} while inlining {call.callee}")
-
-        from ..ir.copy import clone_order
-
-        order = clone_order(callee)
-        pending_phis: list[tuple[Phi, Phi]] = []
-        for src in order:
-            dst = block_map[src]
-            for phi in src.phis:
-                clone = Phi(dst, phi.type, [])
-                dst.add_phi(clone)
-                value_map[phi] = clone
-                pending_phis.append((phi, clone))
-        for src in order:
-            dst = block_map[src]
-            for ins in src.instructions:
-                value_map[ins] = dst.append(clone_instruction(ins, mapped))
-
-        # 3. Terminators: returns become Gotos to the continuation.
-        return_sites: list[tuple[Block, Optional[Value]]] = []
-        for src in callee.blocks:
-            dst = block_map[src]
-            term = src.terminator
-            if isinstance(term, Return):
-                value = mapped(term.value) if term.value is not None else None
-                return_sites.append((dst, value))
-                dst.set_terminator(Goto(continuation))
-            else:
-                dst.set_terminator(
-                    clone_terminator(term, mapped, lambda b: block_map[b])
-                )
-        for src in callee.blocks:
-            dst = block_map[src]
-            desired = [block_map[p] for p in src.predecessors]
-            actual_non_entry = [p for p in dst.predecessors if p in desired]
-            if actual_non_entry != desired:
-                others = [p for p in dst.predecessors if p not in desired]
-                dst.reorder_predecessors(desired + others)
-        for old_phi, new_phi in pending_phis:
-            for value in old_phi.inputs:
-                new_phi._append_input(mapped(value))
-
-        # 4. Jump into the callee entry and wire the return value.
+        # 3. Jump into the callee entry and wire the return value.
         call_block.set_terminator(Goto(block_map[callee.entry]))
         if call.type != VOID and call.has_uses():
             if len(return_sites) == 1:
                 replacement = return_sites[0][1]
             else:
-                # Continuation predecessor order: return_sites were
-                # wired via set_terminator in callee block order, and
-                # those Gotos are its only predecessors.
-                order = {
-                    block: value for block, value in return_sites
-                }
-                inputs = [order[pred] for pred in continuation.predecessors]
+                # The return sites' Gotos are the continuation's only
+                # predecessors.
+                returned = dict(return_sites)
+                inputs = [returned[pred] for pred in continuation.predecessors]
                 phi = Phi(continuation, call.type, inputs)
                 continuation.add_phi(phi)
                 replacement = phi

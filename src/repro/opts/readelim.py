@@ -14,7 +14,7 @@ is default-value forwarding out of fresh allocations.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..ir.block import Block
 from ..ir.cfgutils import reverse_post_order
@@ -101,6 +101,27 @@ class MemoryCache:
         self.arrays[(array, index)] = value
 
 
+def memory_walk(graph: Graph) -> Iterator[tuple[Block, MemoryCache]]:
+    """Yield each reverse-post-order block of ``graph`` with the memory
+    state flowing into it, for the caller to update through the block.
+
+    The entry and every merge get a fresh cache: merges drop state, so
+    only *fully* redundant reads on the incoming straight-line path are
+    removed.  A single-predecessor block gets a copy of its
+    predecessor's cache as the caller left it.  The DBDS simulation
+    tier reads the same walk.
+    """
+    in_state: dict[Block, MemoryCache] = {}
+    for block in reverse_post_order(graph):
+        cache = in_state.pop(block, None)
+        if cache is None or block.is_merge():
+            cache = MemoryCache()
+        yield block, cache
+        for succ in block.successors:
+            if len(succ.predecessors) == 1:
+                in_state[succ] = cache.copy()
+
+
 class ReadEliminationPhase(Phase):
     """Forward memory-state propagation + redundant read replacement."""
 
@@ -110,19 +131,9 @@ class ReadEliminationPhase(Phase):
         self.program = program
 
     def run(self, graph: Graph) -> int:
-        eliminated = 0
-        in_state: dict[Block, MemoryCache] = {}
-        for block in reverse_post_order(graph):
-            cache = in_state.pop(block, None)
-            if cache is None or block.is_merge():
-                # Merges drop state: only *fully* redundant reads on the
-                # incoming straight-line path are removed.
-                cache = MemoryCache()
-            eliminated += self._process_block(block, cache)
-            for succ in block.successors:
-                if len(succ.predecessors) == 1:
-                    in_state[succ] = cache.copy()
-        return eliminated
+        return sum(
+            self._process_block(block, cache) for block, cache in memory_walk(graph)
+        )
 
     # ------------------------------------------------------------------
     def _process_block(self, block: Block, cache: MemoryCache) -> int:

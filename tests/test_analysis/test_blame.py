@@ -8,6 +8,7 @@ from repro.analysis import PhaseBlameError, PhaseGuard, use_guard
 from repro.analysis.blame import CHANGE_LOG_CHECK, CHECK_BOUNDARIES
 from repro.ir import ArithOp, BinOp
 from repro.ir.stamps import IntStamp
+from repro.obs.metrics import MetricsSnapshot
 from repro.obs.sinks import event_to_dict, validate_record
 from repro.obs.tracer import Tracer, use_tracer
 from repro.opts.base import Phase
@@ -176,6 +177,22 @@ def test_an_unlogged_edit_is_blamed_on_its_phase(diamond):
     assert error.checkers == [CHANGE_LOG_CHECK]
     assert "changed the graph without logging it" in error.format_blame()
     assert "+  v" in error.diff  # the appended instruction
+
+
+def test_the_change_log_violation_is_one_counted_event(diamond):
+    guard = PhaseGuard("each-phase", fail_fast=False)
+    tracer = Tracer()
+    with use_tracer(tracer), use_guard(guard):
+        UnloggedAppendPhase().run(diamond["graph"])
+    assert guard.failures[0].checkers == [CHANGE_LOG_CHECK]
+    violations = [e for e in tracer.events if e.name == "analysis.violation"]
+    assert [e.attrs["checker"] for e in violations] == [CHANGE_LOG_CHECK]
+    assert [e.name for e in tracer.events if e.name.startswith("analysis.")] == [
+        "analysis.violation",
+        "analysis.blame",
+    ]
+    metrics = MetricsSnapshot.from_events(tracer.events)
+    assert metrics.counter_value("repro_analysis_violations_total", severity="error") == 1
 
 
 def test_the_same_edit_through_the_ir_passes(diamond):

@@ -8,6 +8,8 @@ from repro.interp.interpreter import Interpreter
 from repro.ir import (
     ArithOp,
     BinOp,
+    CmpOp,
+    Compare,
     Goto,
     Graph,
     INT,
@@ -19,7 +21,7 @@ from repro.ir import (
     StoreField,
     verify_graph,
 )
-from repro.ir.copy import clone_instruction, copy_graph, copy_program
+from repro.ir.copy import clone_blocks, clone_instruction, copy_graph, copy_program
 from repro.ir.nodes import If
 from repro.obs import Tracer
 from repro.pipeline.cache import artifact_manifest, normalize_ir
@@ -56,6 +58,37 @@ class TestCloneInstruction:
         phi = Phi(b, INT, [])
         with pytest.raises(TypeError):
             clone_instruction(phi, lambda v: v)
+
+
+class TestCloneBlocks:
+    def test_returns_become_gotos_to_the_given_block(self):
+        """A two-return callee cloned into a caller: each copied
+        ``Return`` becomes ``Goto after``, reported with its mapped
+        value in block order."""
+        callee = Graph("callee", [("x", INT)], INT)
+        x = callee.parameters[0]
+        yes, no = callee.new_block("yes"), callee.new_block("no")
+        cond = callee.entry.append(Compare(CmpOp.GT, x, callee.const_int(0)))
+        callee.entry.set_terminator(If(cond, yes, no))
+        yes.set_terminator(Return(x))
+        no.set_terminator(Return(callee.const_int(5)))
+
+        caller = Graph("caller", [("y", INT)], INT)
+        after = caller.new_block("after")
+        block_map = {b: caller.new_block(f"c_{b.name}") for b in callee.blocks}
+        y = caller.parameters[0]
+        exits = clone_blocks(callee, caller, block_map, {x: y}, returns=after)
+
+        assert exits == [(block_map[yes], y), (block_map[no], caller.const_int(5))]
+        for copy, _ in exits:
+            assert isinstance(copy.terminator, Goto)
+            assert copy.terminator.target is after
+        assert after.predecessors == [block_map[yes], block_map[no]]
+        assert not any(isinstance(b.terminator, Return) for b in block_map.values())
+        branch = block_map[callee.entry].terminator
+        assert isinstance(branch, If)
+        assert (branch.true_target, branch.false_target) == (block_map[yes], block_map[no])
+        assert branch.condition.x is y
 
 
 PROGRAM = """

@@ -83,7 +83,7 @@ class TestDiamond:
 
     def test_children(self, diamond):
         dom = DominatorTree(diamond["graph"])
-        kids = set(dom.dominator_tree_children(diamond["graph"].entry))
+        kids = set(dom.children[diamond["graph"].entry])
         assert kids == {
             diamond["true_block"],
             diamond["false_block"],
@@ -138,6 +138,75 @@ class TestLoops:
         assert not dom.dominates(body, header)
         # header's frontier includes itself (the back edge).
         assert header in dom.dominance_frontiers()[body]
+
+
+class TestWalk:
+    def graph(self) -> Graph:
+        g = Graph("nest", [("x", INT)], INT)
+        x = g.parameters[0]
+        names = ("h", "body", "t", "f", "m", "e", "a", "a1", "a2", "am", "b", "z", "u")
+        blk = {name: g.new_block(name) for name in names}
+
+        def branch(name, yes, no, k):
+            cond = blk[name].append(Compare(CmpOp.GT, x, g.const_int(k)))
+            blk[name].set_terminator(If(cond, blk[yes], blk[no]))
+
+        def goto(name, target):
+            blk[name].set_terminator(Goto(blk[target]))
+
+        # A loop h..m whose body is a diamond, then nested diamonds
+        # e/a/a1/a2/am/b merging at z; u is unreachable.
+        g.entry.set_terminator(Goto(blk["h"]))
+        branch("h", "body", "e", 0)
+        branch("body", "t", "f", 1)
+        goto("t", "m")
+        goto("f", "m")
+        goto("m", "h")
+        branch("e", "a", "b", 2)
+        branch("a", "a1", "a2", 3)
+        goto("a1", "am")
+        goto("a2", "am")
+        goto("am", "z")
+        goto("b", "z")
+        blk["z"].set_terminator(Return(x))
+        blk["u"].set_terminator(Return(x))
+        return g
+
+    def test_enters_and_leaves_each_reachable_block_once(self):
+        g = self.graph()
+        dom = DominatorTree(g)
+        steps = list(dom.walk())
+        reachable = sorted(b.name for b in dom.rpo)
+        assert "u" not in reachable
+        assert sorted(b.name for b, entering in steps if entering) == reachable
+        assert sorted(b.name for b, entering in steps if not entering) == reachable
+        assert steps[0] == (g.entry, True) and steps[-1] == (g.entry, False)
+
+    def test_leaves_a_block_only_after_its_whole_subtree(self):
+        g = self.graph()
+        dom = DominatorTree(g)
+        steps = list(dom.walk())
+        for block in dom.rpo:
+            start = steps.index((block, True))
+            end = steps.index((block, False))
+            inside = {b for b, _ in steps[start + 1 : end]}
+            subtree = {
+                b for b in dom.rpo if b is not block and brute_force_dominates(g, block, b)
+            }
+            assert inside == subtree, block.name
+
+    def test_visits_children_in_rpo_order(self):
+        g = self.graph()
+        dom = DominatorTree(g)
+        entered = [b for b, entering in dom.walk() if entering]
+        widest = 0
+        for block in dom.rpo:
+            kids = [
+                b for b in entered if b is not block and dom.immediate_dominator(b) is block
+            ]
+            assert kids == sorted(kids, key=dom.rpo.index), block.name
+            widest = max(widest, len(kids))
+        assert widest == 3  # body, e and a each have three children
 
 
 class TestAgainstBruteForce:

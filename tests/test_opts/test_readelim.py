@@ -5,7 +5,13 @@ import pytest
 from repro.frontend.irbuilder import compile_source
 from repro.interp.interpreter import HeapObject, Interpreter
 from repro.ir import LoadField, LoadGlobal, ArrayLoad, verify_graph
-from repro.opts.readelim import MemoryCache, ReadEliminationPhase, may_alias
+from repro.ir.cfgutils import reverse_post_order
+from repro.opts.readelim import (
+    MemoryCache,
+    ReadEliminationPhase,
+    may_alias,
+    memory_walk,
+)
 
 
 def count_loads(graph, kind=LoadField):
@@ -230,3 +236,25 @@ fn f(a: A, b: A, i: int) -> int {
         ReadEliminationPhase(program).run(program.function("f"))
         verify_graph(program.function("f"))
         assert run_all(program) == expected
+
+
+class TestMemoryWalk:
+    def test_fresh_at_entry_and_merges_copied_along_single_edges(self, diamond):
+        """Each block's received cache, then a mark the caller leaves
+        in it: the entry and the merge start empty, each branch target
+        starts with a copy of the entry's cache as the caller left it."""
+        graph = diamond["graph"]
+        received: dict = {}
+        caches: dict = {}
+        for block, cache in memory_walk(graph):
+            received[block] = dict(cache.globals_)
+            caches[block] = cache
+            cache.globals_[block.name] = graph.const_int(block.id)
+        assert list(received) == reverse_post_order(graph)
+        entry, merge = graph.entry, diamond["merge"]
+        assert received[entry] == {}
+        assert received[merge] == {}
+        for branch in (diamond["true_block"], diamond["false_block"]):
+            assert received[branch] == {entry.name: graph.const_int(entry.id)}
+            assert caches[branch] is not caches[entry]
+        assert len({id(cache) for cache in caches.values()}) == len(caches)
