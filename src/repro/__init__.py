@@ -65,7 +65,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".pipeline.cache": (
         "ArtifactCache",
         "CacheEntry",
-        "CacheStats",
         "artifact_manifest",
         "cache_key",
         "config_fingerprint",
@@ -93,7 +92,7 @@ __all__ = [
     "all_checkers", "apply_profile", "ArtifactCache", "BACKTRACKING",
     "BASELINE", "BatchOptions", "BatchReport", "build_program",
     "cache_key", "can_duplicate", "checker", "CheckReport",
-    "CacheEntry", "CacheStats", "CompilationReport",
+    "CacheEntry", "CompilationReport",
     "compile_and_profile", "compile_batch", "CompileError",
     "compile_source", "CompileProfile", "Compiler", "CompilerConfig",
     "CONFIGURATIONS", "config_fingerprint", "current_tracer", "DBDS",

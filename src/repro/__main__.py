@@ -29,11 +29,11 @@ the differential oracle (``--diff-engines``: baseline against
 its stamp), and ``--fuzz N`` programs held to the same checks with the
 oracle on.  ``run``, ``compile``, ``check``,
 ``batch`` and ``bench`` all accept ``--trace-out FILE`` (write the
-JSONL event trace; on ``bench``, the suite report) and
-``--profile-compile`` (print the per-phase profile); see
-docs/OBSERVABILITY.md.  ``run`` and ``compile`` accept
-``--check-ir={off,boundaries,each-phase}`` plus
-``--fail-fast``/``--keep-going``.  ``run`` and ``bench`` meter their
+JSONL event trace; ``bench``'s holds one ``bench.cell`` span per suite
+cell, so it reproduces the suite table) and ``--profile-compile``
+(print the per-phase profile to stderr); see docs/OBSERVABILITY.md.
+``run`` and ``compile`` accept ``--check-ir={off,boundaries,each-phase}``
+plus ``--fail-fast``/``--keep-going``.  ``run`` and ``bench`` meter their
 measured runs on ``--engine={reference,vm,megaunit}``, ``megaunit``
 by default (it compiles the whole program into one exec unit with
 direct calls; ``vm`` is the plain bytecode loop and ``reference`` the
@@ -89,9 +89,9 @@ from .bench.harness import (
     DEFAULT_REGRESSION_THRESHOLD,
     DEFAULT_TRAJECTORY_PATH,
     SUITE_NAMES,
+    cell_phase_times,
     format_suite_report,
     run_suite,
-    suite_report_json,
 )
 from .interp.interpreter import BudgetExceeded
 from .ir.stamps import INT_MAX, INT_MIN
@@ -274,8 +274,25 @@ def _make_cache(args: argparse.Namespace) -> ArtifactCache | None:
 
 
 def _emit_cache_stats(args: argparse.Namespace, cache: ArtifactCache | None) -> None:
-    if cache is not None and args.cache_stats:
-        print(cache.stats.format(), file=sys.stderr)
+    """Print ``--cache-stats``: the cache counters of the verb's trace,
+    folded as for ``--metrics-out`` (see :func:`_with_telemetry`)."""
+    if cache is None or not args.cache_stats:
+        return
+    from .obs.metrics import MetricsSnapshot
+
+    metrics = MetricsSnapshot.from_events(current_tracer().events)
+    hits, misses = (
+        metrics.counter_value("repro_cache_lookups_total", result=result)
+        for result in ("hit", "miss")
+    )
+    stores = metrics.counter_value("repro_cache_stores_total")
+    evictions = metrics.counter_value("repro_cache_evictions_total")
+    rate = hits / (hits + misses) if hits + misses else 0.0
+    print(
+        f"cache: {hits} hit(s), {misses} miss(es), {stores} store(s), "
+        f"{evictions} eviction(s) ({rate * 100.0:.0f}% hit rate)",
+        file=sys.stderr,
+    )
 
 
 def _jit(
@@ -300,8 +317,10 @@ def _report_guard_failures(failures: list) -> int:
 
 
 def _emit_observability(args: argparse.Namespace) -> None:
-    """Write ``--trace-out`` and print ``--profile-compile`` from the
-    verb's tracer (see :func:`_with_telemetry`)."""
+    """Write ``--trace-out`` and print ``--profile-compile`` (to stderr,
+    beside the verb's other notes: stdout stays the verb's own output,
+    one JSON document under ``--json``) from the verb's tracer (see
+    :func:`_with_telemetry`)."""
     events = current_tracer().events
     if args.trace_out is not None:
         with _writing(args.trace_out):
@@ -310,7 +329,7 @@ def _emit_observability(args: argparse.Namespace) -> None:
     if args.profile_compile:
         from .obs.profile import CompileProfile
 
-        print(CompileProfile.from_events(events).format())
+        print(CompileProfile.from_events(events).format(), file=sys.stderr)
 
 
 def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
@@ -326,8 +345,8 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
 #: the options (``dest`` names) whose output is read from the verb's
 #: trace: any of them makes the verb record one
 _TELEMETRY_OPTIONS = (
-    "trace_out", "profile_compile", "metrics_out", "append_trajectory",
-    "check_regression",
+    "trace_out", "profile_compile", "metrics_out", "cache_stats",
+    "append_trajectory", "check_regression",
 )
 
 
@@ -336,8 +355,9 @@ def _with_telemetry(impl):
 
     The tracer records when any of :data:`_TELEMETRY_OPTIONS` was given
     (else it is the no-op ``NULL_TRACER``).  Every layer the verb drives
-    records into it, so ``--trace-out``, ``--profile-compile`` and the
-    ``--metrics-out`` snapshot
+    records into it, so ``--trace-out``, ``--profile-compile``,
+    ``--cache-stats``, ``bench``'s phase breakdown and trajectory entry
+    and the ``--metrics-out`` snapshot
     (:meth:`~repro.obs.metrics.MetricsSnapshot.from_events`) all read
     the same one trace.
     """
@@ -602,25 +622,29 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 @_with_telemetry
 def cmd_bench(args: argparse.Namespace) -> int:
+    cache = _make_cache(args)
+    code = _bench(args, cache)
+    _emit_observability(args)
+    _emit_cache_stats(args, cache)
+    return code
+
+
+def _bench(args: argparse.Namespace, cache: ArtifactCache | None) -> int:
+    """Run the suite (plus the engine comparison and the trajectory
+    options asked for); returns the exit status.  The phase breakdown
+    it prints and records is the fold of the verb's trace, present when
+    a telemetry option made it record."""
     from .bench.workloads.suites import ALL_SUITES
 
-    # Any telemetry option makes the verb's tracer record, and a recorded
-    # compile is phase-profiled: the suite report then prints the phase
-    # breakdown, and trajectory entries need its per-phase seconds.
     profile = ALL_SUITES[args.suite]
-    cache = _make_cache(args)
     trajectory = (
         _load_trajectory(args.check_regression, must_exist=True)
         if args.check_regression is not None
         else None
     )
     report = run_suite(profile, seed=args.seed, cache=cache, engine=args.engine)
-    print(format_suite_report(report))
-    if args.trace_out is not None:
-        _write_output(
-            args.trace_out, json.dumps(suite_report_json(report), indent=2),
-            "suite report",
-        )
+    phase_times = cell_phase_times(current_tracer().events)
+    print(format_suite_report(report, phase_times))
     comparison = None
     if args.engine_report is not None or args.engine_report_txt is not None:
         from .bench.engines import compare_engines
@@ -642,10 +666,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not comparison.all_match:
             return 1
     if args.append_trajectory is not None or trajectory is not None:
-        code = _bench_trajectory(args, report, comparison, trajectory)
-        if code:
-            return code
-    _emit_cache_stats(args, cache)
+        return _bench_trajectory(
+            args, report, phase_times, comparison, trajectory
+        )
     return 0
 
 
@@ -668,7 +691,8 @@ def _load_trajectory(path: pathlib.Path, must_exist: bool = False) -> dict:
 
 
 def _bench_trajectory(
-    args: argparse.Namespace, report, comparison, trajectory: dict | None
+    args: argparse.Namespace, report, phase_times, comparison,
+    trajectory: dict | None,
 ) -> int:
     """Gate against ``trajectory`` (the ``--check-regression`` file,
     loaded before the suite ran), then append to the perf trajectory.
@@ -692,6 +716,7 @@ def _bench_trajectory(
         engine_medians=(
             comparison.engine_medians if comparison is not None else None
         ),
+        phase_times=phase_times,
     )
     if trajectory is not None:
         # A gate that compared nothing passes nothing.

@@ -22,10 +22,10 @@ module for every verb.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
+from ..obs.tracer import KIND_SPAN, Event, current_tracer
 from ..pipeline.config import BASELINE, CompilerConfig, DBDS, DUPALOT
 from ..pipeline.front import jit, measure_performance
 from .stats import format_percent, geometric_mean, speedup_percent
@@ -53,20 +53,16 @@ DEFAULT_REGRESSION_THRESHOLD = 0.05
 class Measurement:
     """One (workload, configuration) cell.
 
-    All wall-clock numbers come from ``time.perf_counter`` — the
-    compiler's per-phase spans and the harness's own ``wall_time``
-    alike — so they are directly comparable.  In :func:`run_suite`
-    the configurations of a workload share one parse and profiling
-    run, which the ``wall_time`` of the first configuration to miss
-    the cache includes.  ``phase_times`` (phase name → inclusive
-    seconds, summed over compilation units) is only populated when the
-    compile was recorded: under a recording ambient tracer, or when it
-    was stored into a cache.
+    ``compile_time`` is the compile's wall clock
+    (``time.perf_counter``), summed over its units.  A recorded suite
+    run (:func:`measure_workload`) also has the cell as one
+    ``bench.cell`` span, whose duration is the cell's wall clock and
+    whose ``phase`` spans say where the compile time went.
     """
 
     __slots__ = (
         "workload", "config", "cycles", "compile_time", "code_size",
-        "duplications", "wall_time", "phase_times",
+        "duplications",
     )
 
     def __init__(
@@ -77,8 +73,6 @@ class Measurement:
         compile_time: float,
         code_size: float,
         duplications: int,
-        wall_time: float = 0.0,
-        phase_times: Optional[dict[str, float]] = None,
     ) -> None:
         self.workload = workload
         self.config = config
@@ -86,8 +80,6 @@ class Measurement:
         self.compile_time = compile_time
         self.code_size = code_size
         self.duplications = duplications
-        self.wall_time = wall_time
-        self.phase_times = phase_times if phase_times is not None else {}
 
 
 class BenchmarkRow:
@@ -184,8 +176,13 @@ def measure_workload(
     :func:`~repro.pipeline.front.jit` rejects one built from another
     workload with a :class:`ValueError`.
 
-    Under a recording ambient tracer (a CLI telemetry option) the
-    compile records into it and fills ``Measurement.phase_times`` —
+    The cell is one ``bench.cell`` span of the ambient tracer (attrs
+    ``workload``, ``config`` and the measurement's ``cycles``,
+    ``code_size``, ``compile_time`` and ``duplications``), holding the
+    compile (and the workload's profiling run, when this compile makes
+    it) and the measured run, so a recorded suite run's trace
+    reproduces every number of its table.  Under a recording ambient
+    tracer (a CLI telemetry option) the compile records into it too —
     tracing adds overhead to the compile-time numbers (equally for
     every configuration), so the default ``NULL_TRACER`` keeps it off.
 
@@ -199,34 +196,40 @@ def measure_workload(
     default, like every measured run); all report identical cycles, so
     the choice only changes harness wall time.
     """
-    wall_start = time.perf_counter()
-    artifact = jit(
-        workload.source, workload.entry, workload.profile_args, config,
-        cache=cache, profiled=profiled,
-    )
-    report = artifact.report
-    cycles, results = measure_performance(
-        artifact.program, workload.entry, workload.measure_args,
-        engine=engine,
-        bytecode=None if engine == "reference" else artifact.bytecode(),
-    )
-    wall_time = time.perf_counter() - wall_start
-    for result in results:
-        if result.trapped:
-            raise RuntimeError(
-                f"{workload.suite}/{workload.name} trapped under "
-                f"{config.name}: {result.trap}"
-            )
-    return Measurement(
-        workload=workload.name,
-        config=config.name,
-        cycles=cycles,
-        compile_time=report.total_compile_time,
-        code_size=report.total_code_size,
-        duplications=report.total_duplications,
-        wall_time=wall_time,
-        phase_times=report.total_phase_times(),
-    )
+    with current_tracer().span(
+        "bench.cell", workload=workload.name, config=config.name
+    ) as cell:
+        artifact = jit(
+            workload.source, workload.entry, workload.profile_args, config,
+            cache=cache, profiled=profiled,
+        )
+        report = artifact.report
+        cycles, results = measure_performance(
+            artifact.program, workload.entry, workload.measure_args,
+            engine=engine,
+            bytecode=None if engine == "reference" else artifact.bytecode(),
+        )
+        for result in results:
+            if result.trapped:
+                raise RuntimeError(
+                    f"{workload.suite}/{workload.name} trapped under "
+                    f"{config.name}: {result.trap}"
+                )
+        measurement = Measurement(
+            workload=workload.name,
+            config=config.name,
+            cycles=cycles,
+            compile_time=report.total_compile_time,
+            code_size=report.total_code_size,
+            duplications=report.total_duplications,
+        )
+        cell.attrs.update(
+            cycles=cycles,
+            code_size=measurement.code_size,
+            compile_time=measurement.compile_time,
+            duplications=measurement.duplications,
+        )
+    return measurement
 
 
 def run_suite(
@@ -260,8 +263,13 @@ def run_suite(
     return report
 
 
-def format_suite_report(report: SuiteReport) -> str:
-    """The Figure 5–8 presentation: per-benchmark rows, geomean table."""
+def format_suite_report(
+    report: SuiteReport,
+    breakdown: Optional[dict[str, dict[str, float]]] = None,
+) -> str:
+    """The Figure 5–8 presentation: per-benchmark rows, geomean table,
+    and, given the :func:`cell_phase_times` of a recorded run, the
+    per-configuration compile-time breakdown by phase."""
     lines = [f"=== {report.suite} ==="]
     header = f"{'benchmark':<14s}" + "".join(
         f"{name + ' perf':>16s}{name + ' ctime':>16s}{name + ' size':>16s}"
@@ -294,8 +302,7 @@ def format_suite_report(report: SuiteReport) -> str:
             for name, seconds in report.compile_seconds().items()
         )
     )
-    breakdown = suite_phase_times(report)
-    if any(breakdown.values()):
+    if breakdown:
         lines.append("Compile-time breakdown by phase (inclusive ms, suite total):")
         phases = sorted(
             {p for per_config in breakdown.values() for p in per_config},
@@ -316,62 +323,27 @@ def format_suite_report(report: SuiteReport) -> str:
     return "\n".join(lines)
 
 
-def suite_phase_times(report: SuiteReport) -> dict[str, dict[str, float]]:
-    """Config name → (phase → seconds) summed over the suite's rows.
-
-    Empty inner dicts when the suite's compiles were not recorded.
-    """
-    breakdown: dict[str, dict[str, float]] = {"baseline": {}}
-    for row in report.rows:
-        for phase, seconds in row.baseline.phase_times.items():
-            breakdown["baseline"][phase] = (
-                breakdown["baseline"].get(phase, 0.0) + seconds
-            )
-    for name in report.config_names:
-        per_config = breakdown.setdefault(name, {})
-        for row in report.rows:
-            for phase, seconds in row.configs[name].phase_times.items():
-                per_config[phase] = per_config.get(phase, 0.0) + seconds
+def cell_phase_times(events: Iterable[Event]) -> dict[str, dict[str, float]]:
+    """Config name → (phase → inclusive seconds) over the ``phase``
+    spans inside a trace's ``bench.cell`` spans, keyed by the ``config``
+    of the ``compile`` span that holds each: a suite run's compile time
+    by phase, without the trace's other compiles (``bench
+    --engine-report``'s).  Configurations in first-compile order; a
+    cell the cache served adds nothing."""
+    breakdown: dict[str, dict[str, float]] = {}
+    cell_depth = None
+    for event in events:
+        if cell_depth is not None and event.depth <= cell_depth:
+            cell_depth = None
+        if event.kind != KIND_SPAN:
+            continue
+        if event.name == "bench.cell":
+            cell_depth = event.depth
+        elif cell_depth is None:
+            continue
+        elif event.name == "compile":
+            per_config = breakdown.setdefault(event.attrs["config"], {})
+        elif event.name == "phase":
+            phase = event.attrs["phase"]
+            per_config[phase] = per_config.get(phase, 0.0) + event.dur
     return breakdown
-
-
-def suite_report_json(report: SuiteReport) -> dict[str, Any]:
-    """Machine-readable suite report: per-benchmark measurements with
-    per-phase compile-time breakdowns, plus the geomean summary —
-    written by ``python -m repro bench --trace-out`` so future perf
-    work can diff runs scriptably."""
-
-    def measurement_json(m: Measurement) -> dict[str, Any]:
-        return {
-            "cycles": m.cycles,
-            "compile_time": m.compile_time,
-            "wall_time": m.wall_time,
-            "code_size": m.code_size,
-            "duplications": m.duplications,
-            "phase_times": dict(m.phase_times),
-        }
-
-    return {
-        "suite": report.suite,
-        "configs": list(report.config_names),
-        "rows": [
-            {
-                "workload": row.workload,
-                "baseline": measurement_json(row.baseline),
-                "configs": {
-                    name: measurement_json(m) for name, m in row.configs.items()
-                },
-            }
-            for row in report.rows
-        ],
-        "geomeans": {
-            name: {
-                "speedup_percent": report.geomean_speedup(name),
-                "compile_time_percent": report.geomean_compile_time(name),
-                "code_size_percent": report.geomean_code_size(name),
-            }
-            for name in report.config_names
-        },
-        "compile_seconds": report.compile_seconds(),
-        "phase_times": suite_phase_times(report),
-    }

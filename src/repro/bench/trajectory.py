@@ -14,9 +14,11 @@ Gating policy: only **simulated cycles** gate.  They are deterministic
 (cost-model arithmetic, identical on every machine), so a regression
 is a real compiler-quality change, never CI-runner noise.  Wall-clock
 facts — the VM median speedup from the engine comparison, per-phase
-compile seconds — are *recorded* for trend analysis but never gated
-here; the CI bench job's ≥2× median-VM-speedup floor covers the
-wall-clock side with a machine-tolerant margin.
+compile seconds (:func:`~repro.bench.harness.cell_phase_times` of the
+suite run's trace, the fold its table prints) — are *recorded* for
+trend analysis but never gated here; the CI bench job's ≥2×
+median-VM-speedup floor covers the wall-clock side with a
+machine-tolerant margin.
 
 Entry layout (``schema`` 1)::
 
@@ -54,7 +56,6 @@ from .harness import (
     DEFAULT_REGRESSION_THRESHOLD,
     DEFAULT_TRAJECTORY_PATH,
     SuiteReport,
-    suite_phase_times,
 )
 
 TRAJECTORY_SCHEMA_VERSION = 1
@@ -72,12 +73,15 @@ def trajectory_entry(
     vm_median_speedup: Optional[float] = None,
     engine_medians: Optional[dict[str, float]] = None,
     recorded_at: Optional[str] = None,
+    phase_times: Optional[dict[str, dict[str, float]]] = None,
 ) -> dict[str, Any]:
     """Build one trajectory entry from a finished suite run.
 
     ``vm_median_speedup`` and ``engine_medians`` come from the engine
-    comparison when one ran alongside (``--engine-report``); they are
-    recorded, not gated.
+    comparison when one ran alongside (``--engine-report``), and
+    ``phase_times`` from the run's trace
+    (:func:`~repro.bench.harness.cell_phase_times`); they are recorded,
+    not gated.
     """
     from ..pipeline.cache import repro_version
 
@@ -114,7 +118,7 @@ def trajectory_entry(
         "configs": configs,
         "vm_median_speedup": vm_median_speedup,
         "engine_medians": dict(engine_medians) if engine_medians else None,
-        "phase_times": suite_phase_times(report),
+        "phase_times": phase_times or {},
     }
 
 

@@ -15,7 +15,8 @@ each compiled unit, in the order the phase made them, and
 :func:`format_decisions` renders them.
 
 Exposed on the CLI as the ``--profile-compile`` flag of
-``run``/``compile``/``bench`` and as ``python -m repro explain``.
+``run``/``compile``/``check``/``batch``/``bench`` (printed to stderr)
+and as ``python -m repro explain``.
 """
 
 from __future__ import annotations

@@ -44,11 +44,16 @@ REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
     # the engine that gathered the profile, its steps, and the step it
     # switched at or null
     "interp.profile": ("engine", "steps", "switch_step"),
-    # spans: a phase run, a bytecode verification and its verdict, and a
-    # batch with the jobs it sent to workers and the jobs the cache served
+    # spans: a phase run, a bytecode verification and its verdict, a
+    # batch with the jobs it sent to workers and the jobs the cache
+    # served, and one bench suite cell with the numbers of its table row
     "phase": ("phase",),
     "bcverify": ("ok",),
     "batch": ("pending", "cached"),
+    "bench.cell": (
+        "workload", "config", "cycles", "code_size", "compile_time",
+        "duplications",
+    ),
 }
 
 

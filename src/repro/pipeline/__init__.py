@@ -24,7 +24,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".cache": (
         "ArtifactCache",
         "CacheEntry",
-        "CacheStats",
         "artifact_manifest",
         "cache_key",
         "config_fingerprint",
@@ -58,7 +57,6 @@ __all__ = [
     "BatchOptions",
     "BatchReport",
     "CacheEntry",
-    "CacheStats",
     "CompilationReport",
     "Compiler",
     "CompilerConfig",

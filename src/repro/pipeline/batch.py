@@ -16,15 +16,15 @@ pool only changes *when* a unit is compiled, never *what* comes out.
 
 Every worker compiles under its own event-recording
 :class:`~repro.obs.tracer.Tracer`, and its trace comes back to the
-parent: :meth:`BatchReport.profile` folds the per-file traces into one
-:class:`~repro.obs.profile.CompileProfile`, and :func:`compile_batch`
-appends each to its own tracer, so a CLI verb's one trace holds the
-whole fleet's compile work (``--profile-compile``, ``--trace-out`` and
-``--metrics-out`` all read it; serial and parallel batches fold to the
-same totals).  In that trace the batch is one ``batch`` span (attrs
-``pending``: jobs sent to workers, ``cached``: jobs the cache served)
-holding the ``cache.hit``/``cache.miss``/``cache.store`` events (via
-the cache), each compiled file's appended trace, and one
+parent: :func:`compile_batch` appends each freshly compiled file's to
+its own tracer, so a CLI verb's one trace holds the whole fleet's
+compile work and is the only record of it (``--profile-compile``,
+``--cache-stats``, ``--trace-out`` and ``--metrics-out`` all fold it;
+serial and parallel batches fold to the same totals, and a warm batch
+holds no ``phase`` span).  In that trace the batch is one ``batch``
+span (attrs ``pending``: jobs sent to workers, ``cached``: jobs the
+cache served) holding the ``cache.hit``/``cache.miss``/``cache.store``
+events (via the cache), each compiled file's appended trace, and one
 ``batch.worker`` event per compiled file.  Appended events keep the
 timestamps of their worker's tracer.
 """
@@ -40,7 +40,6 @@ from typing import Any, Optional, Sequence, Union
 
 from ..analysis.blame import CHECK_OFF, PhaseBlameError
 from ..ir.graph import Program
-from ..obs.profile import CompileProfile
 from ..obs.sinks import event_from_dict, event_to_dict
 from ..obs.tracer import Event, Tracer, current_tracer
 from .cache import ArtifactCache, CacheEntry, cache_key
@@ -116,7 +115,6 @@ class BatchReport:
     jobs: int
     results: list[FileResult] = field(default_factory=list)
     elapsed: float = 0.0
-    cache_stats: Optional[dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -130,22 +128,6 @@ class BatchReport:
     def compiled(self) -> int:
         return sum(1 for r in self.results if not r.cached and r.error is None)
 
-    def events(self) -> list[Event]:
-        """Compile-trace events of every *freshly compiled* file.
-
-        Cache hits contribute nothing here on purpose: a warm batch
-        must show zero optimization-phase spans in its profile.
-        """
-        merged: list[Event] = []
-        for result in self.results:
-            if not result.cached:
-                merged.extend(result.events)
-        return merged
-
-    def profile(self) -> CompileProfile:
-        """One aggregated compile profile across all workers."""
-        return CompileProfile.from_events(self.events())
-
     def to_json(self) -> dict[str, Any]:
         return {
             "config": self.config,
@@ -154,9 +136,7 @@ class BatchReport:
             "ok": self.ok,
             "hits": self.hits,
             "compiled": self.compiled,
-            "cache": self.cache_stats,
             "files": [result.to_json() for result in self.results],
-            "profile": self.profile().to_json(),
         }
 
     def format(self) -> str:
@@ -197,8 +177,8 @@ def _compile_worker(
     Takes and returns only picklable plain data so the same function is
     pool- and spawn-safe: the artifact travels as a cache-entry payload.
     The worker always compiles under a recording tracer: the trace is
-    what makes cached artifacts explainable and the batch profile
-    aggregatable.  It travels in the entry; a failed compile, which
+    what makes cached artifacts explainable, and the parent appends it
+    to its own.  It travels in the entry; a failed compile, which
     makes none, returns the trace it recorded as ``events``.
     """
     tracer = Tracer()
@@ -356,7 +336,6 @@ def compile_batch(
         jobs=jobs,
         results=[r for r in results if r is not None],
         elapsed=time.perf_counter() - started,
-        cache_stats=cache.stats.to_json() if cache is not None else None,
     )
 
 

@@ -360,53 +360,19 @@ def _decode_entry(payload: dict[str, Any]) -> CacheEntry:
 # ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
-class CacheStats:
-    """Tallies of one cache's lifetime (one process)."""
-
-    __slots__ = ("hits", "misses", "stores", "evictions")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-    def format(self) -> str:
-        return (
-            f"cache: {self.hits} hit(s), {self.misses} miss(es), "
-            f"{self.stores} store(s), {self.evictions} eviction(s) "
-            f"({self.hit_rate * 100.0:.0f}% hit rate)"
-        )
-
-
 class ArtifactCache:
     """Content-addressed store of :class:`CacheEntry` files.
 
     Thread/process safe for writers (atomic ``os.replace``); readers
     verify a whole-payload digest, so a reader can never observe a
-    partially written entry — worst case it misses.
+    partially written entry — worst case it misses.  It keeps no
+    tallies: every lookup, store and eviction is a ``cache.*`` event of
+    the tracer it is given (default: the ambient one), which
+    ``--cache-stats`` and the metrics fold.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.stats = CacheStats()
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.entry"
@@ -422,7 +388,7 @@ class ArtifactCache:
         if entry is None or entry.key != key:
             self._evict(key, path, "corrupted entry", tracer)
             return self._miss(key, tracer)
-        self._hit(key, path, tracer, bytes=len(raw))
+        tracer.event("cache.hit", key=key, path=str(path), bytes=len(raw))
         return entry
 
     def put(
@@ -432,7 +398,7 @@ class ArtifactCache:
         tracer = tracer if tracer is not None else current_tracer()
         path = self.path_for(entry.key)
         size = self._write(path, entry.key, entry.to_payload())
-        self._stored(entry.key, path, tracer, bytes=size)
+        tracer.event("cache.store", key=entry.key, path=str(path), bytes=size)
         return path
 
     # ------------------------------------------------------------------
@@ -455,7 +421,7 @@ class ArtifactCache:
         if payload is None:
             self._evict(key, path, "corrupted aux blob", tracer)
             return self._miss(key, tracer, kind="aux")
-        self._hit(key, path, tracer, kind="aux")
+        tracer.event("cache.hit", key=key, path=str(path), kind="aux")
         return payload
 
     def put_aux(
@@ -465,7 +431,7 @@ class ArtifactCache:
         tracer = tracer if tracer is not None else current_tracer()
         path = self.aux_path_for(key)
         self._write(path, key, payload)
-        self._stored(key, path, tracer, kind="aux")
+        tracer.event("cache.store", key=key, path=str(path), kind="aux")
         return path
 
     # ------------------------------------------------------------------
@@ -513,17 +479,8 @@ class ArtifactCache:
         return len(body)
 
     def _miss(self, key: str, tracer: Tracer, **attrs: Any) -> None:
-        """Count a lookup that found nothing usable; returns None."""
-        self.stats.misses += 1
+        """Record a lookup that found nothing usable; returns None."""
         tracer.event("cache.miss", key=key, **attrs)
-
-    def _hit(self, key: str, path: Path, tracer: Tracer, **attrs: Any) -> None:
-        self.stats.hits += 1
-        tracer.event("cache.hit", key=key, path=str(path), **attrs)
-
-    def _stored(self, key: str, path: Path, tracer: Tracer, **attrs: Any) -> None:
-        self.stats.stores += 1
-        tracer.event("cache.store", key=key, path=str(path), **attrs)
 
     def _evict(
         self, key: str, path: Path, reason: str, tracer: Tracer
@@ -532,5 +489,4 @@ class ArtifactCache:
             path.unlink()
         except OSError:
             pass
-        self.stats.evictions += 1
         tracer.event("cache.evict", key=key, reason=reason)

@@ -95,7 +95,6 @@ class Compiler:
         config_name = self.config.name
         graph = program.function(name)
         metrics = UnitMetrics(function=name)
-        span_start = len(tracer.events)
         with tracer.span("compile", function=name, config=config_name):
             start = time.perf_counter()
             if self.guard is not None:
@@ -144,14 +143,6 @@ class Compiler:
             metrics.compile_time = time.perf_counter() - start
 
         metrics.code_size = graph_code_size(graph)
-        if tracer.enabled:
-            for event in tracer.events[span_start:]:
-                if event.kind == "span" and event.name == "phase":
-                    phase_name = str(event.attrs.get("phase", "?"))
-                    metrics.phase_times[phase_name] = (
-                        metrics.phase_times.get(phase_name, 0.0)
-                        + (event.dur or 0.0)
-                    )
         return metrics
 
     def _cleanup_phases(self, program: Program, graph: Graph) -> None:

@@ -34,13 +34,13 @@ class UnitMetrics:
 
     ``duplications`` and ``candidates`` are what the unit's duplication
     phase returned (:class:`~repro.dbds.phase.DbdsStats`, or the kept
-    pairs of the backtracking baseline); ``phase_times`` (phase name →
-    seconds) is populated only when compiling under a recording tracer.
+    pairs of the backtracking baseline); where the compile time went,
+    phase by phase, is the compile's trace (its ``phase`` spans).
     """
 
     __slots__ = (
         "function", "compile_time", "code_size", "initial_code_size",
-        "duplications", "candidates", "phase_times",
+        "duplications", "candidates",
     )
 
     def __init__(
@@ -51,7 +51,6 @@ class UnitMetrics:
         initial_code_size: float = 0.0,
         duplications: int = 0,
         candidates: int = 0,
-        phase_times: Optional[dict[str, float]] = None,
     ) -> None:
         self.function = function
         self.compile_time = compile_time
@@ -59,7 +58,6 @@ class UnitMetrics:
         self.initial_code_size = initial_code_size
         self.duplications = duplications
         self.candidates = candidates
-        self.phase_times = phase_times if phase_times is not None else {}
 
     @property
     def code_size_increase(self) -> float:
@@ -75,7 +73,6 @@ class UnitMetrics:
             "initial_code_size": self.initial_code_size,
             "duplications": self.duplications,
             "candidates": self.candidates,
-            "phase_times": dict(self.phase_times),
         }
 
     @classmethod
@@ -87,7 +84,6 @@ class UnitMetrics:
             initial_code_size=data.get("initial_code_size", 0.0),
             duplications=data.get("duplications", 0),
             candidates=data.get("candidates", 0),
-            phase_times=dict(data.get("phase_times", {})),
         )
 
 
@@ -112,14 +108,6 @@ class CompilationReport:
     def total_duplications(self) -> int:
         return sum(u.duplications for u in self.units)
 
-    def total_phase_times(self) -> dict[str, float]:
-        """Seconds per phase summed over units (empty if untraced)."""
-        totals: dict[str, float] = {}
-        for unit in self.units:
-            for phase, seconds in unit.phase_times.items():
-                totals[phase] = totals.get(phase, 0.0) + seconds
-        return totals
-
     def to_json(self) -> dict[str, Any]:
         """Machine-readable form (``python -m repro compile --json``)."""
         return {
@@ -129,7 +117,6 @@ class CompilationReport:
                 "compile_time": self.total_compile_time,
                 "code_size": self.total_code_size,
                 "duplications": self.total_duplications,
-                "phase_times": self.total_phase_times(),
             },
         }
 

@@ -2,15 +2,18 @@
 
 import pytest
 
+from repro.__main__ import main
 from repro.bench.harness import (
     BenchmarkRow,
     Measurement,
+    SuiteReport,
+    cell_phase_times,
     format_suite_report,
     measure_workload,
     run_suite,
-    suite_report_json,
 )
 from repro.bench.workloads.suites import MICRO, generate_suite, generate_workload
+from repro.obs import read_jsonl, validate_trace_file
 from repro.obs.tracer import Tracer, use_tracer
 from repro.pipeline.compiler import Compiler
 from repro.pipeline.config import BASELINE, DBDS, DUPALOT
@@ -34,19 +37,25 @@ class TestMeasureWorkload:
         assert m.compile_time > 0
         assert m.duplications == 0
         assert m.config == "baseline"
-        # perf_counter wall clock covers compile + measured run
-        assert m.wall_time >= m.compile_time
-        # per-phase breakdown only under a recording tracer
-        assert m.phase_times == {}
 
     def test_phase_profiling_on_request(self):
         workload = generate_workload(MICRO, "charcount")
         tracer = Tracer()
         with use_tracer(tracer):
             m = measure_workload(workload, DBDS)
-        assert "dbds" in m.phase_times and "canonicalize" in m.phase_times
-        assert all(seconds >= 0 for seconds in m.phase_times.values())
-        # The compile recorded into the ambient trace.
+        # The cell is one span holding the numbers of its table cell...
+        (cell,) = tracer.spans("bench.cell")
+        assert cell.attrs == {
+            "workload": "charcount", "config": "dbds", "cycles": m.cycles,
+            "code_size": m.code_size, "compile_time": m.compile_time,
+            "duplications": m.duplications,
+        }
+        # ...its wall clock covers the compile and the measured run...
+        assert cell.dur >= m.compile_time
+        # ...and the compile recorded its phases into the ambient trace.
+        phases = cell_phase_times(tracer.events)["dbds"]
+        assert "dbds" in phases and "canonicalize" in phases
+        assert all(seconds >= 0 for seconds in phases.values())
         assert tracer.spans("compile")
 
     def test_dbds_measurement_duplicates(self):
@@ -138,7 +147,6 @@ def test_absolute_compile_seconds_are_printed_where_table_parsers_skip_them(
     assert seconds["dbds"] == pytest.approx(
         sum(row.configs["dbds"].compile_time for row in report.rows)
     )
-    assert suite_report_json(report)["compile_seconds"] == seconds
     text = format_suite_report(report)
     (line,) = [
         line for line in text.splitlines() if line.startswith("Absolute compile")
@@ -160,3 +168,37 @@ def test_figure_7_perf_and_size_columns_hold():
     assert len(expected) == len(MICRO.benchmark_names) + 2
     report = run_suite(MICRO, engine="vm")
     assert figure_columns(format_suite_report(report)) == expected
+
+
+def test_a_bench_trace_reproduces_its_table(tmp_path, capsys):
+    """Every number ``bench`` prints is in its trace: the 27 ``bench.cell``
+    spans of a micro run rebuild the table, and the ``phase`` spans
+    inside them, summed per configuration, its phase breakdown."""
+    trace = tmp_path / "t.jsonl"
+    argv = ["bench", "--suite", "micro", "--engine", "vm", "--trace-out", str(trace)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    validate_trace_file(trace)
+    events = read_jsonl(trace)
+    cells = [e for e in events if e.name == "bench.cell"]
+    assert len(cells) == 27
+    report = SuiteReport("micro", config_names=["dbds", "dupalot"])
+    breakdown: dict = {}
+    for cell in cells:
+        m = Measurement(**cell.attrs)
+        if m.config == "baseline":
+            report.rows.append(BenchmarkRow(m.workload, m))
+        else:
+            report.rows[-1].configs[m.config] = m
+        per_config = breakdown.setdefault(m.config, {})
+        for e in events:
+            if e.name == "phase" and cell.ts < e.ts < cell.ts + cell.dur:
+                per_config[e.attrs["phase"]] = (
+                    per_config.get(e.attrs["phase"], 0.0) + e.dur
+                )
+    assert cell_phase_times(events) == breakdown
+    table = format_suite_report(report, breakdown)
+    assert figure_columns(table) == figure_columns(printed)
+    assert len(figure_columns(table)) == len(MICRO.benchmark_names) + 2
+    assert "Compile-time breakdown by phase" in table
+    assert printed == table + "\n"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.harness import DEFAULT_TRAJECTORY_PATH, run_suite
+from repro.bench.harness import DEFAULT_TRAJECTORY_PATH, cell_phase_times, run_suite
 from repro.bench.trajectory import (
     TRAJECTORY_SCHEMA_VERSION,
     append_trajectory,
@@ -14,6 +14,7 @@ from repro.bench.trajectory import (
     trajectory_entry,
 )
 from repro.bench.workloads.suites import ALL_SUITES
+from repro.obs import Tracer, use_tracer
 from repro.pipeline.config import CONFIGURATIONS
 from tests.helpers import REPO
 
@@ -49,9 +50,12 @@ def make_entry(
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def micro_entry():
-    report = run_suite(ALL_SUITES["micro"], seed=0)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        report = run_suite(ALL_SUITES["micro"], seed=0)
     return trajectory_entry(
-        report, seed=0, vm_median_speedup=42.0, recorded_at="pinned"
+        report, seed=0, vm_median_speedup=42.0, recorded_at="pinned",
+        phase_times=cell_phase_times(tracer.events),
     )
 
 

@@ -8,8 +8,9 @@ counters, gauges and histogram observation counts of thirteen commands
 ``repro_compile_phase_seconds`` observation, so ``--check-ir
 each-phase`` adds the guard's ``ir-check`` spans under their own label
 (three of them follow nqueens' three duplications).
-For the verbs whose ``--trace-out`` is the JSONL trace, the metrics
-read back from the trace file equal the run's own ``--metrics-out``.
+For the verbs that take ``--trace-out`` (every verb here but
+``profile``), the metrics read back from the trace file equal the
+run's own ``--metrics-out``.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ SCENARIOS = {
 }
 
 #: the verbs whose ``--trace-out`` writes the JSONL trace
-TRACED_VERBS = ("run", "check", "batch")
+TRACED_VERBS = ("run", "check", "batch", "bench")
 
 
 def flat(metrics: dict) -> dict[str, int]:
@@ -218,17 +219,21 @@ def test_check_with_fuzzers_is_one_trace(tmp_path, capsys):
 def test_batch_trace_holds_the_fleet(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     argv = ["batch", "-j", "2", *EXAMPLES_4, "--no-cache", "--json",
-            "--trace-out", str(trace)]
+            "--profile-compile", "--trace-out", str(trace)]
     assert main(argv) == 0
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["compiled"] == 3
     validate_trace_file(trace)
     events = read_jsonl(trace)
     assert not any(e.name == "counters" for e in events)
     (batch,) = [e for e in events if e.name == "batch"]
     assert batch.attrs == {"pending": 3, "cached": 0}
+    # The profile the verb printed is the fold of its trace file, and it
+    # holds every worker's compiles.
     profile = CompileProfile.from_events(events)
-    assert {name: stat.count for name, stat in profile.phases.items()} == {
-        name: stat["count"] for name, stat in report["profile"]["phases"].items()
-    }
-    assert profile.phases
-    assert profile.to_json()["dbds"] == report["profile"]["dbds"]
+    assert profile.format() in captured.err
+    assert {
+        f"repro_compile_phase_seconds{{phase={name}}}": stat.count
+        for name, stat in profile.phases.items()
+    } == {k: n for k, n in EXAMPLES.items() if k.startswith("repro_compile_phase")}
+    assert (profile.accepted, profile.rejected) == (3, 35)

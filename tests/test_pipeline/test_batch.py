@@ -7,6 +7,7 @@ import textwrap
 
 from repro.__main__ import main
 from repro.obs import (
+    CompileProfile,
     MetricsSnapshot,
     Tracer,
     decision_units,
@@ -82,7 +83,7 @@ def test_a_failed_compile_hands_over_its_trace(monkeypatch):
     report = compile_batch([("a.mini", ADD)], batch_options(), tracer=tracer)
     (result,) = report.results
     assert result.error == "RuntimeError: boom"
-    assert "inlining" in report.profile().phases
+    assert "inlining" in CompileProfile.from_events(tracer.events).phases
     metrics = MetricsSnapshot.from_events(tracer.events)
     assert metrics.counter_value("repro_batch_jobs_total", outcome="error") == 1
     assert metrics.counter_total("repro_profile_runs_total") == 1
@@ -103,8 +104,9 @@ def test_batch_emits_worker_events():
 
 
 def test_cold_batch_profile_has_phase_spans():
-    report = compile_batch([("a.mini", ADD)], batch_options())
-    profile = report.profile()
+    tracer = Tracer()
+    compile_batch([("a.mini", ADD)], batch_options(), tracer=tracer)
+    profile = CompileProfile.from_events(tracer.events)
     assert profile.phases, "a cold compile must record optimization phases"
     assert "dbds" in profile.phases
 
@@ -113,25 +115,28 @@ def test_warm_batch_runs_zero_optimization_phase_spans(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     specs = [("a.mini", ADD), ("b.mini", MUL)]
 
-    cold = compile_batch(specs, batch_options(cache=cache))
+    tracer = Tracer()
+    cold = compile_batch(specs, batch_options(cache=cache), tracer=tracer)
     assert cold.ok and cold.compiled == 2 and cold.hits == 0
-    assert cold.profile().phases
+    assert CompileProfile.from_events(tracer.events).phases
 
     # A fresh cache object over the same directory: the warm run models
     # a new process finding the previous run's artifacts on disk.
     cache = ArtifactCache(tmp_path / "cache")
-    warm = compile_batch(specs, batch_options(cache=cache))
+    tracer = Tracer()
+    warm = compile_batch(specs, batch_options(cache=cache), tracer=tracer)
     assert warm.ok and warm.hits == 2 and warm.compiled == 0
     # The acceptance criterion: a warm-cache rerun executes zero
-    # optimization-phase spans.
-    assert warm.profile().phases == {}
-    assert warm.profile().total_time == 0.0
-    assert warm.events() == []
+    # optimization-phase spans: its trace holds the batch span and the
+    # cache lookups, nothing else.
+    profile = CompileProfile.from_events(tracer.events)
+    assert profile.phases == {}
+    assert profile.total_time == 0.0
+    assert [e.name for e in tracer.events] == ["batch", "cache.hit", "cache.hit"]
     # ... and the artifacts served from cache are the cold ones.
     for before, after in zip(cold.results, warm.results):
         assert after.cached
         assert after.manifest["digest"] == before.manifest["digest"]
-    assert cache.stats.hit_rate >= 0.9
 
 
 def test_warm_batch_entries_keep_their_decision_trace(tmp_path):
@@ -140,7 +145,7 @@ def test_warm_batch_entries_keep_their_decision_trace(tmp_path):
     warm = compile_batch([("a.mini", ADD)], batch_options(cache=cache))
     (result,) = warm.results
     # The stored per-file trace survives for offline explainability even
-    # though it is excluded from the batch profile.
+    # though a cache hit adds nothing to the batch's trace.
     assert any(e.name == "dbds.decision" for e in result.events)
     assert result.manifest["decisions"]
     report = format_decisions(decision_units(result.events))
@@ -179,7 +184,19 @@ def test_cli_batch_json(tmp_path, capsys):
     assert payload["ok"] is True
     assert payload["compiled"] == 2 and payload["hits"] == 0
     assert len(payload["files"]) == 2
-    assert payload["profile"]["phases"]
+    assert set(payload) == {
+        "config", "jobs", "elapsed", "ok", "hits", "compiled", "files",
+    }
+
+
+def test_cli_batch_json_with_profile_is_one_document(capsys):
+    argv = ["batch", "-j", "1", str(REPO / "examples"), "--args", "4",
+            "--no-cache", "--json", "--profile-compile"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["ok"] and payload["compiled"] == 3
+    assert captured.err.startswith("compile profile")
 
 
 def test_cli_batch_warm_rerun_profile_is_empty(tmp_path, capsys):
@@ -190,7 +207,10 @@ def test_cli_batch_warm_rerun_profile_is_empty(tmp_path, capsys):
     assert main(base + ["--profile-compile", "--cache-stats"]) == 0
     cold = capsys.readouterr()
     assert "compiled" in cold.out
-    assert "0% hit rate" in cold.err
+    assert (
+        "cache: 0 hit(s), 2 miss(es), 2 store(s), 0 eviction(s) (0% hit rate)"
+        in cold.err
+    )
 
     assert main(base + ["--profile-compile", "--cache-stats"]) == 0
     captured = capsys.readouterr()
@@ -201,8 +221,8 @@ def test_cli_batch_warm_rerun_profile_is_empty(tmp_path, capsys):
     # ...with ≥90% hits and an empty compile profile: the acceptance
     # criterion that no optimization phase ran on the warm path.
     assert "100% hit rate" in captured.err
-    assert "compile profile (0.00 ms total)" in warm_out
-    profile_tail = warm_out.split("compile profile", 1)[1]
+    assert "compile profile (0.00 ms total)" in captured.err
+    profile_tail = captured.err.split("compile profile", 1)[1]
     assert "dbds" not in profile_tail
     assert "canonicalize" not in profile_tail
 
@@ -267,3 +287,19 @@ def test_batch_serves_what_run_stored(tmp_path, capsys):
     capsys.readouterr()
     assert main(["batch", NQUEENS, "-j", "1", *common]) == 0
     assert "1 from cache, 0 compiled" in capsys.readouterr().out
+
+
+def test_cache_stats_tally_the_verbs_cache_events(tmp_path, capsys):
+    # A run looks up and stores the artifact and megaunit's generated
+    # source (an aux entry); the warm rerun's trace holds the two hits.
+    argv = ["run", NQUEENS, "--args", "4", "--cache-dir", str(tmp_path / "c"),
+            "--cache-stats"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.endswith(
+        "cache: 0 hit(s), 2 miss(es), 2 store(s), 0 eviction(s) (0% hit rate)\n"
+    )
+    assert main(argv) == 0
+    assert capsys.readouterr().err.endswith(
+        "cache: 2 hit(s), 0 miss(es), 0 store(s), 0 eviction(s) "
+        "(100% hit rate)\n"
+    )

@@ -243,23 +243,58 @@ class TestObservabilityFlags:
     def test_run_profile_compile(self, source_file, capsys):
         code = main(["run", str(source_file), "--args", "20", "--profile-compile"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "176" in out and "compile profile" in out
+        captured = capsys.readouterr()
+        assert "176" in captured.out and "compile profile" in captured.err
 
-    def test_bench_trace_out_json(self, tmp_path, capsys, monkeypatch):
+    def test_compile_json_with_profile_is_one_document(self, source_file, capsys):
+        import json
+
+        argv = ["compile", str(source_file), "--json", "--profile-compile"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["totals"]["compile_time"] > 0
+        assert "phase_times" not in report["totals"]
+        assert captured.err.startswith("compile profile")
+
+    def test_bench_trace_out_is_the_verbs_trace(self, tmp_path, capsys, monkeypatch):
         import json
 
         import repro.bench.workloads.suites as suites
+        from repro.bench.harness import cell_phase_times
+        from repro.obs import read_jsonl, validate_trace_file
 
         tiny = first_benchmarks(suites.MICRO, 1)
         monkeypatch.setitem(suites.ALL_SUITES, "micro", tiny)
-        out = tmp_path / "suite.json"
-        code = main(["bench", "--suite", "micro", "--trace-out", str(out)])
+        trace, trajectory = tmp_path / "t.jsonl", tmp_path / "traj.json"
+        code = main([
+            "bench", "--suite", "micro", "--engine", "vm",
+            "--trace-out", str(trace), "--profile-compile",
+            "--engine-report", str(tmp_path / "engines.json"),
+            "--append-trajectory", str(trajectory),
+        ])
         assert code == 0
-        assert "Compile-time breakdown by phase" in capsys.readouterr().out
-        data = json.loads(out.read_text())
-        assert data["suite"] == "micro"
-        assert data["rows"][0]["configs"]["dbds"]["phase_times"]
+        captured = capsys.readouterr()
+        assert "Compile-time breakdown by phase" in captured.out
+        assert "compile profile" in captured.err
+        validate_trace_file(trace)
+        events = read_jsonl(trace)
+        assert [e.attrs["config"] for e in events if e.name == "bench.cell"] == [
+            "baseline", "dbds", "dupalot",
+        ]
+        # The engine comparison recompiles under dbds after the suite:
+        # its phase spans are in the trace, but not in the breakdown.
+        end = max(i for i, e in enumerate(events) if e.name == "bench.cell")
+        end += next(
+            i for i, e in enumerate(events[end + 1:], 1) if e.depth == 0
+        )
+        assert any(e.name == "phase" for e in events[end:])
+        breakdown = cell_phase_times(events)
+        assert list(breakdown) == ["baseline", "dbds", "dupalot"]
+        assert breakdown == cell_phase_times(events[:end])
+        # The trajectory entry records the breakdown the table prints.
+        (entry,) = json.loads(trajectory.read_text())["entries"]
+        assert entry["phase_times"] == breakdown
 
 
 class TestProfileAndMetrics:

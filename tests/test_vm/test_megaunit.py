@@ -576,11 +576,14 @@ def test_counted_module_never_enters_the_codegen_cache(tmp_path):
     program = compile_source(CALLS)
     cache = ArtifactCache(tmp_path / "cache")
     collector = ProfileCollector()
-    MegaunitVirtualMachine(
-        translate_program(program), profile=collector, codegen_cache=cache
-    ).run("main", [6])
+    tracer = Tracer()
+    with use_tracer(tracer):
+        MegaunitVirtualMachine(
+            translate_program(program), profile=collector, codegen_cache=cache
+        ).run("main", [6])
     assert collector.block_counts
-    assert (cache.stats.lookups, cache.stats.stores) == (0, 0)
+    assert not [e for e in tracer.events if e.name.startswith("cache.")]
+    assert not (tmp_path / "cache").exists()
 
 
 # ----------------------------------------------------------------------
